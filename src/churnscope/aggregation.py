@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .cost_model import AllocFnKind, CostModel
 from .errors import ModelMismatchError, SpanStateError
@@ -50,14 +51,26 @@ def span_churn(span: MarkerSpan, model: CostModel) -> MarkerChurn:
             f"span {span.span_id!r} was recorded under model "
             f"{session_model.model_version!r}, not {model.model_version!r}"
         )
+    return _span_record(span, float)
+
+
+def _span_record(span: MarkerSpan, round_cost: Callable[[float], float]) -> MarkerChurn:
+    """Build a closed span's record, its cost passed through ``round_cost``.
+
+    Call counts are read straight from the snapshot fields, so no per-span
+    dicts are built beyond the record's own.
+    """
     start = span.start_snapshot
     end = span.end_snapshot
-    start_calls = start.calls()
-    calls = {kind: n - start_calls[kind] for kind, n in end.calls().items()}
     return MarkerChurn(
         name=span.name,
-        cost=end.cost - start.cost,
-        calls=calls,
+        cost=round_cost(end.cost - start.cost),
+        calls={
+            AllocFnKind.MALLOC: end.malloc_calls - start.malloc_calls,
+            AllocFnKind.CALLOC: end.calloc_calls - start.calloc_calls,
+            AllocFnKind.REALLOC: end.realloc_calls - start.realloc_calls,
+            AllocFnKind.FREE: end.free_calls - start.free_calls,
+        },
         bytes_allocated=end.bytes_allocated - start.bytes_allocated,
         bytes_freed=end.bytes_freed - start.bytes_freed,
         overflow=end.overflow_count > start.overflow_count,
@@ -65,6 +78,11 @@ def span_churn(span: MarkerSpan, model: CostModel) -> MarkerChurn:
         thread_id=span.thread_id,
         span_id=span.span_id,
     )
+
+
+# Copied per merge; copying a dict reuses its stored hashes, which skips the
+# Python-level Enum.__hash__ that building a fresh one would call per kind.
+_NO_CALLS = {kind: 0 for kind in AllocFnKind}
 
 
 def merge_threads(parts: list[MarkerChurn]) -> MarkerChurn:
@@ -83,7 +101,7 @@ def merge_threads(parts: list[MarkerChurn]) -> MarkerChurn:
             raise ValueError(f"cannot merge {part.name!r} into {name!r}")
     ordered = sorted(parts, key=lambda p: (p.thread_id or "", p.span_id or ""))
     cost = 0.0
-    calls = {kind: 0 for kind in AllocFnKind}
+    calls = dict(_NO_CALLS)
     bytes_allocated = 0
     bytes_freed = 0
     overflow = False

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -67,6 +68,19 @@ class Thresholds:
     rel: float = DEFAULT_REL_THRESHOLD
     abs_floor: float = DEFAULT_ABS_FLOOR
     call_floor: int | None = None
+
+    def __post_init__(self) -> None:
+        # NaN fails every comparison in _classify, so an unchecked NaN (or
+        # inf, or a negative floor) would silently disable the gate.
+        for name in ("rel", "abs_floor"):
+            value = getattr(self, name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not number or not 0 <= value <= sys.float_info.max:
+                raise ValueError(f"threshold {name} must be a finite number >= 0, got {value!r}")
+        floor = self.call_floor
+        integer = isinstance(floor, int) and not isinstance(floor, bool)
+        if floor is not None and (not integer or floor < 0):
+            raise ValueError(f"threshold call_floor must be null or an integer >= 0, got {floor!r}")
 
 
 @dataclass
@@ -253,6 +267,10 @@ def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return dict(pairs)
 
 
+def _reject_constant(name: str) -> Any:
+    raise ReportError(f"non-finite number literal {name} is not allowed")
+
+
 def _load_json(data: bytes | str, what: str) -> Any:
     if isinstance(data, bytes):
         try:
@@ -260,9 +278,16 @@ def _load_json(data: bytes | str, what: str) -> Any:
         except UnicodeDecodeError as exc:
             raise ReportError(f"{what} is not valid UTF-8: {exc}") from None
     try:
-        return json.loads(data, object_pairs_hook=_reject_duplicate_keys)
+        return json.loads(
+            data, object_pairs_hook=_reject_duplicate_keys, parse_constant=_reject_constant
+        )
     except json.JSONDecodeError as exc:
         raise ReportError(f"{what} syntax error at offset {exc.pos}: {exc.msg}", offset=exc.pos) from None
+    except RecursionError:
+        raise ReportError(f"{what} is nested too deeply") from None
+    except ValueError as exc:
+        # e.g. an integer literal longer than the int conversion limit
+        raise ReportError(f"{what} has an invalid value: {exc}") from None
 
 
 def _expect(doc: dict[str, Any], key: str, types: type | tuple, what: str) -> Any:
@@ -273,6 +298,17 @@ def _expect(doc: dict[str, Any], key: str, types: type | tuple, what: str) -> An
     if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
         raise ReportError(f"{what} field {key!r} has the wrong type")
     return value
+
+
+def _as_float(value: int | float, what: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ReportError(f"{what} is out of range") from None
+
+
+def _expect_float(doc: dict[str, Any], key: str, what: str) -> float:
+    return _as_float(_expect(doc, key, (int, float), what), f"{what} field {key!r}")
 
 
 def _parse_model(doc: Any) -> CostModel:
@@ -288,7 +324,7 @@ def _parse_model(doc: Any) -> CostModel:
             raise ReportError(f"cost_model has unknown weight key {key!r}") from None
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ReportError(f"cost_model weight {key!r} must be a number")
-        weights[kind] = float(value)
+        weights[kind] = _as_float(value, f"cost_model weight {key!r}")
     model = CostModel(weights, version)
     violations = validate_cost_model(model)
     if violations:
@@ -300,7 +336,9 @@ def _parse_churn(doc: Any, what: str, with_thread: bool) -> MarkerChurn:
     if not isinstance(doc, dict):
         raise ReportError(f"{what} must be an object")
     name = _expect(doc, "name", str, what)
-    cost = float(_expect(doc, "cost", (int, float), what))
+    cost = _expect(doc, "cost", (int, float), what)
+    if isinstance(cost, int):  # only an integer literal can be too large for a float
+        cost = _as_float(cost, f"{what} field 'cost'")
     if not math.isfinite(cost) or cost < 0:
         raise ReportError(f"{what} has invalid cost {cost!r}")
     calls_doc = _expect(doc, "calls", dict, what)
@@ -367,10 +405,14 @@ def parse_report(data: bytes | str) -> ChurnReport:
         merged[name] = record
 
     threads_doc = _expect(doc, "threads", list, "report")
-    per_thread = [
-        _parse_churn(item, f"threads[{i}]", with_thread=True)
-        for i, item in enumerate(threads_doc)
-    ]
+    per_thread: list[MarkerChurn] = []
+    span_ids: set[str] = set()
+    for i, item in enumerate(threads_doc):
+        record = _parse_churn(item, f"threads[{i}]", with_thread=True)
+        if record.span_id in span_ids:
+            raise ReportError(f"threads[{i}] repeats span_id {record.span_id!r}")
+        span_ids.add(record.span_id)
+        per_thread.append(record)
 
     counters_doc = _expect(doc, "counters", dict, "report")
     totals = ReportTotals(
@@ -604,12 +646,12 @@ def parse_verdict(data: bytes | str) -> RegressionVerdict:
     if version != SCHEMA_VERSION:
         raise ReportError(f"unknown schema_version {version!r} (expected {SCHEMA_VERSION!r})")
     th_doc = _expect(doc, "thresholds", dict, "verdict")
-    rel = _expect(th_doc, "rel", (int, float), "thresholds")
-    abs_floor = _expect(th_doc, "abs_floor", (int, float), "thresholds")
-    call_floor = th_doc.get("call_floor")
-    if call_floor is not None and (isinstance(call_floor, bool) or not isinstance(call_floor, int)):
-        raise ReportError("thresholds field 'call_floor' must be an integer or null")
-    thresholds = Thresholds(rel=float(rel), abs_floor=float(abs_floor), call_floor=call_floor)
+    rel = _expect_float(th_doc, "rel", "thresholds")
+    abs_floor = _expect_float(th_doc, "abs_floor", "thresholds")
+    try:
+        thresholds = Thresholds(rel=rel, abs_floor=abs_floor, call_floor=th_doc.get("call_floor"))
+    except ValueError as exc:
+        raise ReportError(f"verdict has invalid thresholds: {exc}") from None
     flag = _expect(doc, "regression_detected", bool, "verdict")
     deltas_doc = _expect(doc, "deltas", list, "verdict")
     deltas: list[ChurnDelta] = []
@@ -631,7 +673,7 @@ def parse_verdict(data: bytes | str) -> RegressionVerdict:
             raise ReportError(f"{what} is removed_phase but carries a candidate record")
         if status not in (STATUS_NEW_PHASE, STATUS_REMOVED_PHASE) and (base is None or cand is None):
             raise ReportError(f"{what} must carry both baseline and candidate records")
-        abs_delta = _expect(item, "cost_delta_abs", (int, float), what)
+        abs_delta = _expect_float(item, "cost_delta_abs", what)
         rel_delta = item.get("cost_delta_rel")
         if rel_delta is not None and (isinstance(rel_delta, bool) or not isinstance(rel_delta, (int, float))):
             raise ReportError(f"{what} field 'cost_delta_rel' must be a number or null")
@@ -645,8 +687,11 @@ def parse_verdict(data: bytes | str) -> RegressionVerdict:
                 status=status,
                 baseline=base,
                 candidate=cand,
-                cost_delta_abs=float(abs_delta),
-                cost_delta_rel=None if rel_delta is None else float(rel_delta),
+                cost_delta_abs=abs_delta,
+                cost_delta_rel=(
+                    None if rel_delta is None
+                    else _as_float(rel_delta, f"{what} field 'cost_delta_rel'")
+                ),
                 call_delta=call_delta,
                 bytes_allocated_delta=_expect(item, "bytes_allocated_delta", int, what),
                 bytes_freed_delta=_expect(item, "bytes_freed_delta", int, what),

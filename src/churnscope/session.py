@@ -9,10 +9,9 @@ the canonical per-build report.
 from __future__ import annotations
 
 import threading
-from dataclasses import replace
 from datetime import datetime, timezone
 
-from .aggregation import MarkerChurn, merge_threads, span_churn
+from .aggregation import MarkerChurn, _span_record, merge_threads
 from .cost_model import CostModel, default_cost_model, validate_cost_model
 from .errors import CostModelError, RecorderStateError
 from .recorder import ThreadRecorder
@@ -98,7 +97,8 @@ class RecordingSession:
         Per-span costs are rounded to canonical precision first and merged
         records are summed from those rounded parts in (thread_id, span_id)
         order, so a parsed report always satisfies the merged-equals-sum
-        check exactly.
+        check exactly. Parts are grouped by name in one pass, so the cost is
+        linear in the number of spans however many names they use.
         """
         recs = self.recorders()
         for rec in recs:
@@ -106,16 +106,25 @@ class RecordingSession:
                 raise RecorderStateError(
                     f"recorder {rec.thread_id!r} is not sealed; call seal_all() first"
                 )
-        parts: list[MarkerChurn] = []
-        for rec in recs:
-            for span in rec.spans():
-                churn = span_churn(span, self._model)
-                parts.append(replace(churn, cost=round_cost(churn.cost)))
+        # Sealing closed every span, and every recorder shares self._model,
+        # so span_churn's checks cannot fail here.
+        parts = [_span_record(span, round_cost) for rec in recs for span in rec.spans()]
         parts.sort(key=lambda p: (p.thread_id or "", p.span_id or ""))
+        by_name: dict[str, list[MarkerChurn]] = {}
+        for part in parts:
+            by_name.setdefault(part.name, []).append(part)
         merged: dict[str, MarkerChurn] = {}
-        for name in sorted({p.name for p in parts}):
-            combined = merge_threads([p for p in parts if p.name == name])
-            merged[name] = replace(combined, cost=round_cost(combined.cost))
+        for name in sorted(by_name):
+            combined = merge_threads(by_name[name])
+            merged[name] = MarkerChurn(
+                name=name,
+                cost=round_cost(combined.cost),
+                calls=combined.calls,
+                bytes_allocated=combined.bytes_allocated,
+                bytes_freed=combined.bytes_freed,
+                overflow=combined.overflow,
+                auto_closed=combined.auto_closed,
+            )
         totals = ReportTotals()
         for rec in recs:
             snap = rec.snapshot()

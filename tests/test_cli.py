@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -177,6 +178,42 @@ def test_rank_reorders_saved_verdict(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert stdout.splitlines()[2].split()[0] == "format"
     assert main(["rank", str(verdict_path), "--by", "abs", "--tie-break", "name"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--rel-threshold", "nan", "--abs-floor", "nan"),
+        ("--rel-threshold", "inf"),
+        ("--rel-threshold", "-0.5"),
+        ("--abs-floor", "-1"),
+        ("--call-floor", "-1"),
+    ],
+)
+def test_diff_rejects_thresholds_that_disable_the_gate(tmp_path, capsys, flags):
+    base = run_report(tmp_path, "base")
+    cand = run_report(tmp_path, "cand", variant="regressed")
+    capsys.readouterr()
+    assert main(["diff", str(base), str(cand)]) == 1
+    assert main(["diff", str(base), str(cand), *flags]) == 2
+    assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: re.sub(r'"cost": [0-9.]+', '"cost": 1' + "0" * 400, text, count=1),
+        lambda text: "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["huge-int-cost", "deep-nesting"],
+)
+def test_diff_corrupt_report_exits_2(tmp_path, capsys, corrupt):
+    base = run_report(tmp_path, "base")
+    bad = tmp_path / "bad.churn.json"
+    bad.write_text(corrupt(base.read_text()))
+    capsys.readouterr()
+    assert main(["diff", str(base), str(bad)]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_rank_json_is_idempotent(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -336,3 +337,50 @@ def test_parse_verdict_rejects_inconsistent_flag():
     doc["regression_detected"] = True
     with pytest.raises(ReportError, match="regression_detected"):
         parse_verdict(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"rel": math.nan},
+        {"rel": math.inf},
+        {"rel": -0.01},
+        {"abs_floor": math.nan},
+        {"abs_floor": -math.inf},
+        {"abs_floor": -1.0},
+        {"abs_floor": 10**400},
+        {"rel": True},
+        {"rel": "0.01"},
+        {"call_floor": -1},
+        {"call_floor": 1.5},
+        {"call_floor": True},
+    ],
+)
+def test_thresholds_reject_values_that_disable_the_gate(kwargs):
+    with pytest.raises(ValueError):
+        Thresholds(**kwargs)
+
+
+def test_thresholds_accept_zero_and_integers():
+    assert Thresholds(rel=0, abs_floor=0.0, call_floor=0).rel == 0
+
+
+@pytest.mark.parametrize(
+    "field, literal",
+    [("rel", "-0.5"), ("rel", "1e400"), ("abs_floor", "-1"), ("call_floor", "-3"),
+     ("call_floor", '"2"')],
+)
+def test_parse_verdict_rejects_invalid_thresholds(field, literal):
+    verdict = diff_reports(report_with_units({"a": 1}), report_with_units({"a": 1}))
+    doc = json.loads(serialize_verdict(verdict))
+    doc["thresholds"][field] = "@"
+    data = json.dumps(doc).replace('"@"', literal)
+    with pytest.raises(ReportError, match="thresholds"):
+        parse_verdict(data)
+
+
+def test_parse_verdict_rejects_non_finite_literal():
+    verdict = diff_reports(report_with_units({"a": 1}), report_with_units({"a": 1}))
+    data = serialize_verdict(verdict).decode().replace('"rel": 0.010000', '"rel": NaN', 1)
+    with pytest.raises(ReportError, match="non-finite"):
+        parse_verdict(data)

@@ -204,6 +204,46 @@ def test_parse_rejects_missing_fields():
         parse_report(json.dumps(doc))
 
 
+def test_parse_rejects_duplicate_span_ids():
+    doc = json.loads(serialize_report(golden_report()))
+    # A second copy of the one span, with the phase total doubled to match, so
+    # only the repeated span_id is wrong.
+    doc["threads"].append(dict(doc["threads"][0]))
+    phase = doc["phases"]["demo"]
+    phase["cost"] *= 2
+    phase["calls"] = {k: 2 * n for k, n in phase["calls"].items()}
+    phase["bytes_allocated"] *= 2
+    phase["bytes_freed"] *= 2
+    with pytest.raises(ReportError, match="span_id"):
+        parse_report(json.dumps(doc))
+
+
+# 400 zeros overflow a float; 5000 also pass the int-string conversion limit
+# of interpreters that have one.
+@pytest.mark.parametrize(
+    "zeros, match", [(400, "out of range"), (5000, "invalid value|out of range")]
+)
+def test_parse_rejects_cost_too_large_for_a_float(zeros, match):
+    data = serialize_report(golden_report()).decode()
+    data = data.replace('"cost": 20.000000', '"cost": 1' + "0" * zeros, 1)
+    with pytest.raises(ReportError, match=match):
+        parse_report(data)
+
+
+def test_parse_rejects_deeply_nested_document():
+    depth = 100_000
+    with pytest.raises(ReportError, match="nested too deeply"):
+        parse_report("[" * depth + "]" * depth)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_parse_rejects_non_finite_literals(literal):
+    data = serialize_report(golden_report()).decode()
+    data = data.replace('"live_bytes": 0', f'"live_bytes": {literal}', 1)
+    with pytest.raises(ReportError, match="non-finite"):
+        parse_report(data)
+
+
 def test_parse_revalidates_many_parts_merge():
     report = report_with_units({"p": 2})
     # split the phase across extra synthetic spans on other threads
