@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from .cost_model import AllocFnKind, CostModel
+from .cost_model import MICRO, AllocFnKind, CostModel
 from .errors import ModelMismatchError, SpanStateError
 from .markers import MarkerSpan
 
@@ -14,14 +13,15 @@ from .markers import MarkerSpan
 class MarkerChurn:
     """Aggregated churn for one span, or for one phase merged across spans.
 
-    Per-thread records carry ``thread_id`` and ``span_id``; merged records
-    carry neither. ``overflow`` means the event ring evicted entries during
-    the interval (counters stay exact regardless); ``auto_closed`` means the
-    span was still open when its recorder sealed.
+    ``cost_micro`` is the cost in whole micro-units; ``cost`` reads it in cost
+    units. Per-thread records carry ``thread_id`` and ``span_id``; merged
+    records carry neither. ``overflow`` means the event ring evicted entries
+    during the interval (counters stay exact regardless); ``auto_closed``
+    means the span was still open when its recorder sealed.
     """
 
     name: str
-    cost: float
+    cost_micro: int
     calls: dict[AllocFnKind, int] = field(default_factory=dict)
     bytes_allocated: int = 0
     bytes_freed: int = 0
@@ -31,6 +31,10 @@ class MarkerChurn:
     span_id: str | None = None
 
     @property
+    def cost(self) -> float:
+        return self.cost_micro / MICRO
+
+    @property
     def total_calls(self) -> int:
         return sum(self.calls.values())
 
@@ -38,8 +42,9 @@ class MarkerChurn:
 def span_churn(span: MarkerSpan, model: CostModel) -> MarkerChurn:
     """Cost a closed span from its endpoint snapshots.
 
-    The cost is the running-cost accumulator delta, which equals the sum of
-    per-event costs over the span. ``model`` must be the model the events
+    The cost is the running total's delta in nano-units, the exact sum of the
+    span's per-call costs, rounded half up to micro-units; so it depends
+    only on the calls inside the span. ``model`` must be the model the events
     were recorded under; re-costing under a different model would need the
     event log, not the accumulator.
     """
@@ -51,20 +56,11 @@ def span_churn(span: MarkerSpan, model: CostModel) -> MarkerChurn:
             f"span {span.span_id!r} was recorded under model "
             f"{session_model.model_version!r}, not {model.model_version!r}"
         )
-    return _span_record(span, float)
-
-
-def _span_record(span: MarkerSpan, round_cost: Callable[[float], float]) -> MarkerChurn:
-    """Build a closed span's record, its cost passed through ``round_cost``.
-
-    Call counts are read straight from the snapshot fields, so no per-span
-    dicts are built beyond the record's own.
-    """
     start = span.start_snapshot
     end = span.end_snapshot
     return MarkerChurn(
         name=span.name,
-        cost=round_cost(end.cost - start.cost),
+        cost_micro=(end.cost_nano - start.cost_nano + 500) // 1000,  # nano- to micro-units, ties up
         calls={
             AllocFnKind.MALLOC: end.malloc_calls - start.malloc_calls,
             AllocFnKind.CALLOC: end.calloc_calls - start.calloc_calls,
@@ -89,9 +85,9 @@ def merge_threads(parts: list[MarkerChurn]) -> MarkerChurn:
     """Merge same-named churn records into one phase total.
 
     Parts may come from different threads or from repeated spans on one
-    thread; they are summed, not averaged. Costs are added in a fixed order
-    (thread_id, then span_id) so the result does not depend on input order.
-    Flags are OR'd; the merged record carries no thread attribution.
+    thread; they are summed, not averaged, and since costs are integers the
+    sum is exact in any order. Flags are OR'd; the merged record carries no
+    thread attribution.
     """
     if not parts:
         raise ValueError("cannot merge an empty list of churn records")
@@ -99,15 +95,14 @@ def merge_threads(parts: list[MarkerChurn]) -> MarkerChurn:
     for part in parts[1:]:
         if part.name != name:
             raise ValueError(f"cannot merge {part.name!r} into {name!r}")
-    ordered = sorted(parts, key=lambda p: (p.thread_id or "", p.span_id or ""))
-    cost = 0.0
+    cost_micro = 0
     calls = dict(_NO_CALLS)
     bytes_allocated = 0
     bytes_freed = 0
     overflow = False
     auto_closed = False
-    for part in ordered:
-        cost += part.cost
+    for part in parts:
+        cost_micro += part.cost_micro
         for kind, n in part.calls.items():
             calls[kind] += n
         bytes_allocated += part.bytes_allocated
@@ -116,7 +111,7 @@ def merge_threads(parts: list[MarkerChurn]) -> MarkerChurn:
         auto_closed = auto_closed or part.auto_closed
     return MarkerChurn(
         name=name,
-        cost=cost,
+        cost_micro=cost_micro,
         calls=calls,
         bytes_allocated=bytes_allocated,
         bytes_freed=bytes_freed,

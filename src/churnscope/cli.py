@@ -13,6 +13,7 @@ only), 2 usage or data error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .report import (
     RegressionVerdict,
     Thresholds,
     diff_reports,
+    format_cost,
     parse_report,
     parse_verdict,
     rank_regressions,
@@ -120,10 +122,6 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _calls_total(record) -> int:
-    return sum(record.calls.values())
-
-
 def _report_rows(report: ChurnReport) -> list[list[str]]:
     rows = []
     for name in sorted(report.merged):
@@ -133,13 +131,29 @@ def _report_rows(report: ChurnReport) -> list[list[str]]:
         )
         rows.append([
             name,
-            f"{record.cost:.6f}",
-            str(_calls_total(record)),
+            format_cost(record.cost_micro),
+            str(record.total_calls),
             str(record.bytes_allocated),
             str(record.bytes_freed),
             flags,
         ])
     return rows
+
+
+def _write_atomically(path: Path, data: bytes) -> None:
+    """Write a temp file beside ``path``, then rename it over ``path``: a
+    failed write leaves the previous file as it was, and no temp file. A
+    device or pipe, such as /dev/null, is written in place, never replaced."""
+    if path.exists() and not path.is_file():
+        path.write_bytes(data)
+        return
+    path = path.resolve()  # through a symlink, replace the file it names
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -153,7 +167,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     spec = WorkloadSpec(args.workload, seed=args.seed, scale=args.scale, variant=args.variant)
     report = run_workload(spec, session)
-    args.out.write_bytes(serialize_report(report))
+    _write_atomically(args.out, serialize_report(report))
     headers = ["phase", "cost", "calls", "bytes_alloc", "bytes_freed", "flags"]
     print(f"workload {spec.name} ({spec.variant}, seed {spec.seed}, scale {spec.scale})")
     print(_format_table(headers, _report_rows(report)))
@@ -167,11 +181,10 @@ def cmd_show(args: argparse.Namespace) -> int:
           f"(model {report.model.model_version})")
     headers = ["phase", "cost", "calls", "bytes_alloc", "bytes_freed", "flags"]
     rows = _report_rows(report)
-    total_cost = sum(r.cost for r in report.merged.values())
     rows.append([
         "TOTAL",
-        f"{total_cost:.6f}",
-        str(sum(_calls_total(r) for r in report.merged.values())),
+        format_cost(sum(r.cost_micro for r in report.merged.values())),
+        str(sum(r.total_calls for r in report.merged.values())),
         str(sum(r.bytes_allocated for r in report.merged.values())),
         str(sum(r.bytes_freed for r in report.merged.values())),
         "",
@@ -185,8 +198,8 @@ def cmd_show(args: argparse.Namespace) -> int:
                 record.span_id,
                 record.thread_id,
                 record.name,
-                f"{record.cost:.6f}",
-                str(_calls_total(record)),
+                format_cost(record.cost_micro),
+                str(record.total_calls),
                 str(record.bytes_allocated),
                 str(record.bytes_freed),
             ]
@@ -212,15 +225,15 @@ def _paint(status: str, color: bool) -> str:
 def _verdict_rows(deltas: list[ChurnDelta], color: bool) -> list[list[str]]:
     rows = []
     for delta in deltas:
-        base = f"{delta.baseline.cost:.6f}" if delta.baseline else "-"
-        cand = f"{delta.candidate.cost:.6f}" if delta.candidate else "-"
+        base = format_cost(delta.baseline.cost_micro) if delta.baseline else "-"
+        cand = format_cost(delta.candidate.cost_micro) if delta.candidate else "-"
         rel = f"{delta.cost_delta_rel * 100:+.2f}%" if delta.cost_delta_rel is not None else "-"
         rows.append([
             delta.phase,
             _paint(delta.status, color),
             base,
             cand,
-            f"{delta.cost_delta_abs:+.6f}",
+            ("+" if delta.cost_delta_micro >= 0 else "") + format_cost(delta.cost_delta_micro),
             rel,
         ])
     return rows

@@ -4,6 +4,10 @@ Every churn figure in the system is a sum of per-call costs computed here:
 a call of kind ``k`` touching ``b`` bytes costs ``weight(k) * log2(max(b, 1))``.
 The max-with-1 rule keeps zero-byte calls (``malloc(0)``, freeing a null
 token) at cost zero while still letting them count as calls.
+
+Each call's cost is quantized once, when recorded, to integer nano-units
+(``NANO`` per cost unit); span and phase costs are whole micro-units
+(``MICRO``), a report's six decimals. So every sum of costs is exact.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ class AllocFnKind(enum.Enum):
     REALLOC = "realloc"
     FREE = "free"
 
+
+NANO, MICRO = 10**9, 10**6
 
 DEFAULT_MODEL_VERSION = "paper-v1"
 
@@ -94,6 +100,8 @@ def validate_cost_model(model: CostModel) -> list[str]:
             violations.append(f"weight for {kind.value} is not finite: {w!r}")
         elif w < 0:
             violations.append(f"weight for {kind.value} is negative: {w!r}")
+        elif math.isinf(w * 64 * NANO):  # a call costs at most 63 * w
+            violations.append(f"weight for {kind.value} is too large: {w!r}")
     if not isinstance(model.model_version, str) or not model.model_version:
         violations.append("model_version must be a nonempty string")
     return violations

@@ -1,11 +1,11 @@
 """Allocator call capture: per-thread recorders and the interception surface.
 
 Each thread records into its own ``ThreadRecorder``; the hot path takes no
-locks. Aggregate counters (calls, bytes, running cost) are the ground truth
-and survive any ring eviction; the fixed-capacity event ring exists for
-diagnostics and for replay-based validation. A reentrancy guard is held
-around every mutation so allocations made by the recorder's own bookkeeping
-are never recorded.
+locks. Aggregate counters (calls, bytes, running cost in integer nano-units)
+are the ground truth and survive any ring eviction; the fixed-capacity event
+ring exists for diagnostics and for replay-based validation. A reentrancy
+guard is held around every mutation so allocations made by the recorder's
+own bookkeeping are never recorded.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .cost_model import AllocFnKind, CostModel, event_cost
+from .cost_model import NANO, AllocFnKind, CostModel, event_cost
 from .errors import RecorderSealedError, ThreadAffinityError
 
 if TYPE_CHECKING:
@@ -77,7 +77,7 @@ class CounterSnapshot:
     realloc_bytes: int
     free_bytes: int
     realloc_freed_bytes: int
-    cost: float
+    cost_nano: int
     overflow_count: int
     anomaly_count: int
 
@@ -126,7 +126,7 @@ class ThreadRecorder:
         self._realloc_bytes = 0
         self._free_bytes = 0
         self._realloc_freed_bytes = 0
-        self._cost = 0.0
+        self._cost = 0
         self._overflow = 0
         self._anomalies = 0
         self._live: dict[int, int] = {}
@@ -186,7 +186,7 @@ class ThreadRecorder:
                 self._live[addr] = nbytes
             self._malloc_calls += 1
             self._malloc_bytes += nbytes
-            self._cost += event_cost(self._model, AllocFnKind.MALLOC, nbytes)
+            self._cost += round(event_cost(self._model, AllocFnKind.MALLOC, nbytes) * NANO)
             return self._emit(AllocFnKind.MALLOC, nbytes, addr, None)
         finally:
             self._depth -= 1
@@ -209,7 +209,7 @@ class ThreadRecorder:
                 self._live[addr] = nbytes
             self._calloc_calls += 1
             self._calloc_bytes += nbytes
-            self._cost += event_cost(self._model, AllocFnKind.CALLOC, nbytes)
+            self._cost += round(event_cost(self._model, AllocFnKind.CALLOC, nbytes) * NANO)
             return self._emit(AllocFnKind.CALLOC, nbytes, addr, None)
         finally:
             self._depth -= 1
@@ -237,7 +237,7 @@ class ThreadRecorder:
                     nbytes = size
             self._free_calls += 1
             self._free_bytes += nbytes
-            self._cost += event_cost(self._model, AllocFnKind.FREE, nbytes)
+            self._cost += round(event_cost(self._model, AllocFnKind.FREE, nbytes) * NANO)
             return self._emit(AllocFnKind.FREE, nbytes, None, old_addr)
         finally:
             self._depth -= 1
@@ -291,7 +291,7 @@ class ThreadRecorder:
             self._realloc_calls += 1
             self._realloc_bytes += nbytes
             self._realloc_freed_bytes += freed
-            self._cost += event_cost(self._model, AllocFnKind.REALLOC, nbytes)
+            self._cost += round(event_cost(self._model, AllocFnKind.REALLOC, nbytes) * NANO)
             return self._emit(AllocFnKind.REALLOC, nbytes, emit_addr, emit_old)
         finally:
             self._depth -= 1
@@ -334,7 +334,7 @@ class ThreadRecorder:
             realloc_bytes=self._realloc_bytes,
             free_bytes=self._free_bytes,
             realloc_freed_bytes=self._realloc_freed_bytes,
-            cost=self._cost,
+            cost_nano=self._cost,
             overflow_count=self._overflow,
             anomaly_count=self._anomalies,
         )

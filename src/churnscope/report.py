@@ -1,10 +1,10 @@
 """Churn report files, build-to-build diffing, and regression ranking.
 
 Reports serialize to a canonical JSON form: lexicographically sorted keys,
-two-space indentation, every float rendered as fixed-point with six
-decimals, UTF-8, newline-terminated. Equal reports serialize to identical
-bytes on any platform, which is what makes byte-level comparison of builds
-meaningful.
+two-space indentation, every non-integer number rendered as fixed-point with
+six decimals, UTF-8, newline-terminated. Costs are integer micro-units,
+rendered and read back exactly. Equal reports serialize to identical bytes on
+any platform, which is what makes byte-level comparison of builds meaningful.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Context, Decimal, Inexact
 from typing import Any
 
 from .aggregation import MarkerChurn, merge_threads
-from .cost_model import AllocFnKind, CostModel, validate_cost_model
+from .cost_model import MICRO, AllocFnKind, CostModel, validate_cost_model
 from .errors import ModelMismatchError, ReportError
 
 SCHEMA_VERSION = "1"
@@ -42,15 +43,20 @@ _STATUS_RANK = {status: i for i, status in enumerate(STATUSES)}
 DEFAULT_REL_THRESHOLD = 0.01
 DEFAULT_ABS_FLOOR = 1.0
 
-# Parse-time slack for the merged-equals-sum-of-parts check, absolute.
-MERGE_TOLERANCE = 1e-6
-
 COST_DECIMALS = 6
 
+# (kind, document key) pairs: per-record loops skip Enum iteration and .value.
+_KINDS = tuple((kind, kind.value) for kind in AllocFnKind)
 
-def round_cost(value: float) -> float:
-    """Canonical cost precision: six decimal places."""
-    return round(value, COST_DECIMALS)
+
+def format_cost(micro: int) -> str:
+    """Render an integer count of micro-units exactly, with six decimals."""
+    whole, frac = divmod(abs(micro), MICRO)
+    return f"{'-' if micro < 0 else ''}{whole}.{frac:06d}"
+
+
+class _Micro(int):
+    """A cost in a document: the writer renders it with ``format_cost``."""
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,8 @@ class Thresholds:
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not number or not 0 <= value <= sys.float_info.max:
                 raise ValueError(f"threshold {name} must be a finite number >= 0, got {value!r}")
+            # Gate on the six decimals a verdict records, so parse_verdict can recompute it.
+            object.__setattr__(self, name, round(value, COST_DECIMALS))
         floor = self.call_floor
         integer = isinstance(floor, int) and not isinstance(floor, bool)
         if floor is not None and (not integer or floor < 0):
@@ -112,6 +120,7 @@ class ChurnReport:
 class ChurnDelta:
     """One phase's baseline-to-candidate comparison.
 
+    ``cost_delta_micro`` is candidate minus baseline cost in micro-units.
     ``cost_delta_rel`` is candidate/baseline - 1 and is None when the phase
     has no baseline cost to compare against (zero-cost baseline, new phase)
     or no candidate (removed phase).
@@ -121,7 +130,7 @@ class ChurnDelta:
     status: str
     baseline: MarkerChurn | None
     candidate: MarkerChurn | None
-    cost_delta_abs: float
+    cost_delta_micro: int
     cost_delta_rel: float | None
     call_delta: dict[AllocFnKind, int]
     bytes_allocated_delta: int
@@ -154,11 +163,11 @@ def _write_value(value: Any, out: list[str], indent: int) -> None:
     elif value is False:
         out.append("false")
     elif isinstance(value, int):
-        out.append(str(value))
+        out.append(format_cost(value) if type(value) is _Micro else str(value))
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"cannot serialize non-finite number {value!r}")
-        value = round_cost(value)
+        value = round(value, COST_DECIMALS)
         if value == 0:
             value = 0.0  # normalize -0.0
         out.append(f"{value:.6f}")
@@ -207,8 +216,8 @@ def canonical_bytes(doc: Any) -> bytes:
 def _churn_doc(record: MarkerChurn, with_thread: bool) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "name": record.name,
-        "cost": float(record.cost),
-        "calls": {kind.value: int(record.calls.get(kind, 0)) for kind in AllocFnKind},
+        "cost": _Micro(record.cost_micro),
+        "calls": {key: int(record.calls.get(kind, 0)) for kind, key in _KINDS},
         "bytes_allocated": record.bytes_allocated,
         "bytes_freed": record.bytes_freed,
         "overflow": record.overflow,
@@ -279,14 +288,14 @@ def _load_json(data: bytes | str, what: str) -> Any:
             raise ReportError(f"{what} is not valid UTF-8: {exc}") from None
     try:
         return json.loads(
-            data, object_pairs_hook=_reject_duplicate_keys, parse_constant=_reject_constant
+            data, object_pairs_hook=_reject_duplicate_keys, parse_constant=_reject_constant, parse_float=Decimal
         )
     except json.JSONDecodeError as exc:
         raise ReportError(f"{what} syntax error at offset {exc.pos}: {exc.msg}", offset=exc.pos) from None
     except RecursionError:
         raise ReportError(f"{what} is nested too deeply") from None
-    except ValueError as exc:
-        # e.g. an integer literal longer than the int conversion limit
+    except (ValueError, ArithmeticError) as exc:
+        # e.g. an integer literal past the int conversion limit, or an exponent past Decimal's
         raise ReportError(f"{what} has an invalid value: {exc}") from None
 
 
@@ -300,15 +309,26 @@ def _expect(doc: dict[str, Any], key: str, types: type | tuple, what: str) -> An
     return value
 
 
-def _as_float(value: int | float, what: str) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        raise ReportError(f"{what} is out of range") from None
-
-
 def _expect_float(doc: dict[str, Any], key: str, what: str) -> float:
-    return _as_float(_expect(doc, key, (int, float), what), f"{what} field {key!r}")
+    # Via Decimal, a number too large for a float reads as inf (rejected by the caller).
+    return float(Decimal(_expect(doc, key, (int, Decimal), what)))
+
+
+_MAX_MICRO = int(sys.float_info.max) * MICRO
+# Exact up to _MAX_MICRO: a literal needing rounding (too many digits or too large) raises Inexact.
+_EXACT = Context(prec=400, Emax=400, traps=[Inexact])
+
+
+def _expect_micro(doc: dict[str, Any], key: str, what: str) -> int:
+    """Read a cost literal back to its exact integer count of micro-units."""
+    try:
+        scaled = _EXACT.scaleb(_expect(doc, key, (int, Decimal), what), COST_DECIMALS)
+        micro = int(scaled)
+    except Inexact:
+        micro = scaled = None
+    if micro is not None and micro == scaled and -_MAX_MICRO <= micro <= _MAX_MICRO:
+        return micro
+    raise ReportError(f"{what} field {key!r} is out of range or not a whole number of micro-units")
 
 
 def _parse_model(doc: Any) -> CostModel:
@@ -317,14 +337,12 @@ def _parse_model(doc: Any) -> CostModel:
     version = _expect(doc, "model_version", str, "cost_model")
     weights_doc = _expect(doc, "weights", dict, "cost_model")
     weights: dict[AllocFnKind, float] = {}
-    for key, value in weights_doc.items():
+    for key in weights_doc:
         try:
             kind = AllocFnKind(key)
         except ValueError:
             raise ReportError(f"cost_model has unknown weight key {key!r}") from None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ReportError(f"cost_model weight {key!r} must be a number")
-        weights[kind] = _as_float(value, f"cost_model weight {key!r}")
+        weights[kind] = _expect_float(weights_doc, key, "cost_model weights")
     model = CostModel(weights, version)
     violations = validate_cost_model(model)
     if violations:
@@ -336,28 +354,27 @@ def _parse_churn(doc: Any, what: str, with_thread: bool) -> MarkerChurn:
     if not isinstance(doc, dict):
         raise ReportError(f"{what} must be an object")
     name = _expect(doc, "name", str, what)
-    cost = _expect(doc, "cost", (int, float), what)
-    if isinstance(cost, int):  # only an integer literal can be too large for a float
-        cost = _as_float(cost, f"{what} field 'cost'")
-    if not math.isfinite(cost) or cost < 0:
-        raise ReportError(f"{what} has invalid cost {cost!r}")
+    cost_micro = _expect_micro(doc, "cost", what)
+    if cost_micro < 0:
+        raise ReportError(f"{what} has negative cost")
     calls_doc = _expect(doc, "calls", dict, what)
     calls: dict[AllocFnKind, int] = {}
-    for kind in AllocFnKind:
-        n = _expect(calls_doc, kind.value, int, f"{what} calls")
+    calls_what = f"{what} calls"
+    for kind, key in _KINDS:
+        n = _expect(calls_doc, key, int, calls_what)
         if n < 0:
-            raise ReportError(f"{what} has negative {kind.value} count")
+            raise ReportError(f"{what} has negative {key} count")
         calls[kind] = n
-    for key in calls_doc:
-        if key not in AllocFnKind._value2member_map_:
-            raise ReportError(f"{what} calls has unknown kind {key!r}")
+    if len(calls_doc) != len(calls):  # every known kind is present, so a key is unknown
+        unknown = sorted(set(calls_doc) - set(AllocFnKind._value2member_map_))
+        raise ReportError(f"{what} calls has unknown kinds {unknown!r}")
     bytes_allocated = _expect(doc, "bytes_allocated", int, what)
     bytes_freed = _expect(doc, "bytes_freed", int, what)
     if bytes_allocated < 0 or bytes_freed < 0:
         raise ReportError(f"{what} has negative byte totals")
     overflow = _expect(doc, "overflow", bool, what)
     auto_closed = _expect(doc, "auto_closed", bool, what)
-    if sum(calls.values()) == 0 and cost != 0.0:
+    if sum(calls.values()) == 0 and cost_micro != 0:
         raise ReportError(f"{what} has zero calls but nonzero cost")
     thread_id = span_id = None
     if with_thread:
@@ -368,7 +385,7 @@ def _parse_churn(doc: Any, what: str, with_thread: bool) -> MarkerChurn:
             raise ReportError(f"{what} is merged and must not carry thread attribution")
     return MarkerChurn(
         name=name,
-        cost=cost,
+        cost_micro=cost_micro,
         calls=calls,
         bytes_allocated=bytes_allocated,
         bytes_freed=bytes_freed,
@@ -458,35 +475,25 @@ def _check_merge_consistency(merged: dict[str, MarkerChurn], per_thread: list[Ma
             raise ReportError(f"merge-consistency failure for {name!r}: byte totals differ")
         if (got.overflow, got.auto_closed) != (want.overflow, want.auto_closed):
             raise ReportError(f"merge-consistency failure for {name!r}: flags differ")
-        if abs(got.cost - want.cost) > MERGE_TOLERANCE:
-            raise ReportError(
-                f"merge-consistency failure for {name!r}: merged cost {want.cost!r} "
-                f"differs from sum of parts {got.cost!r}"
-            )
+        if got.cost_micro != want.cost_micro:
+            raise ReportError(f"merge-consistency failure for {name!r}: cost is not the sum of parts")
 
 
 # ---------------------------------------------------------------------------
 # diffing
 
 
-def _models_equal(a: CostModel, b: CostModel) -> bool:
-    return a.model_version == b.model_version and a.weights == b.weights
-
-
-def _empty_calls() -> dict[AllocFnKind, int]:
-    return {kind: 0 for kind in AllocFnKind}
-
-
-def _classify(base_cost: float, cand_cost: float, call_delta_total: int, th: Thresholds) -> str:
-    # Regression and improvement use mirrored tests (roles swapped), so
-    # diff(A, B) regressions are exactly diff(B, A) improvements.
-    if base_cost > 0 and cand_cost / base_cost - 1 > th.rel:
+def _classify(base: int, cand: int, call_delta_total: int, th: Thresholds) -> str:
+    # Costs are micro-units. Regression and improvement use mirrored tests
+    # (roles swapped), so diff(A, B) regressions are exactly diff(B, A)
+    # improvements.
+    if base > 0 and cand / base - 1 > th.rel:
         return STATUS_REGRESSION
-    if base_cost == 0 and cand_cost > th.abs_floor:
+    if base == 0 and cand / MICRO > th.abs_floor:
         return STATUS_REGRESSION
-    if cand_cost > 0 and base_cost / cand_cost - 1 > th.rel:
+    if cand > 0 and base / cand - 1 > th.rel:
         return STATUS_IMPROVEMENT
-    if cand_cost == 0 and base_cost > th.abs_floor:
+    if cand == 0 and base / MICRO > th.abs_floor:
         return STATUS_IMPROVEMENT
     if th.call_floor is not None:
         if call_delta_total > th.call_floor:
@@ -494,6 +501,34 @@ def _classify(base_cost: float, cand_cost: float, call_delta_total: int, th: Thr
         if call_delta_total < -th.call_floor:
             return STATUS_IMPROVEMENT
     return STATUS_NEUTRAL
+
+
+def _compare(phase: str, base: MarkerChurn | None, cand: MarkerChurn | None, th: Thresholds) -> ChurnDelta:
+    """One phase's delta; a missing record makes it a new or removed phase."""
+    base_cost = base.cost_micro if base else 0
+    cand_cost = cand.cost_micro if cand else 0
+    call_delta = {
+        kind: (cand.calls[kind] if cand else 0) - (base.calls[kind] if base else 0) for kind in AllocFnKind
+    }
+    rel = None
+    if base is None:
+        status = STATUS_NEW_PHASE
+    elif cand is None:
+        status = STATUS_REMOVED_PHASE
+    else:
+        status = _classify(base_cost, cand_cost, sum(call_delta.values()), th)
+        rel = cand_cost / base_cost - 1 if base_cost > 0 else None
+    return ChurnDelta(
+        phase=phase,
+        status=status,
+        baseline=base,
+        candidate=cand,
+        cost_delta_micro=cand_cost - base_cost,
+        cost_delta_rel=rel,
+        call_delta=call_delta,
+        bytes_allocated_delta=(cand.bytes_allocated if cand else 0) - (base.bytes_allocated if base else 0),
+        bytes_freed_delta=(cand.bytes_freed if cand else 0) - (base.bytes_freed if base else 0),
+    )
 
 
 def diff_reports(
@@ -508,44 +543,15 @@ def diff_reports(
     on only one side become new_phase or removed_phase entries.
     """
     th = thresholds or Thresholds()
-    if not _models_equal(baseline.model, candidate.model):
+    if baseline.model != candidate.model:
         raise ModelMismatchError(
             f"cost models differ: baseline {baseline.model.model_version!r} "
             f"vs candidate {candidate.model.model_version!r}"
         )
-    deltas: list[ChurnDelta] = []
-    for phase in sorted(set(baseline.merged) | set(candidate.merged)):
-        base = baseline.merged.get(phase)
-        cand = candidate.merged.get(phase)
-        base_cost = base.cost if base else 0.0
-        cand_cost = cand.cost if cand else 0.0
-        base_calls = base.calls if base else _empty_calls()
-        cand_calls = cand.calls if cand else _empty_calls()
-        call_delta = {kind: cand_calls[kind] - base_calls[kind] for kind in AllocFnKind}
-        alloc_delta = (cand.bytes_allocated if cand else 0) - (base.bytes_allocated if base else 0)
-        freed_delta = (cand.bytes_freed if cand else 0) - (base.bytes_freed if base else 0)
-        if base is None:
-            status = STATUS_NEW_PHASE
-            rel = None
-        elif cand is None:
-            status = STATUS_REMOVED_PHASE
-            rel = None
-        else:
-            status = _classify(base_cost, cand_cost, sum(call_delta.values()), th)
-            rel = cand_cost / base_cost - 1 if base_cost > 0 else None
-        deltas.append(
-            ChurnDelta(
-                phase=phase,
-                status=status,
-                baseline=base,
-                candidate=cand,
-                cost_delta_abs=cand_cost - base_cost,
-                cost_delta_rel=rel,
-                call_delta=call_delta,
-                bytes_allocated_delta=alloc_delta,
-                bytes_freed_delta=freed_delta,
-            )
-        )
+    deltas = [
+        _compare(phase, baseline.merged.get(phase), candidate.merged.get(phase), th)
+        for phase in sorted(set(baseline.merged) | set(candidate.merged))
+    ]
     verdict = RegressionVerdict(
         thresholds=th,
         deltas=deltas,
@@ -559,7 +565,7 @@ def diff_reports(
 # ranking
 
 
-def _severity(delta: ChurnDelta, by: str) -> float:
+def _severity(delta: ChurnDelta, by: str) -> float | int:
     """Primary ranking key within a status group, larger means earlier.
 
     Regressions, improvements and neutrals rank on the relative cost delta
@@ -568,11 +574,11 @@ def _severity(delta: ChurnDelta, by: str) -> float:
     first. New and removed phases rank on the cost of the side that exists.
     """
     if delta.status == STATUS_NEW_PHASE:
-        return delta.candidate.cost if delta.candidate else 0.0
+        return delta.candidate.cost_micro if delta.candidate else 0
     if delta.status == STATUS_REMOVED_PHASE:
-        return delta.baseline.cost if delta.baseline else 0.0
+        return delta.baseline.cost_micro if delta.baseline else 0
     if by == "abs":
-        return delta.cost_delta_abs
+        return delta.cost_delta_micro
     return delta.cost_delta_rel if delta.cost_delta_rel is not None else math.inf
 
 
@@ -612,7 +618,7 @@ def _delta_doc(delta: ChurnDelta) -> dict[str, Any]:
         "status": delta.status,
         "baseline": None if delta.baseline is None else _churn_doc(delta.baseline, False),
         "candidate": None if delta.candidate is None else _churn_doc(delta.candidate, False),
-        "cost_delta_abs": float(delta.cost_delta_abs),
+        "cost_delta_abs": _Micro(delta.cost_delta_micro),
         "cost_delta_rel": None if delta.cost_delta_rel is None else float(delta.cost_delta_rel),
         "call_delta": {kind.value: n for kind, n in delta.call_delta.items()},
         "bytes_allocated_delta": delta.bytes_allocated_delta,
@@ -638,7 +644,12 @@ def serialize_verdict(verdict: RegressionVerdict) -> bytes:
 
 
 def parse_verdict(data: bytes | str) -> RegressionVerdict:
-    """Parse and validate a verdict document produced by ``diff --format json``."""
+    """Parse and validate a verdict document produced by ``diff --format json``.
+
+    Only the thresholds and each delta's records are read; every status and
+    delta is recomputed from them, and the document must be the recomputed
+    verdict, so a hand-edited status, delta or flag raises ReportError.
+    """
     doc = _load_json(data, "verdict")
     if not isinstance(doc, dict):
         raise ReportError("verdict must be a JSON object")
@@ -660,43 +671,30 @@ def parse_verdict(data: bytes | str) -> RegressionVerdict:
         if not isinstance(item, dict):
             raise ReportError(f"{what} must be an object")
         phase = _expect(item, "phase", str, what)
-        status = _expect(item, "status", str, what)
-        if status not in STATUSES:
-            raise ReportError(f"{what} has unknown status {status!r}")
-        base_doc = item.get("baseline")
-        cand_doc = item.get("candidate")
-        base = None if base_doc is None else _parse_churn(base_doc, f"{what} baseline", False)
-        cand = None if cand_doc is None else _parse_churn(cand_doc, f"{what} candidate", False)
-        if status == STATUS_NEW_PHASE and base is not None:
-            raise ReportError(f"{what} is new_phase but carries a baseline record")
-        if status == STATUS_REMOVED_PHASE and cand is not None:
-            raise ReportError(f"{what} is removed_phase but carries a candidate record")
-        if status not in (STATUS_NEW_PHASE, STATUS_REMOVED_PHASE) and (base is None or cand is None):
-            raise ReportError(f"{what} must carry both baseline and candidate records")
-        abs_delta = _expect_float(item, "cost_delta_abs", what)
-        rel_delta = item.get("cost_delta_rel")
-        if rel_delta is not None and (isinstance(rel_delta, bool) or not isinstance(rel_delta, (int, float))):
-            raise ReportError(f"{what} field 'cost_delta_rel' must be a number or null")
-        call_doc = _expect(item, "call_delta", dict, what)
-        call_delta: dict[AllocFnKind, int] = {}
-        for kind in AllocFnKind:
-            call_delta[kind] = _expect(call_doc, kind.value, int, f"{what} call_delta")
-        deltas.append(
-            ChurnDelta(
-                phase=phase,
-                status=status,
-                baseline=base,
-                candidate=cand,
-                cost_delta_abs=abs_delta,
-                cost_delta_rel=(
-                    None if rel_delta is None
-                    else _as_float(rel_delta, f"{what} field 'cost_delta_rel'")
-                ),
-                call_delta=call_delta,
-                bytes_allocated_delta=_expect(item, "bytes_allocated_delta", int, what),
-                bytes_freed_delta=_expect(item, "bytes_freed_delta", int, what),
+        records = []
+        for side in ("baseline", "candidate"):
+            record = item.get(side)
+            if record is not None:
+                record = _parse_churn(record, f"{what} {side}", False)
+                if record.name != phase:
+                    raise ReportError(f"{what} {side} record is named {record.name!r}, not {phase!r}")
+            records.append(record)
+        if records == [None, None]:
+            raise ReportError(f"{what} carries neither a baseline nor a candidate record")
+        delta = _compare(phase, records[0], records[1], thresholds)
+        if item.get("status") != delta.status:
+            raise ReportError(
+                f"{what} has status {item.get('status')!r}, but its records and thresholds "
+                f"give {delta.status!r}"
             )
-        )
-    if flag != any(d.status == STATUS_REGRESSION for d in deltas):
+        deltas.append(delta)
+    verdict = RegressionVerdict(thresholds, deltas, any(d.status == STATUS_REGRESSION for d in deltas))
+    if flag != verdict.regression_detected:
         raise ReportError("regression_detected flag does not match the delta statuses")
-    return RegressionVerdict(thresholds=thresholds, deltas=deltas, regression_detected=flag)
+    recomputed = _load_json(serialize_verdict(verdict), "verdict")
+    for i, (got, want) in enumerate(zip(deltas_doc, recomputed["deltas"])):
+        if got != want:
+            raise ReportError(f"deltas[{i}] does not match its records and thresholds")
+    if doc != recomputed:
+        raise ReportError("verdict does not match its canonical form")
+    return verdict

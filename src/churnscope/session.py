@@ -11,11 +11,11 @@ from __future__ import annotations
 import threading
 from datetime import datetime, timezone
 
-from .aggregation import MarkerChurn, _span_record, merge_threads
+from .aggregation import MarkerChurn, merge_threads, span_churn
 from .cost_model import CostModel, default_cost_model, validate_cost_model
 from .errors import CostModelError, RecorderStateError
 from .recorder import ThreadRecorder
-from .report import ChurnReport, ReportTotals, round_cost
+from .report import ChurnReport, ReportTotals
 
 
 def utc_timestamp(epoch: float | int | None = None) -> str:
@@ -94,11 +94,10 @@ class RecordingSession:
     def build_report(self) -> ChurnReport:
         """Assemble the canonical report from the sealed recorders.
 
-        Per-span costs are rounded to canonical precision first and merged
-        records are summed from those rounded parts in (thread_id, span_id)
-        order, so a parsed report always satisfies the merged-equals-sum
-        check exactly. Parts are grouped by name in one pass, so the cost is
-        linear in the number of spans however many names they use.
+        Span costs are integer micro-units and each merged record is the
+        exact sum of its parts, so a parsed report always satisfies the
+        merged-equals-sum check. Parts are grouped by name in one pass, so the
+        cost is linear in the number of spans however many names they use.
         """
         recs = self.recorders()
         for rec in recs:
@@ -106,25 +105,12 @@ class RecordingSession:
                 raise RecorderStateError(
                     f"recorder {rec.thread_id!r} is not sealed; call seal_all() first"
                 )
-        # Sealing closed every span, and every recorder shares self._model,
-        # so span_churn's checks cannot fail here.
-        parts = [_span_record(span, round_cost) for rec in recs for span in rec.spans()]
+        parts = [span_churn(span, self._model) for rec in recs for span in rec.spans()]
         parts.sort(key=lambda p: (p.thread_id or "", p.span_id or ""))
         by_name: dict[str, list[MarkerChurn]] = {}
         for part in parts:
             by_name.setdefault(part.name, []).append(part)
-        merged: dict[str, MarkerChurn] = {}
-        for name in sorted(by_name):
-            combined = merge_threads(by_name[name])
-            merged[name] = MarkerChurn(
-                name=name,
-                cost=round_cost(combined.cost),
-                calls=combined.calls,
-                bytes_allocated=combined.bytes_allocated,
-                bytes_freed=combined.bytes_freed,
-                overflow=combined.overflow,
-                auto_closed=combined.auto_closed,
-            )
+        merged = {name: merge_threads(by_name[name]) for name in sorted(by_name)}
         totals = ReportTotals()
         for rec in recs:
             snap = rec.snapshot()

@@ -1,20 +1,22 @@
 """Brute-force replay over raw event logs.
 
 Walks every event from the start of a recorder's life, rebuilds block
-attribution in its own shadow live table, and sums per-event costs directly.
-It shares nothing with the snapshot-delta path it is used to check.
+attribution in its own shadow live table, and sums per-event costs directly,
+each quantized to integer nano-units as the recorder's are. It shares nothing
+with the snapshot-delta path it is used to check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from churnscope import AllocEvent, AllocFnKind, CostModel, event_cost
 
 
 @dataclass
 class ReplayResult:
-    cost: float = 0.0
+    cost_nano: int = 0
     calls: dict[AllocFnKind, int] = field(
         default_factory=lambda: {kind: 0 for kind in AllocFnKind}
     )
@@ -24,6 +26,12 @@ class ReplayResult:
     @property
     def total_calls(self) -> int:
         return sum(self.calls.values())
+
+    @property
+    def cost_micro(self) -> int:
+        """The nano-unit sum in whole micro-units, ties rounded up."""
+        micro = Fraction(self.cost_nano, 1000)
+        return int(micro) + (micro - int(micro) >= Fraction(1, 2))
 
 
 def replay(
@@ -63,5 +71,5 @@ def replay(
                 out.bytes_freed += freed
         if inside:
             out.calls[kind] += 1
-            out.cost += event_cost(model, kind, nbytes)
+            out.cost_nano += round(event_cost(model, kind, nbytes) * 10**9)
     return out

@@ -43,20 +43,21 @@ def test_span_churn_malloc_free_pair():
         heap.free(tok)
 
     churn = span_churn(closed_span(rec, "phase", body), MODEL)
-    assert churn.cost == pytest.approx(20.0, abs=1e-9)
+    assert churn.cost_micro == 20_000_000
+    assert churn.cost == 20.0
     assert churn.calls[AllocFnKind.MALLOC] == 1
     assert churn.calls[AllocFnKind.FREE] == 1
     assert churn.bytes_allocated == 1024
     assert churn.bytes_freed == 1024
     assert churn.thread_id == "t0"
     oracle = replay(rec.events(), MODEL)
-    assert churn.cost == pytest.approx(oracle.cost, rel=1e-9)
+    assert churn.cost_micro == oracle.cost_micro
 
 
 def test_span_churn_empty_span():
     rec = make_recorder()
     churn = span_churn(closed_span(rec, "phase", lambda: None), MODEL)
-    assert churn.cost == 0.0
+    assert churn.cost_micro == 0
     assert all(n == 0 for n in churn.calls.values())
 
 
@@ -71,9 +72,9 @@ def test_span_churn_mixed_kinds():
 
     churn = span_churn(closed_span(rec, "phase", body), MODEL)
     # calloc 256 -> 16, realloc 4096 -> 36, free 4096 -> 12
-    assert churn.cost == pytest.approx(64.0, abs=1e-9)
+    assert churn.cost_micro == 64_000_000
     oracle = replay(rec.events(), MODEL)
-    assert oracle.cost == pytest.approx(64.0, abs=1e-9)
+    assert oracle.cost_nano == 64 * 10**9
 
 
 def test_span_churn_rejects_open_span():
@@ -94,7 +95,7 @@ def test_span_churn_rejects_foreign_model():
 def _random_churn(rng, name="phase", thread="t0", span=0):
     return MarkerChurn(
         name=name,
-        cost=rng.uniform(0, 1000),
+        cost_micro=rng.randrange(0, 1000 * 10**6),
         calls={k: rng.randrange(0, 50) for k in AllocFnKind},
         bytes_allocated=rng.randrange(0, 1 << 20),
         bytes_freed=rng.randrange(0, 1 << 20),
@@ -111,20 +112,20 @@ def test_merge_single_part_is_identity_minus_thread():
     merged = merge_threads([part])
     assert merged.thread_id is None
     assert merged.span_id is None
-    assert merged.cost == part.cost
+    assert merged.cost_micro == part.cost_micro
     assert merged.calls == part.calls
     assert merged.bytes_allocated == part.bytes_allocated
 
 
 def test_merge_adds_costs():
-    a = MarkerChurn(name="p", cost=10.0, calls={k: 0 for k in AllocFnKind})
-    b = MarkerChurn(name="p", cost=5.5, calls={k: 0 for k in AllocFnKind})
-    assert merge_threads([a, b]).cost == pytest.approx(15.5, abs=1e-12)
+    a = MarkerChurn(name="p", cost_micro=10_000_000, calls={k: 0 for k in AllocFnKind})
+    b = MarkerChurn(name="p", cost_micro=5_500_001, calls={k: 0 for k in AllocFnKind})
+    assert merge_threads([a, b]).cost_micro == 15_500_001
 
 
 def test_merge_rejects_name_mismatch():
-    a = MarkerChurn(name="p", cost=1.0, calls={k: 0 for k in AllocFnKind})
-    b = MarkerChurn(name="q", cost=1.0, calls={k: 0 for k in AllocFnKind})
+    a = MarkerChurn(name="p", cost_micro=1, calls={k: 0 for k in AllocFnKind})
+    b = MarkerChurn(name="q", cost_micro=1, calls={k: 0 for k in AllocFnKind})
     with pytest.raises(ValueError):
         merge_threads([a, b])
 
@@ -143,7 +144,7 @@ def test_merge_is_permutation_invariant():
         baseline = merge_threads(parts)
         for perm in itertools.islice(itertools.permutations(parts), 12):
             merged = merge_threads(list(perm))
-            assert merged == baseline  # identical sum order, so bit-identical
+            assert merged == baseline  # integer sums are exact in any order
 
 
 def test_merge_commutative_and_associative():
@@ -155,16 +156,11 @@ def test_merge_commutative_and_associative():
         ab_c = merge_threads([merge_threads([a, b]), c])
         a_bc = merge_threads([a, merge_threads([b, c])])
         abc = merge_threads([a, b, c])
-        for left, right in ((ab_c, a_bc), (ab_c, abc)):
-            assert left.cost == pytest.approx(right.cost, rel=1e-9, abs=1e-9)
-            assert left.calls == right.calls
-            assert left.bytes_allocated == right.bytes_allocated
-            assert left.bytes_freed == right.bytes_freed
-            assert (left.overflow, left.auto_closed) == (right.overflow, right.auto_closed)
+        assert ab_c == a_bc == abc
 
 
 def test_merge_ors_flags():
-    base = dict(cost=0.0, calls={k: 0 for k in AllocFnKind})
+    base = dict(cost_micro=0, calls={k: 0 for k in AllocFnKind})
     a = MarkerChurn(name="p", overflow=True, auto_closed=False, **base)
     b = MarkerChurn(name="p", overflow=False, auto_closed=True, **base)
     merged = merge_threads([a, b])
@@ -191,9 +187,11 @@ def test_interval_additivity_on_random_bisections():
         whole_churn = span_churn(whole, MODEL)
         left_churn = span_churn(left, MODEL)
         right_churn = span_churn(right, MODEL)
-        assert whole_churn.cost == pytest.approx(
-            left_churn.cost + right_churn.cost, rel=1e-9, abs=1e-9
-        )
+        # exact in nano-units; each record rounds its own total to micro-units
+        nano = [s.end_snapshot.cost_nano - s.start_snapshot.cost_nano for s in (whole, left, right)]
+        assert nano[0] == nano[1] + nano[2]
+        for span, churn in ((whole, whole_churn), (left, left_churn), (right, right_churn)):
+            assert churn.cost_micro == replay(rec.events(), MODEL, span.start_seq, span.end_seq).cost_micro
         for kind in AllocFnKind:
             assert whole_churn.calls[kind] == left_churn.calls[kind] + right_churn.calls[kind]
         assert whole_churn.bytes_allocated == left_churn.bytes_allocated + right_churn.bytes_allocated
@@ -213,7 +211,7 @@ def test_accumulator_matches_replay_on_random_spans():
             assert churn.calls == oracle.calls
             assert churn.bytes_allocated == oracle.bytes_allocated
             assert churn.bytes_freed == oracle.bytes_freed
-            assert churn.cost == pytest.approx(oracle.cost, rel=1e-9, abs=1e-9)
+            assert churn.cost_micro == oracle.cost_micro
 
 
 def test_identical_sequences_produce_identical_records():
@@ -240,3 +238,32 @@ def test_overflow_flag_set_only_for_spans_that_overflowed():
     end_marker(noisy)
     assert not span_churn(calm, MODEL).overflow
     assert span_churn(noisy, MODEL).overflow
+
+
+def _span_after(prior_calls, start_nano=0):
+    """The same span, after ``prior_calls`` random calls on its thread and
+    with the running total starting at ``start_nano``."""
+    rec = make_recorder()
+    rec._cost = start_nano
+    heap = TracingAllocator(rec)
+    rng = random.Random(4008)
+    live = []
+    for _ in range(prior_calls):
+        if live and rng.random() < 0.4:
+            heap.free(live.pop(rng.randrange(len(live))))
+        else:
+            live.append(heap.malloc(rng.randrange(0, 1 << 16)))
+    span = begin_marker(rec, "phase")
+    for size in (100, 200, 300):
+        heap.free(heap.malloc(size))
+    heap.free(heap.realloc(heap.calloc(3, 333), 7777))
+    end_marker(span)
+    return span_churn(span, MODEL)
+
+
+def test_span_cost_does_not_depend_on_prior_work():
+    fresh = _span_after(0)
+    assert fresh.cost > 0
+    assert _span_after(10_000) == fresh
+    assert _span_after(0, start_nano=10**22) == fresh
+    assert _span_after(10_000, start_nano=10**22) == fresh

@@ -1,7 +1,11 @@
 import json
+import os
 import re
+import stat
 import subprocess
 import sys
+import threading
+from decimal import Decimal
 
 import pytest
 
@@ -145,7 +149,7 @@ def test_show_totals_row_sums_phases(tmp_path, capsys):
     total_row = next(l.split() for l in lines if l.startswith("TOTAL"))
     assert int(total_row[2]) == sum(int(r[2]) for r in data_rows)
     assert int(total_row[3]) == sum(int(r[3]) for r in data_rows)
-    assert float(total_row[1]) == pytest.approx(sum(float(r[1]) for r in data_rows))
+    assert Decimal(total_row[1]) == sum(Decimal(r[1]) for r in data_rows)
 
 
 def test_show_per_thread_rows_sum_to_merged(tmp_path, capsys):
@@ -156,7 +160,7 @@ def test_show_per_thread_rows_sum_to_merged(tmp_path, capsys):
     report = parse_report(report_path.read_bytes())
     for name, record in report.merged.items():
         parts = [r for r in report.per_thread if r.name == name]
-        assert sum(p.cost for p in parts) == pytest.approx(record.cost, abs=1e-6)
+        assert sum(p.cost_micro for p in parts) == record.cost_micro
     assert "main/000000" in stdout
 
 
@@ -329,3 +333,60 @@ def test_ring_capacity_env_respected_by_run(tmp_path, monkeypatch, capsys):
         capped = report.merged[name]
         assert capped.calls == record.calls
         assert capped.cost == record.cost
+
+
+def test_rank_rejects_hand_edited_status_exit_2(tmp_path, capsys):
+    base = run_report(tmp_path, "base")
+    cand = run_report(tmp_path, "cand", variant="regressed")
+    capsys.readouterr()
+    assert main(["diff", str(base), str(cand), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    for delta in doc["deltas"]:
+        delta["status"] = "neutral"
+    doc["regression_detected"] = False
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    assert main(["rank", str(edited)]) == 2
+    assert "status 'neutral'" in capsys.readouterr().err
+
+
+def test_run_out_is_written_atomically(tmp_path, monkeypatch, capsys):
+    out = run_report(tmp_path, "base")
+    before = out.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("os.replace", failing_replace)
+    assert main([
+        "run", "--workload", "strings", "--seed", "2", "--scale", "4",
+        "--out", str(out), "--epoch", "0",
+    ]) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_run_out_writes_through_a_symlink_and_into_a_pipe(tmp_path, capsys):
+    argv = ["run", "--workload", "strings", "--seed", "1", "--scale", "2", "--epoch", "0", "--out"]
+    target = tmp_path / "target.churn.json"
+    target.write_bytes(b"previous")
+    link = tmp_path / "link.churn.json"
+    link.symlink_to(target)
+    assert main([*argv, str(link)]) == 0
+    assert link.is_symlink()
+    report = target.read_bytes()
+    parse_report(report)
+
+    # A pipe is written in place: renaming a file over it would leave its
+    # reader waiting forever.
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main([*argv, str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert got == [report]

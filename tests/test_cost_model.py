@@ -7,6 +7,7 @@ from churnscope import (
     AllocFnKind,
     CostModel,
     CostModelError,
+    ThreadRecorder,
     default_cost_model,
     event_cost,
     load_cost_model,
@@ -124,6 +125,18 @@ def test_validate_rejects_non_finite():
     weights = dict(MODEL.weights)
     weights[AllocFnKind.MALLOC] = math.inf
     assert any("malloc" in v for v in validate_cost_model(CostModel(weights, "broken")))
+
+
+def test_validate_rejects_weights_whose_costs_overflow_nano_units():
+    weights = dict(MODEL.weights)
+    weights[AllocFnKind.MALLOC] = 1e300
+    assert any("malloc" in v for v in validate_cost_model(CostModel(weights, "huge")))
+    weights[AllocFnKind.MALLOC] = 1e290
+    model = CostModel(weights, "large")
+    assert validate_cost_model(model) == []
+    rec = ThreadRecorder("t", model)
+    rec.record_malloc(2**63 - 1, 0x10)  # the largest cost a malloc can have
+    assert rec.snapshot().cost_nano == round(event_cost(model, AllocFnKind.MALLOC, 2**63 - 1) * 10**9)
 
 
 def test_load_cost_model_file(tmp_path):

@@ -61,7 +61,7 @@ def test_identical_reports_all_neutral():
     verdict = diff_reports(report, report)
     assert not verdict.regression_detected
     assert all(d.status == STATUS_NEUTRAL for d in verdict.deltas)
-    assert all(d.cost_delta_abs == 0.0 for d in verdict.deltas)
+    assert all(d.cost_delta_micro == 0 for d in verdict.deltas)
     assert all(d.cost_delta_rel == 0.0 for d in verdict.deltas)
 
 
@@ -72,7 +72,7 @@ def test_ten_percent_growth_is_regression():
     (delta,) = verdict.deltas
     assert delta.status == STATUS_REGRESSION
     assert delta.cost_delta_rel == pytest.approx(0.10, abs=1e-9)
-    assert delta.cost_delta_abs == pytest.approx(10.0, abs=1e-9)
+    assert delta.cost_delta_micro == 10_000_000
     assert verdict.regression_detected
     assert oracle_statuses(docs(baseline), docs(candidate)) == {"hot": STATUS_REGRESSION}
 
@@ -179,15 +179,15 @@ def test_call_floor_flags_call_growth():
     assert verdict.deltas[0].status == STATUS_REGRESSION  # 2 extra calls > 1
 
 
-def _delta(phase, status, rel, alloc=0, freed=0, cost=1.0):
+def _delta(phase, status, rel, alloc=0, freed=0, cost_micro=1_000_000):
     calls = {k: 0 for k in AllocFnKind}
-    record = MarkerChurn(name=phase, cost=cost, calls={**calls, AllocFnKind.MALLOC: 1})
+    record = MarkerChurn(name=phase, cost_micro=cost_micro, calls={**calls, AllocFnKind.MALLOC: 1})
     return ChurnDelta(
         phase=phase,
         status=status,
         baseline=None if status == STATUS_NEW_PHASE else record,
         candidate=None if status == STATUS_REMOVED_PHASE else record,
-        cost_delta_abs=0.0,
+        cost_delta_micro=0,
         cost_delta_rel=rel,
         call_delta=calls,
         bytes_allocated_delta=alloc,
@@ -249,7 +249,7 @@ def test_rank_full_group_order_matches_oracle_sort():
                 pass  # zero-baseline regression, undefined rel
         deltas.append(
             _delta(f"p{i:02d}", status, rel, alloc=rng.randrange(0, 1000),
-                   cost=round(rng.uniform(0, 50), 2))
+                   cost_micro=rng.randrange(0, 50 * 10**6))
         )
     ranked = rank_regressions(synthetic_verdict(deltas))
 
@@ -300,8 +300,8 @@ def test_rank_alternate_flags():
 
     import dataclasses
 
-    low = dataclasses.replace(_delta("low", STATUS_REGRESSION, 0.9), cost_delta_abs=1.0)
-    high = dataclasses.replace(_delta("high", STATUS_REGRESSION, 0.1), cost_delta_abs=50.0)
+    low = dataclasses.replace(_delta("low", STATUS_REGRESSION, 0.9), cost_delta_micro=1_000_000)
+    high = dataclasses.replace(_delta("high", STATUS_REGRESSION, 0.1), cost_delta_micro=50_000_000)
     ranked = rank_regressions(synthetic_verdict([low, high]), by="abs")
     assert [d.phase for d in ranked] == ["high", "low"]
 
@@ -384,3 +384,78 @@ def test_parse_verdict_rejects_non_finite_literal():
     data = serialize_verdict(verdict).decode().replace('"rel": 0.010000', '"rel": NaN', 1)
     with pytest.raises(ReportError, match="non-finite"):
         parse_verdict(data)
+
+
+def _regressed_verdict_doc():
+    verdict = diff_reports(report_with_units({"a": 10, "b": 2}), report_with_units({"a": 12, "b": 2}))
+    assert verdict.regression_detected
+    return json.loads(serialize_verdict(verdict))
+
+
+def test_parse_verdict_rejects_hand_edited_status():
+    doc = _regressed_verdict_doc()
+    for delta in doc["deltas"]:
+        delta["status"] = STATUS_NEUTRAL
+    doc["regression_detected"] = False  # consistent with the edited statuses
+    with pytest.raises(ReportError, match="status 'neutral'.*give 'regression'"):
+        parse_verdict(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(cost_delta_abs=19.0),
+        lambda d: d.update(cost_delta_rel=0.5),
+        lambda d: d.update(cost_delta_rel=None),
+        lambda d: d["call_delta"].update(malloc=0),
+        lambda d: d.update(bytes_allocated_delta=0),
+        lambda d: d.update(bytes_freed_delta=1),
+    ],
+    ids=["abs", "rel", "rel-null", "call_delta", "bytes_allocated", "bytes_freed"],
+)
+def test_parse_verdict_rejects_deltas_that_do_not_match_their_records(edit):
+    doc = _regressed_verdict_doc()
+    edit(doc["deltas"][0])
+    with pytest.raises(ReportError, match="does not match its records"):
+        parse_verdict(json.dumps(doc))
+
+
+def test_parse_verdict_rejects_status_the_records_contradict():
+    doc = _regressed_verdict_doc()
+    regression = doc["deltas"][0]
+    regression["candidate"] = regression["baseline"]  # now an unchanged phase
+    with pytest.raises(ReportError, match="status"):
+        parse_verdict(json.dumps(doc))
+    doc = _regressed_verdict_doc()
+    doc["deltas"][0]["baseline"] = None  # records now say new_phase
+    with pytest.raises(ReportError, match="new_phase"):
+        parse_verdict(json.dumps(doc))
+    doc["deltas"][0]["candidate"] = None
+    with pytest.raises(ReportError, match="neither"):
+        parse_verdict(json.dumps(doc))
+
+
+def test_parse_verdict_rejects_record_named_for_another_phase():
+    doc = _regressed_verdict_doc()
+    doc["deltas"][0]["candidate"]["name"] = "b"
+    with pytest.raises(ReportError, match="named 'b'"):
+        parse_verdict(json.dumps(doc))
+
+
+def test_thresholds_gate_on_the_six_decimals_a_verdict_records():
+    assert Thresholds(rel=0.0123456789, abs_floor=0.5000004).rel == 0.012346
+    assert Thresholds(abs_floor=0.5000004).abs_floor == 0.5
+    # rel 0.0123450 sits between the given threshold and its six decimals, so
+    # the status must come from the rounded one for a parsed verdict to agree.
+    base = report_with_units({"a": 0})
+    doc = docs(base)
+    for record in (doc["phases"]["a"], doc["threads"][0]):
+        record.update(cost=100.0, bytes_allocated=2)
+        record["calls"]["malloc"] = 1
+    base = parse_report(json.dumps(doc))
+    for record in (doc["phases"]["a"], doc["threads"][0]):
+        record["cost"] = 101.2345
+    cand = parse_report(json.dumps(doc))
+    verdict = diff_reports(base, cand, Thresholds(rel=0.0123449))
+    data = serialize_verdict(verdict)
+    assert serialize_verdict(parse_verdict(data)) == data

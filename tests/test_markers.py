@@ -29,7 +29,7 @@ def test_begin_on_fresh_recorder_snapshots_zero():
     rec = make_recorder()
     span = begin_marker(rec, "startup")
     assert span.start_snapshot.seq == 0
-    assert span.start_snapshot.cost == 0.0
+    assert span.start_snapshot.cost_nano == 0
     assert not span.closed
 
 
@@ -194,9 +194,9 @@ def test_parent_containment_deltas_dominated():
             heap.malloc(rng.randrange(0, 2048))
         end_marker(parent)
         assert child.parent is parent
-        child_delta = child.end_snapshot.cost - child.start_snapshot.cost
-        parent_delta = parent.end_snapshot.cost - parent.start_snapshot.cost
-        assert child_delta <= parent_delta + 1e-9
+        child_delta = child.end_snapshot.cost_nano - child.start_snapshot.cost_nano
+        parent_delta = parent.end_snapshot.cost_nano - parent.start_snapshot.cost_nano
+        assert child_delta <= parent_delta
         for kind, n in child.end_snapshot.calls().items():
             child_calls = n - child.start_snapshot.calls()[kind]
             parent_calls = parent.end_snapshot.calls()[kind] - parent.start_snapshot.calls()[kind]

@@ -45,7 +45,7 @@ def test_zero_byte_malloc_recorded_with_zero_cost():
     ev = rec.record_malloc(0, 0xA)
     assert ev.nbytes == 0
     result = replay(rec.events(), MODEL)
-    assert result.cost == 0.0
+    assert result.cost_nano == 0
     assert result.calls[AllocFnKind.MALLOC] == 1
 
 
@@ -68,13 +68,13 @@ def test_calloc_zero_count_zero_cost():
     rec = make_recorder()
     ev = rec.record_calloc(0, 64, 0xA)
     assert ev.nbytes == 0
-    assert rec.snapshot().cost == 0.0
+    assert rec.snapshot().cost_nano == 0
 
 
 def test_calloc_cost_under_default_model():
     rec = make_recorder()
     rec.record_calloc(8, 32, 0xA)
-    assert replay(rec.events(), MODEL).cost == pytest.approx(16.0, abs=1e-12)
+    assert replay(rec.events(), MODEL).cost_nano == 16 * 10**9
 
 
 def test_calloc_overflow_saturates_with_anomaly():
@@ -113,8 +113,8 @@ def test_malloc_free_total_cost():
     rec = make_recorder()
     rec.record_malloc(512, 0xA)
     rec.record_free(0xA)
-    assert replay(rec.events(), MODEL).cost == pytest.approx(18.0, abs=1e-12)
-    assert rec.snapshot().cost == pytest.approx(18.0, abs=1e-12)
+    assert replay(rec.events(), MODEL).cost_nano == 18 * 10**9
+    assert rec.snapshot().cost_nano == 18 * 10**9
 
 
 def test_realloc_moves_live_entry():
@@ -131,9 +131,9 @@ def test_realloc_moves_live_entry():
 def test_realloc_cost_is_weighted_on_new_size():
     rec = make_recorder()
     rec.record_malloc(1024, 0xA)
-    before = rec.snapshot().cost
+    before = rec.snapshot().cost_nano
     rec.record_realloc(0xA, 4096, 0xB)
-    assert rec.snapshot().cost - before == pytest.approx(36.0, abs=1e-12)
+    assert rec.snapshot().cost_nano - before == 36 * 10**9
 
 
 def test_realloc_unknown_token_becomes_fresh_alloc():
@@ -175,7 +175,7 @@ def test_failed_calls_count_with_zero_bytes():
 def test_snapshot_fresh_recorder_all_zero():
     snap = make_recorder().snapshot()
     assert snap.seq == 0
-    assert snap.cost == 0.0
+    assert snap.cost_nano == 0
     assert snap.bytes_allocated == 0
     assert all(n == 0 for n in snap.calls().values())
 
@@ -197,7 +197,7 @@ def test_snapshot_deltas_match_replay_on_random_sequences():
         assert snap.calls() == result.calls
         assert snap.bytes_allocated == result.bytes_allocated
         assert snap.bytes_freed == result.bytes_freed
-        assert snap.cost == pytest.approx(result.cost, rel=1e-9, abs=1e-9)
+        assert snap.cost_nano == result.cost_nano
 
 
 def test_conservation_at_quiescent_points():
@@ -236,7 +236,7 @@ def test_counters_monotone_over_time():
             "realloc_bytes",
             "free_bytes",
             "realloc_freed_bytes",
-            "cost",
+            "cost_nano",
             "overflow_count",
             "anomaly_count",
         ):
@@ -254,7 +254,7 @@ def _counter_fields(snap):
         snap.realloc_bytes,
         snap.free_bytes,
         snap.realloc_freed_bytes,
-        snap.cost,
+        snap.cost_nano,
         snap.anomaly_count,
     )
 

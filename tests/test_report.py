@@ -14,7 +14,7 @@ from churnscope import (
     parse_report,
     serialize_report,
 )
-from churnscope.report import canonical_bytes, round_cost
+from churnscope.report import canonical_bytes, format_cost
 
 from factories import report_with_units
 
@@ -250,7 +250,7 @@ def test_parse_revalidates_many_parts_merge():
     extra = [
         MarkerChurn(
             name="p",
-            cost=7.25,
+            cost_micro=7_250_000,
             calls={AllocFnKind.MALLOC: 1, AllocFnKind.CALLOC: 0,
                    AllocFnKind.REALLOC: 0, AllocFnKind.FREE: 0},
             bytes_allocated=152,
@@ -264,7 +264,7 @@ def test_parse_revalidates_many_parts_merge():
     merged = report.merged["p"]
     report.merged["p"] = MarkerChurn(
         name="p",
-        cost=round_cost(merged.cost + 3 * 7.25),
+        cost_micro=merged.cost_micro + 3 * 7_250_000,
         calls={k: merged.calls[k] + (3 if k is AllocFnKind.MALLOC else 0) for k in AllocFnKind},
         bytes_allocated=merged.bytes_allocated + 3 * 152,
         bytes_freed=merged.bytes_freed,
@@ -288,3 +288,58 @@ def test_canonical_writer_sorts_keys_and_handles_utf8():
     text = data.decode("utf-8")
     assert text.index('"a"') < text.index('"m"') < text.index('"z"')
     assert "café" in text
+
+
+def test_format_cost_renders_integers_exactly():
+    assert format_cost(0) == "0.000000"
+    assert format_cost(20_000_000) == "20.000000"
+    assert format_cost(-1) == "-0.000001"
+    assert format_cost(10**30 + 7) == "1000000000000000000000000.000007"
+
+
+def test_cost_literals_read_back_to_the_same_integer():
+    # 2**53 + 1 micro-units has no exact float, so a float parse would move it.
+    micro = 2**53 + 1
+    report = report_with_units({"p": 1})
+    part = report.per_thread[0]
+    report.per_thread[0] = MarkerChurn(**{**vars(part), "cost_micro": micro})
+    report.merged["p"] = MarkerChurn(**{**vars(report.merged["p"]), "cost_micro": micro})
+    data = serialize_report(report)
+    assert f'"cost": {format_cost(micro)}'.encode() in data
+    parsed = parse_report(data)
+    assert parsed.merged["p"].cost_micro == micro
+    assert parsed.per_thread[0].cost_micro == micro
+    assert serialize_report(parsed) == data
+
+
+@pytest.mark.parametrize(
+    "literal, match",
+    [
+        ("20.0000001", "not a whole number of micro-units"),
+        ("2e-7", "not a whole number of micro-units"),
+        ("1e-999999999", "not a whole number of micro-units"),
+        ("1." + "0" * 500 + "1", "not a whole number of micro-units"),
+        ("1e400", "out of range"),
+        ("1e99999999999999999999", "invalid value"),
+        ("-1.000000", "negative cost"),
+        ('"20"', "wrong type"),
+        ("true", "wrong type"),
+    ],
+)
+def test_parse_rejects_cost_literals_that_are_not_micro_units(literal, match):
+    data = GOLDEN.replace('"cost": 20.000000', f'"cost": {literal}')
+    with pytest.raises(ReportError, match=match):
+        parse_report(data)
+
+
+def test_parse_accepts_equal_cost_literals_in_other_forms():
+    data = GOLDEN.replace('"cost": 20.000000', '"cost": 2.0e1').replace('"cost": 2.0e1', '"cost": 20', 1)
+    assert serialize_report(parse_report(data)) == GOLDEN.encode()
+
+
+def test_parse_rejects_unknown_call_kind():
+    doc = json.loads(serialize_report(golden_report()))
+    for record in (doc["phases"]["demo"], doc["threads"][0]):
+        record["calls"]["mmap"] = 0
+    with pytest.raises(ReportError, match="unknown kinds \\['mmap'\\]"):
+        parse_report(json.dumps(doc))

@@ -3,7 +3,6 @@ a plain per-name rescan, on sessions with many threads and names."""
 
 import random
 import threading
-from dataclasses import replace
 
 import pytest
 
@@ -17,7 +16,7 @@ from churnscope import (
     merge_threads,
     serialize_report,
 )
-from churnscope.report import ChurnReport, round_cost
+from churnscope.report import ChurnReport
 
 
 def _drive_thread(session, label, seed, names, n_ops):
@@ -84,7 +83,7 @@ def rescan_oracle(session):
             parts.append(
                 MarkerChurn(
                     name=span.name,
-                    cost=round_cost(end.cost - start.cost),
+                    cost_micro=(end.cost_nano - start.cost_nano + 500) // 1000,
                     calls={kind: n - start_calls[kind] for kind, n in end.calls().items()},
                     bytes_allocated=end.bytes_allocated - start.bytes_allocated,
                     bytes_freed=end.bytes_freed - start.bytes_freed,
@@ -97,8 +96,7 @@ def rescan_oracle(session):
     parts.sort(key=lambda p: (p.thread_id or "", p.span_id or ""))
     merged = {}
     for name in sorted({p.name for p in parts}):
-        combined = merge_threads([p for p in parts if p.name == name])
-        merged[name] = replace(combined, cost=round_cost(combined.cost))
+        merged[name] = merge_threads([p for p in parts if p.name == name])
     return merged, parts
 
 

@@ -92,15 +92,15 @@ def test_regressed_strings_flags_format_only():
 
     # expected delta recomputed from the raw event logs of both runs
     model = sess.model
-    expected = 0.0
-    for sess_obj, sign in ((regressed_session, 1.0), (sess, -1.0)):
+    expected = 0
+    for sess_obj, sign in ((regressed_session, 1), (sess, -1)):
         for rec in sess_obj.recorders():
             for span in rec.spans():
                 if span.name == "format":
                     oracle = replay(rec.events(), model, span.start_seq, span.end_seq)
-                    expected += sign * oracle.cost
+                    expected += sign * oracle.cost_micro
     delta = {d.phase: d for d in verdict.deltas}["format"]
-    assert delta.cost_delta_abs == pytest.approx(expected, rel=1e-6)
+    assert delta.cost_delta_micro == expected
 
 
 @pytest.mark.parametrize("name", workload_names())
