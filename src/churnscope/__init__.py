@@ -33,7 +33,6 @@ from .recorder import (
     BumpAllocator,
     CounterSnapshot,
     DEFAULT_RING_CAPACITY,
-    RING_CAPACITY_ENV,
     ThreadRecorder,
     TracingAllocator,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "RecordingSession",
     "RegressionVerdict",
     "ReportError",
-    "RING_CAPACITY_ENV",
     "SpanStateError",
     "SplitMix64",
     "ThreadAffinityError",

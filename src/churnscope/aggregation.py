@@ -76,11 +76,6 @@ def span_churn(span: MarkerSpan, model: CostModel) -> MarkerChurn:
     )
 
 
-# Copied per merge; copying a dict reuses its stored hashes, which skips the
-# Python-level Enum.__hash__ that building a fresh one would call per kind.
-_NO_CALLS = {kind: 0 for kind in AllocFnKind}
-
-
 def merge_threads(parts: list[MarkerChurn]) -> MarkerChurn:
     """Merge same-named churn records into one phase total.
 
@@ -96,7 +91,7 @@ def merge_threads(parts: list[MarkerChurn]) -> MarkerChurn:
         if part.name != name:
             raise ValueError(f"cannot merge {part.name!r} into {name!r}")
     cost_micro = 0
-    calls = dict(_NO_CALLS)
+    calls = dict.fromkeys(AllocFnKind, 0)
     bytes_allocated = 0
     bytes_freed = 0
     overflow = False

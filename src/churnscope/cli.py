@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .cost_model import default_cost_model, load_cost_model
 from .errors import ChurnscopeError
+from .recorder import DEFAULT_RING_CAPACITY
 from .report import (
     ChurnDelta,
     ChurnReport,
@@ -81,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--build-id", default="local")
     p_run.add_argument("--epoch", type=int, default=None,
                        help="pin created_at to this UNIX epoch (for reproducible files)")
-    p_run.add_argument("--ring-capacity", type=_positive, default=None,
-                       help="per-thread event ring size (default: env or 4096)")
+    p_run.add_argument("--ring-capacity", type=_positive, default=DEFAULT_RING_CAPACITY,
+                       help="per-thread event ring size (default: %(default)s)")
 
     p_show = sub.add_parser("show", help="pretty-print a report")
     p_show.add_argument("report", type=Path)

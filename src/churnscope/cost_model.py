@@ -28,6 +28,11 @@ class AllocFnKind(enum.Enum):
     REALLOC = "realloc"
     FREE = "free"
 
+    # Members are singletons compared by identity, so identity hashing agrees
+    # with equality and keeps kind-keyed dicts as cheap as attributes
+    # (``Enum.__hash__`` is a Python-level call).
+    __hash__ = object.__hash__
+
 
 NANO, MICRO = 10**9, 10**6
 

@@ -12,7 +12,7 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator
 
-from .errors import RecorderSealedError, SpanStateError, ThreadAffinityError
+from .errors import SpanStateError, ThreadAffinityError
 from .recorder import CounterSnapshot, ThreadRecorder
 
 MAX_NAME_BYTES = 128
@@ -65,15 +65,15 @@ class MarkerSpan:
     def thread_id(self) -> str:
         return self.recorder.thread_id
 
-    def _finalize(self, snapshot: CounterSnapshot, end_seq: int, auto_closed: bool = False) -> None:
+    def _finalize(self, snapshot: CounterSnapshot, auto_closed: bool = False) -> None:
         if self.closed:
             raise SpanStateError(f"span {self.span_id!r} ({self.name!r}) is already closed")
         self.end_snapshot = snapshot
-        self.end_seq = end_seq
+        self.end_seq = snapshot.seq
         self.auto_closed = auto_closed
         # A parent that closed before us without covering our whole interval
         # was an overlapping sibling, not an enclosing phase.
-        if self.parent is not None and self.parent.closed and self.parent.end_seq < end_seq:
+        if self.parent is not None and self.parent.closed and self.parent.end_seq < self.end_seq:
             self.parent = None
 
     def __repr__(self) -> str:
@@ -98,12 +98,8 @@ def begin_marker(recorder: ThreadRecorder, name: str) -> MarkerSpan:
     name may be open at once; span ids disambiguate them.
     """
     _validate_name(name)
-    recorder._require_owner()
-    if recorder.sealed:
-        raise RecorderSealedError(
-            f"cannot begin {name!r}: recorder {recorder.thread_id!r} is sealed"
-        )
-    open_spans = recorder.open_spans()
+    recorder._require_writable()
+    open_spans = recorder._open_spans
     parent = open_spans[-1] if open_spans else None
     span = MarkerSpan(recorder._next_span_id(), name, recorder, recorder.snapshot(), parent)
     recorder._push_span(span)
@@ -119,8 +115,7 @@ def end_marker(span: MarkerSpan) -> MarkerSpan:
         )
     if span.closed:
         raise SpanStateError(f"span {span.span_id!r} ({span.name!r}) is already closed")
-    snap = span.recorder.snapshot()
-    span._finalize(snap, snap.seq, auto_closed=False)
+    span._finalize(span.recorder.snapshot())
     span.recorder._pop_span(span)
     return span
 

@@ -1,17 +1,20 @@
 """Allocator call capture: per-thread recorders and the interception surface.
 
 Each thread records into its own ``ThreadRecorder``; the hot path takes no
-locks. Aggregate counters (calls, bytes, running cost in integer nano-units)
-are the ground truth and survive any ring eviction; the fixed-capacity event
-ring exists for diagnostics and for replay-based validation. A reentrancy
-guard is held around every mutation so allocations made by the recorder's
-own bookkeeping are never recorded.
+locks. Every recorded call is charged in one place, from its event's own
+kind and byte count: per-kind calls and bytes, and the running cost in
+integer nano-units. Those counters are the ground truth and survive any ring
+eviction; the bounded event ring (a ``deque`` of the most recent events)
+exists for diagnostics and for replay-based validation, and its capacity
+changes only the overflow count, never a cost, call or byte count. A
+reentrancy guard is held around every mutation so allocations made by the
+recorder's own bookkeeping are never recorded.
 """
 
 from __future__ import annotations
 
-import os
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -22,27 +25,9 @@ if TYPE_CHECKING:
     from .markers import MarkerSpan
 
 DEFAULT_RING_CAPACITY = 4096
-RING_CAPACITY_ENV = "CHURNSCOPE_RING_CAPACITY"
 
 # Saturation bound for byte counts; larger requests are clamped and flagged.
 BYTES_MAX = 2**63 - 1
-
-
-def resolve_ring_capacity(capacity: int | None = None) -> int:
-    """Pick the ring capacity: explicit argument, else env override, else default."""
-    if capacity is None:
-        raw = os.environ.get(RING_CAPACITY_ENV)
-        if raw is None:
-            return DEFAULT_RING_CAPACITY
-        try:
-            capacity = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{RING_CAPACITY_ENV} must be a positive integer, got {raw!r}"
-            ) from None
-    if capacity < 1:
-        raise ValueError(f"ring capacity must be >= 1, got {capacity}")
-    return capacity
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,24 +92,16 @@ class ThreadRecorder:
     """
 
     def __init__(self, thread_id: str, model: CostModel, ring_capacity: int | None = None):
-        capacity = resolve_ring_capacity(ring_capacity)
+        capacity = DEFAULT_RING_CAPACITY if ring_capacity is None else ring_capacity
+        if capacity < 1:
+            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
         self.thread_id = thread_id
         self._model = model
         self._os_ident = threading.get_ident()
-        # Ring storage is pre-reserved here so recording never grows it.
-        self._ring: list[AllocEvent | None] = [None] * capacity
-        self._capacity = capacity
-        self._ring_head = 0
-        self._ring_len = 0
+        self._ring: deque[AllocEvent] = deque(maxlen=capacity)
         self._next_seq = 0
-        self._malloc_calls = 0
-        self._calloc_calls = 0
-        self._realloc_calls = 0
-        self._free_calls = 0
-        self._malloc_bytes = 0
-        self._calloc_bytes = 0
-        self._realloc_bytes = 0
-        self._free_bytes = 0
+        self._calls = dict.fromkeys(AllocFnKind, 0)
+        self._bytes = dict.fromkeys(AllocFnKind, 0)
         self._realloc_freed_bytes = 0
         self._cost = 0
         self._overflow = 0
@@ -132,7 +109,6 @@ class ThreadRecorder:
         self._live: dict[int, int] = {}
         self._depth = 0
         self._sealed = False
-        self._span_ordinal = 0
         self._spans: list[MarkerSpan] = []
         self._open_spans: list[MarkerSpan] = []
 
@@ -146,23 +122,18 @@ class ThreadRecorder:
 
     @property
     def ring_capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def next_seq(self) -> int:
-        return self._next_seq
+        return self._ring.maxlen
 
     @property
     def reentrancy_depth(self) -> int:
         return self._depth
 
-    def _require_owner(self) -> None:
+    def _require_writable(self) -> None:
+        """Raise unless called on the owning thread before ``seal()``."""
         if threading.get_ident() != self._os_ident:
             raise ThreadAffinityError(
                 f"recorder {self.thread_id!r} belongs to another thread"
             )
-
-    def _require_live(self) -> None:
         if self._sealed:
             raise RecorderSealedError(f"recorder {self.thread_id!r} is sealed")
 
@@ -170,8 +141,7 @@ class ThreadRecorder:
 
     def record_malloc(self, requested: int, addr: int | None) -> AllocEvent | None:
         """Record one malloc call; ``addr is None`` means the call failed."""
-        self._require_owner()
-        self._require_live()
+        self._require_writable()
         if self._depth:
             return None  # recorder-internal allocation, never recorded
         if requested < 0:
@@ -184,17 +154,13 @@ class ThreadRecorder:
                 if addr in self._live:
                     self._anomalies += 1  # double report or missed free
                 self._live[addr] = nbytes
-            self._malloc_calls += 1
-            self._malloc_bytes += nbytes
-            self._cost += round(event_cost(self._model, AllocFnKind.MALLOC, nbytes) * NANO)
             return self._emit(AllocFnKind.MALLOC, nbytes, addr, None)
         finally:
             self._depth -= 1
 
     def record_calloc(self, count: int, elem_size: int, addr: int | None) -> AllocEvent | None:
         """Record one calloc call; effective bytes are ``count * elem_size``."""
-        self._require_owner()
-        self._require_live()
+        self._require_writable()
         if self._depth:
             return None
         if count < 0 or elem_size < 0:
@@ -207,9 +173,6 @@ class ThreadRecorder:
                 if addr in self._live:
                     self._anomalies += 1
                 self._live[addr] = nbytes
-            self._calloc_calls += 1
-            self._calloc_bytes += nbytes
-            self._cost += round(event_cost(self._model, AllocFnKind.CALLOC, nbytes) * NANO)
             return self._emit(AllocFnKind.CALLOC, nbytes, addr, None)
         finally:
             self._depth -= 1
@@ -222,8 +185,7 @@ class ThreadRecorder:
         bumps the anomaly counter: it signals a block allocated before
         interception began, or a mismatched report.
         """
-        self._require_owner()
-        self._require_live()
+        self._require_writable()
         if self._depth:
             return None
         self._depth += 1
@@ -235,9 +197,6 @@ class ThreadRecorder:
                     self._anomalies += 1
                 else:
                     nbytes = size
-            self._free_calls += 1
-            self._free_bytes += nbytes
-            self._cost += round(event_cost(self._model, AllocFnKind.FREE, nbytes) * NANO)
             return self._emit(AllocFnKind.FREE, nbytes, None, old_addr)
         finally:
             self._depth -= 1
@@ -253,8 +212,7 @@ class ThreadRecorder:
         removes the entry, ``addr is None`` with a nonzero request is a
         failed call that leaves the original block live.
         """
-        self._require_owner()
-        self._require_live()
+        self._require_writable()
         if self._depth:
             return None
         if requested < 0:
@@ -262,7 +220,6 @@ class ThreadRecorder:
         self._depth += 1
         try:
             nbytes = 0
-            freed = 0
             emit_addr = None
             emit_old = old_addr
             if requested == 0:
@@ -271,7 +228,7 @@ class ThreadRecorder:
                     if size is None:
                         self._anomalies += 1
                     else:
-                        freed = size
+                        self._realloc_freed_bytes += size
             elif addr is None:
                 # Failed call: the original block stays live and nothing
                 # moved, so the event carries no address tokens at all.
@@ -283,15 +240,11 @@ class ThreadRecorder:
                     if size is None:
                         self._anomalies += 1
                     else:
-                        freed = size
+                        self._realloc_freed_bytes += size
                 if addr in self._live:
                     self._anomalies += 1
                 self._live[addr] = nbytes
                 emit_addr = addr
-            self._realloc_calls += 1
-            self._realloc_bytes += nbytes
-            self._realloc_freed_bytes += freed
-            self._cost += round(event_cost(self._model, AllocFnKind.REALLOC, nbytes) * NANO)
             return self._emit(AllocFnKind.REALLOC, nbytes, emit_addr, emit_old)
         finally:
             self._depth -= 1
@@ -303,36 +256,42 @@ class ThreadRecorder:
         return nbytes
 
     def _emit(self, kind: AllocFnKind, nbytes: int, addr: int | None, old_addr: int | None) -> AllocEvent:
+        """Charge one call, from the event's own kind and byte count, and log it.
+
+        The only place a call is charged, so calls, bytes and cost always
+        equal a replay of the emitted events.
+        """
+        self._cost += round(event_cost(self._model, kind, nbytes) * NANO)
+        self._calls[kind] += 1
+        self._bytes[kind] += nbytes
         ev = AllocEvent(self.thread_id, self._next_seq, kind, nbytes, addr, old_addr)
         self._next_seq += 1
         self._append_event(ev)
         return ev
 
     def _append_event(self, ev: AllocEvent) -> None:
-        # Fixed-size ring: evict the oldest event when full. Aggregate
-        # counters are untouched by eviction.
-        if self._ring_len == self._capacity:
-            self._ring[self._ring_head] = ev
-            self._ring_head = (self._ring_head + 1) % self._capacity
+        # A full ring drops its oldest event; the counters are untouched.
+        if len(self._ring) == self._ring.maxlen:
             self._overflow += 1
-        else:
-            self._ring[(self._ring_head + self._ring_len) % self._capacity] = ev
-            self._ring_len += 1
+        self._ring.append(ev)
 
     # -- reading -----------------------------------------------------------
 
     def snapshot(self) -> CounterSnapshot:
         """Pure read of all counters; cheap enough to take per marker."""
+        # Both tables hold the kinds in AllocFnKind's order.
+        malloc_calls, calloc_calls, realloc_calls, free_calls = self._calls.values()
+        malloc_bytes, calloc_bytes, realloc_bytes, free_bytes = self._bytes.values()
         return CounterSnapshot(
             seq=self._next_seq,
-            malloc_calls=self._malloc_calls,
-            calloc_calls=self._calloc_calls,
-            realloc_calls=self._realloc_calls,
-            free_calls=self._free_calls,
-            malloc_bytes=self._malloc_bytes,
-            calloc_bytes=self._calloc_bytes,
-            realloc_bytes=self._realloc_bytes,
-            free_bytes=self._free_bytes,
+            malloc_calls=malloc_calls,
+            calloc_calls=calloc_calls,
+            realloc_calls=realloc_calls,
+            free_calls=free_calls,
+            malloc_bytes=malloc_bytes,
+            calloc_bytes=calloc_bytes,
+            realloc_bytes=realloc_bytes,
+            free_bytes=free_bytes,
             realloc_freed_bytes=self._realloc_freed_bytes,
             cost_nano=self._cost,
             overflow_count=self._overflow,
@@ -341,10 +300,7 @@ class ThreadRecorder:
 
     def events(self) -> list[AllocEvent]:
         """The retained events, oldest first. Ring eviction drops the front."""
-        out = []
-        for i in range(self._ring_len):
-            out.append(self._ring[(self._ring_head + i) % self._capacity])
-        return out
+        return list(self._ring)
 
     def live_table(self) -> dict[int, int]:
         """Copy of the outstanding-block table (token to byte size)."""
@@ -363,9 +319,7 @@ class ThreadRecorder:
         self._open_spans.remove(span)
 
     def _next_span_id(self) -> str:
-        span_id = f"{self.thread_id}/{self._span_ordinal:06d}"
-        self._span_ordinal += 1
-        return span_id
+        return f"{self.thread_id}/{len(self._spans):06d}"
 
     def spans(self) -> list[MarkerSpan]:
         """Every span begun on this thread, in open order."""
@@ -383,7 +337,7 @@ class ThreadRecorder:
             return
         snap = self.snapshot()
         for span in reversed(self._open_spans):
-            span._finalize(snap, snap.seq, auto_closed=True)
+            span._finalize(snap, auto_closed=True)
         self._open_spans.clear()
         self._sealed = True
 
@@ -391,13 +345,13 @@ class ThreadRecorder:
 class BumpAllocator:
     """Deterministic stand-in heap handing out monotonically increasing tokens.
 
-    An optional ``budget`` caps outstanding bytes; calls that would exceed it
-    fail by returning None, which lets tests exercise failure transparency.
+    Tokens start at 0x1000 and are 16-byte aligned. An optional ``budget``
+    caps outstanding bytes; calls that would exceed it fail by returning
+    None, which lets tests exercise failure transparency.
     """
 
-    def __init__(self, budget: int | None = None, start: int = 0x1000, align: int = 16):
-        self._next = start
-        self._align = align
+    def __init__(self, budget: int | None = None):
+        self._next = 0x1000
         self._budget = budget
         self._outstanding: dict[int, int] = {}
         self._used = 0
@@ -406,8 +360,7 @@ class BumpAllocator:
         if self._budget is not None and self._used + size > self._budget:
             return None
         addr = self._next
-        step = max(size, 1)
-        self._next += (step + self._align - 1) // self._align * self._align
+        self._next += (max(size, 1) + 15) // 16 * 16
         self._outstanding[addr] = size
         self._used += size
         return addr
@@ -435,9 +388,6 @@ class BumpAllocator:
         if addr is None:
             return
         self._used -= self._outstanding.pop(addr, 0)
-
-    def outstanding_bytes(self) -> int:
-        return self._used
 
 
 class TracingAllocator:

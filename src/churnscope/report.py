@@ -666,11 +666,15 @@ def parse_verdict(data: bytes | str) -> RegressionVerdict:
     flag = _expect(doc, "regression_detected", bool, "verdict")
     deltas_doc = _expect(doc, "deltas", list, "verdict")
     deltas: list[ChurnDelta] = []
+    phases: set[str] = set()
     for i, item in enumerate(deltas_doc):
         what = f"deltas[{i}]"
         if not isinstance(item, dict):
             raise ReportError(f"{what} must be an object")
         phase = _expect(item, "phase", str, what)
+        if phase in phases:
+            raise ReportError(f"{what} repeats phase {phase!r}")
+        phases.add(phase)
         records = []
         for side in ("baseline", "candidate"):
             record = item.get(side)

@@ -23,7 +23,10 @@ def utc_timestamp(epoch: float | int | None = None) -> str:
     if epoch is None:
         moment = datetime.now(timezone.utc)
     else:
-        moment = datetime.fromtimestamp(epoch, tz=timezone.utc)
+        try:
+            moment = datetime.fromtimestamp(epoch, tz=timezone.utc)
+        except OverflowError:
+            raise ValueError(f"epoch {epoch} is out of range") from None
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -105,8 +108,8 @@ class RecordingSession:
                 raise RecorderStateError(
                     f"recorder {rec.thread_id!r} is not sealed; call seal_all() first"
                 )
+        # Recorders come ordered by label and spans in begin order.
         parts = [span_churn(span, self._model) for rec in recs for span in rec.spans()]
-        parts.sort(key=lambda p: (p.thread_id or "", p.span_id or ""))
         by_name: dict[str, list[MarkerChurn]] = {}
         for part in parts:
             by_name.setdefault(part.name, []).append(part)

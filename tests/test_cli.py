@@ -312,17 +312,15 @@ def test_rank_reads_stdin(tmp_path):
     assert rank.stdout == diff.stdout  # diff output is already ranked
 
 
-def test_ring_capacity_env_respected_by_run(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CHURNSCOPE_RING_CAPACITY", "2")
+def test_ring_capacity_flag_respected_by_run(tmp_path, capsys):
     out = tmp_path / "tiny.churn.json"
     assert main([
         "run", "--workload", "strings", "--seed", "1", "--scale", "2",
-        "--out", str(out), "--epoch", "0",
+        "--out", str(out), "--epoch", "0", "--ring-capacity", "2",
     ]) == 0
     report = parse_report(out.read_bytes())
     assert report.totals.overflow_count > 0
     # counters survive eviction: merged totals match an uncapped run
-    monkeypatch.delenv("CHURNSCOPE_RING_CAPACITY")
     big = tmp_path / "big.churn.json"
     assert main([
         "run", "--workload", "strings", "--seed", "1", "--scale", "2",
@@ -333,6 +331,24 @@ def test_ring_capacity_env_respected_by_run(tmp_path, monkeypatch, capsys):
         capped = report.merged[name]
         assert capped.calls == record.calls
         assert capped.cost == record.cost
+
+
+def test_ring_capacity_env_var_does_not_change_run(tmp_path, monkeypatch):
+    plain = run_report(tmp_path, "plain").read_bytes()
+    monkeypatch.setenv("CHURNSCOPE_RING_CAPACITY", "2")
+    assert run_report(tmp_path, "plain").read_bytes() == plain
+
+
+def test_run_epoch_out_of_range_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.churn.json"
+    code = main([
+        "run", "--workload", "strings", "--out", str(out),
+        "--epoch", "99999999999999999999",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "out of range" in err
+    assert not out.exists()
 
 
 def test_rank_rejects_hand_edited_status_exit_2(tmp_path, capsys):

@@ -392,6 +392,14 @@ def _regressed_verdict_doc():
     return json.loads(serialize_verdict(verdict))
 
 
+def test_parse_verdict_rejects_repeated_phase():
+    doc = _regressed_verdict_doc()
+    doc["deltas"].append(doc["deltas"][0])
+    phase = doc["deltas"][0]["phase"]
+    with pytest.raises(ReportError, match=f"repeats phase '{phase}'"):
+        parse_verdict(json.dumps(doc))
+
+
 def test_parse_verdict_rejects_hand_edited_status():
     doc = _regressed_verdict_doc()
     for delta in doc["deltas"]:

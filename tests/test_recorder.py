@@ -271,14 +271,21 @@ def test_ring_overflow_never_changes_counters():
     assert big.snapshot().overflow_count == 0
 
 
-def test_ring_keeps_most_recent_events():
-    rec = ThreadRecorder("t0", MODEL, ring_capacity=4)
-    for i in range(10):
-        rec.record_malloc(i, 0x1000 + i)
-    events = rec.events()
-    assert [ev.seq for ev in events] == [6, 7, 8, 9]
-    assert rec.snapshot().overflow_count == 6
-    assert rec.snapshot().malloc_calls == 10
+@pytest.mark.parametrize("capacity", [1, 4, 64])
+def test_ring_keeps_most_recent_events(capacity):
+    capped = ThreadRecorder("t0", MODEL, ring_capacity=capacity)
+    uncapped = ThreadRecorder("t0", MODEL, ring_capacity=1 << 20)
+    drive_random_ops(TracingAllocator(capped), random.Random(2006), 200)
+    drive_random_ops(TracingAllocator(uncapped), random.Random(2006), 200)
+    assert capped.ring_capacity == capacity
+    log = uncapped.events()
+    assert {ev.kind for ev in log} == set(AllocFnKind)
+    events = capped.events()
+    assert events == log[-capacity:]
+    assert [ev.seq for ev in events] == list(range(len(log) - capacity, len(log)))
+    snap = capped.snapshot()
+    assert sum(snap.calls().values()) == len(log)
+    assert snap.overflow_count == len(log) - capacity
 
 
 def test_interception_transparency_same_outcomes():
@@ -358,13 +365,9 @@ def test_sealed_recorder_rejects_recording():
     rec.seal()  # idempotent
 
 
-def test_ring_capacity_env_override(monkeypatch):
-    monkeypatch.setenv("CHURNSCOPE_RING_CAPACITY", "7")
-    rec = ThreadRecorder("t0", MODEL)
-    assert rec.ring_capacity == 7
-    monkeypatch.setenv("CHURNSCOPE_RING_CAPACITY", "zero")
-    with pytest.raises(ValueError):
-        ThreadRecorder("t1", MODEL)
+def test_ring_capacity_below_one_rejected():
+    with pytest.raises(ValueError, match="ring capacity"):
+        ThreadRecorder("t0", MODEL, ring_capacity=0)
 
 
 def test_negative_sizes_rejected():
