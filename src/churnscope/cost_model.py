@@ -64,9 +64,6 @@ class CostModel:
         normalized = {k: float(v) for k, v in self.weights.items()}
         object.__setattr__(self, "weights", normalized)
 
-    def weight(self, kind: AllocFnKind) -> float:
-        return self.weights[kind]
-
     def scaled(self, factor: float, model_version: str | None = None) -> "CostModel":
         """Return a copy with every weight multiplied by ``factor``."""
         version = model_version or f"{self.model_version}-x{factor:g}"

@@ -34,8 +34,6 @@ class MarkerSpan:
         "parent",
         "start_snapshot",
         "end_snapshot",
-        "start_seq",
-        "end_seq",
         "auto_closed",
     )
 
@@ -52,9 +50,7 @@ class MarkerSpan:
         self.recorder = recorder
         self.parent = parent
         self.start_snapshot = start_snapshot
-        self.start_seq = start_snapshot.seq
         self.end_snapshot: CounterSnapshot | None = None
-        self.end_seq: int | None = None
         self.auto_closed = False
 
     @property
@@ -69,11 +65,10 @@ class MarkerSpan:
         if self.closed:
             raise SpanStateError(f"span {self.span_id!r} ({self.name!r}) is already closed")
         self.end_snapshot = snapshot
-        self.end_seq = snapshot.seq
         self.auto_closed = auto_closed
         # A parent that closed before us without covering our whole interval
         # was an overlapping sibling, not an enclosing phase.
-        if self.parent is not None and self.parent.closed and self.parent.end_seq < self.end_seq:
+        if self.parent is not None and self.parent.closed and self.parent.end_snapshot.seq < snapshot.seq:
             self.parent = None
 
     def __repr__(self) -> str:

@@ -3,12 +3,15 @@
 Each thread records into its own ``ThreadRecorder``; the hot path takes no
 locks. Every recorded call is charged in one place, from its event's own
 kind and byte count: per-kind calls and bytes, and the running cost in
-integer nano-units. Those counters are the ground truth and survive any ring
-eviction; the bounded event ring (a ``deque`` of the most recent events)
-exists for diagnostics and for replay-based validation, and its capacity
-changes only the overflow count, never a cost, call or byte count. A
-reentrancy guard is held around every mutation so allocations made by the
-recorder's own bookkeeping are never recorded.
+integer nano-units. The counters are one integer list in ``CounterSnapshot``
+field order, so a snapshot is one tuple copy. They are the ground truth and
+survive any ring eviction; the bounded event ring (a ``deque`` of the most
+recent calls, each a bare ``(kind, nbytes, addr, old_addr)`` tuple) exists
+for diagnostics and for replay-based validation, and ``events()`` builds
+``AllocEvent``s from it on read. The ring's capacity changes only the
+overflow count, never a cost, call or byte count. The ``record_*`` methods
+return ``None``. A reentrancy guard is held around every mutation so
+allocations made by the recorder's own bookkeeping are never recorded.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cost_model import NANO, AllocFnKind, CostModel, event_cost
 from .errors import RecorderSealedError, ThreadAffinityError
@@ -48,8 +51,7 @@ class AllocEvent:
     old_addr: int | None
 
 
-@dataclass(frozen=True, slots=True)
-class CounterSnapshot:
+class CounterSnapshot(NamedTuple):
     """Point-in-time copy of one recorder's aggregate counters."""
 
     seq: int
@@ -66,14 +68,6 @@ class CounterSnapshot:
     overflow_count: int
     anomaly_count: int
 
-    def calls(self) -> dict[AllocFnKind, int]:
-        return {
-            AllocFnKind.MALLOC: self.malloc_calls,
-            AllocFnKind.CALLOC: self.calloc_calls,
-            AllocFnKind.REALLOC: self.realloc_calls,
-            AllocFnKind.FREE: self.free_calls,
-        }
-
     @property
     def bytes_allocated(self) -> int:
         return self.malloc_bytes + self.calloc_bytes + self.realloc_bytes
@@ -81,6 +75,23 @@ class CounterSnapshot:
     @property
     def bytes_freed(self) -> int:
         return self.free_bytes + self.realloc_freed_bytes
+
+
+# Indices into ThreadRecorder._c, which holds the counters in field order.
+_SEQ, _REALLOC_FREED, _COST, _OVERFLOW, _ANOMALIES = map(
+    CounterSnapshot._fields.index,
+    ("seq", "realloc_freed_bytes", "cost_nano", "overflow_count", "anomaly_count"),
+)
+_CALLS = {kind: CounterSnapshot._fields.index(f"{kind.value}_calls") for kind in AllocFnKind}
+_BYTES = {kind: CounterSnapshot._fields.index(f"{kind.value}_bytes") for kind in AllocFnKind}
+
+
+def checked_ring_capacity(ring_capacity: int | None) -> int:
+    """The ring capacity to use: the default for ``None``, else at least 1."""
+    capacity = DEFAULT_RING_CAPACITY if ring_capacity is None else ring_capacity
+    if capacity < 1:
+        raise ValueError(f"ring capacity must be >= 1, got {capacity}")
+    return capacity
 
 
 class ThreadRecorder:
@@ -92,20 +103,11 @@ class ThreadRecorder:
     """
 
     def __init__(self, thread_id: str, model: CostModel, ring_capacity: int | None = None):
-        capacity = DEFAULT_RING_CAPACITY if ring_capacity is None else ring_capacity
-        if capacity < 1:
-            raise ValueError(f"ring capacity must be >= 1, got {capacity}")
         self.thread_id = thread_id
         self._model = model
         self._os_ident = threading.get_ident()
-        self._ring: deque[AllocEvent] = deque(maxlen=capacity)
-        self._next_seq = 0
-        self._calls = dict.fromkeys(AllocFnKind, 0)
-        self._bytes = dict.fromkeys(AllocFnKind, 0)
-        self._realloc_freed_bytes = 0
-        self._cost = 0
-        self._overflow = 0
-        self._anomalies = 0
+        self._ring: deque[tuple] = deque(maxlen=checked_ring_capacity(ring_capacity))
+        self._c = [0] * len(CounterSnapshot._fields)
         self._live: dict[int, int] = {}
         self._depth = 0
         self._sealed = False
@@ -139,11 +141,11 @@ class ThreadRecorder:
 
     # -- recording ---------------------------------------------------------
 
-    def record_malloc(self, requested: int, addr: int | None) -> AllocEvent | None:
+    def record_malloc(self, requested: int, addr: int | None) -> None:
         """Record one malloc call; ``addr is None`` means the call failed."""
         self._require_writable()
         if self._depth:
-            return None  # recorder-internal allocation, never recorded
+            return  # recorder-internal allocation, never recorded
         if requested < 0:
             raise ValueError(f"requested size must be nonnegative, got {requested}")
         self._depth += 1
@@ -152,17 +154,17 @@ class ThreadRecorder:
             if addr is not None:
                 nbytes = self._clamp(requested)
                 if addr in self._live:
-                    self._anomalies += 1  # double report or missed free
+                    self._c[_ANOMALIES] += 1  # double report or missed free
                 self._live[addr] = nbytes
-            return self._emit(AllocFnKind.MALLOC, nbytes, addr, None)
+            self._emit(AllocFnKind.MALLOC, nbytes, addr, None)
         finally:
             self._depth -= 1
 
-    def record_calloc(self, count: int, elem_size: int, addr: int | None) -> AllocEvent | None:
+    def record_calloc(self, count: int, elem_size: int, addr: int | None) -> None:
         """Record one calloc call; effective bytes are ``count * elem_size``."""
         self._require_writable()
         if self._depth:
-            return None
+            return
         if count < 0 or elem_size < 0:
             raise ValueError("calloc count and element size must be nonnegative")
         self._depth += 1
@@ -171,13 +173,13 @@ class ThreadRecorder:
             if addr is not None:
                 nbytes = self._clamp(count * elem_size)
                 if addr in self._live:
-                    self._anomalies += 1
+                    self._c[_ANOMALIES] += 1
                 self._live[addr] = nbytes
-            return self._emit(AllocFnKind.CALLOC, nbytes, addr, None)
+            self._emit(AllocFnKind.CALLOC, nbytes, addr, None)
         finally:
             self._depth -= 1
 
-    def record_free(self, old_addr: int | None) -> AllocEvent | None:
+    def record_free(self, old_addr: int | None) -> None:
         """Record one free call, attributing bytes from the live table.
 
         Freeing a null token is a legal no-op call (zero bytes, no anomaly).
@@ -187,23 +189,21 @@ class ThreadRecorder:
         """
         self._require_writable()
         if self._depth:
-            return None
+            return
         self._depth += 1
         try:
             nbytes = 0
             if old_addr is not None:
                 size = self._live.pop(old_addr, None)
                 if size is None:
-                    self._anomalies += 1
+                    self._c[_ANOMALIES] += 1
                 else:
                     nbytes = size
-            return self._emit(AllocFnKind.FREE, nbytes, None, old_addr)
+            self._emit(AllocFnKind.FREE, nbytes, None, old_addr)
         finally:
             self._depth -= 1
 
-    def record_realloc(
-        self, old_addr: int | None, requested: int, addr: int | None
-    ) -> AllocEvent | None:
+    def record_realloc(self, old_addr: int | None, requested: int, addr: int | None) -> None:
         """Record one realloc call as a single event charged on the new size.
 
         The live entry moves from ``old_addr`` to ``addr``. A null
@@ -214,7 +214,7 @@ class ThreadRecorder:
         """
         self._require_writable()
         if self._depth:
-            return None
+            return
         if requested < 0:
             raise ValueError(f"requested size must be nonnegative, got {requested}")
         self._depth += 1
@@ -226,9 +226,9 @@ class ThreadRecorder:
                 if old_addr is not None:
                     size = self._live.pop(old_addr, None)
                     if size is None:
-                        self._anomalies += 1
+                        self._c[_ANOMALIES] += 1
                     else:
-                        self._realloc_freed_bytes += size
+                        self._c[_REALLOC_FREED] += size
             elif addr is None:
                 # Failed call: the original block stays live and nothing
                 # moved, so the event carries no address tokens at all.
@@ -238,69 +238,55 @@ class ThreadRecorder:
                 if old_addr is not None:
                     size = self._live.pop(old_addr, None)
                     if size is None:
-                        self._anomalies += 1
+                        self._c[_ANOMALIES] += 1
                     else:
-                        self._realloc_freed_bytes += size
+                        self._c[_REALLOC_FREED] += size
                 if addr in self._live:
-                    self._anomalies += 1
+                    self._c[_ANOMALIES] += 1
                 self._live[addr] = nbytes
                 emit_addr = addr
-            return self._emit(AllocFnKind.REALLOC, nbytes, emit_addr, emit_old)
+            self._emit(AllocFnKind.REALLOC, nbytes, emit_addr, emit_old)
         finally:
             self._depth -= 1
 
     def _clamp(self, nbytes: int) -> int:
         if nbytes > BYTES_MAX:
-            self._anomalies += 1
+            self._c[_ANOMALIES] += 1
             return BYTES_MAX
         return nbytes
 
-    def _emit(self, kind: AllocFnKind, nbytes: int, addr: int | None, old_addr: int | None) -> AllocEvent:
+    def _emit(self, kind: AllocFnKind, nbytes: int, addr: int | None, old_addr: int | None) -> None:
         """Charge one call, from the event's own kind and byte count, and log it.
 
         The only place a call is charged, so calls, bytes and cost always
         equal a replay of the emitted events.
         """
-        self._cost += round(event_cost(self._model, kind, nbytes) * NANO)
-        self._calls[kind] += 1
-        self._bytes[kind] += nbytes
-        ev = AllocEvent(self.thread_id, self._next_seq, kind, nbytes, addr, old_addr)
-        self._next_seq += 1
-        self._append_event(ev)
-        return ev
+        c = self._c
+        c[_COST] += round(event_cost(self._model, kind, nbytes) * NANO)
+        c[_CALLS[kind]] += 1
+        c[_BYTES[kind]] += nbytes
+        c[_SEQ] += 1
+        self._append_event((kind, nbytes, addr, old_addr))
 
-    def _append_event(self, ev: AllocEvent) -> None:
-        # A full ring drops its oldest event; the counters are untouched.
+    def _append_event(self, entry: tuple) -> None:
+        # A full ring drops its oldest entry; the counters are untouched.
         if len(self._ring) == self._ring.maxlen:
-            self._overflow += 1
-        self._ring.append(ev)
+            self._c[_OVERFLOW] += 1
+        self._ring.append(entry)
 
     # -- reading -----------------------------------------------------------
 
     def snapshot(self) -> CounterSnapshot:
         """Pure read of all counters; cheap enough to take per marker."""
-        # Both tables hold the kinds in AllocFnKind's order.
-        malloc_calls, calloc_calls, realloc_calls, free_calls = self._calls.values()
-        malloc_bytes, calloc_bytes, realloc_bytes, free_bytes = self._bytes.values()
-        return CounterSnapshot(
-            seq=self._next_seq,
-            malloc_calls=malloc_calls,
-            calloc_calls=calloc_calls,
-            realloc_calls=realloc_calls,
-            free_calls=free_calls,
-            malloc_bytes=malloc_bytes,
-            calloc_bytes=calloc_bytes,
-            realloc_bytes=realloc_bytes,
-            free_bytes=free_bytes,
-            realloc_freed_bytes=self._realloc_freed_bytes,
-            cost_nano=self._cost,
-            overflow_count=self._overflow,
-            anomaly_count=self._anomalies,
-        )
+        return CounterSnapshot._make(self._c)
 
     def events(self) -> list[AllocEvent]:
         """The retained events, oldest first. Ring eviction drops the front."""
-        return list(self._ring)
+        first = self._c[_SEQ] - len(self._ring)
+        return [
+            AllocEvent(self.thread_id, first + i, *entry)
+            for i, entry in enumerate(self._ring)
+        ]
 
     def live_table(self) -> dict[int, int]:
         """Copy of the outstanding-block table (token to byte size)."""

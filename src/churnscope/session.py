@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from .aggregation import MarkerChurn, merge_threads, span_churn
 from .cost_model import CostModel, default_cost_model, validate_cost_model
 from .errors import CostModelError, RecorderStateError
-from .recorder import ThreadRecorder
+from .recorder import ThreadRecorder, checked_ring_capacity
 from .report import ChurnReport, ReportTotals
 
 
@@ -51,7 +51,7 @@ class RecordingSession:
         if violations:
             raise CostModelError("invalid cost model: " + "; ".join(violations))
         self._model = model
-        self._ring_capacity = ring_capacity
+        self._ring_capacity = checked_ring_capacity(ring_capacity)
         self.build_id = build_id
         self.created_at = created_at
         self._lock = threading.Lock()

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 from churnscope import (
+    AllocFnKind,
     ChurnReport,
     CostModel,
+    CounterSnapshot,
     RecordingSession,
     TracingAllocator,
     marker,
@@ -13,6 +15,16 @@ from churnscope import (
 # One malloc of 1024 bytes costs exactly 10.0 under the default model, so a
 # phase built from n of them costs exactly 10n.
 UNIT_COST = 10.0
+
+
+def snapshot_calls(snap: CounterSnapshot) -> dict[AllocFnKind, int]:
+    """A counter snapshot's per-kind call counts, keyed like ``MarkerChurn.calls``."""
+    return {
+        AllocFnKind.MALLOC: snap.malloc_calls,
+        AllocFnKind.CALLOC: snap.calloc_calls,
+        AllocFnKind.REALLOC: snap.realloc_calls,
+        AllocFnKind.FREE: snap.free_calls,
+    }
 
 
 def report_with_units(

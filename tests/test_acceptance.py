@@ -104,7 +104,7 @@ def test_criterion_04_oracle_equivalence():
         assert rec.snapshot().overflow_count == 0  # full log retained
         for span in spans:
             churn = span_churn(span, MODEL)
-            oracle = replay(events, MODEL, span.start_seq, span.end_seq)
+            oracle = replay(events, MODEL, span.start_snapshot.seq, span.end_snapshot.seq)
             assert churn.calls == oracle.calls
             assert churn.bytes_allocated == oracle.bytes_allocated
             assert churn.bytes_freed == oracle.bytes_freed
@@ -142,7 +142,7 @@ def test_criterion_05_additivity_and_merge_properties():
         if nano[0] != nano[1] + nano[2]:
             violations += 1
         events = rec.events()
-        oracle = [replay(events, MODEL, s.start_seq, s.end_seq) for s in (whole, left, right)]
+        oracle = [replay(events, MODEL, s.start_snapshot.seq, s.end_snapshot.seq) for s in (whole, left, right)]
         if [c.cost_micro for c in (w, l, r)] != [o.cost_micro for o in oracle]:
             violations += 1
         if any(w.calls[k] != l.calls[k] + r.calls[k] for k in AllocFnKind):

@@ -6,6 +6,7 @@ import pytest
 from churnscope import (
     AllocFnKind,
     CostModel,
+    CounterSnapshot,
     MarkerChurn,
     ModelMismatchError,
     SpanStateError,
@@ -191,7 +192,7 @@ def test_interval_additivity_on_random_bisections():
         nano = [s.end_snapshot.cost_nano - s.start_snapshot.cost_nano for s in (whole, left, right)]
         assert nano[0] == nano[1] + nano[2]
         for span, churn in ((whole, whole_churn), (left, left_churn), (right, right_churn)):
-            assert churn.cost_micro == replay(rec.events(), MODEL, span.start_seq, span.end_seq).cost_micro
+            assert churn.cost_micro == replay(rec.events(), MODEL, span.start_snapshot.seq, span.end_snapshot.seq).cost_micro
         for kind in AllocFnKind:
             assert whole_churn.calls[kind] == left_churn.calls[kind] + right_churn.calls[kind]
         assert whole_churn.bytes_allocated == left_churn.bytes_allocated + right_churn.bytes_allocated
@@ -207,7 +208,7 @@ def test_accumulator_matches_replay_on_random_spans():
         events = rec.events()
         for span in spans:
             churn = span_churn(span, MODEL)
-            oracle = replay(events, MODEL, span.start_seq, span.end_seq)
+            oracle = replay(events, MODEL, span.start_snapshot.seq, span.end_snapshot.seq)
             assert churn.calls == oracle.calls
             assert churn.bytes_allocated == oracle.bytes_allocated
             assert churn.bytes_freed == oracle.bytes_freed
@@ -244,7 +245,7 @@ def _span_after(prior_calls, start_nano=0):
     """The same span, after ``prior_calls`` random calls on its thread and
     with the running total starting at ``start_nano``."""
     rec = make_recorder()
-    rec._cost = start_nano
+    rec._c[CounterSnapshot._fields.index("cost_nano")] = start_nano
     heap = TracingAllocator(rec)
     rng = random.Random(4008)
     live = []

@@ -16,6 +16,7 @@ from churnscope import (
     marker,
 )
 
+from factories import snapshot_calls
 from replay_oracle import replay
 
 MODEL = default_cost_model()
@@ -49,14 +50,14 @@ def test_overlapping_spans_have_independent_snapshots():
     sync = begin_marker(rec, "sync")
     heap.malloc(64)
     cache = begin_marker(rec, "cache")
-    assert sync.start_seq == 0
-    assert cache.start_seq == 1
+    assert sync.start_snapshot.seq == 0
+    assert cache.start_snapshot.seq == 1
     heap.malloc(64)
     end_marker(sync)
     heap.malloc(64)
     end_marker(cache)
-    assert (sync.start_seq, sync.end_seq) == (0, 2)
-    assert (cache.start_seq, cache.end_seq) == (1, 3)
+    assert (sync.start_snapshot.seq, sync.end_snapshot.seq) == (0, 2)
+    assert (cache.start_snapshot.seq, cache.end_snapshot.seq) == (1, 3)
     # partial overlap: the provisional parent link must have been dropped
     assert cache.parent is None
 
@@ -104,7 +105,7 @@ def test_counter_delta_after_three_mallocs():
     end_marker(span)
     delta = span.end_snapshot.malloc_calls - span.start_snapshot.malloc_calls
     assert delta == 3
-    oracle = replay(rec.events(), MODEL, span.start_seq, span.end_seq)
+    oracle = replay(rec.events(), MODEL, span.start_snapshot.seq, span.end_snapshot.seq)
     assert oracle.calls[AllocFnKind.MALLOC] == 3
 
 
@@ -132,7 +133,7 @@ def test_seal_auto_closes_open_spans():
     rec.seal()
     assert span.closed
     assert span.auto_closed
-    assert span.end_seq == 1
+    assert span.end_snapshot.seq == 1
     assert span.end_snapshot.malloc_calls == 1
 
 
@@ -172,8 +173,8 @@ def test_parent_links_always_contained_after_random_overlap():
         spans = eventgen.drive_with_spans(rec, heap, rng, rng.randrange(20, 300))
         for span in spans:
             if span.parent is not None:
-                assert span.parent.start_seq <= span.start_seq
-                assert span.end_seq <= span.parent.end_seq
+                assert span.parent.start_snapshot.seq <= span.start_snapshot.seq
+                assert span.end_snapshot.seq <= span.parent.end_snapshot.seq
 
 
 def test_parent_containment_deltas_dominated():
@@ -197,7 +198,7 @@ def test_parent_containment_deltas_dominated():
         child_delta = child.end_snapshot.cost_nano - child.start_snapshot.cost_nano
         parent_delta = parent.end_snapshot.cost_nano - parent.start_snapshot.cost_nano
         assert child_delta <= parent_delta
-        for kind, n in child.end_snapshot.calls().items():
-            child_calls = n - child.start_snapshot.calls()[kind]
-            parent_calls = parent.end_snapshot.calls()[kind] - parent.start_snapshot.calls()[kind]
+        for kind, n in snapshot_calls(child.end_snapshot).items():
+            child_calls = n - snapshot_calls(child.start_snapshot)[kind]
+            parent_calls = snapshot_calls(parent.end_snapshot)[kind] - snapshot_calls(parent.start_snapshot)[kind]
             assert child_calls <= parent_calls

@@ -6,6 +6,7 @@ import pytest
 from churnscope import (
     AllocFnKind,
     BumpAllocator,
+    CounterSnapshot,
     RecorderSealedError,
     ThreadAffinityError,
     ThreadRecorder,
@@ -15,6 +16,7 @@ from churnscope import (
 from churnscope.recorder import BYTES_MAX
 
 from eventgen import drive_random_ops
+from factories import snapshot_calls
 from replay_oracle import replay
 
 MODEL = default_cost_model()
@@ -42,8 +44,8 @@ def test_two_mallocs_sum_allocated_bytes():
 
 def test_zero_byte_malloc_recorded_with_zero_cost():
     rec = make_recorder()
-    ev = rec.record_malloc(0, 0xA)
-    assert ev.nbytes == 0
+    assert rec.record_malloc(0, 0xA) is None
+    assert rec.events()[-1].nbytes == 0
     result = replay(rec.events(), MODEL)
     assert result.cost_nano == 0
     assert result.calls[AllocFnKind.MALLOC] == 1
@@ -59,15 +61,15 @@ def test_malloc_duplicate_address_counts_anomaly():
 
 def test_calloc_effective_bytes():
     rec = make_recorder()
-    ev = rec.record_calloc(8, 32, 0xA)
-    assert ev.nbytes == 256
+    rec.record_calloc(8, 32, 0xA)
+    assert rec.events()[-1].nbytes == 256
     assert rec.live_table() == {0xA: 256}
 
 
 def test_calloc_zero_count_zero_cost():
     rec = make_recorder()
-    ev = rec.record_calloc(0, 64, 0xA)
-    assert ev.nbytes == 0
+    rec.record_calloc(0, 64, 0xA)
+    assert rec.events()[-1].nbytes == 0
     assert rec.snapshot().cost_nano == 0
 
 
@@ -79,24 +81,24 @@ def test_calloc_cost_under_default_model():
 
 def test_calloc_overflow_saturates_with_anomaly():
     rec = make_recorder()
-    ev = rec.record_calloc(2**40, 2**40, 0xA)
-    assert ev.nbytes == BYTES_MAX
+    rec.record_calloc(2**40, 2**40, 0xA)
+    assert rec.events()[-1].nbytes == BYTES_MAX
     assert rec.snapshot().anomaly_count == 1
 
 
 def test_free_attributes_bytes_and_clears_entry():
     rec = make_recorder()
     rec.record_malloc(1024, 0xA)
-    ev = rec.record_free(0xA)
-    assert ev.nbytes == 1024
+    rec.record_free(0xA)
+    assert rec.events()[-1].nbytes == 1024
     assert rec.live_table() == {}
     assert rec.snapshot().free_bytes == 1024
 
 
 def test_free_unknown_token_counts_call_with_anomaly():
     rec = make_recorder()
-    ev = rec.record_free(0xDEAD)
-    assert ev.nbytes == 0
+    rec.record_free(0xDEAD)
+    assert rec.events()[-1].nbytes == 0
     snap = rec.snapshot()
     assert snap.free_calls == 1
     assert snap.anomaly_count == 1
@@ -104,7 +106,8 @@ def test_free_unknown_token_counts_call_with_anomaly():
 
 def test_free_null_token_is_clean_noop_call():
     rec = make_recorder()
-    ev = rec.record_free(None)
+    rec.record_free(None)
+    ev = rec.events()[-1]
     snap = rec.snapshot()
     assert (ev.nbytes, snap.free_calls, snap.anomaly_count) == (0, 1, 0)
 
@@ -153,8 +156,8 @@ def test_realloc_null_token_is_fresh_alloc_without_anomaly():
 def test_realloc_to_zero_removes_entry():
     rec = make_recorder()
     rec.record_malloc(128, 0xA)
-    ev = rec.record_realloc(0xA, 0, None)
-    assert ev.nbytes == 0
+    rec.record_realloc(0xA, 0, None)
+    assert rec.events()[-1].nbytes == 0
     assert rec.live_table() == {}
     assert rec.snapshot().realloc_freed_bytes == 128
 
@@ -177,13 +180,21 @@ def test_snapshot_fresh_recorder_all_zero():
     assert snap.seq == 0
     assert snap.cost_nano == 0
     assert snap.bytes_allocated == 0
-    assert all(n == 0 for n in snap.calls().values())
+    assert all(n == 0 for n in snapshot_calls(snap).values())
 
 
 def test_snapshot_is_pure_read():
     rec = make_recorder()
     rec.record_malloc(1024, 0xA)
     assert rec.snapshot() == rec.snapshot()
+    # A snapshot is a copy: later calls must not show through it.
+    earlier = rec.snapshot()
+    rec.record_malloc(64, 0xB)
+    rec.record_free(0xA)
+    assert type(earlier) is CounterSnapshot and isinstance(earlier, tuple)
+    assert (earlier.seq, earlier.malloc_calls, earlier.malloc_bytes) == (1, 1, 1024)
+    assert (earlier.free_calls, earlier.free_bytes, earlier.cost_nano) == (0, 0, 10 * 10**9)
+    assert rec.snapshot().seq == 3
 
 
 def test_snapshot_deltas_match_replay_on_random_sequences():
@@ -194,7 +205,7 @@ def test_snapshot_deltas_match_replay_on_random_sequences():
         drive_random_ops(heap, rng, rng.randrange(1, 400))
         snap = rec.snapshot()
         result = replay(rec.events(), MODEL)
-        assert snap.calls() == result.calls
+        assert snapshot_calls(snap) == result.calls
         assert snap.bytes_allocated == result.bytes_allocated
         assert snap.bytes_freed == result.bytes_freed
         assert snap.cost_nano == result.cost_nano
@@ -248,7 +259,7 @@ def _counter_fields(snap):
     # Everything except overflow_count, which legitimately differs by capacity.
     return (
         snap.seq,
-        snap.calls(),
+        snapshot_calls(snap),
         snap.malloc_bytes,
         snap.calloc_bytes,
         snap.realloc_bytes,
@@ -284,7 +295,7 @@ def test_ring_keeps_most_recent_events(capacity):
     assert events == log[-capacity:]
     assert [ev.seq for ev in events] == list(range(len(log) - capacity, len(log)))
     snap = capped.snapshot()
-    assert sum(snap.calls().values()) == len(log)
+    assert sum(snapshot_calls(snap).values()) == len(log)
     assert snap.overflow_count == len(log) - capacity
 
 

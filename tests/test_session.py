@@ -18,6 +18,8 @@ from churnscope import (
 )
 from churnscope.report import ChurnReport
 
+from factories import snapshot_calls
+
 
 def _drive_thread(session, label, seed, names, n_ops):
     """Random calls and markers on one thread: nested, partially overlapping
@@ -73,18 +75,18 @@ def random_session(seed, threads=3, names=40, n_ops=600):
 
 
 def rescan_oracle(session):
-    """Reference report contents: each span costed through CounterSnapshot.calls(),
+    """Reference report contents: each span costed through snapshot_calls(),
     then every part rescanned once per name."""
     parts = []
     for rec in session.recorders():
         for span in rec.spans():
             start, end = span.start_snapshot, span.end_snapshot
-            start_calls = start.calls()
+            start_calls = snapshot_calls(start)
             parts.append(
                 MarkerChurn(
                     name=span.name,
                     cost_micro=(end.cost_nano - start.cost_nano + 500) // 1000,
-                    calls={kind: n - start_calls[kind] for kind, n in end.calls().items()},
+                    calls={kind: n - start_calls[kind] for kind, n in snapshot_calls(end).items()},
                     bytes_allocated=end.bytes_allocated - start.bytes_allocated,
                     bytes_freed=end.bytes_freed - start.bytes_freed,
                     overflow=end.overflow_count > start.overflow_count,
@@ -105,7 +107,7 @@ def _has_partial_overlap(session):
         spans = rec.spans()
         for a in spans:
             for b in spans:
-                if a.start_seq < b.start_seq < a.end_seq < b.end_seq:
+                if a.start_snapshot.seq < b.start_snapshot.seq < a.end_snapshot.seq < b.end_snapshot.seq:
                     return True
     return False
 
@@ -148,3 +150,7 @@ def test_build_report_merges_each_name_once_with_only_its_parts(monkeypatch):
         name = group[0].name
         assert group == [p for p in report.per_thread if p.name == name]
 
+
+def test_ring_capacity_below_one_rejected_at_construction():
+    with pytest.raises(ValueError, match=r"ring capacity must be >= 1, got 0"):
+        RecordingSession(ring_capacity=0)

@@ -97,7 +97,7 @@ def test_regressed_strings_flags_format_only():
         for rec in sess_obj.recorders():
             for span in rec.spans():
                 if span.name == "format":
-                    oracle = replay(rec.events(), model, span.start_seq, span.end_seq)
+                    oracle = replay(rec.events(), model, span.start_snapshot.seq, span.end_snapshot.seq)
                     expected += sign * oracle.cost_micro
     delta = {d.phase: d for d in verdict.deltas}["format"]
     assert delta.cost_delta_micro == expected
@@ -130,7 +130,7 @@ def test_multithread_has_overlapping_spans_on_worker0():
     spans = recs["worker-0"].spans()
     sync = next(s for s in spans if s.name == "sync")
     cache = next(s for s in spans if s.name == "cache")
-    assert sync.start_seq < cache.start_seq < sync.end_seq < cache.end_seq
+    assert sync.start_snapshot.seq < cache.start_snapshot.seq < sync.end_snapshot.seq < cache.end_snapshot.seq
 
 
 def test_unknown_workload_rejected():
