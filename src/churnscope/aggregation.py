@@ -113,3 +113,15 @@ def merge_threads(parts: list[MarkerChurn]) -> MarkerChurn:
         overflow=overflow,
         auto_closed=auto_closed,
     )
+
+
+def merge_phases(parts: list[MarkerChurn]) -> dict[str, MarkerChurn]:
+    """Group per-span records by name in one pass and merge each group.
+
+    Each group keeps the order of ``parts``; the result is keyed in name
+    order, the order a report lists its phases in.
+    """
+    by_name: dict[str, list[MarkerChurn]] = {}
+    for part in parts:
+        by_name.setdefault(part.name, []).append(part)
+    return {name: merge_threads(by_name[name]) for name in sorted(by_name)}

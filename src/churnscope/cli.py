@@ -281,12 +281,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     verdict = parse_verdict(data)
     ranked = rank_regressions(verdict, tie_break=args.tie_break, by=args.by)
     if args.format == "json":
-        reordered = RegressionVerdict(
-            thresholds=verdict.thresholds,
-            deltas=ranked,
-            regression_detected=verdict.regression_detected,
-        )
-        sys.stdout.buffer.write(serialize_verdict(reordered))
+        sys.stdout.buffer.write(serialize_verdict(RegressionVerdict(verdict.thresholds, ranked)))
         sys.stdout.buffer.flush()
     else:
         _print_verdict(verdict, ranked, args.color)

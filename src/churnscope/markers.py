@@ -1,9 +1,11 @@
 """Named critical-phase spans on a thread's event timeline.
 
 A span is the interval between a begin and an end marker on one thread.
-Spans may nest and may partially overlap; each is costed independently from
-the counter snapshots taken at its two endpoints, so closing a span is O(1)
-regardless of how many events it covers.
+Spans may nest or partially overlap, but no span keeps a link to an
+enclosing one: reports are flat, one record per span. Each span is costed
+independently from the counter snapshots taken at its two endpoints, so
+closing a span is O(1) regardless of how many events it covers or how many
+spans are open.
 """
 
 from __future__ import annotations
@@ -22,16 +24,13 @@ RESERVED_PREFIX = "churnscope."
 class MarkerSpan:
     """One named interval on one thread, bounded by counter snapshots.
 
-    ``parent`` is the innermost span still open when this one began; the
-    link is kept only if the parent's interval ends up containing this one
-    (partial overlap clears it). Closed spans are immutable.
+    Closed spans are immutable.
     """
 
     __slots__ = (
         "span_id",
         "name",
         "recorder",
-        "parent",
         "start_snapshot",
         "end_snapshot",
         "auto_closed",
@@ -43,12 +42,10 @@ class MarkerSpan:
         name: str,
         recorder: ThreadRecorder,
         start_snapshot: CounterSnapshot,
-        parent: "MarkerSpan | None",
     ):
         self.span_id = span_id
         self.name = name
         self.recorder = recorder
-        self.parent = parent
         self.start_snapshot = start_snapshot
         self.end_snapshot: CounterSnapshot | None = None
         self.auto_closed = False
@@ -66,10 +63,6 @@ class MarkerSpan:
             raise SpanStateError(f"span {self.span_id!r} ({self.name!r}) is already closed")
         self.end_snapshot = snapshot
         self.auto_closed = auto_closed
-        # A parent that closed before us without covering our whole interval
-        # was an overlapping sibling, not an enclosing phase.
-        if self.parent is not None and self.parent.closed and self.parent.end_snapshot.seq < snapshot.seq:
-            self.parent = None
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
@@ -94,9 +87,7 @@ def begin_marker(recorder: ThreadRecorder, name: str) -> MarkerSpan:
     """
     _validate_name(name)
     recorder._require_writable()
-    open_spans = recorder._open_spans
-    parent = open_spans[-1] if open_spans else None
-    span = MarkerSpan(recorder._next_span_id(), name, recorder, recorder.snapshot(), parent)
+    span = MarkerSpan(recorder._next_span_id(), name, recorder, recorder.snapshot())
     recorder._push_span(span)
     return span
 
@@ -108,10 +99,7 @@ def end_marker(span: MarkerSpan) -> MarkerSpan:
             f"span {span.name!r} was opened on thread {span.thread_id!r} "
             "and must be closed there"
         )
-    if span.closed:
-        raise SpanStateError(f"span {span.span_id!r} ({span.name!r}) is already closed")
     span._finalize(span.recorder.snapshot())
-    span.recorder._pop_span(span)
     return span
 
 

@@ -112,7 +112,6 @@ class ThreadRecorder:
         self._depth = 0
         self._sealed = False
         self._spans: list[MarkerSpan] = []
-        self._open_spans: list[MarkerSpan] = []
 
     @property
     def model(self) -> CostModel:
@@ -299,10 +298,6 @@ class ThreadRecorder:
 
     def _push_span(self, span: MarkerSpan) -> None:
         self._spans.append(span)
-        self._open_spans.append(span)
-
-    def _pop_span(self, span: MarkerSpan) -> None:
-        self._open_spans.remove(span)
 
     def _next_span_id(self) -> str:
         return f"{self.thread_id}/{len(self._spans):06d}"
@@ -310,9 +305,6 @@ class ThreadRecorder:
     def spans(self) -> list[MarkerSpan]:
         """Every span begun on this thread, in open order."""
         return list(self._spans)
-
-    def open_spans(self) -> list[MarkerSpan]:
-        return list(self._open_spans)
 
     def seal(self) -> None:
         """Stop recording. Open spans are closed at the seal snapshot and
@@ -322,9 +314,9 @@ class ThreadRecorder:
         if self._sealed:
             return
         snap = self.snapshot()
-        for span in reversed(self._open_spans):
-            span._finalize(snap, auto_closed=True)
-        self._open_spans.clear()
+        for span in self._spans:
+            if not span.closed:
+                span._finalize(snap, auto_closed=True)
         self._sealed = True
 
 

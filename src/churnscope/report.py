@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal, Inexact
 from typing import Any
 
-from .aggregation import MarkerChurn, merge_threads
+from .aggregation import MarkerChurn, merge_phases
 from .cost_model import MICRO, AllocFnKind, CostModel, validate_cost_model
 from .errors import ModelMismatchError, ReportError
 
@@ -113,7 +113,6 @@ class ChurnReport:
     merged: dict[str, MarkerChurn]
     per_thread: list[MarkerChurn]
     totals: ReportTotals
-    schema_version: str = SCHEMA_VERSION
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,10 @@ class RegressionVerdict:
 
     thresholds: Thresholds
     deltas: list[ChurnDelta]
-    regression_detected: bool
-    schema_version: str = SCHEMA_VERSION
+
+    @property
+    def regression_detected(self) -> bool:
+        return any(d.status == STATUS_REGRESSION for d in self.deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +239,7 @@ def model_descriptor(model: CostModel) -> dict[str, Any]:
 
 def report_doc(report: ChurnReport) -> dict[str, Any]:
     return {
-        "schema_version": report.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "build_id": report.build_id,
         "created_at": report.created_at,
         "cost_model": model_descriptor(report.model),
@@ -452,23 +453,19 @@ def parse_report(data: bytes | str) -> ChurnReport:
         merged=merged,
         per_thread=per_thread,
         totals=totals,
-        schema_version=version,
     )
 
 
 def _check_merge_consistency(merged: dict[str, MarkerChurn], per_thread: list[MarkerChurn]) -> None:
-    by_name: dict[str, list[MarkerChurn]] = {}
-    for part in per_thread:
-        by_name.setdefault(part.name, []).append(part)
-    if set(by_name) != set(merged):
-        missing = set(merged) ^ set(by_name)
+    summed = merge_phases(per_thread)
+    if summed.keys() != merged.keys():
+        missing = set(merged) ^ set(summed)
         raise ReportError(
             "phases and per-thread records disagree on phase names: "
             + ", ".join(sorted(repr(n) for n in missing))
         )
-    for name, parts in by_name.items():
+    for name, got in summed.items():
         want = merged[name]
-        got = merge_threads(parts)
         if got.calls != want.calls:
             raise ReportError(f"merge-consistency failure for {name!r}: call counts differ")
         if (got.bytes_allocated, got.bytes_freed) != (want.bytes_allocated, want.bytes_freed):
@@ -552,11 +549,7 @@ def diff_reports(
         _compare(phase, baseline.merged.get(phase), candidate.merged.get(phase), th)
         for phase in sorted(set(baseline.merged) | set(candidate.merged))
     ]
-    verdict = RegressionVerdict(
-        thresholds=th,
-        deltas=deltas,
-        regression_detected=any(d.status == STATUS_REGRESSION for d in deltas),
-    )
+    verdict = RegressionVerdict(thresholds=th, deltas=deltas)
     verdict.deltas = rank_regressions(verdict)
     return verdict
 
@@ -628,7 +621,7 @@ def _delta_doc(delta: ChurnDelta) -> dict[str, Any]:
 
 def verdict_doc(verdict: RegressionVerdict) -> dict[str, Any]:
     return {
-        "schema_version": verdict.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "thresholds": {
             "rel": float(verdict.thresholds.rel),
             "abs_floor": float(verdict.thresholds.abs_floor),
@@ -692,7 +685,7 @@ def parse_verdict(data: bytes | str) -> RegressionVerdict:
                 f"give {delta.status!r}"
             )
         deltas.append(delta)
-    verdict = RegressionVerdict(thresholds, deltas, any(d.status == STATUS_REGRESSION for d in deltas))
+    verdict = RegressionVerdict(thresholds, deltas)
     if flag != verdict.regression_detected:
         raise ReportError("regression_detected flag does not match the delta statuses")
     recomputed = _load_json(serialize_verdict(verdict), "verdict")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from datetime import datetime, timezone
 
-from .aggregation import MarkerChurn, merge_threads, span_churn
+from .aggregation import merge_phases, span_churn
 from .cost_model import CostModel, default_cost_model, validate_cost_model
 from .errors import CostModelError, RecorderStateError
 from .recorder import ThreadRecorder, checked_ring_capacity
@@ -52,6 +52,11 @@ class RecordingSession:
             raise CostModelError("invalid cost model: " + "; ".join(violations))
         self._model = model
         self._ring_capacity = checked_ring_capacity(ring_capacity)
+        # A report that serialize_report writes must parse back.
+        if not isinstance(build_id, str):
+            raise ValueError(f"build_id must be a string, got {build_id!r}")
+        if created_at is not None and not isinstance(created_at, str):
+            raise ValueError(f"created_at must be None or a string, got {created_at!r}")
         self.build_id = build_id
         self.created_at = created_at
         self._lock = threading.Lock()
@@ -76,6 +81,8 @@ class RecordingSession:
         with self._lock:
             if label is None:
                 label = f"thread-{len(self._by_label)}"
+            elif not isinstance(label, str):
+                raise ValueError(f"thread label must be a string, got {label!r}")
             if label in self._by_label:
                 raise ValueError(f"thread label {label!r} already in use")
             rec = ThreadRecorder(label, self._model, self._ring_capacity)
@@ -110,10 +117,6 @@ class RecordingSession:
                 )
         # Recorders come ordered by label and spans in begin order.
         parts = [span_churn(span, self._model) for rec in recs for span in rec.spans()]
-        by_name: dict[str, list[MarkerChurn]] = {}
-        for part in parts:
-            by_name.setdefault(part.name, []).append(part)
-        merged = {name: merge_threads(by_name[name]) for name in sorted(by_name)}
         totals = ReportTotals()
         for rec in recs:
             snap = rec.snapshot()
@@ -128,7 +131,7 @@ class RecordingSession:
             build_id=self.build_id,
             created_at=self.created_at if self.created_at is not None else utc_timestamp(),
             model=self._model,
-            merged=merged,
+            merged=merge_phases(parts),
             per_thread=parts,
             totals=totals,
         )

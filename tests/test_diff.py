@@ -196,11 +196,7 @@ def _delta(phase, status, rel, alloc=0, freed=0, cost_micro=1_000_000):
 
 
 def synthetic_verdict(deltas):
-    return RegressionVerdict(
-        thresholds=Thresholds(),
-        deltas=deltas,
-        regression_detected=any(d.status == STATUS_REGRESSION for d in deltas),
-    )
+    return RegressionVerdict(thresholds=Thresholds(), deltas=deltas)
 
 
 def test_rank_orders_regressions_by_rel_desc():
@@ -329,6 +325,24 @@ def test_verdict_round_trips_through_canonical_json():
     assert parsed.regression_detected == verdict.regression_detected
     assert [d.phase for d in parsed.deltas] == [d.phase for d in verdict.deltas]
     assert [d.status for d in parsed.deltas] == [d.status for d in verdict.deltas]
+
+
+def test_regression_flag_follows_reassigned_and_reordered_deltas():
+    verdict = diff_reports(report_with_units({"a": 10, "b": 5, "c": 8}), report_with_units({"a": 12, "b": 5, "c": 6}))
+    deltas = verdict.deltas
+    assert verdict.regression_detected
+    verdict.deltas = [d for d in deltas if d.status != STATUS_REGRESSION]
+    assert [d.phase for d in verdict.deltas] == ["c", "b"]
+    assert not verdict.regression_detected
+    verdict.deltas = deltas
+    assert verdict.regression_detected
+    for by in ("rel", "abs"):
+        for tie_break in ("bytes", "name"):
+            ranked = rank_regressions(verdict, tie_break=tie_break, by=by)
+            assert RegressionVerdict(verdict.thresholds, ranked).regression_detected
+            assert RegressionVerdict(verdict.thresholds, ranked[::-1]).regression_detected
+            calm = [d for d in ranked if d.status != STATUS_REGRESSION]
+            assert not RegressionVerdict(verdict.thresholds, calm).regression_detected
 
 
 def test_parse_verdict_rejects_inconsistent_flag():

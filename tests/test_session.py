@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-import churnscope.session as session_module
+import churnscope.aggregation as aggregation
 from churnscope import (
     MarkerChurn,
     RecordingSession,
@@ -14,6 +14,7 @@ from churnscope import (
     begin_marker,
     end_marker,
     merge_threads,
+    parse_report,
     serialize_report,
 )
 from churnscope.report import ChurnReport
@@ -143,14 +144,46 @@ def test_build_report_merges_each_name_once_with_only_its_parts(monkeypatch):
         seen.append(list(parts))
         return merge_threads(parts)
 
-    monkeypatch.setattr(session_module, "merge_threads", spy)
+    def assert_each_name_merged_once(report):
+        assert sorted(group[0].name for group in seen) == sorted(report.merged)
+        for group in seen:
+            name = group[0].name
+            assert group == [p for p in report.per_thread if p.name == name]
+
+    monkeypatch.setattr(aggregation, "merge_threads", spy)
     report = session.build_report()
-    assert sorted(group[0].name for group in seen) == sorted(report.merged)
-    for group in seen:
-        name = group[0].name
-        assert group == [p for p in report.per_thread if p.name == name]
+    assert_each_name_merged_once(report)
+    # Parsing checks each phase against the sum of its parts, merging each name once too.
+    seen.clear()
+    parsed = parse_report(serialize_report(report))
+    assert parsed.merged == report.merged
+    assert_each_name_merged_once(parsed)
 
 
 def test_ring_capacity_below_one_rejected_at_construction():
     with pytest.raises(ValueError, match=r"ring capacity must be >= 1, got 0"):
         RecordingSession(ring_capacity=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"build_id": 7}, "build_id must be a string, got 7"),
+        ({"created_at": 5}, "created_at must be None or a string, got 5"),
+    ],
+    ids=["build_id", "created_at"],
+)
+def test_session_rejects_metadata_its_report_parser_would_reject(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RecordingSession(**kwargs)
+
+
+def test_recorder_rejects_a_label_that_is_not_a_string():
+    session = RecordingSession(created_at="2026-01-01T00:00:00Z")
+    with pytest.raises(ValueError, match="thread label must be a string, got 5"):
+        session.recorder(5)
+    assert session.recorders() == []
+    session.recorder("main")
+    session.seal_all()
+    report = session.build_report()
+    assert parse_report(serialize_report(report)) == report
