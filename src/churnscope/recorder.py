@@ -5,9 +5,12 @@ locks. Every recorded call is charged in one place, from its event's own
 kind and byte count: per-kind calls and bytes, and the running cost in
 integer nano-units. The counters are one integer list in ``CounterSnapshot``
 field order, so a snapshot is one tuple copy. They are the ground truth and
-survive any ring eviction; the bounded event ring (a ``deque`` of the most
-recent calls, each a bare ``(kind, nbytes, addr, old_addr)`` tuple) exists
-for diagnostics and for replay-based validation, and ``events()`` builds
+survive any ring eviction; ``seq``, the number of calls recorded, is derived
+from the four call counts rather than stored. The live-block table changes
+only through ``_admit`` (a block comes into being) and ``_release`` (a block
+goes away). The bounded event ring (a ``deque`` of the most recent calls,
+each a bare ``(kind, nbytes, addr, old_addr)`` tuple) exists for
+diagnostics and for replay-based validation, and ``events()`` builds
 ``AllocEvent``s from it on read. The ring's capacity changes only the
 overflow count, never a cost, call or byte count. The ``record_*`` methods
 return ``None``. A reentrancy guard is held around every mutation so
@@ -52,9 +55,12 @@ class AllocEvent:
 
 
 class CounterSnapshot(NamedTuple):
-    """Point-in-time copy of one recorder's aggregate counters."""
+    """Point-in-time copy of one recorder's aggregate counters.
 
-    seq: int
+    ``seq`` is the number of calls recorded so far, derived from the four
+    call counts; it is also the ``seq`` the next event will carry.
+    """
+
     malloc_calls: int
     calloc_calls: int
     realloc_calls: int
@@ -69,6 +75,10 @@ class CounterSnapshot(NamedTuple):
     anomaly_count: int
 
     @property
+    def seq(self) -> int:
+        return self.malloc_calls + self.calloc_calls + self.realloc_calls + self.free_calls
+
+    @property
     def bytes_allocated(self) -> int:
         return self.malloc_bytes + self.calloc_bytes + self.realloc_bytes
 
@@ -78,9 +88,9 @@ class CounterSnapshot(NamedTuple):
 
 
 # Indices into ThreadRecorder._c, which holds the counters in field order.
-_SEQ, _REALLOC_FREED, _COST, _OVERFLOW, _ANOMALIES = map(
+_REALLOC_FREED, _COST, _OVERFLOW, _ANOMALIES = map(
     CounterSnapshot._fields.index,
-    ("seq", "realloc_freed_bytes", "cost_nano", "overflow_count", "anomaly_count"),
+    ("realloc_freed_bytes", "cost_nano", "overflow_count", "anomaly_count"),
 )
 _CALLS = {kind: CounterSnapshot._fields.index(f"{kind.value}_calls") for kind in AllocFnKind}
 _BYTES = {kind: CounterSnapshot._fields.index(f"{kind.value}_bytes") for kind in AllocFnKind}
@@ -149,13 +159,7 @@ class ThreadRecorder:
             raise ValueError(f"requested size must be nonnegative, got {requested}")
         self._depth += 1
         try:
-            nbytes = 0
-            if addr is not None:
-                nbytes = self._clamp(requested)
-                if addr in self._live:
-                    self._c[_ANOMALIES] += 1  # double report or missed free
-                self._live[addr] = nbytes
-            self._emit(AllocFnKind.MALLOC, nbytes, addr, None)
+            self._emit(AllocFnKind.MALLOC, self._admit(addr, requested), addr, None)
         finally:
             self._depth -= 1
 
@@ -168,13 +172,7 @@ class ThreadRecorder:
             raise ValueError("calloc count and element size must be nonnegative")
         self._depth += 1
         try:
-            nbytes = 0
-            if addr is not None:
-                nbytes = self._clamp(count * elem_size)
-                if addr in self._live:
-                    self._c[_ANOMALIES] += 1
-                self._live[addr] = nbytes
-            self._emit(AllocFnKind.CALLOC, nbytes, addr, None)
+            self._emit(AllocFnKind.CALLOC, self._admit(addr, count * elem_size), addr, None)
         finally:
             self._depth -= 1
 
@@ -191,14 +189,7 @@ class ThreadRecorder:
             return
         self._depth += 1
         try:
-            nbytes = 0
-            if old_addr is not None:
-                size = self._live.pop(old_addr, None)
-                if size is None:
-                    self._c[_ANOMALIES] += 1
-                else:
-                    nbytes = size
-            self._emit(AllocFnKind.FREE, nbytes, None, old_addr)
+            self._emit(AllocFnKind.FREE, self._release(old_addr), None, old_addr)
         finally:
             self._depth -= 1
 
@@ -208,8 +199,8 @@ class ThreadRecorder:
         The live entry moves from ``old_addr`` to ``addr``. A null
         ``old_addr`` is a fresh allocation (no anomaly); an unknown token is
         treated as fresh and bumps the anomaly counter. ``requested == 0``
-        removes the entry, ``addr is None`` with a nonzero request is a
-        failed call that leaves the original block live.
+        removes the entry and admits nothing; ``addr is None`` with a nonzero
+        request is a failed call that leaves the original block live.
         """
         self._require_writable()
         if self._depth:
@@ -218,41 +209,48 @@ class ThreadRecorder:
             raise ValueError(f"requested size must be nonnegative, got {requested}")
         self._depth += 1
         try:
-            nbytes = 0
-            emit_addr = None
-            emit_old = old_addr
-            if requested == 0:
-                if old_addr is not None:
-                    size = self._live.pop(old_addr, None)
-                    if size is None:
-                        self._c[_ANOMALIES] += 1
-                    else:
-                        self._c[_REALLOC_FREED] += size
-            elif addr is None:
+            if addr is None and requested:
                 # Failed call: the original block stays live and nothing
                 # moved, so the event carries no address tokens at all.
-                emit_old = None
+                self._emit(AllocFnKind.REALLOC, 0, None, None)
             else:
-                nbytes = self._clamp(requested)
-                if old_addr is not None:
-                    size = self._live.pop(old_addr, None)
-                    if size is None:
-                        self._c[_ANOMALIES] += 1
-                    else:
-                        self._c[_REALLOC_FREED] += size
-                if addr in self._live:
-                    self._c[_ANOMALIES] += 1
-                self._live[addr] = nbytes
-                emit_addr = addr
-            self._emit(AllocFnKind.REALLOC, nbytes, emit_addr, emit_old)
+                self._c[_REALLOC_FREED] += self._release(old_addr)
+                if not requested:
+                    addr = None  # a zero-size realloc admits no block, whatever came back
+                self._emit(AllocFnKind.REALLOC, self._admit(addr, requested), addr, old_addr)
         finally:
             self._depth -= 1
 
-    def _clamp(self, nbytes: int) -> int:
-        if nbytes > BYTES_MAX:
+    def _admit(self, addr: int | None, requested: int) -> int:
+        """Enter a new block in the live table; return the bytes it is charged.
+
+        A null token admits nothing. A request past ``BYTES_MAX`` is clamped,
+        and a token already live (a double report or a missed free) replaces
+        its entry; each is one anomaly.
+        """
+        if addr is None:
+            return 0
+        if requested > BYTES_MAX:
             self._c[_ANOMALIES] += 1
-            return BYTES_MAX
-        return nbytes
+            requested = BYTES_MAX
+        if addr in self._live:
+            self._c[_ANOMALIES] += 1
+        self._live[addr] = requested
+        return requested
+
+    def _release(self, old_addr: int | None) -> int:
+        """Remove a block from the live table; return the bytes it held.
+
+        A null token releases nothing. An unknown token releases nothing and
+        is one anomaly.
+        """
+        if old_addr is None:
+            return 0
+        size = self._live.pop(old_addr, None)
+        if size is None:
+            self._c[_ANOMALIES] += 1
+            return 0
+        return size
 
     def _emit(self, kind: AllocFnKind, nbytes: int, addr: int | None, old_addr: int | None) -> None:
         """Charge one call, from the event's own kind and byte count, and log it.
@@ -264,7 +262,6 @@ class ThreadRecorder:
         c[_COST] += round(event_cost(self._model, kind, nbytes) * NANO)
         c[_CALLS[kind]] += 1
         c[_BYTES[kind]] += nbytes
-        c[_SEQ] += 1
         self._append_event((kind, nbytes, addr, old_addr))
 
     def _append_event(self, entry: tuple) -> None:
@@ -281,7 +278,7 @@ class ThreadRecorder:
 
     def events(self) -> list[AllocEvent]:
         """The retained events, oldest first. Ring eviction drops the front."""
-        first = self._c[_SEQ] - len(self._ring)
+        first = self.snapshot().seq - len(self._ring)
         return [
             AllocEvent(self.thread_id, first + i, *entry)
             for i, entry in enumerate(self._ring)

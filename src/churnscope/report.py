@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from decimal import Context, Decimal, Inexact
 from typing import Any
 
@@ -21,7 +21,6 @@ from .cost_model import MICRO, AllocFnKind, CostModel, validate_cost_model
 from .errors import ModelMismatchError, ReportError
 
 SCHEMA_VERSION = "1"
-REPORT_SUFFIX = ".churn.json"
 
 STATUS_REGRESSION = "regression"
 STATUS_IMPROVEMENT = "improvement"
@@ -248,14 +247,7 @@ def report_doc(report: ChurnReport) -> dict[str, Any]:
             for name, record in report.merged.items()
         },
         "threads": [_churn_doc(record, with_thread=True) for record in report.per_thread],
-        "counters": {
-            "bytes_allocated": report.totals.bytes_allocated,
-            "bytes_freed": report.totals.bytes_freed,
-            "live_blocks": report.totals.live_blocks,
-            "live_bytes": report.totals.live_bytes,
-            "anomaly_count": report.totals.anomaly_count,
-            "overflow_count": report.totals.overflow_count,
-        },
+        "counters": asdict(report.totals),
     }
 
 
@@ -434,12 +426,7 @@ def parse_report(data: bytes | str) -> ChurnReport:
 
     counters_doc = _expect(doc, "counters", dict, "report")
     totals = ReportTotals(
-        bytes_allocated=_expect(counters_doc, "bytes_allocated", int, "counters"),
-        bytes_freed=_expect(counters_doc, "bytes_freed", int, "counters"),
-        live_blocks=_expect(counters_doc, "live_blocks", int, "counters"),
-        live_bytes=_expect(counters_doc, "live_bytes", int, "counters"),
-        anomaly_count=_expect(counters_doc, "anomaly_count", int, "counters"),
-        overflow_count=_expect(counters_doc, "overflow_count", int, "counters"),
+        **{f.name: _expect(counters_doc, f.name, int, "counters") for f in fields(ReportTotals)}
     )
     for fname, value in vars(totals).items():
         if value < 0:

@@ -6,9 +6,11 @@ import subprocess
 import sys
 import threading
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import churnscope
 from churnscope import parse_report, parse_verdict
 from churnscope.cli import main
 
@@ -22,6 +24,22 @@ def run_report(tmp_path, name="base", variant="baseline", extra=()):
     ])
     assert code == 0
     return out
+
+
+def run_module(*args, **kwargs):
+    """Run ``python -m churnscope`` on the package under test, installed or not.
+
+    pytest's ``pythonpath`` setting reaches only this process, so the child
+    gets the directory holding the imported package first on ``PYTHONPATH``.
+    """
+    src = str(Path(churnscope.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "churnscope", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
 
 
 def test_run_writes_parsable_report(tmp_path, capsys):
@@ -273,11 +291,7 @@ def test_usage_error_exit_2(capsys):
 
 
 def test_module_entrypoint_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "churnscope", "--help"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("--help", text=True)
     assert proc.returncode == 0
     assert "diff" in proc.stdout
 
@@ -297,17 +311,9 @@ def test_diff_color_flag_wraps_statuses(tmp_path, capsys):
 def test_rank_reads_stdin(tmp_path):
     base = run_report(tmp_path, "base")
     cand = run_report(tmp_path, "cand", variant="regressed")
-    diff = subprocess.run(
-        [sys.executable, "-m", "churnscope", "diff", str(base), str(cand),
-         "--format", "json"],
-        capture_output=True,
-    )
+    diff = run_module("diff", str(base), str(cand), "--format", "json")
     assert diff.returncode == 1
-    rank = subprocess.run(
-        [sys.executable, "-m", "churnscope", "rank", "-", "--format", "json"],
-        input=diff.stdout,
-        capture_output=True,
-    )
+    rank = run_module("rank", "-", "--format", "json", input=diff.stdout)
     assert rank.returncode == 0
     assert rank.stdout == diff.stdout  # diff output is already ranked
 

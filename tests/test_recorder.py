@@ -162,6 +162,38 @@ def test_realloc_to_zero_removes_entry():
     assert rec.snapshot().realloc_freed_bytes == 128
 
 
+# (label, prior mallocs, realloc args, live table after, anomaly_count,
+#  realloc_freed_bytes, realloc_bytes, event (nbytes, addr, old_addr))
+REALLOC_CASES = [
+    ("in-place", [(64, 0xA)], (0xA, 256, 0xA), {0xA: 256}, 0, 64, 256, (256, 0xA, 0xA)),
+    ("onto-live-token", [(64, 0xA), (32, 0xB)], (0xA, 128, 0xB), {0xB: 128}, 1, 64, 128, (128, 0xB, 0xA)),
+    ("zero-unknown-token", [(64, 0xA)], (0xDEAD, 0, None), {0xA: 64}, 1, 0, 0, (0, None, 0xDEAD)),
+    ("zero-non-null-return", [(64, 0xA)], (0xA, 0, 0xB), {}, 0, 64, 0, (0, None, 0xA)),
+    ("oversize-clamped", [(64, 0xA)], (0xA, BYTES_MAX + 1, 0xB), {0xB: BYTES_MAX}, 1, 64, BYTES_MAX,
+     (BYTES_MAX, 0xB, 0xA)),
+    ("failed", [(64, 0xA)], (0xA, 128, None), {0xA: 64}, 0, 0, 0, (0, None, None)),
+]
+
+
+@pytest.mark.parametrize(
+    "mallocs, args, live, anomalies, freed, realloc_bytes, event",
+    [case[1:] for case in REALLOC_CASES],
+    ids=[case[0] for case in REALLOC_CASES],
+)
+def test_realloc_matrix(mallocs, args, live, anomalies, freed, realloc_bytes, event):
+    rec = make_recorder()
+    for requested, addr in mallocs:
+        rec.record_malloc(requested, addr)
+    rec.record_realloc(*args)
+    assert rec.live_table() == live
+    snap = rec.snapshot()
+    assert snap.anomaly_count == anomalies
+    assert snap.realloc_freed_bytes == freed
+    assert snap.realloc_bytes == realloc_bytes
+    last = rec.events()[-1]
+    assert (last.kind, last.nbytes, last.addr, last.old_addr) == (AllocFnKind.REALLOC, *event)
+
+
 def test_failed_calls_count_with_zero_bytes():
     rec = make_recorder()
     rec.record_malloc(64, 0xA)
@@ -181,6 +213,35 @@ def test_snapshot_fresh_recorder_all_zero():
     assert snap.cost_nano == 0
     assert snap.bytes_allocated == 0
     assert all(n == 0 for n in snapshot_calls(snap).values())
+
+
+@pytest.mark.parametrize("capacity", [1, 16])
+def test_seq_is_the_call_count_after_every_call(capacity):
+    rng = random.Random(2008)
+    rec = make_recorder(capacity)
+    heap = TracingAllocator(rec, BumpAllocator(budget=1 << 14))
+    tokens = [None, 0xDEAD]  # a null token and one never handed out
+    failures = 0
+    for n_calls in range(1, 601):
+        roll = rng.randrange(4)
+        size = rng.randrange(1, 1 << 12)
+        if roll == 0:
+            new = heap.malloc(size)
+            failures += new is None
+        elif roll == 1:
+            new = heap.calloc(rng.randrange(0, 8), size)
+        elif roll == 2:
+            new = heap.realloc(rng.choice(tokens), rng.choice([0, size]))
+        else:
+            new = heap.free(rng.choice(tokens))
+        if new is not None:
+            tokens.append(new)
+        snap = rec.snapshot()
+        assert snap.seq == sum(snapshot_calls(snap).values()) == n_calls
+        seqs = [ev.seq for ev in rec.events()]
+        assert seqs == list(range(snap.seq - len(seqs), snap.seq))
+        assert len(seqs) == min(capacity, n_calls)
+    assert failures > 0
 
 
 def test_snapshot_is_pure_read():
