@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from decimal import Context, Decimal, Inexact
@@ -155,56 +156,91 @@ class RegressionVerdict:
 # canonical writer
 
 
-def _write_value(value: Any, out: list[str], indent: int) -> None:
-    if value is None:
+# The C function that json.dumps(s, ensure_ascii=False) ends in: same bytes, no encoder object.
+_quote = json.encoder.encode_basestring
+
+
+def _write_value(value: Any, out: list[str], nl: str) -> None:
+    """Append the canonical text of ``value`` to ``out``; ``nl`` is a newline
+    plus the indentation of the line ``value`` starts on.
+
+    Accepted: dicts with ``str`` keys (written in sorted key order), lists and
+    tuples, ``str``, ``int`` (``_Micro`` as a cost literal), finite ``float``,
+    ``bool`` and ``None``, subclasses of these included. Any other type, or a
+    non-``str`` key, raises TypeError; a non-finite float raises ValueError.
+    """
+    # The frequent types by exact type, most frequent first; the rare ones and
+    # subclasses by isinstance.
+    t = type(value)
+    if t is str:
+        out.append(_quote(value))
+    elif t is int:
+        out.append(str(value))
+    elif t is _Micro:
+        out.append(format_cost(value))
+    elif t is dict:
+        _write_dict(value, out, nl)
+    elif value is None:
         out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(format_cost(value) if type(value) is _Micro else str(value))
+    elif t is bool:
+        out.append("true" if value else "false")
     elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite number {value!r}")
-        value = round(value, COST_DECIMALS)
-        if value == 0:
-            value = 0.0  # normalize -0.0
-        out.append(f"{value:.6f}")
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        pad = " " * (indent + 2)
-        for i, key in enumerate(sorted(value)):
-            out.append(pad)
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(": ")
-            _write_value(value[key], out, indent + 2)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(" " * indent + "}")
+        out.append(_fixed(value))
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        pad = " " * (indent + 2)
-        for i, item in enumerate(value):
-            out.append(pad)
-            _write_value(item, out, indent + 2)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(" " * indent + "]")
+        _write_list(value, out, nl)
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, dict):
+        _write_dict(value, out, nl)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _write_dict(value: dict[str, Any], out: list[str], nl: str) -> None:
+    if not value:
+        out.append("{}")
+        return
+    inner = nl + "  "
+    sep = "{" + inner
+    for key in sorted(value):
+        out.append(sep + _quote(key) + ": ")
+        _write_value(value[key], out, inner)
+        sep = "," + inner
+    out.append(nl + "}")
+
+
+def _write_list(value: list | tuple, out: list[str], nl: str) -> None:
+    if not value:
+        out.append("[]")
+        return
+    inner = nl + "  "
+    sep = "[" + inner
+    for item in value:
+        out.append(sep)
+        _write_value(item, out, inner)
+        sep = "," + inner
+    out.append(nl + "]")
+
+
+def _fixed(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"cannot serialize non-finite number {value!r}")
+    value = round(value, COST_DECIMALS)
+    return f"{value if value else 0.0:.6f}"  # 0.0 normalizes -0.0
+
+
 def canonical_bytes(doc: Any) -> bytes:
-    """Serialize a plain document to canonical UTF-8 JSON bytes."""
+    """Serialize a plain document to canonical UTF-8 JSON bytes.
+
+    The contract is ``_write_value``'s: ``str`` keys only, the value types it
+    lists, TypeError for any other type or key and ValueError for a
+    non-finite float. A string that UTF-8 cannot encode (a lone surrogate)
+    raises UnicodeEncodeError.
+    """
     out: list[str] = []
-    _write_value(doc, out, 0)
+    _write_value(doc, out, "\n")
     out.append("\n")
     return "".join(out).encode("utf-8")
 
@@ -261,26 +297,51 @@ def serialize_report(report: ChurnReport) -> bytes:
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise ReportError(f"duplicate key {key!r} in document")
-        seen.add(key)
-    return dict(pairs)
+    doc = dict(pairs)
+    if len(doc) != len(pairs):  # a key repeats: name the first repeat
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ReportError(f"duplicate key {key!r} in document")
+            seen.add(key)
+    return doc
 
 
 def _reject_constant(name: str) -> Any:
     raise ReportError(f"non-finite number literal {name} is not allowed")
 
 
+# An escape in the surrogate range can decode to a lone surrogate, which UTF-8 cannot encode.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def _reject_lone_surrogates(doc: Any, what: str) -> None:
+    """Raise ReportError if a key or string in ``doc`` cannot be written back as UTF-8."""
+    stack = [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ReportError(f"{what} holds a string that is not valid Unicode: {exc}") from None
+        elif isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+
+
 def _load_json(data: bytes | str, what: str) -> Any:
-    if isinstance(data, bytes):
+    # Decoded UTF-8 holds no surrogates, so only an escape can add one; a str may hold them raw.
+    raw_text = isinstance(data, str)
+    if not raw_text:
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ReportError(f"{what} is not valid UTF-8: {exc}") from None
     try:
-        return json.loads(
+        doc = json.loads(
             data, object_pairs_hook=_reject_duplicate_keys, parse_constant=_reject_constant, parse_float=Decimal
         )
     except json.JSONDecodeError as exc:
@@ -290,6 +351,9 @@ def _load_json(data: bytes | str, what: str) -> Any:
     except (ValueError, ArithmeticError) as exc:
         # e.g. an integer literal past the int conversion limit, or an exponent past Decimal's
         raise ReportError(f"{what} has an invalid value: {exc}") from None
+    if _SURROGATE_ESCAPE.search(data) or (raw_text and not data.isascii()):
+        _reject_lone_surrogates(doc, what)
+    return doc
 
 
 def _expect(doc: dict[str, Any], key: str, types: type | tuple, what: str) -> Any:

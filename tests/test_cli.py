@@ -128,6 +128,18 @@ def test_diff_parse_failure_names_file_exit_2(tmp_path, capsys):
     assert "offset" in err
 
 
+def test_lone_surrogate_in_report_exits_2(tmp_path, capsys):
+    good = run_report(tmp_path)
+    bad = tmp_path / "bad.churn.json"
+    bad.write_bytes(good.read_bytes().replace(b'"build_id": "base"', b'"build_id": "\\ud800"', 1))
+    capsys.readouterr()
+    assert main(["diff", str(bad), str(good)]) == 2
+    err = capsys.readouterr().err
+    assert "bad.churn.json" in err and "not valid Unicode" in err
+    assert main(["show", str(bad)]) == 2
+    assert "not valid Unicode" in capsys.readouterr().err
+
+
 def test_diff_missing_file_exit_2(tmp_path, capsys):
     good = run_report(tmp_path)
     assert main(["diff", str(good), str(tmp_path / "nope.churn.json")]) == 2

@@ -464,6 +464,15 @@ def test_parse_verdict_rejects_record_named_for_another_phase():
         parse_verdict(json.dumps(doc))
 
 
+def test_parse_verdict_rejects_lone_surrogates():
+    data = serialize_verdict(diff_reports(report_with_units({"a": 10}), report_with_units({"a": 12}))).decode()
+    for name in ('"\\udc00"', '"\udc00"'):  # an escape, and the raw code point in a str
+        with pytest.raises(ReportError, match="not valid Unicode"):
+            parse_verdict(data.replace('"a"', name))
+    pair = parse_verdict(data.replace('"a"', '"\\ud83d\\ude00"'))
+    assert [d.phase for d in pair.deltas] == ["\U0001F600"]
+
+
 def test_thresholds_gate_on_the_six_decimals_a_verdict_records():
     assert Thresholds(rel=0.0123456789, abs_floor=0.5000004).rel == 0.012346
     assert Thresholds(abs_floor=0.5000004).abs_floor == 0.5

@@ -172,6 +172,29 @@ def test_parse_rejects_duplicate_keys():
         parse_report(data)
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [('"build_id": "b1"', '"build_id": "\\ud800"'), ('"demo"', '"x\\uDFFF"'), ('"b1"', '"\\ud83d\\u0041"')],
+    ids=["build_id", "phase", "high-then-ascii"],
+)
+def test_parse_rejects_lone_surrogate_escapes(old, new):
+    with pytest.raises(ReportError, match="not valid Unicode"):
+        parse_report(GOLDEN.replace(old, new))
+
+
+def test_parse_rejects_raw_surrogates():
+    with pytest.raises(ReportError, match="not valid Unicode"):
+        parse_report(GOLDEN.replace('"b1"', '"\ud800"'))
+    with pytest.raises(ReportError, match="UTF-8"):
+        parse_report(GOLDEN.encode().replace(b'"b1"', '"\ud800"'.encode("utf-8", "surrogatepass")))
+
+
+def test_parse_accepts_escaped_surrogate_pair():
+    report = parse_report(GOLDEN.replace('"b1"', '"\\ud83d\\ude00"'))
+    assert report.build_id == "\U0001F600"
+    assert serialize_report(report) == GOLDEN.replace("b1", "\U0001F600").encode()
+
+
 def test_parse_rejects_zero_calls_nonzero_cost():
     doc = json.loads(serialize_report(golden_report()))
     for record in (doc["phases"]["demo"], doc["threads"][0]):
@@ -281,6 +304,35 @@ def test_canonical_writer_normalizes_negative_zero():
 def test_canonical_writer_rejects_non_finite():
     with pytest.raises(ValueError):
         canonical_bytes(math.inf)
+
+
+@pytest.mark.parametrize("doc", [{1: 2}, {"a": {None: 1}}, [{("k",): "v"}]], ids=["int", "none", "tuple"])
+def test_canonical_writer_rejects_non_string_keys(doc):
+    with pytest.raises(TypeError):
+        canonical_bytes(doc)
+
+
+def test_canonical_writer_matches_json_dumps_on_float_free_documents():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    # Any character but a surrogate, with quotes, backslashes and control characters boosted.
+    text = st.text(
+        st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7f\u2028é'), max_size=8
+    )
+    leaves = st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | text
+    documents = st.recursive(
+        leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(text, inner, max_size=4)
+    )
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(documents)
+    def check(doc):
+        want = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert canonical_bytes(doc) == want.encode()
+
+    check()
 
 
 def test_canonical_writer_sorts_keys_and_handles_utf8():
