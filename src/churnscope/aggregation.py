@@ -2,27 +2,32 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .cost_model import MICRO, AllocFnKind, CostModel
 from .errors import ModelMismatchError, SpanStateError
 from .markers import MarkerSpan
 
+_MALLOC, _CALLOC, _REALLOC, _FREE = AllocFnKind.MALLOC, AllocFnKind.CALLOC, AllocFnKind.REALLOC, AllocFnKind.FREE
 
-@dataclass(frozen=True)
-class MarkerChurn:
+
+class MarkerChurn(NamedTuple):
     """Aggregated churn for one span, or for one phase merged across spans.
 
     ``cost_micro`` is the cost in whole micro-units; ``cost`` reads it in cost
-    units. Per-thread records carry ``thread_id`` and ``span_id``; merged
-    records carry neither. ``overflow`` means the event ring evicted entries
-    during the interval (counters stay exact regardless); ``auto_closed``
-    means the span was still open when its recorder sealed.
+    units. ``calls`` maps each call kind to its count and has no default, so
+    no two records share one dict. Per-thread records carry ``thread_id`` and
+    ``span_id``; merged records carry neither. ``overflow`` means the event
+    ring evicted entries during the interval (counters stay exact
+    regardless); ``auto_closed`` means the span was still open when its
+    recorder sealed. A record is a named tuple: derive an edited copy with
+    ``_replace``. The canonical writer (``report.canonical_bytes``) accepts
+    a record as a value and writes it as the document of its fields.
     """
 
     name: str
     cost_micro: int
-    calls: dict[AllocFnKind, int] = field(default_factory=dict)
+    calls: dict[AllocFnKind, int]
     bytes_allocated: int = 0
     bytes_freed: int = 0
     overflow: bool = False
@@ -59,20 +64,18 @@ def span_churn(span: MarkerSpan, model: CostModel) -> MarkerChurn:
     start = span.start_snapshot
     end = span.end_snapshot
     return MarkerChurn(
-        name=span.name,
-        cost_micro=(end.cost_nano - start.cost_nano + 500) // 1000,  # nano- to micro-units, ties up
-        calls={
-            AllocFnKind.MALLOC: end.malloc_calls - start.malloc_calls,
-            AllocFnKind.CALLOC: end.calloc_calls - start.calloc_calls,
-            AllocFnKind.REALLOC: end.realloc_calls - start.realloc_calls,
-            AllocFnKind.FREE: end.free_calls - start.free_calls,
+        span.name,
+        (end.cost_nano - start.cost_nano + 500) // 1000,  # nano- to micro-units, ties up
+        {
+            _MALLOC: end.malloc_calls - start.malloc_calls,
+            _CALLOC: end.calloc_calls - start.calloc_calls,
+            _REALLOC: end.realloc_calls - start.realloc_calls,
+            _FREE: end.free_calls - start.free_calls,
         },
-        bytes_allocated=end.bytes_allocated - start.bytes_allocated,
-        bytes_freed=end.bytes_freed - start.bytes_freed,
-        overflow=end.overflow_count > start.overflow_count,
-        auto_closed=span.auto_closed,
-        thread_id=span.thread_id,
-        span_id=span.span_id,
+        end.bytes_allocated - start.bytes_allocated,
+        end.bytes_freed - start.bytes_freed,
+        end.overflow_count > start.overflow_count,
+        span.auto_closed, span.thread_id, span.span_id,
     )
 
 
@@ -87,32 +90,20 @@ def merge_threads(parts: list[MarkerChurn]) -> MarkerChurn:
     if not parts:
         raise ValueError("cannot merge an empty list of churn records")
     name = parts[0].name
-    for part in parts[1:]:
-        if part.name != name:
-            raise ValueError(f"cannot merge {part.name!r} into {name!r}")
-    cost_micro = 0
-    calls = dict.fromkeys(AllocFnKind, 0)
-    bytes_allocated = 0
-    bytes_freed = 0
-    overflow = False
-    auto_closed = False
-    for part in parts:
-        cost_micro += part.cost_micro
-        for kind, n in part.calls.items():
+    cost_micro = bytes_allocated = bytes_freed = 0
+    calls = {_MALLOC: 0, _CALLOC: 0, _REALLOC: 0, _FREE: 0}
+    overflow = auto_closed = False
+    for part_name, part_cost, part_calls, part_allocated, part_freed, part_overflow, part_closed, _, _ in parts:
+        if part_name != name:
+            raise ValueError(f"cannot merge {part_name!r} into {name!r}")
+        cost_micro += part_cost
+        for kind, n in part_calls.items():
             calls[kind] += n
-        bytes_allocated += part.bytes_allocated
-        bytes_freed += part.bytes_freed
-        overflow = overflow or part.overflow
-        auto_closed = auto_closed or part.auto_closed
-    return MarkerChurn(
-        name=name,
-        cost_micro=cost_micro,
-        calls=calls,
-        bytes_allocated=bytes_allocated,
-        bytes_freed=bytes_freed,
-        overflow=overflow,
-        auto_closed=auto_closed,
-    )
+        bytes_allocated += part_allocated
+        bytes_freed += part_freed
+        overflow = overflow or part_overflow
+        auto_closed = auto_closed or part_closed
+    return MarkerChurn(name, cost_micro, calls, bytes_allocated, bytes_freed, overflow, auto_closed)
 
 
 def merge_phases(parts: list[MarkerChurn]) -> dict[str, MarkerChurn]:

@@ -15,7 +15,7 @@ import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from decimal import Context, Decimal, Inexact
-from typing import Any
+from typing import Any, NamedTuple, NoReturn
 
 from .aggregation import MarkerChurn, merge_phases
 from .cost_model import MICRO, AllocFnKind, CostModel, validate_cost_model
@@ -47,6 +47,7 @@ COST_DECIMALS = 6
 
 # (kind, document key) pairs: per-record loops skip Enum iteration and .value.
 _KINDS = tuple((kind, kind.value) for kind in AllocFnKind)
+_MALLOC, _CALLOC, _REALLOC, _FREE = AllocFnKind.MALLOC, AllocFnKind.CALLOC, AllocFnKind.REALLOC, AllocFnKind.FREE
 
 
 def format_cost(micro: int) -> str:
@@ -115,14 +116,14 @@ class ChurnReport:
     totals: ReportTotals
 
 
-@dataclass(frozen=True)
-class ChurnDelta:
+class ChurnDelta(NamedTuple):
     """One phase's baseline-to-candidate comparison.
 
     ``cost_delta_micro`` is candidate minus baseline cost in micro-units.
     ``cost_delta_rel`` is candidate/baseline - 1 and is None when the phase
     has no baseline cost to compare against (zero-cost baseline, new phase)
-    or no candidate (removed phase).
+    or no candidate (removed phase). A delta is a named tuple: derive an
+    edited copy with ``_replace``.
     """
 
     phase: str
@@ -164,18 +165,21 @@ def _write_value(value: Any, out: list[str], nl: str) -> None:
     """Append the canonical text of ``value`` to ``out``; ``nl`` is a newline
     plus the indentation of the line ``value`` starts on.
 
-    Accepted: dicts with ``str`` keys (written in sorted key order), lists and
-    tuples, ``str``, ``int`` (``_Micro`` as a cost literal), finite ``float``,
-    ``bool`` and ``None``, subclasses of these included. Any other type, or a
-    non-``str`` key, raises TypeError; a non-finite float raises ValueError.
+    Accepted: ``MarkerChurn`` records (see ``_write_churn``), dicts with
+    ``str`` keys (written in sorted key order), lists and tuples, ``str``,
+    ``int`` (``_Micro`` as a cost literal), finite ``float``, ``bool`` and
+    ``None``, subclasses of these included. Any other type, or a non-``str``
+    key, raises TypeError; a non-finite float raises ValueError.
     """
     # The frequent types by exact type, most frequent first; the rare ones and
-    # subclasses by isinstance.
+    # subclasses by isinstance. A record is a tuple, so it goes before lists.
     t = type(value)
     if t is str:
         out.append(_quote(value))
     elif t is int:
         out.append(str(value))
+    elif t is MarkerChurn:
+        _write_churn(value, out, nl)
     elif t is _Micro:
         out.append(format_cost(value))
     elif t is dict:
@@ -224,6 +228,30 @@ def _write_list(value: list | tuple, out: list[str], nl: str) -> None:
     out.append(nl + "]")
 
 
+def _write_churn(r: MarkerChurn, out: list[str], nl: str) -> None:
+    """Append a record as one string.
+
+    The bytes are those the generic writer gives for the document of the
+    record's fields, which holds ``thread_id`` and ``span_id`` unless both are
+    None (a merged record). Field types are trusted, not checked.
+    """
+    i = nl + "  "
+    j = i + "  "
+    c = r.calls
+    ids = ""
+    if r.thread_id is not None or r.span_id is not None:
+        span_id = "null" if r.span_id is None else _quote(r.span_id)
+        thread_id = "null" if r.thread_id is None else _quote(r.thread_id)
+        ids = f',{i}"span_id": {span_id},{i}"thread_id": {thread_id}'
+    out.append(
+        f'{{{i}"auto_closed": {"true" if r.auto_closed else "false"},{i}"bytes_allocated": {r.bytes_allocated},'
+        f'{i}"bytes_freed": {r.bytes_freed},{i}"calls": {{{j}"calloc": {c.get(_CALLOC, 0)},'
+        f'{j}"free": {c.get(_FREE, 0)},{j}"malloc": {c.get(_MALLOC, 0)},{j}"realloc": {c.get(_REALLOC, 0)}{i}}},'
+        f'{i}"cost": {format_cost(r.cost_micro)},{i}"name": {_quote(r.name)},'
+        f'{i}"overflow": {"true" if r.overflow else "false"}{ids}{nl}}}'
+    )
+
+
 def _fixed(value: float) -> str:
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite number {value!r}")
@@ -249,22 +277,6 @@ def canonical_bytes(doc: Any) -> bytes:
 # document building
 
 
-def _churn_doc(record: MarkerChurn, with_thread: bool) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "name": record.name,
-        "cost": _Micro(record.cost_micro),
-        "calls": {key: int(record.calls.get(kind, 0)) for kind, key in _KINDS},
-        "bytes_allocated": record.bytes_allocated,
-        "bytes_freed": record.bytes_freed,
-        "overflow": record.overflow,
-        "auto_closed": record.auto_closed,
-    }
-    if with_thread:
-        doc["thread_id"] = record.thread_id
-        doc["span_id"] = record.span_id
-    return doc
-
-
 def model_descriptor(model: CostModel) -> dict[str, Any]:
     return {
         "model_version": model.model_version,
@@ -278,11 +290,8 @@ def report_doc(report: ChurnReport) -> dict[str, Any]:
         "build_id": report.build_id,
         "created_at": report.created_at,
         "cost_model": model_descriptor(report.model),
-        "phases": {
-            name: _churn_doc(record, with_thread=False)
-            for name, record in report.merged.items()
-        },
-        "threads": [_churn_doc(record, with_thread=True) for record in report.per_thread],
+        "phases": report.merged,
+        "threads": report.per_thread,
         "counters": asdict(report.totals),
     }
 
@@ -388,11 +397,31 @@ def _expect_micro(doc: dict[str, Any], key: str, what: str) -> int:
     raise ReportError(f"{what} field {key!r} is out of range or not a whole number of micro-units")
 
 
+# The fields each object may hold; the schema allows no others. Record fields
+# come with the types _expect accepts, in the order _reject_record checks them.
+_REPORT_KEYS = frozenset(("schema_version", "build_id", "created_at", "cost_model", "phases", "threads", "counters"))
+_MODEL_KEYS = frozenset(("model_version", "weights"))
+_COUNTER_KEYS = frozenset(f.name for f in fields(ReportTotals))
+_MERGED_FIELDS = (("name", str), ("cost", (int, Decimal)), ("calls", dict), ("bytes_allocated", int),
+                  ("bytes_freed", int), ("overflow", bool), ("auto_closed", bool))
+_THREAD_FIELDS = _MERGED_FIELDS + (("thread_id", str), ("span_id", str))
+_MERGED_KEYS = frozenset(key for key, _ in _MERGED_FIELDS)
+_THREAD_KEYS = frozenset(key for key, _ in _THREAD_FIELDS)
+_CALL_KEYS = frozenset(key for _, key in _KINDS)
+
+
+def _reject_unknown(doc: dict[str, Any], known: frozenset[str], what: str) -> None:
+    unknown = doc.keys() - known
+    if unknown:
+        raise ReportError(f"{what} has unknown field {min(unknown)!r}")
+
+
 def _parse_model(doc: Any) -> CostModel:
     if not isinstance(doc, dict):
         raise ReportError("cost_model must be an object")
     version = _expect(doc, "model_version", str, "cost_model")
     weights_doc = _expect(doc, "weights", dict, "cost_model")
+    _reject_unknown(doc, _MODEL_KEYS, "cost_model")
     weights: dict[AllocFnKind, float] = {}
     for key in weights_doc:
         try:
@@ -407,50 +436,56 @@ def _parse_model(doc: Any) -> CostModel:
     return model
 
 
+def _reject_record(doc: dict[str, Any], what: str, with_thread: bool) -> NoReturn:
+    """Raise the error naming the first fault of a record that ``_parse_churn`` turned down."""
+    if not with_thread and ("thread_id" in doc or "span_id" in doc):
+        raise ReportError(f"{what} is merged and must not carry thread attribution")
+    for key, types in _THREAD_FIELDS if with_thread else _MERGED_FIELDS:
+        _expect(doc, key, types, what)
+    _reject_unknown(doc, _THREAD_KEYS if with_thread else _MERGED_KEYS, what)
+    calls = doc["calls"]
+    for _, key in _KINDS:
+        if _expect(calls, key, int, f"{what} calls") < 0:
+            raise ReportError(f"{what} has negative {key} count")
+    if len(calls) != len(_KINDS):
+        raise ReportError(f"{what} calls has unknown kinds {sorted(calls.keys() - _CALL_KEYS)!r}")
+    raise ReportError(f"{what} has negative byte totals")
+
+
 def _parse_churn(doc: Any, what: str, with_thread: bool) -> MarkerChurn:
-    if not isinstance(doc, dict):
+    """Check a record in one pass, then build it.
+
+    The key sets are compared once; every field's exact type and every sign
+    are checked in one condition (JSON gives exact int, bool, str, dict and
+    Decimal values, so a bool never passes for an int). Only a record that
+    fails is looked at again, by ``_reject_record``, to name its fault.
+    """
+    if type(doc) is not dict:
         raise ReportError(f"{what} must be an object")
-    name = _expect(doc, "name", str, what)
+    calls = doc.get("calls")
+    if doc.keys() != (_THREAD_KEYS if with_thread else _MERGED_KEYS) or type(calls) is not dict \
+            or calls.keys() != _CALL_KEYS:
+        _reject_record(doc, what, with_thread)
+    name, bytes_allocated, bytes_freed = doc["name"], doc["bytes_allocated"], doc["bytes_freed"]
+    malloc, calloc, realloc, free = calls["malloc"], calls["calloc"], calls["realloc"], calls["free"]
+    overflow, auto_closed = doc["overflow"], doc["auto_closed"]
+    thread_id, span_id = (doc["thread_id"], doc["span_id"]) if with_thread else (None, None)
+    if not (
+        type(name) is str and type(malloc) is int and type(calloc) is int and type(realloc) is int
+        and type(free) is int and type(bytes_allocated) is int and type(bytes_freed) is int
+        and type(overflow) is bool and type(auto_closed) is bool
+        and (not with_thread or (type(thread_id) is str and type(span_id) is str))
+        and malloc >= 0 and calloc >= 0 and realloc >= 0 and free >= 0
+        and bytes_allocated >= 0 and bytes_freed >= 0
+    ):
+        _reject_record(doc, what, with_thread)
     cost_micro = _expect_micro(doc, "cost", what)
     if cost_micro < 0:
         raise ReportError(f"{what} has negative cost")
-    calls_doc = _expect(doc, "calls", dict, what)
-    calls: dict[AllocFnKind, int] = {}
-    calls_what = f"{what} calls"
-    for kind, key in _KINDS:
-        n = _expect(calls_doc, key, int, calls_what)
-        if n < 0:
-            raise ReportError(f"{what} has negative {key} count")
-        calls[kind] = n
-    if len(calls_doc) != len(calls):  # every known kind is present, so a key is unknown
-        unknown = sorted(set(calls_doc) - set(AllocFnKind._value2member_map_))
-        raise ReportError(f"{what} calls has unknown kinds {unknown!r}")
-    bytes_allocated = _expect(doc, "bytes_allocated", int, what)
-    bytes_freed = _expect(doc, "bytes_freed", int, what)
-    if bytes_allocated < 0 or bytes_freed < 0:
-        raise ReportError(f"{what} has negative byte totals")
-    overflow = _expect(doc, "overflow", bool, what)
-    auto_closed = _expect(doc, "auto_closed", bool, what)
-    if sum(calls.values()) == 0 and cost_micro != 0:
+    if cost_micro and not (malloc or calloc or realloc or free):
         raise ReportError(f"{what} has zero calls but nonzero cost")
-    thread_id = span_id = None
-    if with_thread:
-        thread_id = _expect(doc, "thread_id", str, what)
-        span_id = _expect(doc, "span_id", str, what)
-    else:
-        if "thread_id" in doc or "span_id" in doc:
-            raise ReportError(f"{what} is merged and must not carry thread attribution")
-    return MarkerChurn(
-        name=name,
-        cost_micro=cost_micro,
-        calls=calls,
-        bytes_allocated=bytes_allocated,
-        bytes_freed=bytes_freed,
-        overflow=overflow,
-        auto_closed=auto_closed,
-        thread_id=thread_id,
-        span_id=span_id,
-    )
+    calls = {_MALLOC: malloc, _CALLOC: calloc, _REALLOC: realloc, _FREE: free}
+    return MarkerChurn(name, cost_micro, calls, bytes_allocated, bytes_freed, overflow, auto_closed, thread_id, span_id)
 
 
 def parse_report(data: bytes | str) -> ChurnReport:
@@ -466,6 +501,7 @@ def parse_report(data: bytes | str) -> ChurnReport:
     version = _expect(doc, "schema_version", str, "report")
     if version != SCHEMA_VERSION:
         raise ReportError(f"unknown schema_version {version!r} (expected {SCHEMA_VERSION!r})")
+    _reject_unknown(doc, _REPORT_KEYS, "report")
     build_id = _expect(doc, "build_id", str, "report")
     created_at = _expect(doc, "created_at", str, "report")
     model = _parse_model(_expect(doc, "cost_model", dict, "report"))
@@ -492,6 +528,7 @@ def parse_report(data: bytes | str) -> ChurnReport:
     totals = ReportTotals(
         **{f.name: _expect(counters_doc, f.name, int, "counters") for f in fields(ReportTotals)}
     )
+    _reject_unknown(counters_doc, _COUNTER_KEYS, "counters")
     for fname, value in vars(totals).items():
         if value < 0:
             raise ReportError(f"counters field {fname!r} is negative")
@@ -556,7 +593,7 @@ def _compare(phase: str, base: MarkerChurn | None, cand: MarkerChurn | None, th:
     base_cost = base.cost_micro if base else 0
     cand_cost = cand.cost_micro if cand else 0
     call_delta = {
-        kind: (cand.calls[kind] if cand else 0) - (base.calls[kind] if base else 0) for kind in AllocFnKind
+        kind: (cand.calls[kind] if cand else 0) - (base.calls[kind] if base else 0) for kind, _ in _KINDS
     }
     rel = None
     if base is None:
@@ -567,15 +604,9 @@ def _compare(phase: str, base: MarkerChurn | None, cand: MarkerChurn | None, th:
         status = _classify(base_cost, cand_cost, sum(call_delta.values()), th)
         rel = cand_cost / base_cost - 1 if base_cost > 0 else None
     return ChurnDelta(
-        phase=phase,
-        status=status,
-        baseline=base,
-        candidate=cand,
-        cost_delta_micro=cand_cost - base_cost,
-        cost_delta_rel=rel,
-        call_delta=call_delta,
-        bytes_allocated_delta=(cand.bytes_allocated if cand else 0) - (base.bytes_allocated if base else 0),
-        bytes_freed_delta=(cand.bytes_freed if cand else 0) - (base.bytes_freed if base else 0),
+        phase, status, base, cand, cand_cost - base_cost, rel, call_delta,
+        (cand.bytes_allocated if cand else 0) - (base.bytes_allocated if base else 0),
+        (cand.bytes_freed if cand else 0) - (base.bytes_freed if base else 0),
     )
 
 
@@ -660,8 +691,8 @@ def _delta_doc(delta: ChurnDelta) -> dict[str, Any]:
     return {
         "phase": delta.phase,
         "status": delta.status,
-        "baseline": None if delta.baseline is None else _churn_doc(delta.baseline, False),
-        "candidate": None if delta.candidate is None else _churn_doc(delta.candidate, False),
+        "baseline": delta.baseline,
+        "candidate": delta.candidate,
         "cost_delta_abs": _Micro(delta.cost_delta_micro),
         "cost_delta_rel": None if delta.cost_delta_rel is None else float(delta.cost_delta_rel),
         "call_delta": {kind.value: n for kind, n in delta.call_delta.items()},

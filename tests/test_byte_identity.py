@@ -3,14 +3,17 @@
 Each built-in workload runs at seed 1, scale 7, in both variants. The run
 reports, the ``diff`` text and ``diff --format json`` verdict of baseline
 against regressed, and ``rank --format json`` of that verdict must hash to
-the digests below. A change to the canonical form or to the workloads must
-replace them (a failing run prints the new table) and say why in CHANGES.md.
+the digests below. So must two library-built reports of about 2,700 records
+each and the verdict between them, where the record writer's bytes dominate.
+A change to the canonical form or to the workloads must replace them (a
+failing run prints the new table) and say why in CHANGES.md.
 """
 
 import hashlib
 
+from churnscope import RecordingSession, TracingAllocator, begin_marker, marker, serialize_report
 from churnscope.cli import main
-from churnscope.workloads import VARIANTS, workload_names
+from churnscope.workloads import VARIANTS, SplitMix64, workload_names
 
 DIGESTS = {
     "buffers/baseline.churn.json": "e2e7c98ff3adedd4c61ac7e8ee12837cddef21727ae3b4e24d9da3f1f6268e4a",
@@ -67,3 +70,54 @@ def test_builtin_outputs_match_recorded_digests(tmp_path, capsysbinary):
     changed = sorted(name for name in got.keys() | DIGESTS.keys() if got.get(name) != DIGESTS.get(name))
     table = "".join(f'\n    "{name}": "{digest}",' for name, digest in got.items())
     assert not changed, f"outputs differ from the recorded bytes: {changed}; new table:{table}"
+
+
+# Pinned where records dominate: two reports of about 2,700 records each, and
+# the ``diff --format json`` verdict between them (about 2,400 records).
+MANY_RECORD_DIGESTS = {
+    "baseline.churn.json": "22e1c316326a3047dadd970f5481b8441938463b2a1144864371c54a4ba77dd4",
+    "regressed.churn.json": "5385f500fb2534b39c2cea0aa274eef4633d411057acae6cd115a9d111d9a8c7",
+    "verdict.json": "41e1e9aa8a3ea9d510d26b947e39c99fac270b2c40ac9d318f12d2e8db543944",
+}
+
+
+def many_record_report(variant):
+    """1,200 phases, a quarter of them spanned twice; the regressed variant
+    grows every seventh phase, drops one and adds one. Names carry quotes,
+    backslashes and non-ASCII text; the ring overflows partway, so later spans
+    carry the overflow flag, and one span is still open at seal."""
+    session = RecordingSession(ring_capacity=2048, build_id=variant, created_at="2026-01-01T00:00:00Z")
+    rec = session.recorder("main")
+    heap = TracingAllocator(rec)
+    rng = SplitMix64(11)
+    names = [f'p{i:04d}' if i % 5 else f'p{i:04d} "q\\ \u00e9\u2603\U0001F600' for i in range(1200)]
+    names[7 if variant == "baseline" else 8] = f"only-{variant}"
+    for i, name in enumerate(names):
+        for _ in range(2 if i % 4 == 0 else 1):
+            with marker(rec, name):
+                blocks = [heap.malloc(rng.randrange(1, 1 << 20)) for _ in range(rng.randrange(0, 4))]
+                if variant != "baseline" and i % 7 == 0:
+                    blocks.append(heap.calloc(rng.randrange(1, 9), rng.randrange(1, 4096)))
+                if blocks:
+                    blocks[0] = heap.realloc(blocks[0], rng.randrange(1, 1 << 16))
+                for block in blocks:
+                    heap.free(block)
+    begin_marker(rec, "left-open")
+    heap.free(heap.malloc(rng.randrange(1, 1 << 10)))
+    session.seal_all()
+    return serialize_report(session.build_report())
+
+
+def test_many_record_outputs_match_recorded_digests(tmp_path, capsysbinary):
+    got = {}
+    paths = []
+    for variant in VARIANTS:
+        data = many_record_report(variant)
+        got[f"{variant}.churn.json"] = hashlib.sha256(data).hexdigest()
+        path = tmp_path / f"{variant}.churn.json"
+        path.write_bytes(data)
+        paths.append(str(path))
+    assert main(["diff", *paths, "--format", "json"]) == 1
+    got["verdict.json"] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    table = "".join(f'\n    "{name}": "{digest}",' for name, digest in got.items())
+    assert got == MANY_RECORD_DIGESTS, f"outputs differ from the recorded bytes; new table:{table}"

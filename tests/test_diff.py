@@ -294,10 +294,8 @@ def test_rank_alternate_flags():
     assert [d.phase for d in rank_regressions(verdict)] == ["zeta", "alpha"]
     assert [d.phase for d in rank_regressions(verdict, tie_break="name")] == ["alpha", "zeta"]
 
-    import dataclasses
-
-    low = dataclasses.replace(_delta("low", STATUS_REGRESSION, 0.9), cost_delta_micro=1_000_000)
-    high = dataclasses.replace(_delta("high", STATUS_REGRESSION, 0.1), cost_delta_micro=50_000_000)
+    low = _delta("low", STATUS_REGRESSION, 0.9)._replace(cost_delta_micro=1_000_000)
+    high = _delta("high", STATUS_REGRESSION, 0.1)._replace(cost_delta_micro=50_000_000)
     ranked = rank_regressions(synthetic_verdict([low, high]), by="abs")
     assert [d.phase for d in ranked] == ["high", "low"]
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from churnscope import (
     parse_report,
     serialize_report,
 )
-from churnscope.report import canonical_bytes, format_cost
+from churnscope.report import _Micro, canonical_bytes, format_cost
 
 from factories import report_with_units
 
@@ -354,8 +355,8 @@ def test_cost_literals_read_back_to_the_same_integer():
     micro = 2**53 + 1
     report = report_with_units({"p": 1})
     part = report.per_thread[0]
-    report.per_thread[0] = MarkerChurn(**{**vars(part), "cost_micro": micro})
-    report.merged["p"] = MarkerChurn(**{**vars(report.merged["p"]), "cost_micro": micro})
+    report.per_thread[0] = part._replace(cost_micro=micro)
+    report.merged["p"] = report.merged["p"]._replace(cost_micro=micro)
     data = serialize_report(report)
     assert f'"cost": {format_cost(micro)}'.encode() in data
     parsed = parse_report(data)
@@ -395,3 +396,142 @@ def test_parse_rejects_unknown_call_kind():
         record["calls"]["mmap"] = 0
     with pytest.raises(ReportError, match="unknown kinds \\['mmap'\\]"):
         parse_report(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "path, what",
+    [
+        ((), "report"),
+        (("cost_model",), "cost_model"),
+        (("phases", "demo"), "phase 'demo'"),
+        (("threads", 0), "threads[0]"),
+        (("counters",), "counters"),
+    ],
+    ids=["top", "cost_model", "phase", "thread", "counters"],
+)
+def test_parse_rejects_unknown_fields(path, what):
+    # The schema allows no other field at any of these levels; a dropped field would be lost silently.
+    doc = json.loads(GOLDEN)
+    target = doc
+    for key in path:
+        target = target[key]
+    target["note"] = [1]
+    with pytest.raises(ReportError, match=f"^{re.escape(what)} has unknown field 'note'$"):
+        parse_report(json.dumps(doc))
+
+
+RECORD_FIELDS = ("name", "cost", "calls", "bytes_allocated", "bytes_freed", "overflow", "auto_closed")
+CALL_KINDS = ("malloc", "calloc", "realloc", "free")
+
+
+def _delete(key):
+    return lambda record: record.pop(key)
+
+
+def _set(key, value):
+    return lambda record: record.update({key: value})
+
+
+def _set_call(kind, value):
+    return lambda record: record["calls"].update({kind: value})
+
+
+def _zero_calls(record):
+    record["calls"] = dict.fromkeys(CALL_KINDS, 0)
+
+
+def _single_faults(thread):
+    """(id, edit, message after the record's name) for one fault in a phase or thread record."""
+    fields = RECORD_FIELDS + (("thread_id", "span_id") if thread else ())
+    cases = [(f"missing-{key}", _delete(key), f"is missing required field {key!r}") for key in fields]
+    cases += [
+        (f"missing-calls-{kind}", lambda r, kind=kind: r["calls"].pop(kind), f"calls is missing required field {kind!r}")
+        for kind in CALL_KINDS
+    ]
+    wrong = [("name", 1), ("cost", "20"), ("cost", True), ("calls", [1]), ("bytes_allocated", True),
+             ("bytes_freed", 1.5), ("overflow", 0), ("auto_closed", None)]
+    if thread:
+        wrong += [("thread_id", 7), ("span_id", None)]
+    cases += [(f"type-{key}-{value!r}", _set(key, value), f"field {key!r} has the wrong type") for key, value in wrong]
+    cases += [(f"type-calls-{kind}", _set_call(kind, True), f"calls field {kind!r} has the wrong type")
+              for kind in CALL_KINDS]
+    cases += [(f"negative-{kind}", _set_call(kind, -1), f"has negative {kind} count") for kind in CALL_KINDS]
+    cases += [(f"negative-{key}", _set(key, -1), "has negative byte totals") for key in ("bytes_allocated", "bytes_freed")]
+    cases += [
+        ("negative-cost", _set("cost", -1.0), "has negative cost"),
+        ("fractional-cost", _set("cost", 20.0000001),
+         "field 'cost' is out of range or not a whole number of micro-units"),
+        ("unknown-kind", _set_call("mmap", 0), "calls has unknown kinds ['mmap']"),
+        ("zero-calls", _zero_calls, "has zero calls but nonzero cost"),
+    ]
+    if not thread:
+        cases += [(f"merged-{key}", _set(key, "main"), "is merged and must not carry thread attribution")
+                  for key in ("thread_id", "span_id")]
+    return [pytest.param(thread, edit, message, id=f"{'thread' if thread else 'phase'}-{name}")
+            for name, edit, message in cases]
+
+
+@pytest.mark.parametrize("thread, edit, message", _single_faults(False) + _single_faults(True))
+def test_parse_names_each_single_record_fault(thread, edit, message):
+    doc = json.loads(GOLDEN)
+    record, what = (doc["threads"][0], "threads[0]") if thread else (doc["phases"]["demo"], "phase 'demo'")
+    edit(record)
+    with pytest.raises(ReportError) as excinfo:
+        parse_report(json.dumps(doc))
+    assert str(excinfo.value) == f"{what} {message}"
+
+
+def _record_as_dict(record):
+    """The document a record is written as, built field by field for the generic writer."""
+    doc = {
+        "name": record.name,
+        "cost": _Micro(record.cost_micro),
+        "calls": {kind.value: n for kind, n in record.calls.items()},
+        "bytes_allocated": record.bytes_allocated,
+        "bytes_freed": record.bytes_freed,
+        "overflow": record.overflow,
+        "auto_closed": record.auto_closed,
+    }
+    if record.thread_id is not None or record.span_id is not None:
+        doc["thread_id"] = record.thread_id
+        doc["span_id"] = record.span_id
+    return doc
+
+
+def test_record_writer_matches_generic_writer():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    text = st.text(
+        st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7f\u2028é☃\U0001F600'), max_size=12
+    )
+    count = st.integers(0, 2**40) | st.integers(0, 10**40)
+    records = st.builds(
+        MarkerChurn,
+        name=text,
+        cost_micro=st.integers(-(10**30), 10**30),
+        calls=st.fixed_dictionaries({kind: count for kind in AllocFnKind}),
+        bytes_allocated=count,
+        bytes_freed=count,
+        overflow=st.booleans(),
+        auto_closed=st.booleans(),
+        thread_id=st.none() | text,
+        span_id=st.none() | text,
+    )
+    quoted = MarkerChurn('a "b" \\c\n é☃', 10**25 + 1, dict.fromkeys(AllocFnKind, 10**30), 2**64, 0, True, False)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(records)
+    @example(quoted)
+    @example(quoted._replace(overflow=False, auto_closed=True, thread_id="t\u00e9", span_id='t"/000001'))
+    def check(record):
+        plain = _record_as_dict(record)
+        # A report holds records two levels deep, a verdict three.
+        for shape in (
+            lambda r: {"phases": {record.name: r}, "threads": [r]},
+            lambda r: {"deltas": [{"baseline": r, "candidate": None, "phase": record.name}]},
+        ):
+            assert canonical_bytes(shape(record)) == canonical_bytes(shape(plain))
+
+    check()
