@@ -11,20 +11,24 @@ only through ``_admit`` (a block comes into being) and ``_release`` (a block
 goes away). The bounded event ring (a ``deque`` of the most recent calls,
 each a bare ``(kind, nbytes, addr, old_addr)`` tuple) exists for
 diagnostics and for replay-based validation, and ``events()`` builds
-``AllocEvent``s from it on read. The ring's capacity changes only the
-overflow count, never a cost, call or byte count. The ``record_*`` methods
-return ``None``. A reentrancy guard is held around every mutation so
-allocations made by the recorder's own bookkeeping are never recorded.
+``AllocEvent``s from it on read. Each call costs the ring one ``append``,
+and a full ring evicts once per call, so the overflow count is
+``max(0, seq - capacity)``, computed when a snapshot is taken; the capacity
+changes no cost, call or byte count. The ``record_*`` methods return ``None``.
+A reentrancy guard held around every mutation keeps the recorder's own
+bookkeeping allocations out of the record.
 """
 
 from __future__ import annotations
 
-import threading
+import sys
 from collections import deque
 from dataclasses import dataclass
+from math import log2
+from threading import get_ident
 from typing import TYPE_CHECKING, NamedTuple
 
-from .cost_model import NANO, AllocFnKind, CostModel, event_cost
+from .cost_model import NANO, AllocFnKind, CostModel
 from .errors import RecorderSealedError, ThreadAffinityError
 
 if TYPE_CHECKING:
@@ -59,6 +63,7 @@ class CounterSnapshot(NamedTuple):
 
     ``seq`` is the number of calls recorded so far, derived from the four
     call counts; it is also the ``seq`` the next event will carry.
+    ``overflow_count`` is ``max(0, seq - capacity)``, computed when the snapshot is taken.
     """
 
     malloc_calls: int
@@ -94,13 +99,15 @@ _REALLOC_FREED, _COST, _OVERFLOW, _ANOMALIES = map(
 )
 _CALLS = {kind: CounterSnapshot._fields.index(f"{kind.value}_calls") for kind in AllocFnKind}
 _BYTES = {kind: CounterSnapshot._fields.index(f"{kind.value}_bytes") for kind in AllocFnKind}
+_MALLOC, _CALLOC, _REALLOC, _FREE = AllocFnKind.MALLOC, AllocFnKind.CALLOC, AllocFnKind.REALLOC, AllocFnKind.FREE
 
 
 def checked_ring_capacity(ring_capacity: int | None) -> int:
-    """The ring capacity to use: the default for ``None``, else at least 1."""
+    """The ring capacity to use: the default for ``None``, else 1 to ``sys.maxsize``."""
     capacity = DEFAULT_RING_CAPACITY if ring_capacity is None else ring_capacity
-    if capacity < 1:
-        raise ValueError(f"ring capacity must be >= 1, got {capacity}")
+    if not 1 <= capacity <= sys.maxsize:  # deque(maxlen=) takes no more
+        bound = ">= 1" if capacity < 1 else f"<= {sys.maxsize}"
+        raise ValueError(f"ring capacity must be {bound}, got {capacity}")
     return capacity
 
 
@@ -115,12 +122,11 @@ class ThreadRecorder:
     def __init__(self, thread_id: str, model: CostModel, ring_capacity: int | None = None):
         self.thread_id = thread_id
         self._model = model
-        self._os_ident = threading.get_ident()
+        self._os_ident = self._writer = get_ident()
         self._ring: deque[tuple] = deque(maxlen=checked_ring_capacity(ring_capacity))
         self._c = [0] * len(CounterSnapshot._fields)
         self._live: dict[int, int] = {}
         self._depth = 0
-        self._sealed = False
         self._spans: list[MarkerSpan] = []
 
     @property
@@ -129,7 +135,7 @@ class ThreadRecorder:
 
     @property
     def sealed(self) -> bool:
-        return self._sealed
+        return self._writer is None
 
     @property
     def ring_capacity(self) -> int:
@@ -141,38 +147,36 @@ class ThreadRecorder:
 
     def _require_writable(self) -> None:
         """Raise unless called on the owning thread before ``seal()``."""
-        if threading.get_ident() != self._os_ident:
-            raise ThreadAffinityError(
-                f"recorder {self.thread_id!r} belongs to another thread"
-            )
-        if self._sealed:
+        if get_ident() != self._os_ident:
+            raise ThreadAffinityError(f"recorder {self.thread_id!r} belongs to another thread")
+        if self._writer is None:
             raise RecorderSealedError(f"recorder {self.thread_id!r} is sealed")
 
     # -- recording ---------------------------------------------------------
 
     def record_malloc(self, requested: int, addr: int | None) -> None:
         """Record one malloc call; ``addr is None`` means the call failed."""
-        self._require_writable()
-        if self._depth:
+        if self._depth or get_ident() != self._writer:
+            self._require_writable()  # raises unless writable
             return  # recorder-internal allocation, never recorded
         if requested < 0:
             raise ValueError(f"requested size must be nonnegative, got {requested}")
         self._depth += 1
         try:
-            self._emit(AllocFnKind.MALLOC, self._admit(addr, requested), addr, None)
+            self._emit(_MALLOC, self._admit(addr, requested), addr, None)
         finally:
             self._depth -= 1
 
     def record_calloc(self, count: int, elem_size: int, addr: int | None) -> None:
         """Record one calloc call; effective bytes are ``count * elem_size``."""
-        self._require_writable()
-        if self._depth:
+        if self._depth or get_ident() != self._writer:
+            self._require_writable()
             return
         if count < 0 or elem_size < 0:
             raise ValueError("calloc count and element size must be nonnegative")
         self._depth += 1
         try:
-            self._emit(AllocFnKind.CALLOC, self._admit(addr, count * elem_size), addr, None)
+            self._emit(_CALLOC, self._admit(addr, count * elem_size), addr, None)
         finally:
             self._depth -= 1
 
@@ -184,12 +188,12 @@ class ThreadRecorder:
         bumps the anomaly counter: it signals a block allocated before
         interception began, or a mismatched report.
         """
-        self._require_writable()
-        if self._depth:
+        if self._depth or get_ident() != self._writer:
+            self._require_writable()
             return
         self._depth += 1
         try:
-            self._emit(AllocFnKind.FREE, self._release(old_addr), None, old_addr)
+            self._emit(_FREE, self._release(old_addr), None, old_addr)
         finally:
             self._depth -= 1
 
@@ -202,22 +206,21 @@ class ThreadRecorder:
         removes the entry and admits nothing; ``addr is None`` with a nonzero
         request is a failed call that leaves the original block live.
         """
-        self._require_writable()
-        if self._depth:
+        if self._depth or get_ident() != self._writer:
+            self._require_writable()
             return
         if requested < 0:
             raise ValueError(f"requested size must be nonnegative, got {requested}")
         self._depth += 1
         try:
             if addr is None and requested:
-                # Failed call: the original block stays live and nothing
-                # moved, so the event carries no address tokens at all.
-                self._emit(AllocFnKind.REALLOC, 0, None, None)
+                # Failed call: the original block stays live, the event carries no tokens.
+                self._emit(_REALLOC, 0, None, None)
             else:
                 self._c[_REALLOC_FREED] += self._release(old_addr)
                 if not requested:
                     addr = None  # a zero-size realloc admits no block, whatever came back
-                self._emit(AllocFnKind.REALLOC, self._admit(addr, requested), addr, old_addr)
+                self._emit(_REALLOC, self._admit(addr, requested), addr, old_addr)
         finally:
             self._depth -= 1
 
@@ -256,33 +259,31 @@ class ThreadRecorder:
         """Charge one call, from the event's own kind and byte count, and log it.
 
         The only place a call is charged, so calls, bytes and cost always
-        equal a replay of the emitted events.
+        equal a replay of the emitted events. The cost is ``event_cost``
+        inlined, float operations in order; a full ring drops its oldest entry.
         """
         c = self._c
-        c[_COST] += round(event_cost(self._model, kind, nbytes) * NANO)
+        if nbytes > 1:
+            c[_COST] += round(self._model.weights[kind] * log2(nbytes) * NANO)
         c[_CALLS[kind]] += 1
         c[_BYTES[kind]] += nbytes
-        self._append_event((kind, nbytes, addr, old_addr))
-
-    def _append_event(self, entry: tuple) -> None:
-        # A full ring drops its oldest entry; the counters are untouched.
-        if len(self._ring) == self._ring.maxlen:
-            self._c[_OVERFLOW] += 1
-        self._ring.append(entry)
+        self._ring.append((kind, nbytes, addr, old_addr))
 
     # -- reading -----------------------------------------------------------
 
     def snapshot(self) -> CounterSnapshot:
-        """Pure read of all counters; cheap enough to take per marker."""
-        return CounterSnapshot._make(self._c)
+        """Copy of all counters, cheap enough per marker. ``overflow_count`` is
+        ``max(0, seq - capacity)``, computed here and stored only when it grew."""
+        c = self._c
+        evicted = c[0] + c[1] + c[2] + c[3] - self._ring.maxlen  # seq - capacity
+        if evicted > c[_OVERFLOW]:
+            c[_OVERFLOW] = evicted
+        return CounterSnapshot._make(c)
 
     def events(self) -> list[AllocEvent]:
         """The retained events, oldest first. Ring eviction drops the front."""
-        first = self.snapshot().seq - len(self._ring)
-        return [
-            AllocEvent(self.thread_id, first + i, *entry)
-            for i, entry in enumerate(self._ring)
-        ]
+        tid, first = self.thread_id, self.snapshot().seq - len(self._ring)
+        return [AllocEvent(tid, seq, *entry) for seq, entry in enumerate(self._ring, first)]
 
     def live_table(self) -> dict[int, int]:
         """Copy of the outstanding-block table (token to byte size)."""
@@ -306,15 +307,14 @@ class ThreadRecorder:
     def seal(self) -> None:
         """Stop recording. Open spans are closed at the seal snapshot and
         flagged auto_closed. Idempotent. Call from the owning thread, or from
-        elsewhere only once the owning thread has quiesced (e.g. post-join).
-        """
-        if self._sealed:
+        elsewhere only once the owning thread has quiesced (e.g. post-join)."""
+        if self._writer is None:
             return
         snap = self.snapshot()
         for span in self._spans:
             if not span.closed:
                 span._finalize(snap, auto_closed=True)
-        self._sealed = True
+        self._writer = None
 
 
 class BumpAllocator:

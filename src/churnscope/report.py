@@ -724,6 +724,7 @@ def parse_verdict(data: bytes | str) -> RegressionVerdict:
     Only the thresholds and each delta's records are read; every status and
     delta is recomputed from them, and the document must be the recomputed
     verdict, so a hand-edited status, delta or flag raises ReportError.
+    Input bytes equal to the canonical form need no further comparison.
     """
     doc = _load_json(data, "verdict")
     if not isinstance(doc, dict):
@@ -770,7 +771,10 @@ def parse_verdict(data: bytes | str) -> RegressionVerdict:
     verdict = RegressionVerdict(thresholds, deltas)
     if flag != verdict.regression_detected:
         raise ReportError("regression_detected flag does not match the delta statuses")
-    recomputed = _load_json(serialize_verdict(verdict), "verdict")
+    canonical = serialize_verdict(verdict)
+    if data == canonical:
+        return verdict
+    recomputed = _load_json(canonical, "verdict")
     for i, (got, want) in enumerate(zip(deltas_doc, recomputed["deltas"])):
         if got != want:
             raise ReportError(f"deltas[{i}] does not match its records and thresholds")

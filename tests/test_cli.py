@@ -369,6 +369,34 @@ def test_run_epoch_out_of_range_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_ring_capacity_past_maxsize_exits_2(tmp_path, capsys):
+    out = tmp_path / "x.churn.json"
+    code = main([
+        "run", "--workload", "strings", "--out", str(out),
+        "--ring-capacity", "100000000000000000000000",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "ring capacity must be <=" in err
+    assert not out.exists()
+
+
+def test_rank_output_is_the_same_for_any_layout_of_a_verdict(tmp_path, capsys):
+    base = run_report(tmp_path, "base")
+    cand = run_report(tmp_path, "cand", variant="regressed")
+    capsys.readouterr()
+    assert main(["diff", str(base), str(cand), "--format", "json"]) == 1
+    canonical = tmp_path / "verdict.json"
+    canonical.write_bytes(capsys.readouterr().out.encode())
+    flat = tmp_path / "flat.json"
+    flat.write_bytes(b"\n".join(line.strip() for line in canonical.read_bytes().splitlines()))
+    for flags in ([], ["--by", "abs", "--tie-break", "name"], ["--format", "json"]):
+        assert main(["rank", str(canonical), *flags]) == 0
+        want = capsys.readouterr().out
+        assert main(["rank", str(flat), *flags]) == 0
+        assert capsys.readouterr().out == want
+
+
 def test_rank_rejects_hand_edited_status_exit_2(tmp_path, capsys):
     base = run_report(tmp_path, "base")
     cand = run_report(tmp_path, "cand", variant="regressed")

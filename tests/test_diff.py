@@ -440,6 +440,22 @@ def test_parse_verdict_rejects_deltas_that_do_not_match_their_records(edit):
         parse_verdict(json.dumps(doc))
 
 
+def test_parse_verdict_accepts_an_equivalent_non_canonical_layout():
+    data = serialize_verdict(diff_reports(report_with_units({"a": 10, "b": 2}), report_with_units({"a": 12, "b": 2})))
+    flat = b"\n".join(line.strip() for line in data.splitlines())
+    assert flat != data
+    assert serialize_verdict(parse_verdict(flat)) == data
+    assert serialize_verdict(parse_verdict(flat.decode())) == data
+
+
+def test_parse_verdict_rejects_an_edited_delta_in_the_canonical_layout():
+    data = serialize_verdict(diff_reports(report_with_units({"a": 10, "b": 2}), report_with_units({"a": 12, "b": 2})))
+    edited = data.replace(b'"cost_delta_abs": 20.000000', b'"cost_delta_abs": 19.000000')
+    assert edited != data
+    with pytest.raises(ReportError, match=r"deltas\[0\] does not match its records and thresholds"):
+        parse_verdict(edited)
+
+
 def test_parse_verdict_rejects_status_the_records_contradict():
     doc = _regressed_verdict_doc()
     regression = doc["deltas"][0]

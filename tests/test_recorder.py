@@ -1,5 +1,8 @@
+import dis
 import random
+import sys
 import threading
+from collections import deque
 
 import pytest
 
@@ -8,11 +11,17 @@ from churnscope import (
     BumpAllocator,
     CounterSnapshot,
     RecorderSealedError,
+    RecordingSession,
     ThreadAffinityError,
     ThreadRecorder,
     TracingAllocator,
+    begin_marker,
     default_cost_model,
+    end_marker,
+    event_cost,
+    span_churn,
 )
+from churnscope.cost_model import NANO
 from churnscope.recorder import BYTES_MAX
 
 from eventgen import drive_random_ops
@@ -215,14 +224,19 @@ def test_snapshot_fresh_recorder_all_zero():
     assert all(n == 0 for n in snapshot_calls(snap).values())
 
 
-@pytest.mark.parametrize("capacity", [1, 16])
+@pytest.mark.parametrize("capacity", [1, 16, 4096])
 def test_seq_is_the_call_count_after_every_call(capacity):
     rng = random.Random(2008)
     rec = make_recorder(capacity)
     heap = TracingAllocator(rec, BumpAllocator(budget=1 << 14))
     tokens = [None, 0xDEAD]  # a null token and one never handed out
     failures = 0
+    open_spans = []
     for n_calls in range(1, 601):
+        if rng.random() < 0.1:
+            open_spans.append(begin_marker(rec, "span"))
+        if open_spans and rng.random() < 0.1:
+            end_marker(open_spans.pop(rng.randrange(len(open_spans))))
         roll = rng.randrange(4)
         size = rng.randrange(1, 1 << 12)
         if roll == 0:
@@ -241,7 +255,75 @@ def test_seq_is_the_call_count_after_every_call(capacity):
         seqs = [ev.seq for ev in rec.events()]
         assert seqs == list(range(snap.seq - len(seqs), snap.seq))
         assert len(seqs) == min(capacity, n_calls)
+        # The overflow count is derived, not counted: one eviction per call
+        # once the ring is full.
+        assert snap.overflow_count == max(0, snap.seq - capacity)
     assert failures > 0
+    rec.seal()
+    assert len(rec.spans()) > 20
+    for span in rec.spans():
+        start, end = span.start_snapshot, span.end_snapshot
+        assert span_churn(span, MODEL).overflow == (end.seq > capacity and end.seq > start.seq)
+
+
+COST_SIZES = [0, 1, 2, 3, *(2**k + d for k in range(2, 63) for d in (-1, 0, 1)), BYTES_MAX]
+
+
+@pytest.mark.parametrize("model", [MODEL, MODEL.scaled(0.37)], ids=["default", "scaled-0.37"])
+def test_each_call_is_charged_the_one_cost_rule(model):
+    rec = ThreadRecorder("t0", model, ring_capacity=4)
+    calls = {
+        AllocFnKind.MALLOC: lambda n, addr: rec.record_malloc(n, addr),
+        AllocFnKind.CALLOC: lambda n, addr: rec.record_calloc(n, 1, addr),
+        AllocFnKind.REALLOC: lambda n, addr: rec.record_realloc(None, n, addr),
+        AllocFnKind.FREE: lambda n, addr: rec.record_free(addr),
+    }
+    addr = 0x1000
+    for kind, call in calls.items():
+        for n in COST_SIZES:
+            addr += 16
+            if kind is AllocFnKind.FREE:
+                rec.record_malloc(n, addr)  # the free is charged the block's size
+            before = rec.snapshot().cost_nano
+            call(n, addr)
+            assert (rec.events()[-1].kind, rec.events()[-1].nbytes) == (kind, n)
+            assert rec.snapshot().cost_nano - before == round(event_cost(model, kind, n) * NANO)
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, type(code)):
+            yield from _code_objects(const)
+
+
+@pytest.mark.parametrize(
+    "func",
+    [
+        ThreadRecorder.record_malloc,
+        ThreadRecorder.record_calloc,
+        ThreadRecorder.record_realloc,
+        ThreadRecorder.record_free,
+        ThreadRecorder._emit,
+        ThreadRecorder._admit,
+        ThreadRecorder._release,
+        TracingAllocator.malloc,
+        TracingAllocator.calloc,
+        TracingAllocator.realloc,
+        TracingAllocator.free,
+    ],
+    ids=lambda func: func.__qualname__,
+)
+def test_hot_path_never_looks_up_an_alloc_kind_member(func):
+    # ``AllocFnKind.MALLOC`` is an Enum class attribute lookup, many times
+    # dearer than the module constant bound to the same member.
+    loads = [
+        ins.argval
+        for code in _code_objects(func.__code__)
+        for ins in dis.get_instructions(code)
+        if ins.argval == "AllocFnKind"
+    ]
+    assert loads == []
 
 
 def test_snapshot_is_pure_read():
@@ -393,15 +475,15 @@ def test_interception_transparency_same_outcomes():
 def test_reentrant_internal_growth_is_never_recorded(monkeypatch):
     rec = make_recorder()
     heap = TracingAllocator(rec)
-    original_append = rec._append_event
 
-    def growing_append(ev):
-        # Simulate the recorder growing its own storage through the traced
-        # allocator while it is mid-mutation.
-        heap.malloc(32)
-        original_append(ev)
+    class GrowingRing(deque):
+        def append(self, entry):
+            # Simulate the recorder growing its own storage through the
+            # traced allocator while it is mid-mutation.
+            heap.malloc(32)
+            super().append(entry)
 
-    monkeypatch.setattr(rec, "_append_event", growing_append)
+    monkeypatch.setattr(rec, "_ring", GrowingRing(maxlen=rec.ring_capacity))
     tok = heap.malloc(100)
     assert tok is not None
     snap = rec.snapshot()
@@ -440,6 +522,14 @@ def test_sealed_recorder_rejects_recording():
 def test_ring_capacity_below_one_rejected():
     with pytest.raises(ValueError, match="ring capacity"):
         ThreadRecorder("t0", MODEL, ring_capacity=0)
+
+
+def test_ring_capacity_past_maxsize_rejected_at_construction():
+    assert ThreadRecorder("t0", MODEL, ring_capacity=sys.maxsize).ring_capacity == sys.maxsize
+    with pytest.raises(ValueError, match=f"ring capacity must be <= {sys.maxsize}, got {2**63}"):
+        RecordingSession(ring_capacity=2**63)
+    with pytest.raises(ValueError, match="ring capacity must be <= "):
+        ThreadRecorder("t0", MODEL, ring_capacity=sys.maxsize + 1)
 
 
 def test_negative_sizes_rejected():
