@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .cost_model import MICRO, AllocFnKind, CostModel
 from .errors import ModelMismatchError, SpanStateError
@@ -85,34 +85,44 @@ def merge_threads(parts: list[MarkerChurn]) -> MarkerChurn:
     Parts may come from different threads or from repeated spans on one
     thread; they are summed, not averaged, and since costs are integers the
     sum is exact in any order. Flags are OR'd; the merged record carries no
-    thread attribution.
+    thread attribution. The sum is ``merge_phases``'s one pass.
     """
     if not parts:
         raise ValueError("cannot merge an empty list of churn records")
     name = parts[0].name
-    cost_micro = bytes_allocated = bytes_freed = 0
-    calls = {_MALLOC: 0, _CALLOC: 0, _REALLOC: 0, _FREE: 0}
-    overflow = auto_closed = False
-    for part_name, part_cost, part_calls, part_allocated, part_freed, part_overflow, part_closed, _, _ in parts:
-        if part_name != name:
-            raise ValueError(f"cannot merge {part_name!r} into {name!r}")
-        cost_micro += part_cost
-        for kind, n in part_calls.items():
-            calls[kind] += n
-        bytes_allocated += part_allocated
-        bytes_freed += part_freed
-        overflow = overflow or part_overflow
-        auto_closed = auto_closed or part_closed
-    return MarkerChurn(name, cost_micro, calls, bytes_allocated, bytes_freed, overflow, auto_closed)
-
-
-def merge_phases(parts: list[MarkerChurn]) -> dict[str, MarkerChurn]:
-    """Group per-span records by name in one pass and merge each group.
-
-    Each group keeps the order of ``parts``; the result is keyed in name
-    order, the order a report lists its phases in.
-    """
-    by_name: dict[str, list[MarkerChurn]] = {}
     for part in parts:
-        by_name.setdefault(part.name, []).append(part)
-    return {name: merge_threads(by_name[name]) for name in sorted(by_name)}
+        if part.name != name:
+            raise ValueError(f"cannot merge {part.name!r} into {name!r}")
+    return merge_phases(parts)[name]
+
+
+def merge_phases(parts: Iterable[MarkerChurn]) -> dict[str, MarkerChurn]:
+    """Sum per-span records into one merged record per name, in one pass.
+
+    Each part is added field by field into its name's integer accumulators
+    (cost, the four call counts, a missing kind counting 0, the two byte
+    totals) and OR'd into its flags; no per-name lists are kept. The result
+    is keyed in name order, the order a report lists its phases in.
+    """
+    sums: dict[str, list] = {}
+    for name, cost, calls, allocated, freed, overflow, auto_closed, _, _ in parts:
+        acc = sums.get(name)
+        if acc is None:
+            sums[name] = [cost, calls.get(_MALLOC, 0), calls.get(_CALLOC, 0), calls.get(_REALLOC, 0),
+                          calls.get(_FREE, 0), allocated, freed, overflow, auto_closed]
+        else:
+            acc[0] += cost
+            acc[1] += calls.get(_MALLOC, 0)
+            acc[2] += calls.get(_CALLOC, 0)
+            acc[3] += calls.get(_REALLOC, 0)
+            acc[4] += calls.get(_FREE, 0)
+            acc[5] += allocated
+            acc[6] += freed
+            acc[7] = acc[7] or overflow
+            acc[8] = acc[8] or auto_closed
+    merged = {}
+    for name in sorted(sums):
+        cost, malloc, calloc, realloc, free, allocated, freed, overflow, auto_closed = sums[name]
+        calls = {_MALLOC: malloc, _CALLOC: calloc, _REALLOC: realloc, _FREE: free}
+        merged[name] = MarkerChurn(name, cost, calls, allocated, freed, overflow, auto_closed)
+    return merged

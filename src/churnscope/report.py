@@ -165,21 +165,25 @@ def _write_value(value: Any, out: list[str], nl: str) -> None:
     """Append the canonical text of ``value`` to ``out``; ``nl`` is a newline
     plus the indentation of the line ``value`` starts on.
 
-    Accepted: ``MarkerChurn`` records (see ``_write_churn``), dicts with
-    ``str`` keys (written in sorted key order), lists and tuples, ``str``,
-    ``int`` (``_Micro`` as a cost literal), finite ``float``, ``bool`` and
-    ``None``, subclasses of these included. Any other type, or a non-``str``
-    key, raises TypeError; a non-finite float raises ValueError.
+    Accepted: ``MarkerChurn`` records and ``ChurnDelta`` verdict rows, each
+    written directly as one string with its field types trusted (see
+    ``_churn_text`` and ``_delta_text``), dicts with ``str`` keys (written in
+    sorted key order), lists and tuples, ``str``, ``int`` (``_Micro`` as a
+    cost literal), finite ``float``, ``bool`` and ``None``, subclasses of
+    these included. Any other type, or a non-``str`` key, raises TypeError; a
+    non-finite float raises ValueError.
     """
     # The frequent types by exact type, most frequent first; the rare ones and
-    # subclasses by isinstance. A record is a tuple, so it goes before lists.
+    # subclasses by isinstance. Records and rows are tuples, so they go before lists.
     t = type(value)
     if t is str:
         out.append(_quote(value))
     elif t is int:
         out.append(str(value))
     elif t is MarkerChurn:
-        _write_churn(value, out, nl)
+        out.append(_churn_text(value, nl))
+    elif t is ChurnDelta:
+        out.append(_delta_text(value, nl))
     elif t is _Micro:
         out.append(format_cost(value))
     elif t is dict:
@@ -228,8 +232,8 @@ def _write_list(value: list | tuple, out: list[str], nl: str) -> None:
     out.append(nl + "]")
 
 
-def _write_churn(r: MarkerChurn, out: list[str], nl: str) -> None:
-    """Append a record as one string.
+def _churn_text(r: MarkerChurn, nl: str) -> str:
+    """A record as one string.
 
     The bytes are those the generic writer gives for the document of the
     record's fields, which holds ``thread_id`` and ``span_id`` unless both are
@@ -243,12 +247,37 @@ def _write_churn(r: MarkerChurn, out: list[str], nl: str) -> None:
         span_id = "null" if r.span_id is None else _quote(r.span_id)
         thread_id = "null" if r.thread_id is None else _quote(r.thread_id)
         ids = f',{i}"span_id": {span_id},{i}"thread_id": {thread_id}'
-    out.append(
+    return (
         f'{{{i}"auto_closed": {"true" if r.auto_closed else "false"},{i}"bytes_allocated": {r.bytes_allocated},'
         f'{i}"bytes_freed": {r.bytes_freed},{i}"calls": {{{j}"calloc": {c.get(_CALLOC, 0)},'
         f'{j}"free": {c.get(_FREE, 0)},{j}"malloc": {c.get(_MALLOC, 0)},{j}"realloc": {c.get(_REALLOC, 0)}{i}}},'
         f'{i}"cost": {format_cost(r.cost_micro)},{i}"name": {_quote(r.name)},'
         f'{i}"overflow": {"true" if r.overflow else "false"}{ids}{nl}}}'
+    )
+
+
+def _delta_text(d: ChurnDelta, nl: str) -> str:
+    """A verdict row as one string, each side's record by ``_churn_text``.
+
+    The bytes are those the generic writer gives for the row's document:
+    ``baseline`` and ``candidate`` (a record or null), ``phase``, ``status``,
+    ``cost_delta_abs`` as a cost literal, ``cost_delta_rel`` (null or a
+    float), ``call_delta`` keyed by kind name, and the two byte deltas.
+    Field types are trusted, not checked; ``call_delta`` holds every kind.
+    """
+    i = nl + "  "
+    j = i + "  "
+    c = d.call_delta
+    base, cand, rel = d.baseline, d.candidate, d.cost_delta_rel
+    return (
+        f'{{{i}"baseline": {"null" if base is None else _churn_text(base, i)},'
+        f'{i}"bytes_allocated_delta": {d.bytes_allocated_delta},{i}"bytes_freed_delta": {d.bytes_freed_delta},'
+        f'{i}"call_delta": {{{j}"calloc": {c[_CALLOC]},{j}"free": {c[_FREE]},'
+        f'{j}"malloc": {c[_MALLOC]},{j}"realloc": {c[_REALLOC]}{i}}},'
+        f'{i}"candidate": {"null" if cand is None else _churn_text(cand, i)},'
+        f'{i}"cost_delta_abs": {format_cost(d.cost_delta_micro)},'
+        f'{i}"cost_delta_rel": {"null" if rel is None else _fixed(float(rel))},'
+        f'{i}"phase": {_quote(d.phase)},{i}"status": {_quote(d.status)}{nl}}}'
     )
 
 
@@ -545,7 +574,14 @@ def parse_report(data: bytes | str) -> ChurnReport:
 
 
 def _check_merge_consistency(merged: dict[str, MarkerChurn], per_thread: list[MarkerChurn]) -> None:
+    """Raise ReportError unless each phase is the sum of its per-thread parts.
+
+    Equal records pass in one comparison; only a mismatch is looked at field
+    by field, to name the fault.
+    """
     summed = merge_phases(per_thread)
+    if summed == merged:
+        return
     if summed.keys() != merged.keys():
         missing = set(merged) ^ set(summed)
         raise ReportError(
@@ -687,20 +723,6 @@ def rank_regressions(
 # verdict documents
 
 
-def _delta_doc(delta: ChurnDelta) -> dict[str, Any]:
-    return {
-        "phase": delta.phase,
-        "status": delta.status,
-        "baseline": delta.baseline,
-        "candidate": delta.candidate,
-        "cost_delta_abs": _Micro(delta.cost_delta_micro),
-        "cost_delta_rel": None if delta.cost_delta_rel is None else float(delta.cost_delta_rel),
-        "call_delta": {kind.value: n for kind, n in delta.call_delta.items()},
-        "bytes_allocated_delta": delta.bytes_allocated_delta,
-        "bytes_freed_delta": delta.bytes_freed_delta,
-    }
-
-
 def verdict_doc(verdict: RegressionVerdict) -> dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -710,7 +732,7 @@ def verdict_doc(verdict: RegressionVerdict) -> dict[str, Any]:
             "call_floor": verdict.thresholds.call_floor,
         },
         "regression_detected": verdict.regression_detected,
-        "deltas": [_delta_doc(d) for d in verdict.deltas],
+        "deltas": verdict.deltas,
     }
 
 

@@ -106,7 +106,7 @@ class RecordingSession:
 
         Span costs are integer micro-units and each merged record is the
         exact sum of its parts, so a parsed report always satisfies the
-        merged-equals-sum check. Parts are grouped by name in one pass, so the
+        merged-equals-sum check. Parts are summed by name in one pass, so the
         cost is linear in the number of spans however many names they use.
         """
         recs = self.recorders()

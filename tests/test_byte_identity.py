@@ -72,12 +72,15 @@ def test_builtin_outputs_match_recorded_digests(tmp_path, capsysbinary):
     assert not changed, f"outputs differ from the recorded bytes: {changed}; new table:{table}"
 
 
-# Pinned where records dominate: two reports of about 2,700 records each, and
-# the ``diff --format json`` verdict between them (about 2,400 records).
+# Pinned where records dominate: two reports of about 2,700 records each, the
+# ``diff --format json`` verdict between them (about 2,400 records), and
+# ``rank --format json`` of that verdict by relative and by absolute delta.
 MANY_RECORD_DIGESTS = {
     "baseline.churn.json": "22e1c316326a3047dadd970f5481b8441938463b2a1144864371c54a4ba77dd4",
     "regressed.churn.json": "5385f500fb2534b39c2cea0aa274eef4633d411057acae6cd115a9d111d9a8c7",
     "verdict.json": "41e1e9aa8a3ea9d510d26b947e39c99fac270b2c40ac9d318f12d2e8db543944",
+    "rank-rel.json": "41e1e9aa8a3ea9d510d26b947e39c99fac270b2c40ac9d318f12d2e8db543944",
+    "rank-abs.json": "c3c5c8bcf33119c341522e834924a9911074cc1a10880b8125c148916abea9d0",
 }
 
 
@@ -118,6 +121,13 @@ def test_many_record_outputs_match_recorded_digests(tmp_path, capsysbinary):
         path.write_bytes(data)
         paths.append(str(path))
     assert main(["diff", *paths, "--format", "json"]) == 1
-    got["verdict.json"] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    verdict = capsysbinary.readouterr().out
+    got["verdict.json"] = hashlib.sha256(verdict).hexdigest()
+    path = tmp_path / "verdict.json"
+    path.write_bytes(verdict)
+    # rank reads the verdict through parse_verdict's canonical check and writes it again.
+    for by in ("rel", "abs"):
+        assert main(["rank", str(path), "--format", "json", "--by", by]) == 0
+        got[f"rank-{by}.json"] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
     table = "".join(f'\n    "{name}": "{digest}",' for name, digest in got.items())
     assert got == MANY_RECORD_DIGESTS, f"outputs differ from the recorded bytes; new table:{table}"

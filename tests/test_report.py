@@ -7,15 +7,21 @@ import pytest
 
 from churnscope import (
     AllocFnKind,
+    ChurnDelta,
+    ChurnReport,
     MarkerChurn,
     RecordingSession,
     ReportError,
     TracingAllocator,
+    default_cost_model,
+    diff_reports,
     marker,
     parse_report,
     serialize_report,
+    serialize_verdict,
 )
-from churnscope.report import _Micro, canonical_bytes, format_cost
+from churnscope import report as report_module
+from churnscope.report import STATUSES, ReportTotals, _Micro, canonical_bytes, format_cost
 
 from factories import report_with_units
 
@@ -149,6 +155,76 @@ def test_parse_rejects_call_count_mismatch():
     doc["phases"]["demo"]["calls"]["malloc"] += 1
     with pytest.raises(ReportError, match="call counts"):
         parse_report(json.dumps(doc))
+
+
+def _two_part_golden():
+    """The golden report with its span repeated: phase 'demo' is the sum of two parts."""
+    doc = json.loads(GOLDEN)
+    second = dict(doc["threads"][0], span_id="main/000001")
+    doc["threads"].append(second)
+    phase = doc["phases"]["demo"]
+    phase.update(cost=40.0, bytes_allocated=2048, bytes_freed=2048, calls={"calloc": 0, "free": 2, "malloc": 2, "realloc": 0})
+    return doc
+
+
+def _only_in_phases(doc):
+    doc["phases"]["extra"] = dict(doc["phases"]["demo"], name="extra")
+
+
+def _only_in_threads(doc):
+    doc["threads"].append(dict(doc["threads"][0], name="extra", span_id="main/000001"))
+
+
+def _set_in(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return edit
+
+
+_MERGE_FAULT = "merge-consistency failure for 'demo': "
+_NAME_FAULT = "phases and per-thread records disagree on phase names: 'extra'"
+
+
+@pytest.mark.parametrize(
+    "two_parts, edit, message",
+    [
+        (False, _set_in("phases", "demo", "cost", 20.5), _MERGE_FAULT + "cost is not the sum of parts"),
+        (False, _set_in("phases", "demo", "calls", "malloc", 2), _MERGE_FAULT + "call counts differ"),
+        (False, _set_in("phases", "demo", "bytes_allocated", 1025), _MERGE_FAULT + "byte totals differ"),
+        (False, _set_in("phases", "demo", "bytes_freed", 1023), _MERGE_FAULT + "byte totals differ"),
+        (False, _set_in("phases", "demo", "overflow", True), _MERGE_FAULT + "flags differ"),
+        (False, _set_in("threads", 0, "overflow", True), _MERGE_FAULT + "flags differ"),
+        (False, _set_in("phases", "demo", "auto_closed", True), _MERGE_FAULT + "flags differ"),
+        (False, _set_in("threads", 0, "auto_closed", True), _MERGE_FAULT + "flags differ"),
+        (False, _only_in_phases, _NAME_FAULT),
+        (False, _only_in_threads, _NAME_FAULT),
+        (True, lambda doc: None, None),
+        (True, _set_in("threads", 1, "cost", 20.000001), _MERGE_FAULT + "cost is not the sum of parts"),
+        (True, _set_in("threads", 1, "calls", "free", 2), _MERGE_FAULT + "call counts differ"),
+        (True, _set_in("threads", 1, "bytes_freed", 1000), _MERGE_FAULT + "byte totals differ"),
+        (True, _set_in("threads", 1, "auto_closed", True), _MERGE_FAULT + "flags differ"),
+    ],
+    ids=[
+        "phase-cost", "phase-calls", "phase-bytes-allocated", "phase-bytes-freed", "phase-overflow",
+        "thread-overflow", "phase-auto-closed", "thread-auto-closed", "name-only-in-phases",
+        "name-only-in-threads", "two-parts-consistent", "two-parts-cost", "two-parts-calls",
+        "two-parts-bytes", "two-parts-auto-closed",
+    ],
+)
+def test_parse_names_each_merge_fault(two_parts, edit, message):
+    doc = _two_part_golden() if two_parts else json.loads(GOLDEN)
+    edit(doc)
+    if message is None:
+        parse_report(json.dumps(doc))
+        return
+    with pytest.raises(ReportError) as excinfo:
+        parse_report(json.dumps(doc))
+    assert str(excinfo.value) == message
 
 
 def test_parse_rejects_negative_counters():
@@ -535,3 +611,102 @@ def test_record_writer_matches_generic_writer():
             assert canonical_bytes(shape(record)) == canonical_bytes(shape(plain))
 
     check()
+
+
+def _delta_as_dict(delta):
+    """The document a verdict row is written as, built field by field for the generic writer."""
+    return {
+        "phase": delta.phase,
+        "status": delta.status,
+        "baseline": None if delta.baseline is None else _record_as_dict(delta.baseline),
+        "candidate": None if delta.candidate is None else _record_as_dict(delta.candidate),
+        "cost_delta_abs": _Micro(delta.cost_delta_micro),
+        "cost_delta_rel": delta.cost_delta_rel,
+        "call_delta": {kind.value: n for kind, n in delta.call_delta.items()},
+        "bytes_allocated_delta": delta.bytes_allocated_delta,
+        "bytes_freed_delta": delta.bytes_freed_delta,
+    }
+
+
+def test_row_writer_matches_generic_writer():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    text = st.text(
+        st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7f\u2028é☃\U0001F600'), max_size=12
+    )
+    count = st.integers(0, 2**40) | st.integers(0, 10**40)
+    delta = st.integers(-(2**40), 2**40) | st.integers(-(10**40), 10**40)
+    records = st.builds(
+        MarkerChurn,
+        name=text,
+        cost_micro=st.integers(0, 10**40),
+        calls=st.fixed_dictionaries({kind: count for kind in AllocFnKind}),
+        bytes_allocated=count,
+        bytes_freed=count,
+        overflow=st.booleans(),
+        auto_closed=st.booleans(),
+    )
+    rows = st.builds(
+        ChurnDelta,
+        phase=text,
+        status=st.sampled_from(STATUSES),
+        baseline=st.none() | records,
+        candidate=st.none() | records,
+        cost_delta_micro=delta,
+        cost_delta_rel=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+        call_delta=st.fixed_dictionaries({kind: delta for kind in AllocFnKind}),
+        bytes_allocated_delta=delta,
+        bytes_freed_delta=delta,
+    )
+    record = MarkerChurn('a "b" \\c\n é☃', 10**25 + 1, dict.fromkeys(AllocFnKind, 10**30), 2**64, 0, True, False)
+    calls = dict.fromkeys(AllocFnKind, -(10**40))
+    quoted = ChurnDelta('a "b" \\c\n é☃', "regression", record, record, -(10**40), -0.5, calls, -1, -(10**40))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(rows)
+    @example(quoted)
+    @example(quoted._replace(baseline=None, cost_delta_rel=None, status="new_phase"))
+    @example(quoted._replace(candidate=None, cost_delta_rel=None, status="removed_phase"))
+    @example(quoted._replace(cost_delta_rel=-0.0000004, cost_delta_micro=0))
+    def check(row):
+        plain = _delta_as_dict(row)
+        # A verdict holds its rows two levels deep; a row also writes at the top level.
+        assert canonical_bytes({"deltas": [row]}) == canonical_bytes({"deltas": [plain]})
+        assert canonical_bytes(row) == canonical_bytes(plain)
+
+    check()
+
+
+def _verdict_of(n):
+    """A verdict of n rows: every phase's cost doubles."""
+    calls = dict.fromkeys(AllocFnKind, 1)
+    base = {f"p{i:04d}": MarkerChurn(f"p{i:04d}", 1_000_000 + i, calls) for i in range(n)}
+    cand = {name: r._replace(cost_micro=2 * r.cost_micro) for name, r in base.items()}
+    model = default_cost_model()
+    return diff_reports(
+        ChurnReport("b", "t", model, base, [], ReportTotals()), ChurnReport("c", "t", model, cand, [], ReportTotals())
+    )
+
+
+def test_verdict_rows_are_not_written_as_generic_dicts(monkeypatch):
+    # Deterministic guard for the row writer: the generic dict writer runs a
+    # fixed number of times per verdict (the document and its thresholds),
+    # however many rows it holds.
+    calls = []
+    write_dict = report_module._write_dict
+
+    def counting(value, out, nl):
+        calls.append(len(value))
+        write_dict(value, out, nl)
+
+    monkeypatch.setattr(report_module, "_write_dict", counting)
+    counts = []
+    for n in (2, 2000):
+        verdict = _verdict_of(n)
+        assert len(verdict.deltas) == n
+        calls.clear()
+        serialize_verdict(verdict)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 2

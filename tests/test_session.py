@@ -136,28 +136,50 @@ def test_build_report_matches_rescan_oracle(seed):
     assert serialize_report(report) == serialize_report(expected)
 
 
-def test_build_report_merges_each_name_once_with_only_its_parts(monkeypatch):
+class CountingParts:
+    """An iterable of parts that counts the passes made over it and the parts read."""
+
+    def __init__(self, parts):
+        self.parts = parts
+        self.passes = 0
+        self.read = 0
+
+    def __iter__(self):
+        self.passes += 1
+        for part in self.parts:
+            self.read += 1
+            yield part
+
+
+def _summed_by_hand(parts):
+    """Each name's parts added field by field, without merge_threads or merge_phases."""
+    merged = {}
+    for name in sorted({p.name for p in parts}):
+        group = [p for p in parts if p.name == name]
+        merged[name] = MarkerChurn(
+            name,
+            sum(p.cost_micro for p in group),
+            {kind: sum(p.calls[kind] for p in group) for kind in group[0].calls},
+            sum(p.bytes_allocated for p in group),
+            sum(p.bytes_freed for p in group),
+            any(p.overflow for p in group),
+            any(p.auto_closed for p in group),
+        )
+    return merged
+
+
+def test_build_report_merges_each_name_once_with_only_its_parts():
     session = random_session(7)
-    seen = []
-
-    def spy(parts):
-        seen.append(list(parts))
-        return merge_threads(parts)
-
-    def assert_each_name_merged_once(report):
-        assert sorted(group[0].name for group in seen) == sorted(report.merged)
-        for group in seen:
-            name = group[0].name
-            assert group == [p for p in report.per_thread if p.name == name]
-
-    monkeypatch.setattr(aggregation, "merge_threads", spy)
+    merged, parts = rescan_oracle(session)
+    assert list(_summed_by_hand(parts).items()) == list(merged.items())
     report = session.build_report()
-    assert_each_name_merged_once(report)
-    # Parsing checks each phase against the sum of its parts, merging each name once too.
-    seen.clear()
     parsed = parse_report(serialize_report(report))
-    assert parsed.merged == report.merged
-    assert_each_name_merged_once(parsed)
+    for got in (report, parsed):
+        assert got.per_thread == parts
+        assert list(got.merged.items()) == list(merged.items())
+        counted = CountingParts(got.per_thread)
+        assert list(aggregation.merge_phases(counted).items()) == list(merged.items())
+        assert (counted.passes, counted.read) == (1, len(parts))
 
 
 def test_ring_capacity_below_one_rejected_at_construction():
