@@ -21,6 +21,8 @@ from .cost_model import default_cost_model, load_cost_model
 from .errors import ChurnscopeError
 from .recorder import DEFAULT_RING_CAPACITY
 from .report import (
+    DEFAULT_ABS_FLOOR,
+    DEFAULT_REL_THRESHOLD,
     ChurnDelta,
     ChurnReport,
     RegressionVerdict,
@@ -93,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff = sub.add_parser("diff", help="compare two reports; exit 1 on regression")
     p_diff.add_argument("baseline", type=Path)
     p_diff.add_argument("candidate", type=Path)
-    p_diff.add_argument("--rel-threshold", type=float, default=Thresholds.rel)
-    p_diff.add_argument("--abs-floor", type=float, default=Thresholds.abs_floor)
+    p_diff.add_argument("--rel-threshold", type=float, default=DEFAULT_REL_THRESHOLD)
+    p_diff.add_argument("--abs-floor", type=float, default=DEFAULT_ABS_FLOOR)
     p_diff.add_argument("--call-floor", type=int, default=None,
                         help="also flag phases whose total call count grows by more than this")
     p_diff.add_argument("--format", choices=("text", "json"), default="text")

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Iterable, NamedTuple
 
 from .errors import CostModelError
 
@@ -49,20 +49,27 @@ DEFAULT_WEIGHTS: dict[AllocFnKind, float] = {
 _FILE_KEYS = {kind.value: kind for kind in AllocFnKind}
 
 
-@dataclass(frozen=True)
-class CostModel:
+class _CostModelFields(NamedTuple):
+    weights: dict[AllocFnKind, float]
+    model_version: str
+
+
+class CostModel(_CostModelFields):
     """Immutable per-kind weight table plus a version label.
 
     Reports embed the full descriptor (weights and version); two reports are
-    only comparable when their descriptors are equal.
+    only comparable when their descriptors are equal. Every way of building
+    one, ``_replace`` and ``_make`` included, stores a fresh dict of float weights.
     """
 
-    weights: dict[AllocFnKind, float] = field(default_factory=dict)
-    model_version: str = DEFAULT_MODEL_VERSION
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        normalized = {k: float(v) for k, v in self.weights.items()}
-        object.__setattr__(self, "weights", normalized)
+    def __new__(cls, weights: dict[AllocFnKind, float] = {}, model_version: str = DEFAULT_MODEL_VERSION) -> CostModel:
+        return super().__new__(cls, {k: float(v) for k, v in weights.items()}, model_version)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> CostModel:
+        return cls(*super()._make(iterable))
 
     def scaled(self, factor: float, model_version: str | None = None) -> "CostModel":
         """Return a copy with every weight multiplied by ``factor``."""

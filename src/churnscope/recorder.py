@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from dataclasses import dataclass
 from math import log2
 from threading import get_ident
 from typing import TYPE_CHECKING, NamedTuple
@@ -40,8 +39,7 @@ DEFAULT_RING_CAPACITY = 4096
 BYTES_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True, slots=True)
-class AllocEvent:
+class AllocEvent(NamedTuple):
     """One intercepted allocator call.
 
     ``nbytes`` is the effective byte count: the requested size for malloc

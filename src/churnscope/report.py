@@ -13,9 +13,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
 from decimal import Context, Decimal, Inexact
-from typing import Any, NamedTuple, NoReturn
+from typing import Any, Iterable, NamedTuple, NoReturn
 
 from .aggregation import MarkerChurn, merge_phases
 from .cost_model import MICRO, AllocFnKind, CostModel, validate_cost_model
@@ -60,8 +59,13 @@ class _Micro(int):
     """A cost in a document: the writer renders it with ``format_cost``."""
 
 
-@dataclass(frozen=True)
-class Thresholds:
+class _ThresholdFields(NamedTuple):
+    rel: float
+    abs_floor: float
+    call_floor: int | None
+
+
+class Thresholds(_ThresholdFields):
     """Regression gate configuration, recorded inside every verdict.
 
     ``rel`` is the relative cost-growth threshold. ``abs_floor`` handles
@@ -69,31 +73,32 @@ class Thresholds:
     candidate cost exceeds the floor, since a relative delta is undefined.
     ``call_floor``, when set, additionally flags phases whose total call
     count grew by more than the floor even if cost barely moved; it is off
-    by default.
+    by default. Every way of building one, ``_replace`` and ``_make``
+    included, checks and rounds the fields.
     """
 
-    rel: float = DEFAULT_REL_THRESHOLD
-    abs_floor: float = DEFAULT_ABS_FLOOR
-    call_floor: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, rel: float = DEFAULT_REL_THRESHOLD, abs_floor: float = DEFAULT_ABS_FLOOR,
+                call_floor: int | None = None) -> Thresholds:
         # NaN fails every comparison in _classify, so an unchecked NaN (or
         # inf, or a negative floor) would silently disable the gate.
-        for name in ("rel", "abs_floor"):
-            value = getattr(self, name)
+        for name, value in (("rel", rel), ("abs_floor", abs_floor)):
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not number or not 0 <= value <= sys.float_info.max:
                 raise ValueError(f"threshold {name} must be a finite number >= 0, got {value!r}")
-            # Gate on the six decimals a verdict records, so parse_verdict can recompute it.
-            object.__setattr__(self, name, round(value, COST_DECIMALS))
-        floor = self.call_floor
-        integer = isinstance(floor, int) and not isinstance(floor, bool)
-        if floor is not None and (not integer or floor < 0):
-            raise ValueError(f"threshold call_floor must be null or an integer >= 0, got {floor!r}")
+        integer = isinstance(call_floor, int) and not isinstance(call_floor, bool)
+        if call_floor is not None and (not integer or call_floor < 0):
+            raise ValueError(f"threshold call_floor must be null or an integer >= 0, got {call_floor!r}")
+        # Gate on the six decimals a verdict records, so parse_verdict can recompute it.
+        return super().__new__(cls, round(rel, COST_DECIMALS), round(abs_floor, COST_DECIMALS), call_floor)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> Thresholds:
+        return cls(*super()._make(iterable))
 
 
-@dataclass
-class ReportTotals:
+class ReportTotals(NamedTuple):
     """Whole-run counters, including activity outside any span."""
 
     bytes_allocated: int = 0
@@ -104,8 +109,7 @@ class ReportTotals:
     overflow_count: int = 0
 
 
-@dataclass
-class ChurnReport:
+class ChurnReport(NamedTuple):
     """Canonical per-build artifact: merged phases plus per-thread parts."""
 
     build_id: str
@@ -141,12 +145,23 @@ class ChurnDelta(NamedTuple):
         return abs(self.bytes_allocated_delta) + abs(self.bytes_freed_delta)
 
 
-@dataclass
 class RegressionVerdict:
-    """Diff outcome: thresholds used, ranked deltas, and the overall gate."""
+    """Diff outcome: thresholds used, ranked deltas, and the overall gate. Unlike the
+    named tuples it is mutable: ``deltas`` may be reassigned."""
 
-    thresholds: Thresholds
-    deltas: list[ChurnDelta]
+    __slots__ = ("thresholds", "deltas")
+
+    def __init__(self, thresholds: Thresholds, deltas: list[ChurnDelta]) -> None:
+        self.thresholds = thresholds
+        self.deltas = deltas
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.thresholds, self.deltas) == (other.thresholds, other.deltas)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(thresholds={self.thresholds!r}, deltas={self.deltas!r})"
 
     @property
     def regression_detected(self) -> bool:
@@ -171,7 +186,8 @@ def _write_value(value: Any, out: list[str], nl: str) -> None:
     sorted key order), lists and tuples, ``str``, ``int`` (``_Micro`` as a
     cost literal), finite ``float``, ``bool`` and ``None``, subclasses of
     these included. Any other type, or a non-``str`` key, raises TypeError; a
-    non-finite float raises ValueError.
+    non-finite float raises ValueError. Any other named tuple (``ReportTotals``,
+    ``CounterSnapshot``) is a tuple subclass and is written as a list.
     """
     # The frequent types by exact type, most frequent first; the rare ones and
     # subclasses by isinstance. Records and rows are tuples, so they go before lists.
@@ -321,7 +337,7 @@ def report_doc(report: ChurnReport) -> dict[str, Any]:
         "cost_model": model_descriptor(report.model),
         "phases": report.merged,
         "threads": report.per_thread,
-        "counters": asdict(report.totals),
+        "counters": report.totals._asdict(),
     }
 
 
@@ -430,7 +446,7 @@ def _expect_micro(doc: dict[str, Any], key: str, what: str) -> int:
 # come with the types _expect accepts, in the order _reject_record checks them.
 _REPORT_KEYS = frozenset(("schema_version", "build_id", "created_at", "cost_model", "phases", "threads", "counters"))
 _MODEL_KEYS = frozenset(("model_version", "weights"))
-_COUNTER_KEYS = frozenset(f.name for f in fields(ReportTotals))
+_COUNTER_KEYS = frozenset(ReportTotals._fields)
 _MERGED_FIELDS = (("name", str), ("cost", (int, Decimal)), ("calls", dict), ("bytes_allocated", int),
                   ("bytes_freed", int), ("overflow", bool), ("auto_closed", bool))
 _THREAD_FIELDS = _MERGED_FIELDS + (("thread_id", str), ("span_id", str))
@@ -554,11 +570,9 @@ def parse_report(data: bytes | str) -> ChurnReport:
         per_thread.append(record)
 
     counters_doc = _expect(doc, "counters", dict, "report")
-    totals = ReportTotals(
-        **{f.name: _expect(counters_doc, f.name, int, "counters") for f in fields(ReportTotals)}
-    )
+    totals = ReportTotals(*(_expect(counters_doc, key, int, "counters") for key in ReportTotals._fields))
     _reject_unknown(counters_doc, _COUNTER_KEYS, "counters")
-    for fname, value in vars(totals).items():
+    for fname, value in totals._asdict().items():
         if value < 0:
             raise ReportError(f"counters field {fname!r} is negative")
 

@@ -117,16 +117,17 @@ class RecordingSession:
                 )
         # Recorders come ordered by label and spans in begin order.
         parts = [span_churn(span, self._model) for rec in recs for span in rec.spans()]
-        totals = ReportTotals()
+        allocated = freed = live_blocks = live_bytes = anomalies = overflows = 0
         for rec in recs:
             snap = rec.snapshot()
-            totals.bytes_allocated += snap.bytes_allocated
-            totals.bytes_freed += snap.bytes_freed
-            totals.anomaly_count += snap.anomaly_count
-            totals.overflow_count += snap.overflow_count
+            allocated += snap.bytes_allocated
+            freed += snap.bytes_freed
+            anomalies += snap.anomaly_count
+            overflows += snap.overflow_count
             live = rec.live_table()
-            totals.live_blocks += len(live)
-            totals.live_bytes += sum(live.values())
+            live_blocks += len(live)
+            live_bytes += sum(live.values())
+        totals = ReportTotals(allocated, freed, live_blocks, live_bytes, anomalies, overflows)
         return ChurnReport(
             build_id=self.build_id,
             created_at=self.created_at if self.created_at is not None else utc_timestamp(),

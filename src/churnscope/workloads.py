@@ -13,8 +13,7 @@ nothing else, so a baseline-vs-regressed diff must flag exactly that phase.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import WorkloadError
 from .markers import begin_marker, end_marker, marker
@@ -53,8 +52,7 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo)
 
 
-@dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(NamedTuple):
     """Fully determines one workload run: (name, seed, scale, variant)."""
 
     name: str
@@ -201,8 +199,7 @@ def _run_multithread(spec: WorkloadSpec, session: RecordingSession) -> None:
         worker.join()
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(NamedTuple):
     phases: tuple[str, ...]
     run: Callable[[WorkloadSpec, RecordingSession], None]
     regressed_phase: str

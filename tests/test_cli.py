@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import churnscope
-from churnscope import parse_report, parse_verdict
-from churnscope.cli import main
+from churnscope import Thresholds, parse_report, parse_verdict
+from churnscope.cli import build_parser, main
 
 
 def run_report(tmp_path, name="base", variant="baseline", extra=()):
@@ -306,6 +306,27 @@ def test_module_entrypoint_runs():
     proc = run_module("--help", text=True)
     assert proc.returncode == 0
     assert "diff" in proc.stdout
+
+
+def test_diff_defaults_build_the_default_thresholds():
+    args = build_parser().parse_args(["diff", "a", "b"])
+    parsed = (args.rel_threshold, args.abs_floor, args.call_floor)
+    assert parsed == tuple(Thresholds()) and Thresholds(*parsed) == Thresholds()
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # Every churnscope command is a new process that pays for its imports;
+    # ``dataclasses`` alone would bring in the other four.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+        "import churnscope.cli\n"
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(churnscope.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
+    imported = set(proc.stdout.split())
+    assert "churnscope.cli" in imported
+    assert imported & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
 
 
 def test_diff_color_flag_wraps_statuses(tmp_path, capsys):

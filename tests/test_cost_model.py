@@ -28,6 +28,13 @@ def test_default_weights():
     assert all(w > 0 for w in MODEL.weights.values())
 
 
+def test_replace_and_make_normalize_weights_like_the_constructor():
+    weights = {kind: 1 for kind in AllocFnKind}
+    for model in (MODEL._replace(weights=weights), CostModel._make([weights, "v"]), CostModel(weights, "v")):
+        assert type(model) is CostModel and model.weights == weights and model.weights is not weights
+        assert all(type(w) is float for w in model.weights.values())
+
+
 @pytest.mark.parametrize(
     "kind,nbytes,expected",
     [

@@ -487,6 +487,30 @@ def test_parse_verdict_rejects_lone_surrogates():
     assert [d.phase for d in pair.deltas] == ["\U0001F600"]
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"rel": math.nan}, "threshold rel must be a finite number >= 0, got nan"),
+        ({"abs_floor": -1}, "threshold abs_floor must be a finite number >= 0, got -1"),
+        ({"call_floor": True}, "threshold call_floor must be null or an integer >= 0, got True"),
+    ],
+)
+def test_thresholds_replace_checks_like_the_constructor(kwargs, message):
+    # A plain named tuple's _replace and _make build without calling __new__.
+    for build in (lambda: Thresholds(**kwargs), lambda: Thresholds()._replace(**kwargs)):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+def test_thresholds_make_rounds_like_the_constructor():
+    made = Thresholds._make([0.0123456789, 1, None])
+    assert type(made) is Thresholds and made.rel == 0.012346
+    assert made == Thresholds(0.0123456789, 1) == Thresholds()._replace(rel=0.0123456789, abs_floor=1)
+    with pytest.raises(TypeError):
+        Thresholds._make([0.01, 1.0])
+
+
 def test_thresholds_gate_on_the_six_decimals_a_verdict_records():
     assert Thresholds(rel=0.0123456789, abs_floor=0.5000004).rel == 0.012346
     assert Thresholds(abs_floor=0.5000004).abs_floor == 0.5

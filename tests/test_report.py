@@ -710,3 +710,17 @@ def test_verdict_rows_are_not_written_as_generic_dicts(monkeypatch):
         serialize_verdict(verdict)
         counts.append(len(calls))
     assert counts[0] == counts[1] == 2
+
+
+def test_documents_hold_no_named_tuples_but_records_and_rows():
+    # The writer writes any other tuple subclass (ReportTotals, Thresholds) as
+    # a list, so the documents must hold those as dicts.
+    def tuple_types(value):
+        if isinstance(value, dict):
+            return set().union(*map(tuple_types, value.values()))
+        if type(value) in (list, tuple):
+            return set().union(*map(tuple_types, value))
+        return {type(value)} if isinstance(value, tuple) else set()
+
+    assert tuple_types(report_module.report_doc(golden_report())) == {MarkerChurn}
+    assert tuple_types(report_module.verdict_doc(_verdict_of(2))) == {ChurnDelta}
