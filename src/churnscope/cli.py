@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .cost_model import default_cost_model, load_cost_model
 from .errors import ChurnscopeError
-from .recorder import DEFAULT_RING_CAPACITY
 from .report import (
     DEFAULT_ABS_FLOOR,
     DEFAULT_REL_THRESHOLD,
@@ -84,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--build-id", default="local")
     p_run.add_argument("--epoch", type=int, default=None,
                        help="pin created_at to this UNIX epoch (for reproducible files)")
-    p_run.add_argument("--ring-capacity", type=_positive, default=DEFAULT_RING_CAPACITY,
-                       help="per-thread event ring size (default: %(default)s)")
 
     p_show = sub.add_parser("show", help="pretty-print a report")
     p_show.add_argument("report", type=Path)
@@ -162,12 +159,7 @@ def _write_atomically(path: Path, data: bytes) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     model = load_cost_model(args.cost_model) if args.cost_model else default_cost_model()
     created_at = utc_timestamp(args.epoch) if args.epoch is not None else None
-    session = RecordingSession(
-        model,
-        ring_capacity=args.ring_capacity,
-        build_id=args.build_id,
-        created_at=created_at,
-    )
+    session = RecordingSession(model, build_id=args.build_id, created_at=created_at)
     spec = WorkloadSpec(args.workload, seed=args.seed, scale=args.scale, variant=args.variant)
     report = run_workload(spec, session)
     _write_atomically(args.out, serialize_report(report))

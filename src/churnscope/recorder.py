@@ -15,8 +15,8 @@ diagnostics and for replay-based validation, and ``events()`` builds
 and a full ring evicts once per call, so the overflow count is
 ``max(0, seq - capacity)``, computed when a snapshot is taken; the capacity
 changes no cost, call or byte count. The ``record_*`` methods return ``None``.
-A reentrancy guard held around every mutation keeps the recorder's own
-bookkeeping allocations out of the record.
+The recorder's own bookkeeping does only dict, list and deque operations on
+ints, so it never calls back into a ``TracingAllocator``.
 """
 
 from __future__ import annotations
@@ -120,11 +120,11 @@ class ThreadRecorder:
     def __init__(self, thread_id: str, model: CostModel, ring_capacity: int | None = None):
         self.thread_id = thread_id
         self._model = model
+        self._weights = model.weights
         self._os_ident = self._writer = get_ident()
         self._ring: deque[tuple] = deque(maxlen=checked_ring_capacity(ring_capacity))
         self._c = [0] * len(CounterSnapshot._fields)
         self._live: dict[int, int] = {}
-        self._depth = 0
         self._spans: list[MarkerSpan] = []
 
     @property
@@ -139,10 +139,6 @@ class ThreadRecorder:
     def ring_capacity(self) -> int:
         return self._ring.maxlen
 
-    @property
-    def reentrancy_depth(self) -> int:
-        return self._depth
-
     def _require_writable(self) -> None:
         """Raise unless called on the owning thread before ``seal()``."""
         if get_ident() != self._os_ident:
@@ -154,29 +150,19 @@ class ThreadRecorder:
 
     def record_malloc(self, requested: int, addr: int | None) -> None:
         """Record one malloc call; ``addr is None`` means the call failed."""
-        if self._depth or get_ident() != self._writer:
-            self._require_writable()  # raises unless writable
-            return  # recorder-internal allocation, never recorded
-        if requested < 0:
-            raise ValueError(f"requested size must be nonnegative, got {requested}")
-        self._depth += 1
-        try:
-            self._emit(_MALLOC, self._admit(addr, requested), addr, None)
-        finally:
-            self._depth -= 1
+        if get_ident() != self._writer:
+            self._require_writable()  # raises: another thread, or sealed
+        if type(requested) is not int or requested < 0:
+            raise ValueError(f"requested size must be a nonnegative int, got {requested!r}")
+        self._emit(_MALLOC, self._admit(addr, requested), addr, None)
 
     def record_calloc(self, count: int, elem_size: int, addr: int | None) -> None:
         """Record one calloc call; effective bytes are ``count * elem_size``."""
-        if self._depth or get_ident() != self._writer:
+        if get_ident() != self._writer:
             self._require_writable()
-            return
-        if count < 0 or elem_size < 0:
-            raise ValueError("calloc count and element size must be nonnegative")
-        self._depth += 1
-        try:
-            self._emit(_CALLOC, self._admit(addr, count * elem_size), addr, None)
-        finally:
-            self._depth -= 1
+        if type(count) is not int or count < 0 or type(elem_size) is not int or elem_size < 0:
+            raise ValueError(f"calloc sizes must be nonnegative ints, got {count!r}, {elem_size!r}")
+        self._emit(_CALLOC, self._admit(addr, count * elem_size), addr, None)
 
     def record_free(self, old_addr: int | None) -> None:
         """Record one free call, attributing bytes from the live table.
@@ -186,14 +172,9 @@ class ThreadRecorder:
         bumps the anomaly counter: it signals a block allocated before
         interception began, or a mismatched report.
         """
-        if self._depth or get_ident() != self._writer:
+        if get_ident() != self._writer:
             self._require_writable()
-            return
-        self._depth += 1
-        try:
-            self._emit(_FREE, self._release(old_addr), None, old_addr)
-        finally:
-            self._depth -= 1
+        self._emit(_FREE, self._release(old_addr), None, old_addr)
 
     def record_realloc(self, old_addr: int | None, requested: int, addr: int | None) -> None:
         """Record one realloc call as a single event charged on the new size.
@@ -204,23 +185,18 @@ class ThreadRecorder:
         removes the entry and admits nothing; ``addr is None`` with a nonzero
         request is a failed call that leaves the original block live.
         """
-        if self._depth or get_ident() != self._writer:
+        if get_ident() != self._writer:
             self._require_writable()
-            return
-        if requested < 0:
-            raise ValueError(f"requested size must be nonnegative, got {requested}")
-        self._depth += 1
-        try:
-            if addr is None and requested:
-                # Failed call: the original block stays live, the event carries no tokens.
-                self._emit(_REALLOC, 0, None, None)
-            else:
-                self._c[_REALLOC_FREED] += self._release(old_addr)
-                if not requested:
-                    addr = None  # a zero-size realloc admits no block, whatever came back
-                self._emit(_REALLOC, self._admit(addr, requested), addr, old_addr)
-        finally:
-            self._depth -= 1
+        if type(requested) is not int or requested < 0:
+            raise ValueError(f"requested size must be a nonnegative int, got {requested!r}")
+        if addr is None and requested:
+            # Failed call: the original block stays live, the event carries no tokens.
+            self._emit(_REALLOC, 0, None, None)
+        else:
+            self._c[_REALLOC_FREED] += self._release(old_addr)
+            if not requested:
+                addr = None  # a zero-size realloc admits no block, whatever came back
+            self._emit(_REALLOC, self._admit(addr, requested), addr, old_addr)
 
     def _admit(self, addr: int | None, requested: int) -> int:
         """Enter a new block in the live table; return the bytes it is charged.
@@ -262,7 +238,7 @@ class ThreadRecorder:
         """
         c = self._c
         if nbytes > 1:
-            c[_COST] += round(self._model.weights[kind] * log2(nbytes) * NANO)
+            c[_COST] += round(self._weights[kind] * log2(nbytes) * NANO)
         c[_CALLS[kind]] += 1
         c[_BYTES[kind]] += nbytes
         self._ring.append((kind, nbytes, addr, old_addr))
@@ -367,9 +343,7 @@ class TracingAllocator:
     """The four-call interception surface.
 
     Forwards every call to the base allocator unchanged and records it into
-    the owning thread's recorder. While the recorder's reentrancy guard is
-    held (its own bookkeeping is running), calls are forwarded but not
-    recorded.
+    the owning thread's recorder.
     """
 
     def __init__(self, recorder: ThreadRecorder, base: BumpAllocator | None = None):

@@ -351,27 +351,6 @@ def test_rank_reads_stdin(tmp_path):
     assert rank.stdout == diff.stdout  # diff output is already ranked
 
 
-def test_ring_capacity_flag_respected_by_run(tmp_path, capsys):
-    out = tmp_path / "tiny.churn.json"
-    assert main([
-        "run", "--workload", "strings", "--seed", "1", "--scale", "2",
-        "--out", str(out), "--epoch", "0", "--ring-capacity", "2",
-    ]) == 0
-    report = parse_report(out.read_bytes())
-    assert report.totals.overflow_count > 0
-    # counters survive eviction: merged totals match an uncapped run
-    big = tmp_path / "big.churn.json"
-    assert main([
-        "run", "--workload", "strings", "--seed", "1", "--scale", "2",
-        "--out", str(big), "--epoch", "0",
-    ]) == 0
-    uncapped = parse_report(big.read_bytes())
-    for name, record in uncapped.merged.items():
-        capped = report.merged[name]
-        assert capped.calls == record.calls
-        assert capped.cost == record.cost
-
-
 def test_ring_capacity_env_var_does_not_change_run(tmp_path, monkeypatch):
     plain = run_report(tmp_path, "plain").read_bytes()
     monkeypatch.setenv("CHURNSCOPE_RING_CAPACITY", "2")
@@ -391,15 +370,15 @@ def test_run_epoch_out_of_range_exits_2(tmp_path, capsys):
 
 
 def test_run_ring_capacity_past_maxsize_exits_2(tmp_path, capsys):
+    # ``run`` has no ring option: CLI reports always use the default ring.
     out = tmp_path / "x.churn.json"
-    code = main([
-        "run", "--workload", "strings", "--out", str(out),
-        "--ring-capacity", "100000000000000000000000",
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "ring capacity must be <=" in err
-    assert not out.exists()
+    for value in ("2", "100000000000000000000000"):
+        code = main([
+            "run", "--workload", "strings", "--out", str(out), "--ring-capacity", value,
+        ])
+        assert code == 2
+        assert "unrecognized arguments: --ring-capacity" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_rank_output_is_the_same_for_any_layout_of_a_verdict(tmp_path, capsys):

@@ -2,7 +2,6 @@ import dis
 import random
 import sys
 import threading
-from collections import deque
 
 import pytest
 
@@ -15,16 +14,22 @@ from churnscope import (
     ThreadAffinityError,
     ThreadRecorder,
     TracingAllocator,
+    WorkloadSpec,
     begin_marker,
     default_cost_model,
     end_marker,
     event_cost,
+    marker,
+    parse_report,
+    run_workload,
+    serialize_report,
     span_churn,
 )
+from churnscope import workloads
 from churnscope.cost_model import NANO
 from churnscope.recorder import BYTES_MAX
 
-from eventgen import drive_random_ops
+from eventgen import drive_random_ops, drive_with_spans
 from factories import snapshot_calls
 from replay_oracle import replay
 
@@ -297,33 +302,40 @@ def _code_objects(code):
             yield from _code_objects(const)
 
 
-@pytest.mark.parametrize(
-    "func",
-    [
-        ThreadRecorder.record_malloc,
-        ThreadRecorder.record_calloc,
-        ThreadRecorder.record_realloc,
-        ThreadRecorder.record_free,
-        ThreadRecorder._emit,
-        ThreadRecorder._admit,
-        ThreadRecorder._release,
-        TracingAllocator.malloc,
-        TracingAllocator.calloc,
-        TracingAllocator.realloc,
-        TracingAllocator.free,
-    ],
-    ids=lambda func: func.__qualname__,
-)
+HOT_PATH = [
+    ThreadRecorder.record_malloc,
+    ThreadRecorder.record_calloc,
+    ThreadRecorder.record_realloc,
+    ThreadRecorder.record_free,
+    ThreadRecorder._emit,
+    ThreadRecorder._admit,
+    ThreadRecorder._release,
+    TracingAllocator.malloc,
+    TracingAllocator.calloc,
+    TracingAllocator.realloc,
+    TracingAllocator.free,
+]
+
+
+def _names_loaded(func) -> set:
+    return {ins.argval for code in _code_objects(func.__code__) for ins in dis.get_instructions(code)}
+
+
+@pytest.mark.parametrize("func", HOT_PATH, ids=lambda func: func.__qualname__)
 def test_hot_path_never_looks_up_an_alloc_kind_member(func):
     # ``AllocFnKind.MALLOC`` is an Enum class attribute lookup, many times
     # dearer than the module constant bound to the same member.
-    loads = [
-        ins.argval
-        for code in _code_objects(func.__code__)
-        for ins in dis.get_instructions(code)
-        if ins.argval == "AllocFnKind"
-    ]
-    assert loads == []
+    assert "AllocFnKind" not in _names_loaded(func)
+
+
+@pytest.mark.parametrize("func", HOT_PATH, ids=lambda func: func.__qualname__)
+def test_hot_path_keeps_no_reentrancy_depth_and_reads_the_bound_weights(func):
+    # No call path re-enters a recorder (see the nesting-spy tests below),
+    # and the weight table is bound once at construction.
+    names = _names_loaded(func)
+    assert "_depth" not in names
+    if func is ThreadRecorder._emit:
+        assert "_model" not in names
 
 
 def test_snapshot_is_pure_read():
@@ -472,25 +484,63 @@ def test_interception_transparency_same_outcomes():
     assert any(tok is None for tok in traced if tok != "freed")
 
 
-def test_reentrant_internal_growth_is_never_recorded(monkeypatch):
-    rec = make_recorder()
-    heap = TracingAllocator(rec)
+class NestingSpy(TracingAllocator):
+    """A tracing allocator that counts the calls it forwards and how deeply
+    its own calls nest; a recorder that called back into it would nest."""
 
-    class GrowingRing(deque):
-        def append(self, entry):
-            # Simulate the recorder growing its own storage through the
-            # traced allocator while it is mid-mutation.
-            heap.malloc(32)
-            super().append(entry)
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.depth = self.max_depth = self.forwarded = 0
 
-    monkeypatch.setattr(rec, "_ring", GrowingRing(maxlen=rec.ring_capacity))
-    tok = heap.malloc(100)
-    assert tok is not None
-    snap = rec.snapshot()
-    assert snap.malloc_calls == 1
-    assert snap.malloc_bytes == 100
-    assert len(rec.events()) == 1
-    assert rec.reentrancy_depth == 0
+    def _nested(self, call, *args):
+        self.depth += 1
+        self.forwarded += 1
+        self.max_depth = max(self.max_depth, self.depth)
+        try:
+            return call(self, *args)
+        finally:
+            self.depth -= 1
+
+    def malloc(self, size):
+        return self._nested(TracingAllocator.malloc, size)
+
+    def calloc(self, count, elem_size):
+        return self._nested(TracingAllocator.calloc, count, elem_size)
+
+    def realloc(self, addr, size):
+        return self._nested(TracingAllocator.realloc, addr, size)
+
+    def free(self, addr):
+        return self._nested(TracingAllocator.free, addr)
+
+
+@pytest.mark.parametrize("variant", workloads.VARIANTS)
+@pytest.mark.parametrize("name", workloads.workload_names())
+def test_no_builtin_workload_reenters_the_allocator(monkeypatch, name, variant):
+    spies = []
+
+    def spawn(*args):
+        spies.append(NestingSpy(*args))
+        return spies[-1]
+
+    monkeypatch.setattr(workloads, "TracingAllocator", spawn)
+    session = RecordingSession(build_id="b", created_at="2026-01-01T00:00:00Z")
+    run_workload(WorkloadSpec(name, seed=1, scale=2, variant=variant), session)
+    assert spies and all(spy.depth == 0 and spy.max_depth == 1 for spy in spies)
+    assert sum(spy.forwarded for spy in spies) == sum(
+        rec.snapshot().seq for rec in session.recorders()
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_no_random_sequence_reenters_the_allocator(seed):
+    plain, spanned = make_recorder(), make_recorder()
+    spy_plain, spy_spanned = NestingSpy(plain), NestingSpy(spanned)
+    drive_random_ops(spy_plain, random.Random(seed), 1500)
+    drive_with_spans(spanned, spy_spanned, random.Random(seed), 1500)
+    for rec, spy in ((plain, spy_plain), (spanned, spy_spanned)):
+        assert spy.depth == 0 and spy.max_depth == 1
+        assert spy.forwarded == rec.snapshot().seq >= 1500
 
 
 def test_record_from_wrong_thread_rejected():
@@ -530,6 +580,39 @@ def test_ring_capacity_past_maxsize_rejected_at_construction():
         RecordingSession(ring_capacity=2**63)
     with pytest.raises(ValueError, match="ring capacity must be <= "):
         ThreadRecorder("t0", MODEL, ring_capacity=sys.maxsize + 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda heap: heap.malloc(1.5),
+        lambda heap: heap.malloc(True),
+        lambda heap: heap.calloc(2, 0.75),
+        lambda heap: heap.calloc(1.5, 2),
+        lambda heap: heap.calloc(False, 8),
+        lambda heap: heap.realloc(None, 1.5),
+        lambda heap: heap.realloc(0x1000, 2.0),
+    ],
+    ids=["malloc-float", "malloc-bool", "calloc-float-size", "calloc-float-count",
+         "calloc-bool", "realloc-fresh-float", "realloc-float"],
+)
+def test_non_integer_sizes_rejected_before_anything_is_recorded(call):
+    session = RecordingSession(build_id="b", created_at="2026-01-01T00:00:00Z")
+    rec = session.recorder("main")
+    heap = TracingAllocator(rec)
+    with marker(rec, "p"):
+        heap.free(heap.malloc(64))
+        heap.malloc(32)
+    before, live = rec.snapshot(), rec.live_table()
+    with pytest.raises(ValueError, match="nonnegative int"):
+        call(heap)
+    assert rec.snapshot() == before
+    assert rec.live_table() == live
+    session.seal_all()
+    report = session.build_report()
+    data = serialize_report(report)
+    assert parse_report(data) == report
+    assert serialize_report(parse_report(data)) == data
 
 
 def test_negative_sizes_rejected():
