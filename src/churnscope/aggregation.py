@@ -21,8 +21,7 @@ class MarkerChurn(NamedTuple):
     ring evicted entries during the interval (counters stay exact
     regardless); ``auto_closed`` means the span was still open when its
     recorder sealed. A record is a named tuple: derive an edited copy with
-    ``_replace``. The canonical writer (``report.canonical_bytes``) accepts
-    a record as a value and writes it as the document of its fields.
+    ``_replace``. Reports and verdicts write it as the document of its fields.
     """
 
     name: str

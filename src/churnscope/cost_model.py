@@ -34,7 +34,9 @@ class AllocFnKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-NANO, MICRO = 10**9, 10**6
+# A report writes every cost and weight with six decimals: a cost is whole micro-units.
+COST_DECIMALS = 6
+NANO, MICRO = 10**9, 10**COST_DECIMALS
 
 DEFAULT_MODEL_VERSION = "paper-v1"
 
@@ -59,13 +61,15 @@ class CostModel(_CostModelFields):
 
     Reports embed the full descriptor (weights and version); two reports are
     only comparable when their descriptors are equal. Every way of building
-    one, ``_replace`` and ``_make`` included, stores a fresh dict of float weights.
+    one, ``_replace`` and ``_make`` included, stores a fresh dict of float
+    weights at the six decimals a report writes, so calls are charged under
+    the weights the report states.
     """
 
     __slots__ = ()
 
     def __new__(cls, weights: dict[AllocFnKind, float] = {}, model_version: str = DEFAULT_MODEL_VERSION) -> CostModel:
-        return super().__new__(cls, {k: float(v) for k, v in weights.items()}, model_version)
+        return super().__new__(cls, {k: round(float(v), COST_DECIMALS) for k, v in weights.items()}, model_version)
 
     @classmethod
     def _make(cls, iterable: Iterable[Any]) -> CostModel:

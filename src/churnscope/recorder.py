@@ -296,7 +296,9 @@ class BumpAllocator:
 
     Tokens start at 0x1000 and are 16-byte aligned. An optional ``budget``
     caps outstanding bytes; calls that would exceed it fail by returning
-    None, which lets tests exercise failure transparency.
+    None, which lets tests exercise failure transparency. As a C allocator
+    takes ``size_t``, a size or count that is not a nonnegative int (a bool
+    included) raises ValueError before the heap changes.
     """
 
     def __init__(self, budget: int | None = None):
@@ -315,12 +317,18 @@ class BumpAllocator:
         return addr
 
     def malloc(self, size: int) -> int | None:
+        if type(size) is not int or size < 0:
+            raise ValueError(f"requested size must be a nonnegative int, got {size!r}")
         return self._take(size)
 
     def calloc(self, count: int, elem_size: int) -> int | None:
+        if type(count) is not int or count < 0 or type(elem_size) is not int or elem_size < 0:
+            raise ValueError(f"calloc sizes must be nonnegative ints, got {count!r}, {elem_size!r}")
         return self._take(count * elem_size)
 
     def realloc(self, addr: int | None, size: int) -> int | None:
+        if type(size) is not int or size < 0:
+            raise ValueError(f"requested size must be a nonnegative int, got {size!r}")
         if size == 0:
             self.free(addr)
             return None

@@ -1,10 +1,11 @@
 """Churn report files, build-to-build diffing, and regression ranking.
 
-Reports serialize to a canonical JSON form: lexicographically sorted keys,
-two-space indentation, every non-integer number rendered as fixed-point with
-six decimals, UTF-8, newline-terminated. Costs are integer micro-units,
-rendered and read back exactly. Equal reports serialize to identical bytes on
-any platform, which is what makes byte-level comparison of builds meaningful.
+Reports serialize to a canonical JSON form, written by string templates:
+the layout of ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)``,
+with every non-integer number rendered as fixed-point with six decimals,
+UTF-8, newline-terminated. Costs are integer micro-units, rendered and read
+back exactly. Equal reports serialize to identical bytes on any platform,
+which is what makes byte-level comparison of builds meaningful.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from decimal import Context, Decimal, Inexact
 from typing import Any, Iterable, NamedTuple, NoReturn
 
 from .aggregation import MarkerChurn, merge_phases
-from .cost_model import MICRO, AllocFnKind, CostModel, validate_cost_model
+from .cost_model import COST_DECIMALS, MICRO, AllocFnKind, CostModel, validate_cost_model
 from .errors import ModelMismatchError, ReportError
 
 SCHEMA_VERSION = "1"
@@ -42,8 +43,6 @@ _STATUS_RANK = {status: i for i, status in enumerate(STATUSES)}
 DEFAULT_REL_THRESHOLD = 0.01
 DEFAULT_ABS_FLOOR = 1.0
 
-COST_DECIMALS = 6
-
 # (kind, document key) pairs: per-record loops skip Enum iteration and .value.
 _KINDS = tuple((kind, kind.value) for kind in AllocFnKind)
 _MALLOC, _CALLOC, _REALLOC, _FREE = AllocFnKind.MALLOC, AllocFnKind.CALLOC, AllocFnKind.REALLOC, AllocFnKind.FREE
@@ -53,10 +52,6 @@ def format_cost(micro: int) -> str:
     """Render an integer count of micro-units exactly, with six decimals."""
     whole, frac = divmod(abs(micro), MICRO)
     return f"{'-' if micro < 0 else ''}{whole}.{frac:06d}"
-
-
-class _Micro(int):
-    """A cost in a document: the writer renders it with ``format_cost``."""
 
 
 class _ThresholdFields(NamedTuple):
@@ -176,84 +171,14 @@ class RegressionVerdict:
 _quote = json.encoder.encode_basestring
 
 
-def _write_value(value: Any, out: list[str], nl: str) -> None:
-    """Append the canonical text of ``value`` to ``out``; ``nl`` is a newline
-    plus the indentation of the line ``value`` starts on.
-
-    Accepted: ``MarkerChurn`` records and ``ChurnDelta`` verdict rows, each
-    written directly as one string with its field types trusted (see
-    ``_churn_text`` and ``_delta_text``), dicts with ``str`` keys (written in
-    sorted key order), lists and tuples, ``str``, ``int`` (``_Micro`` as a
-    cost literal), finite ``float``, ``bool`` and ``None``, subclasses of
-    these included. Any other type, or a non-``str`` key, raises TypeError; a
-    non-finite float raises ValueError. Any other named tuple (``ReportTotals``,
-    ``CounterSnapshot``) is a tuple subclass and is written as a list.
-    """
-    # The frequent types by exact type, most frequent first; the rare ones and
-    # subclasses by isinstance. Records and rows are tuples, so they go before lists.
-    t = type(value)
-    if t is str:
-        out.append(_quote(value))
-    elif t is int:
-        out.append(str(value))
-    elif t is MarkerChurn:
-        out.append(_churn_text(value, nl))
-    elif t is ChurnDelta:
-        out.append(_delta_text(value, nl))
-    elif t is _Micro:
-        out.append(format_cost(value))
-    elif t is dict:
-        _write_dict(value, out, nl)
-    elif value is None:
-        out.append("null")
-    elif t is bool:
-        out.append("true" if value else "false")
-    elif isinstance(value, float):
-        out.append(_fixed(value))
-    elif isinstance(value, (list, tuple)):
-        _write_list(value, out, nl)
-    elif isinstance(value, str):
-        out.append(_quote(value))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, dict):
-        _write_dict(value, out, nl)
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _write_dict(value: dict[str, Any], out: list[str], nl: str) -> None:
-    if not value:
-        out.append("{}")
-        return
-    inner = nl + "  "
-    sep = "{" + inner
-    for key in sorted(value):
-        out.append(sep + _quote(key) + ": ")
-        _write_value(value[key], out, inner)
-        sep = "," + inner
-    out.append(nl + "}")
-
-
-def _write_list(value: list | tuple, out: list[str], nl: str) -> None:
-    if not value:
-        out.append("[]")
-        return
-    inner = nl + "  "
-    sep = "[" + inner
-    for item in value:
-        out.append(sep)
-        _write_value(item, out, inner)
-        sep = "," + inner
-    out.append(nl + "]")
-
-
 def _churn_text(r: MarkerChurn, nl: str) -> str:
     """A record as one string.
 
-    The bytes are those the generic writer gives for the document of the
-    record's fields, which holds ``thread_id`` and ``span_id`` unless both are
-    None (a merged record). Field types are trusted, not checked.
+    The bytes are those ``json.dumps(indent=2, sort_keys=True,
+    ensure_ascii=False)`` gives for the document of the record's fields, with
+    the cost as a six-decimal literal; the document holds ``thread_id`` and
+    ``span_id`` unless both are None (a merged record). Field types are
+    trusted, not checked.
     """
     i = nl + "  "
     j = i + "  "
@@ -275,11 +200,12 @@ def _churn_text(r: MarkerChurn, nl: str) -> str:
 def _delta_text(d: ChurnDelta, nl: str) -> str:
     """A verdict row as one string, each side's record by ``_churn_text``.
 
-    The bytes are those the generic writer gives for the row's document:
-    ``baseline`` and ``candidate`` (a record or null), ``phase``, ``status``,
-    ``cost_delta_abs`` as a cost literal, ``cost_delta_rel`` (null or a
-    float), ``call_delta`` keyed by kind name, and the two byte deltas.
-    Field types are trusted, not checked; ``call_delta`` holds every kind.
+    The bytes are those ``json.dumps`` gives, as for a record, for the row's
+    document: ``baseline`` and ``candidate`` (a record or null), ``phase``,
+    ``status``, ``cost_delta_abs`` as a cost literal, ``cost_delta_rel``
+    (null or a six-decimal literal), ``call_delta`` keyed by kind name, and
+    the two byte deltas. Field types are trusted, not checked; ``call_delta``
+    holds every kind.
     """
     i = nl + "  "
     j = i + "  "
@@ -304,46 +230,47 @@ def _fixed(value: float) -> str:
     return f"{value if value else 0.0:.6f}"  # 0.0 normalizes -0.0
 
 
-def canonical_bytes(doc: Any) -> bytes:
-    """Serialize a plain document to canonical UTF-8 JSON bytes.
-
-    The contract is ``_write_value``'s: ``str`` keys only, the value types it
-    lists, TypeError for any other type or key and ValueError for a
-    non-finite float. A string that UTF-8 cannot encode (a lone surrogate)
-    raises UnicodeEncodeError.
-    """
-    out: list[str] = []
-    _write_value(doc, out, "\n")
-    out.append("\n")
-    return "".join(out).encode("utf-8")
-
-
-# ---------------------------------------------------------------------------
-# document building
-
-
-def model_descriptor(model: CostModel) -> dict[str, Any]:
-    return {
-        "model_version": model.model_version,
-        "weights": {kind.value: float(w) for kind, w in model.weights.items()},
-    }
-
-
-def report_doc(report: ChurnReport) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "build_id": report.build_id,
-        "created_at": report.created_at,
-        "cost_model": model_descriptor(report.model),
-        "phases": report.merged,
-        "threads": report.per_thread,
-        "counters": report.totals._asdict(),
-    }
+def _append_container(out: list[str], brackets: str, texts: list[str], nl: str) -> None:
+    """Append an object or array (``brackets`` is ``"{}"`` or ``"[]"``) of the
+    member ``texts`` as ``json.dumps(indent=2)`` lays it out at line start ``nl``."""
+    if not texts:
+        out.append(brackets)
+        return
+    sep = brackets[0] + nl + "  "
+    for text in texts:
+        out += sep, text
+        sep = "," + nl + "  "
+    out.append(nl + brackets[1])
 
 
 def serialize_report(report: ChurnReport) -> bytes:
-    """Canonical bytes for a report; equal reports yield identical bytes."""
-    return canonical_bytes(report_doc(report))
+    """Canonical bytes for a report; equal reports yield identical bytes.
+
+    Its fields in sorted-key order, phases under their sorted keys, as parts
+    joined once. Field types are trusted; a non-finite weight raises ValueError.
+    """
+    model, t, merged = report.model, report.totals, report.merged
+    out = [
+        f'{{\n  "build_id": {_quote(report.build_id)},\n  "cost_model": {{'
+        f'\n    "model_version": {_quote(model.model_version)},\n    "weights": '
+    ]
+    weights = sorted((kind.value, w) for kind, w in model.weights.items())
+    _append_container(out, "{}", [f"{_quote(key)}: {_fixed(w)}" for key, w in weights], "\n    ")
+    out.append(
+        f'\n  }},\n  "counters": {{\n    "anomaly_count": {t.anomaly_count},'
+        f'\n    "bytes_allocated": {t.bytes_allocated},\n    "bytes_freed": {t.bytes_freed},'
+        f'\n    "live_blocks": {t.live_blocks},\n    "live_bytes": {t.live_bytes},'
+        f'\n    "overflow_count": {t.overflow_count}\n  }},'
+        f'\n  "created_at": {_quote(report.created_at)},\n  "phases": '
+    )
+    phases = [_quote(name) + ": " + _churn_text(merged[name], "\n    ") for name in sorted(merged)]
+    _append_container(out, "{}", phases, "\n  ")
+    out.append(f',\n  "schema_version": {_quote(SCHEMA_VERSION)},\n  "threads": ')
+    _append_container(out, "[]", [_churn_text(r, "\n    ") for r in report.per_thread], "\n  ")
+    out.append("\n}\n")
+    text = "".join(out)
+    del out  # drop the parts before the bytes are made: one copy of the document less at peak
+    return text.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -737,21 +664,22 @@ def rank_regressions(
 # verdict documents
 
 
-def verdict_doc(verdict: RegressionVerdict) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "thresholds": {
-            "rel": float(verdict.thresholds.rel),
-            "abs_floor": float(verdict.thresholds.abs_floor),
-            "call_floor": verdict.thresholds.call_floor,
-        },
-        "regression_detected": verdict.regression_detected,
-        "deltas": verdict.deltas,
-    }
-
-
 def serialize_verdict(verdict: RegressionVerdict) -> bytes:
-    return canonical_bytes(verdict_doc(verdict))
+    """Canonical bytes for a verdict, written as ``serialize_report`` writes a
+    report; a non-finite ``cost_delta_rel`` raises ValueError."""
+    th = verdict.thresholds
+    out = ['{\n  "deltas": ']
+    _append_container(out, "[]", [_delta_text(d, "\n    ") for d in verdict.deltas], "\n  ")
+    call_floor = "null" if th.call_floor is None else th.call_floor
+    out.append(
+        f',\n  "regression_detected": {"true" if verdict.regression_detected else "false"},'
+        f'\n  "schema_version": {_quote(SCHEMA_VERSION)},'
+        f'\n  "thresholds": {{\n    "abs_floor": {_fixed(float(th.abs_floor))},'
+        f'\n    "call_floor": {call_floor},\n    "rel": {_fixed(float(th.rel))}\n  }}\n}}\n'
+    )
+    text = "".join(out)
+    del out  # drop the parts before the bytes are made: one copy of the document less at peak
+    return text.encode("utf-8")
 
 
 def parse_verdict(data: bytes | str) -> RegressionVerdict:

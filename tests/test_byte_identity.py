@@ -11,7 +11,15 @@ failing run prints the new table) and say why in CHANGES.md.
 
 import hashlib
 
-from churnscope import RecordingSession, TracingAllocator, begin_marker, marker, serialize_report
+from churnscope import (
+    AllocFnKind,
+    CostModel,
+    RecordingSession,
+    TracingAllocator,
+    begin_marker,
+    marker,
+    serialize_report,
+)
 from churnscope.cli import main
 from churnscope.workloads import VARIANTS, SplitMix64, workload_names
 
@@ -131,3 +139,54 @@ def test_many_record_outputs_match_recorded_digests(tmp_path, capsysbinary):
         got[f"rank-{by}.json"] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
     table = "".join(f'\n    "{name}": "{digest}",' for name, digest in got.items())
     assert got == MANY_RECORD_DIGESTS, f"outputs differ from the recorded bytes; new table:{table}"
+
+
+# Pinned shapes the built-in runs never write: a report with no spans (empty
+# phases and threads, calls outside every span, non-integer weights), a
+# verdict whose thresholds hold an integer call_floor, and a verdict with no
+# deltas after a round trip through ``rank``.
+EDGE_DIGESTS = {
+    "no-spans.churn.json": "711231f0e18590c146f6a9aa4d80313adbcf5466c4438248648b618b98590cf4",
+    "strings/verdict-call-floor-0.json": "aef09ff2fd6a28ae7f250d67911cd02797edb4da040dea0bbfeccfec8a15da44",
+    "no-deltas/rank.json": "67b542e1d6dc7b7967d06764fbea64ea379e671111e4a350e8c5c1a81d9f0bb5",
+}
+
+
+def no_span_report(build_id):
+    weights = {AllocFnKind.MALLOC: 0.25, AllocFnKind.CALLOC: 1.5, AllocFnKind.REALLOC: 0.125, AllocFnKind.FREE: 2}
+    model = CostModel(weights, "edge-v1")
+    session = RecordingSession(model, build_id=build_id, created_at="2026-01-01T00:00:00Z")
+    rec = session.recorder("main")
+    heap = TracingAllocator(rec)
+    heap.free(heap.malloc(64))
+    heap.realloc(heap.calloc(3, 40), 8)
+    session.seal_all()
+    return serialize_report(session.build_report())
+
+
+def test_edge_shape_outputs_match_recorded_digests(tmp_path, capsysbinary):
+    got = {}
+    data = no_span_report("b")
+    got["no-spans.churn.json"] = hashlib.sha256(data).hexdigest()
+    paths = []
+    for build_id in VARIANTS:
+        path = tmp_path / f"empty-{build_id}.churn.json"
+        path.write_bytes(no_span_report(build_id))
+        paths.append(str(path))
+    assert main(["diff", *paths, "--format", "json"]) == 0
+    path = tmp_path / "empty.verdict.json"
+    path.write_bytes(capsysbinary.readouterr().out)
+    assert main(["rank", str(path), "--format", "json"]) == 0
+    got["no-deltas/rank.json"] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    paths = []
+    for variant in VARIANTS:
+        path = tmp_path / f"strings-{variant}.churn.json"
+        argv = ["run", "--workload", "strings", "--seed", "1", "--scale", "7", "--variant", variant,
+                "--out", str(path), "--build-id", variant, "--epoch", "0"]
+        assert main(argv) == 0
+        paths.append(str(path))
+    capsysbinary.readouterr()
+    assert main(["diff", *paths, "--call-floor", "0", "--format", "json"]) == 1
+    got["strings/verdict-call-floor-0.json"] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    table = "".join(f'\n    "{name}": "{digest}",' for name, digest in got.items())
+    assert got == EDGE_DIGESTS, f"outputs differ from the recorded bytes; new table:{table}"

@@ -7,10 +7,15 @@ from churnscope import (
     AllocFnKind,
     CostModel,
     CostModelError,
+    RecordingSession,
     ThreadRecorder,
+    TracingAllocator,
     default_cost_model,
     event_cost,
     load_cost_model,
+    marker,
+    parse_report,
+    serialize_report,
     validate_cost_model,
 )
 
@@ -30,9 +35,30 @@ def test_default_weights():
 
 def test_replace_and_make_normalize_weights_like_the_constructor():
     weights = {kind: 1 for kind in AllocFnKind}
+    weights[AllocFnKind.CALLOC] = 1.2345678  # held at the six decimals a report writes
+    want = {**weights, AllocFnKind.CALLOC: 1.234568}
     for model in (MODEL._replace(weights=weights), CostModel._make([weights, "v"]), CostModel(weights, "v")):
-        assert type(model) is CostModel and model.weights == weights and model.weights is not weights
+        assert type(model) is CostModel and model.weights == want and model.weights is not weights
         assert all(type(w) is float for w in model.weights.values())
+
+
+def test_phase_cost_is_the_cost_under_the_reports_own_model():
+    # Weights past six decimals: the report writes malloc as 0.000000 and calloc as 1.234568.
+    weights = {**MODEL.weights, AllocFnKind.MALLOC: 0.0000004, AllocFnKind.CALLOC: 1.2345678}
+
+    def report(model):
+        session = RecordingSession(model, build_id="b", created_at="2026-01-01T00:00:00Z")
+        rec = session.recorder("main")
+        heap = TracingAllocator(rec)
+        with marker(rec, "p"):
+            for _ in range(3000):
+                heap.free(heap.malloc(1024))
+            heap.free(heap.calloc(3, 1000))
+        session.seal_all()
+        return session.build_report()
+
+    parsed = parse_report(serialize_report(report(CostModel(weights, "fine"))))
+    assert parsed.merged["p"].cost_micro == report(parsed.model).merged["p"].cost_micro
 
 
 @pytest.mark.parametrize(

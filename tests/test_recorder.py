@@ -615,6 +615,34 @@ def test_non_integer_sizes_rejected_before_anything_is_recorded(call):
     assert serialize_report(parse_report(data)) == data
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda heap, a: heap.malloc(1.5),
+        lambda heap, a: heap.malloc(-1),
+        lambda heap, a: heap.calloc(True, 16),
+        lambda heap, a: heap.realloc(a, 2.5),
+        lambda heap, a: heap.realloc(a, -1),
+    ],
+    ids=["malloc-float", "malloc-negative", "calloc-bool", "realloc-float", "realloc-negative"],
+)
+def test_rejected_call_leaves_the_heap_unchanged(call):
+    session = RecordingSession(build_id="b", created_at="2026-01-01T00:00:00Z")
+    rec = session.recorder("main")
+    heap = TracingAllocator(rec)
+    a = heap.malloc(64)
+    base = heap.base
+
+    def state():
+        return base._next, dict(base._outstanding), base._used, rec.snapshot(), rec.live_table()
+
+    before = state()
+    with pytest.raises(ValueError, match="nonnegative int"):
+        call(heap, a)
+    assert state() == before
+    assert type(heap.malloc(16)) is int
+
+
 def test_negative_sizes_rejected():
     rec = make_recorder()
     with pytest.raises(ValueError):

@@ -9,19 +9,19 @@ from churnscope import (
     AllocFnKind,
     ChurnDelta,
     ChurnReport,
+    CostModel,
     MarkerChurn,
     RecordingSession,
+    RegressionVerdict,
     ReportError,
+    Thresholds,
     TracingAllocator,
-    default_cost_model,
-    diff_reports,
     marker,
     parse_report,
     serialize_report,
     serialize_verdict,
 )
-from churnscope import report as report_module
-from churnscope.report import STATUSES, ReportTotals, _Micro, canonical_bytes, format_cost
+from churnscope.report import STATUSES, ReportTotals, format_cost
 
 from factories import report_with_units
 
@@ -373,52 +373,6 @@ def test_parse_revalidates_many_parts_merge():
     assert serialize_report(parse_report(data)) == data
 
 
-def test_canonical_writer_normalizes_negative_zero():
-    assert canonical_bytes(-0.0) == b"0.000000\n"
-    assert canonical_bytes(-1e-9) == b"0.000000\n"
-
-
-def test_canonical_writer_rejects_non_finite():
-    with pytest.raises(ValueError):
-        canonical_bytes(math.inf)
-
-
-@pytest.mark.parametrize("doc", [{1: 2}, {"a": {None: 1}}, [{("k",): "v"}]], ids=["int", "none", "tuple"])
-def test_canonical_writer_rejects_non_string_keys(doc):
-    with pytest.raises(TypeError):
-        canonical_bytes(doc)
-
-
-def test_canonical_writer_matches_json_dumps_on_float_free_documents():
-    pytest.importorskip("hypothesis")
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    # Any character but a surrogate, with quotes, backslashes and control characters boosted.
-    text = st.text(
-        st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7f\u2028é'), max_size=8
-    )
-    leaves = st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | text
-    documents = st.recursive(
-        leaves, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(text, inner, max_size=4)
-    )
-
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(documents)
-    def check(doc):
-        want = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-        assert canonical_bytes(doc) == want.encode()
-
-    check()
-
-
-def test_canonical_writer_sorts_keys_and_handles_utf8():
-    data = canonical_bytes({"z": 1, "a": {"nested": "café"}, "m": []})
-    text = data.decode("utf-8")
-    assert text.index('"a"') < text.index('"m"') < text.index('"z"')
-    assert "café" in text
-
-
 def test_format_cost_renders_integers_exactly():
     assert format_cost(0) == "0.000000"
     assert format_cost(20_000_000) == "20.000000"
@@ -557,170 +511,230 @@ def test_parse_names_each_single_record_fault(thread, edit, message):
     assert str(excinfo.value) == f"{what} {message}"
 
 
-def _record_as_dict(record):
-    """The document a record is written as, built field by field for the generic writer."""
-    doc = {
-        "name": record.name,
-        "cost": _Micro(record.cost_micro),
-        "calls": {kind.value: n for kind, n in record.calls.items()},
-        "bytes_allocated": record.bytes_allocated,
-        "bytes_freed": record.bytes_freed,
-        "overflow": record.overflow,
-        "auto_closed": record.auto_closed,
-    }
-    if record.thread_id is not None or record.span_id is not None:
-        doc["thread_id"] = record.thread_id
-        doc["span_id"] = record.span_id
-    return doc
+# The writers' reference is json.dumps of the plain document. Each cost and
+# float literal is first held by a placeholder string that no generated text
+# can hold (the strategies draw no private-use characters), then written back
+# by the rules a report states: a cost is its integer count of micro-units
+# with exactly six decimals; any other number is rounded to six decimals, and
+# a negative number that rounds to zero is written as 0.000000.
+_PLACEHOLDER = re.compile('"\ue000([0-9]+)\ue000"')
 
 
-def test_record_writer_matches_generic_writer():
-    pytest.importorskip("hypothesis")
-    from hypothesis import example, given, settings
+def _cost_literal(micro):
+    whole, frac = divmod(abs(micro), 10**6)
+    return f"{'-' if micro < 0 else ''}{whole}.{frac:06d}"
+
+
+def _float_literal(value):
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
+class _Reference:
+    """The plain document of a report or a verdict, written by ``json.dumps``."""
+
+    def __init__(self):
+        self.literals = []
+
+    def literal(self, text):
+        self.literals.append(text)
+        return f"\ue000{len(self.literals) - 1}\ue000"
+
+    def record(self, record):
+        doc = {
+            "name": record.name,
+            "cost": self.literal(_cost_literal(record.cost_micro)),
+            "calls": {kind.value: n for kind, n in record.calls.items()},
+            "bytes_allocated": record.bytes_allocated,
+            "bytes_freed": record.bytes_freed,
+            "overflow": record.overflow,
+            "auto_closed": record.auto_closed,
+        }
+        if record.thread_id is not None or record.span_id is not None:
+            doc["thread_id"] = record.thread_id
+            doc["span_id"] = record.span_id
+        return doc
+
+    def bytes(self, doc):
+        text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        return _PLACEHOLDER.sub(lambda m: self.literals[int(m[1])], text).encode("utf-8")
+
+
+def reference_report_bytes(report):
+    ref = _Reference()
+    return ref.bytes({
+        "schema_version": "1",
+        "build_id": report.build_id,
+        "created_at": report.created_at,
+        "cost_model": {
+            "model_version": report.model.model_version,
+            "weights": {kind.value: ref.literal(_float_literal(w)) for kind, w in report.model.weights.items()},
+        },
+        "phases": {name: ref.record(record) for name, record in report.merged.items()},
+        "threads": [ref.record(record) for record in report.per_thread],
+        "counters": report.totals._asdict(),
+    })
+
+
+def reference_verdict_bytes(verdict):
+    ref = _Reference()
+    th = verdict.thresholds
+    return ref.bytes({
+        "schema_version": "1",
+        "thresholds": {
+            "rel": ref.literal(_float_literal(th.rel)),
+            "abs_floor": ref.literal(_float_literal(th.abs_floor)),
+            "call_floor": th.call_floor,
+        },
+        "regression_detected": any(d.status == "regression" for d in verdict.deltas),
+        "deltas": [
+            {
+                "phase": d.phase,
+                "status": d.status,
+                "baseline": None if d.baseline is None else ref.record(d.baseline),
+                "candidate": None if d.candidate is None else ref.record(d.candidate),
+                "cost_delta_abs": ref.literal(_cost_literal(d.cost_delta_micro)),
+                "cost_delta_rel": None if d.cost_delta_rel is None else ref.literal(_float_literal(d.cost_delta_rel)),
+                "call_delta": {kind.value: n for kind, n in d.call_delta.items()},
+                "bytes_allocated_delta": d.bytes_allocated_delta,
+                "bytes_freed_delta": d.bytes_freed_delta,
+            }
+            for d in verdict.deltas
+        ],
+    })
+
+
+def _writer_strategies():
+    """Hypothesis strategies for whole reports and verdicts: names with quotes,
+    backslashes, control and non-BMP characters, counts past 2**64, negative
+    deltas, relative deltas that round to -0, non-integer weights."""
     from hypothesis import strategies as st
 
     text = st.text(
-        st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7f\u2028é☃\U0001F600'), max_size=12
+        st.characters(exclude_categories=("Cs", "Co")) | st.sampled_from('"\\\x00\x1f\x7f\u2028é☃\U0001F600'),
+        max_size=12,
     )
-    count = st.integers(0, 2**40) | st.integers(0, 10**40)
-    records = st.builds(
-        MarkerChurn,
-        name=text,
-        cost_micro=st.integers(-(10**30), 10**30),
-        calls=st.fixed_dictionaries({kind: count for kind in AllocFnKind}),
-        bytes_allocated=count,
-        bytes_freed=count,
-        overflow=st.booleans(),
-        auto_closed=st.booleans(),
-        thread_id=st.none() | text,
-        span_id=st.none() | text,
-    )
-    quoted = MarkerChurn('a "b" \\c\n é☃', 10**25 + 1, dict.fromkeys(AllocFnKind, 10**30), 2**64, 0, True, False)
+    count = st.integers(0, 2**40) | st.integers(2**64, 10**40)
+    signed = st.integers(-(2**40), 2**40) | st.integers(-(10**40), 10**40)
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(records)
-    @example(quoted)
-    @example(quoted._replace(overflow=False, auto_closed=True, thread_id="t\u00e9", span_id='t"/000001'))
-    def check(record):
-        plain = _record_as_dict(record)
-        # A report holds records two levels deep, a verdict three.
-        for shape in (
-            lambda r: {"phases": {record.name: r}, "threads": [r]},
-            lambda r: {"deltas": [{"baseline": r, "candidate": None, "phase": record.name}]},
-        ):
-            assert canonical_bytes(shape(record)) == canonical_bytes(shape(plain))
+    def records(ids):
+        return st.builds(
+            MarkerChurn,
+            name=text,
+            cost_micro=st.integers(0, 2**40) | st.integers(0, 10**40),
+            calls=st.fixed_dictionaries({kind: count for kind in AllocFnKind}),
+            bytes_allocated=count,
+            bytes_freed=count,
+            overflow=st.booleans(),
+            auto_closed=st.booleans(),
+            thread_id=ids,
+            span_id=ids,
+        )
 
-    check()
-
-
-def _delta_as_dict(delta):
-    """The document a verdict row is written as, built field by field for the generic writer."""
-    return {
-        "phase": delta.phase,
-        "status": delta.status,
-        "baseline": None if delta.baseline is None else _record_as_dict(delta.baseline),
-        "candidate": None if delta.candidate is None else _record_as_dict(delta.candidate),
-        "cost_delta_abs": _Micro(delta.cost_delta_micro),
-        "cost_delta_rel": delta.cost_delta_rel,
-        "call_delta": {kind.value: n for kind, n in delta.call_delta.items()},
-        "bytes_allocated_delta": delta.bytes_allocated_delta,
-        "bytes_freed_delta": delta.bytes_freed_delta,
-    }
-
-
-def test_row_writer_matches_generic_writer():
-    pytest.importorskip("hypothesis")
-    from hypothesis import example, given, settings
-    from hypothesis import strategies as st
-
-    text = st.text(
-        st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7f\u2028é☃\U0001F600'), max_size=12
-    )
-    count = st.integers(0, 2**40) | st.integers(0, 10**40)
-    delta = st.integers(-(2**40), 2**40) | st.integers(-(10**40), 10**40)
-    records = st.builds(
-        MarkerChurn,
-        name=text,
-        cost_micro=st.integers(0, 10**40),
-        calls=st.fixed_dictionaries({kind: count for kind in AllocFnKind}),
-        bytes_allocated=count,
-        bytes_freed=count,
-        overflow=st.booleans(),
-        auto_closed=st.booleans(),
+    merged = records(st.none())
+    weights = st.fixed_dictionaries({kind: st.floats(0, 1e9) for kind in AllocFnKind})
+    reports = st.builds(
+        ChurnReport,
+        build_id=text,
+        created_at=text,
+        model=st.builds(CostModel, weights, text),
+        merged=st.dictionaries(text, merged, max_size=4),
+        per_thread=st.lists(records(st.none() | text), max_size=4),
+        totals=st.builds(ReportTotals, *[count] * len(ReportTotals._fields)),
     )
     rows = st.builds(
         ChurnDelta,
         phase=text,
         status=st.sampled_from(STATUSES),
-        baseline=st.none() | records,
-        candidate=st.none() | records,
-        cost_delta_micro=delta,
-        cost_delta_rel=st.none() | st.floats(allow_nan=False, allow_infinity=False),
-        call_delta=st.fixed_dictionaries({kind: delta for kind in AllocFnKind}),
-        bytes_allocated_delta=delta,
-        bytes_freed_delta=delta,
+        baseline=st.none() | merged,
+        candidate=st.none() | merged,
+        cost_delta_micro=signed,
+        cost_delta_rel=st.none() | st.floats(allow_nan=False, allow_infinity=False)
+        | st.floats(-5e-7, 0, exclude_min=True, exclude_max=True),
+        call_delta=st.fixed_dictionaries({kind: signed for kind in AllocFnKind}),
+        bytes_allocated_delta=signed,
+        bytes_freed_delta=signed,
     )
-    record = MarkerChurn('a "b" \\c\n é☃', 10**25 + 1, dict.fromkeys(AllocFnKind, 10**30), 2**64, 0, True, False)
-    calls = dict.fromkeys(AllocFnKind, -(10**40))
-    quoted = ChurnDelta('a "b" \\c\n é☃', "regression", record, record, -(10**40), -0.5, calls, -1, -(10**40))
+    thresholds = st.builds(
+        Thresholds, rel=st.floats(0, 1e6), abs_floor=st.floats(0, 1e6), call_floor=st.none() | st.integers(0, 2**70)
+    )
+    verdicts = st.builds(RegressionVerdict, thresholds, st.lists(rows, max_size=4))
+    return reports, verdicts
+
+
+def test_report_writer_matches_json_dumps():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+
+    reports, _ = _writer_strategies()
+    golden = golden_report()
+    part = golden.per_thread[0]._replace(name='a "b" \\c\n é☃', thread_id="t\u00e9", span_id=None)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(rows)
-    @example(quoted)
-    @example(quoted._replace(baseline=None, cost_delta_rel=None, status="new_phase"))
-    @example(quoted._replace(candidate=None, cost_delta_rel=None, status="removed_phase"))
-    @example(quoted._replace(cost_delta_rel=-0.0000004, cost_delta_micro=0))
-    def check(row):
-        plain = _delta_as_dict(row)
-        # A verdict holds its rows two levels deep; a row also writes at the top level.
-        assert canonical_bytes({"deltas": [row]}) == canonical_bytes({"deltas": [plain]})
-        assert canonical_bytes(row) == canonical_bytes(plain)
+    @given(reports)
+    @example(golden)
+    @example(golden._replace(merged={}, per_thread=[]))
+    @example(golden._replace(merged={}, per_thread=[part]))
+    @example(golden._replace(per_thread=[]))
+    @example(golden._replace(model=golden.model.scaled(0.37)))
+    def check(report):
+        assert serialize_report(report) == reference_report_bytes(report)
 
     check()
 
 
-def _verdict_of(n):
-    """A verdict of n rows: every phase's cost doubles."""
-    calls = dict.fromkeys(AllocFnKind, 1)
-    base = {f"p{i:04d}": MarkerChurn(f"p{i:04d}", 1_000_000 + i, calls) for i in range(n)}
-    cand = {name: r._replace(cost_micro=2 * r.cost_micro) for name, r in base.items()}
-    model = default_cost_model()
-    return diff_reports(
-        ChurnReport("b", "t", model, base, [], ReportTotals()), ChurnReport("c", "t", model, cand, [], ReportTotals())
-    )
+def test_verdict_writer_matches_json_dumps():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+
+    _, verdicts = _writer_strategies()
+    record = MarkerChurn('a "b" \\c\n é☃', 10**25 + 1, dict.fromkeys(AllocFnKind, 10**30), 2**64, 0, True, False)
+    calls = dict.fromkeys(AllocFnKind, -(10**40))
+    row = ChurnDelta(record.name, "regression", record, record, -(10**40), -0.5, calls, -1, -(10**40))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(verdicts)
+    @example(RegressionVerdict(Thresholds(), []))
+    @example(RegressionVerdict(Thresholds(call_floor=0), [row]))
+    @example(RegressionVerdict(Thresholds(rel=1, abs_floor=0.1234567, call_floor=2**70), [
+        row._replace(baseline=None, cost_delta_rel=None, status="new_phase"),
+        row._replace(candidate=None, cost_delta_rel=None, status="removed_phase"),
+        row._replace(cost_delta_rel=-0.0000004, cost_delta_micro=0, status="neutral"),
+    ]))
+    def check(verdict):
+        assert serialize_verdict(verdict) == reference_verdict_bytes(verdict)
+
+    check()
 
 
-def test_verdict_rows_are_not_written_as_generic_dicts(monkeypatch):
-    # Deterministic guard for the row writer: the generic dict writer runs a
-    # fixed number of times per verdict (the document and its thresholds),
-    # however many rows it holds.
-    calls = []
-    write_dict = report_module._write_dict
-
-    def counting(value, out, nl):
-        calls.append(len(value))
-        write_dict(value, out, nl)
-
-    monkeypatch.setattr(report_module, "_write_dict", counting)
-    counts = []
-    for n in (2, 2000):
-        verdict = _verdict_of(n)
-        assert len(verdict.deltas) == n
-        calls.clear()
-        serialize_verdict(verdict)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == 2
+def _one_row_verdict(rel):
+    record = MarkerChurn("p", 1_000_000, dict.fromkeys(AllocFnKind, 1))
+    row = ChurnDelta("p", "neutral", record, record, 0, rel, dict.fromkeys(AllocFnKind, 0), 0, 0)
+    return RegressionVerdict(Thresholds(), [row])
 
 
-def test_documents_hold_no_named_tuples_but_records_and_rows():
-    # The writer writes any other tuple subclass (ReportTotals, Thresholds) as
-    # a list, so the documents must hold those as dicts.
-    def tuple_types(value):
-        if isinstance(value, dict):
-            return set().union(*map(tuple_types, value.values()))
-        if type(value) in (list, tuple):
-            return set().union(*map(tuple_types, value))
-        return {type(value)} if isinstance(value, tuple) else set()
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_writers_reject_non_finite_numbers(value):
+    report = golden_report()
+    with pytest.raises(ValueError, match="non-finite"):
+        serialize_report(report._replace(model=report.model._replace(weights={AllocFnKind.MALLOC: value})))
+    with pytest.raises(ValueError, match="non-finite"):
+        serialize_verdict(_one_row_verdict(value))
 
-    assert tuple_types(report_module.report_doc(golden_report())) == {MarkerChurn}
-    assert tuple_types(report_module.verdict_doc(_verdict_of(2))) == {ChurnDelta}
+
+@pytest.mark.parametrize("value", [-0.0, -1e-9, -4.9e-7])
+def test_writers_write_negative_zero_as_zero(value):
+    assert b'"cost_delta_rel": 0.000000,' in serialize_verdict(_one_row_verdict(value))
+    report = golden_report()
+    weights = dict.fromkeys(AllocFnKind, value)
+    data = serialize_report(report._replace(model=report.model._replace(weights=weights)))
+    assert data.count(b": 0.000000") == len(AllocFnKind)
+
+
+def test_writers_sort_keys_and_write_utf8():
+    report = golden_report()
+    demo = report.merged["demo"]
+    merged = {name: demo._replace(name=name) for name in ("z", "é", "a")}
+    text = serialize_report(report._replace(merged=merged)).decode("utf-8")
+    assert text.index('"a": {') < text.index('"z": {') < text.index('"é": {')
+    assert text.index('"build_id"') < text.index('"cost_model"') < text.index('"threads"')
