@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from .cost_model import default_cost_model, load_cost_model
 from .errors import ChurnscopeError
@@ -170,8 +171,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _parse_file(parse: Callable[[bytes], Any], data: bytes, name: object) -> Any:
+    """Parse ``data``, read from the file ``name`` (``-`` for stdin); an error names the file."""
+    try:
+        return parse(data)
+    except ChurnscopeError as exc:
+        raise ChurnscopeError(f"{name}: {exc}") from None
+
+
 def cmd_show(args: argparse.Namespace) -> int:
-    report = parse_report(args.report.read_bytes())
+    report = _parse_file(parse_report, args.report.read_bytes(), args.report)
     print(f"build {report.build_id} at {report.created_at} "
           f"(model {report.model.model_version})")
     headers = ["phase", "cost", "calls", "bytes_alloc", "bytes_freed", "flags"]
@@ -247,14 +256,8 @@ def _print_verdict(verdict: RegressionVerdict, deltas: list[ChurnDelta], color: 
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    try:
-        baseline = parse_report(args.baseline.read_bytes())
-    except ChurnscopeError as exc:
-        raise ChurnscopeError(f"{args.baseline}: {exc}") from None
-    try:
-        candidate = parse_report(args.candidate.read_bytes())
-    except ChurnscopeError as exc:
-        raise ChurnscopeError(f"{args.candidate}: {exc}") from None
+    baseline = _parse_file(parse_report, args.baseline.read_bytes(), args.baseline)
+    candidate = _parse_file(parse_report, args.candidate.read_bytes(), args.candidate)
     thresholds = Thresholds(
         rel=args.rel_threshold, abs_floor=args.abs_floor, call_floor=args.call_floor
     )
@@ -272,7 +275,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         data = sys.stdin.buffer.read()
     else:
         data = Path(args.verdict).read_bytes()
-    verdict = parse_verdict(data)
+    verdict = _parse_file(parse_verdict, data, args.verdict)
     ranked = rank_regressions(verdict, tie_break=args.tie_break, by=args.by)
     if args.format == "json":
         sys.stdout.buffer.write(serialize_verdict(RegressionVerdict(verdict.thresholds, ranked)))

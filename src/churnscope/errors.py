@@ -34,7 +34,8 @@ class SpanStateError(ChurnscopeError):
 class ReportError(ChurnscopeError):
     """A report or verdict document failed to parse or validate.
 
-    ``offset`` carries the character offset of a syntax error when known.
+    ``offset`` carries the byte offset of a syntax error, or of the first byte
+    at which a document departs from its canonical form, when known.
     """
 
     def __init__(self, message: str, offset: int | None = None):

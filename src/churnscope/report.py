@@ -1,21 +1,21 @@
 """Churn report files, build-to-build diffing, and regression ranking.
 
-Reports serialize to a canonical JSON form, written by string templates:
-the layout of ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)``,
-with every non-integer number rendered as fixed-point with six decimals,
-UTF-8, newline-terminated. Costs are integer micro-units, rendered and read
-back exactly. Equal reports serialize to identical bytes on any platform,
-which is what makes byte-level comparison of builds meaningful.
+Reports and verdicts serialize to a canonical JSON form, written by string
+templates: the layout of ``json.dumps(indent=2, sort_keys=True,
+ensure_ascii=False)``, with every non-integer number rendered as fixed-point
+with six decimals, UTF-8, newline-terminated. Costs are integer micro-units,
+rendered and read back exactly. Equal reports serialize to identical bytes on
+any platform, and the readers accept only those bytes: they rebuild the
+object, write it again and compare, so a content has one byte form.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import sys
-from decimal import Context, Decimal, Inexact
-from typing import Any, Iterable, NamedTuple, NoReturn
+from operator import itemgetter
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .aggregation import MarkerChurn, merge_phases
 from .cost_model import COST_DECIMALS, MICRO, AllocFnKind, CostModel, validate_cost_model
@@ -182,18 +182,19 @@ def _churn_text(r: MarkerChurn, nl: str) -> str:
     """
     i = nl + "  "
     j = i + "  "
-    c = r.calls
+    name, micro, c, allocated, freed, overflow, auto_closed, thread_id, span_id = r
+    cost = f"{micro // MICRO}.{micro % MICRO:06d}" if micro >= 0 else format_cost(micro)
     ids = ""
-    if r.thread_id is not None or r.span_id is not None:
-        span_id = "null" if r.span_id is None else _quote(r.span_id)
-        thread_id = "null" if r.thread_id is None else _quote(r.thread_id)
+    if thread_id is not None or span_id is not None:
+        span_id = "null" if span_id is None else _quote(span_id)
+        thread_id = "null" if thread_id is None else _quote(thread_id)
         ids = f',{i}"span_id": {span_id},{i}"thread_id": {thread_id}'
     return (
-        f'{{{i}"auto_closed": {"true" if r.auto_closed else "false"},{i}"bytes_allocated": {r.bytes_allocated},'
-        f'{i}"bytes_freed": {r.bytes_freed},{i}"calls": {{{j}"calloc": {c.get(_CALLOC, 0)},'
+        f'{{{i}"auto_closed": {"true" if auto_closed else "false"},{i}"bytes_allocated": {allocated},'
+        f'{i}"bytes_freed": {freed},{i}"calls": {{{j}"calloc": {c.get(_CALLOC, 0)},'
         f'{j}"free": {c.get(_FREE, 0)},{j}"malloc": {c.get(_MALLOC, 0)},{j}"realloc": {c.get(_REALLOC, 0)}{i}}},'
-        f'{i}"cost": {format_cost(r.cost_micro)},{i}"name": {_quote(r.name)},'
-        f'{i}"overflow": {"true" if r.overflow else "false"}{ids}{nl}}}'
+        f'{i}"cost": {cost},{i}"name": {_quote(name)},'
+        f'{i}"overflow": {"true" if overflow else "false"}{ids}{nl}}}'
     )
 
 
@@ -277,268 +278,184 @@ def serialize_report(report: ChurnReport) -> bytes:
 # parsing and validation
 
 
-def _reject_duplicate_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-    doc = dict(pairs)
-    if len(doc) != len(pairs):  # a key repeats: name the first repeat
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise ReportError(f"duplicate key {key!r} in document")
-            seen.add(key)
-    return doc
-
-
 def _reject_constant(name: str) -> Any:
     raise ReportError(f"non-finite number literal {name} is not allowed")
 
 
-# An escape in the surrogate range can decode to a lone surrogate, which UTF-8 cannot encode.
-_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+# Each number with a fraction or exponent is kept as its literal.
+_DECODER = json.JSONDecoder(parse_float=str, parse_constant=_reject_constant)
 
 
-def _reject_lone_surrogates(doc: Any, what: str) -> None:
-    """Raise ReportError if a key or string in ``doc`` cannot be written back as UTF-8."""
-    stack = [doc]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, str):
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ReportError(f"{what} holds a string that is not valid Unicode: {exc}") from None
-        elif isinstance(value, dict):
-            stack.extend(value)
-            stack.extend(value.values())
-        elif isinstance(value, list):
-            stack.extend(value)
-
-
-def _load_json(data: bytes | str, what: str) -> Any:
-    # Decoded UTF-8 holds no surrogates, so only an escape can add one; a str may hold them raw.
-    raw_text = isinstance(data, str)
-    if not raw_text:
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ReportError(f"{what} is not valid UTF-8: {exc}") from None
+def _read(data: bytes | str, what: str, build: Callable[[Any], Any], serialize: Callable[[Any], bytes]) -> Any:
+    """Both readers' one rule: decode, ``build`` the object with the semantic
+    checks, write it again and demand the input's exact bytes. Any other
+    layout, spelling, key order, duplicated or unknown key, or merged record
+    that is not the sum of its parts fails the comparison, named by the
+    first differing byte; a field ``build`` cannot find or use fails here too.
+    """
     try:
-        doc = json.loads(
-            data, object_pairs_hook=_reject_duplicate_keys, parse_constant=_reject_constant, parse_float=Decimal
-        )
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+        text = data.decode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ReportError(f"{what} holds a string that is not valid Unicode: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{what} is not valid UTF-8: {exc}") from None
+    try:
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
-        raise ReportError(f"{what} syntax error at offset {exc.pos}: {exc.msg}", offset=exc.pos) from None
+        offset = len(text[: exc.pos].encode("utf-8"))
+        raise ReportError(f"{what} syntax error at offset {offset}: {exc.msg}", offset=offset) from None
     except RecursionError:
         raise ReportError(f"{what} is nested too deeply") from None
-    except (ValueError, ArithmeticError) as exc:
-        # e.g. an integer literal past the int conversion limit, or an exponent past Decimal's
+    except ValueError as exc:  # e.g. an integer literal past the int conversion limit
         raise ReportError(f"{what} has an invalid value: {exc}") from None
-    if _SURROGATE_ESCAPE.search(data) or (raw_text and not data.isascii()):
-        _reject_lone_surrogates(doc, what)
-    return doc
-
-
-def _expect(doc: dict[str, Any], key: str, types: type | tuple, what: str) -> Any:
-    if key not in doc:
-        raise ReportError(f"{what} is missing required field {key!r}")
-    value = doc[key]
-    # bool is an int subclass; only accept it where bool was asked for.
-    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-        raise ReportError(f"{what} field {key!r} has the wrong type")
-    return value
-
-
-def _expect_float(doc: dict[str, Any], key: str, what: str) -> float:
-    # Via Decimal, a number too large for a float reads as inf (rejected by the caller).
-    return float(Decimal(_expect(doc, key, (int, Decimal), what)))
-
-
-_MAX_MICRO = int(sys.float_info.max) * MICRO
-# Exact up to _MAX_MICRO: a literal needing rounding (too many digits or too large) raises Inexact.
-_EXACT = Context(prec=400, Emax=400, traps=[Inexact])
-
-
-def _expect_micro(doc: dict[str, Any], key: str, what: str) -> int:
-    """Read a cost literal back to its exact integer count of micro-units."""
     try:
-        scaled = _EXACT.scaleb(_expect(doc, key, (int, Decimal), what), COST_DECIMALS)
-        micro = int(scaled)
-    except Inexact:
-        micro = scaled = None
-    if micro is not None and micro == scaled and -_MAX_MICRO <= micro <= _MAX_MICRO:
-        return micro
-    raise ReportError(f"{what} field {key!r} is out of range or not a whole number of micro-units")
+        result = build(doc)
+        canonical = serialize(result)
+    except UnicodeEncodeError as exc:  # an escape decoded to a lone surrogate
+        raise ReportError(f"{what} holds a string that is not valid Unicode: {exc}") from None
+    except (KeyError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:
+        raise ReportError(f"{what} does not match the schema ({type(exc).__name__}: {exc})") from None
+    if canonical != data:
+        at = next((i for i, (a, b) in enumerate(zip(canonical, data)) if a != b), min(len(canonical), len(data)))
+        excerpts = f"expected {canonical[at:at + 24]!r}, found {data[at:at + 24]!r}"
+        raise ReportError(f"{what} is not in canonical form at byte {at}: {excerpts}", offset=at)
+    return result
 
 
-# The fields each object may hold; the schema allows no others. Record fields
-# come with the types _expect accepts, in the order _reject_record checks them.
-_REPORT_KEYS = frozenset(("schema_version", "build_id", "created_at", "cost_model", "phases", "threads", "counters"))
-_MODEL_KEYS = frozenset(("model_version", "weights"))
-_COUNTER_KEYS = frozenset(ReportTotals._fields)
-_MERGED_FIELDS = (("name", str), ("cost", (int, Decimal)), ("calls", dict), ("bytes_allocated", int),
-                  ("bytes_freed", int), ("overflow", bool), ("auto_closed", bool))
-_THREAD_FIELDS = _MERGED_FIELDS + (("thread_id", str), ("span_id", str))
-_MERGED_KEYS = frozenset(key for key, _ in _MERGED_FIELDS)
-_THREAD_KEYS = frozenset(key for key, _ in _THREAD_FIELDS)
-_CALL_KEYS = frozenset(key for _, key in _KINDS)
+# The bound makes every ratio of two accepted costs, and so every relative delta, a finite float.
+_MAX_MICRO = int(sys.float_info.max)
+_MAX_COST_LEN = len(format_cost(_MAX_MICRO))
 
 
-def _reject_unknown(doc: dict[str, Any], known: frozenset[str], what: str) -> None:
-    unknown = doc.keys() - known
-    if unknown:
-        raise ReportError(f"{what} has unknown field {min(unknown)!r}")
+def _micro(literal: Any) -> int:
+    """A cost literal's count of micro-units: with the writer's dot before six
+    decimals, the integer of its digits (just out of range if longer than the
+    largest cost's literal); any other value reads as 0, which the byte
+    comparison then rejects, since the writer never writes it that way."""
+    if type(literal) is not str or literal[-7:-6] != ".":
+        return 0
+    if len(literal) > _MAX_COST_LEN:
+        return _MAX_MICRO + 1
+    try:
+        return int(literal.replace(".", ""))
+    except ValueError:
+        return 0
+
+
+# A record's fields in the writer's (sorted) order; threads add span_id and thread_id.
+_MERGED = itemgetter("auto_closed", "bytes_allocated", "bytes_freed", "calls", "cost", "name", "overflow")
+_THREAD = itemgetter("auto_closed", "bytes_allocated", "bytes_freed", "calls", "cost", "name", "overflow",
+                     "span_id", "thread_id")
+_CALLS = itemgetter("calloc", "free", "malloc", "realloc")
+_COUNTERS = itemgetter(*ReportTotals._fields)
+
+
+def _parse_records(docs: Any, with_thread: bool, where: str) -> list[MarkerChurn]:
+    """Build records, each with one fetch and one type-and-sign condition.
+
+    JSON gives exact int, bool and str values, so a bool never passes for an
+    int, and a count written as ``5.0`` (a str here) is turned down before the
+    writer could echo it back. Only a record that fails is looked at again, to
+    name its first fault; ``where.format(index)`` labels it.
+    """
+    records: list[MarkerChurn] = []
+    for doc in docs:
+        if with_thread:
+            auto_closed, allocated, freed, calls, cost, name, overflow, span_id, thread_id = _THREAD(doc)
+            ids_ok = type(span_id) is str and type(thread_id) is str
+        else:
+            auto_closed, allocated, freed, calls, cost, name, overflow = _MERGED(doc)
+            span_id = thread_id = None
+            ids_ok = True
+        calloc, free, malloc, realloc = _CALLS(calls)
+        micro = _micro(cost)
+        if not (
+            ids_ok and type(name) is str and type(auto_closed) is bool and type(overflow) is bool
+            and type(calloc) is int and type(free) is int and type(malloc) is int and type(realloc) is int
+            and type(allocated) is int and type(freed) is int
+            and calloc | free | malloc | realloc | allocated | freed >= 0  # negative iff one of them is
+            and 0 <= micro <= _MAX_MICRO and (not micro or calloc | free | malloc | realloc)
+        ):
+            raise _record_fault(doc, where.format(len(records)))
+        calls = {_MALLOC: malloc, _CALLOC: calloc, _REALLOC: realloc, _FREE: free}
+        # tuple.__new__ skips the named tuple's Python-level __new__: the fields are already in order.
+        records.append(tuple.__new__(MarkerChurn, (name, micro, calls, allocated, freed, overflow, auto_closed,
+                                                   thread_id, span_id)))
+    return records
+
+
+def _record_fault(doc: dict[str, Any], what: str) -> ReportError:
+    """The error naming the first fault of a record that ``_parse_records`` turned down."""
+    for key, kind in (("auto_closed", bool), ("bytes_allocated", int), ("bytes_freed", int), ("name", str),
+                      ("overflow", bool), ("span_id", str), ("thread_id", str)):
+        if key in doc and type(doc[key]) is not kind:
+            return ReportError(f"{what} field {key!r} has the wrong type")
+    calls = doc["calls"]
+    for key in ("calloc", "free", "malloc", "realloc"):
+        if type(calls[key]) is not int:
+            return ReportError(f"{what} calls field {key!r} has the wrong type")
+        if calls[key] < 0:
+            return ReportError(f"{what} has negative {key} count")
+    if doc["bytes_allocated"] < 0 or doc["bytes_freed"] < 0:
+        return ReportError(f"{what} has negative byte totals")
+    micro = _micro(doc["cost"])
+    if micro < 0:
+        return ReportError(f"{what} has negative cost")
+    if micro > _MAX_MICRO:
+        return ReportError(f"{what} field 'cost' is out of range or not a whole number of micro-units")
+    return ReportError(f"{what} has zero calls but nonzero cost")
 
 
 def _parse_model(doc: Any) -> CostModel:
-    if not isinstance(doc, dict):
-        raise ReportError("cost_model must be an object")
-    version = _expect(doc, "model_version", str, "cost_model")
-    weights_doc = _expect(doc, "weights", dict, "cost_model")
-    _reject_unknown(doc, _MODEL_KEYS, "cost_model")
-    weights: dict[AllocFnKind, float] = {}
-    for key in weights_doc:
-        try:
-            kind = AllocFnKind(key)
-        except ValueError:
-            raise ReportError(f"cost_model has unknown weight key {key!r}") from None
-        weights[kind] = _expect_float(weights_doc, key, "cost_model weights")
-    model = CostModel(weights, version)
+    weights = {AllocFnKind(key): weight for key, weight in doc["weights"].items()}
+    model = CostModel(weights, doc["model_version"])
     violations = validate_cost_model(model)
     if violations:
         raise ReportError("invalid cost_model: " + "; ".join(violations))
     return model
 
 
-def _reject_record(doc: dict[str, Any], what: str, with_thread: bool) -> NoReturn:
-    """Raise the error naming the first fault of a record that ``_parse_churn`` turned down."""
-    if not with_thread and ("thread_id" in doc or "span_id" in doc):
-        raise ReportError(f"{what} is merged and must not carry thread attribution")
-    for key, types in _THREAD_FIELDS if with_thread else _MERGED_FIELDS:
-        _expect(doc, key, types, what)
-    _reject_unknown(doc, _THREAD_KEYS if with_thread else _MERGED_KEYS, what)
-    calls = doc["calls"]
-    for _, key in _KINDS:
-        if _expect(calls, key, int, f"{what} calls") < 0:
-            raise ReportError(f"{what} has negative {key} count")
-    if len(calls) != len(_KINDS):
-        raise ReportError(f"{what} calls has unknown kinds {sorted(calls.keys() - _CALL_KEYS)!r}")
-    raise ReportError(f"{what} has negative byte totals")
-
-
-def _parse_churn(doc: Any, what: str, with_thread: bool) -> MarkerChurn:
-    """Check a record in one pass, then build it.
-
-    The key sets are compared once; every field's exact type and every sign
-    are checked in one condition (JSON gives exact int, bool, str, dict and
-    Decimal values, so a bool never passes for an int). Only a record that
-    fails is looked at again, by ``_reject_record``, to name its fault.
-    """
-    if type(doc) is not dict:
-        raise ReportError(f"{what} must be an object")
-    calls = doc.get("calls")
-    if doc.keys() != (_THREAD_KEYS if with_thread else _MERGED_KEYS) or type(calls) is not dict \
-            or calls.keys() != _CALL_KEYS:
-        _reject_record(doc, what, with_thread)
-    name, bytes_allocated, bytes_freed = doc["name"], doc["bytes_allocated"], doc["bytes_freed"]
-    malloc, calloc, realloc, free = calls["malloc"], calls["calloc"], calls["realloc"], calls["free"]
-    overflow, auto_closed = doc["overflow"], doc["auto_closed"]
-    thread_id, span_id = (doc["thread_id"], doc["span_id"]) if with_thread else (None, None)
-    if not (
-        type(name) is str and type(malloc) is int and type(calloc) is int and type(realloc) is int
-        and type(free) is int and type(bytes_allocated) is int and type(bytes_freed) is int
-        and type(overflow) is bool and type(auto_closed) is bool
-        and (not with_thread or (type(thread_id) is str and type(span_id) is str))
-        and malloc >= 0 and calloc >= 0 and realloc >= 0 and free >= 0
-        and bytes_allocated >= 0 and bytes_freed >= 0
-    ):
-        _reject_record(doc, what, with_thread)
-    cost_micro = _expect_micro(doc, "cost", what)
-    if cost_micro < 0:
-        raise ReportError(f"{what} has negative cost")
-    if cost_micro and not (malloc or calloc or realloc or free):
-        raise ReportError(f"{what} has zero calls but nonzero cost")
-    calls = {_MALLOC: malloc, _CALLOC: calloc, _REALLOC: realloc, _FREE: free}
-    return MarkerChurn(name, cost_micro, calls, bytes_allocated, bytes_freed, overflow, auto_closed, thread_id, span_id)
+def _build_report(doc: Any) -> ChurnReport:
+    version = doc["schema_version"]
+    if version != SCHEMA_VERSION:
+        raise ReportError(f"unknown schema_version {version!r} (expected {SCHEMA_VERSION!r})")
+    model = _parse_model(doc["cost_model"])
+    per_thread = _parse_records(doc["threads"], True, "threads[{}]")
+    span_ids: set[str] = set()
+    # build_report's order: labels sorted, spans in begin order, ids label/NNNNNN.
+    last: tuple = ("", -1, "")
+    for i, record in enumerate(per_thread):
+        span_id = record.span_id
+        if span_id in span_ids:
+            raise ReportError(f"threads[{i}] repeats span_id {span_id!r}")
+        key = (record.thread_id, len(span_id), span_id)
+        if key <= last:
+            raise ReportError(f"threads[{i}] is out of order: not sorted by thread_id, then span_id")
+        span_ids.add(span_id)
+        last = key
+    merged = merge_phases(per_thread)
+    for name, record in merged.items():
+        if record.cost_micro > _MAX_MICRO:
+            raise ReportError(f"phase {name!r} field 'cost' is out of range or not a whole number of micro-units")
+    totals = ReportTotals(*_COUNTERS(doc["counters"]))
+    for key, value in zip(ReportTotals._fields, totals):
+        if type(value) is not int:
+            raise ReportError(f"counters field {key!r} has the wrong type")
+        if value < 0:
+            raise ReportError(f"counters field {key!r} is negative")
+    return ChurnReport(doc["build_id"], doc["created_at"], model, merged, per_thread, totals)
 
 
 def parse_report(data: bytes | str) -> ChurnReport:
-    """Parse and validate a report document.
+    """Parse a report, accepting it only in the canonical bytes ``serialize_report`` writes.
 
-    Raises ReportError naming the first violated rule: syntax (with offset),
-    unknown schema version, negative counters, or merged records that do not
-    equal the sum of their per-thread parts.
+    ``merged`` is recomputed from the per-thread records, so the stored phases
+    are checked by the byte comparison. Raises ReportError naming the first
+    violated rule, as a message or as a byte offset (see ``_read``).
     """
-    doc = _load_json(data, "report")
-    if not isinstance(doc, dict):
-        raise ReportError("report must be a JSON object")
-    version = _expect(doc, "schema_version", str, "report")
-    if version != SCHEMA_VERSION:
-        raise ReportError(f"unknown schema_version {version!r} (expected {SCHEMA_VERSION!r})")
-    _reject_unknown(doc, _REPORT_KEYS, "report")
-    build_id = _expect(doc, "build_id", str, "report")
-    created_at = _expect(doc, "created_at", str, "report")
-    model = _parse_model(_expect(doc, "cost_model", dict, "report"))
-
-    phases_doc = _expect(doc, "phases", dict, "report")
-    merged: dict[str, MarkerChurn] = {}
-    for name, record_doc in phases_doc.items():
-        record = _parse_churn(record_doc, f"phase {name!r}", with_thread=False)
-        if record.name != name:
-            raise ReportError(f"phase key {name!r} does not match record name {record.name!r}")
-        merged[name] = record
-
-    threads_doc = _expect(doc, "threads", list, "report")
-    per_thread: list[MarkerChurn] = []
-    span_ids: set[str] = set()
-    for i, item in enumerate(threads_doc):
-        record = _parse_churn(item, f"threads[{i}]", with_thread=True)
-        if record.span_id in span_ids:
-            raise ReportError(f"threads[{i}] repeats span_id {record.span_id!r}")
-        span_ids.add(record.span_id)
-        per_thread.append(record)
-
-    counters_doc = _expect(doc, "counters", dict, "report")
-    totals = ReportTotals(*(_expect(counters_doc, key, int, "counters") for key in ReportTotals._fields))
-    _reject_unknown(counters_doc, _COUNTER_KEYS, "counters")
-    for fname, value in totals._asdict().items():
-        if value < 0:
-            raise ReportError(f"counters field {fname!r} is negative")
-
-    _check_merge_consistency(merged, per_thread)
-    return ChurnReport(
-        build_id=build_id,
-        created_at=created_at,
-        model=model,
-        merged=merged,
-        per_thread=per_thread,
-        totals=totals,
-    )
-
-
-def _check_merge_consistency(merged: dict[str, MarkerChurn], per_thread: list[MarkerChurn]) -> None:
-    """Raise ReportError unless each phase is the sum of its per-thread parts.
-
-    Equal records pass in one comparison; only a mismatch is looked at field
-    by field, to name the fault.
-    """
-    summed = merge_phases(per_thread)
-    if summed == merged:
-        return
-    if summed.keys() != merged.keys():
-        missing = set(merged) ^ set(summed)
-        raise ReportError(
-            "phases and per-thread records disagree on phase names: "
-            + ", ".join(sorted(repr(n) for n in missing))
-        )
-    for name, got in summed.items():
-        want = merged[name]
-        if got.calls != want.calls:
-            raise ReportError(f"merge-consistency failure for {name!r}: call counts differ")
-        if (got.bytes_allocated, got.bytes_freed) != (want.bytes_allocated, want.bytes_freed):
-            raise ReportError(f"merge-consistency failure for {name!r}: byte totals differ")
-        if (got.overflow, got.auto_closed) != (want.overflow, want.auto_closed):
-            raise ReportError(f"merge-consistency failure for {name!r}: flags differ")
-        if got.cost_micro != want.cost_micro:
-            raise ReportError(f"merge-consistency failure for {name!r}: cost is not the sum of parts")
+    return _read(data, "report", _build_report, serialize_report)
 
 
 # ---------------------------------------------------------------------------
@@ -682,66 +599,49 @@ def serialize_verdict(verdict: RegressionVerdict) -> bytes:
     return text.encode("utf-8")
 
 
-def parse_verdict(data: bytes | str) -> RegressionVerdict:
-    """Parse and validate a verdict document produced by ``diff --format json``.
-
-    Only the thresholds and each delta's records are read; every status and
-    delta is recomputed from them, and the document must be the recomputed
-    verdict, so a hand-edited status, delta or flag raises ReportError.
-    Input bytes equal to the canonical form need no further comparison.
-    """
-    doc = _load_json(data, "verdict")
-    if not isinstance(doc, dict):
-        raise ReportError("verdict must be a JSON object")
-    version = _expect(doc, "schema_version", str, "verdict")
+def _build_verdict(doc: Any) -> RegressionVerdict:
+    version = doc["schema_version"]
     if version != SCHEMA_VERSION:
         raise ReportError(f"unknown schema_version {version!r} (expected {SCHEMA_VERSION!r})")
-    th_doc = _expect(doc, "thresholds", dict, "verdict")
-    rel = _expect_float(th_doc, "rel", "thresholds")
-    abs_floor = _expect_float(th_doc, "abs_floor", "thresholds")
+    th = doc["thresholds"]
     try:
-        thresholds = Thresholds(rel=rel, abs_floor=abs_floor, call_floor=th_doc.get("call_floor"))
-    except ValueError as exc:
+        thresholds = Thresholds(float(th["rel"]), float(th["abs_floor"]), th["call_floor"])
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise ReportError(f"verdict has invalid thresholds: {exc}") from None
-    flag = _expect(doc, "regression_detected", bool, "verdict")
-    deltas_doc = _expect(doc, "deltas", list, "verdict")
     deltas: list[ChurnDelta] = []
     phases: set[str] = set()
-    for i, item in enumerate(deltas_doc):
-        what = f"deltas[{i}]"
-        if not isinstance(item, dict):
-            raise ReportError(f"{what} must be an object")
-        phase = _expect(item, "phase", str, what)
+    for i, item in enumerate(doc["deltas"]):
+        phase = item["phase"]
         if phase in phases:
-            raise ReportError(f"{what} repeats phase {phase!r}")
+            raise ReportError(f"deltas[{i}] repeats phase {phase!r}")
         phases.add(phase)
         records = []
         for side in ("baseline", "candidate"):
-            record = item.get(side)
+            record = item[side]
             if record is not None:
-                record = _parse_churn(record, f"{what} {side}", False)
+                (record,) = _parse_records([record], False, f"deltas[{i}] {side}")
                 if record.name != phase:
-                    raise ReportError(f"{what} {side} record is named {record.name!r}, not {phase!r}")
+                    raise ReportError(f"deltas[{i}] {side} record is named {record.name!r}, not {phase!r}")
             records.append(record)
         if records == [None, None]:
-            raise ReportError(f"{what} carries neither a baseline nor a candidate record")
+            raise ReportError(f"deltas[{i}] carries neither a baseline nor a candidate record")
         delta = _compare(phase, records[0], records[1], thresholds)
-        if item.get("status") != delta.status:
+        if item["status"] != delta.status:
             raise ReportError(
-                f"{what} has status {item.get('status')!r}, but its records and thresholds "
-                f"give {delta.status!r}"
+                f"deltas[{i}] has status {item['status']!r}, but its records and thresholds give {delta.status!r}"
             )
         deltas.append(delta)
     verdict = RegressionVerdict(thresholds, deltas)
-    if flag != verdict.regression_detected:
+    if doc["regression_detected"] != verdict.regression_detected:
         raise ReportError("regression_detected flag does not match the delta statuses")
-    canonical = serialize_verdict(verdict)
-    if data == canonical:
-        return verdict
-    recomputed = _load_json(canonical, "verdict")
-    for i, (got, want) in enumerate(zip(deltas_doc, recomputed["deltas"])):
-        if got != want:
-            raise ReportError(f"deltas[{i}] does not match its records and thresholds")
-    if doc != recomputed:
-        raise ReportError("verdict does not match its canonical form")
     return verdict
+
+
+def parse_verdict(data: bytes | str) -> RegressionVerdict:
+    """Parse a verdict, accepting it only in the canonical bytes ``serialize_verdict`` writes.
+
+    Only the thresholds and each delta's records are read. Every status and
+    delta is recomputed from them: a hand-edited status or flag is named as
+    such, any other edit by the first byte that departs from the result.
+    """
+    return _read(data, "verdict", _build_verdict, serialize_verdict)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import re
+from typing import Any
+
 from churnscope import (
     AllocFnKind,
     ChurnReport,
@@ -50,3 +54,51 @@ def report_with_units(
             heap.free(tok)
     session.seal_all()
     return session.build_report()
+
+
+class Literal(str):
+    """A JSON token that ``canonical_json`` writes verbatim. Read a document
+    with ``json.loads(data, parse_float=Literal)`` to keep every cost and
+    weight literal as written."""
+
+
+def float_literal(value: float) -> str:
+    """A float as a report writes it: six decimals, with -0 written as 0."""
+    text = f"{value:.6f}"
+    return "0.000000" if text == "-0.000000" else text
+
+
+# Each literal is first held by a placeholder string that no test text holds
+# (they draw no private-use characters), then written back in its place.
+_PLACEHOLDER = re.compile('"\ue000([0-9]+)\ue000"')
+
+
+def canonical_json(doc: Any) -> bytes:
+    """``doc`` in the layout of a report or verdict file.
+
+    That is ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)`` and a
+    newline, UTF-8, with each float written by ``float_literal`` and each
+    ``Literal`` verbatim. It is the tests' reference for the writers, and it
+    lays out hand-edited documents so that they reach the readers' checks.
+    """
+    literals: list[str] = []
+
+    def hold(value: Any) -> Any:
+        if isinstance(value, float):
+            value = Literal(float_literal(value))
+        if isinstance(value, Literal):
+            literals.append(value)
+            return f"\ue000{len(literals) - 1}\ue000"
+        if isinstance(value, dict):
+            return {key: hold(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [hold(item) for item in value]
+        return value
+
+    text = json.dumps(hold(doc), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return _PLACEHOLDER.sub(lambda m: literals[int(m[1])], text).encode("utf-8")
+
+
+def first_difference(a: bytes, b: bytes) -> int:
+    """The first byte offset at which ``a`` and ``b`` differ."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))

@@ -11,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import churnscope
-from churnscope import Thresholds, parse_report, parse_verdict
+from churnscope import Thresholds, parse_report, parse_verdict, serialize_report
+from churnscope.aggregation import merge_phases
 from churnscope.cli import build_parser, main
+
+from factories import canonical_json, report_with_units
 
 
 def run_report(tmp_path, name="base", variant="baseline", extra=()):
@@ -201,6 +204,22 @@ def test_show_corrupt_file_reports_offset_exit_2(tmp_path, capsys):
     assert "offset" in capsys.readouterr().err
 
 
+def test_show_and_rank_name_the_file_in_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.churn.json"
+    bad.write_text('{"build_id": "b", oops}')
+    message = "error: {}: {} syntax error at offset 18: Expecting property name enclosed in double quotes\n"
+    assert main(["show", str(bad)]) == 2
+    assert capsys.readouterr().err == "churnscope show: " + message.format(bad, "report")
+    assert main(["rank", str(bad)]) == 2
+    assert capsys.readouterr().err == "churnscope rank: " + message.format(bad, "verdict")
+
+
+def test_rank_names_stdin_as_dash_in_a_parse_error():
+    rank = run_module("rank", "-", input=b"[", text=False)
+    assert rank.returncode == 2
+    assert rank.stderr.decode().startswith("churnscope rank: error: -: verdict syntax error at offset 1:")
+
+
 def test_rank_reorders_saved_verdict(tmp_path, capsys):
     base = run_report(tmp_path, "base")
     cand = run_report(tmp_path, "cand", variant="regressed")
@@ -265,7 +284,7 @@ def test_rank_json_is_idempotent(tmp_path, capsys):
 
 def test_rank_empty_verdict_exit_0(tmp_path, capsys):
     verdict_path = tmp_path / "verdict.json"
-    verdict_path.write_text(json.dumps({
+    verdict_path.write_bytes(canonical_json({
         "schema_version": "1",
         "thresholds": {"rel": 0.01, "abs_floor": 1.0, "call_floor": None},
         "regression_detected": False,
@@ -329,6 +348,48 @@ def test_importing_the_cli_loads_no_introspection_modules():
     assert imported & {"dataclasses", "inspect", "ast", "dis", "tokenize"} == set()
 
 
+def test_importing_the_cli_leaves_decimal_out():
+    # Reports are read exactly without decimal: a cost literal is the integer of its digits.
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import churnscope.cli; print('decimal' in sys.modules)"
+    src = str(Path(churnscope.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
+def _one_phase_report(path, *part_costs):
+    """A report whose phase "p" is one span per cost in ``part_costs`` (micro-units)."""
+    report = report_with_units({"p": 1})
+    part = report.per_thread[0]
+    parts = [part._replace(cost_micro=cost, span_id=f"main/{i:06d}") for i, cost in enumerate(part_costs)]
+    report = report._replace(per_thread=parts, merged=merge_phases(parts))
+    path.write_bytes(serialize_report(report))
+    return str(path)
+
+
+def test_costs_up_to_the_largest_float_diff_and_rank_without_a_traceback(tmp_path, capsys):
+    # Every ratio of two accepted costs must be a finite float; a cost past
+    # the bound would make _classify raise OverflowError, a crash that exits 1.
+    limit = int(sys.float_info.max)
+    tiny = _one_phase_report(tmp_path / "tiny.churn.json", 1)
+    huge = _one_phase_report(tmp_path / "huge.churn.json", limit)
+    past = _one_phase_report(tmp_path / "past.churn.json", limit * 10**6)
+    summed_past = _one_phase_report(tmp_path / "summed.churn.json", limit, 1)
+    capsys.readouterr()
+    assert main(["diff", tiny, past]) == 2
+    assert "threads[0] field 'cost' is out of range" in capsys.readouterr().err
+    assert main(["diff", tiny, summed_past]) == 2
+    assert "phase 'p' field 'cost' is out of range" in capsys.readouterr().err
+    assert main(["diff", tiny, huge]) == 1
+    assert main(["diff", huge, tiny]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["diff", tiny, huge, "--format", "json"]) == 1
+    verdict = tmp_path / "verdict.json"
+    verdict.write_bytes(capsys.readouterr().out.encode())
+    assert main(["rank", str(verdict)]) == 0
+    assert main(["rank", str(verdict), "--by", "abs", "--format", "json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_diff_color_flag_wraps_statuses(tmp_path, capsys):
     base = run_report(tmp_path, "base")
     cand = run_report(tmp_path, "cand", variant="regressed")
@@ -381,7 +442,7 @@ def test_run_ring_capacity_past_maxsize_exits_2(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_rank_output_is_the_same_for_any_layout_of_a_verdict(tmp_path, capsys):
+def test_rank_rejects_any_layout_of_a_verdict_but_the_canonical_one(tmp_path, capsys):
     base = run_report(tmp_path, "base")
     cand = run_report(tmp_path, "cand", variant="regressed")
     capsys.readouterr()
@@ -392,9 +453,13 @@ def test_rank_output_is_the_same_for_any_layout_of_a_verdict(tmp_path, capsys):
     flat.write_bytes(b"\n".join(line.strip() for line in canonical.read_bytes().splitlines()))
     for flags in ([], ["--by", "abs", "--tie-break", "name"], ["--format", "json"]):
         assert main(["rank", str(canonical), *flags]) == 0
-        want = capsys.readouterr().out
-        assert main(["rank", str(flat), *flags]) == 0
-        assert capsys.readouterr().out == want
+        capsys.readouterr()
+        assert main(["rank", str(flat), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = f"churnscope rank: error: {flat}: verdict is not in canonical form at byte 2: expected b'  \"deltas"
+        assert captured.err.startswith(prefix) and "found b'\"deltas\": [" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 def test_rank_rejects_hand_edited_status_exit_2(tmp_path, capsys):

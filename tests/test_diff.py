@@ -28,7 +28,7 @@ from churnscope.report import (
     RegressionVerdict,
 )
 
-from factories import report_with_units
+from factories import canonical_json, first_difference, report_with_units
 
 
 def oracle_statuses(baseline_doc, candidate_doc, rel=0.01, floor=1.0):
@@ -118,7 +118,7 @@ def test_zero_baseline_regresses_only_above_floor():
         {"cost": 0.9, "calls": {"calloc": 0, "free": 0, "malloc": 1, "realloc": 0},
          "bytes_allocated": 2}
     )
-    small = parse_report(json.dumps(doc))
+    small = parse_report(canonical_json(doc))
     verdict = diff_reports(baseline, small)
     assert {d.phase: d.status for d in verdict.deltas}["idle"] == STATUS_NEUTRAL
 
@@ -348,7 +348,7 @@ def test_parse_verdict_rejects_inconsistent_flag():
     doc = json.loads(serialize_verdict(verdict))
     doc["regression_detected"] = True
     with pytest.raises(ReportError, match="regression_detected"):
-        parse_verdict(json.dumps(doc))
+        parse_verdict(canonical_json(doc))
 
 
 @pytest.mark.parametrize(
@@ -386,7 +386,7 @@ def test_parse_verdict_rejects_invalid_thresholds(field, literal):
     verdict = diff_reports(report_with_units({"a": 1}), report_with_units({"a": 1}))
     doc = json.loads(serialize_verdict(verdict))
     doc["thresholds"][field] = "@"
-    data = json.dumps(doc).replace('"@"', literal)
+    data = canonical_json(doc).replace(b'"@"', literal.encode())
     with pytest.raises(ReportError, match="thresholds"):
         parse_verdict(data)
 
@@ -409,7 +409,7 @@ def test_parse_verdict_rejects_repeated_phase():
     doc["deltas"].append(doc["deltas"][0])
     phase = doc["deltas"][0]["phase"]
     with pytest.raises(ReportError, match=f"repeats phase '{phase}'"):
-        parse_verdict(json.dumps(doc))
+        parse_verdict(canonical_json(doc))
 
 
 def test_parse_verdict_rejects_hand_edited_status():
@@ -418,7 +418,14 @@ def test_parse_verdict_rejects_hand_edited_status():
         delta["status"] = STATUS_NEUTRAL
     doc["regression_detected"] = False  # consistent with the edited statuses
     with pytest.raises(ReportError, match="status 'neutral'.*give 'regression'"):
-        parse_verdict(json.dumps(doc))
+        parse_verdict(canonical_json(doc))
+
+
+def _rejected_at(data):
+    with pytest.raises(ReportError) as excinfo:
+        parse_verdict(data)
+    assert f"verdict is not in canonical form at byte {excinfo.value.offset}: expected " in str(excinfo.value)
+    return excinfo.value.offset
 
 
 @pytest.mark.parametrize(
@@ -434,26 +441,26 @@ def test_parse_verdict_rejects_hand_edited_status():
     ids=["abs", "rel", "rel-null", "call_delta", "bytes_allocated", "bytes_freed"],
 )
 def test_parse_verdict_rejects_deltas_that_do_not_match_their_records(edit):
+    # Every delta is recomputed from the records, so the edit is where the bytes depart.
     doc = _regressed_verdict_doc()
+    canonical = canonical_json(doc)
     edit(doc["deltas"][0])
-    with pytest.raises(ReportError, match="does not match its records"):
-        parse_verdict(json.dumps(doc))
+    data = canonical_json(doc)
+    assert _rejected_at(data) == first_difference(data, canonical)
 
 
-def test_parse_verdict_accepts_an_equivalent_non_canonical_layout():
+def test_parse_verdict_rejects_an_equivalent_non_canonical_layout():
     data = serialize_verdict(diff_reports(report_with_units({"a": 10, "b": 2}), report_with_units({"a": 12, "b": 2})))
     flat = b"\n".join(line.strip() for line in data.splitlines())
     assert flat != data
-    assert serialize_verdict(parse_verdict(flat)) == data
-    assert serialize_verdict(parse_verdict(flat.decode())) == data
+    assert _rejected_at(flat) == _rejected_at(flat.decode()) == first_difference(flat, data) == len(b"{\n")
 
 
 def test_parse_verdict_rejects_an_edited_delta_in_the_canonical_layout():
     data = serialize_verdict(diff_reports(report_with_units({"a": 10, "b": 2}), report_with_units({"a": 12, "b": 2})))
     edited = data.replace(b'"cost_delta_abs": 20.000000', b'"cost_delta_abs": 19.000000')
     assert edited != data
-    with pytest.raises(ReportError, match=r"deltas\[0\] does not match its records and thresholds"):
-        parse_verdict(edited)
+    assert _rejected_at(edited) == data.index(b'"cost_delta_abs": 20.000000') + len(b'"cost_delta_abs": ')
 
 
 def test_parse_verdict_rejects_status_the_records_contradict():
@@ -461,21 +468,21 @@ def test_parse_verdict_rejects_status_the_records_contradict():
     regression = doc["deltas"][0]
     regression["candidate"] = regression["baseline"]  # now an unchanged phase
     with pytest.raises(ReportError, match="status"):
-        parse_verdict(json.dumps(doc))
+        parse_verdict(canonical_json(doc))
     doc = _regressed_verdict_doc()
     doc["deltas"][0]["baseline"] = None  # records now say new_phase
     with pytest.raises(ReportError, match="new_phase"):
-        parse_verdict(json.dumps(doc))
+        parse_verdict(canonical_json(doc))
     doc["deltas"][0]["candidate"] = None
     with pytest.raises(ReportError, match="neither"):
-        parse_verdict(json.dumps(doc))
+        parse_verdict(canonical_json(doc))
 
 
 def test_parse_verdict_rejects_record_named_for_another_phase():
     doc = _regressed_verdict_doc()
     doc["deltas"][0]["candidate"]["name"] = "b"
     with pytest.raises(ReportError, match="named 'b'"):
-        parse_verdict(json.dumps(doc))
+        parse_verdict(canonical_json(doc))
 
 
 def test_parse_verdict_rejects_lone_surrogates():
@@ -483,8 +490,10 @@ def test_parse_verdict_rejects_lone_surrogates():
     for name in ('"\\udc00"', '"\udc00"'):  # an escape, and the raw code point in a str
         with pytest.raises(ReportError, match="not valid Unicode"):
             parse_verdict(data.replace('"a"', name))
-    pair = parse_verdict(data.replace('"a"', '"\\ud83d\\ude00"'))
-    assert [d.phase for d in pair.deltas] == ["\U0001F600"]
+    raw = parse_verdict(data.replace('"a"', '"\U0001F600"'))
+    assert [d.phase for d in raw.deltas] == ["\U0001F600"]
+    # An escaped pair means the same phase name, but the writer writes the raw character.
+    assert _rejected_at(data.replace('"a"', '"\\ud83d\\ude00"')) == data.index('"a"') + 1
 
 
 @pytest.mark.parametrize(
@@ -521,10 +530,10 @@ def test_thresholds_gate_on_the_six_decimals_a_verdict_records():
     for record in (doc["phases"]["a"], doc["threads"][0]):
         record.update(cost=100.0, bytes_allocated=2)
         record["calls"]["malloc"] = 1
-    base = parse_report(json.dumps(doc))
+    base = parse_report(canonical_json(doc))
     for record in (doc["phases"]["a"], doc["threads"][0]):
         record["cost"] = 101.2345
-    cand = parse_report(json.dumps(doc))
+    cand = parse_report(canonical_json(doc))
     verdict = diff_reports(base, cand, Thresholds(rel=0.0123449))
     data = serialize_verdict(verdict)
     assert serialize_verdict(parse_verdict(data)) == data

@@ -16,14 +16,16 @@ from churnscope import (
     ReportError,
     Thresholds,
     TracingAllocator,
+    WorkloadSpec,
     marker,
     parse_report,
+    run_workload,
     serialize_report,
     serialize_verdict,
 )
 from churnscope.report import STATUSES, ReportTotals, format_cost
 
-from factories import report_with_units
+from factories import Literal, canonical_json, first_difference, float_literal, report_with_units
 
 GOLDEN = """\
 {
@@ -128,11 +130,38 @@ def test_non_dyadic_costs_round_trip():
     assert serialize_report(parse_report(data)) == data
 
 
+GOLDEN_BYTES = GOLDEN.encode()
+
+
+def golden_doc():
+    """The golden report as a document, each cost and weight literal kept as written."""
+    return json.loads(GOLDEN, parse_float=Literal)
+
+
+def literal_span(data, *keys):
+    """The byte range of the value at ``keys`` in a canonical document, each
+    key found after the one before; the value runs to the next comma or line end."""
+    pos = 0
+    for key in keys:
+        pos = data.index(f'"{key}": '.encode(), pos) + len(key) + 4
+    return range(pos, re.compile(rb"[,\n]").search(data, pos).start())
+
+
+def rejected_at(data, parse=parse_report):
+    """Parse ``data``, which must be refused for its layout; return the byte offset the error names."""
+    with pytest.raises(ReportError) as excinfo:
+        parse(data)
+    offset = excinfo.value.offset
+    assert offset is not None and f" at byte {offset}: expected " in str(excinfo.value)
+    assert "\n" not in str(excinfo.value)
+    return offset
+
+
 def test_parse_rejects_unknown_schema_version():
-    doc = json.loads(serialize_report(golden_report()))
+    doc = golden_doc()
     doc["schema_version"] = "99"
     with pytest.raises(ReportError, match="schema_version"):
-        parse_report(json.dumps(doc))
+        parse_report(canonical_json(doc))
 
 
 def test_parse_reports_syntax_error_offset():
@@ -143,23 +172,32 @@ def test_parse_reports_syntax_error_offset():
     assert "offset" in str(excinfo.value)
 
 
+def test_syntax_error_offset_counts_bytes():
+    # "é" is two bytes in UTF-8: the fault sits at byte 27, character 22.
+    data = '{"build_id": "ééééé", oops}'
+    for given in (data, data.encode()):
+        with pytest.raises(ReportError, match="syntax error at offset 27:") as excinfo:
+            parse_report(given)
+        assert excinfo.value.offset == 27
+
+
 def test_parse_rejects_merge_inconsistency():
-    doc = json.loads(serialize_report(golden_report()))
-    doc["phases"]["demo"]["cost"] += 0.5
-    with pytest.raises(ReportError, match="merge-consistency"):
-        parse_report(json.dumps(doc))
+    doc = golden_doc()
+    doc["phases"]["demo"]["cost"] = 20.5
+    data = canonical_json(doc)
+    assert rejected_at(data) in literal_span(data, "phases", "demo", "cost")
 
 
 def test_parse_rejects_call_count_mismatch():
-    doc = json.loads(serialize_report(golden_report()))
+    doc = golden_doc()
     doc["phases"]["demo"]["calls"]["malloc"] += 1
-    with pytest.raises(ReportError, match="call counts"):
-        parse_report(json.dumps(doc))
+    data = canonical_json(doc)
+    assert rejected_at(data) in literal_span(data, "phases", "demo", "calls", "malloc")
 
 
 def _two_part_golden():
     """The golden report with its span repeated: phase 'demo' is the sum of two parts."""
-    doc = json.loads(GOLDEN)
+    doc = golden_doc()
     second = dict(doc["threads"][0], span_id="main/000001")
     doc["threads"].append(second)
     phase = doc["phases"]["demo"]
@@ -186,28 +224,30 @@ def _set_in(*path_and_value):
     return edit
 
 
-_MERGE_FAULT = "merge-consistency failure for 'demo': "
-_NAME_FAULT = "phases and per-thread records disagree on phase names: 'extra'"
+# Where a merge fault is named: the phases section comes first, so it is the
+# stored phase's literal that departs from the sum of the parts. A phase
+# present on one side only departs just after the last phase both sides hold.
+_END_OF_DEMO = GOLDEN_BYTES.index(b'    }\n  },\n  "schema_version"') + len(b"    }")
 
 
 @pytest.mark.parametrize(
-    "two_parts, edit, message",
+    "two_parts, edit, where",
     [
-        (False, _set_in("phases", "demo", "cost", 20.5), _MERGE_FAULT + "cost is not the sum of parts"),
-        (False, _set_in("phases", "demo", "calls", "malloc", 2), _MERGE_FAULT + "call counts differ"),
-        (False, _set_in("phases", "demo", "bytes_allocated", 1025), _MERGE_FAULT + "byte totals differ"),
-        (False, _set_in("phases", "demo", "bytes_freed", 1023), _MERGE_FAULT + "byte totals differ"),
-        (False, _set_in("phases", "demo", "overflow", True), _MERGE_FAULT + "flags differ"),
-        (False, _set_in("threads", 0, "overflow", True), _MERGE_FAULT + "flags differ"),
-        (False, _set_in("phases", "demo", "auto_closed", True), _MERGE_FAULT + "flags differ"),
-        (False, _set_in("threads", 0, "auto_closed", True), _MERGE_FAULT + "flags differ"),
-        (False, _only_in_phases, _NAME_FAULT),
-        (False, _only_in_threads, _NAME_FAULT),
+        (False, _set_in("phases", "demo", "cost", 20.5), ("cost",)),
+        (False, _set_in("phases", "demo", "calls", "malloc", 2), ("calls", "malloc")),
+        (False, _set_in("phases", "demo", "bytes_allocated", 1025), ("bytes_allocated",)),
+        (False, _set_in("phases", "demo", "bytes_freed", 1023), ("bytes_freed",)),
+        (False, _set_in("phases", "demo", "overflow", True), ("overflow",)),
+        (False, _set_in("threads", 0, "overflow", True), ("overflow",)),
+        (False, _set_in("phases", "demo", "auto_closed", True), ("auto_closed",)),
+        (False, _set_in("threads", 0, "auto_closed", True), ("auto_closed",)),
+        (False, _only_in_phases, _END_OF_DEMO),
+        (False, _only_in_threads, _END_OF_DEMO),
         (True, lambda doc: None, None),
-        (True, _set_in("threads", 1, "cost", 20.000001), _MERGE_FAULT + "cost is not the sum of parts"),
-        (True, _set_in("threads", 1, "calls", "free", 2), _MERGE_FAULT + "call counts differ"),
-        (True, _set_in("threads", 1, "bytes_freed", 1000), _MERGE_FAULT + "byte totals differ"),
-        (True, _set_in("threads", 1, "auto_closed", True), _MERGE_FAULT + "flags differ"),
+        (True, _set_in("threads", 1, "cost", 20.000001), ("cost",)),
+        (True, _set_in("threads", 1, "calls", "free", 2), ("calls", "free")),
+        (True, _set_in("threads", 1, "bytes_freed", 1000), ("bytes_freed",)),
+        (True, _set_in("threads", 1, "auto_closed", True), ("auto_closed",)),
     ],
     ids=[
         "phase-cost", "phase-calls", "phase-bytes-allocated", "phase-bytes-freed", "phase-overflow",
@@ -216,37 +256,48 @@ _NAME_FAULT = "phases and per-thread records disagree on phase names: 'extra'"
         "two-parts-bytes", "two-parts-auto-closed",
     ],
 )
-def test_parse_names_each_merge_fault(two_parts, edit, message):
-    doc = _two_part_golden() if two_parts else json.loads(GOLDEN)
+def test_parse_names_each_merge_fault(two_parts, edit, where):
+    doc = _two_part_golden() if two_parts else golden_doc()
     edit(doc)
-    if message is None:
-        parse_report(json.dumps(doc))
-        return
-    with pytest.raises(ReportError) as excinfo:
-        parse_report(json.dumps(doc))
-    assert str(excinfo.value) == message
+    data = canonical_json(doc)
+    if where is None:
+        assert serialize_report(parse_report(data)) == data
+    elif isinstance(where, int):
+        assert rejected_at(data) == where
+    else:
+        assert rejected_at(data) in literal_span(data, "phases", "demo", *where)
 
 
 def test_parse_rejects_negative_counters():
-    doc = json.loads(serialize_report(golden_report()))
+    doc = golden_doc()
     doc["counters"]["anomaly_count"] = -1
-    with pytest.raises(ReportError, match="negative"):
-        parse_report(json.dumps(doc))
+    with pytest.raises(ReportError, match="^counters field 'anomaly_count' is negative$"):
+        parse_report(canonical_json(doc))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [('"anomaly_count": 0,', '"anomaly_count": 5.0,', "counters field 'anomaly_count' has the wrong type"),
+     ('"malloc": 1,', '"malloc": 5.0,', "threads[0] calls field 'malloc' has the wrong type")],
+)
+def test_parse_rejects_a_count_written_as_a_float(old, new, message):
+    # The writer would write the literal 5.0 back byte for byte, so only the type check turns it down.
+    with pytest.raises(ReportError, match=f"^{re.escape(message)}$"):
+        parse_report(GOLDEN.replace(old, new))
 
 
 def test_parse_rejects_negative_calls():
-    doc = json.loads(serialize_report(golden_report()))
+    doc = golden_doc()
     doc["phases"]["demo"]["calls"]["free"] = -1
     doc["threads"][0]["calls"]["free"] = -1
-    with pytest.raises(ReportError, match="negative"):
-        parse_report(json.dumps(doc))
+    with pytest.raises(ReportError, match=r"^threads\[0\] has negative free count$"):
+        parse_report(canonical_json(doc))
 
 
 def test_parse_rejects_duplicate_keys():
-    data = serialize_report(golden_report()).decode()
-    data = data.replace('"build_id": "b1",', '"build_id": "b1",\n  "build_id": "b2",', 1)
-    with pytest.raises(ReportError, match="duplicate"):
-        parse_report(data)
+    data = GOLDEN.replace('"build_id": "b1",', '"build_id": "b1",\n  "build_id": "b2",', 1)
+    # The later copy wins, so the bytes depart at the first copy's value: "b1" where "b2" belongs.
+    assert rejected_at(data) == GOLDEN.index('"b1"') + 2
 
 
 @pytest.mark.parametrize(
@@ -266,56 +317,79 @@ def test_parse_rejects_raw_surrogates():
         parse_report(GOLDEN.encode().replace(b'"b1"', '"\ud800"'.encode("utf-8", "surrogatepass")))
 
 
-def test_parse_accepts_escaped_surrogate_pair():
-    report = parse_report(GOLDEN.replace('"b1"', '"\\ud83d\\ude00"'))
-    assert report.build_id == "\U0001F600"
-    assert serialize_report(report) == GOLDEN.replace("b1", "\U0001F600").encode()
+def test_parse_rejects_escaped_surrogate_pair():
+    # The escape means the same string as the raw character, but the writer writes the raw one.
+    raw = GOLDEN.replace("b1", "\U0001F600")
+    assert parse_report(raw).build_id == "\U0001F600"
+    escaped = GOLDEN.replace('"b1"', '"\\ud83d\\ude00"')
+    assert rejected_at(escaped) == GOLDEN.index("b1")
 
 
 def test_parse_rejects_zero_calls_nonzero_cost():
-    doc = json.loads(serialize_report(golden_report()))
+    doc = golden_doc()
     for record in (doc["phases"]["demo"], doc["threads"][0]):
         record["calls"] = {k: 0 for k in record["calls"]}
         record["cost"] = 3.0
         record["bytes_allocated"] = 0
         record["bytes_freed"] = 0
-    with pytest.raises(ReportError, match="zero calls"):
-        parse_report(json.dumps(doc))
+    with pytest.raises(ReportError, match=r"^threads\[0\] has zero calls but nonzero cost$"):
+        parse_report(canonical_json(doc))
 
 
 def test_parse_rejects_thread_attribution_on_merged_record():
-    doc = json.loads(serialize_report(golden_report()))
+    doc = golden_doc()
     doc["phases"]["demo"]["thread_id"] = "main"
-    with pytest.raises(ReportError, match="thread attribution"):
-        parse_report(json.dumps(doc))
+    data = canonical_json(doc)
+    assert rejected_at(data) == first_difference(data, GOLDEN_BYTES)
 
 
 def test_parse_rejects_phase_name_key_mismatch():
-    doc = json.loads(serialize_report(golden_report()))
+    doc = golden_doc()
     doc["phases"]["other"] = doc["phases"].pop("demo")
-    with pytest.raises(ReportError):
-        parse_report(json.dumps(doc))
+    data = canonical_json(doc)
+    assert rejected_at(data) == GOLDEN.index('"demo": {') + 1
 
 
 def test_parse_rejects_missing_fields():
-    doc = json.loads(serialize_report(golden_report()))
+    doc = golden_doc()
     del doc["counters"]
     with pytest.raises(ReportError, match="counters"):
-        parse_report(json.dumps(doc))
+        parse_report(canonical_json(doc))
 
 
 def test_parse_rejects_duplicate_span_ids():
-    doc = json.loads(serialize_report(golden_report()))
+    doc = golden_doc()
     # A second copy of the one span, with the phase total doubled to match, so
     # only the repeated span_id is wrong.
     doc["threads"].append(dict(doc["threads"][0]))
     phase = doc["phases"]["demo"]
-    phase["cost"] *= 2
+    phase["cost"] = 40.0
     phase["calls"] = {k: 2 * n for k, n in phase["calls"].items()}
     phase["bytes_allocated"] *= 2
     phase["bytes_freed"] *= 2
-    with pytest.raises(ReportError, match="span_id"):
-        parse_report(json.dumps(doc))
+    with pytest.raises(ReportError, match=r"^threads\[1\] repeats span_id 'main/000000'$"):
+        parse_report(canonical_json(doc))
+
+
+def test_parse_rejects_threads_out_of_order():
+    # One content, one byte form: swapped records would also write back to the swapped bytes.
+    data = serialize_report(run_workload(WorkloadSpec("multithread", seed=1, scale=1), RecordingSession(
+        build_id="b", created_at="2026-01-01T00:00:00Z")))
+    doc = json.loads(data, parse_float=Literal)
+    doc["threads"][0], doc["threads"][1] = doc["threads"][1], doc["threads"][0]
+    with pytest.raises(ReportError, match=r"^threads\[1\] is out of order"):
+        parse_report(canonical_json(doc))
+
+
+def test_threads_are_ordered_by_span_number_past_six_digits():
+    # Span ids are label/NNNNNN: the seven-digit id of the millionth span sorts after the others.
+    doc = _two_part_golden()
+    doc["threads"][1]["span_id"] = "main/1000000"
+    data = canonical_json(doc)
+    assert serialize_report(parse_report(data)) == data
+    doc["threads"].reverse()
+    with pytest.raises(ReportError, match=r"^threads\[1\] is out of order"):
+        parse_report(canonical_json(doc))
 
 
 # 400 zeros overflow a float; 5000 also pass the int-string conversion limit
@@ -324,8 +398,7 @@ def test_parse_rejects_duplicate_span_ids():
     "zeros, match", [(400, "out of range"), (5000, "invalid value|out of range")]
 )
 def test_parse_rejects_cost_too_large_for_a_float(zeros, match):
-    data = serialize_report(golden_report()).decode()
-    data = data.replace('"cost": 20.000000', '"cost": 1' + "0" * zeros, 1)
+    data = GOLDEN.replace('"cost": 20.000000', '"cost": 1' + "0" * zeros + ".000000")
     with pytest.raises(ReportError, match=match):
         parse_report(data)
 
@@ -395,8 +468,13 @@ def test_cost_literals_read_back_to_the_same_integer():
     assert serialize_report(parsed) == data
 
 
+# Each literal is rejected; the second column says what is wrong with it. A
+# literal written as the writer writes a cost (six decimals) reaches the
+# cost checks, which name the fault. Any other spelling is a layout fault:
+# the phase literal, which comes first, is where the input departs from the
+# canonical bytes.
 @pytest.mark.parametrize(
-    "literal, match",
+    "literal, fault",
     [
         ("20.0000001", "not a whole number of micro-units"),
         ("2e-7", "not a whole number of micro-units"),
@@ -409,49 +487,48 @@ def test_cost_literals_read_back_to_the_same_integer():
         ("true", "wrong type"),
     ],
 )
-def test_parse_rejects_cost_literals_that_are_not_micro_units(literal, match):
+def test_parse_rejects_cost_literals_that_are_not_micro_units(literal, fault):
     data = GOLDEN.replace('"cost": 20.000000', f'"cost": {literal}')
-    with pytest.raises(ReportError, match=match):
-        parse_report(data)
+    if re.fullmatch(r"-?[0-9]+\.[0-9]{6}", literal):
+        with pytest.raises(ReportError, match=rf"^threads\[0\] has {fault}$"):
+            parse_report(data)
+    else:
+        assert rejected_at(data) == GOLDEN.index('"cost": 20.000000') + len('"cost": ')
 
 
-def test_parse_accepts_equal_cost_literals_in_other_forms():
+def test_parse_rejects_equal_cost_literals_in_other_forms():
     data = GOLDEN.replace('"cost": 20.000000', '"cost": 2.0e1').replace('"cost": 2.0e1', '"cost": 20', 1)
-    assert serialize_report(parse_report(data)) == GOLDEN.encode()
+    assert rejected_at(data) == GOLDEN.index('"cost": 20.000000') + len('"cost": ')
 
 
 def test_parse_rejects_unknown_call_kind():
-    doc = json.loads(serialize_report(golden_report()))
+    doc = golden_doc()
     for record in (doc["phases"]["demo"], doc["threads"][0]):
         record["calls"]["mmap"] = 0
-    with pytest.raises(ReportError, match="unknown kinds \\['mmap'\\]"):
-        parse_report(json.dumps(doc))
+    data = canonical_json(doc)
+    assert rejected_at(data) == first_difference(data, GOLDEN_BYTES) == data.index(b'"mmap"') + 1
 
 
 @pytest.mark.parametrize(
-    "path, what",
-    [
-        ((), "report"),
-        (("cost_model",), "cost_model"),
-        (("phases", "demo"), "phase 'demo'"),
-        (("threads", 0), "threads[0]"),
-        (("counters",), "counters"),
-    ],
+    "path",
+    [(), ("cost_model",), ("phases", "demo"), ("threads", 0), ("counters",)],
     ids=["top", "cost_model", "phase", "thread", "counters"],
 )
-def test_parse_rejects_unknown_fields(path, what):
+def test_parse_rejects_unknown_fields(path):
     # The schema allows no other field at any of these levels; a dropped field would be lost silently.
-    doc = json.loads(GOLDEN)
+    doc = golden_doc()
     target = doc
     for key in path:
         target = target[key]
     target["note"] = [1]
-    with pytest.raises(ReportError, match=f"^{re.escape(what)} has unknown field 'note'$"):
-        parse_report(json.dumps(doc))
+    data = canonical_json(doc)
+    assert rejected_at(data) == first_difference(data, GOLDEN_BYTES) == data.index(b'"note"') + 1
 
 
-RECORD_FIELDS = ("name", "cost", "calls", "bytes_allocated", "bytes_freed", "overflow", "auto_closed")
 CALL_KINDS = ("malloc", "calloc", "realloc", "free")
+RECORD_FIELDS = ("name", "cost", "calls", "bytes_allocated", "bytes_freed", "overflow", "auto_closed")
+AT_EDIT = "at the edit"  # the offset where the edited input first departs from GOLDEN
+AT_PHASE_COST = "at the phase cost"  # the stored phase cost departs from the parts' sum
 
 
 def _delete(key):
@@ -471,119 +548,113 @@ def _zero_calls(record):
 
 
 def _single_faults(thread):
-    """(id, edit, message after the record's name) for one fault in a phase or thread record."""
+    """(id, edit, expected) for one fault in a phase or thread record.
+
+    Only thread records are read, so every phase fault is a layout fault,
+    named by the offset of the edit. A thread fault is named by its message;
+    a cost spelled otherwise than the writer writes it reads as 0, so the
+    stored phase cost is where the input departs from the canonical bytes.
+    """
+    def fault(message):
+        return AT_EDIT if not thread else f"threads[0] {message}"
+
     fields = RECORD_FIELDS + (("thread_id", "span_id") if thread else ())
-    cases = [(f"missing-{key}", _delete(key), f"is missing required field {key!r}") for key in fields]
+    missing = "report does not match the schema (KeyError: {!r})"
+    cases = [(f"missing-{key}", _delete(key), missing.format(key) if thread else AT_EDIT) for key in fields]
     cases += [
-        (f"missing-calls-{kind}", lambda r, kind=kind: r["calls"].pop(kind), f"calls is missing required field {kind!r}")
+        (f"missing-calls-{kind}", lambda r, kind=kind: r["calls"].pop(kind), missing.format(kind) if thread else AT_EDIT)
         for kind in CALL_KINDS
     ]
-    wrong = [("name", 1), ("cost", "20"), ("cost", True), ("calls", [1]), ("bytes_allocated", True),
-             ("bytes_freed", 1.5), ("overflow", 0), ("auto_closed", None)]
+    wrong = [("name", 1), ("bytes_allocated", True), ("bytes_freed", 1.5), ("overflow", 0), ("auto_closed", None)]
     if thread:
         wrong += [("thread_id", 7), ("span_id", None)]
-    cases += [(f"type-{key}-{value!r}", _set(key, value), f"field {key!r} has the wrong type") for key, value in wrong]
-    cases += [(f"type-calls-{kind}", _set_call(kind, True), f"calls field {kind!r} has the wrong type")
+    cases += [(f"type-{key}-{value!r}", _set(key, value), fault(f"field {key!r} has the wrong type"))
+              for key, value in wrong]
+    cases += [(f"type-cost-{value!r}", _set("cost", value), AT_PHASE_COST if thread else AT_EDIT)
+              for value in ("20", True)]
+    cases.append(("type-calls-[1]", _set("calls", [1]), "report does not match the schema (TypeError: "
+                  "list indices must be integers or slices, not str)" if thread else AT_EDIT))
+    cases += [(f"type-calls-{kind}", _set_call(kind, True), fault(f"calls field {kind!r} has the wrong type"))
               for kind in CALL_KINDS]
-    cases += [(f"negative-{kind}", _set_call(kind, -1), f"has negative {kind} count") for kind in CALL_KINDS]
-    cases += [(f"negative-{key}", _set(key, -1), "has negative byte totals") for key in ("bytes_allocated", "bytes_freed")]
+    cases += [(f"negative-{kind}", _set_call(kind, -1), fault(f"has negative {kind} count")) for kind in CALL_KINDS]
+    cases += [(f"negative-{key}", _set(key, -1), fault("has negative byte totals"))
+              for key in ("bytes_allocated", "bytes_freed")]
     cases += [
-        ("negative-cost", _set("cost", -1.0), "has negative cost"),
-        ("fractional-cost", _set("cost", 20.0000001),
-         "field 'cost' is out of range or not a whole number of micro-units"),
-        ("unknown-kind", _set_call("mmap", 0), "calls has unknown kinds ['mmap']"),
-        ("zero-calls", _zero_calls, "has zero calls but nonzero cost"),
+        ("negative-cost", _set("cost", -1.0), fault("has negative cost")),
+        ("fractional-cost", _set("cost", Literal("20.0000001")), AT_PHASE_COST if thread else AT_EDIT),
+        ("unknown-kind", _set_call("mmap", 0), AT_EDIT),
+        ("zero-calls", _zero_calls, fault("has zero calls but nonzero cost")),
     ]
     if not thread:
-        cases += [(f"merged-{key}", _set(key, "main"), "is merged and must not carry thread attribution")
-                  for key in ("thread_id", "span_id")]
-    return [pytest.param(thread, edit, message, id=f"{'thread' if thread else 'phase'}-{name}")
-            for name, edit, message in cases]
+        cases += [(f"merged-{key}", _set(key, "main"), AT_EDIT) for key in ("thread_id", "span_id")]
+    return [pytest.param(thread, edit, expected, id=f"{'thread' if thread else 'phase'}-{name}")
+            for name, edit, expected in cases]
 
 
-@pytest.mark.parametrize("thread, edit, message", _single_faults(False) + _single_faults(True))
-def test_parse_names_each_single_record_fault(thread, edit, message):
-    doc = json.loads(GOLDEN)
-    record, what = (doc["threads"][0], "threads[0]") if thread else (doc["phases"]["demo"], "phase 'demo'")
-    edit(record)
-    with pytest.raises(ReportError) as excinfo:
-        parse_report(json.dumps(doc))
-    assert str(excinfo.value) == f"{what} {message}"
+@pytest.mark.parametrize("thread, edit, expected", _single_faults(False) + _single_faults(True))
+def test_parse_names_each_single_record_fault(thread, edit, expected):
+    doc = golden_doc()
+    edit(doc["threads"][0] if thread else doc["phases"]["demo"])
+    data = canonical_json(doc)
+    if expected == AT_EDIT:
+        assert rejected_at(data) == first_difference(data, GOLDEN_BYTES)
+    elif expected == AT_PHASE_COST:
+        assert rejected_at(data) == GOLDEN.index('"cost": 20.000000') + len('"cost": ')
+    else:
+        with pytest.raises(ReportError) as excinfo:
+            parse_report(data)
+        assert str(excinfo.value) == expected
 
 
-# The writers' reference is json.dumps of the plain document. Each cost and
-# float literal is first held by a placeholder string that no generated text
-# can hold (the strategies draw no private-use characters), then written back
-# by the rules a report states: a cost is its integer count of micro-units
-# with exactly six decimals; any other number is rounded to six decimals, and
-# a negative number that rounds to zero is written as 0.000000.
-_PLACEHOLDER = re.compile('"\ue000([0-9]+)\ue000"')
+# The writers' reference is json.dumps of the plain document (see
+# canonical_json): a cost is its integer count of micro-units with exactly
+# six decimals; any other number is rounded to six decimals, and a negative
+# number that rounds to zero is written as 0.000000.
 
 
 def _cost_literal(micro):
     whole, frac = divmod(abs(micro), 10**6)
-    return f"{'-' if micro < 0 else ''}{whole}.{frac:06d}"
+    return Literal(f"{'-' if micro < 0 else ''}{whole}.{frac:06d}")
 
 
-def _float_literal(value):
-    text = f"{value:.6f}"
-    return "0.000000" if text == "-0.000000" else text
-
-
-class _Reference:
-    """The plain document of a report or a verdict, written by ``json.dumps``."""
-
-    def __init__(self):
-        self.literals = []
-
-    def literal(self, text):
-        self.literals.append(text)
-        return f"\ue000{len(self.literals) - 1}\ue000"
-
-    def record(self, record):
-        doc = {
-            "name": record.name,
-            "cost": self.literal(_cost_literal(record.cost_micro)),
-            "calls": {kind.value: n for kind, n in record.calls.items()},
-            "bytes_allocated": record.bytes_allocated,
-            "bytes_freed": record.bytes_freed,
-            "overflow": record.overflow,
-            "auto_closed": record.auto_closed,
-        }
-        if record.thread_id is not None or record.span_id is not None:
-            doc["thread_id"] = record.thread_id
-            doc["span_id"] = record.span_id
-        return doc
-
-    def bytes(self, doc):
-        text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-        return _PLACEHOLDER.sub(lambda m: self.literals[int(m[1])], text).encode("utf-8")
+def _record_doc(record):
+    doc = {
+        "name": record.name,
+        "cost": _cost_literal(record.cost_micro),
+        "calls": {kind.value: n for kind, n in record.calls.items()},
+        "bytes_allocated": record.bytes_allocated,
+        "bytes_freed": record.bytes_freed,
+        "overflow": record.overflow,
+        "auto_closed": record.auto_closed,
+    }
+    if record.thread_id is not None or record.span_id is not None:
+        doc["thread_id"] = record.thread_id
+        doc["span_id"] = record.span_id
+    return doc
 
 
 def reference_report_bytes(report):
-    ref = _Reference()
-    return ref.bytes({
+    return canonical_json({
         "schema_version": "1",
         "build_id": report.build_id,
         "created_at": report.created_at,
         "cost_model": {
             "model_version": report.model.model_version,
-            "weights": {kind.value: ref.literal(_float_literal(w)) for kind, w in report.model.weights.items()},
+            "weights": {kind.value: Literal(float_literal(w)) for kind, w in report.model.weights.items()},
         },
-        "phases": {name: ref.record(record) for name, record in report.merged.items()},
-        "threads": [ref.record(record) for record in report.per_thread],
+        "phases": {name: _record_doc(record) for name, record in report.merged.items()},
+        "threads": [_record_doc(record) for record in report.per_thread],
         "counters": report.totals._asdict(),
     })
 
 
 def reference_verdict_bytes(verdict):
-    ref = _Reference()
     th = verdict.thresholds
-    return ref.bytes({
+    return canonical_json({
         "schema_version": "1",
         "thresholds": {
-            "rel": ref.literal(_float_literal(th.rel)),
-            "abs_floor": ref.literal(_float_literal(th.abs_floor)),
+            "rel": Literal(float_literal(th.rel)),
+            "abs_floor": Literal(float_literal(th.abs_floor)),
             "call_floor": th.call_floor,
         },
         "regression_detected": any(d.status == "regression" for d in verdict.deltas),
@@ -591,10 +662,10 @@ def reference_verdict_bytes(verdict):
             {
                 "phase": d.phase,
                 "status": d.status,
-                "baseline": None if d.baseline is None else ref.record(d.baseline),
-                "candidate": None if d.candidate is None else ref.record(d.candidate),
-                "cost_delta_abs": ref.literal(_cost_literal(d.cost_delta_micro)),
-                "cost_delta_rel": None if d.cost_delta_rel is None else ref.literal(_float_literal(d.cost_delta_rel)),
+                "baseline": None if d.baseline is None else _record_doc(d.baseline),
+                "candidate": None if d.candidate is None else _record_doc(d.candidate),
+                "cost_delta_abs": _cost_literal(d.cost_delta_micro),
+                "cost_delta_rel": None if d.cost_delta_rel is None else Literal(float_literal(d.cost_delta_rel)),
                 "call_delta": {kind.value: n for kind, n in d.call_delta.items()},
                 "bytes_allocated_delta": d.bytes_allocated_delta,
                 "bytes_freed_delta": d.bytes_freed_delta,
