@@ -4,7 +4,8 @@ Each built-in workload runs at seed 1, scale 7, in both variants. The run
 reports, the ``diff`` text and ``diff --format json`` verdict of baseline
 against regressed, and ``rank --format json`` of that verdict must hash to
 the digests below. So must two library-built reports of about 2,700 records
-each and the verdict between them, where the record writer's bytes dominate.
+each and the verdict between them, where the record writer's bytes dominate,
+and the ``rank`` text of each of those verdicts under every ordering flag.
 A change to the canonical form or to the workloads must replace them (a
 failing run prints the new table) and say why in CHANGES.md.
 """
@@ -190,3 +191,54 @@ def test_edge_shape_outputs_match_recorded_digests(tmp_path, capsysbinary):
     got["strings/verdict-call-floor-0.json"] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
     table = "".join(f'\n    "{name}": "{digest}",' for name, digest in got.items())
     assert got == EDGE_DIGESTS, f"outputs differ from the recorded bytes; new table:{table}"
+
+
+# ``rank`` text of each pinned verdict: by default, by absolute delta, and
+# with names breaking ties before byte deltas. It shows every row's order and
+# numbers, so it stays fixed while a verdict's document form changes. The
+# built-in pairs have too few rows for the flags to reorder: their three texts
+# are the ``diff`` text.
+RANK_TEXT_DIGESTS = {
+    "buffers/rank.txt": "481deb45ffa8b1f9bde275acd1a68939c0394805d84f6acae5e46166329b9832",
+    "buffers/rank-abs.txt": "481deb45ffa8b1f9bde275acd1a68939c0394805d84f6acae5e46166329b9832",
+    "buffers/rank-name.txt": "481deb45ffa8b1f9bde275acd1a68939c0394805d84f6acae5e46166329b9832",
+    "multithread/rank.txt": "8c3efe718241551bd335bdf2afc1b9a21e16a1783159175f62349e940b6e910f",
+    "multithread/rank-abs.txt": "8c3efe718241551bd335bdf2afc1b9a21e16a1783159175f62349e940b6e910f",
+    "multithread/rank-name.txt": "8c3efe718241551bd335bdf2afc1b9a21e16a1783159175f62349e940b6e910f",
+    "strings/rank.txt": "ca9a79b62e6439d716b6a36451ae715d3d4c4b5c9afb28d0b6f11264cab9832b",
+    "strings/rank-abs.txt": "ca9a79b62e6439d716b6a36451ae715d3d4c4b5c9afb28d0b6f11264cab9832b",
+    "strings/rank-name.txt": "ca9a79b62e6439d716b6a36451ae715d3d4c4b5c9afb28d0b6f11264cab9832b",
+    "table/rank.txt": "8c3ac7f329a196f6402d3a7324b6190cc9b2b6a27fd2524a48fc3e24347b9ba5",
+    "table/rank-abs.txt": "8c3ac7f329a196f6402d3a7324b6190cc9b2b6a27fd2524a48fc3e24347b9ba5",
+    "table/rank-name.txt": "8c3ac7f329a196f6402d3a7324b6190cc9b2b6a27fd2524a48fc3e24347b9ba5",
+    "many-record/rank.txt": "4c78a20935acd19f41f94b302390a3e4b1e9d5161f9ff6ed6f497548958e5ca5",
+    "many-record/rank-abs.txt": "a15b3552d202492f382ddc18b56a229b5de61bdc425db1a9b200aa0cead34607",
+    "many-record/rank-name.txt": "1c1aba521f1c6493ad9d88ab9f641ecdfca3e79a7d748cf86887b9d72d9aaacc",
+}
+
+RANK_FLAGS = {"rank.txt": [], "rank-abs.txt": ["--by", "abs"], "rank-name.txt": ["--tie-break", "name"]}
+
+
+def rank_texts(verdict, prefix, path, capsysbinary):
+    path.write_bytes(verdict)
+    for name, flags in RANK_FLAGS.items():
+        assert main(["rank", str(path), *flags]) == 0
+        yield prefix + name, capsysbinary.readouterr().out
+
+
+def test_rank_text_matches_recorded_digests(tmp_path, capsysbinary):
+    got = {}
+    path = tmp_path / "pinned.verdict.json"
+    for name, data in outputs(tmp_path, capsysbinary):
+        if name.endswith("/verdict.json"):
+            for text_name, text in rank_texts(data, name[: -len("verdict.json")], path, capsysbinary):
+                got[text_name] = hashlib.sha256(text).hexdigest()
+    paths = []
+    for variant in VARIANTS:
+        paths.append(tmp_path / f"many-{variant}.churn.json")
+        paths[-1].write_bytes(many_record_report(variant))
+    assert main(["diff", *map(str, paths), "--format", "json"]) == 1
+    for text_name, text in rank_texts(capsysbinary.readouterr().out, "many-record/", path, capsysbinary):
+        got[text_name] = hashlib.sha256(text).hexdigest()
+    table = "".join(f'\n    "{name}": "{digest}",' for name, digest in got.items())
+    assert got == RANK_TEXT_DIGESTS, f"outputs differ from the recorded bytes; new table:{table}"
