@@ -278,7 +278,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     verdict = _parse_file(parse_verdict, data, args.verdict)
     ranked = rank_regressions(verdict, tie_break=args.tie_break, by=args.by)
     if args.format == "json":
-        sys.stdout.buffer.write(serialize_verdict(RegressionVerdict(verdict.thresholds, ranked)))
+        sys.stdout.buffer.write(serialize_verdict(verdict._replace(deltas=ranked)))
         sys.stdout.buffer.flush()
     else:
         _print_verdict(verdict, ranked, args.color)

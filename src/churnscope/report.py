@@ -21,7 +21,8 @@ from .aggregation import MarkerChurn, merge_phases
 from .cost_model import COST_DECIMALS, MICRO, AllocFnKind, CostModel, validate_cost_model
 from .errors import ModelMismatchError, ReportError
 
-SCHEMA_VERSION = "1"
+REPORT_SCHEMA_VERSION = "1"
+VERDICT_SCHEMA_VERSION = "2"
 
 STATUS_REGRESSION = "regression"
 STATUS_IMPROVEMENT = "improvement"
@@ -43,8 +44,6 @@ _STATUS_RANK = {status: i for i, status in enumerate(STATUSES)}
 DEFAULT_REL_THRESHOLD = 0.01
 DEFAULT_ABS_FLOOR = 1.0
 
-# (kind, document key) pairs: per-record loops skip Enum iteration and .value.
-_KINDS = tuple((kind, kind.value) for kind in AllocFnKind)
 _MALLOC, _CALLOC, _REALLOC, _FREE = AllocFnKind.MALLOC, AllocFnKind.CALLOC, AllocFnKind.REALLOC, AllocFnKind.FREE
 
 
@@ -116,47 +115,47 @@ class ChurnReport(NamedTuple):
 
 
 class ChurnDelta(NamedTuple):
-    """One phase's baseline-to-candidate comparison.
+    """One phase's baseline-to-candidate comparison: its status and the two
+    records it was made from. A missing record makes a new or removed phase.
 
-    ``cost_delta_micro`` is candidate minus baseline cost in micro-units.
-    ``cost_delta_rel`` is candidate/baseline - 1 and is None when the phase
-    has no baseline cost to compare against (zero-cost baseline, new phase)
-    or no candidate (removed phase). A delta is a named tuple: derive an
-    edited copy with ``_replace``.
+    The deltas are computed from the records, not stored, with a missing side
+    counting as zero. ``cost_delta_micro`` is candidate minus baseline cost in
+    micro-units. ``cost_delta_rel`` is candidate/baseline - 1 and is None
+    unless both records exist and the baseline cost is above zero. A delta is
+    a named tuple: derive an edited copy with ``_replace``.
     """
 
     phase: str
     status: str
     baseline: MarkerChurn | None
     candidate: MarkerChurn | None
-    cost_delta_micro: int
-    cost_delta_rel: float | None
-    call_delta: dict[AllocFnKind, int]
-    bytes_allocated_delta: int
-    bytes_freed_delta: int
+
+    @property
+    def cost_delta_micro(self) -> int:
+        base, cand = self.baseline, self.candidate
+        return (0 if cand is None else cand.cost_micro) - (0 if base is None else base.cost_micro)
+
+    @property
+    def cost_delta_rel(self) -> float | None:
+        base, cand = self.baseline, self.candidate
+        if base is None or cand is None or base.cost_micro <= 0:
+            return None
+        return cand.cost_micro / base.cost_micro - 1
 
     @property
     def byte_delta_magnitude(self) -> int:
-        return abs(self.bytes_allocated_delta) + abs(self.bytes_freed_delta)
+        """Total size of the change in bytes allocated and bytes freed."""
+        base, cand = self.baseline, self.candidate
+        allocated = (0 if cand is None else cand.bytes_allocated) - (0 if base is None else base.bytes_allocated)
+        freed = (0 if cand is None else cand.bytes_freed) - (0 if base is None else base.bytes_freed)
+        return abs(allocated) + abs(freed)
 
 
-class RegressionVerdict:
-    """Diff outcome: thresholds used, ranked deltas, and the overall gate. Unlike the
-    named tuples it is mutable: ``deltas`` may be reassigned."""
+class RegressionVerdict(NamedTuple):
+    """Diff outcome: thresholds used, ranked deltas, and the overall gate."""
 
-    __slots__ = ("thresholds", "deltas")
-
-    def __init__(self, thresholds: Thresholds, deltas: list[ChurnDelta]) -> None:
-        self.thresholds = thresholds
-        self.deltas = deltas
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.thresholds, self.deltas) == (other.thresholds, other.deltas)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(thresholds={self.thresholds!r}, deltas={self.deltas!r})"
+    thresholds: Thresholds
+    deltas: list[ChurnDelta]
 
     @property
     def regression_detected(self) -> bool:
@@ -202,25 +201,15 @@ def _delta_text(d: ChurnDelta, nl: str) -> str:
     """A verdict row as one string, each side's record by ``_churn_text``.
 
     The bytes are those ``json.dumps`` gives, as for a record, for the row's
-    document: ``baseline`` and ``candidate`` (a record or null), ``phase``,
-    ``status``, ``cost_delta_abs`` as a cost literal, ``cost_delta_rel``
-    (null or a six-decimal literal), ``call_delta`` keyed by kind name, and
-    the two byte deltas. Field types are trusted, not checked; ``call_delta``
-    holds every kind.
+    document: ``baseline`` and ``candidate`` (a record or null), ``phase``
+    and ``status``. Field types are trusted, not checked.
     """
     i = nl + "  "
-    j = i + "  "
-    c = d.call_delta
-    base, cand, rel = d.baseline, d.candidate, d.cost_delta_rel
+    phase, status, base, cand = d
     return (
         f'{{{i}"baseline": {"null" if base is None else _churn_text(base, i)},'
-        f'{i}"bytes_allocated_delta": {d.bytes_allocated_delta},{i}"bytes_freed_delta": {d.bytes_freed_delta},'
-        f'{i}"call_delta": {{{j}"calloc": {c[_CALLOC]},{j}"free": {c[_FREE]},'
-        f'{j}"malloc": {c[_MALLOC]},{j}"realloc": {c[_REALLOC]}{i}}},'
         f'{i}"candidate": {"null" if cand is None else _churn_text(cand, i)},'
-        f'{i}"cost_delta_abs": {format_cost(d.cost_delta_micro)},'
-        f'{i}"cost_delta_rel": {"null" if rel is None else _fixed(float(rel))},'
-        f'{i}"phase": {_quote(d.phase)},{i}"status": {_quote(d.status)}{nl}}}'
+        f'{i}"phase": {_quote(phase)},{i}"status": {_quote(status)}{nl}}}'
     )
 
 
@@ -266,7 +255,7 @@ def serialize_report(report: ChurnReport) -> bytes:
     )
     phases = [_quote(name) + ": " + _churn_text(merged[name], "\n    ") for name in sorted(merged)]
     _append_container(out, "{}", phases, "\n  ")
-    out.append(f',\n  "schema_version": {_quote(SCHEMA_VERSION)},\n  "threads": ')
+    out.append(f',\n  "schema_version": {_quote(REPORT_SCHEMA_VERSION)},\n  "threads": ')
     _append_container(out, "[]", [_churn_text(r, "\n    ") for r in report.per_thread], "\n  ")
     out.append("\n}\n")
     text = "".join(out)
@@ -358,31 +347,36 @@ def _parse_records(docs: Any, with_thread: bool, where: str) -> list[MarkerChurn
     JSON gives exact int, bool and str values, so a bool never passes for an
     int, and a count written as ``5.0`` (a str here) is turned down before the
     writer could echo it back. Only a record that fails is looked at again, to
-    name its first fault; ``where.format(index)`` labels it.
+    name its first fault; ``where.format(index)`` labels it, as it labels a
+    record the loop cannot take apart (a missing field, a list for an object).
     """
     records: list[MarkerChurn] = []
-    for doc in docs:
-        if with_thread:
-            auto_closed, allocated, freed, calls, cost, name, overflow, span_id, thread_id = _THREAD(doc)
-            ids_ok = type(span_id) is str and type(thread_id) is str
-        else:
-            auto_closed, allocated, freed, calls, cost, name, overflow = _MERGED(doc)
-            span_id = thread_id = None
-            ids_ok = True
-        calloc, free, malloc, realloc = _CALLS(calls)
-        micro = _micro(cost)
-        if not (
-            ids_ok and type(name) is str and type(auto_closed) is bool and type(overflow) is bool
-            and type(calloc) is int and type(free) is int and type(malloc) is int and type(realloc) is int
-            and type(allocated) is int and type(freed) is int
-            and calloc | free | malloc | realloc | allocated | freed >= 0  # negative iff one of them is
-            and 0 <= micro <= _MAX_MICRO and (not micro or calloc | free | malloc | realloc)
-        ):
-            raise _record_fault(doc, where.format(len(records)))
-        calls = {_MALLOC: malloc, _CALLOC: calloc, _REALLOC: realloc, _FREE: free}
-        # tuple.__new__ skips the named tuple's Python-level __new__: the fields are already in order.
-        records.append(tuple.__new__(MarkerChurn, (name, micro, calls, allocated, freed, overflow, auto_closed,
-                                                   thread_id, span_id)))
+    try:
+        for doc in docs:
+            if with_thread:
+                auto_closed, allocated, freed, calls, cost, name, overflow, span_id, thread_id = _THREAD(doc)
+                ids_ok = type(span_id) is str and type(thread_id) is str
+            else:
+                auto_closed, allocated, freed, calls, cost, name, overflow = _MERGED(doc)
+                span_id = thread_id = None
+                ids_ok = True
+            calloc, free, malloc, realloc = _CALLS(calls)
+            micro = _micro(cost)
+            if not (
+                ids_ok and type(name) is str and type(auto_closed) is bool and type(overflow) is bool
+                and type(calloc) is int and type(free) is int and type(malloc) is int and type(realloc) is int
+                and type(allocated) is int and type(freed) is int
+                and calloc | free | malloc | realloc | allocated | freed >= 0  # negative iff one of them is
+                and 0 <= micro <= _MAX_MICRO and (not micro or calloc | free | malloc | realloc)
+            ):
+                raise _record_fault(doc, where.format(len(records)))
+            calls = {_MALLOC: malloc, _CALLOC: calloc, _REALLOC: realloc, _FREE: free}
+            # tuple.__new__ skips the named tuple's Python-level __new__: the fields are already in order.
+            records.append(tuple.__new__(MarkerChurn, (name, micro, calls, allocated, freed, overflow,
+                                                       auto_closed, thread_id, span_id)))
+    except (KeyError, TypeError) as exc:
+        fault = f"{type(exc).__name__}: {exc}"
+        raise ReportError(f"{where.format(len(records))} does not match the schema ({fault})") from None
     return records
 
 
@@ -419,8 +413,8 @@ def _parse_model(doc: Any) -> CostModel:
 
 def _build_report(doc: Any) -> ChurnReport:
     version = doc["schema_version"]
-    if version != SCHEMA_VERSION:
-        raise ReportError(f"unknown schema_version {version!r} (expected {SCHEMA_VERSION!r})")
+    if version != REPORT_SCHEMA_VERSION:
+        raise ReportError(f"unknown schema_version {version!r} (expected {REPORT_SCHEMA_VERSION!r})")
     model = _parse_model(doc["cost_model"])
     per_thread = _parse_records(doc["threads"], True, "threads[{}]")
     span_ids: set[str] = set()
@@ -484,24 +478,13 @@ def _classify(base: int, cand: int, call_delta_total: int, th: Thresholds) -> st
 
 def _compare(phase: str, base: MarkerChurn | None, cand: MarkerChurn | None, th: Thresholds) -> ChurnDelta:
     """One phase's delta; a missing record makes it a new or removed phase."""
-    base_cost = base.cost_micro if base else 0
-    cand_cost = cand.cost_micro if cand else 0
-    call_delta = {
-        kind: (cand.calls[kind] if cand else 0) - (base.calls[kind] if base else 0) for kind, _ in _KINDS
-    }
-    rel = None
     if base is None:
         status = STATUS_NEW_PHASE
     elif cand is None:
         status = STATUS_REMOVED_PHASE
     else:
-        status = _classify(base_cost, cand_cost, sum(call_delta.values()), th)
-        rel = cand_cost / base_cost - 1 if base_cost > 0 else None
-    return ChurnDelta(
-        phase, status, base, cand, cand_cost - base_cost, rel, call_delta,
-        (cand.bytes_allocated if cand else 0) - (base.bytes_allocated if base else 0),
-        (cand.bytes_freed if cand else 0) - (base.bytes_freed if base else 0),
-    )
+        status = _classify(base.cost_micro, cand.cost_micro, cand.total_calls - base.total_calls, th)
+    return ChurnDelta(phase, status, base, cand)
 
 
 def diff_reports(
@@ -525,9 +508,8 @@ def diff_reports(
         _compare(phase, baseline.merged.get(phase), candidate.merged.get(phase), th)
         for phase in sorted(set(baseline.merged) | set(candidate.merged))
     ]
-    verdict = RegressionVerdict(thresholds=th, deltas=deltas)
-    verdict.deltas = rank_regressions(verdict)
-    return verdict
+    unranked = RegressionVerdict(th, deltas)
+    return unranked._replace(deltas=rank_regressions(unranked))
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +565,14 @@ def rank_regressions(
 
 def serialize_verdict(verdict: RegressionVerdict) -> bytes:
     """Canonical bytes for a verdict, written as ``serialize_report`` writes a
-    report; a non-finite ``cost_delta_rel`` raises ValueError."""
+    report; a non-finite threshold raises ValueError."""
     th = verdict.thresholds
     out = ['{\n  "deltas": ']
     _append_container(out, "[]", [_delta_text(d, "\n    ") for d in verdict.deltas], "\n  ")
     call_floor = "null" if th.call_floor is None else th.call_floor
     out.append(
         f',\n  "regression_detected": {"true" if verdict.regression_detected else "false"},'
-        f'\n  "schema_version": {_quote(SCHEMA_VERSION)},'
+        f'\n  "schema_version": {_quote(VERDICT_SCHEMA_VERSION)},'
         f'\n  "thresholds": {{\n    "abs_floor": {_fixed(float(th.abs_floor))},'
         f'\n    "call_floor": {call_floor},\n    "rel": {_fixed(float(th.rel))}\n  }}\n}}\n'
     )
@@ -601,8 +583,8 @@ def serialize_verdict(verdict: RegressionVerdict) -> bytes:
 
 def _build_verdict(doc: Any) -> RegressionVerdict:
     version = doc["schema_version"]
-    if version != SCHEMA_VERSION:
-        raise ReportError(f"unknown schema_version {version!r} (expected {SCHEMA_VERSION!r})")
+    if version != VERDICT_SCHEMA_VERSION:
+        raise ReportError(f"unknown schema_version {version!r} (expected {VERDICT_SCHEMA_VERSION!r})")
     th = doc["thresholds"]
     try:
         thresholds = Thresholds(float(th["rel"]), float(th["abs_floor"]), th["call_floor"])
@@ -625,23 +607,16 @@ def _build_verdict(doc: Any) -> RegressionVerdict:
             records.append(record)
         if records == [None, None]:
             raise ReportError(f"deltas[{i}] carries neither a baseline nor a candidate record")
-        delta = _compare(phase, records[0], records[1], thresholds)
-        if item["status"] != delta.status:
-            raise ReportError(
-                f"deltas[{i}] has status {item['status']!r}, but its records and thresholds give {delta.status!r}"
-            )
-        deltas.append(delta)
-    verdict = RegressionVerdict(thresholds, deltas)
-    if doc["regression_detected"] != verdict.regression_detected:
-        raise ReportError("regression_detected flag does not match the delta statuses")
-    return verdict
+        deltas.append(_compare(phase, records[0], records[1], thresholds))
+    return RegressionVerdict(thresholds, deltas)
 
 
 def parse_verdict(data: bytes | str) -> RegressionVerdict:
     """Parse a verdict, accepting it only in the canonical bytes ``serialize_verdict`` writes.
 
     Only the thresholds and each delta's records are read. Every status and
-    delta is recomputed from them: a hand-edited status or flag is named as
-    such, any other edit by the first byte that departs from the result.
+    ``regression_detected`` are recomputed from them and written back, so a
+    hand-edited status or flag is named, like any other edit, by the first
+    byte that departs from the result.
     """
     return _read(data, "verdict", _build_verdict, serialize_verdict)

@@ -28,23 +28,23 @@ DIGESTS = {
     "buffers/baseline.churn.json": "e2e7c98ff3adedd4c61ac7e8ee12837cddef21727ae3b4e24d9da3f1f6268e4a",
     "buffers/regressed.churn.json": "78373fe67230979c23994fbe6cd5894202d9b1aaa213691e396a3bcdef7f7738",
     "buffers/diff.txt": "481deb45ffa8b1f9bde275acd1a68939c0394805d84f6acae5e46166329b9832",
-    "buffers/verdict.json": "338f9c3d03957a8de173bc69521a7a77ceed3bbd7ce4f232624904a3f72141b3",
-    "buffers/rank.json": "338f9c3d03957a8de173bc69521a7a77ceed3bbd7ce4f232624904a3f72141b3",
+    "buffers/verdict.json": "0f583129000dac1996f4b2d136c423aba37d4642a8bea36f571b55aa7da2d88a",
+    "buffers/rank.json": "0f583129000dac1996f4b2d136c423aba37d4642a8bea36f571b55aa7da2d88a",
     "multithread/baseline.churn.json": "b2e6eae59e99272c71ee0f24157e71950fb2e45a03c0e5fb758812a2452dbdb6",
     "multithread/regressed.churn.json": "cde4abb97f6477557fdbfe3892803d74292c36f2b3a6296aa0172aef76d6f4f5",
     "multithread/diff.txt": "8c3efe718241551bd335bdf2afc1b9a21e16a1783159175f62349e940b6e910f",
-    "multithread/verdict.json": "75b66199853f794d118f0d9d9aa13eb724476791aa11f4e2618799ec2ed0329c",
-    "multithread/rank.json": "75b66199853f794d118f0d9d9aa13eb724476791aa11f4e2618799ec2ed0329c",
+    "multithread/verdict.json": "d0d116161c6efb14ac438db1a0ac8fcc86f49164d0576d50e8490407480fd465",
+    "multithread/rank.json": "d0d116161c6efb14ac438db1a0ac8fcc86f49164d0576d50e8490407480fd465",
     "strings/baseline.churn.json": "fea495349e4972ba95c6cff4ff3f2344c1ad59196de36b0a4c7c8ff93ff820dc",
     "strings/regressed.churn.json": "1d6de4ff02619ea65e5b6e980442789abfe66c237a5e153759282314a4809cdc",
     "strings/diff.txt": "ca9a79b62e6439d716b6a36451ae715d3d4c4b5c9afb28d0b6f11264cab9832b",
-    "strings/verdict.json": "3e744dd70619f4671a4aaa1587a4ade6d0cb69b19b3b6aeca685fc35a98cea1d",
-    "strings/rank.json": "3e744dd70619f4671a4aaa1587a4ade6d0cb69b19b3b6aeca685fc35a98cea1d",
+    "strings/verdict.json": "45d8d31804934a21d47eb59aedf1c1ed8cc46982c9f8bef799aea8eca529ed82",
+    "strings/rank.json": "45d8d31804934a21d47eb59aedf1c1ed8cc46982c9f8bef799aea8eca529ed82",
     "table/baseline.churn.json": "926d21d41aaf9147a0e029707ea9f192c5c0c53f5a83094e033b925da7fe6cd8",
     "table/regressed.churn.json": "90c41c5cbd706e09866d16c69432f65dff45330dff65084ef32ef18416f2ed4d",
     "table/diff.txt": "8c3ac7f329a196f6402d3a7324b6190cc9b2b6a27fd2524a48fc3e24347b9ba5",
-    "table/verdict.json": "ffc9862ebf7d8777389f3841149bc158f4c20de3a0a4282d12e2525f714566cf",
-    "table/rank.json": "ffc9862ebf7d8777389f3841149bc158f4c20de3a0a4282d12e2525f714566cf",
+    "table/verdict.json": "5da4feccd2c457e38746e48c38b361355173001f6af4c24ca45aed2f272f7e30",
+    "table/rank.json": "5da4feccd2c457e38746e48c38b361355173001f6af4c24ca45aed2f272f7e30",
 }
 
 
@@ -87,9 +87,9 @@ def test_builtin_outputs_match_recorded_digests(tmp_path, capsysbinary):
 MANY_RECORD_DIGESTS = {
     "baseline.churn.json": "22e1c316326a3047dadd970f5481b8441938463b2a1144864371c54a4ba77dd4",
     "regressed.churn.json": "5385f500fb2534b39c2cea0aa274eef4633d411057acae6cd115a9d111d9a8c7",
-    "verdict.json": "41e1e9aa8a3ea9d510d26b947e39c99fac270b2c40ac9d318f12d2e8db543944",
-    "rank-rel.json": "41e1e9aa8a3ea9d510d26b947e39c99fac270b2c40ac9d318f12d2e8db543944",
-    "rank-abs.json": "c3c5c8bcf33119c341522e834924a9911074cc1a10880b8125c148916abea9d0",
+    "verdict.json": "9b3663db1390851f83e059234f2c80d9df1e62e84ddeeeee2e794ca3076fe2e6",
+    "rank-rel.json": "9b3663db1390851f83e059234f2c80d9df1e62e84ddeeeee2e794ca3076fe2e6",
+    "rank-abs.json": "8fa55a068ae3bef7d60b8d365f120efe2b330928404901ff6ccd82e4421c9c7d",
 }
 
 
@@ -120,24 +120,28 @@ def many_record_report(variant):
     return serialize_report(session.build_report())
 
 
-def test_many_record_outputs_match_recorded_digests(tmp_path, capsysbinary):
-    got = {}
+def many_record_outputs(tmp_path, capsysbinary):
+    """Yield (name, bytes) for every output ``MANY_RECORD_DIGESTS`` covers."""
     paths = []
     for variant in VARIANTS:
         data = many_record_report(variant)
-        got[f"{variant}.churn.json"] = hashlib.sha256(data).hexdigest()
+        yield f"{variant}.churn.json", data
         path = tmp_path / f"{variant}.churn.json"
         path.write_bytes(data)
         paths.append(str(path))
     assert main(["diff", *paths, "--format", "json"]) == 1
     verdict = capsysbinary.readouterr().out
-    got["verdict.json"] = hashlib.sha256(verdict).hexdigest()
+    yield "verdict.json", verdict
     path = tmp_path / "verdict.json"
     path.write_bytes(verdict)
     # rank reads the verdict through parse_verdict's canonical check and writes it again.
     for by in ("rel", "abs"):
         assert main(["rank", str(path), "--format", "json", "--by", by]) == 0
-        got[f"rank-{by}.json"] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+        yield f"rank-{by}.json", capsysbinary.readouterr().out
+
+
+def test_many_record_outputs_match_recorded_digests(tmp_path, capsysbinary):
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in many_record_outputs(tmp_path, capsysbinary)}
     table = "".join(f'\n    "{name}": "{digest}",' for name, digest in got.items())
     assert got == MANY_RECORD_DIGESTS, f"outputs differ from the recorded bytes; new table:{table}"
 
@@ -148,8 +152,8 @@ def test_many_record_outputs_match_recorded_digests(tmp_path, capsysbinary):
 # deltas after a round trip through ``rank``.
 EDGE_DIGESTS = {
     "no-spans.churn.json": "711231f0e18590c146f6a9aa4d80313adbcf5466c4438248648b618b98590cf4",
-    "strings/verdict-call-floor-0.json": "aef09ff2fd6a28ae7f250d67911cd02797edb4da040dea0bbfeccfec8a15da44",
-    "no-deltas/rank.json": "67b542e1d6dc7b7967d06764fbea64ea379e671111e4a350e8c5c1a81d9f0bb5",
+    "strings/verdict-call-floor-0.json": "02833731de0dbc760dfa6913ecd9d72a99a1c696edb819af27fce855c4875580",
+    "no-deltas/rank.json": "0142baf7e0ea043903659ab8cad0ffc99054a9e58ae3ba6e2d3b2a1219c0be40",
 }
 
 
@@ -165,10 +169,9 @@ def no_span_report(build_id):
     return serialize_report(session.build_report())
 
 
-def test_edge_shape_outputs_match_recorded_digests(tmp_path, capsysbinary):
-    got = {}
-    data = no_span_report("b")
-    got["no-spans.churn.json"] = hashlib.sha256(data).hexdigest()
+def edge_outputs(tmp_path, capsysbinary):
+    """Yield (name, bytes) for every output ``EDGE_DIGESTS`` covers."""
+    yield "no-spans.churn.json", no_span_report("b")
     paths = []
     for build_id in VARIANTS:
         path = tmp_path / f"empty-{build_id}.churn.json"
@@ -178,7 +181,7 @@ def test_edge_shape_outputs_match_recorded_digests(tmp_path, capsysbinary):
     path = tmp_path / "empty.verdict.json"
     path.write_bytes(capsysbinary.readouterr().out)
     assert main(["rank", str(path), "--format", "json"]) == 0
-    got["no-deltas/rank.json"] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    yield "no-deltas/rank.json", capsysbinary.readouterr().out
     paths = []
     for variant in VARIANTS:
         path = tmp_path / f"strings-{variant}.churn.json"
@@ -188,7 +191,11 @@ def test_edge_shape_outputs_match_recorded_digests(tmp_path, capsysbinary):
         paths.append(str(path))
     capsysbinary.readouterr()
     assert main(["diff", *paths, "--call-floor", "0", "--format", "json"]) == 1
-    got["strings/verdict-call-floor-0.json"] = hashlib.sha256(capsysbinary.readouterr().out).hexdigest()
+    yield "strings/verdict-call-floor-0.json", capsysbinary.readouterr().out
+
+
+def test_edge_shape_outputs_match_recorded_digests(tmp_path, capsysbinary):
+    got = {name: hashlib.sha256(data).hexdigest() for name, data in edge_outputs(tmp_path, capsysbinary)}
     table = "".join(f'\n    "{name}": "{digest}",' for name, digest in got.items())
     assert got == EDGE_DIGESTS, f"outputs differ from the recorded bytes; new table:{table}"
 
@@ -233,12 +240,8 @@ def test_rank_text_matches_recorded_digests(tmp_path, capsysbinary):
         if name.endswith("/verdict.json"):
             for text_name, text in rank_texts(data, name[: -len("verdict.json")], path, capsysbinary):
                 got[text_name] = hashlib.sha256(text).hexdigest()
-    paths = []
-    for variant in VARIANTS:
-        paths.append(tmp_path / f"many-{variant}.churn.json")
-        paths[-1].write_bytes(many_record_report(variant))
-    assert main(["diff", *map(str, paths), "--format", "json"]) == 1
-    for text_name, text in rank_texts(capsysbinary.readouterr().out, "many-record/", path, capsysbinary):
+    verdict = dict(many_record_outputs(tmp_path, capsysbinary))["verdict.json"]
+    for text_name, text in rank_texts(verdict, "many-record/", path, capsysbinary):
         got[text_name] = hashlib.sha256(text).hexdigest()
     table = "".join(f'\n    "{name}": "{digest}",' for name, digest in got.items())
     assert got == RANK_TEXT_DIGESTS, f"outputs differ from the recorded bytes; new table:{table}"

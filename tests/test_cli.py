@@ -285,7 +285,7 @@ def test_rank_json_is_idempotent(tmp_path, capsys):
 def test_rank_empty_verdict_exit_0(tmp_path, capsys):
     verdict_path = tmp_path / "verdict.json"
     verdict_path.write_bytes(canonical_json({
-        "schema_version": "1",
+        "schema_version": "2",
         "thresholds": {"rel": 0.01, "abs_floor": 1.0, "call_floor": None},
         "regression_detected": False,
         "deltas": [],
@@ -467,14 +467,16 @@ def test_rank_rejects_hand_edited_status_exit_2(tmp_path, capsys):
     cand = run_report(tmp_path, "cand", variant="regressed")
     capsys.readouterr()
     assert main(["diff", str(base), str(cand), "--format", "json"]) == 1
-    doc = json.loads(capsys.readouterr().out)
+    verdict = capsys.readouterr().out
+    doc = json.loads(verdict)
     for delta in doc["deltas"]:
         delta["status"] = "neutral"
     doc["regression_detected"] = False
     edited = tmp_path / "edited.json"
-    edited.write_text(json.dumps(doc))
+    edited.write_bytes(canonical_json(doc))
     assert main(["rank", str(edited)]) == 2
-    assert "status 'neutral'" in capsys.readouterr().err
+    at = verdict.index('"status": "regression"') + len('"status": "')
+    assert f"verdict is not in canonical form at byte {at}: expected b'regression" in capsys.readouterr().err
 
 
 def test_run_out_is_written_atomically(tmp_path, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -26,6 +27,8 @@ from churnscope.report import (
     ChurnDelta,
     MarkerChurn,
     RegressionVerdict,
+    _classify,
+    _compare,
 )
 
 from factories import canonical_json, first_difference, report_with_units
@@ -179,20 +182,77 @@ def test_call_floor_flags_call_growth():
     assert verdict.deltas[0].status == STATUS_REGRESSION  # 2 extra calls > 1
 
 
-def _delta(phase, status, rel, alloc=0, freed=0, cost_micro=1_000_000):
-    calls = {k: 0 for k in AllocFnKind}
-    record = MarkerChurn(name=phase, cost_micro=cost_micro, calls={**calls, AllocFnKind.MALLOC: 1})
-    return ChurnDelta(
-        phase=phase,
-        status=status,
-        baseline=None if status == STATUS_NEW_PHASE else record,
-        candidate=None if status == STATUS_REMOVED_PHASE else record,
-        cost_delta_micro=0,
-        cost_delta_rel=rel,
-        call_delta=calls,
-        bytes_allocated_delta=alloc,
-        bytes_freed_delta=freed,
+def _reference_row(base, cand, th):
+    """A reference for one row: its status and deltas by plain arithmetic on
+    the two records, call counts kind by kind, a missing side counting as 0."""
+    base_cost = base.cost_micro if base else 0
+    cand_cost = cand.cost_micro if cand else 0
+    call_delta = {kind: (cand.calls[kind] if cand else 0) - (base.calls[kind] if base else 0) for kind in AllocFnKind}
+    rel = None
+    if base is None:
+        status = STATUS_NEW_PHASE
+    elif cand is None:
+        status = STATUS_REMOVED_PHASE
+    else:
+        status = _classify(base_cost, cand_cost, sum(call_delta.values()), th)
+        rel = cand_cost / base_cost - 1 if base_cost > 0 else None
+    allocated = (cand.bytes_allocated if cand else 0) - (base.bytes_allocated if base else 0)
+    freed = (cand.bytes_freed if cand else 0) - (base.bytes_freed if base else 0)
+    return status, cand_cost - base_cost, rel, abs(allocated) + abs(freed)
+
+
+def test_computed_deltas_match_a_reference_arithmetic():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    count = st.integers(0, 50) | st.integers(0, 2**64)
+    cost = st.just(0) | st.integers(0, 100 * 10**6) | st.integers(0, int(sys.float_info.max))
+    records = st.builds(
+        MarkerChurn, name=st.just("p"), cost_micro=cost,
+        calls=st.fixed_dictionaries({kind: count for kind in AllocFnKind}), bytes_allocated=count, bytes_freed=count,
     )
+    thresholds = st.builds(Thresholds, rel=st.sampled_from([0, 0.01, 0.5]), abs_floor=st.sampled_from([0, 1.0]),
+                           call_floor=st.none() | st.integers(0, 3))
+    zero = MarkerChurn("p", 0, dict.fromkeys(AllocFnKind, 0))
+    some = MarkerChurn("p", 3_000_000, dict.fromkeys(AllocFnKind, 1), 64, 32)
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(st.none() | records, st.none() | records, thresholds)
+    @example(None, some, Thresholds())
+    @example(some, None, Thresholds())
+    @example(zero, some, Thresholds())
+    @example(zero, zero, Thresholds())
+    @example(some, zero, Thresholds(call_floor=0))
+    def check(base, cand, th):
+        if base is None and cand is None:
+            return
+        delta = _compare("p", base, cand, th)
+        assert delta == ChurnDelta("p", delta.status, base, cand)
+        computed = (delta.status, delta.cost_delta_micro, delta.cost_delta_rel, delta.byte_delta_magnitude)
+        assert computed == _reference_row(base, cand, th)
+
+    check()
+
+
+def _delta(phase, status, rel, alloc=0, freed=0, cost_micro=1_000_000):
+    """A row whose records give it relative delta ``rel`` (None: a zero-cost
+    baseline) on a baseline of ``cost_micro``, and byte deltas ``alloc`` and
+    ``freed``. A new phase keeps only the candidate, a removed one only the
+    baseline; either side's cost is then ``cost_micro``."""
+    calls = {k: 0 for k in AllocFnKind}
+    calls[AllocFnKind.MALLOC] = 1
+    if status in (STATUS_NEW_PHASE, STATUS_REMOVED_PHASE) or rel is None:
+        base_cost, cand_cost = 0, cost_micro
+    else:
+        base_cost, cand_cost = cost_micro, round(cost_micro * (1 + rel))
+    base = MarkerChurn(name=phase, cost_micro=base_cost, calls=calls)
+    cand = MarkerChurn(name=phase, cost_micro=cand_cost, calls=calls, bytes_allocated=alloc, bytes_freed=freed)
+    if status == STATUS_NEW_PHASE:
+        base = None
+    elif status == STATUS_REMOVED_PHASE:
+        base, cand = cand, None
+    return ChurnDelta(phase, status, base, cand)
 
 
 def synthetic_verdict(deltas):
@@ -207,7 +267,9 @@ def test_rank_orders_regressions_by_rel_desc():
             _delta("c", STATUS_REGRESSION, 0.9),
         ]
     )
-    assert [d.cost_delta_rel for d in rank_regressions(verdict)] == [0.9, 0.5, 0.1]
+    ranked = rank_regressions(verdict)
+    assert [d.phase for d in ranked] == ["c", "a", "b"]
+    assert [d.cost_delta_rel for d in ranked] == pytest.approx([0.9, 0.5, 0.1])
 
 
 def test_rank_breaks_rel_ties_by_byte_delta():
@@ -253,13 +315,16 @@ def test_rank_full_group_order_matches_oracle_sort():
                    STATUS_NEUTRAL, STATUS_REMOVED_PHASE]
 
     def oracle_key(d):
+        # Every figure straight from the records: a missing side counts as zero.
+        base, cand = d.baseline, d.candidate
         if d.status == STATUS_NEW_PHASE:
-            severity = d.candidate.cost
+            severity = cand.cost
         elif d.status == STATUS_REMOVED_PHASE:
-            severity = d.baseline.cost
+            severity = base.cost
         else:
-            severity = d.cost_delta_rel if d.cost_delta_rel is not None else float("inf")
-        magnitude = abs(d.bytes_allocated_delta) + abs(d.bytes_freed_delta)
+            severity = cand.cost_micro / base.cost_micro - 1 if base.cost_micro > 0 else float("inf")
+        side = [(r.bytes_allocated, r.bytes_freed) if r else (0, 0) for r in (base, cand)]
+        magnitude = abs(side[1][0] - side[0][0]) + abs(side[1][1] - side[0][1])
         return (group_order.index(d.status), -severity, -magnitude, d.phase)
 
     assert [d.phase for d in ranked] == [d.phase for d in sorted(deltas, key=oracle_key)]
@@ -294,10 +359,11 @@ def test_rank_alternate_flags():
     assert [d.phase for d in rank_regressions(verdict)] == ["zeta", "alpha"]
     assert [d.phase for d in rank_regressions(verdict, tie_break="name")] == ["alpha", "zeta"]
 
-    low = _delta("low", STATUS_REGRESSION, 0.9)._replace(cost_delta_micro=1_000_000)
-    high = _delta("high", STATUS_REGRESSION, 0.1)._replace(cost_delta_micro=50_000_000)
+    low = _delta("low", STATUS_REGRESSION, 0.9)  # +0.9 on a cost of 1
+    high = _delta("high", STATUS_REGRESSION, 0.1, cost_micro=50_000_000)  # +5 on a cost of 50
     ranked = rank_regressions(synthetic_verdict([low, high]), by="abs")
     assert [d.phase for d in ranked] == ["high", "low"]
+    assert [d.phase for d in rank_regressions(synthetic_verdict([low, high]))] == ["low", "high"]
 
 
 def test_uniform_weight_scaling_leaves_verdict_unchanged():
@@ -329,11 +395,10 @@ def test_regression_flag_follows_reassigned_and_reordered_deltas():
     verdict = diff_reports(report_with_units({"a": 10, "b": 5, "c": 8}), report_with_units({"a": 12, "b": 5, "c": 6}))
     deltas = verdict.deltas
     assert verdict.regression_detected
-    verdict.deltas = [d for d in deltas if d.status != STATUS_REGRESSION]
-    assert [d.phase for d in verdict.deltas] == ["c", "b"]
-    assert not verdict.regression_detected
-    verdict.deltas = deltas
-    assert verdict.regression_detected
+    calm = verdict._replace(deltas=[d for d in deltas if d.status != STATUS_REGRESSION])
+    assert [d.phase for d in calm.deltas] == ["c", "b"]
+    assert not calm.regression_detected
+    assert calm._replace(deltas=deltas).regression_detected
     for by in ("rel", "abs"):
         for tie_break in ("bytes", "name"):
             ranked = rank_regressions(verdict, tie_break=tie_break, by=by)
@@ -344,11 +409,13 @@ def test_regression_flag_follows_reassigned_and_reordered_deltas():
 
 
 def test_parse_verdict_rejects_inconsistent_flag():
+    # The flag is recomputed from the statuses and written back: an edited one is where the bytes depart.
     verdict = diff_reports(report_with_units({"a": 1}), report_with_units({"a": 1}))
-    doc = json.loads(serialize_verdict(verdict))
+    data = serialize_verdict(verdict)
+    doc = json.loads(data)
     doc["regression_detected"] = True
-    with pytest.raises(ReportError, match="regression_detected"):
-        parse_verdict(canonical_json(doc))
+    edited = canonical_json(doc)
+    assert _rejected_at(edited) == data.index(b'"regression_detected": false') + len(b'"regression_detected": ')
 
 
 @pytest.mark.parametrize(
@@ -414,11 +481,12 @@ def test_parse_verdict_rejects_repeated_phase():
 
 def test_parse_verdict_rejects_hand_edited_status():
     doc = _regressed_verdict_doc()
+    canonical = canonical_json(doc)
     for delta in doc["deltas"]:
         delta["status"] = STATUS_NEUTRAL
     doc["regression_detected"] = False  # consistent with the edited statuses
-    with pytest.raises(ReportError, match="status 'neutral'.*give 'regression'"):
-        parse_verdict(canonical_json(doc))
+    data = canonical_json(doc)
+    assert _rejected_at(data) == first_difference(data, canonical) == canonical.index(b'"regression"') + 1
 
 
 def _rejected_at(data):
@@ -434,14 +502,15 @@ def _rejected_at(data):
         lambda d: d.update(cost_delta_abs=19.0),
         lambda d: d.update(cost_delta_rel=0.5),
         lambda d: d.update(cost_delta_rel=None),
-        lambda d: d["call_delta"].update(malloc=0),
+        lambda d: d.update(call_delta={"calloc": 0, "free": 0, "malloc": 0, "realloc": 0}),
         lambda d: d.update(bytes_allocated_delta=0),
         lambda d: d.update(bytes_freed_delta=1),
     ],
     ids=["abs", "rel", "rel-null", "call_delta", "bytes_allocated", "bytes_freed"],
 )
 def test_parse_verdict_rejects_deltas_that_do_not_match_their_records(edit):
-    # Every delta is recomputed from the records, so the edit is where the bytes depart.
+    # A row's deltas are computed from its records and never written, so a
+    # stored one, as a verdict of schema 1 held it, is where the bytes depart.
     doc = _regressed_verdict_doc()
     canonical = canonical_json(doc)
     edit(doc["deltas"][0])
@@ -458,21 +527,51 @@ def test_parse_verdict_rejects_an_equivalent_non_canonical_layout():
 
 def test_parse_verdict_rejects_an_edited_delta_in_the_canonical_layout():
     data = serialize_verdict(diff_reports(report_with_units({"a": 10, "b": 2}), report_with_units({"a": 12, "b": 2})))
-    edited = data.replace(b'"cost_delta_abs": 20.000000', b'"cost_delta_abs": 19.000000')
+    edited = data.replace(b'"status": "regression"', b'"status": "improvement"')
     assert edited != data
-    assert _rejected_at(edited) == data.index(b'"cost_delta_abs": 20.000000') + len(b'"cost_delta_abs": ')
+    assert _rejected_at(edited) == data.index(b'"status": "regression"') + len(b'"status": "')
+
+
+def test_parse_verdict_names_a_respelled_cost_by_its_offset():
+    # The respelled literal reads as no cost, which changes the recomputed
+    # status; the error still names the literal, not the status.
+    data = serialize_verdict(diff_reports(report_with_units({"a": 10, "b": 2}), report_with_units({"a": 12, "b": 2})))
+    assert data.count(b'"cost": 120.000000') == 1
+    edited = data.replace(b'"cost": 120.000000', b'"cost": 1.200000e+02')
+    assert _rejected_at(edited) == data.index(b'"cost": 120.000000') + len(b'"cost": ')
+    redumped = json.dumps(json.loads(data)).encode()  # the same content in json.dumps' own layout
+    assert _rejected_at(redumped) == first_difference(redumped, data) == 1
+
+
+def test_parse_verdict_labels_a_record_it_cannot_take_apart():
+    doc = _regressed_verdict_doc()
+    doc["deltas"][1]["candidate"]["calls"] = [1]
+    with pytest.raises(ReportError) as excinfo:
+        parse_verdict(canonical_json(doc))
+    assert str(excinfo.value) == (
+        "deltas[1] candidate does not match the schema (TypeError: list indices must be integers or slices, not str)"
+    )
+
+
+def test_parse_verdict_rejects_the_previous_schema_version():
+    doc = _regressed_verdict_doc()
+    doc["schema_version"] = "1"
+    with pytest.raises(ReportError) as excinfo:
+        parse_verdict(canonical_json(doc))
+    assert str(excinfo.value) == "unknown schema_version '1' (expected '2')"
 
 
 def test_parse_verdict_rejects_status_the_records_contradict():
+    # The status is recomputed and written back, so the stored one is where the bytes depart.
     doc = _regressed_verdict_doc()
     regression = doc["deltas"][0]
     regression["candidate"] = regression["baseline"]  # now an unchanged phase
-    with pytest.raises(ReportError, match="status"):
-        parse_verdict(canonical_json(doc))
+    data = canonical_json(doc)
+    assert _rejected_at(data) == data.index(b'"status": "regression"') + len(b'"status": "')
     doc = _regressed_verdict_doc()
     doc["deltas"][0]["baseline"] = None  # records now say new_phase
-    with pytest.raises(ReportError, match="new_phase"):
-        parse_verdict(canonical_json(doc))
+    data = canonical_json(doc)
+    assert _rejected_at(data) == data.index(b'"status": "regression"') + len(b'"status": "')
     doc["deltas"][0]["candidate"] = None
     with pytest.raises(ReportError, match="neither"):
         parse_verdict(canonical_json(doc))

@@ -5,6 +5,7 @@ import pytest
 from churnscope import (
     AllocEvent,
     AllocFnKind,
+    ChurnDelta,
     ChurnReport,
     CostModel,
     RegressionVerdict,
@@ -29,6 +30,7 @@ SHAPES = [
      (("fill",), WORKLOADS["table"].run, "fill")),
     (CostModel, ("weights", "model_version"), ({AllocFnKind.FREE: 2.0}, "v")),
     (Thresholds, ("rel", "abs_floor", "call_floor"), (0.5, 2.0, 3)),
+    (ChurnDelta, ("phase", "status", "baseline", "candidate"), ("p", "new_phase", None, None)),
 ]
 
 
@@ -49,13 +51,13 @@ def test_named_tuple_defaults():
     assert CostModel().weights is not CostModel().weights
 
 
-def test_regression_verdict_stays_a_mutable_class():
+def test_regression_verdict_is_a_named_tuple():
     verdict = RegressionVerdict(Thresholds(), [])
-    assert not isinstance(verdict, tuple)
+    assert isinstance(verdict, tuple) and RegressionVerdict._fields == ("thresholds", "deltas")
     assert repr(verdict) == (
         "RegressionVerdict(thresholds=Thresholds(rel=0.01, abs_floor=1.0, call_floor=None), deltas=[])"
     )
-    verdict.deltas = ["row"]
+    verdict = verdict._replace(deltas=["row"])
     assert verdict == RegressionVerdict(thresholds=Thresholds(), deltas=["row"])
     assert verdict != RegressionVerdict(Thresholds(rel=0.5), ["row"])
     assert verdict != RegressionVerdict(Thresholds(), [])

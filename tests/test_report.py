@@ -559,7 +559,7 @@ def _single_faults(thread):
         return AT_EDIT if not thread else f"threads[0] {message}"
 
     fields = RECORD_FIELDS + (("thread_id", "span_id") if thread else ())
-    missing = "report does not match the schema (KeyError: {!r})"
+    missing = "threads[0] does not match the schema (KeyError: {!r})"
     cases = [(f"missing-{key}", _delete(key), missing.format(key) if thread else AT_EDIT) for key in fields]
     cases += [
         (f"missing-calls-{kind}", lambda r, kind=kind: r["calls"].pop(kind), missing.format(kind) if thread else AT_EDIT)
@@ -572,7 +572,7 @@ def _single_faults(thread):
               for key, value in wrong]
     cases += [(f"type-cost-{value!r}", _set("cost", value), AT_PHASE_COST if thread else AT_EDIT)
               for value in ("20", True)]
-    cases.append(("type-calls-[1]", _set("calls", [1]), "report does not match the schema (TypeError: "
+    cases.append(("type-calls-[1]", _set("calls", [1]), "threads[0] does not match the schema (TypeError: "
                   "list indices must be integers or slices, not str)" if thread else AT_EDIT))
     cases += [(f"type-calls-{kind}", _set_call(kind, True), fault(f"calls field {kind!r} has the wrong type"))
               for kind in CALL_KINDS]
@@ -651,7 +651,7 @@ def reference_report_bytes(report):
 def reference_verdict_bytes(verdict):
     th = verdict.thresholds
     return canonical_json({
-        "schema_version": "1",
+        "schema_version": "2",
         "thresholds": {
             "rel": Literal(float_literal(th.rel)),
             "abs_floor": Literal(float_literal(th.abs_floor)),
@@ -664,11 +664,6 @@ def reference_verdict_bytes(verdict):
                 "status": d.status,
                 "baseline": None if d.baseline is None else _record_doc(d.baseline),
                 "candidate": None if d.candidate is None else _record_doc(d.candidate),
-                "cost_delta_abs": _cost_literal(d.cost_delta_micro),
-                "cost_delta_rel": None if d.cost_delta_rel is None else Literal(float_literal(d.cost_delta_rel)),
-                "call_delta": {kind.value: n for kind, n in d.call_delta.items()},
-                "bytes_allocated_delta": d.bytes_allocated_delta,
-                "bytes_freed_delta": d.bytes_freed_delta,
             }
             for d in verdict.deltas
         ],
@@ -677,8 +672,8 @@ def reference_verdict_bytes(verdict):
 
 def _writer_strategies():
     """Hypothesis strategies for whole reports and verdicts: names with quotes,
-    backslashes, control and non-BMP characters, counts past 2**64, negative
-    deltas, relative deltas that round to -0, non-integer weights."""
+    backslashes, control and non-BMP characters, counts past 2**64,
+    non-integer weights and thresholds."""
     from hypothesis import strategies as st
 
     text = st.text(
@@ -686,7 +681,6 @@ def _writer_strategies():
         max_size=12,
     )
     count = st.integers(0, 2**40) | st.integers(2**64, 10**40)
-    signed = st.integers(-(2**40), 2**40) | st.integers(-(10**40), 10**40)
 
     def records(ids):
         return st.builds(
@@ -719,12 +713,6 @@ def _writer_strategies():
         status=st.sampled_from(STATUSES),
         baseline=st.none() | merged,
         candidate=st.none() | merged,
-        cost_delta_micro=signed,
-        cost_delta_rel=st.none() | st.floats(allow_nan=False, allow_infinity=False)
-        | st.floats(-5e-7, 0, exclude_min=True, exclude_max=True),
-        call_delta=st.fixed_dictionaries({kind: signed for kind in AllocFnKind}),
-        bytes_allocated_delta=signed,
-        bytes_freed_delta=signed,
     )
     thresholds = st.builds(
         Thresholds, rel=st.floats(0, 1e6), abs_floor=st.floats(0, 1e6), call_floor=st.none() | st.integers(0, 2**70)
@@ -760,28 +748,27 @@ def test_verdict_writer_matches_json_dumps():
 
     _, verdicts = _writer_strategies()
     record = MarkerChurn('a "b" \\c\n é☃', 10**25 + 1, dict.fromkeys(AllocFnKind, 10**30), 2**64, 0, True, False)
-    calls = dict.fromkeys(AllocFnKind, -(10**40))
-    row = ChurnDelta(record.name, "regression", record, record, -(10**40), -0.5, calls, -1, -(10**40))
+    row = ChurnDelta(record.name, "regression", record, record)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(verdicts)
     @example(RegressionVerdict(Thresholds(), []))
     @example(RegressionVerdict(Thresholds(call_floor=0), [row]))
     @example(RegressionVerdict(Thresholds(rel=1, abs_floor=0.1234567, call_floor=2**70), [
-        row._replace(baseline=None, cost_delta_rel=None, status="new_phase"),
-        row._replace(candidate=None, cost_delta_rel=None, status="removed_phase"),
-        row._replace(cost_delta_rel=-0.0000004, cost_delta_micro=0, status="neutral"),
+        row._replace(baseline=None, status="new_phase"),
+        row._replace(candidate=None, status="removed_phase"),
+        row._replace(status="neutral"),
     ]))
+    @example(RegressionVerdict(Thresholds(rel=-0.0, abs_floor=-0.0), [row]))
     def check(verdict):
         assert serialize_verdict(verdict) == reference_verdict_bytes(verdict)
 
     check()
 
 
-def _one_row_verdict(rel):
-    record = MarkerChurn("p", 1_000_000, dict.fromkeys(AllocFnKind, 1))
-    row = ChurnDelta("p", "neutral", record, record, 0, rel, dict.fromkeys(AllocFnKind, 0), 0, 0)
-    return RegressionVerdict(Thresholds(), [row])
+def _unchecked_thresholds(value):
+    """A verdict whose two float thresholds are ``value``, built past the checks of ``Thresholds``."""
+    return RegressionVerdict(tuple.__new__(Thresholds, (value, value, None)), [])
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -790,12 +777,15 @@ def test_writers_reject_non_finite_numbers(value):
     with pytest.raises(ValueError, match="non-finite"):
         serialize_report(report._replace(model=report.model._replace(weights={AllocFnKind.MALLOC: value})))
     with pytest.raises(ValueError, match="non-finite"):
-        serialize_verdict(_one_row_verdict(value))
+        serialize_verdict(_unchecked_thresholds(value))
 
 
 @pytest.mark.parametrize("value", [-0.0, -1e-9, -4.9e-7])
 def test_writers_write_negative_zero_as_zero(value):
-    assert b'"cost_delta_rel": 0.000000,' in serialize_verdict(_one_row_verdict(value))
+    # Thresholds(rel=-0.0) passes its checks; the other values only reach the writer unchecked.
+    for verdict in (_unchecked_thresholds(value), RegressionVerdict(Thresholds(-0.0, -0.0), [])):
+        data = serialize_verdict(verdict)
+        assert b'"abs_floor": 0.000000,' in data and b'"rel": 0.000000\n' in data
     report = golden_report()
     weights = dict.fromkeys(AllocFnKind, value)
     data = serialize_report(report._replace(model=report.model._replace(weights=weights)))

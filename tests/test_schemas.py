@@ -3,14 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from churnscope import (
-    RecordingSession,
-    WorkloadSpec,
-    diff_reports,
-    run_workload,
-    serialize_report,
-    serialize_verdict,
-)
+from churnscope import RecordingSession, WorkloadSpec, run_workload, serialize_report
+
+from test_byte_identity import edge_outputs, many_record_outputs, outputs
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -32,11 +27,16 @@ def test_reports_conform_to_schema():
     jsonschema.validate(doc, schema)
 
 
-def test_verdicts_conform_to_schema():
+def test_verdicts_conform_to_schema(tmp_path, capsysbinary):
+    # Every verdict and rank --format json output the byte-identity tests pin.
     schema = load_schema("churn-verdict.schema.json")
-    verdict = diff_reports(fresh_report(), fresh_report("regressed"))
-    doc = json.loads(serialize_verdict(verdict))
-    jsonschema.validate(doc, schema)
+    names = []
+    for generate in (outputs, many_record_outputs, edge_outputs):
+        for name, data in generate(tmp_path, capsysbinary):
+            if name.endswith(".json") and not name.endswith(".churn.json"):
+                jsonschema.validate(json.loads(data), schema)
+                names.append(name)
+    assert len(names) == 13
 
 
 def test_schema_files_are_valid_schemas():
