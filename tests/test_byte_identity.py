@@ -5,8 +5,9 @@ reports, the ``diff`` text and ``diff --format json`` verdict of baseline
 against regressed, and ``rank --format json`` of that verdict must hash to
 the digests below. So must two library-built reports of about 2,700 records
 each and the verdict between them, where the record writer's bytes dominate,
-and the ``rank`` text of each of those verdicts under every ordering flag.
-A change to the canonical form or to the workloads must replace them (a
+and the ``rank`` text of each of those verdicts under every ordering flag,
+and the ``show`` text of each built-in report with and without its
+per-thread table. A change to the canonical form or to the workloads must replace them (a
 failing run prints the new table) and say why in CHANGES.md.
 """
 
@@ -245,3 +246,42 @@ def test_rank_text_matches_recorded_digests(tmp_path, capsysbinary):
         got[text_name] = hashlib.sha256(text).hexdigest()
     table = "".join(f'\n    "{name}": "{digest}",' for name, digest in got.items())
     assert got == RANK_TEXT_DIGESTS, f"outputs differ from the recorded bytes; new table:{table}"
+
+
+# ``show`` text of each built-in run report, with and without the per-thread
+# table. It shows every phase's merged numbers, so it stays fixed while the
+# report's document form changes.
+SHOW_TEXT_DIGESTS = {
+    "buffers/baseline.show.txt": "e1f42dc4fd1c9e17ffb8b65642121ee6fff559b5c9d99cfb35616a456f61d731",
+    "buffers/baseline.show-per-thread.txt": "84c54eb96d773e56aabbeabd3ffdc01b75a15a96c72d723c695d9f066ece257f",
+    "buffers/regressed.show.txt": "8aec41a14de2f4eabf8100a5d4e47669314f6c534b1c70cf49cc9a016beabdb8",
+    "buffers/regressed.show-per-thread.txt": "d43c0b7ece0a9fe3f9d814c459c47fb53e4d82af0a1e16b3b8dee127054d04f6",
+    "multithread/baseline.show.txt": "57e3262085f4b81c41f2c9d62cc39c4b013a321bbffd3fe2622593c2bc5448a5",
+    "multithread/baseline.show-per-thread.txt": "d1504e7fdcec37b70e8362c44034e01bfec9604820402192394733590343fe18",
+    "multithread/regressed.show.txt": "0e0519584d65d0dba8e57e172721c68dbfd80e7cf92cac2090dbcc9850abc303",
+    "multithread/regressed.show-per-thread.txt": "171901941be2a0ae64b219db705ce00c1c013a5ece184bdb5479d8e73a27ef4f",
+    "strings/baseline.show.txt": "80d8affafd65dbe21343052853263fef50ca9c3a25204374511e87329fb2e120",
+    "strings/baseline.show-per-thread.txt": "8084991e8ed2a561348be6a6192a4cd27f20eb6ec7484812b735b444024df569",
+    "strings/regressed.show.txt": "d31fbc2c5483e54f7fb3328d638a2bc6ce37de8d2ff51f615e75f699272de12d",
+    "strings/regressed.show-per-thread.txt": "58b0b30531df44de701f5d019ac794994ada99b051798876613a6f7933a400f1",
+    "table/baseline.show.txt": "dddaf09ed1182ec16c42e9e3155333f4c659a0e31c007beb793116d4f3f31963",
+    "table/baseline.show-per-thread.txt": "8d0b648549799ca89b90384bc960a6cf9c2974b273c778d9e480f8896d858824",
+    "table/regressed.show.txt": "5e73874fd0530b9cdaf4f90a550ed5f946ab5ee62ccbcb0cfb10d13a66f520cb",
+    "table/regressed.show-per-thread.txt": "80c30b0e5346319e51338e5617489a61d1bd292b4f402f17aa676a087d2b4633",
+}
+
+SHOW_FLAGS = {"show.txt": [], "show-per-thread.txt": ["--per-thread"]}
+
+
+def test_show_text_matches_recorded_digests(tmp_path, capsysbinary):
+    got = {}
+    path = tmp_path / "pinned.churn.json"
+    for name, data in outputs(tmp_path, capsysbinary):
+        if name.endswith(".churn.json"):
+            path.write_bytes(data)
+            for text_name, flags in SHOW_FLAGS.items():
+                assert main(["show", str(path), *flags]) == 0
+                text = capsysbinary.readouterr().out
+                got[name[: -len("churn.json")] + text_name] = hashlib.sha256(text).hexdigest()
+    table = "".join(f'\n    "{name}": "{digest}",' for name, digest in got.items())
+    assert got == SHOW_TEXT_DIGESTS, f"outputs differ from the recorded bytes; new table:{table}"
