@@ -21,7 +21,9 @@ class MarkerChurn(NamedTuple):
     ring evicted entries during the interval (counters stay exact
     regardless); ``auto_closed`` means the span was still open when its
     recorder sealed. A record is a named tuple: derive an edited copy with
-    ``_replace``. Reports and verdicts write it as the document of its fields.
+    ``_replace``. A report writes each per-thread record as the document of
+    its fields, and a verdict writes merged records that way; a report's
+    merged records are computed from its parts, never written.
     """
 
     name: str
@@ -101,7 +103,8 @@ def merge_phases(parts: Iterable[MarkerChurn]) -> dict[str, MarkerChurn]:
     Each part is added field by field into its name's integer accumulators
     (cost, the four call counts, a missing kind counting 0, the two byte
     totals) and OR'd into its flags; no per-name lists are kept. The result
-    is keyed in name order, the order a report lists its phases in.
+    is keyed in name order. It is a report's ``merged``: ``build_report``
+    computes it on the run path and ``parse_report`` when a report is read.
     """
     sums: dict[str, list] = {}
     for name, cost, calls, allocated, freed, overflow, auto_closed, _, _ in parts:

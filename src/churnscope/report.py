@@ -21,7 +21,7 @@ from .aggregation import MarkerChurn, merge_phases
 from .cost_model import COST_DECIMALS, MICRO, AllocFnKind, CostModel, validate_cost_model
 from .errors import ModelMismatchError, ReportError
 
-REPORT_SCHEMA_VERSION = "1"
+REPORT_SCHEMA_VERSION = "2"
 VERDICT_SCHEMA_VERSION = "2"
 
 STATUS_REGRESSION = "regression"
@@ -104,7 +104,12 @@ class ReportTotals(NamedTuple):
 
 
 class ChurnReport(NamedTuple):
-    """Canonical per-build artifact: merged phases plus per-thread parts."""
+    """Canonical per-build artifact: per-thread parts plus the whole-run counters.
+
+    ``merged`` holds one record per phase name, the sum of that name's parts
+    (``merge_phases``). It is computed when a report is built or parsed and is
+    never written: a report file holds each span once.
+    """
 
     build_id: str
     created_at: str
@@ -236,10 +241,10 @@ def _append_container(out: list[str], brackets: str, texts: list[str], nl: str) 
 def serialize_report(report: ChurnReport) -> bytes:
     """Canonical bytes for a report; equal reports yield identical bytes.
 
-    Its fields in sorted-key order, phases under their sorted keys, as parts
-    joined once. Field types are trusted; a non-finite weight raises ValueError.
+    Its fields in sorted-key order, as parts joined once; ``merged`` is not
+    written. Field types are trusted; a non-finite weight raises ValueError.
     """
-    model, t, merged = report.model, report.totals, report.merged
+    model, t = report.model, report.totals
     out = [
         f'{{\n  "build_id": {_quote(report.build_id)},\n  "cost_model": {{'
         f'\n    "model_version": {_quote(model.model_version)},\n    "weights": '
@@ -251,11 +256,9 @@ def serialize_report(report: ChurnReport) -> bytes:
         f'\n    "bytes_allocated": {t.bytes_allocated},\n    "bytes_freed": {t.bytes_freed},'
         f'\n    "live_blocks": {t.live_blocks},\n    "live_bytes": {t.live_bytes},'
         f'\n    "overflow_count": {t.overflow_count}\n  }},'
-        f'\n  "created_at": {_quote(report.created_at)},\n  "phases": '
+        f'\n  "created_at": {_quote(report.created_at)},'
+        f'\n  "schema_version": {_quote(REPORT_SCHEMA_VERSION)},\n  "threads": '
     )
-    phases = [_quote(name) + ": " + _churn_text(merged[name], "\n    ") for name in sorted(merged)]
-    _append_container(out, "{}", phases, "\n  ")
-    out.append(f',\n  "schema_version": {_quote(REPORT_SCHEMA_VERSION)},\n  "threads": ')
     _append_container(out, "[]", [_churn_text(r, "\n    ") for r in report.per_thread], "\n  ")
     out.append("\n}\n")
     text = "".join(out)
@@ -278,9 +281,9 @@ _DECODER = json.JSONDecoder(parse_float=str, parse_constant=_reject_constant)
 def _read(data: bytes | str, what: str, build: Callable[[Any], Any], serialize: Callable[[Any], bytes]) -> Any:
     """Both readers' one rule: decode, ``build`` the object with the semantic
     checks, write it again and demand the input's exact bytes. Any other
-    layout, spelling, key order, duplicated or unknown key, or merged record
-    that is not the sum of its parts fails the comparison, named by the
-    first differing byte; a field ``build`` cannot find or use fails here too.
+    layout, spelling, key order, or duplicated or unknown key fails the
+    comparison, named by the first differing byte; a field ``build`` cannot
+    find or use fails here too.
     """
     try:
         if isinstance(data, str):
@@ -413,6 +416,8 @@ def _parse_model(doc: Any) -> CostModel:
 
 def _build_report(doc: Any) -> ChurnReport:
     version = doc["schema_version"]
+    if "deltas" in doc:
+        raise ReportError("document is a verdict, not a report")
     if version != REPORT_SCHEMA_VERSION:
         raise ReportError(f"unknown schema_version {version!r} (expected {REPORT_SCHEMA_VERSION!r})")
     model = _parse_model(doc["cost_model"])
@@ -445,9 +450,10 @@ def _build_report(doc: Any) -> ChurnReport:
 def parse_report(data: bytes | str) -> ChurnReport:
     """Parse a report, accepting it only in the canonical bytes ``serialize_report`` writes.
 
-    ``merged`` is recomputed from the per-thread records, so the stored phases
-    are checked by the byte comparison. Raises ReportError naming the first
-    violated rule, as a message or as a byte offset (see ``_read``).
+    ``merged`` is computed from the per-thread records with ``merge_phases``,
+    as ``RecordingSession.build_report`` computes it. Raises ReportError
+    naming the first violated rule, as a message or as a byte offset (see
+    ``_read``).
     """
     return _read(data, "report", _build_report, serialize_report)
 
@@ -583,6 +589,8 @@ def serialize_verdict(verdict: RegressionVerdict) -> bytes:
 
 def _build_verdict(doc: Any) -> RegressionVerdict:
     version = doc["schema_version"]
+    if "threads" in doc:
+        raise ReportError("document is a report, not a verdict")
     if version != VERDICT_SCHEMA_VERSION:
         raise ReportError(f"unknown schema_version {version!r} (expected {VERDICT_SCHEMA_VERSION!r})")
     th = doc["thresholds"]

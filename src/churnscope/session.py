@@ -30,6 +30,15 @@ def utc_timestamp(epoch: float | int | None = None) -> str:
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _check_encodable(field: str, text: str) -> None:
+    """Raise ValueError naming ``field`` if ``text`` has no UTF-8 form (it
+    holds a lone surrogate), so a report that holds it could not be written."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{field} {text!r} is not valid Unicode ({exc.reason} at position {exc.start})") from None
+
+
 class RecordingSession:
     """Registry of per-thread recorders sharing one cost model.
 
@@ -55,8 +64,11 @@ class RecordingSession:
         # A report that serialize_report writes must parse back.
         if not isinstance(build_id, str):
             raise ValueError(f"build_id must be a string, got {build_id!r}")
-        if created_at is not None and not isinstance(created_at, str):
-            raise ValueError(f"created_at must be None or a string, got {created_at!r}")
+        _check_encodable("build_id", build_id)
+        if created_at is not None:
+            if not isinstance(created_at, str):
+                raise ValueError(f"created_at must be None or a string, got {created_at!r}")
+            _check_encodable("created_at", created_at)
         self.build_id = build_id
         self.created_at = created_at
         self._lock = threading.Lock()
@@ -83,6 +95,8 @@ class RecordingSession:
                 label = f"thread-{len(self._by_label)}"
             elif not isinstance(label, str):
                 raise ValueError(f"thread label must be a string, got {label!r}")
+            else:
+                _check_encodable("thread label", label)
             if label in self._by_label:
                 raise ValueError(f"thread label {label!r} already in use")
             rec = ThreadRecorder(label, self._model, self._ring_capacity)
@@ -104,10 +118,10 @@ class RecordingSession:
     def build_report(self) -> ChurnReport:
         """Assemble the canonical report from the sealed recorders.
 
-        Span costs are integer micro-units and each merged record is the
-        exact sum of its parts, so a parsed report always satisfies the
-        merged-equals-sum check. Parts are summed by name in one pass, so the
-        cost is linear in the number of spans however many names they use.
+        Each span is one part; ``merged`` sums the parts by name with
+        ``merge_phases``, in one pass, so the cost is linear in the number of
+        spans however many names they use. ``parse_report`` computes
+        ``merged`` from a report's parts the same way.
         """
         recs = self.recorders()
         for rec in recs:

@@ -26,23 +26,23 @@ from churnscope.cli import main
 from churnscope.workloads import VARIANTS, SplitMix64, workload_names
 
 DIGESTS = {
-    "buffers/baseline.churn.json": "e2e7c98ff3adedd4c61ac7e8ee12837cddef21727ae3b4e24d9da3f1f6268e4a",
-    "buffers/regressed.churn.json": "78373fe67230979c23994fbe6cd5894202d9b1aaa213691e396a3bcdef7f7738",
+    "buffers/baseline.churn.json": "2b3c28d76b68243bffe2a04f265bba74e1589c2a57faccde3c11c946f5fc3cf6",
+    "buffers/regressed.churn.json": "f43ddac8c9cb0ed8ffcd6b2a5d63cba90934e43979e5f5f2de64226fc96636d8",
     "buffers/diff.txt": "481deb45ffa8b1f9bde275acd1a68939c0394805d84f6acae5e46166329b9832",
     "buffers/verdict.json": "0f583129000dac1996f4b2d136c423aba37d4642a8bea36f571b55aa7da2d88a",
     "buffers/rank.json": "0f583129000dac1996f4b2d136c423aba37d4642a8bea36f571b55aa7da2d88a",
-    "multithread/baseline.churn.json": "b2e6eae59e99272c71ee0f24157e71950fb2e45a03c0e5fb758812a2452dbdb6",
-    "multithread/regressed.churn.json": "cde4abb97f6477557fdbfe3892803d74292c36f2b3a6296aa0172aef76d6f4f5",
+    "multithread/baseline.churn.json": "7fa76c44993a840133430b18789320d2048f59bf2453f53cb05059acd4e6ab6b",
+    "multithread/regressed.churn.json": "045130fb192b16f408e22d850f433dff49693f79eb555ab4a67b291d95c49f84",
     "multithread/diff.txt": "8c3efe718241551bd335bdf2afc1b9a21e16a1783159175f62349e940b6e910f",
     "multithread/verdict.json": "d0d116161c6efb14ac438db1a0ac8fcc86f49164d0576d50e8490407480fd465",
     "multithread/rank.json": "d0d116161c6efb14ac438db1a0ac8fcc86f49164d0576d50e8490407480fd465",
-    "strings/baseline.churn.json": "fea495349e4972ba95c6cff4ff3f2344c1ad59196de36b0a4c7c8ff93ff820dc",
-    "strings/regressed.churn.json": "1d6de4ff02619ea65e5b6e980442789abfe66c237a5e153759282314a4809cdc",
+    "strings/baseline.churn.json": "c3a6c81241758c27081a9b9e4880ce6897c09611fe70036832080ef7c899ac05",
+    "strings/regressed.churn.json": "49efe4f358c6312454a9e614b8d259f14e59039a00a1c74a964d1b36d3e1fd4e",
     "strings/diff.txt": "ca9a79b62e6439d716b6a36451ae715d3d4c4b5c9afb28d0b6f11264cab9832b",
     "strings/verdict.json": "45d8d31804934a21d47eb59aedf1c1ed8cc46982c9f8bef799aea8eca529ed82",
     "strings/rank.json": "45d8d31804934a21d47eb59aedf1c1ed8cc46982c9f8bef799aea8eca529ed82",
-    "table/baseline.churn.json": "926d21d41aaf9147a0e029707ea9f192c5c0c53f5a83094e033b925da7fe6cd8",
-    "table/regressed.churn.json": "90c41c5cbd706e09866d16c69432f65dff45330dff65084ef32ef18416f2ed4d",
+    "table/baseline.churn.json": "cc8a4f3dcbdb7d482d257ec3399a1cdc10b771467de82b35c321646ce0f7b3ac",
+    "table/regressed.churn.json": "d1595d3be41839d5cc64db49177f09518c7f875a8d544ebe6bdba876b2729897",
     "table/diff.txt": "8c3ac7f329a196f6402d3a7324b6190cc9b2b6a27fd2524a48fc3e24347b9ba5",
     "table/verdict.json": "5da4feccd2c457e38746e48c38b361355173001f6af4c24ca45aed2f272f7e30",
     "table/rank.json": "5da4feccd2c457e38746e48c38b361355173001f6af4c24ca45aed2f272f7e30",
@@ -86,8 +86,8 @@ def test_builtin_outputs_match_recorded_digests(tmp_path, capsysbinary):
 # ``diff --format json`` verdict between them (about 2,400 records), and
 # ``rank --format json`` of that verdict by relative and by absolute delta.
 MANY_RECORD_DIGESTS = {
-    "baseline.churn.json": "22e1c316326a3047dadd970f5481b8441938463b2a1144864371c54a4ba77dd4",
-    "regressed.churn.json": "5385f500fb2534b39c2cea0aa274eef4633d411057acae6cd115a9d111d9a8c7",
+    "baseline.churn.json": "8e35649789ed31846d149797e1abdb088fb23c70165b85a92c5419f745a9f6f4",
+    "regressed.churn.json": "ecc9234a1d90dc09c44a638b79ec59a142aac844c77522206022d572a8726674",
     "verdict.json": "9b3663db1390851f83e059234f2c80d9df1e62e84ddeeeee2e794ca3076fe2e6",
     "rank-rel.json": "9b3663db1390851f83e059234f2c80d9df1e62e84ddeeeee2e794ca3076fe2e6",
     "rank-abs.json": "8fa55a068ae3bef7d60b8d365f120efe2b330928404901ff6ccd82e4421c9c7d",
@@ -152,7 +152,7 @@ def test_many_record_outputs_match_recorded_digests(tmp_path, capsysbinary):
 # verdict whose thresholds hold an integer call_floor, and a verdict with no
 # deltas after a round trip through ``rank``.
 EDGE_DIGESTS = {
-    "no-spans.churn.json": "711231f0e18590c146f6a9aa4d80313adbcf5466c4438248648b618b98590cf4",
+    "no-spans.churn.json": "ab2f8685d4f1a466d5829aded224e311e4cab4edf33f0ebd5bb3411cc804838f",
     "strings/verdict-call-floor-0.json": "02833731de0dbc760dfa6913ecd9d72a99a1c696edb819af27fce855c4875580",
     "no-deltas/rank.json": "0142baf7e0ea043903659ab8cad0ffc99054a9e58ae3ba6e2d3b2a1219c0be40",
 }

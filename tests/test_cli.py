@@ -12,10 +12,10 @@ import pytest
 
 import churnscope
 from churnscope import Thresholds, parse_report, parse_verdict, serialize_report
-from churnscope.aggregation import merge_phases
 from churnscope.cli import build_parser, main
 
 from factories import canonical_json, report_with_units
+from test_report import GOLDEN_V1
 
 
 def run_report(tmp_path, name="base", variant="baseline", extra=()):
@@ -214,6 +214,30 @@ def test_show_and_rank_name_the_file_in_a_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err == "churnscope rank: " + message.format(bad, "verdict")
 
 
+def test_show_diff_and_rank_name_a_document_of_the_other_kind(tmp_path, capsys):
+    # Reports and verdicts are both schema_version "2", so the version cannot tell them apart.
+    report = run_report(tmp_path)
+    capsys.readouterr()
+    assert main(["diff", str(report), str(report), "--format", "json"]) == 0
+    verdict = tmp_path / "verdict.json"
+    verdict.write_bytes(capsys.readouterr().out.encode())
+    for command, *paths in (["show", verdict], ["diff", verdict, report], ["diff", report, verdict]):
+        assert main([command, *map(str, paths)]) == 2
+        assert capsys.readouterr().err == f"churnscope {command}: error: {verdict}: document is a verdict, not a report\n"
+    assert main(["rank", str(report)]) == 2
+    assert capsys.readouterr().err == f"churnscope rank: error: {report}: document is a report, not a verdict\n"
+
+
+def test_a_schema_1_report_exits_2(tmp_path, capsys):
+    old = tmp_path / "old.churn.json"
+    old.write_text(GOLDEN_V1)
+    for argv in (["show", str(old)], ["diff", str(old), str(old)]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"churnscope {argv[0]}: error: {old}: unknown schema_version '1' (expected '2')\n"
+        )
+
+
 def test_rank_names_stdin_as_dash_in_a_parse_error():
     rank = run_module("rank", "-", input=b"[", text=False)
     assert rank.returncode == 2
@@ -361,7 +385,7 @@ def _one_phase_report(path, *part_costs):
     report = report_with_units({"p": 1})
     part = report.per_thread[0]
     parts = [part._replace(cost_micro=cost, span_id=f"main/{i:06d}") for i, cost in enumerate(part_costs)]
-    report = report._replace(per_thread=parts, merged=merge_phases(parts))
+    report = report._replace(per_thread=parts)  # a report writes only its parts
     path.write_bytes(serialize_report(report))
     return str(path)
 
@@ -416,6 +440,20 @@ def test_ring_capacity_env_var_does_not_change_run(tmp_path, monkeypatch):
     plain = run_report(tmp_path, "plain").read_bytes()
     monkeypatch.setenv("CHURNSCOPE_RING_CAPACITY", "2")
     assert run_report(tmp_path, "plain").read_bytes() == plain
+
+
+def test_run_rejects_a_build_id_with_no_utf8_form_before_the_workload(tmp_path, capsys, monkeypatch):
+    # A command-line byte that is not UTF-8 reaches Python as a lone surrogate: b"\xff" as "\udcff".
+    def run_workload(*args):
+        raise AssertionError("the workload ran")
+
+    monkeypatch.setattr("churnscope.cli.run_workload", run_workload)
+    out = tmp_path / "x.churn.json"
+    assert main(["run", "--workload", "strings", "--out", str(out), "--build-id", "\udcff"]) == 2
+    assert capsys.readouterr().err == (
+        "churnscope run: error: build_id '\\udcff' is not valid Unicode (surrogates not allowed at position 0)\n"
+    )
+    assert not out.exists()
 
 
 def test_run_epoch_out_of_range_exits_2(tmp_path, capsys):

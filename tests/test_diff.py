@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -31,13 +32,20 @@ from churnscope.report import (
     _compare,
 )
 
-from factories import canonical_json, first_difference, report_with_units
+from factories import Literal, canonical_json, first_difference, report_with_units
 
 
-def oracle_statuses(baseline_doc, candidate_doc, rel=0.01, floor=1.0):
-    """Recompute per-phase statuses from the raw documents with plain arithmetic."""
-    base = {k: v["cost"] for k, v in baseline_doc["phases"].items()}
-    cand = {k: v["cost"] for k, v in candidate_doc["phases"].items()}
+def phase_costs(doc):
+    """Each phase's cost: the exact sum of the costs of its thread records."""
+    costs = {}
+    for record in doc["threads"]:
+        costs[record["name"]] = costs.get(record["name"], 0) + record["cost"]
+    return costs
+
+
+def oracle_statuses(baseline_doc, candidate_doc, rel=Decimal("0.01"), floor=Decimal(1)):
+    """Recompute per-phase statuses from the raw documents (see ``docs``) with exact decimal arithmetic."""
+    base, cand = phase_costs(baseline_doc), phase_costs(candidate_doc)
     out = {}
     for phase in set(base) | set(cand):
         if phase not in base:
@@ -56,7 +64,13 @@ def oracle_statuses(baseline_doc, candidate_doc, rel=0.01, floor=1.0):
 
 
 def docs(report):
-    return json.loads(serialize_report(report))
+    """A report as a document whose costs are exact decimals."""
+    return json.loads(serialize_report(report), parse_float=Decimal)
+
+
+def literal_doc(report):
+    """A report as a document to edit, each cost and weight literal kept as written."""
+    return json.loads(serialize_report(report), parse_float=Literal)
 
 
 def test_identical_reports_all_neutral():
@@ -112,11 +126,7 @@ def test_zero_baseline_regresses_only_above_floor():
     baseline = report_with_units({"idle": 0, "a": 1})
     small = report_with_units({"idle": 0, "a": 1})
     # hand the candidate a sub-floor cost by editing the document
-    doc = docs(small)
-    for record in (doc["phases"]["idle"],):
-        record["cost"] = 0.9
-        record["calls"]["malloc"] = 1
-        record["bytes_allocated"] = 2
+    doc = literal_doc(small)
     doc["threads"][1 if doc["threads"][0]["name"] == "a" else 0].update(
         {"cost": 0.9, "calls": {"calloc": 0, "free": 0, "malloc": 1, "realloc": 0},
          "bytes_allocated": 2}
@@ -625,13 +635,12 @@ def test_thresholds_gate_on_the_six_decimals_a_verdict_records():
     # rel 0.0123450 sits between the given threshold and its six decimals, so
     # the status must come from the rounded one for a parsed verdict to agree.
     base = report_with_units({"a": 0})
-    doc = docs(base)
-    for record in (doc["phases"]["a"], doc["threads"][0]):
-        record.update(cost=100.0, bytes_allocated=2)
-        record["calls"]["malloc"] = 1
+    doc = literal_doc(base)
+    record = doc["threads"][0]
+    record.update(cost=100.0, bytes_allocated=2)
+    record["calls"]["malloc"] = 1
     base = parse_report(canonical_json(doc))
-    for record in (doc["phases"]["a"], doc["threads"][0]):
-        record["cost"] = 101.2345
+    record["cost"] = 101.2345
     cand = parse_report(canonical_json(doc))
     verdict = diff_reports(base, cand, Thresholds(rel=0.0123449))
     data = serialize_verdict(verdict)

@@ -182,7 +182,7 @@ LAYOUT_MUTANTS = {
     "flattened": lambda text: "\n".join(line.strip() for line in text.split("\n")),
     "keys-swapped": _swap_first_sibling_lines,
     "escaped-letter": lambda text: text.replace('"calloc"', '"c\\u0061lloc"', 1),
-    "exponent-cost": lambda text: re.sub(r'("cost": )([0-9.]+)', lambda m: m[1] + f"{float(m[2]):e}", text, count=1),
+    "exponent-cost": lambda text: re.sub(r'("cost": )([0-9.]+)', lambda m: m[1] + f"{float(m[2]):.17e}", text, count=1),
     "duplicated-key": _duplicate_first_key,
     "trailing-space": lambda text: text + " ",
 }

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import sys
 
 import pytest
 
@@ -17,8 +18,10 @@ from churnscope import (
     Thresholds,
     TracingAllocator,
     WorkloadSpec,
+    diff_reports,
     marker,
     parse_report,
+    parse_verdict,
     run_workload,
     serialize_report,
     serialize_verdict,
@@ -48,23 +51,7 @@ GOLDEN = """\
     "overflow_count": 0
   },
   "created_at": "2026-01-01T00:00:00Z",
-  "phases": {
-    "demo": {
-      "auto_closed": false,
-      "bytes_allocated": 1024,
-      "bytes_freed": 1024,
-      "calls": {
-        "calloc": 0,
-        "free": 1,
-        "malloc": 1,
-        "realloc": 0
-      },
-      "cost": 20.000000,
-      "name": "demo",
-      "overflow": false
-    }
-  },
-  "schema_version": "1",
+  "schema_version": "2",
   "threads": [
     {
       "auto_closed": false,
@@ -87,6 +74,29 @@ GOLDEN = """\
 """
 
 
+# The golden report as schema "1" wrote it: the same parts, plus a stored
+# copy of each merged phase.
+GOLDEN_V1 = GOLDEN.replace('  "schema_version": "2",\n', """\
+  "phases": {
+    "demo": {
+      "auto_closed": false,
+      "bytes_allocated": 1024,
+      "bytes_freed": 1024,
+      "calls": {
+        "calloc": 0,
+        "free": 1,
+        "malloc": 1,
+        "realloc": 0
+      },
+      "cost": 20.000000,
+      "name": "demo",
+      "overflow": false
+    }
+  },
+  "schema_version": "1",
+""")
+
+
 def golden_report():
     session = RecordingSession(build_id="b1", created_at="2026-01-01T00:00:00Z")
     rec = session.recorder("main")
@@ -95,6 +105,14 @@ def golden_report():
         heap.free(heap.malloc(1024))
     session.seal_all()
     return session.build_report()
+
+
+# The golden report against itself: one neutral row, whose two records are phase 'demo' merged.
+GOLDEN_VERDICT_BYTES = serialize_verdict(diff_reports(golden_report(), golden_report()))
+
+
+def golden_verdict_doc():
+    return json.loads(GOLDEN_VERDICT_BYTES, parse_float=Literal)
 
 
 def test_serialize_matches_golden_bytes():
@@ -164,6 +182,14 @@ def test_parse_rejects_unknown_schema_version():
         parse_report(canonical_json(doc))
 
 
+def test_parse_rejects_a_schema_1_report():
+    # No schema-1 reader is kept: a stored baseline is recorded again with ``churnscope run``.
+    assert GOLDEN_V1 != GOLDEN and json.loads(GOLDEN_V1)["phases"]["demo"]["cost"] == 20
+    with pytest.raises(ReportError) as excinfo:
+        parse_report(GOLDEN_V1)
+    assert str(excinfo.value) == "unknown schema_version '1' (expected '2')"
+
+
 def test_parse_reports_syntax_error_offset():
     data = serialize_report(golden_report())[:40]
     with pytest.raises(ReportError) as excinfo:
@@ -181,32 +207,12 @@ def test_syntax_error_offset_counts_bytes():
         assert excinfo.value.offset == 27
 
 
-def test_parse_rejects_merge_inconsistency():
-    doc = golden_doc()
-    doc["phases"]["demo"]["cost"] = 20.5
-    data = canonical_json(doc)
-    assert rejected_at(data) in literal_span(data, "phases", "demo", "cost")
-
-
-def test_parse_rejects_call_count_mismatch():
-    doc = golden_doc()
-    doc["phases"]["demo"]["calls"]["malloc"] += 1
-    data = canonical_json(doc)
-    assert rejected_at(data) in literal_span(data, "phases", "demo", "calls", "malloc")
-
-
 def _two_part_golden():
     """The golden report with its span repeated: phase 'demo' is the sum of two parts."""
     doc = golden_doc()
-    second = dict(doc["threads"][0], span_id="main/000001")
-    doc["threads"].append(second)
-    phase = doc["phases"]["demo"]
-    phase.update(cost=40.0, bytes_allocated=2048, bytes_freed=2048, calls={"calloc": 0, "free": 2, "malloc": 2, "realloc": 0})
+    first = doc["threads"][0]
+    doc["threads"].append(dict(first, span_id="main/000001", calls=dict(first["calls"])))
     return doc
-
-
-def _only_in_phases(doc):
-    doc["phases"]["extra"] = dict(doc["phases"]["demo"], name="extra")
 
 
 def _only_in_threads(doc):
@@ -224,48 +230,50 @@ def _set_in(*path_and_value):
     return edit
 
 
-# Where a merge fault is named: the phases section comes first, so it is the
-# stored phase's literal that departs from the sum of the parts. A phase
-# present on one side only departs just after the last phase both sides hold.
-_END_OF_DEMO = GOLDEN_BYTES.index(b'    }\n  },\n  "schema_version"') + len(b"    }")
+def _demo(cost_micro=20_000_000, malloc=1, free=1, allocated=1024, freed=1024, auto_closed=False, name="demo"):
+    """The golden phase 'demo' as the reader merges it, with the given sums."""
+    calls = {AllocFnKind.MALLOC: malloc, AllocFnKind.CALLOC: 0, AllocFnKind.REALLOC: 0, AllocFnKind.FREE: free}
+    return MarkerChurn(name, cost_micro, calls, allocated, freed, False, auto_closed)
 
 
+_HALF_PAST_BOUND = int(sys.float_info.max) // 2 + 1  # each part's cost in range, their sum past it
+
+
+# A report stores only its parts; each phase is merged from them when the
+# report is read. Each edit below leaves a report that parses and writes back
+# byte for byte, and its merged phases hold the parts' sums, with flags OR'd.
+# The one merge fault left is a sum past the largest cost, named by its phase.
 @pytest.mark.parametrize(
-    "two_parts, edit, where",
+    "two_parts, edit, merged",
     [
-        (False, _set_in("phases", "demo", "cost", 20.5), ("cost",)),
-        (False, _set_in("phases", "demo", "calls", "malloc", 2), ("calls", "malloc")),
-        (False, _set_in("phases", "demo", "bytes_allocated", 1025), ("bytes_allocated",)),
-        (False, _set_in("phases", "demo", "bytes_freed", 1023), ("bytes_freed",)),
-        (False, _set_in("phases", "demo", "overflow", True), ("overflow",)),
-        (False, _set_in("threads", 0, "overflow", True), ("overflow",)),
-        (False, _set_in("phases", "demo", "auto_closed", True), ("auto_closed",)),
-        (False, _set_in("threads", 0, "auto_closed", True), ("auto_closed",)),
-        (False, _only_in_phases, _END_OF_DEMO),
-        (False, _only_in_threads, _END_OF_DEMO),
-        (True, lambda doc: None, None),
-        (True, _set_in("threads", 1, "cost", 20.000001), ("cost",)),
-        (True, _set_in("threads", 1, "calls", "free", 2), ("calls", "free")),
-        (True, _set_in("threads", 1, "bytes_freed", 1000), ("bytes_freed",)),
-        (True, _set_in("threads", 1, "auto_closed", True), ("auto_closed",)),
+        (False, _set_in("threads", 0, "overflow", True), {"demo": _demo()._replace(overflow=True)}),
+        (False, _set_in("threads", 0, "auto_closed", True), {"demo": _demo(auto_closed=True)}),
+        (False, _only_in_threads, {"demo": _demo(), "extra": _demo(name="extra")}),
+        (True, lambda doc: None, {"demo": _demo(40_000_000, 2, 2, 2048, 2048)}),
+        (True, _set_in("threads", 1, "cost", 20.000001), {"demo": _demo(40_000_001, 2, 2, 2048, 2048)}),
+        (True, _set_in("threads", 1, "calls", "free", 2), {"demo": _demo(40_000_000, 2, 3, 2048, 2048)}),
+        (True, _set_in("threads", 1, "bytes_freed", 1000), {"demo": _demo(40_000_000, 2, 2, 2048, 2024)}),
+        (True, _set_in("threads", 1, "auto_closed", True), {"demo": _demo(40_000_000, 2, 2, 2048, 2048, True)}),
+        (True, lambda doc: [part.update(cost=Literal(format_cost(_HALF_PAST_BOUND))) for part in doc["threads"]],
+         "phase 'demo' field 'cost' is out of range or not a whole number of micro-units"),
     ],
     ids=[
-        "phase-cost", "phase-calls", "phase-bytes-allocated", "phase-bytes-freed", "phase-overflow",
-        "thread-overflow", "phase-auto-closed", "thread-auto-closed", "name-only-in-phases",
-        "name-only-in-threads", "two-parts-consistent", "two-parts-cost", "two-parts-calls",
-        "two-parts-bytes", "two-parts-auto-closed",
+        "thread-overflow", "thread-auto-closed", "name-only-in-threads", "two-parts-consistent", "two-parts-cost",
+        "two-parts-calls", "two-parts-bytes", "two-parts-auto-closed", "two-parts-sum-past-bound",
     ],
 )
-def test_parse_names_each_merge_fault(two_parts, edit, where):
+def test_parse_names_each_merge_fault(two_parts, edit, merged):
     doc = _two_part_golden() if two_parts else golden_doc()
     edit(doc)
     data = canonical_json(doc)
-    if where is None:
-        assert serialize_report(parse_report(data)) == data
-    elif isinstance(where, int):
-        assert rejected_at(data) == where
+    if isinstance(merged, str):
+        with pytest.raises(ReportError) as excinfo:
+            parse_report(data)
+        assert str(excinfo.value) == merged
     else:
-        assert rejected_at(data) in literal_span(data, "phases", "demo", *where)
+        report = parse_report(data)
+        assert report.merged == merged and list(report.merged) == sorted(merged)
+        assert serialize_report(report) == data
 
 
 def test_parse_rejects_negative_counters():
@@ -288,7 +296,6 @@ def test_parse_rejects_a_count_written_as_a_float(old, new, message):
 
 def test_parse_rejects_negative_calls():
     doc = golden_doc()
-    doc["phases"]["demo"]["calls"]["free"] = -1
     doc["threads"][0]["calls"]["free"] = -1
     with pytest.raises(ReportError, match=r"^threads\[0\] has negative free count$"):
         parse_report(canonical_json(doc))
@@ -327,27 +334,30 @@ def test_parse_rejects_escaped_surrogate_pair():
 
 def test_parse_rejects_zero_calls_nonzero_cost():
     doc = golden_doc()
-    for record in (doc["phases"]["demo"], doc["threads"][0]):
-        record["calls"] = {k: 0 for k in record["calls"]}
-        record["cost"] = 3.0
-        record["bytes_allocated"] = 0
-        record["bytes_freed"] = 0
+    record = doc["threads"][0]
+    record["calls"] = {k: 0 for k in record["calls"]}
+    record["cost"] = 3.0
+    record["bytes_allocated"] = 0
+    record["bytes_freed"] = 0
     with pytest.raises(ReportError, match=r"^threads\[0\] has zero calls but nonzero cost$"):
         parse_report(canonical_json(doc))
 
 
 def test_parse_rejects_thread_attribution_on_merged_record():
-    doc = golden_doc()
-    doc["phases"]["demo"]["thread_id"] = "main"
+    # A verdict row's records are merged phases: the writer gives them no thread or span id.
+    doc = golden_verdict_doc()
+    doc["deltas"][0]["candidate"].update(thread_id="main", span_id="main/000000")
     data = canonical_json(doc)
-    assert rejected_at(data) == first_difference(data, GOLDEN_BYTES)
+    assert rejected_at(data, parse_verdict) == first_difference(data, GOLDEN_VERDICT_BYTES)
 
 
 def test_parse_rejects_phase_name_key_mismatch():
-    doc = golden_doc()
-    doc["phases"]["other"] = doc["phases"].pop("demo")
-    data = canonical_json(doc)
-    assert rejected_at(data) == GOLDEN.index('"demo": {') + 1
+    # A merged record is written only in a verdict row, under the row's phase.
+    doc = golden_verdict_doc()
+    doc["deltas"][0]["phase"] = "other"
+    with pytest.raises(ReportError) as excinfo:
+        parse_verdict(canonical_json(doc))
+    assert str(excinfo.value) == "deltas[0] baseline record is named 'demo', not 'other'"
 
 
 def test_parse_rejects_missing_fields():
@@ -359,14 +369,7 @@ def test_parse_rejects_missing_fields():
 
 def test_parse_rejects_duplicate_span_ids():
     doc = golden_doc()
-    # A second copy of the one span, with the phase total doubled to match, so
-    # only the repeated span_id is wrong.
-    doc["threads"].append(dict(doc["threads"][0]))
-    phase = doc["phases"]["demo"]
-    phase["cost"] = 40.0
-    phase["calls"] = {k: 2 * n for k, n in phase["calls"].items()}
-    phase["bytes_allocated"] *= 2
-    phase["bytes_freed"] *= 2
+    doc["threads"].append(dict(doc["threads"][0]))  # a second copy of the one span
     with pytest.raises(ReportError, match=r"^threads\[1\] repeats span_id 'main/000000'$"):
         parse_report(canonical_json(doc))
 
@@ -435,15 +438,17 @@ def test_parse_revalidates_many_parts_merge():
     ]
     report.per_thread.extend(extra)
     merged = report.merged["p"]
-    report.merged["p"] = MarkerChurn(
+    data = serialize_report(report)
+    parsed = parse_report(data)
+    # The phase is merged from the parts on read; the report stores none of it.
+    assert parsed.merged["p"] == MarkerChurn(
         name="p",
         cost_micro=merged.cost_micro + 3 * 7_250_000,
         calls={k: merged.calls[k] + (3 if k is AllocFnKind.MALLOC else 0) for k in AllocFnKind},
         bytes_allocated=merged.bytes_allocated + 3 * 152,
         bytes_freed=merged.bytes_freed,
     )
-    data = serialize_report(report)
-    assert serialize_report(parse_report(data)) == data
+    assert serialize_report(parsed) == data
 
 
 def test_format_cost_renders_integers_exactly():
@@ -459,7 +464,6 @@ def test_cost_literals_read_back_to_the_same_integer():
     report = report_with_units({"p": 1})
     part = report.per_thread[0]
     report.per_thread[0] = part._replace(cost_micro=micro)
-    report.merged["p"] = report.merged["p"]._replace(cost_micro=micro)
     data = serialize_report(report)
     assert f'"cost": {format_cost(micro)}'.encode() in data
     parsed = parse_report(data)
@@ -471,8 +475,7 @@ def test_cost_literals_read_back_to_the_same_integer():
 # Each literal is rejected; the second column says what is wrong with it. A
 # literal written as the writer writes a cost (six decimals) reaches the
 # cost checks, which name the fault. Any other spelling is a layout fault:
-# the phase literal, which comes first, is where the input departs from the
-# canonical bytes.
+# the literal itself is where the input departs from the canonical bytes.
 @pytest.mark.parametrize(
     "literal, fault",
     [
@@ -503,32 +506,33 @@ def test_parse_rejects_equal_cost_literals_in_other_forms():
 
 def test_parse_rejects_unknown_call_kind():
     doc = golden_doc()
-    for record in (doc["phases"]["demo"], doc["threads"][0]):
-        record["calls"]["mmap"] = 0
+    doc["threads"][0]["calls"]["mmap"] = 0
     data = canonical_json(doc)
     assert rejected_at(data) == first_difference(data, GOLDEN_BYTES) == data.index(b'"mmap"') + 1
 
 
 @pytest.mark.parametrize(
     "path",
-    [(), ("cost_model",), ("phases", "demo"), ("threads", 0), ("counters",)],
+    [(), ("cost_model",), ("deltas", 0, "baseline"), ("threads", 0), ("counters",)],
     ids=["top", "cost_model", "phase", "thread", "counters"],
 )
 def test_parse_rejects_unknown_fields(path):
-    # The schema allows no other field at any of these levels; a dropped field would be lost silently.
-    doc = golden_doc()
+    # The schemas allow no other field at any of these levels; a dropped field would be lost silently.
+    # A merged phase record is written only in a verdict's rows.
+    golden, parse = (GOLDEN_VERDICT_BYTES, parse_verdict) if path[:1] == ("deltas",) else (GOLDEN_BYTES, parse_report)
+    doc = json.loads(golden, parse_float=Literal)
     target = doc
     for key in path:
         target = target[key]
     target["note"] = [1]
     data = canonical_json(doc)
-    assert rejected_at(data) == first_difference(data, GOLDEN_BYTES) == data.index(b'"note"') + 1
+    assert rejected_at(data, parse) == first_difference(data, golden) == data.index(b'"note"') + 1
 
 
 CALL_KINDS = ("malloc", "calloc", "realloc", "free")
 RECORD_FIELDS = ("name", "cost", "calls", "bytes_allocated", "bytes_freed", "overflow", "auto_closed")
-AT_EDIT = "at the edit"  # the offset where the edited input first departs from GOLDEN
-AT_PHASE_COST = "at the phase cost"  # the stored phase cost departs from the parts' sum
+AT_EDIT = "at the edit"  # the offset where the edited input first departs from the golden bytes
+AT_COST = "at the cost"  # the start of the record's cost literal, which the reader read as 0
 
 
 def _delete(key):
@@ -550,30 +554,31 @@ def _zero_calls(record):
 def _single_faults(thread):
     """(id, edit, expected) for one fault in a phase or thread record.
 
-    Only thread records are read, so every phase fault is a layout fault,
-    named by the offset of the edit. A thread fault is named by its message;
-    a cost spelled otherwise than the writer writes it reads as 0, so the
-    stored phase cost is where the input departs from the canonical bytes.
+    A thread record is a report's ``threads[0]``; a phase record, merged, is
+    the baseline record of a verdict's first row. Both are read by one loop,
+    so a fault is named by its message, labelled with where the record sits.
+    A layout fault is named by the offset of the edit, except a cost spelled
+    otherwise than the writer writes it: it reads as 0, so the bytes depart
+    at the start of its literal.
     """
+    label = "threads[0]" if thread else "deltas[0] baseline"
+
     def fault(message):
-        return AT_EDIT if not thread else f"threads[0] {message}"
+        return f"{label} {message}"
 
     fields = RECORD_FIELDS + (("thread_id", "span_id") if thread else ())
-    missing = "threads[0] does not match the schema (KeyError: {!r})"
-    cases = [(f"missing-{key}", _delete(key), missing.format(key) if thread else AT_EDIT) for key in fields]
-    cases += [
-        (f"missing-calls-{kind}", lambda r, kind=kind: r["calls"].pop(kind), missing.format(kind) if thread else AT_EDIT)
-        for kind in CALL_KINDS
-    ]
+    missing = fault("does not match the schema (KeyError: {!r})")
+    cases = [(f"missing-{key}", _delete(key), missing.format(key)) for key in fields]
+    cases += [(f"missing-calls-{kind}", lambda r, kind=kind: r["calls"].pop(kind), missing.format(kind))
+              for kind in CALL_KINDS]
     wrong = [("name", 1), ("bytes_allocated", True), ("bytes_freed", 1.5), ("overflow", 0), ("auto_closed", None)]
     if thread:
         wrong += [("thread_id", 7), ("span_id", None)]
     cases += [(f"type-{key}-{value!r}", _set(key, value), fault(f"field {key!r} has the wrong type"))
               for key, value in wrong]
-    cases += [(f"type-cost-{value!r}", _set("cost", value), AT_PHASE_COST if thread else AT_EDIT)
-              for value in ("20", True)]
-    cases.append(("type-calls-[1]", _set("calls", [1]), "threads[0] does not match the schema (TypeError: "
-                  "list indices must be integers or slices, not str)" if thread else AT_EDIT))
+    cases += [(f"type-cost-{value!r}", _set("cost", value), AT_COST) for value in ("20", True)]
+    cases.append(("type-calls-[1]", _set("calls", [1]),
+                  fault("does not match the schema (TypeError: list indices must be integers or slices, not str)")))
     cases += [(f"type-calls-{kind}", _set_call(kind, True), fault(f"calls field {kind!r} has the wrong type"))
               for kind in CALL_KINDS]
     cases += [(f"negative-{kind}", _set_call(kind, -1), fault(f"has negative {kind} count")) for kind in CALL_KINDS]
@@ -581,7 +586,7 @@ def _single_faults(thread):
               for key in ("bytes_allocated", "bytes_freed")]
     cases += [
         ("negative-cost", _set("cost", -1.0), fault("has negative cost")),
-        ("fractional-cost", _set("cost", Literal("20.0000001")), AT_PHASE_COST if thread else AT_EDIT),
+        ("fractional-cost", _set("cost", Literal("20.0000001")), AT_COST),
         ("unknown-kind", _set_call("mmap", 0), AT_EDIT),
         ("zero-calls", _zero_calls, fault("has zero calls but nonzero cost")),
     ]
@@ -593,16 +598,17 @@ def _single_faults(thread):
 
 @pytest.mark.parametrize("thread, edit, expected", _single_faults(False) + _single_faults(True))
 def test_parse_names_each_single_record_fault(thread, edit, expected):
-    doc = golden_doc()
-    edit(doc["threads"][0] if thread else doc["phases"]["demo"])
+    golden, parse = (GOLDEN_BYTES, parse_report) if thread else (GOLDEN_VERDICT_BYTES, parse_verdict)
+    doc = json.loads(golden, parse_float=Literal)
+    edit(doc["threads"][0] if thread else doc["deltas"][0]["baseline"])
     data = canonical_json(doc)
     if expected == AT_EDIT:
-        assert rejected_at(data) == first_difference(data, GOLDEN_BYTES)
-    elif expected == AT_PHASE_COST:
-        assert rejected_at(data) == GOLDEN.index('"cost": 20.000000') + len('"cost": ')
+        assert rejected_at(data, parse) == first_difference(data, golden)
+    elif expected == AT_COST:
+        assert rejected_at(data, parse) == golden.index(b'"cost": 20.000000') + len(b'"cost": ')
     else:
         with pytest.raises(ReportError) as excinfo:
-            parse_report(data)
+            parse(data)
         assert str(excinfo.value) == expected
 
 
@@ -635,14 +641,13 @@ def _record_doc(record):
 
 def reference_report_bytes(report):
     return canonical_json({
-        "schema_version": "1",
+        "schema_version": "2",
         "build_id": report.build_id,
         "created_at": report.created_at,
         "cost_model": {
             "model_version": report.model.model_version,
             "weights": {kind.value: Literal(float_literal(w)) for kind, w in report.model.weights.items()},
         },
-        "phases": {name: _record_doc(record) for name, record in report.merged.items()},
         "threads": [_record_doc(record) for record in report.per_thread],
         "counters": report.totals._asdict(),
     })
@@ -703,7 +708,7 @@ def _writer_strategies():
         build_id=text,
         created_at=text,
         model=st.builds(CostModel, weights, text),
-        merged=st.dictionaries(text, merged, max_size=4),
+        merged=st.just({}),  # not written
         per_thread=st.lists(records(st.none() | text), max_size=4),
         totals=st.builds(ReportTotals, *[count] * len(ReportTotals._fields)),
     )
@@ -732,9 +737,8 @@ def test_report_writer_matches_json_dumps():
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(reports)
     @example(golden)
-    @example(golden._replace(merged={}, per_thread=[]))
-    @example(golden._replace(merged={}, per_thread=[part]))
     @example(golden._replace(per_thread=[]))
+    @example(golden._replace(per_thread=[part]))
     @example(golden._replace(model=golden.model.scaled(0.37)))
     def check(report):
         assert serialize_report(report) == reference_report_bytes(report)
@@ -794,8 +798,8 @@ def test_writers_write_negative_zero_as_zero(value):
 
 def test_writers_sort_keys_and_write_utf8():
     report = golden_report()
-    demo = report.merged["demo"]
-    merged = {name: demo._replace(name=name) for name in ("z", "é", "a")}
-    text = serialize_report(report._replace(merged=merged)).decode("utf-8")
-    assert text.index('"a": {') < text.index('"z": {') < text.index('"é": {')
-    assert text.index('"build_id"') < text.index('"cost_model"') < text.index('"threads"')
+    part = report.per_thread[0]._replace(name="é☃", thread_id="\U0001F600")
+    text = serialize_report(report._replace(per_thread=[part])).decode("utf-8")
+    keys = re.findall(r'^  "([a-z_]+)": ', text, re.MULTILINE)
+    assert keys == ["build_id", "cost_model", "counters", "created_at", "schema_version", "threads"]
+    assert '"name": "é☃",' in text and '"thread_id": "\U0001F600"\n' in text

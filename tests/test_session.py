@@ -209,3 +209,31 @@ def test_recorder_rejects_a_label_that_is_not_a_string():
     session.seal_all()
     report = session.build_report()
     assert parse_report(serialize_report(report)) == report
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"build_id": "\udcff"}, "build_id '\\udcff' is not valid Unicode (surrogates not allowed at position 0)"),
+        ({"created_at": "2026-01-01T00:00:00Z\ud800"},
+         "created_at '2026-01-01T00:00:00Z\\ud800' is not valid Unicode (surrogates not allowed at position 20)"),
+    ],
+    ids=["build_id", "created_at"],
+)
+def test_session_rejects_metadata_that_has_no_utf8_form(kwargs, message):
+    # The writer could not encode the report; the session names the field before anything is recorded.
+    with pytest.raises(ValueError) as excinfo:
+        RecordingSession(**kwargs)
+    assert str(excinfo.value) == message
+
+
+def test_recorder_rejects_a_label_that_has_no_utf8_form():
+    session = RecordingSession(created_at="2026-01-01T00:00:00Z")
+    with pytest.raises(ValueError) as excinfo:
+        session.recorder("w\udcff")
+    assert str(excinfo.value) == "thread label 'w\\udcff' is not valid Unicode (surrogates not allowed at position 1)"
+    assert session.recorders() == []
+    session.recorder("main")
+    session.seal_all()
+    report = session.build_report()
+    assert parse_report(serialize_report(report)) == report
