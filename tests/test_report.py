@@ -156,15 +156,6 @@ def golden_doc():
     return json.loads(GOLDEN, parse_float=Literal)
 
 
-def literal_span(data, *keys):
-    """The byte range of the value at ``keys`` in a canonical document, each
-    key found after the one before; the value runs to the next comma or line end."""
-    pos = 0
-    for key in keys:
-        pos = data.index(f'"{key}": '.encode(), pos) + len(key) + 4
-    return range(pos, re.compile(rb"[,\n]").search(data, pos).start())
-
-
 def rejected_at(data, parse=parse_report):
     """Parse ``data``, which must be refused for its layout; return the byte offset the error names."""
     with pytest.raises(ReportError) as excinfo:
