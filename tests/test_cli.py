@@ -229,6 +229,8 @@ def test_show_diff_and_rank_name_a_document_of_the_other_kind(tmp_path, capsys):
 
 
 def test_a_schema_1_report_exits_2(tmp_path, capsys):
+    # No schema-1 reader is kept: a stored baseline is recorded again with ``churnscope run``.
+    assert json.loads(GOLDEN_V1)["phases"]["demo"]["cost"] == 20
     old = tmp_path / "old.churn.json"
     old.write_text(GOLDEN_V1)
     for argv in (["show", str(old)], ["diff", str(old), str(old)]):

@@ -173,14 +173,6 @@ def test_parse_rejects_unknown_schema_version():
         parse_report(canonical_json(doc))
 
 
-def test_parse_rejects_a_schema_1_report():
-    # No schema-1 reader is kept: a stored baseline is recorded again with ``churnscope run``.
-    assert GOLDEN_V1 != GOLDEN and json.loads(GOLDEN_V1)["phases"]["demo"]["cost"] == 20
-    with pytest.raises(ReportError) as excinfo:
-        parse_report(GOLDEN_V1)
-    assert str(excinfo.value) == "unknown schema_version '1' (expected '2')"
-
-
 def test_parse_reports_syntax_error_offset():
     data = serialize_report(golden_report())[:40]
     with pytest.raises(ReportError) as excinfo:
