@@ -64,7 +64,8 @@ def span_churn(span: MarkerSpan, model: CostModel) -> MarkerChurn:
         )
     start = span.start_snapshot
     end = span.end_snapshot
-    return MarkerChurn(
+    # tuple.__new__ skips the named tuple's Python-level __new__: all nine fields are given in order.
+    return tuple.__new__(MarkerChurn, (
         span.name,
         (end.cost_nano - start.cost_nano + 500) // 1000,  # nano- to micro-units, ties up
         {
@@ -77,7 +78,7 @@ def span_churn(span: MarkerSpan, model: CostModel) -> MarkerChurn:
         end.bytes_freed - start.bytes_freed,
         end.overflow_count > start.overflow_count,
         span.auto_closed, span.thread_id, span.span_id,
-    )
+    ))
 
 
 def merge_threads(parts: list[MarkerChurn]) -> MarkerChurn:
@@ -126,5 +127,6 @@ def merge_phases(parts: Iterable[MarkerChurn]) -> dict[str, MarkerChurn]:
     for name in sorted(sums):
         cost, malloc, calloc, realloc, free, allocated, freed, overflow, auto_closed = sums[name]
         calls = {_MALLOC: malloc, _CALLOC: calloc, _REALLOC: realloc, _FREE: free}
-        merged[name] = MarkerChurn(name, cost, calls, allocated, freed, overflow, auto_closed)
+        merged[name] = tuple.__new__(MarkerChurn, (name, cost, calls, allocated, freed, overflow, auto_closed,
+                                                   None, None))
     return merged

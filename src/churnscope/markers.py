@@ -69,10 +69,20 @@ class MarkerSpan:
         return f"MarkerSpan({self.span_id!r}, {self.name!r}, {state})"
 
 
+def utf8_bytes(field: str, text: str) -> bytes:
+    """``text`` in UTF-8. Raise ValueError naming ``field`` if it has no UTF-8
+    form (it holds a lone surrogate), so a report that holds it could not be
+    written."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{field} {text!r} is not valid Unicode ({exc.reason} at position {exc.start})") from None
+
+
 def _validate_name(name: str) -> None:
     if not isinstance(name, str) or not name:
         raise ValueError("marker name must be a nonempty string")
-    if len(name.encode("utf-8")) > MAX_NAME_BYTES:
+    if len(utf8_bytes("marker name", name)) > MAX_NAME_BYTES:
         raise ValueError(f"marker name exceeds {MAX_NAME_BYTES} bytes: {name!r}")
     if name.startswith(RESERVED_PREFIX):
         raise ValueError(f"marker names starting with {RESERVED_PREFIX!r} are reserved")

@@ -175,8 +175,29 @@ class RegressionVerdict(NamedTuple):
 _quote = json.encoder.encode_basestring
 
 
-def _churn_text(r: MarkerChurn, nl: str) -> str:
-    """A record as one string.
+def _record_layout(nl: str) -> tuple[str, str]:
+    """The two ``%`` templates of a record whose closing brace starts line
+    ``nl``: without and with the ``span_id``/``thread_id`` pair. Every field
+    slot is ``%s``; ``%d`` would truncate a float that a caller put in a
+    trusted field."""
+    i = nl + "  "
+    j = i + "  "
+    head = (
+        f'{{{i}"auto_closed": %s,{i}"bytes_allocated": %s,{i}"bytes_freed": %s,'
+        f'{i}"calls": {{{j}"calloc": %s,{j}"free": %s,{j}"malloc": %s,{j}"realloc": %s{i}}},'
+        f'{i}"cost": %s,{i}"name": %s,{i}"overflow": %s'
+    )
+    return f"{head}{nl}}}", f'{head},{i}"span_id": %s,{i}"thread_id": %s{nl}}}'
+
+
+# The record layouts the writers use, built once: a report's thread record and a verdict row's record.
+_THREAD_RECORD = _record_layout("\n    ")
+_ROW_RECORD = _record_layout("\n      ")
+_ROW = '{\n      "baseline": %s,\n      "candidate": %s,\n      "phase": %s,\n      "status": %s\n    }'
+
+
+def _churn_text(r: MarkerChurn, layout: tuple[str, str]) -> str:
+    """A record as one string, from ``layout``'s template (``_record_layout``).
 
     The bytes are those ``json.dumps(indent=2, sort_keys=True,
     ensure_ascii=False)`` gives for the document of the record's fields, with
@@ -184,37 +205,33 @@ def _churn_text(r: MarkerChurn, nl: str) -> str:
     ``span_id`` unless both are None (a merged record). Field types are
     trusted, not checked.
     """
-    i = nl + "  "
-    j = i + "  "
     name, micro, c, allocated, freed, overflow, auto_closed, thread_id, span_id = r
-    cost = f"{micro // MICRO}.{micro % MICRO:06d}" if micro >= 0 else format_cost(micro)
-    ids = ""
-    if thread_id is not None or span_id is not None:
-        span_id = "null" if span_id is None else _quote(span_id)
-        thread_id = "null" if thread_id is None else _quote(thread_id)
-        ids = f',{i}"span_id": {span_id},{i}"thread_id": {thread_id}'
-    return (
-        f'{{{i}"auto_closed": {"true" if auto_closed else "false"},{i}"bytes_allocated": {allocated},'
-        f'{i}"bytes_freed": {freed},{i}"calls": {{{j}"calloc": {c.get(_CALLOC, 0)},'
-        f'{j}"free": {c.get(_FREE, 0)},{j}"malloc": {c.get(_MALLOC, 0)},{j}"realloc": {c.get(_REALLOC, 0)}{i}}},'
-        f'{i}"cost": {cost},{i}"name": {_quote(name)},'
-        f'{i}"overflow": {"true" if overflow else "false"}{ids}{nl}}}'
+    fields = (
+        "true" if auto_closed else "false", allocated, freed,
+        c.get(_CALLOC, 0), c.get(_FREE, 0), c.get(_MALLOC, 0), c.get(_REALLOC, 0),
+        # %d would truncate a float cost; format_cost raises ValueError for one.
+        "%d.%06d" % divmod(micro, MICRO) if type(micro) is int and micro >= 0 else format_cost(micro),
+        _quote(name), "true" if overflow else "false",
     )
+    if thread_id is None and span_id is None:
+        return layout[0] % fields
+    return layout[1] % (*fields, "null" if span_id is None else _quote(span_id),
+                        "null" if thread_id is None else _quote(thread_id))
 
 
-def _delta_text(d: ChurnDelta, nl: str) -> str:
-    """A verdict row as one string, each side's record by ``_churn_text``.
+def _delta_text(d: ChurnDelta) -> str:
+    """A verdict row as one string, from one template, each side's record by
+    ``_churn_text``.
 
     The bytes are those ``json.dumps`` gives, as for a record, for the row's
     document: ``baseline`` and ``candidate`` (a record or null), ``phase``
     and ``status``. Field types are trusted, not checked.
     """
-    i = nl + "  "
     phase, status, base, cand = d
-    return (
-        f'{{{i}"baseline": {"null" if base is None else _churn_text(base, i)},'
-        f'{i}"candidate": {"null" if cand is None else _churn_text(cand, i)},'
-        f'{i}"phase": {_quote(phase)},{i}"status": {_quote(status)}{nl}}}'
+    return _ROW % (
+        "null" if base is None else _churn_text(base, _ROW_RECORD),
+        "null" if cand is None else _churn_text(cand, _ROW_RECORD),
+        _quote(phase), _quote(status),
     )
 
 
@@ -259,7 +276,7 @@ def serialize_report(report: ChurnReport) -> bytes:
         f'\n  "created_at": {_quote(report.created_at)},'
         f'\n  "schema_version": {_quote(REPORT_SCHEMA_VERSION)},\n  "threads": '
     )
-    _append_container(out, "[]", [_churn_text(r, "\n    ") for r in report.per_thread], "\n  ")
+    _append_container(out, "[]", [_churn_text(r, _THREAD_RECORD) for r in report.per_thread], "\n  ")
     out.append("\n}\n")
     text = "".join(out)
     del out  # drop the parts before the bytes are made: one copy of the document less at peak
@@ -490,7 +507,7 @@ def _compare(phase: str, base: MarkerChurn | None, cand: MarkerChurn | None, th:
         status = STATUS_REMOVED_PHASE
     else:
         status = _classify(base.cost_micro, cand.cost_micro, cand.total_calls - base.total_calls, th)
-    return ChurnDelta(phase, status, base, cand)
+    return tuple.__new__(ChurnDelta, (phase, status, base, cand))
 
 
 def diff_reports(
@@ -510,10 +527,8 @@ def diff_reports(
             f"cost models differ: baseline {baseline.model.model_version!r} "
             f"vs candidate {candidate.model.model_version!r}"
         )
-    deltas = [
-        _compare(phase, baseline.merged.get(phase), candidate.merged.get(phase), th)
-        for phase in sorted(set(baseline.merged) | set(candidate.merged))
-    ]
+    base, cand = baseline.merged, candidate.merged
+    deltas = [_compare(phase, base.get(phase), cand.get(phase), th) for phase in sorted(base.keys() | cand.keys())]
     unranked = RegressionVerdict(th, deltas)
     return unranked._replace(deltas=rank_regressions(unranked))
 
@@ -536,7 +551,8 @@ def _severity(delta: ChurnDelta, by: str) -> float | int:
         return delta.baseline.cost_micro if delta.baseline else 0
     if by == "abs":
         return delta.cost_delta_micro
-    return delta.cost_delta_rel if delta.cost_delta_rel is not None else math.inf
+    rel = delta.cost_delta_rel
+    return math.inf if rel is None else rel
 
 
 def rank_regressions(
@@ -574,7 +590,7 @@ def serialize_verdict(verdict: RegressionVerdict) -> bytes:
     report; a non-finite threshold raises ValueError."""
     th = verdict.thresholds
     out = ['{\n  "deltas": ']
-    _append_container(out, "[]", [_delta_text(d, "\n    ") for d in verdict.deltas], "\n  ")
+    _append_container(out, "[]", [_delta_text(d) for d in verdict.deltas], "\n  ")
     call_floor = "null" if th.call_floor is None else th.call_floor
     out.append(
         f',\n  "regression_detected": {"true" if verdict.regression_detected else "false"},'

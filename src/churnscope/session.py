@@ -14,6 +14,7 @@ from datetime import datetime, timezone
 from .aggregation import merge_phases, span_churn
 from .cost_model import CostModel, default_cost_model, validate_cost_model
 from .errors import CostModelError, RecorderStateError
+from .markers import utf8_bytes
 from .recorder import ThreadRecorder, checked_ring_capacity
 from .report import ChurnReport, ReportTotals
 
@@ -28,15 +29,6 @@ def utc_timestamp(epoch: float | int | None = None) -> str:
         except OverflowError:
             raise ValueError(f"epoch {epoch} is out of range") from None
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
-def _check_encodable(field: str, text: str) -> None:
-    """Raise ValueError naming ``field`` if ``text`` has no UTF-8 form (it
-    holds a lone surrogate), so a report that holds it could not be written."""
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ValueError(f"{field} {text!r} is not valid Unicode ({exc.reason} at position {exc.start})") from None
 
 
 class RecordingSession:
@@ -64,11 +56,11 @@ class RecordingSession:
         # A report that serialize_report writes must parse back.
         if not isinstance(build_id, str):
             raise ValueError(f"build_id must be a string, got {build_id!r}")
-        _check_encodable("build_id", build_id)
+        utf8_bytes("build_id", build_id)
         if created_at is not None:
             if not isinstance(created_at, str):
                 raise ValueError(f"created_at must be None or a string, got {created_at!r}")
-            _check_encodable("created_at", created_at)
+            utf8_bytes("created_at", created_at)
         self.build_id = build_id
         self.created_at = created_at
         self._lock = threading.Lock()
@@ -96,7 +88,7 @@ class RecordingSession:
             elif not isinstance(label, str):
                 raise ValueError(f"thread label must be a string, got {label!r}")
             else:
-                _check_encodable("thread label", label)
+                utf8_bytes("thread label", label)
             if label in self._by_label:
                 raise ValueError(f"thread label {label!r} already in use")
             rec = ThreadRecorder(label, self._model, self._ring_capacity)

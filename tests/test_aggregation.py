@@ -18,6 +18,7 @@ from churnscope import (
     merge_threads,
     span_churn,
 )
+from churnscope.aggregation import merge_phases
 
 from eventgen import drive_with_spans
 from replay_oracle import replay
@@ -166,6 +167,54 @@ def test_merge_ors_flags():
     b = MarkerChurn(name="p", overflow=False, auto_closed=True, **base)
     merged = merge_threads([a, b])
     assert merged.overflow and merged.auto_closed
+
+
+def _summed_field_by_field(parts):
+    """Each name's parts added field by field, a missing kind counting 0, without merge_phases."""
+    merged = {}
+    for name in sorted({p.name for p in parts}):
+        group = [p for p in parts if p.name == name]
+        merged[name] = MarkerChurn(
+            name=name,
+            cost_micro=sum(p.cost_micro for p in group),
+            calls={kind: sum(p.calls.get(kind, 0) for p in group) for kind in AllocFnKind},
+            bytes_allocated=sum(p.bytes_allocated for p in group),
+            bytes_freed=sum(p.bytes_freed for p in group),
+            overflow=any(p.overflow for p in group),
+            auto_closed=any(p.auto_closed for p in group),
+        )
+    return merged
+
+
+def test_merge_phases_counts_a_missing_call_kind_as_zero():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    count = st.integers(0, 2**40) | st.integers(2**64, 10**30)
+    parts = st.lists(st.builds(
+        MarkerChurn,
+        name=st.sampled_from(("a", "b", "c")),
+        cost_micro=count,
+        calls=st.fixed_dictionaries({}, optional={kind: count for kind in AllocFnKind}),
+        bytes_allocated=count,
+        bytes_freed=count,
+        overflow=st.booleans(),
+        auto_closed=st.booleans(),
+        thread_id=st.sampled_from(("t0", "t1")),
+        span_id=st.sampled_from(("t0/000000", "t1/000001")),
+    ), max_size=8)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(parts)
+    @example([MarkerChurn("a", 5, {AllocFnKind.FREE: 2}), MarkerChurn("a", 7, {AllocFnKind.MALLOC: 1}),
+              MarkerChurn("b", 0, {})])
+    def check(parts):
+        merged = merge_phases(parts)
+        assert list(merged) == sorted({p.name for p in parts})
+        assert merged == _summed_field_by_field(parts)
+
+    check()
 
 
 def test_interval_additivity_on_random_bisections():

@@ -173,6 +173,14 @@ def test_invalid_marker_names_rejected(name):
         begin_marker(rec, name)
 
 
+def test_name_without_a_utf8_form_rejected_by_name():
+    rec = make_recorder()
+    with pytest.raises(ValueError) as excinfo:
+        begin_marker(rec, "ok\udcff")
+    assert str(excinfo.value) == "marker name 'ok\\udcff' is not valid Unicode (surrogates not allowed at position 2)"
+    assert rec.spans() == []
+
+
 def test_utf8_names_within_limit_accepted():
     rec = make_recorder()
     span = begin_marker(rec, "fase-élève")

@@ -8,13 +8,25 @@ from churnscope import (
     ChurnDelta,
     ChurnReport,
     CostModel,
+    MarkerChurn,
+    RecordingSession,
     RegressionVerdict,
     Thresholds,
     WorkloadSpec,
     default_cost_model,
+    diff_reports,
+    parse_report,
+    parse_verdict,
+    run_workload,
+    serialize_report,
+    serialize_verdict,
+    span_churn,
 )
-from churnscope.report import ReportTotals
+from churnscope.aggregation import merge_phases
+from churnscope.report import STATUSES, ReportTotals
 from churnscope.workloads import WORKLOADS, Workload
+
+from factories import report_with_units
 
 # Each type, its fields in the order its earlier dataclass declared them, and
 # one value for each field, built by keyword.
@@ -31,6 +43,9 @@ SHAPES = [
     (CostModel, ("weights", "model_version"), ({AllocFnKind.FREE: 2.0}, "v")),
     (Thresholds, ("rel", "abs_floor", "call_floor"), (0.5, 2.0, 3)),
     (ChurnDelta, ("phase", "status", "baseline", "candidate"), ("p", "new_phase", None, None)),
+    (MarkerChurn, ("name", "cost_micro", "calls", "bytes_allocated", "bytes_freed", "overflow", "auto_closed",
+                   "thread_id", "span_id"),
+     ("p", 5, {AllocFnKind.MALLOC: 1}, 64, 32, True, False, "main", "main/000000")),
 ]
 
 
@@ -61,3 +76,48 @@ def test_regression_verdict_is_a_named_tuple():
     assert verdict == RegressionVerdict(thresholds=Thresholds(), deltas=["row"])
     assert verdict != RegressionVerdict(Thresholds(rel=0.5), ["row"])
     assert verdict != RegressionVerdict(Thresholds(), [])
+
+
+def assert_whole(value):
+    """``value`` has every field of its named tuple type and equals its twin built by keyword.
+
+    Records and deltas are built with ``tuple.__new__``, which skips the
+    argument-count check of the type's own ``__new__``.
+    """
+    cls = type(value)
+    assert len(value) == len(cls._fields), f"{cls.__name__} has {len(value)} of {len(cls._fields)} fields"
+    twin = cls(**{field: getattr(value, field) for field in cls._fields})
+    assert type(twin) is cls and twin == value
+
+
+def assert_whole_deltas(deltas):
+    for delta in deltas:
+        assert_whole(delta)
+        for record in (delta.baseline, delta.candidate):
+            if record is not None:
+                assert_whole(record)
+
+
+def test_records_and_deltas_hold_every_field():
+    reports = []
+    for variant in ("baseline", "regressed"):
+        session = RecordingSession(build_id=variant, created_at="2026-01-01T00:00:00Z")
+        report = run_workload(WorkloadSpec("multithread", 1, 2, variant), session)
+        spans = [span for rec in session.recorders() for span in rec.spans()]
+        assert spans
+        parts = [span_churn(span, session.model) for span in spans]
+        for record in [*parts, *merge_phases(parts).values(), *report.per_thread, *report.merged.values()]:
+            assert_whole(record)
+        parsed = parse_report(serialize_report(report))
+        for record in [*parsed.per_thread, *parsed.merged.values()]:
+            assert_whole(record)
+        reports.append(parsed)
+    # Every status: "a" only in the baseline, "b" improves, "c" only in the candidate.
+    reports += [report_with_units({"a": 1, "b": 3}), report_with_units({"b": 2, "c": 1})]
+    statuses = set()
+    for base, cand in (reports[:2], reports[2:]):
+        verdict = diff_reports(base, cand)
+        statuses |= {delta.status for delta in verdict.deltas}
+        assert_whole_deltas(verdict.deltas)
+        assert_whole_deltas(parse_verdict(serialize_verdict(verdict)).deltas)
+    assert statuses == set(STATUSES)

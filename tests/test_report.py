@@ -610,7 +610,7 @@ def _record_doc(record):
     doc = {
         "name": record.name,
         "cost": _cost_literal(record.cost_micro),
-        "calls": {kind.value: n for kind, n in record.calls.items()},
+        "calls": {kind.value: record.calls.get(kind, 0) for kind in AllocFnKind},  # a missing kind writes 0
         "bytes_allocated": record.bytes_allocated,
         "bytes_freed": record.bytes_freed,
         "overflow": record.overflow,
@@ -660,8 +660,8 @@ def reference_verdict_bytes(verdict):
 
 def _writer_strategies():
     """Hypothesis strategies for whole reports and verdicts: names with quotes,
-    backslashes, control and non-BMP characters, counts past 2**64,
-    non-integer weights and thresholds."""
+    backslashes, control and non-BMP characters, counts past 2**64, negative
+    costs, calls dicts that omit kinds, non-integer weights and thresholds."""
     from hypothesis import strategies as st
 
     text = st.text(
@@ -674,8 +674,8 @@ def _writer_strategies():
         return st.builds(
             MarkerChurn,
             name=text,
-            cost_micro=st.integers(0, 2**40) | st.integers(0, 10**40),
-            calls=st.fixed_dictionaries({kind: count for kind in AllocFnKind}),
+            cost_micro=st.integers(-(2**40), 2**40) | st.integers(-(10**40), 10**40),
+            calls=st.fixed_dictionaries({}, optional={kind: count for kind in AllocFnKind}),
             bytes_allocated=count,
             bytes_freed=count,
             overflow=st.booleans(),
@@ -723,6 +723,8 @@ def test_report_writer_matches_json_dumps():
     @example(golden._replace(per_thread=[]))
     @example(golden._replace(per_thread=[part]))
     @example(golden._replace(model=golden.model.scaled(0.37)))
+    @example(golden._replace(per_thread=[part._replace(calls={AllocFnKind.FREE: 3})]))
+    @example(golden._replace(per_thread=[part._replace(cost_micro=-1_000_001)]))
     def check(report):
         assert serialize_report(report) == reference_report_bytes(report)
 
@@ -747,6 +749,8 @@ def test_verdict_writer_matches_json_dumps():
         row._replace(status="neutral"),
     ]))
     @example(RegressionVerdict(Thresholds(rel=-0.0, abs_floor=-0.0), [row]))
+    @example(RegressionVerdict(Thresholds(), [row._replace(baseline=record._replace(calls={AllocFnKind.MALLOC: 1}))]))
+    @example(RegressionVerdict(Thresholds(), [row._replace(candidate=record._replace(cost_micro=-999_999))]))
     def check(verdict):
         assert serialize_verdict(verdict) == reference_verdict_bytes(verdict)
 
@@ -765,6 +769,16 @@ def test_writers_reject_non_finite_numbers(value):
         serialize_report(report._replace(model=report.model._replace(weights={AllocFnKind.MALLOC: value})))
     with pytest.raises(ValueError, match="non-finite"):
         serialize_verdict(_unchecked_thresholds(value))
+
+
+@pytest.mark.parametrize("cost", [1.5, 2e6, -1.5])
+def test_writers_refuse_a_float_cost_instead_of_truncating_it(cost):
+    record = golden_report().per_thread[0]._replace(cost_micro=cost)
+    with pytest.raises(ValueError, match="Unknown format code 'd' for object of type 'float'"):
+        serialize_report(golden_report()._replace(per_thread=[record]))
+    row = ChurnDelta(record.name, "neutral", record._replace(thread_id=None, span_id=None), None)
+    with pytest.raises(ValueError, match="Unknown format code 'd' for object of type 'float'"):
+        serialize_verdict(RegressionVerdict(Thresholds(), [row]))
 
 
 @pytest.mark.parametrize("value", [-0.0, -1e-9, -4.9e-7])
