@@ -14,7 +14,6 @@ from .cost_model import (
     default_cost_model,
     event_cost,
     load_cost_model,
-    validate_cost_model,
 )
 from .errors import (
     ChurnscopeError,
@@ -98,6 +97,5 @@ __all__ = [
     "serialize_verdict",
     "span_churn",
     "utc_timestamp",
-    "validate_cost_model",
     "workload_names",
 ]

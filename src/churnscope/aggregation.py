@@ -4,31 +4,34 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .cost_model import MICRO, AllocFnKind, CostModel
-from .errors import ModelMismatchError, SpanStateError
+from .cost_model import MICRO, AllocFnKind
+from .errors import SpanStateError
 from .markers import MarkerSpan
-
-_MALLOC, _CALLOC, _REALLOC, _FREE = AllocFnKind.MALLOC, AllocFnKind.CALLOC, AllocFnKind.REALLOC, AllocFnKind.FREE
 
 
 class MarkerChurn(NamedTuple):
     """Aggregated churn for one span, or for one phase merged across spans.
 
     ``cost_micro`` is the cost in whole micro-units; ``cost`` reads it in cost
-    units. ``calls`` maps each call kind to its count and has no default, so
-    no two records share one dict. Per-thread records carry ``thread_id`` and
-    ``span_id``; merged records carry neither. ``overflow`` means the event
-    ring evicted entries during the interval (counters stay exact
+    units. The four call counts are int fields in ``CounterSnapshot`` order,
+    each 0 unless given; ``calls`` reads them as a dict keyed by call kind,
+    and ``total_calls`` is their sum. Per-thread records carry ``thread_id``
+    and ``span_id``; merged records carry neither. ``overflow`` means the
+    event ring evicted entries during the interval (counters stay exact
     regardless); ``auto_closed`` means the span was still open when its
-    recorder sealed. A record is a named tuple: derive an edited copy with
-    ``_replace``. A report writes each per-thread record as the document of
-    its fields, and a verdict writes merged records that way; a report's
-    merged records are computed from its parts, never written.
+    recorder sealed. A record is an immutable, hashable named tuple: derive
+    an edited copy with ``_replace``. A report writes each per-thread record
+    as the document of its fields, and a verdict writes merged records that
+    way; a report's merged records are computed from its parts, never
+    written.
     """
 
     name: str
     cost_micro: int
-    calls: dict[AllocFnKind, int]
+    malloc_calls: int = 0
+    calloc_calls: int = 0
+    realloc_calls: int = 0
+    free_calls: int = 0
     bytes_allocated: int = 0
     bytes_freed: int = 0
     overflow: bool = False
@@ -41,39 +44,35 @@ class MarkerChurn(NamedTuple):
         return self.cost_micro / MICRO
 
     @property
+    def calls(self) -> dict[AllocFnKind, int]:
+        """The four call counts keyed by kind, as a new dict on each read."""
+        return {AllocFnKind.MALLOC: self.malloc_calls, AllocFnKind.CALLOC: self.calloc_calls,
+                AllocFnKind.REALLOC: self.realloc_calls, AllocFnKind.FREE: self.free_calls}
+
+    @property
     def total_calls(self) -> int:
-        return sum(self.calls.values())
+        return self.malloc_calls + self.calloc_calls + self.realloc_calls + self.free_calls
 
 
-def span_churn(span: MarkerSpan, model: CostModel) -> MarkerChurn:
+def span_churn(span: MarkerSpan) -> MarkerChurn:
     """Cost a closed span from its endpoint snapshots.
 
     The cost is the running total's delta in nano-units, the exact sum of the
-    span's per-call costs, rounded half up to micro-units; so it depends
-    only on the calls inside the span. ``model`` must be the model the events
-    were recorded under; re-costing under a different model would need the
-    event log, not the accumulator.
+    span's per-call costs under its recorder's model, rounded half up to
+    micro-units; so it depends only on the calls inside the span.
     """
     if not span.closed:
         raise SpanStateError(f"span {span.span_id!r} ({span.name!r}) is still open")
-    session_model = span.recorder.model
-    if model != session_model:
-        raise ModelMismatchError(
-            f"span {span.span_id!r} was recorded under model "
-            f"{session_model.model_version!r}, not {model.model_version!r}"
-        )
     start = span.start_snapshot
     end = span.end_snapshot
-    # tuple.__new__ skips the named tuple's Python-level __new__: all nine fields are given in order.
+    # tuple.__new__ skips the named tuple's Python-level __new__: all twelve fields are given in order.
     return tuple.__new__(MarkerChurn, (
         span.name,
         (end.cost_nano - start.cost_nano + 500) // 1000,  # nano- to micro-units, ties up
-        {
-            _MALLOC: end.malloc_calls - start.malloc_calls,
-            _CALLOC: end.calloc_calls - start.calloc_calls,
-            _REALLOC: end.realloc_calls - start.realloc_calls,
-            _FREE: end.free_calls - start.free_calls,
-        },
+        end.malloc_calls - start.malloc_calls,
+        end.calloc_calls - start.calloc_calls,
+        end.realloc_calls - start.realloc_calls,
+        end.free_calls - start.free_calls,
         end.bytes_allocated - start.bytes_allocated,
         end.bytes_freed - start.bytes_freed,
         end.overflow_count > start.overflow_count,
@@ -102,31 +101,25 @@ def merge_phases(parts: Iterable[MarkerChurn]) -> dict[str, MarkerChurn]:
     """Sum per-span records into one merged record per name, in one pass.
 
     Each part is added field by field into its name's integer accumulators
-    (cost, the four call counts, a missing kind counting 0, the two byte
-    totals) and OR'd into its flags; no per-name lists are kept. The result
-    is keyed in name order. It is a report's ``merged``: ``build_report``
-    computes it on the run path and ``parse_report`` when a report is read.
+    (cost, the four call counts, the two byte totals) and OR'd into its
+    flags; no per-name lists are kept. The result is keyed in name order. It
+    is a report's ``merged``: ``build_report`` computes it on the run path
+    and ``parse_report`` when a report is read.
     """
     sums: dict[str, list] = {}
-    for name, cost, calls, allocated, freed, overflow, auto_closed, _, _ in parts:
+    for name, cost, malloc, calloc, realloc, free, allocated, freed, overflow, auto_closed, _, _ in parts:
         acc = sums.get(name)
         if acc is None:
-            sums[name] = [cost, calls.get(_MALLOC, 0), calls.get(_CALLOC, 0), calls.get(_REALLOC, 0),
-                          calls.get(_FREE, 0), allocated, freed, overflow, auto_closed]
+            sums[name] = [cost, malloc, calloc, realloc, free, allocated, freed, overflow, auto_closed]
         else:
             acc[0] += cost
-            acc[1] += calls.get(_MALLOC, 0)
-            acc[2] += calls.get(_CALLOC, 0)
-            acc[3] += calls.get(_REALLOC, 0)
-            acc[4] += calls.get(_FREE, 0)
+            acc[1] += malloc
+            acc[2] += calloc
+            acc[3] += realloc
+            acc[4] += free
             acc[5] += allocated
             acc[6] += freed
             acc[7] = acc[7] or overflow
             acc[8] = acc[8] or auto_closed
-    merged = {}
-    for name in sorted(sums):
-        cost, malloc, calloc, realloc, free, allocated, freed, overflow, auto_closed = sums[name]
-        calls = {_MALLOC: malloc, _CALLOC: calloc, _REALLOC: realloc, _FREE: free}
-        merged[name] = tuple.__new__(MarkerChurn, (name, cost, calls, allocated, freed, overflow, auto_closed,
-                                                   None, None))
-    return merged
+    # The accumulators are in field order, between the name and the absent ids.
+    return {name: tuple.__new__(MarkerChurn, (name, *sums[name], None, None)) for name in sorted(sums)}

@@ -63,13 +63,34 @@ class CostModel(_CostModelFields):
     only comparable when their descriptors are equal. Every way of building
     one, ``_replace`` and ``_make`` included, stores a fresh dict of float
     weights at the six decimals a report writes, so calls are charged under
-    the weights the report states.
+    the weights the report states, and checks it: a weight for each of the
+    four kinds and no other key, each finite, non-negative and small enough
+    that a call's cost fits in nano-units, and a nonempty version. A model
+    that fails raises ``CostModelError`` naming every fault. The default is
+    the shipped model (``DEFAULT_WEIGHTS``, "paper-v1").
     """
 
     __slots__ = ()
 
-    def __new__(cls, weights: dict[AllocFnKind, float] = {}, model_version: str = DEFAULT_MODEL_VERSION) -> CostModel:
-        return super().__new__(cls, {k: round(float(v), COST_DECIMALS) for k, v in weights.items()}, model_version)
+    def __new__(cls, weights: dict[AllocFnKind, float] = DEFAULT_WEIGHTS,
+                model_version: str = DEFAULT_MODEL_VERSION) -> CostModel:
+        weights = {k: round(float(v), COST_DECIMALS) for k, v in weights.items()}
+        violations = [f"unknown weight key {key!r}" for key in weights if not isinstance(key, AllocFnKind)]
+        for kind in AllocFnKind:
+            w = weights.get(kind)
+            if w is None:
+                violations.append(f"missing weight for {kind.value}")
+            elif not math.isfinite(w):
+                violations.append(f"weight for {kind.value} is not finite: {w!r}")
+            elif w < 0:
+                violations.append(f"weight for {kind.value} is negative: {w!r}")
+            elif math.isinf(w * 64 * NANO):  # a call costs at most 63 * w
+                violations.append(f"weight for {kind.value} is too large: {w!r}")
+        if not isinstance(model_version, str) or not model_version:
+            violations.append("model_version must be a nonempty string")
+        if violations:
+            raise CostModelError("invalid cost model: " + "; ".join(violations))
+        return super().__new__(cls, weights, model_version)
 
     @classmethod
     def _make(cls, iterable: Iterable[Any]) -> CostModel:
@@ -83,7 +104,7 @@ class CostModel(_CostModelFields):
 
 def default_cost_model() -> CostModel:
     """The shipped default: calloc 2, free 1, malloc 1, realloc 3."""
-    return CostModel(dict(DEFAULT_WEIGHTS), DEFAULT_MODEL_VERSION)
+    return CostModel()
 
 
 def event_cost(model: CostModel, kind: AllocFnKind, nbytes: int) -> float:
@@ -93,31 +114,6 @@ def event_cost(model: CostModel, kind: AllocFnKind, nbytes: int) -> float:
     if nbytes <= 1:
         return 0.0
     return model.weights[kind] * math.log2(nbytes)
-
-
-def validate_cost_model(model: CostModel) -> list[str]:
-    """Check a model and return a list of violations, empty when valid.
-
-    Never raises; callers that need an exception wrap the result.
-    """
-    violations: list[str] = []
-    for key in model.weights:
-        if not isinstance(key, AllocFnKind):
-            violations.append(f"unknown weight key {key!r}")
-    for kind in AllocFnKind:
-        if kind not in model.weights:
-            violations.append(f"missing weight for {kind.value}")
-            continue
-        w = model.weights[kind]
-        if not math.isfinite(w):
-            violations.append(f"weight for {kind.value} is not finite: {w!r}")
-        elif w < 0:
-            violations.append(f"weight for {kind.value} is negative: {w!r}")
-        elif math.isinf(w * 64 * NANO):  # a call costs at most 63 * w
-            violations.append(f"weight for {kind.value} is too large: {w!r}")
-    if not isinstance(model.model_version, str) or not model.model_version:
-        violations.append("model_version must be a nonempty string")
-    return violations
 
 
 def load_cost_model(path: str | Path) -> CostModel:
@@ -130,7 +126,7 @@ def load_cost_model(path: str | Path) -> CostModel:
     """
     path = Path(path)
     weights: dict[AllocFnKind, float] = {}
-    version = "custom"
+    version = None
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -142,6 +138,8 @@ def load_cost_model(path: str | Path) -> CostModel:
         if key == "model_version":
             if not value:
                 raise CostModelError(f"{path}:{lineno}: model_version must not be empty")
+            if version is not None:
+                raise CostModelError(f"{path}:{lineno}: duplicate model_version")
             version = value
         elif key in _FILE_KEYS:
             kind = _FILE_KEYS[key]
@@ -155,8 +153,7 @@ def load_cost_model(path: str | Path) -> CostModel:
                 ) from None
         else:
             raise CostModelError(f"{path}:{lineno}: unknown key {key!r}")
-    model = CostModel(weights, version)
-    violations = validate_cost_model(model)
-    if violations:
-        raise CostModelError(f"{path}: invalid cost model: " + "; ".join(violations))
-    return model
+    try:
+        return CostModel(weights, version or "custom")
+    except CostModelError as exc:
+        raise CostModelError(f"{path}: {exc}") from None

@@ -18,8 +18,8 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .aggregation import MarkerChurn, merge_phases
-from .cost_model import COST_DECIMALS, MICRO, AllocFnKind, CostModel, validate_cost_model
-from .errors import ModelMismatchError, ReportError
+from .cost_model import COST_DECIMALS, MICRO, AllocFnKind, CostModel
+from .errors import CostModelError, ModelMismatchError, ReportError
 
 REPORT_SCHEMA_VERSION = "2"
 VERDICT_SCHEMA_VERSION = "2"
@@ -43,8 +43,6 @@ _STATUS_RANK = {status: i for i, status in enumerate(STATUSES)}
 
 DEFAULT_REL_THRESHOLD = 0.01
 DEFAULT_ABS_FLOOR = 1.0
-
-_MALLOC, _CALLOC, _REALLOC, _FREE = AllocFnKind.MALLOC, AllocFnKind.CALLOC, AllocFnKind.REALLOC, AllocFnKind.FREE
 
 
 def format_cost(micro: int) -> str:
@@ -205,10 +203,9 @@ def _churn_text(r: MarkerChurn, layout: tuple[str, str]) -> str:
     ``span_id`` unless both are None (a merged record). Field types are
     trusted, not checked.
     """
-    name, micro, c, allocated, freed, overflow, auto_closed, thread_id, span_id = r
+    name, micro, malloc, calloc, realloc, free, allocated, freed, overflow, auto_closed, thread_id, span_id = r
     fields = (
-        "true" if auto_closed else "false", allocated, freed,
-        c.get(_CALLOC, 0), c.get(_FREE, 0), c.get(_MALLOC, 0), c.get(_REALLOC, 0),
+        "true" if auto_closed else "false", allocated, freed, calloc, free, malloc, realloc,
         # %d would truncate a float cost; format_cost raises ValueError for one.
         "%d.%06d" % divmod(micro, MICRO) if type(micro) is int and micro >= 0 else format_cost(micro),
         _quote(name), "true" if overflow else "false",
@@ -390,10 +387,9 @@ def _parse_records(docs: Any, with_thread: bool, where: str) -> list[MarkerChurn
                 and 0 <= micro <= _MAX_MICRO and (not micro or calloc | free | malloc | realloc)
             ):
                 raise _record_fault(doc, where.format(len(records)))
-            calls = {_MALLOC: malloc, _CALLOC: calloc, _REALLOC: realloc, _FREE: free}
             # tuple.__new__ skips the named tuple's Python-level __new__: the fields are already in order.
-            records.append(tuple.__new__(MarkerChurn, (name, micro, calls, allocated, freed, overflow,
-                                                       auto_closed, thread_id, span_id)))
+            records.append(tuple.__new__(MarkerChurn, (name, micro, malloc, calloc, realloc, free, allocated, freed,
+                                                       overflow, auto_closed, thread_id, span_id)))
     except (KeyError, TypeError) as exc:
         fault = f"{type(exc).__name__}: {exc}"
         raise ReportError(f"{where.format(len(records))} does not match the schema ({fault})") from None
@@ -424,11 +420,10 @@ def _record_fault(doc: dict[str, Any], what: str) -> ReportError:
 
 def _parse_model(doc: Any) -> CostModel:
     weights = {AllocFnKind(key): weight for key, weight in doc["weights"].items()}
-    model = CostModel(weights, doc["model_version"])
-    violations = validate_cost_model(model)
-    if violations:
-        raise ReportError("invalid cost_model: " + "; ".join(violations))
-    return model
+    try:
+        return CostModel(weights, doc["model_version"])
+    except CostModelError as exc:  # named by the report's field
+        raise ReportError(str(exc).replace("cost model", "cost_model", 1)) from None
 
 
 def _build_report(doc: Any) -> ChurnReport:

@@ -12,8 +12,8 @@ import threading
 from datetime import datetime, timezone
 
 from .aggregation import merge_phases, span_churn
-from .cost_model import CostModel, default_cost_model, validate_cost_model
-from .errors import CostModelError, RecorderStateError
+from .cost_model import CostModel
+from .errors import RecorderStateError
 from .markers import utf8_bytes
 from .recorder import ThreadRecorder, checked_ring_capacity
 from .report import ChurnReport, ReportTotals
@@ -47,11 +47,7 @@ class RecordingSession:
         build_id: str = "local",
         created_at: str | None = None,
     ):
-        model = model if model is not None else default_cost_model()
-        violations = validate_cost_model(model)
-        if violations:
-            raise CostModelError("invalid cost model: " + "; ".join(violations))
-        self._model = model
+        self._model = model if model is not None else CostModel()
         self._ring_capacity = checked_ring_capacity(ring_capacity)
         # A report that serialize_report writes must parse back.
         if not isinstance(build_id, str):
@@ -122,7 +118,7 @@ class RecordingSession:
                     f"recorder {rec.thread_id!r} is not sealed; call seal_all() first"
                 )
         # Recorders come ordered by label and spans in begin order.
-        parts = [span_churn(span, self._model) for rec in recs for span in rec.spans()]
+        parts = [span_churn(span) for rec in recs for span in rec.spans()]
         allocated = freed = live_blocks = live_bytes = anomalies = overflows = 0
         for rec in recs:
             snap = rec.snapshot()

@@ -31,6 +31,11 @@ def snapshot_calls(snap: CounterSnapshot) -> dict[AllocFnKind, int]:
     }
 
 
+def calls_fields(calls: dict[AllocFnKind, int]) -> dict[str, int]:
+    """``MarkerChurn``'s call-count keyword arguments, from counts keyed by kind."""
+    return {f"{kind.value}_calls": n for kind, n in calls.items()}
+
+
 def report_with_units(
     phase_units: dict[str, int],
     build_id: str = "b",

@@ -32,6 +32,7 @@ from churnscope.cli import main
 from churnscope.report import STATUS_NEUTRAL, STATUS_REGRESSION
 
 from eventgen import drive_with_spans
+from factories import calls_fields
 from replay_oracle import replay
 
 MODEL = default_cost_model()
@@ -103,7 +104,7 @@ def test_criterion_04_oracle_equivalence():
         events = rec.events()
         assert rec.snapshot().overflow_count == 0  # full log retained
         for span in spans:
-            churn = span_churn(span, MODEL)
+            churn = span_churn(span)
             oracle = replay(events, MODEL, span.start_snapshot.seq, span.end_snapshot.seq)
             assert churn.calls == oracle.calls
             assert churn.bytes_allocated == oracle.bytes_allocated
@@ -135,7 +136,7 @@ def test_criterion_05_additivity_and_merge_properties():
             heap.free(heap.calloc(rng.randrange(0, 9), 128))
         end_marker(right)
         end_marker(whole)
-        w, l, r = (span_churn(s, MODEL) for s in (whole, left, right))
+        w, l, r = (span_churn(s) for s in (whole, left, right))
         # Costs add exactly in the nano-unit running total; each record is its
         # span's total rounded to micro-units on its own.
         nano = [s.end_snapshot.cost_nano - s.start_snapshot.cost_nano for s in (whole, left, right)]
@@ -158,7 +159,7 @@ def test_criterion_05_additivity_and_merge_properties():
         return MarkerChurn(
             name="p",
             cost_micro=rng.randrange(0, 500 * 10**6),
-            calls={k: rng.randrange(0, 20) for k in AllocFnKind},
+            **calls_fields({k: rng.randrange(0, 20) for k in AllocFnKind}),
             bytes_allocated=rng.randrange(0, 1 << 16),
             bytes_freed=rng.randrange(0, 1 << 16),
             thread_id=thread,
@@ -191,7 +192,7 @@ def test_criterion_05_additivity_and_merge_properties():
         for _ in range(rng.randrange(0, 4)):
             heap.malloc(rng.randrange(0, 4096))
         end_marker(parent)
-        pc, cc = span_churn(parent, MODEL), span_churn(child, MODEL)
+        pc, cc = span_churn(parent), span_churn(child)
         if cc.cost_micro > pc.cost_micro:
             violations += 1
         if any(cc.calls[k] > pc.calls[k] for k in AllocFnKind):

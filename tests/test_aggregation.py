@@ -5,10 +5,8 @@ import pytest
 
 from churnscope import (
     AllocFnKind,
-    CostModel,
     CounterSnapshot,
     MarkerChurn,
-    ModelMismatchError,
     SpanStateError,
     ThreadRecorder,
     TracingAllocator,
@@ -21,6 +19,7 @@ from churnscope import (
 from churnscope.aggregation import merge_phases
 
 from eventgen import drive_with_spans
+from factories import calls_fields
 from replay_oracle import replay
 
 MODEL = default_cost_model()
@@ -44,7 +43,7 @@ def test_span_churn_malloc_free_pair():
         tok = heap.malloc(1024)
         heap.free(tok)
 
-    churn = span_churn(closed_span(rec, "phase", body), MODEL)
+    churn = span_churn(closed_span(rec, "phase", body))
     assert churn.cost_micro == 20_000_000
     assert churn.cost == 20.0
     assert churn.calls[AllocFnKind.MALLOC] == 1
@@ -58,7 +57,7 @@ def test_span_churn_malloc_free_pair():
 
 def test_span_churn_empty_span():
     rec = make_recorder()
-    churn = span_churn(closed_span(rec, "phase", lambda: None), MODEL)
+    churn = span_churn(closed_span(rec, "phase", lambda: None))
     assert churn.cost_micro == 0
     assert all(n == 0 for n in churn.calls.values())
 
@@ -72,7 +71,7 @@ def test_span_churn_mixed_kinds():
         tok = heap.realloc(tok, 4096)
         heap.free(tok)
 
-    churn = span_churn(closed_span(rec, "phase", body), MODEL)
+    churn = span_churn(closed_span(rec, "phase", body))
     # calloc 256 -> 16, realloc 4096 -> 36, free 4096 -> 12
     assert churn.cost_micro == 64_000_000
     oracle = replay(rec.events(), MODEL)
@@ -83,22 +82,14 @@ def test_span_churn_rejects_open_span():
     rec = make_recorder()
     span = begin_marker(rec, "phase")
     with pytest.raises(SpanStateError):
-        span_churn(span, MODEL)
-
-
-def test_span_churn_rejects_foreign_model():
-    rec = make_recorder()
-    span = closed_span(rec, "phase", lambda: None)
-    other = CostModel({k: 5.0 for k in AllocFnKind}, "other")
-    with pytest.raises(ModelMismatchError):
-        span_churn(span, other)
+        span_churn(span)
 
 
 def _random_churn(rng, name="phase", thread="t0", span=0):
     return MarkerChurn(
         name=name,
         cost_micro=rng.randrange(0, 1000 * 10**6),
-        calls={k: rng.randrange(0, 50) for k in AllocFnKind},
+        **calls_fields({k: rng.randrange(0, 50) for k in AllocFnKind}),
         bytes_allocated=rng.randrange(0, 1 << 20),
         bytes_freed=rng.randrange(0, 1 << 20),
         overflow=rng.random() < 0.2,
@@ -120,14 +111,14 @@ def test_merge_single_part_is_identity_minus_thread():
 
 
 def test_merge_adds_costs():
-    a = MarkerChurn(name="p", cost_micro=10_000_000, calls={k: 0 for k in AllocFnKind})
-    b = MarkerChurn(name="p", cost_micro=5_500_001, calls={k: 0 for k in AllocFnKind})
+    a = MarkerChurn(name="p", cost_micro=10_000_000)
+    b = MarkerChurn(name="p", cost_micro=5_500_001)
     assert merge_threads([a, b]).cost_micro == 15_500_001
 
 
 def test_merge_rejects_name_mismatch():
-    a = MarkerChurn(name="p", cost_micro=1, calls={k: 0 for k in AllocFnKind})
-    b = MarkerChurn(name="q", cost_micro=1, calls={k: 0 for k in AllocFnKind})
+    a = MarkerChurn(name="p", cost_micro=1)
+    b = MarkerChurn(name="q", cost_micro=1)
     with pytest.raises(ValueError):
         merge_threads([a, b])
 
@@ -162,22 +153,21 @@ def test_merge_commutative_and_associative():
 
 
 def test_merge_ors_flags():
-    base = dict(cost_micro=0, calls={k: 0 for k in AllocFnKind})
-    a = MarkerChurn(name="p", overflow=True, auto_closed=False, **base)
-    b = MarkerChurn(name="p", overflow=False, auto_closed=True, **base)
+    a = MarkerChurn(name="p", cost_micro=0, overflow=True, auto_closed=False)
+    b = MarkerChurn(name="p", cost_micro=0, overflow=False, auto_closed=True)
     merged = merge_threads([a, b])
     assert merged.overflow and merged.auto_closed
 
 
 def _summed_field_by_field(parts):
-    """Each name's parts added field by field, a missing kind counting 0, without merge_phases."""
+    """Each name's parts added field by field, kind by kind, without merge_phases."""
     merged = {}
     for name in sorted({p.name for p in parts}):
         group = [p for p in parts if p.name == name]
         merged[name] = MarkerChurn(
             name=name,
             cost_micro=sum(p.cost_micro for p in group),
-            calls={kind: sum(p.calls.get(kind, 0) for p in group) for kind in AllocFnKind},
+            **calls_fields({kind: sum(p.calls[kind] for p in group) for kind in AllocFnKind}),
             bytes_allocated=sum(p.bytes_allocated for p in group),
             bytes_freed=sum(p.bytes_freed for p in group),
             overflow=any(p.overflow for p in group),
@@ -196,7 +186,10 @@ def test_merge_phases_counts_a_missing_call_kind_as_zero():
         MarkerChurn,
         name=st.sampled_from(("a", "b", "c")),
         cost_micro=count,
-        calls=st.fixed_dictionaries({}, optional={kind: count for kind in AllocFnKind}),
+        malloc_calls=count,
+        calloc_calls=count,
+        realloc_calls=count,
+        free_calls=count,
         bytes_allocated=count,
         bytes_freed=count,
         overflow=st.booleans(),
@@ -207,8 +200,7 @@ def test_merge_phases_counts_a_missing_call_kind_as_zero():
 
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(parts)
-    @example([MarkerChurn("a", 5, {AllocFnKind.FREE: 2}), MarkerChurn("a", 7, {AllocFnKind.MALLOC: 1}),
-              MarkerChurn("b", 0, {})])
+    @example([MarkerChurn("a", 5, free_calls=2), MarkerChurn("a", 7, malloc_calls=1), MarkerChurn("b", 0)])
     def check(parts):
         merged = merge_phases(parts)
         assert list(merged) == sorted({p.name for p in parts})
@@ -234,9 +226,9 @@ def test_interval_additivity_on_random_bisections():
             heap.free(tok)
         end_marker(right)
         end_marker(whole)
-        whole_churn = span_churn(whole, MODEL)
-        left_churn = span_churn(left, MODEL)
-        right_churn = span_churn(right, MODEL)
+        whole_churn = span_churn(whole)
+        left_churn = span_churn(left)
+        right_churn = span_churn(right)
         # exact in nano-units; each record rounds its own total to micro-units
         nano = [s.end_snapshot.cost_nano - s.start_snapshot.cost_nano for s in (whole, left, right)]
         assert nano[0] == nano[1] + nano[2]
@@ -256,7 +248,7 @@ def test_accumulator_matches_replay_on_random_spans():
         spans = drive_with_spans(rec, heap, rng, rng.randrange(20, 600))
         events = rec.events()
         for span in spans:
-            churn = span_churn(span, MODEL)
+            churn = span_churn(span)
             oracle = replay(events, MODEL, span.start_snapshot.seq, span.end_snapshot.seq)
             assert churn.calls == oracle.calls
             assert churn.bytes_allocated == oracle.bytes_allocated
@@ -270,7 +262,7 @@ def test_identical_sequences_produce_identical_records():
         heap = TracingAllocator(rec)
         rng = random.Random(4006)
         spans = drive_with_spans(rec, heap, rng, 300)
-        return [span_churn(span, MODEL) for span in spans]
+        return [span_churn(span) for span in spans]
 
     assert run() == run()  # bit-identical costs included
 
@@ -286,8 +278,8 @@ def test_overflow_flag_set_only_for_spans_that_overflowed():
     for _ in range(50):
         heap.free(heap.malloc(64))
     end_marker(noisy)
-    assert not span_churn(calm, MODEL).overflow
-    assert span_churn(noisy, MODEL).overflow
+    assert not span_churn(calm).overflow
+    assert span_churn(noisy).overflow
 
 
 def _span_after(prior_calls, start_nano=0):
@@ -308,7 +300,7 @@ def _span_after(prior_calls, start_nano=0):
         heap.free(heap.malloc(size))
     heap.free(heap.realloc(heap.calloc(3, 333), 7777))
     end_marker(span)
-    return span_churn(span, MODEL)
+    return span_churn(span)
 
 
 def test_span_cost_does_not_depend_on_prior_work():

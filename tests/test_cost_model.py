@@ -7,7 +7,9 @@ from churnscope import (
     AllocFnKind,
     CostModel,
     CostModelError,
+    DEFAULT_WEIGHTS,
     RecordingSession,
+    ReportError,
     ThreadRecorder,
     TracingAllocator,
     default_cost_model,
@@ -16,8 +18,9 @@ from churnscope import (
     marker,
     parse_report,
     serialize_report,
-    validate_cost_model,
 )
+
+from factories import report_with_units
 
 MODEL = default_cost_model()
 
@@ -136,40 +139,82 @@ def test_doubling_bytes_adds_one_weight():
 
 
 def test_validate_accepts_default():
-    assert validate_cost_model(MODEL) == []
+    assert CostModel() == MODEL == (DEFAULT_WEIGHTS, "paper-v1")
+    assert CostModel().weights is not DEFAULT_WEIGHTS
 
 
 def test_validate_names_missing_kind():
     weights = dict(MODEL.weights)
     del weights[AllocFnKind.REALLOC]
-    violations = validate_cost_model(CostModel(weights, "broken"))
-    assert len(violations) == 1
-    assert "realloc" in violations[0]
+    with pytest.raises(CostModelError, match="^invalid cost model: missing weight for realloc$"):
+        CostModel(weights, "broken")
 
 
 def test_validate_names_negative_weight():
     weights = dict(MODEL.weights)
     weights[AllocFnKind.FREE] = -1.0
-    violations = validate_cost_model(CostModel(weights, "broken"))
-    assert any("free" in v for v in violations)
+    with pytest.raises(CostModelError, match="free"):
+        CostModel(weights, "broken")
 
 
 def test_validate_rejects_non_finite():
     weights = dict(MODEL.weights)
     weights[AllocFnKind.MALLOC] = math.inf
-    assert any("malloc" in v for v in validate_cost_model(CostModel(weights, "broken")))
+    with pytest.raises(CostModelError, match="malloc"):
+        CostModel(weights, "broken")
 
 
 def test_validate_rejects_weights_whose_costs_overflow_nano_units():
     weights = dict(MODEL.weights)
     weights[AllocFnKind.MALLOC] = 1e300
-    assert any("malloc" in v for v in validate_cost_model(CostModel(weights, "huge")))
+    with pytest.raises(CostModelError, match="malloc"):
+        CostModel(weights, "huge")
     weights[AllocFnKind.MALLOC] = 1e290
     model = CostModel(weights, "large")
-    assert validate_cost_model(model) == []
     rec = ThreadRecorder("t", model)
     rec.record_malloc(2**63 - 1, 0x10)  # the largest cost a malloc can have
     assert rec.snapshot().cost_nano == round(event_cost(model, AllocFnKind.MALLOC, 2**63 - 1) * 10**9)
+
+
+@pytest.mark.parametrize(
+    "weights,version,message",
+    [
+        ({AllocFnKind.MALLOC: 1.0}, "partial",
+         "missing weight for calloc; missing weight for realloc; missing weight for free"),
+        ({}, "paper-v1",
+         "missing weight for malloc; missing weight for calloc; missing weight for realloc; missing weight for free"),
+        ({**DEFAULT_WEIGHTS, "malloc": 1.0}, "v", "unknown weight key 'malloc'"),
+        ({**DEFAULT_WEIGHTS, AllocFnKind.FREE: -0.5}, "v", "weight for free is negative: -0.5"),
+        ({**DEFAULT_WEIGHTS, AllocFnKind.CALLOC: math.nan}, "v", "weight for calloc is not finite: nan"),
+        ({**DEFAULT_WEIGHTS, AllocFnKind.REALLOC: 1e300}, "v", "weight for realloc is too large: 1e+300"),
+        (DEFAULT_WEIGHTS, "", "model_version must be a nonempty string"),
+        (DEFAULT_WEIGHTS, None, "model_version must be a nonempty string"),
+    ],
+    ids=["partial", "empty", "unknown-key", "negative", "nan", "too-large", "empty-version", "no-version"],
+)
+def test_every_way_of_building_a_model_checks_it(weights, version, message):
+    builds = (
+        lambda: CostModel(weights, version),
+        lambda: MODEL._replace(weights=weights, model_version=version),
+        lambda: CostModel._make([weights, version]),
+    )
+    for build in builds:
+        with pytest.raises(CostModelError) as excinfo:
+            build()
+        assert str(excinfo.value) == f"invalid cost model: {message}"
+
+
+def test_each_reader_names_an_invalid_model_in_its_own_terms(tmp_path):
+    path = tmp_path / "weights.cfg"
+    path.write_text("malloc = 1\ncalloc = 2\nrealloc = 3\nfree = -1\n")
+    with pytest.raises(CostModelError) as excinfo:
+        load_cost_model(path)
+    assert str(excinfo.value) == f"{path}: invalid cost model: weight for free is negative: -1.0"
+    data = serialize_report(report_with_units({"p": 1}))
+    assert data.count(b'"free": 1.000000') == 1
+    with pytest.raises(ReportError) as excinfo:
+        parse_report(data.replace(b'"free": 1.000000', b'"free": -1.000000'))
+    assert str(excinfo.value) == "invalid cost_model: weight for free is negative: -1.0"
 
 
 def test_load_cost_model_file(tmp_path):
@@ -203,6 +248,8 @@ def test_load_cost_model_defaults_version(tmp_path):
         ("mallocs = 1\n", "unknown key"),
         ("malloc 1\n", "expected"),
         ("malloc = -2\ncalloc = 2\nrealloc = 3\nfree = 1\n", "negative"),
+        ("malloc = 1\ncalloc = 2\nrealloc = 3\nfree = 1\nmodel_version = a\nmodel_version = b\n",
+         ":6: duplicate model_version$"),
     ],
 )
 def test_load_cost_model_rejects_bad_files(tmp_path, body, fragment):

@@ -219,13 +219,13 @@ def test_computed_deltas_match_a_reference_arithmetic():
     count = st.integers(0, 50) | st.integers(0, 2**64)
     cost = st.just(0) | st.integers(0, 100 * 10**6) | st.integers(0, int(sys.float_info.max))
     records = st.builds(
-        MarkerChurn, name=st.just("p"), cost_micro=cost,
-        calls=st.fixed_dictionaries({kind: count for kind in AllocFnKind}), bytes_allocated=count, bytes_freed=count,
+        MarkerChurn, name=st.just("p"), cost_micro=cost, malloc_calls=count, calloc_calls=count,
+        realloc_calls=count, free_calls=count, bytes_allocated=count, bytes_freed=count,
     )
     thresholds = st.builds(Thresholds, rel=st.sampled_from([0, 0.01, 0.5]), abs_floor=st.sampled_from([0, 1.0]),
                            call_floor=st.none() | st.integers(0, 3))
-    zero = MarkerChurn("p", 0, dict.fromkeys(AllocFnKind, 0))
-    some = MarkerChurn("p", 3_000_000, dict.fromkeys(AllocFnKind, 1), 64, 32)
+    zero = MarkerChurn("p", 0)
+    some = MarkerChurn("p", 3_000_000, 1, 1, 1, 1, 64, 32)
 
     @settings(derandomize=True, database=None, max_examples=400, deadline=None)
     @given(st.none() | records, st.none() | records, thresholds)
@@ -250,14 +250,12 @@ def _delta(phase, status, rel, alloc=0, freed=0, cost_micro=1_000_000):
     baseline) on a baseline of ``cost_micro``, and byte deltas ``alloc`` and
     ``freed``. A new phase keeps only the candidate, a removed one only the
     baseline; either side's cost is then ``cost_micro``."""
-    calls = {k: 0 for k in AllocFnKind}
-    calls[AllocFnKind.MALLOC] = 1
     if status in (STATUS_NEW_PHASE, STATUS_REMOVED_PHASE) or rel is None:
         base_cost, cand_cost = 0, cost_micro
     else:
         base_cost, cand_cost = cost_micro, round(cost_micro * (1 + rel))
-    base = MarkerChurn(name=phase, cost_micro=base_cost, calls=calls)
-    cand = MarkerChurn(name=phase, cost_micro=cand_cost, calls=calls, bytes_allocated=alloc, bytes_freed=freed)
+    base = MarkerChurn(name=phase, cost_micro=base_cost, malloc_calls=1)
+    cand = MarkerChurn(name=phase, cost_micro=cand_cost, malloc_calls=1, bytes_allocated=alloc, bytes_freed=freed)
     if status == STATUS_NEW_PHASE:
         base = None
     elif status == STATUS_REMOVED_PHASE:

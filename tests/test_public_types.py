@@ -2,12 +2,14 @@
 
 import pytest
 
+import churnscope
 from churnscope import (
     AllocEvent,
     AllocFnKind,
     ChurnDelta,
     ChurnReport,
     CostModel,
+    DEFAULT_WEIGHTS,
     MarkerChurn,
     RecordingSession,
     RegressionVerdict,
@@ -28,8 +30,7 @@ from churnscope.workloads import WORKLOADS, Workload
 
 from factories import report_with_units
 
-# Each type, its fields in the order its earlier dataclass declared them, and
-# one value for each field, built by keyword.
+# Each type, its fields in order, and one value for each field, built by keyword.
 SHAPES = [
     (AllocEvent, ("thread_id", "seq", "kind", "nbytes", "addr", "old_addr"),
      ("main", 3, AllocFnKind.REALLOC, 64, 0x20, 0x10)),
@@ -40,12 +41,12 @@ SHAPES = [
     (WorkloadSpec, ("name", "seed", "scale", "variant"), ("table", 7, 3, "regressed")),
     (Workload, ("phases", "run", "regressed_phase"),
      (("fill",), WORKLOADS["table"].run, "fill")),
-    (CostModel, ("weights", "model_version"), ({AllocFnKind.FREE: 2.0}, "v")),
+    (CostModel, ("weights", "model_version"), (dict.fromkeys(AllocFnKind, 2.0), "v")),
     (Thresholds, ("rel", "abs_floor", "call_floor"), (0.5, 2.0, 3)),
     (ChurnDelta, ("phase", "status", "baseline", "candidate"), ("p", "new_phase", None, None)),
-    (MarkerChurn, ("name", "cost_micro", "calls", "bytes_allocated", "bytes_freed", "overflow", "auto_closed",
-                   "thread_id", "span_id"),
-     ("p", 5, {AllocFnKind.MALLOC: 1}, 64, 32, True, False, "main", "main/000000")),
+    (MarkerChurn, ("name", "cost_micro", "malloc_calls", "calloc_calls", "realloc_calls", "free_calls",
+                   "bytes_allocated", "bytes_freed", "overflow", "auto_closed", "thread_id", "span_id"),
+     ("p", 5, 1, 2, 3, 4, 64, 32, True, False, "main", "main/000000")),
 ]
 
 
@@ -62,8 +63,9 @@ def test_named_tuple_defaults():
     assert Thresholds() == (0.01, 1.0, None)
     assert ReportTotals() == (0, 0, 0, 0, 0, 0)
     assert WorkloadSpec("strings") == ("strings", 1, 1, "baseline")
-    assert CostModel() == ({}, "paper-v1")
+    assert CostModel() == default_cost_model() == (DEFAULT_WEIGHTS, "paper-v1")
     assert CostModel().weights is not CostModel().weights
+    assert MarkerChurn("p", 0) == ("p", 0, 0, 0, 0, 0, 0, 0, False, False, None, None)
 
 
 def test_regression_verdict_is_a_named_tuple():
@@ -79,7 +81,9 @@ def test_regression_verdict_is_a_named_tuple():
 
 
 def assert_whole(value):
-    """``value`` has every field of its named tuple type and equals its twin built by keyword.
+    """``value`` has every field of its named tuple type, equals its twin built
+    by keyword and hashes like it; a record's ``calls`` view reads its four
+    count fields.
 
     Records and deltas are built with ``tuple.__new__``, which skips the
     argument-count check of the type's own ``__new__``.
@@ -87,7 +91,11 @@ def assert_whole(value):
     cls = type(value)
     assert len(value) == len(cls._fields), f"{cls.__name__} has {len(value)} of {len(cls._fields)} fields"
     twin = cls(**{field: getattr(value, field) for field in cls._fields})
-    assert type(twin) is cls and twin == value
+    assert type(twin) is cls and twin == value and hash(twin) == hash(value)
+    if cls is MarkerChurn:
+        counts = (value.malloc_calls, value.calloc_calls, value.realloc_calls, value.free_calls)
+        assert all(type(n) is int for n in counts)
+        assert value.calls == dict(zip(AllocFnKind, counts)) and value.total_calls == sum(counts)
 
 
 def assert_whole_deltas(deltas):
@@ -105,7 +113,7 @@ def test_records_and_deltas_hold_every_field():
         report = run_workload(WorkloadSpec("multithread", 1, 2, variant), session)
         spans = [span for rec in session.recorders() for span in rec.spans()]
         assert spans
-        parts = [span_churn(span, session.model) for span in spans]
+        parts = [span_churn(span) for span in spans]
         for record in [*parts, *merge_phases(parts).values(), *report.per_thread, *report.merged.values()]:
             assert_whole(record)
         parsed = parse_report(serialize_report(report))
@@ -121,3 +129,23 @@ def test_records_and_deltas_hold_every_field():
         assert_whole_deltas(verdict.deltas)
         assert_whole_deltas(parse_verdict(serialize_verdict(verdict)).deltas)
     assert statuses == set(STATUSES)
+
+
+# The public names, pinned: removing or adding one is a visible, deliberate change.
+PUBLIC_NAMES = [
+    "AllocEvent", "AllocFnKind", "BumpAllocator", "ChurnDelta", "ChurnReport", "ChurnscopeError", "CostModel",
+    "CostModelError", "CounterSnapshot", "DEFAULT_RING_CAPACITY", "DEFAULT_WEIGHTS", "MarkerChurn", "MarkerSpan",
+    "ModelMismatchError", "RecorderSealedError", "RecorderStateError", "RecordingSession", "RegressionVerdict",
+    "ReportError", "SpanStateError", "SplitMix64", "ThreadAffinityError", "ThreadRecorder", "Thresholds",
+    "TracingAllocator", "WORKLOADS", "WorkloadError", "WorkloadSpec", "begin_marker", "default_cost_model",
+    "diff_reports", "end_marker", "event_cost", "load_cost_model", "marker", "merge_threads", "parse_report",
+    "parse_verdict", "rank_regressions", "run_workload", "serialize_report", "serialize_verdict", "span_churn",
+    "utc_timestamp", "workload_names",
+]
+
+
+def test_public_names_are_pinned_sorted_and_importable():
+    assert churnscope.__all__ == PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    namespace = {}
+    exec("from churnscope import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == PUBLIC_NAMES

@@ -268,7 +268,7 @@ def test_seq_is_the_call_count_after_every_call(capacity):
     assert len(rec.spans()) > 20
     for span in rec.spans():
         start, end = span.start_snapshot, span.end_snapshot
-        assert span_churn(span, MODEL).overflow == (end.seq > capacity and end.seq > start.seq)
+        assert span_churn(span).overflow == (end.seq > capacity and end.seq > start.seq)
 
 
 COST_SIZES = [0, 1, 2, 3, *(2**k + d for k in range(2, 63) for d in (-1, 0, 1)), BYTES_MAX]

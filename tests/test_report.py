@@ -26,6 +26,7 @@ from churnscope import (
     serialize_report,
     serialize_verdict,
 )
+from churnscope.aggregation import merge_phases
 from churnscope.report import STATUSES, ReportTotals, format_cost
 
 from factories import Literal, canonical_json, first_difference, float_literal, report_with_units
@@ -215,8 +216,7 @@ def _set_in(*path_and_value):
 
 def _demo(cost_micro=20_000_000, malloc=1, free=1, allocated=1024, freed=1024, auto_closed=False, name="demo"):
     """The golden phase 'demo' as the reader merges it, with the given sums."""
-    calls = {AllocFnKind.MALLOC: malloc, AllocFnKind.CALLOC: 0, AllocFnKind.REALLOC: 0, AllocFnKind.FREE: free}
-    return MarkerChurn(name, cost_micro, calls, allocated, freed, False, auto_closed)
+    return MarkerChurn(name, cost_micro, malloc, 0, 0, free, allocated, freed, False, auto_closed)
 
 
 _HALF_PAST_BOUND = int(sys.float_info.max) // 2 + 1  # each part's cost in range, their sum past it
@@ -403,6 +403,17 @@ def test_parse_rejects_non_finite_literals(literal):
         parse_report(data)
 
 
+def test_a_call_count_reads_the_same_in_every_reader():
+    # A count is one int field: total_calls, the merge and the writer all read it.
+    record = MarkerChurn("p", 5_000_000, malloc_calls=3, thread_id="main", span_id="main/000000")
+    merged = merge_phases([record])["p"]
+    assert record.total_calls == merged.total_calls == 3 and merged.calls[AllocFnKind.MALLOC] == 3
+    data = serialize_report(golden_report()._replace(per_thread=[record]))
+    assert b'"malloc": 3,' in data
+    parsed = parse_report(data)
+    assert parsed.per_thread == [record] and parsed.merged == {"p": merged}
+
+
 def test_parse_revalidates_many_parts_merge():
     report = report_with_units({"p": 2})
     # split the phase across extra synthetic spans on other threads
@@ -410,8 +421,7 @@ def test_parse_revalidates_many_parts_merge():
         MarkerChurn(
             name="p",
             cost_micro=7_250_000,
-            calls={AllocFnKind.MALLOC: 1, AllocFnKind.CALLOC: 0,
-                   AllocFnKind.REALLOC: 0, AllocFnKind.FREE: 0},
+            malloc_calls=1,
             bytes_allocated=152,
             bytes_freed=0,
             thread_id=f"w{i}",
@@ -427,7 +437,10 @@ def test_parse_revalidates_many_parts_merge():
     assert parsed.merged["p"] == MarkerChurn(
         name="p",
         cost_micro=merged.cost_micro + 3 * 7_250_000,
-        calls={k: merged.calls[k] + (3 if k is AllocFnKind.MALLOC else 0) for k in AllocFnKind},
+        malloc_calls=merged.malloc_calls + 3,
+        calloc_calls=merged.calloc_calls,
+        realloc_calls=merged.realloc_calls,
+        free_calls=merged.free_calls,
         bytes_allocated=merged.bytes_allocated + 3 * 152,
         bytes_freed=merged.bytes_freed,
     )
@@ -610,7 +623,12 @@ def _record_doc(record):
     doc = {
         "name": record.name,
         "cost": _cost_literal(record.cost_micro),
-        "calls": {kind.value: record.calls.get(kind, 0) for kind in AllocFnKind},  # a missing kind writes 0
+        "calls": {
+            "malloc": record.malloc_calls,
+            "calloc": record.calloc_calls,
+            "realloc": record.realloc_calls,
+            "free": record.free_calls,
+        },
         "bytes_allocated": record.bytes_allocated,
         "bytes_freed": record.bytes_freed,
         "overflow": record.overflow,
@@ -661,7 +679,7 @@ def reference_verdict_bytes(verdict):
 def _writer_strategies():
     """Hypothesis strategies for whole reports and verdicts: names with quotes,
     backslashes, control and non-BMP characters, counts past 2**64, negative
-    costs, calls dicts that omit kinds, non-integer weights and thresholds."""
+    costs, non-integer weights and thresholds."""
     from hypothesis import strategies as st
 
     text = st.text(
@@ -675,7 +693,10 @@ def _writer_strategies():
             MarkerChurn,
             name=text,
             cost_micro=st.integers(-(2**40), 2**40) | st.integers(-(10**40), 10**40),
-            calls=st.fixed_dictionaries({}, optional={kind: count for kind in AllocFnKind}),
+            malloc_calls=count,
+            calloc_calls=count,
+            realloc_calls=count,
+            free_calls=count,
             bytes_allocated=count,
             bytes_freed=count,
             overflow=st.booleans(),
@@ -690,7 +711,7 @@ def _writer_strategies():
         ChurnReport,
         build_id=text,
         created_at=text,
-        model=st.builds(CostModel, weights, text),
+        model=st.builds(CostModel, weights, text.filter(bool)),  # a model's version is never empty
         merged=st.just({}),  # not written
         per_thread=st.lists(records(st.none() | text), max_size=4),
         totals=st.builds(ReportTotals, *[count] * len(ReportTotals._fields)),
@@ -723,7 +744,7 @@ def test_report_writer_matches_json_dumps():
     @example(golden._replace(per_thread=[]))
     @example(golden._replace(per_thread=[part]))
     @example(golden._replace(model=golden.model.scaled(0.37)))
-    @example(golden._replace(per_thread=[part._replace(calls={AllocFnKind.FREE: 3})]))
+    @example(golden._replace(per_thread=[part._replace(malloc_calls=0, free_calls=3)]))
     @example(golden._replace(per_thread=[part._replace(cost_micro=-1_000_001)]))
     def check(report):
         assert serialize_report(report) == reference_report_bytes(report)
@@ -736,7 +757,7 @@ def test_verdict_writer_matches_json_dumps():
     from hypothesis import example, given, settings
 
     _, verdicts = _writer_strategies()
-    record = MarkerChurn('a "b" \\c\n é☃', 10**25 + 1, dict.fromkeys(AllocFnKind, 10**30), 2**64, 0, True, False)
+    record = MarkerChurn('a "b" \\c\n é☃', 10**25 + 1, 10**30, 10**30, 10**30, 10**30, 2**64, 0, True, False)
     row = ChurnDelta(record.name, "regression", record, record)
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
@@ -749,7 +770,8 @@ def test_verdict_writer_matches_json_dumps():
         row._replace(status="neutral"),
     ]))
     @example(RegressionVerdict(Thresholds(rel=-0.0, abs_floor=-0.0), [row]))
-    @example(RegressionVerdict(Thresholds(), [row._replace(baseline=record._replace(calls={AllocFnKind.MALLOC: 1}))]))
+    @example(RegressionVerdict(Thresholds(), [row._replace(baseline=record._replace(
+        malloc_calls=1, calloc_calls=0, realloc_calls=0, free_calls=0))]))
     @example(RegressionVerdict(Thresholds(), [row._replace(candidate=record._replace(cost_micro=-999_999))]))
     def check(verdict):
         assert serialize_verdict(verdict) == reference_verdict_bytes(verdict)
@@ -765,8 +787,10 @@ def _unchecked_thresholds(value):
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_writers_reject_non_finite_numbers(value):
     report = golden_report()
+    # A weight built past the checks of CostModel.
+    model = tuple.__new__(CostModel, ({**report.model.weights, AllocFnKind.MALLOC: value}, "v"))
     with pytest.raises(ValueError, match="non-finite"):
-        serialize_report(report._replace(model=report.model._replace(weights={AllocFnKind.MALLOC: value})))
+        serialize_report(report._replace(model=model))
     with pytest.raises(ValueError, match="non-finite"):
         serialize_verdict(_unchecked_thresholds(value))
 

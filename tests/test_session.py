@@ -8,6 +8,7 @@ import pytest
 
 import churnscope.aggregation as aggregation
 from churnscope import (
+    AllocFnKind,
     MarkerChurn,
     RecordingSession,
     TracingAllocator,
@@ -19,7 +20,7 @@ from churnscope import (
 )
 from churnscope.report import ChurnReport
 
-from factories import snapshot_calls
+from factories import calls_fields, snapshot_calls
 
 
 def _drive_thread(session, label, seed, names, n_ops):
@@ -87,7 +88,7 @@ def rescan_oracle(session):
                 MarkerChurn(
                     name=span.name,
                     cost_micro=(end.cost_nano - start.cost_nano + 500) // 1000,
-                    calls={kind: n - start_calls[kind] for kind, n in snapshot_calls(end).items()},
+                    **calls_fields({kind: n - start_calls[kind] for kind, n in snapshot_calls(end).items()}),
                     bytes_allocated=end.bytes_allocated - start.bytes_allocated,
                     bytes_freed=end.bytes_freed - start.bytes_freed,
                     overflow=end.overflow_count > start.overflow_count,
@@ -157,13 +158,13 @@ def _summed_by_hand(parts):
     for name in sorted({p.name for p in parts}):
         group = [p for p in parts if p.name == name]
         merged[name] = MarkerChurn(
-            name,
-            sum(p.cost_micro for p in group),
-            {kind: sum(p.calls[kind] for p in group) for kind in group[0].calls},
-            sum(p.bytes_allocated for p in group),
-            sum(p.bytes_freed for p in group),
-            any(p.overflow for p in group),
-            any(p.auto_closed for p in group),
+            name=name,
+            cost_micro=sum(p.cost_micro for p in group),
+            **calls_fields({kind: sum(p.calls[kind] for p in group) for kind in AllocFnKind}),
+            bytes_allocated=sum(p.bytes_allocated for p in group),
+            bytes_freed=sum(p.bytes_freed for p in group),
+            overflow=any(p.overflow for p in group),
+            auto_closed=any(p.auto_closed for p in group),
         )
     return merged
 
