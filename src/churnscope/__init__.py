@@ -6,12 +6,11 @@ weighted log2 byte rule, and writes canonical per-build reports that a CI
 job can diff to detect and rank performance regressions.
 """
 
-from .aggregation import MarkerChurn, merge_threads, span_churn
+from .aggregation import MarkerChurn, merge_phases, span_churn
 from .cost_model import (
     AllocFnKind,
     CostModel,
     DEFAULT_WEIGHTS,
-    default_cost_model,
     event_cost,
     load_cost_model,
 )
@@ -48,7 +47,7 @@ from .report import (
     serialize_verdict,
 )
 from .session import RecordingSession, utc_timestamp
-from .workloads import SplitMix64, WORKLOADS, WorkloadSpec, run_workload, workload_names
+from .workloads import WORKLOADS, WorkloadSpec, run_workload, workload_names
 
 __version__ = "0.1.0"
 
@@ -73,7 +72,6 @@ __all__ = [
     "RegressionVerdict",
     "ReportError",
     "SpanStateError",
-    "SplitMix64",
     "ThreadAffinityError",
     "ThreadRecorder",
     "Thresholds",
@@ -82,13 +80,12 @@ __all__ = [
     "WorkloadError",
     "WorkloadSpec",
     "begin_marker",
-    "default_cost_model",
     "diff_reports",
     "end_marker",
     "event_cost",
     "load_cost_model",
     "marker",
-    "merge_threads",
+    "merge_phases",
     "parse_report",
     "parse_verdict",
     "rank_regressions",

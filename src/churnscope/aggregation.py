@@ -2,30 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .cost_model import MICRO, AllocFnKind
 from .errors import SpanStateError
 from .markers import MarkerSpan
 
 
-class MarkerChurn(NamedTuple):
-    """Aggregated churn for one span, or for one phase merged across spans.
-
-    ``cost_micro`` is the cost in whole micro-units; ``cost`` reads it in cost
-    units. The four call counts are int fields in ``CounterSnapshot`` order,
-    each 0 unless given; ``calls`` reads them as a dict keyed by call kind,
-    and ``total_calls`` is their sum. Per-thread records carry ``thread_id``
-    and ``span_id``; merged records carry neither. ``overflow`` means the
-    event ring evicted entries during the interval (counters stay exact
-    regardless); ``auto_closed`` means the span was still open when its
-    recorder sealed. A record is an immutable, hashable named tuple: derive
-    an edited copy with ``_replace``. A report writes each per-thread record
-    as the document of its fields, and a verdict writes merged records that
-    way; a report's merged records are computed from its parts, never
-    written.
-    """
-
+class _ChurnFields(NamedTuple):
     name: str
     cost_micro: int
     malloc_calls: int = 0
@@ -38,6 +22,47 @@ class MarkerChurn(NamedTuple):
     auto_closed: bool = False
     thread_id: str | None = None
     span_id: str | None = None
+
+
+# The exact types each field takes, in field order: a bool is not an int here.
+_ID_TYPES = (str, type(None))
+_FIELD_TYPES = ((str,), *((int,),) * 7, (bool,), (bool,), _ID_TYPES, _ID_TYPES)
+
+
+class MarkerChurn(_ChurnFields):
+    """Aggregated churn for one span, or for one phase merged across spans.
+
+    ``cost_micro`` is the cost in whole micro-units; ``cost`` reads it in cost
+    units. The four call counts are int fields in ``CounterSnapshot`` order,
+    each 0 unless given; ``calls`` reads them as a dict keyed by call kind,
+    and ``total_calls`` is their sum. Per-thread records carry ``thread_id``
+    and ``span_id``; merged records carry neither. ``overflow`` means the
+    event ring evicted entries during the interval (counters stay exact
+    regardless); ``auto_closed`` means the span was still open when its
+    recorder sealed. A record is an immutable, hashable named tuple: derive
+    an edited copy with ``_replace``. Every way of building one, ``_replace``
+    and ``_make`` included, checks each field's exact type: ``name`` a str,
+    the cost, counts and byte totals ints, the two flags bools and each id a
+    str or None, else ``ValueError`` names the field; so the writers can
+    trust the types. Signs, and a cost with no calls, are left to
+    ``parse_report``. A report writes each per-thread record as the document
+    of its fields, and a verdict writes merged records that way; a report's
+    merged records are computed from its parts, never written.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args: Any, **kwargs: Any) -> MarkerChurn:
+        record = super().__new__(cls, *args, **kwargs)
+        for field, value, types in zip(cls._fields, record, _FIELD_TYPES):
+            if type(value) not in types:
+                expected = " or ".join("None" if t is type(None) else t.__name__ for t in types)
+                raise ValueError(f"MarkerChurn {field} must be {expected}, got {value!r}")
+        return record
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> MarkerChurn:
+        return cls(*super()._make(iterable))
 
     @property
     def cost(self) -> float:
@@ -80,31 +105,19 @@ def span_churn(span: MarkerSpan) -> MarkerChurn:
     ))
 
 
-def merge_threads(parts: list[MarkerChurn]) -> MarkerChurn:
-    """Merge same-named churn records into one phase total.
-
-    Parts may come from different threads or from repeated spans on one
-    thread; they are summed, not averaged, and since costs are integers the
-    sum is exact in any order. Flags are OR'd; the merged record carries no
-    thread attribution. The sum is ``merge_phases``'s one pass.
-    """
-    if not parts:
-        raise ValueError("cannot merge an empty list of churn records")
-    name = parts[0].name
-    for part in parts:
-        if part.name != name:
-            raise ValueError(f"cannot merge {part.name!r} into {name!r}")
-    return merge_phases(parts)[name]
-
-
 def merge_phases(parts: Iterable[MarkerChurn]) -> dict[str, MarkerChurn]:
-    """Sum per-span records into one merged record per name, in one pass.
+    """Sum churn records into one merged record per name, in one pass.
 
+    Parts may come from different threads, from repeated spans on one
+    thread, or be merged records themselves; they are summed, not averaged.
     Each part is added field by field into its name's integer accumulators
     (cost, the four call counts, the two byte totals) and OR'd into its
-    flags; no per-name lists are kept. The result is keyed in name order. It
-    is a report's ``merged``: ``build_report`` computes it on the run path
-    and ``parse_report`` when a report is read.
+    flags; no per-name lists are kept. Integer sums are exact, so the result
+    is the same in any order and however the parts are grouped. A merged
+    record carries no ``thread_id`` or ``span_id``. The result is keyed in
+    name order, and empty for no parts. It is a report's ``merged``:
+    ``build_report`` computes it on the run path and ``parse_report`` when a
+    report is read.
     """
     sums: dict[str, list] = {}
     for name, cost, malloc, calloc, realloc, free, allocated, freed, overflow, auto_closed, _, _ in parts:

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
-from .cost_model import default_cost_model, load_cost_model
+from .cost_model import CostModel, load_cost_model
 from .errors import ChurnscopeError
 from .report import (
     DEFAULT_ABS_FLOOR,
@@ -51,20 +51,6 @@ _STATUS_COLORS = {
 }
 
 
-def _u64(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
-    return value
-
-
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="churnscope",
@@ -74,8 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a synthetic workload and write a report")
     p_run.add_argument("--workload", required=True, choices=workload_names())
-    p_run.add_argument("--seed", type=_u64, default=1)
-    p_run.add_argument("--scale", type=_positive, default=1)
+    p_run.add_argument("--seed", type=int, default=1)
+    p_run.add_argument("--scale", type=int, default=1)
     p_run.add_argument("--variant", choices=list(VARIANTS), default="baseline")
     p_run.add_argument("--cost-model", type=Path, default=None,
                        help="weight override file (default: built-in weights)")
@@ -158,7 +144,7 @@ def _write_atomically(path: Path, data: bytes) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    model = load_cost_model(args.cost_model) if args.cost_model else default_cost_model()
+    model = load_cost_model(args.cost_model) if args.cost_model else CostModel()
     created_at = utc_timestamp(args.epoch) if args.epoch is not None else None
     session = RecordingSession(model, build_id=args.build_id, created_at=created_at)
     spec = WorkloadSpec(args.workload, seed=args.seed, scale=args.scale, variant=args.variant)

@@ -96,16 +96,6 @@ class CostModel(_CostModelFields):
     def _make(cls, iterable: Iterable[Any]) -> CostModel:
         return cls(*super()._make(iterable))
 
-    def scaled(self, factor: float, model_version: str | None = None) -> "CostModel":
-        """Return a copy with every weight multiplied by ``factor``."""
-        version = model_version or f"{self.model_version}-x{factor:g}"
-        return CostModel({k: w * factor for k, w in self.weights.items()}, version)
-
-
-def default_cost_model() -> CostModel:
-    """The shipped default: calloc 2, free 1, malloc 1, realloc 3."""
-    return CostModel()
-
 
 def event_cost(model: CostModel, kind: AllocFnKind, nbytes: int) -> float:
     """Cost of one allocator call: ``weight(kind) * log2(max(nbytes, 1))``."""

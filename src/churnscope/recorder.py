@@ -263,9 +263,6 @@ class ThreadRecorder:
         """Copy of the outstanding-block table (token to byte size)."""
         return dict(self._live)
 
-    def live_bytes(self) -> int:
-        return sum(self._live.values())
-
     # -- span bookkeeping (managed by the markers module) --------------------
 
     def _push_span(self, span: MarkerSpan) -> None:

@@ -201,7 +201,7 @@ def _churn_text(r: MarkerChurn, layout: tuple[str, str]) -> str:
     ensure_ascii=False)`` gives for the document of the record's fields, with
     the cost as a six-decimal literal; the document holds ``thread_id`` and
     ``span_id`` unless both are None (a merged record). Field types are
-    trusted, not checked.
+    trusted here: ``MarkerChurn`` checks them when it is built.
     """
     name, micro, malloc, calloc, realloc, free, allocated, freed, overflow, auto_closed, thread_id, span_id = r
     fields = (

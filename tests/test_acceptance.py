@@ -12,17 +12,17 @@ import pytest
 
 from churnscope import (
     AllocFnKind,
+    CostModel,
     MarkerChurn,
     RecordingSession,
     ThreadRecorder,
     TracingAllocator,
     WorkloadSpec,
     begin_marker,
-    default_cost_model,
     diff_reports,
     end_marker,
     event_cost,
-    merge_threads,
+    merge_phases,
     run_workload,
     serialize_report,
     span_churn,
@@ -35,7 +35,7 @@ from eventgen import drive_with_spans
 from factories import calls_fields
 from replay_oracle import replay
 
-MODEL = default_cost_model()
+MODEL = CostModel()
 
 
 def note(criterion: int, message: str) -> None:
@@ -168,14 +168,14 @@ def test_criterion_05_additivity_and_merge_properties():
 
     for _ in range(500):
         a, b, c = (rand_part(f"t{i}", 0) for i in range(3))
-        merged = merge_threads([a, b, c])
+        merged = merge_phases([a, b, c])
         shuffled = [a, b, c]
         rng.shuffle(shuffled)
-        commuted = merge_threads(shuffled)
+        commuted = merge_phases(shuffled)
         if commuted != merged:
             violations += 1
-        nested = merge_threads([merge_threads([a, b]), c])
-        if nested != merged or merge_threads([a, merge_threads([b, c])]) != merged:
+        nested = merge_phases([*merge_phases([a, b]).values(), c])
+        if nested != merged or merge_phases([a, *merge_phases([b, c]).values()]) != merged:
             violations += 1
 
     # (c) parent containment dominance, 500 cases
@@ -305,10 +305,10 @@ def test_criterion_11_ranking_invariant_under_weight_scaling():
         verdict = diff_reports(base, cand)
         return [(d.phase, d.status) for d in verdict.deltas]
 
-    reference = verdict_shape(default_cost_model())
+    reference = verdict_shape(MODEL)
     assert ("format", STATUS_REGRESSION) in reference
     assert ("build", STATUS_NEUTRAL) in reference
     for factor in (0.5, 2.0, 10.0):
-        scaled = default_cost_model().scaled(factor, f"scaled-{factor:g}")
+        scaled = CostModel({k: w * factor for k, w in MODEL.weights.items()}, f"scaled-{factor:g}")
         assert verdict_shape(scaled) == reference, f"ranking drifted at factor {factor}"
     note(11, "PASS statuses and ranking unchanged under weight scaling 0.5x/2x/10x")

@@ -5,24 +5,23 @@ import pytest
 
 from churnscope import (
     AllocFnKind,
+    CostModel,
     CounterSnapshot,
     MarkerChurn,
     SpanStateError,
     ThreadRecorder,
     TracingAllocator,
     begin_marker,
-    default_cost_model,
     end_marker,
-    merge_threads,
+    merge_phases,
     span_churn,
 )
-from churnscope.aggregation import merge_phases
 
 from eventgen import drive_with_spans
 from factories import calls_fields
 from replay_oracle import replay
 
-MODEL = default_cost_model()
+MODEL = CostModel()
 
 
 def make_recorder(label="t0"):
@@ -102,7 +101,9 @@ def _random_churn(rng, name="phase", thread="t0", span=0):
 def test_merge_single_part_is_identity_minus_thread():
     rng = random.Random(4001)
     part = _random_churn(rng)
-    merged = merge_threads([part])
+    merged = merge_phases([part])
+    assert list(merged) == ["phase"]
+    merged = merged["phase"]
     assert merged.thread_id is None
     assert merged.span_id is None
     assert merged.cost_micro == part.cost_micro
@@ -113,19 +114,7 @@ def test_merge_single_part_is_identity_minus_thread():
 def test_merge_adds_costs():
     a = MarkerChurn(name="p", cost_micro=10_000_000)
     b = MarkerChurn(name="p", cost_micro=5_500_001)
-    assert merge_threads([a, b]).cost_micro == 15_500_001
-
-
-def test_merge_rejects_name_mismatch():
-    a = MarkerChurn(name="p", cost_micro=1)
-    b = MarkerChurn(name="q", cost_micro=1)
-    with pytest.raises(ValueError):
-        merge_threads([a, b])
-
-
-def test_merge_rejects_empty():
-    with pytest.raises(ValueError):
-        merge_threads([])
+    assert merge_phases([a, b])["p"].cost_micro == 15_500_001
 
 
 def test_merge_is_permutation_invariant():
@@ -134,9 +123,9 @@ def test_merge_is_permutation_invariant():
         parts = [
             _random_churn(rng, thread=f"t{rng.randrange(4)}", span=i) for i in range(5)
         ]
-        baseline = merge_threads(parts)
+        baseline = merge_phases(parts)
         for perm in itertools.islice(itertools.permutations(parts), 12):
-            merged = merge_threads(list(perm))
+            merged = merge_phases(list(perm))
             assert merged == baseline  # integer sums are exact in any order
 
 
@@ -146,16 +135,16 @@ def test_merge_commutative_and_associative():
         a = _random_churn(rng, thread="t0", span=0)
         b = _random_churn(rng, thread="t1", span=0)
         c = _random_churn(rng, thread="t2", span=0)
-        ab_c = merge_threads([merge_threads([a, b]), c])
-        a_bc = merge_threads([a, merge_threads([b, c])])
-        abc = merge_threads([a, b, c])
+        ab_c = merge_phases([*merge_phases([a, b]).values(), c])
+        a_bc = merge_phases([a, *merge_phases([b, c]).values()])
+        abc = merge_phases([a, b, c])
         assert ab_c == a_bc == abc
 
 
 def test_merge_ors_flags():
     a = MarkerChurn(name="p", cost_micro=0, overflow=True, auto_closed=False)
     b = MarkerChurn(name="p", cost_micro=0, overflow=False, auto_closed=True)
-    merged = merge_threads([a, b])
+    merged = merge_phases([a, b])["p"]
     assert merged.overflow and merged.auto_closed
 
 

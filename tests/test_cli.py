@@ -470,6 +470,19 @@ def test_run_epoch_out_of_range_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed must be a 64-bit unsigned integer, got -1"),
+    ("--seed", "18446744073709551616", "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+    ("--scale", "0", "scale must be a positive integer, got 0"),
+], ids=["seed-negative", "seed-2**64", "scale-0"])
+def test_run_rejects_a_seed_or_scale_out_of_range_before_writing(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "x.churn.json"
+    code = main(["run", "--workload", "strings", "--out", str(out), flag, value])
+    assert code == 2
+    assert capsys.readouterr().err == f"churnscope run: error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_ring_capacity_past_maxsize_exits_2(tmp_path, capsys):
     # ``run`` has no ring option: CLI reports always use the default ring.
     out = tmp_path / "x.churn.json"

@@ -12,7 +12,6 @@ from churnscope import (
     ReportError,
     ThreadRecorder,
     TracingAllocator,
-    default_cost_model,
     event_cost,
     load_cost_model,
     marker,
@@ -22,7 +21,7 @@ from churnscope import (
 
 from factories import report_with_units
 
-MODEL = default_cost_model()
+MODEL = CostModel()
 
 
 def test_default_weights():
@@ -102,11 +101,11 @@ def test_uniform_weight_scaling_scales_cost():
     rng = random.Random(1002)
     cases = [(rng.choice(list(AllocFnKind)), rng.randrange(0, 1 << 24)) for _ in range(300)]
     for factor in (0.5, 2.0, 4.0):
-        scaled = MODEL.scaled(factor)
+        scaled = CostModel({k: w * factor for k, w in MODEL.weights.items()}, "scaled")
         for kind, nbytes in cases:
             # power-of-two factors commute with the multiply exactly
             assert event_cost(scaled, kind, nbytes) == factor * event_cost(MODEL, kind, nbytes)
-    scaled = MODEL.scaled(3.0)
+    scaled = CostModel({k: w * 3.0 for k, w in MODEL.weights.items()}, "scaled")
     for kind, nbytes in cases:
         assert event_cost(scaled, kind, nbytes) == pytest.approx(
             3.0 * event_cost(MODEL, kind, nbytes), rel=1e-12
@@ -121,7 +120,7 @@ def test_uniform_weight_scaling_preserves_cost_ordering():
         key=lambda i: (-event_cost(MODEL, *events[i]), i),
     )
     for factor in (0.5, 2.0, 10.0):
-        scaled = MODEL.scaled(factor)
+        scaled = CostModel({k: w * factor for k, w in MODEL.weights.items()}, "scaled")
         order = sorted(
             range(len(events)),
             key=lambda i: (-event_cost(scaled, *events[i]), i),

@@ -8,10 +8,10 @@ import pytest
 
 from churnscope import (
     AllocFnKind,
+    CostModel,
     ModelMismatchError,
     ReportError,
     Thresholds,
-    default_cost_model,
     diff_reports,
     parse_report,
     parse_verdict,
@@ -145,7 +145,8 @@ def test_zero_baseline_regresses_only_above_floor():
 
 def test_model_mismatch_rejected():
     baseline = report_with_units({"a": 1})
-    scaled = report_with_units({"a": 1}, model=default_cost_model().scaled(2.0))
+    doubled = CostModel({k: w * 2.0 for k, w in CostModel().weights.items()}, "doubled")
+    scaled = report_with_units({"a": 1}, model=doubled)
     with pytest.raises(ModelMismatchError):
         diff_reports(baseline, scaled)
 
@@ -376,7 +377,7 @@ def test_rank_alternate_flags():
 
 def test_uniform_weight_scaling_leaves_verdict_unchanged():
     for factor in (0.5, 2.0, 10.0):
-        model = default_cost_model().scaled(factor, "scaled")
+        model = CostModel({k: w * factor for k, w in CostModel().weights.items()}, "scaled")
         base = report_with_units({"a": 10, "b": 3, "c": 7})
         cand = report_with_units({"a": 11, "b": 3, "c": 9})
         base_s = report_with_units({"a": 10, "b": 3, "c": 7}, model=model)

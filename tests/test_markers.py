@@ -5,13 +5,13 @@ import pytest
 
 from churnscope import (
     AllocFnKind,
+    CostModel,
     RecorderSealedError,
     SpanStateError,
     ThreadAffinityError,
     ThreadRecorder,
     TracingAllocator,
     begin_marker,
-    default_cost_model,
     end_marker,
     marker,
 )
@@ -19,7 +19,7 @@ from churnscope import (
 from factories import snapshot_calls
 from replay_oracle import replay
 
-MODEL = default_cost_model()
+MODEL = CostModel()
 
 
 def make_recorder():

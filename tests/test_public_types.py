@@ -15,8 +15,8 @@ from churnscope import (
     RegressionVerdict,
     Thresholds,
     WorkloadSpec,
-    default_cost_model,
     diff_reports,
+    merge_phases,
     parse_report,
     parse_verdict,
     run_workload,
@@ -24,7 +24,6 @@ from churnscope import (
     serialize_verdict,
     span_churn,
 )
-from churnscope.aggregation import merge_phases
 from churnscope.report import STATUSES, ReportTotals
 from churnscope.workloads import WORKLOADS, Workload
 
@@ -37,7 +36,7 @@ SHAPES = [
     (ReportTotals, ("bytes_allocated", "bytes_freed", "live_blocks", "live_bytes", "anomaly_count",
                     "overflow_count"), (1, 2, 3, 4, 5, 6)),
     (ChurnReport, ("build_id", "created_at", "model", "merged", "per_thread", "totals"),
-     ("b", "1970-01-01T00:00:00Z", default_cost_model(), {}, [], ReportTotals())),
+     ("b", "1970-01-01T00:00:00Z", CostModel(), {}, [], ReportTotals())),
     (WorkloadSpec, ("name", "seed", "scale", "variant"), ("table", 7, 3, "regressed")),
     (Workload, ("phases", "run", "regressed_phase"),
      (("fill",), WORKLOADS["table"].run, "fill")),
@@ -63,9 +62,28 @@ def test_named_tuple_defaults():
     assert Thresholds() == (0.01, 1.0, None)
     assert ReportTotals() == (0, 0, 0, 0, 0, 0)
     assert WorkloadSpec("strings") == ("strings", 1, 1, "baseline")
-    assert CostModel() == default_cost_model() == (DEFAULT_WEIGHTS, "paper-v1")
+    assert CostModel() == (DEFAULT_WEIGHTS, "paper-v1")
     assert CostModel().weights is not CostModel().weights
     assert MarkerChurn("p", 0) == ("p", 0, 0, 0, 0, 0, 0, 0, False, False, None, None)
+
+
+PART = MarkerChurn("p", 5_000_000, 3, thread_id="main", span_id="main/000000")
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: MarkerChurn("p", 5_000_000, {"malloc": 3}, thread_id="main", span_id="main/000000"), "malloc_calls"),
+    (lambda: MarkerChurn("p", 5_000_000, malloc_calls=3.0), "malloc_calls"),
+    (lambda: PART._replace(malloc_calls=1.5), "malloc_calls"),
+    (lambda: MarkerChurn._make(["p", 5.0, *PART[2:]]), "cost_micro"),
+    (lambda: PART._replace(cost_micro=True), "cost_micro"),
+    (lambda: PART._replace(bytes_freed=None), "bytes_freed"),
+    (lambda: PART._replace(overflow=1), "overflow"),
+    (lambda: PART._replace(name=b"p"), "name"),
+    (lambda: PART._replace(thread_id=7), "thread_id"),
+], ids=["calls-dict", "float-count", "replace", "make", "bool-cost", "none-bytes", "int-flag", "bytes-name", "int-id"])
+def test_marker_churn_refuses_a_field_of_the_wrong_type(build, field):
+    with pytest.raises(ValueError, match=f"^MarkerChurn {field} must be (int|bool|str|str or None), got "):
+        build()
 
 
 def test_regression_verdict_is_a_named_tuple():
@@ -136,11 +154,10 @@ PUBLIC_NAMES = [
     "AllocEvent", "AllocFnKind", "BumpAllocator", "ChurnDelta", "ChurnReport", "ChurnscopeError", "CostModel",
     "CostModelError", "CounterSnapshot", "DEFAULT_RING_CAPACITY", "DEFAULT_WEIGHTS", "MarkerChurn", "MarkerSpan",
     "ModelMismatchError", "RecorderSealedError", "RecorderStateError", "RecordingSession", "RegressionVerdict",
-    "ReportError", "SpanStateError", "SplitMix64", "ThreadAffinityError", "ThreadRecorder", "Thresholds",
-    "TracingAllocator", "WORKLOADS", "WorkloadError", "WorkloadSpec", "begin_marker", "default_cost_model",
-    "diff_reports", "end_marker", "event_cost", "load_cost_model", "marker", "merge_threads", "parse_report",
-    "parse_verdict", "rank_regressions", "run_workload", "serialize_report", "serialize_verdict", "span_churn",
-    "utc_timestamp", "workload_names",
+    "ReportError", "SpanStateError", "ThreadAffinityError", "ThreadRecorder", "Thresholds", "TracingAllocator",
+    "WORKLOADS", "WorkloadError", "WorkloadSpec", "begin_marker", "diff_reports", "end_marker", "event_cost",
+    "load_cost_model", "marker", "merge_phases", "parse_report", "parse_verdict", "rank_regressions", "run_workload",
+    "serialize_report", "serialize_verdict", "span_churn", "utc_timestamp", "workload_names",
 ]
 
 

@@ -8,6 +8,7 @@ import pytest
 from churnscope import (
     AllocFnKind,
     BumpAllocator,
+    CostModel,
     CounterSnapshot,
     RecorderSealedError,
     RecordingSession,
@@ -16,7 +17,6 @@ from churnscope import (
     TracingAllocator,
     WorkloadSpec,
     begin_marker,
-    default_cost_model,
     end_marker,
     event_cost,
     marker,
@@ -33,7 +33,7 @@ from eventgen import drive_random_ops, drive_with_spans
 from factories import snapshot_calls
 from replay_oracle import replay
 
-MODEL = default_cost_model()
+MODEL = CostModel()
 
 
 def make_recorder(capacity=1 << 16):
@@ -272,9 +272,10 @@ def test_seq_is_the_call_count_after_every_call(capacity):
 
 
 COST_SIZES = [0, 1, 2, 3, *(2**k + d for k in range(2, 63) for d in (-1, 0, 1)), BYTES_MAX]
+SCALED = CostModel({k: w * 0.37 for k, w in MODEL.weights.items()}, "scaled-0.37")
 
 
-@pytest.mark.parametrize("model", [MODEL, MODEL.scaled(0.37)], ids=["default", "scaled-0.37"])
+@pytest.mark.parametrize("model", [MODEL, SCALED], ids=["default", "scaled-0.37"])
 def test_each_call_is_charged_the_one_cost_rule(model):
     rec = ThreadRecorder("t0", model, ring_capacity=4)
     calls = {
@@ -374,7 +375,7 @@ def test_conservation_at_quiescent_points():
         drive_random_ops(heap, rng, rng.randrange(1, 300), allow_anomalies=False)
         snap = rec.snapshot()
         assert snap.anomaly_count == 0
-        assert snap.bytes_allocated - snap.bytes_freed == rec.live_bytes()
+        assert snap.bytes_allocated - snap.bytes_freed == sum(rec.live_table().values())
 
 
 def test_counters_monotone_over_time():

@@ -20,13 +20,13 @@ from churnscope import (
     WorkloadSpec,
     diff_reports,
     marker,
+    merge_phases,
     parse_report,
     parse_verdict,
     run_workload,
     serialize_report,
     serialize_verdict,
 )
-from churnscope.aggregation import merge_phases
 from churnscope.report import STATUSES, ReportTotals, format_cost
 
 from factories import Literal, canonical_json, first_difference, float_literal, report_with_units
@@ -743,7 +743,7 @@ def test_report_writer_matches_json_dumps():
     @example(golden)
     @example(golden._replace(per_thread=[]))
     @example(golden._replace(per_thread=[part]))
-    @example(golden._replace(model=golden.model.scaled(0.37)))
+    @example(golden._replace(model=CostModel({k: w * 0.37 for k, w in golden.model.weights.items()}, "scaled")))
     @example(golden._replace(per_thread=[part._replace(malloc_calls=0, free_calls=3)]))
     @example(golden._replace(per_thread=[part._replace(cost_micro=-1_000_001)]))
     def check(report):
@@ -797,10 +797,13 @@ def test_writers_reject_non_finite_numbers(value):
 
 @pytest.mark.parametrize("cost", [1.5, 2e6, -1.5])
 def test_writers_refuse_a_float_cost_instead_of_truncating_it(cost):
-    record = golden_report().per_thread[0]._replace(cost_micro=cost)
+    # Records built past the checks of MarkerChurn, so the writers' own guard is what is tested.
+    part = golden_report().per_thread[0]
+    record = tuple.__new__(MarkerChurn, (part.name, cost, *part[2:]))
     with pytest.raises(ValueError, match="Unknown format code 'd' for object of type 'float'"):
         serialize_report(golden_report()._replace(per_thread=[record]))
-    row = ChurnDelta(record.name, "neutral", record._replace(thread_id=None, span_id=None), None)
+    merged = tuple.__new__(MarkerChurn, (part.name, cost, *part[2:10], None, None))
+    row = ChurnDelta(record.name, "neutral", merged, None)
     with pytest.raises(ValueError, match="Unknown format code 'd' for object of type 'float'"):
         serialize_verdict(RegressionVerdict(Thresholds(), [row]))
 

@@ -6,7 +6,6 @@ import threading
 
 import pytest
 
-import churnscope.aggregation as aggregation
 from churnscope import (
     AllocFnKind,
     MarkerChurn,
@@ -14,7 +13,7 @@ from churnscope import (
     TracingAllocator,
     begin_marker,
     end_marker,
-    merge_threads,
+    merge_phases,
     parse_report,
     serialize_report,
 )
@@ -100,7 +99,7 @@ def rescan_oracle(session):
     parts.sort(key=lambda p: (p.thread_id or "", p.span_id or ""))
     merged = {}
     for name in sorted({p.name for p in parts}):
-        merged[name] = merge_threads([p for p in parts if p.name == name])
+        merged[name] = merge_phases([p for p in parts if p.name == name])[name]
     return merged, parts
 
 
@@ -153,7 +152,7 @@ class CountingParts:
 
 
 def _summed_by_hand(parts):
-    """Each name's parts added field by field, without merge_threads or merge_phases."""
+    """Each name's parts added field by field, without merge_phases."""
     merged = {}
     for name in sorted({p.name for p in parts}):
         group = [p for p in parts if p.name == name]
@@ -179,7 +178,7 @@ def test_build_report_merges_each_name_once_with_only_its_parts():
         assert got.per_thread == parts
         assert list(got.merged.items()) == list(merged.items())
         counted = CountingParts(got.per_thread)
-        assert list(aggregation.merge_phases(counted).items()) == list(merged.items())
+        assert list(merge_phases(counted).items()) == list(merged.items())
         assert (counted.passes, counted.read) == (1, len(parts))
 
 

@@ -3,7 +3,6 @@ import pytest
 from churnscope import (
     AllocFnKind,
     RecordingSession,
-    SplitMix64,
     WORKLOADS,
     WorkloadError,
     WorkloadSpec,
@@ -13,6 +12,7 @@ from churnscope import (
     workload_names,
 )
 from churnscope.report import STATUS_NEUTRAL, STATUS_REGRESSION
+from churnscope.workloads import SplitMix64
 
 from replay_oracle import replay
 
