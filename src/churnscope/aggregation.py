@@ -6,7 +6,7 @@ from typing import Any, Iterable, NamedTuple
 
 from .cost_model import MICRO, AllocFnKind
 from .errors import SpanStateError
-from .markers import MarkerSpan
+from .markers import MarkerSpan, utf8_bytes
 
 
 class _ChurnFields(NamedTuple):
@@ -43,8 +43,8 @@ class MarkerChurn(_ChurnFields):
     an edited copy with ``_replace``. Every way of building one, ``_replace``
     and ``_make`` included, checks each field's exact type: ``name`` a str,
     the cost, counts and byte totals ints, the two flags bools and each id a
-    str or None, else ``ValueError`` names the field; so the writers can
-    trust the types. Signs, and a cost with no calls, are left to
+    str or None, and each str with a UTF-8 form (``markers.utf8_bytes``),
+    else ``ValueError`` names the field; so the writers can trust the types. Signs, and a cost with no calls, are left to
     ``parse_report``. A report writes each per-thread record as the document
     of its fields, and a verdict writes merged records that way; a report's
     merged records are computed from its parts, never written.
@@ -58,6 +58,8 @@ class MarkerChurn(_ChurnFields):
             if type(value) not in types:
                 expected = " or ".join("None" if t is type(None) else t.__name__ for t in types)
                 raise ValueError(f"MarkerChurn {field} must be {expected}, got {value!r}")
+            if type(value) is str:
+                utf8_bytes(f"MarkerChurn {field}", value)
         return record
 
     @classmethod

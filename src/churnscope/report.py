@@ -5,14 +5,19 @@ templates: the layout of ``json.dumps(indent=2, sort_keys=True,
 ensure_ascii=False)``, with every non-integer number rendered as fixed-point
 with six decimals, UTF-8, newline-terminated. Costs are integer micro-units,
 rendered and read back exactly. Equal reports serialize to identical bytes on
-any platform, and the readers accept only those bytes: they rebuild the
-object, write it again and compare, so a content has one byte form.
+any platform, and the readers accept only those bytes, so a content has one
+byte form. A report's thread records are read by matching them against a
+pattern built from the writer's record template (``_match_report``). Bytes
+that miss it, and every verdict, are read by ``_read``: it rebuilds the
+object, writes it again and compares, and names the first fault.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 import sys
 from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple
@@ -297,7 +302,8 @@ def _read(data: bytes | str, what: str, build: Callable[[Any], Any], serialize: 
     checks, write it again and demand the input's exact bytes. Any other
     layout, spelling, key order, or duplicated or unknown key fails the
     comparison, named by the first differing byte; a field ``build`` cannot
-    find or use fails here too.
+    find or use fails here too. It reads every verdict, but a report only
+    when ``_match_report`` misses, so for reports it names the fault.
     """
     try:
         if isinstance(data, str):
@@ -359,7 +365,8 @@ _COUNTERS = itemgetter(*ReportTotals._fields)
 
 
 def _parse_records(docs: Any, with_thread: bool, where: str) -> list[MarkerChurn]:
-    """Build records, each with one fetch and one type-and-sign condition.
+    """Build records, each with one fetch and one type-and-sign condition,
+    then ``_charge_fault``'s cost rules.
 
     JSON gives exact int, bool and str values, so a bool never passes for an
     int, and a count written as ``5.0`` (a str here) is turned down before the
@@ -383,13 +390,16 @@ def _parse_records(docs: Any, with_thread: bool, where: str) -> list[MarkerChurn
                 ids_ok and type(name) is str and type(auto_closed) is bool and type(overflow) is bool
                 and type(calloc) is int and type(free) is int and type(malloc) is int and type(realloc) is int
                 and type(allocated) is int and type(freed) is int
-                and calloc | free | malloc | realloc | allocated | freed >= 0  # negative iff one of them is
-                and 0 <= micro <= _MAX_MICRO and (not micro or calloc | free | malloc | realloc)
+                and calloc | free | malloc | realloc | allocated | freed | micro >= 0  # negative iff one of them is
             ):
                 raise _record_fault(doc, where.format(len(records)))
             # tuple.__new__ skips the named tuple's Python-level __new__: the fields are already in order.
-            records.append(tuple.__new__(MarkerChurn, (name, micro, malloc, calloc, realloc, free, allocated, freed,
-                                                       overflow, auto_closed, thread_id, span_id)))
+            record = tuple.__new__(MarkerChurn, (name, micro, malloc, calloc, realloc, free, allocated, freed,
+                                                 overflow, auto_closed, thread_id, span_id))
+            fault = _charge_fault(record)
+            if fault:
+                raise ReportError(f"{where.format(len(records))} {fault}")
+            records.append(record)
     except (KeyError, TypeError) as exc:
         fault = f"{type(exc).__name__}: {exc}"
         raise ReportError(f"{where.format(len(records))} does not match the schema ({fault})") from None
@@ -410,12 +420,18 @@ def _record_fault(doc: dict[str, Any], what: str) -> ReportError:
             return ReportError(f"{what} has negative {key} count")
     if doc["bytes_allocated"] < 0 or doc["bytes_freed"] < 0:
         return ReportError(f"{what} has negative byte totals")
-    micro = _micro(doc["cost"])
-    if micro < 0:
-        return ReportError(f"{what} has negative cost")
+    return ReportError(f"{what} has negative cost")
+
+
+def _charge_fault(record: MarkerChurn) -> str | None:
+    """How a record of the right types and signs breaks the cost rules, or
+    None: a cost past the largest a report holds, or a cost with no call."""
+    _, micro, malloc, calloc, realloc, free, _, _, _, _, _, _ = record
     if micro > _MAX_MICRO:
-        return ReportError(f"{what} field 'cost' is out of range or not a whole number of micro-units")
-    return ReportError(f"{what} has zero calls but nonzero cost")
+        return "field 'cost' is out of range or not a whole number of micro-units"
+    if micro and not malloc | calloc | realloc | free:
+        return "has zero calls but nonzero cost"
+    return None
 
 
 def _parse_model(doc: Any) -> CostModel:
@@ -426,14 +442,11 @@ def _parse_model(doc: Any) -> CostModel:
         raise ReportError(str(exc).replace("cost model", "cost_model", 1)) from None
 
 
-def _build_report(doc: Any) -> ChurnReport:
-    version = doc["schema_version"]
-    if "deltas" in doc:
-        raise ReportError("document is a verdict, not a report")
-    if version != REPORT_SCHEMA_VERSION:
-        raise ReportError(f"unknown schema_version {version!r} (expected {REPORT_SCHEMA_VERSION!r})")
-    model = _parse_model(doc["cost_model"])
-    per_thread = _parse_records(doc["threads"], True, "threads[{}]")
+def _merged_threads(per_thread: list[MarkerChurn]) -> dict[str, MarkerChurn]:
+    """A report's ``merged``, from thread records that each meet the record
+    rules, once the records meet the rules between them: the order
+    ``build_report`` writes them in, no span id twice, and no phase's summed
+    cost past the largest a report holds."""
     span_ids: set[str] = set()
     # build_report's order: labels sorted, spans in begin order, ids label/NNNNNN.
     last: tuple = ("", -1, "")
@@ -450,6 +463,18 @@ def _build_report(doc: Any) -> ChurnReport:
     for name, record in merged.items():
         if record.cost_micro > _MAX_MICRO:
             raise ReportError(f"phase {name!r} field 'cost' is out of range or not a whole number of micro-units")
+    return merged
+
+
+def _build_report(doc: Any) -> ChurnReport:
+    version = doc["schema_version"]
+    if "deltas" in doc:
+        raise ReportError("document is a verdict, not a report")
+    if version != REPORT_SCHEMA_VERSION:
+        raise ReportError(f"unknown schema_version {version!r} (expected {REPORT_SCHEMA_VERSION!r})")
+    model = _parse_model(doc["cost_model"])
+    per_thread = _parse_records(doc["threads"], True, "threads[{}]")
+    merged = _merged_threads(per_thread)
     totals = ReportTotals(*_COUNTERS(doc["counters"]))
     for key, value in zip(ReportTotals._fields, totals):
         if type(value) is not int:
@@ -459,15 +484,107 @@ def _build_report(doc: Any) -> ChurnReport:
     return ChurnReport(doc["build_id"], doc["created_at"], model, merged, per_thread, totals)
 
 
+def _read_report(data: bytes | str) -> ChurnReport:
+    return _read(data, "report", _build_report, serialize_report)
+
+
+# The slot of each kind of field in the record pattern: only the text the writer gives for it.
+_BOOL = "(true|false)"
+_INT = "(0|[1-9][0-9]*)"
+_COST = r"((?:0|[1-9][0-9]*)\.[0-9]{6})"
+# A string's contents, unrolled: runs of characters _quote leaves as they are, between escapes.
+_STRING = r'"([^"\\\x00-\x1f]*(?:\\[^\x00-\x1f][^"\\\x00-\x1f]*)*)"'
+
+
+@functools.cache
+def _thread_record_pattern() -> re.Pattern[str]:
+    """The pattern of a thread record's text, one group per slot of
+    ``_THREAD_RECORD[1]`` in ``_churn_text``'s fill order; built on the first
+    read, not at import."""
+    slots = (_BOOL, _INT, _INT, _INT, _INT, _INT, _INT, _COST, _STRING, _BOOL, _STRING, _STRING)
+    texts = _THREAD_RECORD[1].split("%s")
+    return re.compile("".join(re.escape(text) + slot for text, slot in zip(texts, slots)) + re.escape(texts[-1]))
+
+
+def _unquote(contents: str) -> str:
+    """The string that a string literal with escapes, ``"contents"``, holds;
+    ValueError unless ``_quote`` writes that string back as the literal."""
+    literal = f'"{contents}"'
+    value = json.loads(literal)
+    if _quote(value) != literal:
+        raise ValueError(f"string literal {literal!r} is not in canonical form")
+    return value
+
+
+# What serialize_report writes around and between the thread records (_append_container at "\n  ").
+_THREADS_KEY = '\n  "threads": '
+_EMPTY, _FIRST, _NEXT, _LAST = "[]\n}\n", "[\n    ", ",\n    ", "\n  ]\n}\n"
+
+
+def _match_report(data: bytes | str) -> ChurnReport | None:
+    """The report ``data`` holds, if ``data`` is the bytes ``serialize_report``
+    writes for it and the report meets every reader rule; else None.
+
+    The header, everything before the thread records, is read by ``_read``
+    with an empty ``threads`` list: it is small, and its rules and messages
+    stay in one place. Each record must then match, at its offset, the pattern
+    built from the writer's own template (``_thread_record_pattern``), between
+    the writer's separators; a string with an escape must be the one
+    ``_quote`` writes. So only canonical bytes match, and the writer and the
+    pattern cannot drift apart. The records then pass the rules
+    ``_build_report`` applies, through the same ``_charge_fault`` and
+    ``_merged_threads``.
+    None is any miss: a failed match, a failed rule, or an error such as an
+    integer past the conversion limit. ``parse_report`` leaves a miss to
+    ``_read``, which names the fault.
+    """
+    try:
+        text = (data.encode("utf-8") if isinstance(data, str) else data).decode("utf-8")
+        at = text.find(_THREADS_KEY)
+        if at < 0:
+            return None
+        at += len(_THREADS_KEY)
+        header = _read_report(text[:at] + _EMPTY)
+        if not text.startswith(_FIRST, at):
+            return header if text[at:] == _EMPTY else None
+        match = _thread_record_pattern().match
+        per_thread: list[MarkerChurn] = []
+        pos = at + len(_FIRST)
+        while True:
+            m = match(text, pos)
+            if m is None:
+                return None
+            auto_closed, allocated, freed, calloc, free, malloc, realloc, cost, name, overflow, span_id, thread_id = (
+                m.groups())
+            per_thread.append(tuple.__new__(MarkerChurn, (
+                name if "\\" not in name else _unquote(name),
+                int(cost.replace(".", "")), int(malloc), int(calloc), int(realloc), int(free),
+                int(allocated), int(freed), overflow == "true", auto_closed == "true",
+                thread_id if "\\" not in thread_id else _unquote(thread_id),
+                span_id if "\\" not in span_id else _unquote(span_id),
+            )))
+            pos = m.end()
+            if not text.startswith(_NEXT, pos):
+                break
+            pos += len(_NEXT)
+        if text[pos:] != _LAST or any(map(_charge_fault, per_thread)):
+            return None
+        return header._replace(merged=_merged_threads(per_thread), per_thread=per_thread)
+    except (ReportError, ValueError):
+        return None
+
+
 def parse_report(data: bytes | str) -> ChurnReport:
     """Parse a report, accepting it only in the canonical bytes ``serialize_report`` writes.
 
     ``merged`` is computed from the per-thread records with ``merge_phases``,
-    as ``RecordingSession.build_report`` computes it. Raises ReportError
-    naming the first violated rule, as a message or as a byte offset (see
-    ``_read``).
+    as ``RecordingSession.build_report`` computes it. A report is read by
+    matching it against the writer's record template (``_match_report``).
+    Bytes that miss are read again by ``_read``, which raises ReportError
+    naming the first violated rule, as a message or as a byte offset.
     """
-    return _read(data, "report", _build_report, serialize_report)
+    report = _match_report(data)
+    return _read_report(data) if report is None else report
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,17 @@ def test_marker_churn_refuses_a_field_of_the_wrong_type(build, field):
         build()
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: MarkerChurn("\udcff", 0, thread_id="t", span_id="t/000000"), "name"),
+    (lambda: PART._replace(thread_id="t\ud800"), "thread_id"),
+    (lambda: MarkerChurn._make([*PART[:11], "main/\udfff"]), "span_id"),
+], ids=["name", "replace-thread-id", "make-span-id"])
+def test_marker_churn_refuses_a_string_with_no_utf8_form(build, field):
+    # Else serialize_report raised a bare UnicodeEncodeError that named no field.
+    with pytest.raises(ValueError, match=f"^MarkerChurn {field} '.*' is not valid Unicode \\(surrogates not allowed"):
+        build()
+
+
 def test_regression_verdict_is_a_named_tuple():
     verdict = RegressionVerdict(Thresholds(), [])
     assert isinstance(verdict, tuple) and RegressionVerdict._fields == ("thresholds", "deltas")

@@ -27,7 +27,8 @@ from churnscope import (
     serialize_report,
     serialize_verdict,
 )
-from churnscope.report import STATUSES, ReportTotals, format_cost
+from churnscope.report import STATUSES, ReportTotals, _match_report, _read_report, format_cost
+from churnscope.workloads import VARIANTS, workload_names
 
 from factories import Literal, canonical_json, first_difference, float_literal, report_with_units
 
@@ -313,6 +314,18 @@ def test_parse_rejects_escaped_surrogate_pair():
     assert parse_report(raw).build_id == "\U0001F600"
     escaped = GOLDEN.replace('"b1"', '"\\ud83d\\ude00"')
     assert rejected_at(escaped) == GOLDEN.index("b1")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"bytes_freed": 1024,\n      "calls"', '"bytes_freed": 01024,\n      "calls"',
+     "report syntax error at offset 536: Expecting ',' delimiter"),
+    ('"calloc": 0,', '"calloc": -0,', "report is not in canonical form at byte 576: "),
+    ('"cost": 20.000000', '"cost": 020.000000', "report syntax error at offset 664: Expecting ',' delimiter"),
+], ids=["zero-padded-count", "negative-zero-count", "zero-padded-cost"])
+def test_parse_rejects_a_thread_record_number_spelled_otherwise(old, new, message):
+    with pytest.raises(ReportError) as excinfo:
+        parse_report(GOLDEN.replace(old, new))
+    assert str(excinfo.value).startswith(message)
 
 
 def test_parse_rejects_zero_calls_nonzero_cost():
@@ -747,9 +760,32 @@ def test_report_writer_matches_json_dumps():
     @example(golden._replace(per_thread=[part._replace(malloc_calls=0, free_calls=3)]))
     @example(golden._replace(per_thread=[part._replace(cost_micro=-1_000_001)]))
     def check(report):
-        assert serialize_report(report) == reference_report_bytes(report)
+        data = serialize_report(report)
+        assert data == reference_report_bytes(report)
+        # The template matcher returns nothing or the reference reader's report; never one that reader turns down.
+        matched = _match_report(data)
+        assert matched is None or matched == _read_report(data)
 
     check()
+
+
+def _canonical_reports():
+    yield "golden", GOLDEN_BYTES
+    for name in workload_names():
+        for variant in VARIANTS:
+            session = RecordingSession(build_id=f"{name}-{variant}", created_at="2026-01-01T00:00:00Z")
+            yield f"{name}-{variant}", serialize_report(run_workload(WorkloadSpec(name, 1, 7, variant), session))
+    odd = 'q"\\\x01\x1f\x7f\u2028\U0001F600'
+    part = golden_report().per_thread[0]._replace(name=odd, thread_id=odd, span_id=odd + "/000000")
+    yield "odd-strings", serialize_report(golden_report()._replace(per_thread=[part]))
+
+
+@pytest.mark.parametrize("data", [pytest.param(data, id=label) for label, data in _canonical_reports()])
+def test_the_matcher_reads_every_canonical_report(data):
+    # A matcher that always missed would pass every other reader test, by falling back to _read.
+    report = _match_report(data)
+    assert report is not None
+    assert report == _read_report(data) and serialize_report(report) == data
 
 
 def test_verdict_writer_matches_json_dumps():
