@@ -6,15 +6,18 @@ ensure_ascii=False)``, with every non-integer number rendered as fixed-point
 with six decimals, UTF-8, newline-terminated. Costs are integer micro-units,
 rendered and read back exactly. Equal reports serialize to identical bytes on
 any platform, and the readers accept only those bytes, so a content has one
-byte form. A report's thread records are read by matching them against a
-pattern built from the writer's record template (``_match_report``). Bytes
-that miss it, and every verdict, are read by ``_read``: it rebuilds the
-object, writes it again and compares, and names the first fault.
+byte form. A writer encodes each record into one byte buffer as it is made
+(``_document``), so writing a document holds about one copy of it. A
+report's thread records are read by matching them against a pattern built
+from the writer's record template (``_match_report``). Bytes that miss it,
+and every verdict, are read by ``_read``: it rebuilds the object, writes it
+again and compares, and names the first fault.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import json
 import math
 import re
@@ -244,45 +247,53 @@ def _fixed(value: float) -> str:
     return f"{value if value else 0.0:.6f}"  # 0.0 normalizes -0.0
 
 
-def _append_container(out: list[str], brackets: str, texts: list[str], nl: str) -> None:
-    """Append an object or array (``brackets`` is ``"{}"`` or ``"[]"``) of the
-    member ``texts`` as ``json.dumps(indent=2)`` lays it out at line start ``nl``."""
-    if not texts:
-        out.append(brackets)
-        return
-    sep = brackets[0] + nl + "  "
+# What the writers put around and between the members of a top-level array
+# (``json.dumps(indent=2)``'s layout), and what ``_match_report`` reads there.
+_OPEN, _NEXT, _CLOSE, _NONE = "[\n    ", ",\n    ", "\n  ]", "[]"
+_THREADS_KEY = '\n  "threads": '
+_REPORT_TAIL = "\n}\n"
+
+
+def _document(head: str, texts: Iterable[str], tail: str) -> bytes:
+    """``head``, then the top-level array of the member ``texts``, then
+    ``tail``, in UTF-8.
+
+    Each member is encoded into one buffer as it is made, so writing holds
+    about one copy of the document: no list of parts and no joined ``str``.
+    ``getvalue`` hands the buffer over without copying it.
+    """
+    buf = io.BytesIO()
+    write = buf.write
+    write(head.encode("utf-8"))
+    sep = _OPEN
     for text in texts:
-        out += sep, text
-        sep = "," + nl + "  "
-    out.append(nl + brackets[1])
+        write((sep + text).encode("utf-8"))
+        sep = _NEXT
+    write(((_NONE if sep == _OPEN else _CLOSE) + tail).encode("utf-8"))
+    return buf.getvalue()
 
 
 def serialize_report(report: ChurnReport) -> bytes:
     """Canonical bytes for a report; equal reports yield identical bytes.
 
-    Its fields in sorted-key order, as parts joined once; ``merged`` is not
-    written. Field types are trusted; a non-finite weight raises ValueError.
+    Its fields in sorted-key order, each thread record encoded as it is
+    written (``_document``); ``merged`` is not written. Field types are
+    trusted; a non-finite weight raises ValueError.
     """
     model, t = report.model, report.totals
-    out = [
+    weights = [f"{_quote(key)}: {_fixed(w)}" for key, w in sorted((k.value, w) for k, w in model.weights.items())]
+    weights_text = "{\n      " + ",\n      ".join(weights) + "\n    }" if weights else "{}"
+    head = (
         f'{{\n  "build_id": {_quote(report.build_id)},\n  "cost_model": {{'
-        f'\n    "model_version": {_quote(model.model_version)},\n    "weights": '
-    ]
-    weights = sorted((kind.value, w) for kind, w in model.weights.items())
-    _append_container(out, "{}", [f"{_quote(key)}: {_fixed(w)}" for key, w in weights], "\n    ")
-    out.append(
+        f'\n    "model_version": {_quote(model.model_version)},\n    "weights": {weights_text}'
         f'\n  }},\n  "counters": {{\n    "anomaly_count": {t.anomaly_count},'
         f'\n    "bytes_allocated": {t.bytes_allocated},\n    "bytes_freed": {t.bytes_freed},'
         f'\n    "live_blocks": {t.live_blocks},\n    "live_bytes": {t.live_bytes},'
         f'\n    "overflow_count": {t.overflow_count}\n  }},'
         f'\n  "created_at": {_quote(report.created_at)},'
-        f'\n  "schema_version": {_quote(REPORT_SCHEMA_VERSION)},\n  "threads": '
+        f'\n  "schema_version": {_quote(REPORT_SCHEMA_VERSION)},{_THREADS_KEY}'
     )
-    _append_container(out, "[]", [_churn_text(r, _THREAD_RECORD) for r in report.per_thread], "\n  ")
-    out.append("\n}\n")
-    text = "".join(out)
-    del out  # drop the parts before the bytes are made: one copy of the document less at peak
-    return text.encode("utf-8")
+    return _document(head, (_churn_text(r, _THREAD_RECORD) for r in report.per_thread), _REPORT_TAIL)
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +527,6 @@ def _unquote(contents: str) -> str:
     return value
 
 
-# What serialize_report writes around and between the thread records (_append_container at "\n  ").
-_THREADS_KEY = '\n  "threads": '
-_EMPTY, _FIRST, _NEXT, _LAST = "[]\n}\n", "[\n    ", ",\n    ", "\n  ]\n}\n"
-
-
 def _match_report(data: bytes | str) -> ChurnReport | None:
     """The report ``data`` holds, if ``data`` is the bytes ``serialize_report``
     writes for it and the report meets every reader rule; else None.
@@ -544,12 +550,12 @@ def _match_report(data: bytes | str) -> ChurnReport | None:
         if at < 0:
             return None
         at += len(_THREADS_KEY)
-        header = _read_report(text[:at] + _EMPTY)
-        if not text.startswith(_FIRST, at):
-            return header if text[at:] == _EMPTY else None
+        header = _read_report(text[:at] + _NONE + _REPORT_TAIL)
+        if not text.startswith(_OPEN, at):
+            return header if text[at:] == _NONE + _REPORT_TAIL else None
         match = _thread_record_pattern().match
         per_thread: list[MarkerChurn] = []
-        pos = at + len(_FIRST)
+        pos = at + len(_OPEN)
         while True:
             m = match(text, pos)
             if m is None:
@@ -567,7 +573,7 @@ def _match_report(data: bytes | str) -> ChurnReport | None:
             if not text.startswith(_NEXT, pos):
                 break
             pos += len(_NEXT)
-        if text[pos:] != _LAST or any(map(_charge_fault, per_thread)):
+        if text[pos:] != _CLOSE + _REPORT_TAIL or any(map(_charge_fault, per_thread)):
             return None
         return header._replace(merged=_merged_threads(per_thread), per_thread=per_thread)
     except (ReportError, ValueError):
@@ -699,20 +705,17 @@ def rank_regressions(
 
 def serialize_verdict(verdict: RegressionVerdict) -> bytes:
     """Canonical bytes for a verdict, written as ``serialize_report`` writes a
-    report; a non-finite threshold raises ValueError."""
+    report: each row encoded as it is written (``_document``). A non-finite
+    threshold raises ValueError."""
     th = verdict.thresholds
-    out = ['{\n  "deltas": ']
-    _append_container(out, "[]", [_delta_text(d) for d in verdict.deltas], "\n  ")
     call_floor = "null" if th.call_floor is None else th.call_floor
-    out.append(
+    tail = (
         f',\n  "regression_detected": {"true" if verdict.regression_detected else "false"},'
         f'\n  "schema_version": {_quote(VERDICT_SCHEMA_VERSION)},'
         f'\n  "thresholds": {{\n    "abs_floor": {_fixed(float(th.abs_floor))},'
         f'\n    "call_floor": {call_floor},\n    "rel": {_fixed(float(th.rel))}\n  }}\n}}\n'
     )
-    text = "".join(out)
-    del out  # drop the parts before the bytes are made: one copy of the document less at peak
-    return text.encode("utf-8")
+    return _document('{\n  "deltas": ', map(_delta_text, verdict.deltas), tail)
 
 
 def _build_verdict(doc: Any) -> RegressionVerdict:

@@ -8,8 +8,9 @@ the canonical per-build report.
 
 from __future__ import annotations
 
+import math
 import threading
-from datetime import datetime, timezone
+import time
 
 from .aggregation import merge_phases, span_churn
 from .cost_model import CostModel
@@ -20,15 +21,25 @@ from .report import ChurnReport, ReportTotals
 
 
 def utc_timestamp(epoch: float | int | None = None) -> str:
-    """ISO-8601 UTC second-resolution timestamp, optionally from an epoch."""
-    if epoch is None:
-        moment = datetime.now(timezone.utc)
-    else:
-        try:
-            moment = datetime.fromtimestamp(epoch, tz=timezone.utc)
-        except OverflowError:
-            raise ValueError(f"epoch {epoch} is out of range") from None
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    """ISO-8601 UTC second-resolution timestamp, optionally from an epoch.
+
+    It gives the string and refusals ``datetime.fromtimestamp`` gives,
+    without importing ``datetime``: a float epoch is rounded to the
+    microsecond, half to even, before its second is taken, and a year
+    outside 1-9999 is refused.
+    """
+    seconds = epoch
+    if isinstance(epoch, float) and math.isfinite(epoch):
+        fraction, whole = math.modf(epoch)
+        micro = round(fraction * 1e6)
+        seconds = int(whole) + (micro >= 1_000_000) - (micro < 0)
+    try:
+        moment = time.gmtime(seconds)
+    except OverflowError:
+        raise ValueError(f"epoch {epoch} is out of range") from None
+    if not 1 <= moment.tm_year <= 9999:
+        raise ValueError(f"year {moment.tm_year} is out of range")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", moment)
 
 
 class RecordingSession:

@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -834,14 +836,38 @@ def test_writers_reject_non_finite_numbers(value):
 @pytest.mark.parametrize("cost", [1.5, 2e6, -1.5])
 def test_writers_refuse_a_float_cost_instead_of_truncating_it(cost):
     # Records built past the checks of MarkerChurn, so the writers' own guard is what is tested.
-    part = golden_report().per_thread[0]
-    record = tuple.__new__(MarkerChurn, (part.name, cost, *part[2:]))
+    # Each bad record follows a good one: the writer has begun the document when it refuses.
+    report = golden_report()
+    part = report.per_thread[0]
+    record = tuple.__new__(MarkerChurn, (part.name, cost, *part[2:11], "main/000001"))
+    written = None
     with pytest.raises(ValueError, match="Unknown format code 'd' for object of type 'float'"):
-        serialize_report(golden_report()._replace(per_thread=[record]))
+        written = serialize_report(report._replace(per_thread=[part, record]))
+    assert written is None
     merged = tuple.__new__(MarkerChurn, (part.name, cost, *part[2:10], None, None))
-    row = ChurnDelta(record.name, "neutral", merged, None)
+    good = diff_reports(report, report).deltas[0]
+    row = ChurnDelta("other", "neutral", merged, None)
     with pytest.raises(ValueError, match="Unknown format code 'd' for object of type 'float'"):
-        serialize_verdict(RegressionVerdict(Thresholds(), [row]))
+        written = serialize_verdict(RegressionVerdict(Thresholds(), [good, row]))
+    assert written is None
+
+
+def test_writers_hold_about_one_copy_of_the_document():
+    # Allocated bytes, not time, so the figure is the same on every run. A
+    # writer that joins parts into a str and then encodes it peaks at about
+    # 2.3 times the document.
+    report = report_with_units({f"p{i:04d}": 1 for i in range(3000)})
+    verdict = diff_reports(report, report_with_units({f"p{i:04d}": 1 + i % 2 for i in range(0, 3000, 3)}))
+    assert len(report.per_thread) >= 3000 and len(verdict.deltas) >= 2000
+    for write, doc in ((serialize_report, report), (serialize_verdict, verdict)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            data = write(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * len(data), f"{write.__name__}: peak {peak} B for a {len(data)} B document"
 
 
 @pytest.mark.parametrize("value", [-0.0, -1e-9, -4.9e-7])

@@ -1,10 +1,17 @@
 """build_report groups spans by name in one pass; these tests compare it with
 a plain per-name rescan, on sessions with many threads and names."""
 
+import math
 import random
+import subprocess
+import sys
 import threading
+from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+
+import churnscope
 
 from churnscope import (
     AllocFnKind,
@@ -16,6 +23,7 @@ from churnscope import (
     merge_phases,
     parse_report,
     serialize_report,
+    utc_timestamp,
 )
 from churnscope.report import ChurnReport
 
@@ -226,3 +234,36 @@ def test_recorder_rejects_a_label_that_has_no_utf8_form():
     session.seal_all()
     report = session.build_report()
     assert parse_report(serialize_report(report)) == report
+
+
+def _datetime_timestamp(epoch):
+    """The timestamp as ``datetime`` writes it: the oracle for ``utc_timestamp``."""
+    try:
+        moment = datetime.fromtimestamp(epoch, tz=timezone.utc)
+    except OverflowError:
+        raise ValueError(f"epoch {epoch} is out of range") from None
+    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _outcome(fn, epoch):
+    try:
+        return fn(epoch)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("epoch", [
+    0, -1, 1.7, -0.5, True, 253402300799, -62135596800, 253402300800, -62135596801,
+    math.nan, math.inf, -math.inf, 1e20, 10**30,
+    # A float is rounded to the microsecond, half to even, before its second is taken.
+    0.9999999, 0.9999995, -1e-7, -5e-7, 2.5e-7,
+])
+def test_utc_timestamp_matches_datetime(epoch):
+    assert _outcome(utc_timestamp, epoch) == _outcome(_datetime_timestamp, epoch)
+
+
+def test_importing_churnscope_leaves_datetime_out():
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import churnscope; print('datetime' in sys.modules)"
+    src = str(Path(churnscope.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
