@@ -44,10 +44,11 @@ class MarkerChurn(_ChurnFields):
     and ``_make`` included, checks each field's exact type: ``name`` a str,
     the cost, counts and byte totals ints, the two flags bools and each id a
     str or None, and each str with a UTF-8 form (``markers.utf8_bytes``),
-    else ``ValueError`` names the field; so the writers can trust the types. Signs, and a cost with no calls, are left to
-    ``parse_report``. A report writes each per-thread record as the document
-    of its fields, and a verdict writes merged records that way; a report's
-    merged records are computed from its parts, never written.
+    else ``ValueError`` names the field; so the writers can trust the types.
+    Signs, and a cost with no calls, are left to ``parse_report``. A report
+    writes each per-thread record as the document of its fields, and a
+    verdict writes merged records that way; a report's merged records are
+    computed from its parts, never written.
     """
 
     __slots__ = ()

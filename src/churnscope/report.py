@@ -10,8 +10,9 @@ byte form. A writer encodes each record into one byte buffer as it is made
 (``_document``), so writing a document holds about one copy of it. A
 report's thread records are read by matching them against a pattern built
 from the writer's record template (``_match_report``). Bytes that miss it,
-and every verdict, are read by ``_read``: it rebuilds the object, writes it
-again and compares, and names the first fault.
+and every verdict, are read by ``_read``: it rebuilds the object, one record
+per ``_parse_record`` call, writes it again and compares, and names the first
+fault. So this decode path only names faults and reads verdicts.
 """
 
 from __future__ import annotations
@@ -313,8 +314,8 @@ def _read(data: bytes | str, what: str, build: Callable[[Any], Any], serialize: 
     checks, write it again and demand the input's exact bytes. Any other
     layout, spelling, key order, or duplicated or unknown key fails the
     comparison, named by the first differing byte; a field ``build`` cannot
-    find or use fails here too. It reads every verdict, but a report only
-    when ``_match_report`` misses, so for reports it names the fault.
+    find or use fails here too. It only names faults and reads verdicts: it
+    reads a report only when ``_match_report`` misses, to name the fault.
     """
     try:
         if isinstance(data, str):
@@ -352,86 +353,69 @@ _MAX_MICRO = int(sys.float_info.max)
 _MAX_COST_LEN = len(format_cost(_MAX_MICRO))
 
 
-def _micro(literal: Any) -> int:
-    """A cost literal's count of micro-units: with the writer's dot before six
-    decimals, the integer of its digits (just out of range if longer than the
-    largest cost's literal); any other value reads as 0, which the byte
-    comparison then rejects, since the writer never writes it that way."""
-    if type(literal) is not str or literal[-7:-6] != ".":
-        return 0
-    if len(literal) > _MAX_COST_LEN:
-        return _MAX_MICRO + 1
-    try:
-        return int(literal.replace(".", ""))
-    except ValueError:
-        return 0
-
-
-# A record's fields in the writer's (sorted) order; threads add span_id and thread_id.
-_MERGED = itemgetter("auto_closed", "bytes_allocated", "bytes_freed", "calls", "cost", "name", "overflow")
-_THREAD = itemgetter("auto_closed", "bytes_allocated", "bytes_freed", "calls", "cost", "name", "overflow",
-                     "span_id", "thread_id")
-_CALLS = itemgetter("calloc", "free", "malloc", "realloc")
+# The type of each record field that has one, in the writer's (sorted) order;
+# a thread record adds the ids. The calls and the cost are checked on their own.
+_THREAD_TYPES = (("auto_closed", bool), ("bytes_allocated", int), ("bytes_freed", int), ("name", str),
+                 ("overflow", bool), ("span_id", str), ("thread_id", str))
+_MERGED_TYPES = _THREAD_TYPES[:5]
+_CALL_KINDS = ("calloc", "free", "malloc", "realloc")
 _COUNTERS = itemgetter(*ReportTotals._fields)
 
 
-def _parse_records(docs: Any, with_thread: bool, where: str) -> list[MarkerChurn]:
-    """Build records, each with one fetch and one type-and-sign condition,
-    then ``_charge_fault``'s cost rules.
+def _parse_record(doc: Any, with_thread: bool, what: str) -> MarkerChurn:
+    """The record ``doc`` holds, or ReportError naming its first fault,
+    labelled ``what``. It reads a verdict's records, and a report's only to
+    name a fault, one record per call.
 
-    JSON gives exact int, bool and str values, so a bool never passes for an
-    int, and a count written as ``5.0`` (a str here) is turned down before the
-    writer could echo it back. Only a record that fails is looked at again, to
-    name its first fault; ``where.format(index)`` labels it, as it labels a
-    record the loop cannot take apart (a missing field, a list for an object).
+    Each rule is checked once, in this order: a field it cannot fetch (a
+    missing key, a list for an object), each field's type, each call count's
+    type and then its sign, the byte totals' sign, the cost's sign, then
+    ``_charge_fault``'s cost rules. JSON gives exact int, bool and str
+    values, so a bool never passes for an int, and a count written as ``5.0``
+    (a str here) is turned down before the writer could echo it back. A
+    merged record's ids are not read: an id key there is a layout fault.
     """
-    records: list[MarkerChurn] = []
     try:
-        for doc in docs:
-            if with_thread:
-                auto_closed, allocated, freed, calls, cost, name, overflow, span_id, thread_id = _THREAD(doc)
-                ids_ok = type(span_id) is str and type(thread_id) is str
-            else:
-                auto_closed, allocated, freed, calls, cost, name, overflow = _MERGED(doc)
-                span_id = thread_id = None
-                ids_ok = True
-            calloc, free, malloc, realloc = _CALLS(calls)
-            micro = _micro(cost)
-            if not (
-                ids_ok and type(name) is str and type(auto_closed) is bool and type(overflow) is bool
-                and type(calloc) is int and type(free) is int and type(malloc) is int and type(realloc) is int
-                and type(allocated) is int and type(freed) is int
-                and calloc | free | malloc | realloc | allocated | freed | micro >= 0  # negative iff one of them is
-            ):
-                raise _record_fault(doc, where.format(len(records)))
-            # tuple.__new__ skips the named tuple's Python-level __new__: the fields are already in order.
-            record = tuple.__new__(MarkerChurn, (name, micro, malloc, calloc, realloc, free, allocated, freed,
-                                                 overflow, auto_closed, thread_id, span_id))
-            fault = _charge_fault(record)
-            if fault:
-                raise ReportError(f"{where.format(len(records))} {fault}")
-            records.append(record)
+        auto_closed, allocated, freed, calls, cost, name, overflow = (
+            doc["auto_closed"], doc["bytes_allocated"], doc["bytes_freed"], doc["calls"], doc["cost"],
+            doc["name"], doc["overflow"])
+        span_id, thread_id = (doc["span_id"], doc["thread_id"]) if with_thread else (None, None)
+        counts = calloc, free, malloc, realloc = calls["calloc"], calls["free"], calls["malloc"], calls["realloc"]
     except (KeyError, TypeError) as exc:
-        fault = f"{type(exc).__name__}: {exc}"
-        raise ReportError(f"{where.format(len(records))} does not match the schema ({fault})") from None
-    return records
-
-
-def _record_fault(doc: dict[str, Any], what: str) -> ReportError:
-    """The error naming the first fault of a record that ``_parse_records`` turned down."""
-    for key, kind in (("auto_closed", bool), ("bytes_allocated", int), ("bytes_freed", int), ("name", str),
-                      ("overflow", bool), ("span_id", str), ("thread_id", str)):
-        if key in doc and type(doc[key]) is not kind:
-            return ReportError(f"{what} field {key!r} has the wrong type")
-    calls = doc["calls"]
-    for key in ("calloc", "free", "malloc", "realloc"):
-        if type(calls[key]) is not int:
-            return ReportError(f"{what} calls field {key!r} has the wrong type")
-        if calls[key] < 0:
-            return ReportError(f"{what} has negative {key} count")
-    if doc["bytes_allocated"] < 0 or doc["bytes_freed"] < 0:
-        return ReportError(f"{what} has negative byte totals")
-    return ReportError(f"{what} has negative cost")
+        raise ReportError(f"{what} does not match the schema ({type(exc).__name__}: {exc})") from None
+    values = (auto_closed, allocated, freed, name, overflow, span_id, thread_id)
+    for (key, kind), value in zip(_THREAD_TYPES if with_thread else _MERGED_TYPES, values):
+        if type(value) is not kind:
+            raise ReportError(f"{what} field {key!r} has the wrong type")
+    for kind, count in zip(_CALL_KINDS, counts):
+        if type(count) is not int:
+            raise ReportError(f"{what} calls field {kind!r} has the wrong type")
+        if count < 0:
+            raise ReportError(f"{what} has negative {kind} count")
+    if allocated < 0 or freed < 0:
+        raise ReportError(f"{what} has negative byte totals")
+    # A cost with the writer's dot before six decimals is the integer of its
+    # digits (just out of range if longer than the largest cost's literal).
+    # Any other value reads as 0, which the byte comparison then rejects,
+    # since the writer never writes it that way.
+    micro = 0
+    if type(cost) is str and cost[-7:-6] == ".":
+        if len(cost) > _MAX_COST_LEN:
+            micro = _MAX_MICRO + 1
+        else:
+            try:
+                micro = int(cost.replace(".", ""))
+            except ValueError:
+                pass
+    if micro < 0:
+        raise ReportError(f"{what} has negative cost")
+    # tuple.__new__ skips the named tuple's Python-level __new__: the fields are already in order.
+    record = tuple.__new__(MarkerChurn, (name, micro, malloc, calloc, realloc, free, allocated, freed,
+                                         overflow, auto_closed, thread_id, span_id))
+    fault = _charge_fault(record)
+    if fault:
+        raise ReportError(f"{what} {fault}")
+    return record
 
 
 def _charge_fault(record: MarkerChurn) -> str | None:
@@ -484,7 +468,7 @@ def _build_report(doc: Any) -> ChurnReport:
     if version != REPORT_SCHEMA_VERSION:
         raise ReportError(f"unknown schema_version {version!r} (expected {REPORT_SCHEMA_VERSION!r})")
     model = _parse_model(doc["cost_model"])
-    per_thread = _parse_records(doc["threads"], True, "threads[{}]")
+    per_thread = [_parse_record(record, True, f"threads[{i}]") for i, record in enumerate(doc["threads"])]
     merged = _merged_threads(per_thread)
     totals = ReportTotals(*_COUNTERS(doc["counters"]))
     for key, value in zip(ReportTotals._fields, totals):
@@ -740,7 +724,7 @@ def _build_verdict(doc: Any) -> RegressionVerdict:
         for side in ("baseline", "candidate"):
             record = item[side]
             if record is not None:
-                (record,) = _parse_records([record], False, f"deltas[{i}] {side}")
+                record = _parse_record(record, False, f"deltas[{i}] {side}")
                 if record.name != phase:
                     raise ReportError(f"deltas[{i}] {side} record is named {record.name!r}, not {phase!r}")
             records.append(record)

@@ -23,10 +23,11 @@ from .report import ChurnReport, ReportTotals
 def utc_timestamp(epoch: float | int | None = None) -> str:
     """ISO-8601 UTC second-resolution timestamp, optionally from an epoch.
 
-    It gives the string and refusals ``datetime.fromtimestamp`` gives,
+    It gives the string and refusals ``datetime.fromtimestamp`` gives, the
+    year written with four digits as ``datetime.isoformat`` writes it,
     without importing ``datetime``: a float epoch is rounded to the
-    microsecond, half to even, before its second is taken, and a year
-    outside 1-9999 is refused.
+    microsecond, half to even, before its second is taken, a year outside
+    1-9999 is refused, and so is an epoch ``gmtime`` cannot represent.
     """
     seconds = epoch
     if isinstance(epoch, float) and math.isfinite(epoch):
@@ -34,12 +35,12 @@ def utc_timestamp(epoch: float | int | None = None) -> str:
         micro = round(fraction * 1e6)
         seconds = int(whole) + (micro >= 1_000_000) - (micro < 0)
     try:
-        moment = time.gmtime(seconds)
-    except OverflowError:
+        year, month, day, hour, minute, second = time.gmtime(seconds)[:6]
+    except (OverflowError, OSError):
         raise ValueError(f"epoch {epoch} is out of range") from None
-    if not 1 <= moment.tm_year <= 9999:
-        raise ValueError(f"year {moment.tm_year} is out of range")
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", moment)
+    if not 1 <= year <= 9999:
+        raise ValueError(f"year {year} is out of range")
+    return f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}Z"
 
 
 class RecordingSession:

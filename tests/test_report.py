@@ -540,6 +540,17 @@ def test_parse_rejects_unknown_fields(path):
     assert rejected_at(data, parse) == first_difference(data, golden) == data.index(b'"note"') + 1
 
 
+@pytest.mark.parametrize("value", [None, 5, True])
+def test_parse_names_threads_that_are_not_an_array_at_the_document_level(value):
+    # There is no threads[0] record to carry the fault, so the report does, as a verdict does for its deltas.
+    doc = golden_doc()
+    doc["threads"] = value
+    with pytest.raises(ReportError) as excinfo:
+        parse_report(canonical_json(doc))
+    name = type(value).__name__
+    assert str(excinfo.value) == f"report does not match the schema (TypeError: '{name}' object is not iterable)"
+
+
 CALL_KINDS = ("malloc", "calloc", "realloc", "free")
 RECORD_FIELDS = ("name", "cost", "calls", "bytes_allocated", "bytes_freed", "overflow", "auto_closed")
 AT_EDIT = "at the edit"  # the offset where the edited input first departs from the golden bytes
@@ -558,6 +569,14 @@ def _set_call(kind, value):
     return lambda record: record["calls"].update({kind: value})
 
 
+def _each(*edits):
+    def edit(record):
+        for one in edits:
+            one(record)
+
+    return edit
+
+
 def _zero_calls(record):
     record["calls"] = dict.fromkeys(CALL_KINDS, 0)
 
@@ -566,11 +585,12 @@ def _single_faults(thread):
     """(id, edit, expected) for one fault in a phase or thread record.
 
     A thread record is a report's ``threads[0]``; a phase record, merged, is
-    the baseline record of a verdict's first row. Both are read by one loop,
-    so a fault is named by its message, labelled with where the record sits.
-    A layout fault is named by the offset of the edit, except a cost spelled
-    otherwise than the writer writes it: it reads as 0, so the bytes depart
-    at the start of its literal.
+    the baseline record of a verdict's first row. Both are read by one
+    function, so a fault is named by its message, labelled with where the
+    record sits. A layout fault is named by the offset of the edit, except a
+    cost spelled otherwise than the writer writes it: it reads as 0, so the
+    bytes depart at the start of its literal. A phase record's id keys are
+    layout faults, so beside another fault they are not the one named.
     """
     label = "threads[0]" if thread else "deltas[0] baseline"
 
@@ -603,6 +623,13 @@ def _single_faults(thread):
     ]
     if not thread:
         cases += [(f"merged-{key}", _set(key, "main"), AT_EDIT) for key in ("thread_id", "span_id")]
+        # A merged record's ids are not read, so a wrong-typed one leaves the other fault to be named.
+        cases += [
+            ("merged-span_id-7-negative-malloc", _each(_set("span_id", 7), _set_call("malloc", -1)),
+             fault("has negative malloc count")),
+            ("merged-thread_id-None-negative-bytes", _each(_set("thread_id", None), _set("bytes_freed", -1)),
+             fault("has negative byte totals")),
+        ]
     return [pytest.param(thread, edit, expected, id=f"{'thread' if thread else 'phase'}-{name}")
             for name, edit, expected in cases]
 

@@ -237,12 +237,13 @@ def test_recorder_rejects_a_label_that_has_no_utf8_form():
 
 
 def _datetime_timestamp(epoch):
-    """The timestamp as ``datetime`` writes it: the oracle for ``utc_timestamp``."""
+    """The timestamp as ``datetime`` writes it, in ISO-8601 with a four-digit
+    year: the oracle for ``utc_timestamp``."""
     try:
         moment = datetime.fromtimestamp(epoch, tz=timezone.utc)
-    except OverflowError:
+    except (OverflowError, OSError):
         raise ValueError(f"epoch {epoch} is out of range") from None
-    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return moment.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
 
 def _outcome(fn, epoch):
@@ -254,7 +255,9 @@ def _outcome(fn, epoch):
 
 @pytest.mark.parametrize("epoch", [
     0, -1, 1.7, -0.5, True, 253402300799, -62135596800, 253402300800, -62135596801,
-    math.nan, math.inf, -math.inf, 1e20, 10**30,
+    math.nan, math.inf, -math.inf, 1e20, 10**30, 1e17,
+    # A year below 1000 is written with four digits.
+    -50000000000,
     # A float is rounded to the microsecond, half to even, before its second is taken.
     0.9999999, 0.9999995, -1e-7, -5e-7, 2.5e-7,
 ])
