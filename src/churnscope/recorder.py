@@ -1,22 +1,22 @@
 """Allocator call capture: per-thread recorders and the interception surface.
 
 Each thread records into its own ``ThreadRecorder``; the hot path takes no
-locks. Every recorded call is charged in one place, from its event's own
-kind and byte count: per-kind calls and bytes, and the running cost in
-integer nano-units. The counters are one integer list in ``CounterSnapshot``
-field order, so a snapshot is one tuple copy. They are the ground truth and
-survive any ring eviction; ``seq``, the number of calls recorded, is derived
-from the four call counts rather than stored. The live-block table changes
-only through ``_admit`` (a block comes into being) and ``_release`` (a block
-goes away). The bounded event ring (a ``deque`` of the most recent calls,
-each a bare ``(kind, nbytes, addr, old_addr)`` tuple) exists for
-diagnostics and for replay-based validation, and ``events()`` builds
-``AllocEvent``s from it on read. Each call costs the ring one ``append``,
-and a full ring evicts once per call, so the overflow count is
-``max(0, seq - capacity)``, computed when a snapshot is taken; the capacity
-changes no cost, call or byte count. The ``record_*`` methods return ``None``.
-The recorder's own bookkeeping does only dict, list and deque operations on
-ints, so it never calls back into a ``TracingAllocator``.
+locks. The counters are one integer list in ``CounterSnapshot`` field order,
+so a snapshot is one tuple copy. They are the ground truth and survive any
+ring eviction; ``seq``, the number of calls recorded, is derived from the
+four call counts rather than stored. On the hot path a call kind is its
+counter slot, the index of its ``*_calls`` field (its ``*_bytes`` field is
+four slots later), and the model's weights are bound in slot order. Every
+call is charged in one step, ``_charge``, the only place a call changes the
+live-block table, the counters and the bounded event ring: a ``deque`` of
+the most recent calls, each a bare ``(slot, nbytes, addr, old_addr)`` tuple,
+kept for diagnostics and replay-based validation. ``events()`` builds
+``AllocEvent``s from it on read, each slot mapped back to its kind. A full
+ring evicts once per call, so a snapshot computes the overflow count as
+``max(0, seq - capacity)``; the capacity changes no cost, call or byte
+count. The ``record_*`` methods return ``None``. The recorder's own
+bookkeeping does only dict, list and deque operations on ints, so it never
+calls back into a ``TracingAllocator``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import sys
 from collections import deque
 from math import log2
+from operator import itemgetter
 from threading import get_ident
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -95,9 +96,11 @@ _REALLOC_FREED, _COST, _OVERFLOW, _ANOMALIES = map(
     CounterSnapshot._fields.index,
     ("realloc_freed_bytes", "cost_nano", "overflow_count", "anomaly_count"),
 )
-_CALLS = {kind: CounterSnapshot._fields.index(f"{kind.value}_calls") for kind in AllocFnKind}
-_BYTES = {kind: CounterSnapshot._fields.index(f"{kind.value}_bytes") for kind in AllocFnKind}
-_MALLOC, _CALLOC, _REALLOC, _FREE = AllocFnKind.MALLOC, AllocFnKind.CALLOC, AllocFnKind.REALLOC, AllocFnKind.FREE
+# A call kind's counter slot, and the kind in each slot. A kind's bytes are four slots after its calls.
+_KINDS = tuple(AllocFnKind(field.removesuffix("_calls")) for field in CounterSnapshot._fields[:4])
+_MALLOC, _CALLOC, _REALLOC, _FREE = map(
+    _KINDS.index, (AllocFnKind.MALLOC, AllocFnKind.CALLOC, AllocFnKind.REALLOC, AllocFnKind.FREE))
+_slot_weights = itemgetter(*_KINDS)
 
 
 def checked_ring_capacity(ring_capacity: int | None) -> int:
@@ -120,7 +123,7 @@ class ThreadRecorder:
     def __init__(self, thread_id: str, model: CostModel, ring_capacity: int | None = None):
         self.thread_id = thread_id
         self._model = model
-        self._weights = model.weights
+        self._weights = _slot_weights(model.weights)  # a tuple, in slot order
         self._os_ident = self._writer = get_ident()
         self._ring: deque[tuple] = deque(maxlen=checked_ring_capacity(ring_capacity))
         self._c = [0] * len(CounterSnapshot._fields)
@@ -154,7 +157,7 @@ class ThreadRecorder:
             self._require_writable()  # raises: another thread, or sealed
         if type(requested) is not int or requested < 0:
             raise ValueError(f"requested size must be a nonnegative int, got {requested!r}")
-        self._emit(_MALLOC, self._admit(addr, requested), addr, None)
+        self._charge(_MALLOC, requested, addr, None)
 
     def record_calloc(self, count: int, elem_size: int, addr: int | None) -> None:
         """Record one calloc call; effective bytes are ``count * elem_size``."""
@@ -162,7 +165,7 @@ class ThreadRecorder:
             self._require_writable()
         if type(count) is not int or count < 0 or type(elem_size) is not int or elem_size < 0:
             raise ValueError(f"calloc sizes must be nonnegative ints, got {count!r}, {elem_size!r}")
-        self._emit(_CALLOC, self._admit(addr, count * elem_size), addr, None)
+        self._charge(_CALLOC, count * elem_size, addr, None)
 
     def record_free(self, old_addr: int | None) -> None:
         """Record one free call, attributing bytes from the live table.
@@ -174,7 +177,7 @@ class ThreadRecorder:
         """
         if get_ident() != self._writer:
             self._require_writable()
-        self._emit(_FREE, self._release(old_addr), None, old_addr)
+        self._charge(_FREE, 0, None, old_addr)
 
     def record_realloc(self, old_addr: int | None, requested: int, addr: int | None) -> None:
         """Record one realloc call as a single event charged on the new size.
@@ -191,56 +194,43 @@ class ThreadRecorder:
             raise ValueError(f"requested size must be a nonnegative int, got {requested!r}")
         if addr is None and requested:
             # Failed call: the original block stays live, the event carries no tokens.
-            self._emit(_REALLOC, 0, None, None)
+            self._charge(_REALLOC, 0, None, None)
         else:
-            self._c[_REALLOC_FREED] += self._release(old_addr)
-            if not requested:
-                addr = None  # a zero-size realloc admits no block, whatever came back
-            self._emit(_REALLOC, self._admit(addr, requested), addr, old_addr)
+            # A zero-size realloc admits no block, whatever came back.
+            self._charge(_REALLOC, requested, addr if requested else None, old_addr)
 
-    def _admit(self, addr: int | None, requested: int) -> int:
-        """Enter a new block in the live table; return the bytes it is charged.
-
-        A null token admits nothing. A request past ``BYTES_MAX`` is clamped,
-        and a token already live (a double report or a missed free) replaces
-        its entry; each is one anomaly.
-        """
-        if addr is None:
-            return 0
-        if requested > BYTES_MAX:
-            self._c[_ANOMALIES] += 1
-            requested = BYTES_MAX
-        if addr in self._live:
-            self._c[_ANOMALIES] += 1
-        self._live[addr] = requested
-        return requested
-
-    def _release(self, old_addr: int | None) -> int:
-        """Remove a block from the live table; return the bytes it held.
-
-        A null token releases nothing. An unknown token releases nothing and
-        is one anomaly.
-        """
-        if old_addr is None:
-            return 0
-        size = self._live.pop(old_addr, None)
-        if size is None:
-            self._c[_ANOMALIES] += 1
-            return 0
-        return size
-
-    def _emit(self, kind: AllocFnKind, nbytes: int, addr: int | None, old_addr: int | None) -> None:
-        """Charge one call, from the event's own kind and byte count, and log it.
-
-        The only place a call is charged, so calls, bytes and cost always
-        equal a replay of the emitted events. The cost is ``event_cost``
-        inlined, float operations in order; a full ring drops its oldest entry.
+    def _charge(self, kind: int, requested: int, addr: int | None, old_addr: int | None) -> None:
+        """Charge one call of slot ``kind`` and log it: the only place a call
+        changes the live table, counters or ring, so they always equal a
+        replay of the logged events. ``old_addr`` leaves the table (a free is
+        charged its bytes, a realloc counts them freed); ``addr`` enters it,
+        charged ``requested``. An unknown ``old_addr``, a request past
+        ``BYTES_MAX`` (clamped) and an ``addr`` already live (replaced) are an
+        anomaly each. The cost is ``event_cost`` inlined, float operations in
+        order; a full ring drops its oldest entry.
         """
         c = self._c
+        live = self._live
+        nbytes = 0
+        if old_addr is not None:
+            freed = live.pop(old_addr, None)
+            if freed is None:
+                c[_ANOMALIES] += 1
+            elif kind == _FREE:
+                nbytes = freed
+            else:
+                c[_REALLOC_FREED] += freed
+        if addr is not None:
+            if requested > BYTES_MAX:
+                c[_ANOMALIES] += 1
+                requested = BYTES_MAX
+            if addr in live:
+                c[_ANOMALIES] += 1
+            live[addr] = nbytes = requested
         if nbytes > 1:
             c[_COST] += round(self._weights[kind] * log2(nbytes) * NANO)
-        c[_CALLS[kind]] += 1
-        c[_BYTES[kind]] += nbytes
+        c[kind] += 1
+        c[kind + 4] += nbytes
         self._ring.append((kind, nbytes, addr, old_addr))
 
     # -- reading -----------------------------------------------------------
@@ -252,12 +242,13 @@ class ThreadRecorder:
         evicted = c[0] + c[1] + c[2] + c[3] - self._ring.maxlen  # seq - capacity
         if evicted > c[_OVERFLOW]:
             c[_OVERFLOW] = evicted
-        return CounterSnapshot._make(c)
+        return tuple.__new__(CounterSnapshot, c)
 
     def events(self) -> list[AllocEvent]:
         """The retained events, oldest first. Ring eviction drops the front."""
         tid, first = self.thread_id, self.snapshot().seq - len(self._ring)
-        return [AllocEvent(tid, seq, *entry) for seq, entry in enumerate(self._ring, first)]
+        return [AllocEvent(tid, seq, _KINDS[kind], nbytes, addr, old_addr)
+                for seq, (kind, nbytes, addr, old_addr) in enumerate(self._ring, first)]
 
     def live_table(self) -> dict[int, int]:
         """Copy of the outstanding-block table (token to byte size)."""
@@ -305,12 +296,13 @@ class BumpAllocator:
         self._used = 0
 
     def _take(self, size: int) -> int | None:
-        if self._budget is not None and self._used + size > self._budget:
+        used = self._used + size
+        if self._budget is not None and used > self._budget:
             return None
         addr = self._next
-        self._next += (max(size, 1) + 15) // 16 * 16
+        self._next = addr + ((size + 15) & ~15 or 16)  # a zero-size block still takes 16
         self._outstanding[addr] = size
-        self._used += size
+        self._used = used
         return addr
 
     def malloc(self, size: int) -> int | None:

@@ -305,8 +305,11 @@ def _reject_constant(name: str) -> Any:
     raise ReportError(f"non-finite number literal {name} is not allowed")
 
 
-# Each number with a fraction or exponent is kept as its literal.
-_DECODER = json.JSONDecoder(parse_float=str, parse_constant=_reject_constant)
+class _Literal(str):  # a number with a fraction or exponent, kept as written; never a JSON string
+    __slots__ = ()
+
+
+_DECODER = json.JSONDecoder(parse_float=_Literal, parse_constant=_reject_constant)
 
 
 def _read(data: bytes | str, what: str, build: Callable[[Any], Any], serialize: Callable[[Any], bytes]) -> Any:
@@ -371,9 +374,9 @@ def _parse_record(doc: Any, with_thread: bool, what: str) -> MarkerChurn:
     missing key, a list for an object), each field's type, each call count's
     type and then its sign, the byte totals' sign, the cost's sign, then
     ``_charge_fault``'s cost rules. JSON gives exact int, bool and str
-    values, so a bool never passes for an int, and a count written as ``5.0``
-    (a str here) is turned down before the writer could echo it back. A
-    merged record's ids are not read: an id key there is a layout fault.
+    values, and a ``_Literal`` for ``5.0``, so neither a bool nor ``5.0``
+    passes for a count, nor a string for a cost. A merged record's ids
+    are not read: an id key there is a layout fault.
     """
     try:
         auto_closed, allocated, freed, calls, cost, name, overflow = (
@@ -387,6 +390,8 @@ def _parse_record(doc: Any, with_thread: bool, what: str) -> MarkerChurn:
     for (key, kind), value in zip(_THREAD_TYPES if with_thread else _MERGED_TYPES, values):
         if type(value) is not kind:
             raise ReportError(f"{what} field {key!r} has the wrong type")
+    if type(cost) is str:
+        raise ReportError(f"{what} field 'cost' has the wrong type")
     for kind, count in zip(_CALL_KINDS, counts):
         if type(count) is not int:
             raise ReportError(f"{what} calls field {kind!r} has the wrong type")
@@ -399,7 +404,7 @@ def _parse_record(doc: Any, with_thread: bool, what: str) -> MarkerChurn:
     # Any other value reads as 0, which the byte comparison then rejects,
     # since the writer never writes it that way.
     micro = 0
-    if type(cost) is str and cost[-7:-6] == ".":
+    if type(cost) is _Literal and cost[-7:-6] == ".":
         if len(cost) > _MAX_COST_LEN:
             micro = _MAX_MICRO + 1
         else:

@@ -23,11 +23,11 @@ from .report import ChurnReport, ReportTotals
 def utc_timestamp(epoch: float | int | None = None) -> str:
     """ISO-8601 UTC second-resolution timestamp, optionally from an epoch.
 
-    It gives the string and refusals ``datetime.fromtimestamp`` gives, the
-    year written with four digits as ``datetime.isoformat`` writes it,
-    without importing ``datetime``: a float epoch is rounded to the
-    microsecond, half to even, before its second is taken, a year outside
-    1-9999 is refused, and so is an epoch ``gmtime`` cannot represent.
+    It gives the string ``datetime.fromtimestamp`` gives, the year written
+    with four digits as ``datetime.isoformat`` writes it, without importing
+    ``datetime``: a float epoch is rounded to the microsecond, half to even,
+    before its second is taken. An epoch with a year outside 1-9999, or one
+    ``gmtime`` cannot represent, is refused by a message naming the epoch.
     """
     seconds = epoch
     if isinstance(epoch, float) and math.isfinite(epoch):
@@ -37,9 +37,9 @@ def utc_timestamp(epoch: float | int | None = None) -> str:
     try:
         year, month, day, hour, minute, second = time.gmtime(seconds)[:6]
     except (OverflowError, OSError):
-        raise ValueError(f"epoch {epoch} is out of range") from None
+        year = 0  # refused below, with the same message as a year past 9999
     if not 1 <= year <= 9999:
-        raise ValueError(f"year {year} is out of range")
+        raise ValueError(f"epoch {epoch} is out of range")
     return f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}Z"
 
 

@@ -479,6 +479,15 @@ def test_run_epoch_gmtime_cannot_represent_is_named(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_epoch_past_year_9999_is_named(tmp_path, capsys):
+    # gmtime gives year 11476 here; the refusal names the epoch, not the year.
+    out = tmp_path / "x.churn.json"
+    code = main(["run", "--workload", "strings", "--out", str(out), "--epoch", "300000000000"])
+    assert code == 2
+    assert capsys.readouterr().err == "churnscope run: error: epoch 300000000000 is out of range\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--seed", "-1", "seed must be a 64-bit unsigned integer, got -1"),
     ("--seed", "18446744073709551616", "seed must be a 64-bit unsigned integer, got 18446744073709551616"),

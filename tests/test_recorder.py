@@ -25,7 +25,7 @@ from churnscope import (
     serialize_report,
     span_churn,
 )
-from churnscope import workloads
+from churnscope import recorder, workloads
 from churnscope.cost_model import NANO
 from churnscope.recorder import BYTES_MAX
 
@@ -308,13 +308,17 @@ HOT_PATH = [
     ThreadRecorder.record_calloc,
     ThreadRecorder.record_realloc,
     ThreadRecorder.record_free,
-    ThreadRecorder._emit,
-    ThreadRecorder._admit,
-    ThreadRecorder._release,
+    ThreadRecorder._charge,
+    ThreadRecorder.snapshot,
     TracingAllocator.malloc,
     TracingAllocator.calloc,
     TracingAllocator.realloc,
     TracingAllocator.free,
+    BumpAllocator._take,
+    BumpAllocator.malloc,
+    BumpAllocator.calloc,
+    BumpAllocator.realloc,
+    BumpAllocator.free,
 ]
 
 
@@ -335,8 +339,23 @@ def test_hot_path_keeps_no_reentrancy_depth_and_reads_the_bound_weights(func):
     # and the weight table is bound once at construction.
     names = _names_loaded(func)
     assert "_depth" not in names
-    if func is ThreadRecorder._emit:
+    if func is ThreadRecorder._charge:
         assert "_model" not in names
+
+
+@pytest.mark.parametrize("func", HOT_PATH, ids=lambda func: func.__qualname__)
+def test_hot_path_indexes_counter_slots_and_calls_no_python_level_helper(func):
+    # A kind is its counter slot, so no per-kind table is looked up; a
+    # snapshot skips the named tuple's Python-level ``_make``, and the bump
+    # heap rounds a size without ``max``.
+    assert not {"_CALLS", "_BYTES", "max", "_make"} & _names_loaded(func)
+
+
+def test_each_kind_slot_holds_its_calls_and_four_slots_later_its_bytes():
+    assert [kind.value for kind in recorder._KINDS] == ["malloc", "calloc", "realloc", "free"]
+    for slot, kind in enumerate(recorder._KINDS):
+        assert CounterSnapshot._fields[slot] == f"{kind.value}_calls"
+        assert CounterSnapshot._fields[slot + 4] == f"{kind.value}_bytes"
 
 
 def test_snapshot_is_pure_read():
@@ -642,6 +661,40 @@ def test_rejected_call_leaves_the_heap_unchanged(call):
         call(heap, a)
     assert state() == before
     assert type(heap.malloc(16)) is int
+
+
+def test_bump_heap_tokens_are_16_byte_aligned_blocks_from_0x1000():
+    heap = BumpAllocator()
+    sizes = [0, 1, 15, 16, 17, 2**64, 0]
+    tokens = [heap.malloc(size) for size in sizes]
+    assert tokens == [0x1000, 0x1010, 0x1020, 0x1030, 0x1040, 0x1060, 0x1060 + 2**64]
+    assert all(token % 16 == 0 for token in tokens)
+    assert heap._next == 0x1070 + 2**64
+    assert heap._used == sum(sizes)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda heap, a: heap.malloc(65),
+        lambda heap, a: heap.calloc(5, 13),
+        lambda heap, a: heap.realloc(a, 101),
+        lambda heap, a: heap.realloc(None, 65),
+    ],
+    ids=["malloc", "calloc", "realloc-grow", "realloc-null"],
+)
+def test_budget_refusal_leaves_the_bump_heap_unchanged(call):
+    heap = BumpAllocator(budget=100)
+    a = heap.malloc(36)
+
+    def state():
+        return heap._next, dict(heap._outstanding), heap._used
+
+    before = state()
+    assert call(heap, a) is None
+    assert state() == before
+    assert heap.malloc(64) == 0x1030  # exactly at the budget
+    assert heap.malloc(0) == 0x1070 and heap.malloc(1) is None
 
 
 def test_negative_sizes_rejected():

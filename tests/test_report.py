@@ -485,8 +485,9 @@ def test_cost_literals_read_back_to_the_same_integer():
 
 # Each literal is rejected; the second column says what is wrong with it. A
 # literal written as the writer writes a cost (six decimals) reaches the
-# cost checks, which name the fault. Any other spelling is a layout fault:
-# the literal itself is where the input departs from the canonical bytes.
+# cost checks, which name the fault, and a JSON string is a wrong type,
+# however its text reads. Any other spelling is a layout fault: the literal
+# itself is where the input departs from the canonical bytes.
 @pytest.mark.parametrize(
     "literal, fault",
     [
@@ -498,6 +499,8 @@ def test_cost_literals_read_back_to_the_same_integer():
         ("1e99999999999999999999", "invalid value"),
         ("-1.000000", "negative cost"),
         ('"20"', "wrong type"),
+        ('"-1.000000"', "wrong type"),
+        ('"20.000000"', "wrong type"),
         ("true", "wrong type"),
     ],
 )
@@ -505,6 +508,9 @@ def test_parse_rejects_cost_literals_that_are_not_micro_units(literal, fault):
     data = GOLDEN.replace('"cost": 20.000000', f'"cost": {literal}')
     if re.fullmatch(r"-?[0-9]+\.[0-9]{6}", literal):
         with pytest.raises(ReportError, match=rf"^threads\[0\] has {fault}$"):
+            parse_report(data)
+    elif literal.startswith('"'):
+        with pytest.raises(ReportError, match=rf"^threads\[0\] field 'cost' has the {fault}$"):
             parse_report(data)
     else:
         assert rejected_at(data) == GOLDEN.index('"cost": 20.000000') + len('"cost": ')
@@ -602,12 +608,13 @@ def _single_faults(thread):
     cases = [(f"missing-{key}", _delete(key), missing.format(key)) for key in fields]
     cases += [(f"missing-calls-{kind}", lambda r, kind=kind: r["calls"].pop(kind), missing.format(kind))
               for kind in CALL_KINDS]
-    wrong = [("name", 1), ("bytes_allocated", True), ("bytes_freed", 1.5), ("overflow", 0), ("auto_closed", None)]
+    wrong = [("name", 1), ("name", Literal("1.5")), ("bytes_allocated", True), ("bytes_freed", 1.5), ("overflow", 0), ("auto_closed", None)]
     if thread:
         wrong += [("thread_id", 7), ("span_id", None)]
     cases += [(f"type-{key}-{value!r}", _set(key, value), fault(f"field {key!r} has the wrong type"))
               for key, value in wrong]
-    cases += [(f"type-cost-{value!r}", _set("cost", value), AT_COST) for value in ("20", True)]
+    cases += [("type-cost-'20'", _set("cost", "20"), fault("field 'cost' has the wrong type")),
+              ("type-cost-True", _set("cost", True), AT_COST)]
     cases.append(("type-calls-[1]", _set("calls", [1]),
                   fault("does not match the schema (TypeError: list indices must be integers or slices, not str)")))
     cases += [(f"type-calls-{kind}", _set_call(kind, True), fault(f"calls field {kind!r} has the wrong type"))

@@ -3,6 +3,7 @@ a plain per-name rescan, on sessions with many threads and names."""
 
 import math
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -238,10 +239,15 @@ def test_recorder_rejects_a_label_that_has_no_utf8_form():
 
 def _datetime_timestamp(epoch):
     """The timestamp as ``datetime`` writes it, in ISO-8601 with a four-digit
-    year: the oracle for ``utc_timestamp``."""
+    year: the oracle for ``utc_timestamp``. Each of its out-of-range
+    refusals, a year outside 1-9999 included, names the epoch."""
     try:
         moment = datetime.fromtimestamp(epoch, tz=timezone.utc)
     except (OverflowError, OSError):
+        raise ValueError(f"epoch {epoch} is out of range") from None
+    except ValueError as exc:
+        if not re.fullmatch(r"year -?[0-9]+ is out of range", str(exc)):
+            raise
         raise ValueError(f"epoch {epoch} is out of range") from None
     return moment.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
 
