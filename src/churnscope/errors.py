@@ -34,8 +34,8 @@ class SpanStateError(ChurnscopeError):
 class ReportError(ChurnscopeError):
     """A report or verdict document failed to parse or validate.
 
-    ``offset`` carries the byte offset of a syntax error, or of the first byte
-    at which a document departs from its canonical form, when known.
+    ``offset`` is the byte a byte-level fault names: where the document departs
+    from its writer's template, or the start of a slot it misfills; else None.
     """
 
     def __init__(self, message: str, offset: int | None = None):

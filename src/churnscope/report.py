@@ -5,14 +5,14 @@ templates: the layout of ``json.dumps(indent=2, sort_keys=True,
 ensure_ascii=False)``, with every non-integer number rendered as fixed-point
 with six decimals, UTF-8, newline-terminated. Costs are integer micro-units,
 rendered and read back exactly. Equal reports serialize to identical bytes on
-any platform, and the readers accept only those bytes, so a content has one
+any platform, and the reader accepts only those bytes, so a content has one
 byte form. A writer encodes each record into one byte buffer as it is made
-(``_document``), so writing a document holds about one copy of it. A
-report's thread records are read by matching them against a pattern built
-from the writer's record template (``_match_report``). Bytes that miss it,
-and every verdict, are read by ``_read``: it rebuilds the object, one record
-per ``_parse_record`` call, writes it again and compares, and names the first
-fault. So this decode path only names faults and reads verdicts.
+(``_document``), so writing a document holds about one copy of it.
+
+Each layout has one template (``_Template``). The writer fills it; the
+reader matches its pattern, then applies the rules no pattern expresses. On
+a miss the reader walks the template to the first byte that departs from it
+(``_walk``), so every byte-level fault has one message form.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import json
 import math
 import re
 import sys
-from operator import itemgetter
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, NoReturn
 
 from .aggregation import MarkerChurn, merge_phases
 from .cost_model import COST_DECIMALS, MICRO, AllocFnKind, CostModel
@@ -175,18 +174,41 @@ class RegressionVerdict(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# canonical writer
+# canonical writer: one template per layout, which the reader matches too
 
 
 # The C function that json.dumps(s, ensure_ascii=False) ends in: same bytes, no encoder object.
 _quote = json.encoder.encode_basestring
 
 
-def _record_layout(nl: str) -> tuple[str, str]:
-    """The two ``%`` templates of a record whose closing brace starts line
-    ``nl``: without and with the ``span_id``/``thread_id`` pair. Every field
-    slot is ``%s``; ``%d`` would truncate a float that a caller put in a
-    trusted field."""
+class _Template:
+    """A writer's ``%`` template and the kind of each ``%s`` slot, in fill
+    order: the pattern of the only text the writer gives there, or a nested
+    record template whose slot may hold ``null`` instead. Every slot is
+    ``%s``; ``%d`` would truncate a float that a caller put in a trusted field.
+    A plain class, as it is built at import: a named tuple class costs more."""
+
+    __slots__ = ("text", "kinds")
+
+    def __init__(self, text: str, kinds: tuple[Any, ...]) -> None:
+        self.text, self.kinds = text, kinds
+
+
+# The slot kinds, each with one group. In every template a slot is followed by "," or a newline.
+_BOOL = "(true|false)"
+_COUNT = "(0|[1-9][0-9]*)"
+_FIXED = r"((?:0|[1-9][0-9]*)\.[0-9]{6})"  # a cost, weight or threshold
+_FLOOR = "(null|0|[1-9][0-9]*)"
+# A string's contents, unrolled: runs of characters _quote leaves as they are, between escapes.
+_STRING = r'"([^"\\\x00-\x1f]*(?:\\[^\x00-\x1f][^"\\\x00-\x1f]*)*)"'
+# What a fault names as expected where a slot's text does not fit its kind.
+_KIND_NAMES = {_BOOL: "true or false", _COUNT: "a count", _FIXED: "a number with six decimals",
+               _FLOOR: "null or a count", _STRING: "a string"}
+
+
+def _record_layout(nl: str) -> tuple[_Template, _Template]:
+    """The two templates of a record whose closing brace starts line ``nl``:
+    without and with the ``span_id``/``thread_id`` pair."""
     i = nl + "  "
     j = i + "  "
     head = (
@@ -194,16 +216,45 @@ def _record_layout(nl: str) -> tuple[str, str]:
         f'{i}"calls": {{{j}"calloc": %s,{j}"free": %s,{j}"malloc": %s,{j}"realloc": %s{i}}},'
         f'{i}"cost": %s,{i}"name": %s,{i}"overflow": %s'
     )
-    return f"{head}{nl}}}", f'{head},{i}"span_id": %s,{i}"thread_id": %s{nl}}}'
+    kinds = (_BOOL, *[_COUNT] * 6, _FIXED, _STRING, _BOOL)
+    return (_Template(f"{head}{nl}}}", kinds),
+            _Template(f'{head},{i}"span_id": %s,{i}"thread_id": %s{nl}}}', (*kinds, _STRING, _STRING)))
 
 
-# The record layouts the writers use, built once: a report's thread record and a verdict row's record.
+# A report's thread record, and a verdict row whose two records are merged ones or null.
 _THREAD_RECORD = _record_layout("\n    ")
 _ROW_RECORD = _record_layout("\n      ")
-_ROW = '{\n      "baseline": %s,\n      "candidate": %s,\n      "phase": %s,\n      "status": %s\n    }'
+_ROW = _Template('{\n      "baseline": %s,\n      "candidate": %s,\n      "phase": %s,\n      "status": %s\n    }',
+                 (_ROW_RECORD[0], _ROW_RECORD[0], _STRING, _STRING))
+
+# The weight slots' kinds, in the header's (sorted) key order.
+_WEIGHT_KINDS = (AllocFnKind.CALLOC, AllocFnKind.FREE, AllocFnKind.MALLOC, AllocFnKind.REALLOC)
+_HEADER = _Template(
+    '{\n  "build_id": %s,\n  "cost_model": {\n    "model_version": %s,\n    "weights": {\n      "calloc": %s,'
+    '\n      "free": %s,\n      "malloc": %s,\n      "realloc": %s\n    }\n  },\n  "counters": {'
+    '\n    "anomaly_count": %s,\n    "bytes_allocated": %s,\n    "bytes_freed": %s,\n    "live_blocks": %s,'
+    '\n    "live_bytes": %s,\n    "overflow_count": %s\n  },\n  "created_at": %s,'
+    f'\n  "schema_version": {_quote(REPORT_SCHEMA_VERSION)},\n  "threads": ',
+    (_STRING, _STRING, *[_FIXED] * 4, *[_COUNT] * 6, _STRING),
+)
+_REPORT_TAIL = _Template("\n}\n", ())
+_VERDICT_HEAD = _Template('{\n  "deltas": ', ())
+_VERDICT_TAIL = _Template(
+    f',\n  "regression_detected": %s,\n  "schema_version": {_quote(VERDICT_SCHEMA_VERSION)},'
+    '\n  "thresholds": {\n    "abs_floor": %s,\n    "call_floor": %s,\n    "rel": %s\n  }\n}\n',
+    (_BOOL, _FIXED, _FLOOR, _FIXED),
+)
+# What the writers put around and between the members of a top-level array (``json.dumps(indent=2)``'s layout).
+_OPEN, _NEXT, _CLOSE, _NONE = "[\n    ", ",\n    ", "\n  ]", "[]"
 
 
-def _churn_text(r: MarkerChurn, layout: tuple[str, str]) -> str:
+# Each document: its name, its array's key, the schema_version its templates hold, and the templates
+# of its head, of each member of its array, and of its tail.
+_REPORT = ("report", "threads", REPORT_SCHEMA_VERSION, _HEADER, _THREAD_RECORD[1], _REPORT_TAIL)
+_VERDICT = ("verdict", "deltas", VERDICT_SCHEMA_VERSION, _VERDICT_HEAD, _ROW, _VERDICT_TAIL)
+
+
+def _churn_text(r: MarkerChurn, layout: tuple[_Template, _Template]) -> str:
     """A record as one string, from ``layout``'s template (``_record_layout``).
 
     The bytes are those ``json.dumps(indent=2, sort_keys=True,
@@ -220,13 +271,13 @@ def _churn_text(r: MarkerChurn, layout: tuple[str, str]) -> str:
         _quote(name), "true" if overflow else "false",
     )
     if thread_id is None and span_id is None:
-        return layout[0] % fields
-    return layout[1] % (*fields, "null" if span_id is None else _quote(span_id),
-                        "null" if thread_id is None else _quote(thread_id))
+        return layout[0].text % fields
+    return layout[1].text % (*fields, "null" if span_id is None else _quote(span_id),
+                             "null" if thread_id is None else _quote(thread_id))
 
 
 def _delta_text(d: ChurnDelta) -> str:
-    """A verdict row as one string, from one template, each side's record by
+    """A verdict row as one string, from ``_ROW``, each side's record by
     ``_churn_text``.
 
     The bytes are those ``json.dumps`` gives, as for a record, for the row's
@@ -234,7 +285,7 @@ def _delta_text(d: ChurnDelta) -> str:
     and ``status``. Field types are trusted, not checked.
     """
     phase, status, base, cand = d
-    return _ROW % (
+    return _ROW.text % (
         "null" if base is None else _churn_text(base, _ROW_RECORD),
         "null" if cand is None else _churn_text(cand, _ROW_RECORD),
         _quote(phase), _quote(status),
@@ -246,13 +297,6 @@ def _fixed(value: float) -> str:
         raise ValueError(f"cannot serialize non-finite number {value!r}")
     value = round(value, COST_DECIMALS)
     return f"{value if value else 0.0:.6f}"  # 0.0 normalizes -0.0
-
-
-# What the writers put around and between the members of a top-level array
-# (``json.dumps(indent=2)``'s layout), and what ``_match_report`` reads there.
-_OPEN, _NEXT, _CLOSE, _NONE = "[\n    ", ",\n    ", "\n  ]", "[]"
-_THREADS_KEY = '\n  "threads": '
-_REPORT_TAIL = "\n}\n"
 
 
 def _document(head: str, texts: Iterable[str], tail: str) -> bytes:
@@ -277,78 +321,21 @@ def _document(head: str, texts: Iterable[str], tail: str) -> bytes:
 def serialize_report(report: ChurnReport) -> bytes:
     """Canonical bytes for a report; equal reports yield identical bytes.
 
-    Its fields in sorted-key order, each thread record encoded as it is
-    written (``_document``); ``merged`` is not written. Field types are
-    trusted; a non-finite weight raises ValueError.
+    ``_HEADER`` filled with the report's fields, then each thread record,
+    encoded as it is written (``_document``); ``merged`` is not written.
+    Field types are trusted; a non-finite weight raises ValueError.
     """
     model, t = report.model, report.totals
-    weights = [f"{_quote(key)}: {_fixed(w)}" for key, w in sorted((k.value, w) for k, w in model.weights.items())]
-    weights_text = "{\n      " + ",\n      ".join(weights) + "\n    }" if weights else "{}"
-    head = (
-        f'{{\n  "build_id": {_quote(report.build_id)},\n  "cost_model": {{'
-        f'\n    "model_version": {_quote(model.model_version)},\n    "weights": {weights_text}'
-        f'\n  }},\n  "counters": {{\n    "anomaly_count": {t.anomaly_count},'
-        f'\n    "bytes_allocated": {t.bytes_allocated},\n    "bytes_freed": {t.bytes_freed},'
-        f'\n    "live_blocks": {t.live_blocks},\n    "live_bytes": {t.live_bytes},'
-        f'\n    "overflow_count": {t.overflow_count}\n  }},'
-        f'\n  "created_at": {_quote(report.created_at)},'
-        f'\n  "schema_version": {_quote(REPORT_SCHEMA_VERSION)},{_THREADS_KEY}'
+    head = _HEADER.text % (
+        _quote(report.build_id), _quote(model.model_version), *[_fixed(model.weights[k]) for k in _WEIGHT_KINDS],
+        t.anomaly_count, t.bytes_allocated, t.bytes_freed, t.live_blocks, t.live_bytes, t.overflow_count,
+        _quote(report.created_at),
     )
-    return _document(head, (_churn_text(r, _THREAD_RECORD) for r in report.per_thread), _REPORT_TAIL)
+    return _document(head, (_churn_text(r, _THREAD_RECORD) for r in report.per_thread), _REPORT_TAIL.text)
 
 
 # ---------------------------------------------------------------------------
-# parsing and validation
-
-
-def _reject_constant(name: str) -> Any:
-    raise ReportError(f"non-finite number literal {name} is not allowed")
-
-
-class _Literal(str):  # a number with a fraction or exponent, kept as written; never a JSON string
-    __slots__ = ()
-
-
-_DECODER = json.JSONDecoder(parse_float=_Literal, parse_constant=_reject_constant)
-
-
-def _read(data: bytes | str, what: str, build: Callable[[Any], Any], serialize: Callable[[Any], bytes]) -> Any:
-    """Both readers' one rule: decode, ``build`` the object with the semantic
-    checks, write it again and demand the input's exact bytes. Any other
-    layout, spelling, key order, or duplicated or unknown key fails the
-    comparison, named by the first differing byte; a field ``build`` cannot
-    find or use fails here too. It only names faults and reads verdicts: it
-    reads a report only when ``_match_report`` misses, to name the fault.
-    """
-    try:
-        if isinstance(data, str):
-            data = data.encode("utf-8")
-        text = data.decode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise ReportError(f"{what} holds a string that is not valid Unicode: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ReportError(f"{what} is not valid UTF-8: {exc}") from None
-    try:
-        doc = _DECODER.decode(text)
-    except json.JSONDecodeError as exc:
-        offset = len(text[: exc.pos].encode("utf-8"))
-        raise ReportError(f"{what} syntax error at offset {offset}: {exc.msg}", offset=offset) from None
-    except RecursionError:
-        raise ReportError(f"{what} is nested too deeply") from None
-    except ValueError as exc:  # e.g. an integer literal past the int conversion limit
-        raise ReportError(f"{what} has an invalid value: {exc}") from None
-    try:
-        result = build(doc)
-        canonical = serialize(result)
-    except UnicodeEncodeError as exc:  # an escape decoded to a lone surrogate
-        raise ReportError(f"{what} holds a string that is not valid Unicode: {exc}") from None
-    except (KeyError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:
-        raise ReportError(f"{what} does not match the schema ({type(exc).__name__}: {exc})") from None
-    if canonical != data:
-        at = next((i for i, (a, b) in enumerate(zip(canonical, data)) if a != b), min(len(canonical), len(data)))
-        excerpts = f"expected {canonical[at:at + 24]!r}, found {data[at:at + 24]!r}"
-        raise ReportError(f"{what} is not in canonical form at byte {at}: {excerpts}", offset=at)
-    return result
+# reading: match the templates, then apply the rules no pattern expresses
 
 
 # The bound makes every ratio of two accepted costs, and so every relative delta, a finite float.
@@ -356,76 +343,164 @@ _MAX_MICRO = int(sys.float_info.max)
 _MAX_COST_LEN = len(format_cost(_MAX_MICRO))
 
 
-# The type of each record field that has one, in the writer's (sorted) order;
-# a thread record adds the ids. The calls and the cost are checked on their own.
-_THREAD_TYPES = (("auto_closed", bool), ("bytes_allocated", int), ("bytes_freed", int), ("name", str),
-                 ("overflow", bool), ("span_id", str), ("thread_id", str))
-_MERGED_TYPES = _THREAD_TYPES[:5]
-_CALL_KINDS = ("calloc", "free", "malloc", "realloc")
-_COUNTERS = itemgetter(*ReportTotals._fields)
+def _regex(template: _Template) -> str:
+    literals = template.text.split("%s")
+    slots = [kind if type(kind) is str else f"(?:null|{_regex(kind)})" for kind in template.kinds]
+    return "".join(re.escape(literal) + slot for literal, slot in zip(literals, [*slots, ""]))
 
 
-def _parse_record(doc: Any, with_thread: bool, what: str) -> MarkerChurn:
-    """The record ``doc`` holds, or ReportError naming its first fault,
-    labelled ``what``. It reads a verdict's records, and a report's only to
-    name a fault, one record per call.
+@functools.cache
+def _pattern(template: _Template) -> re.Pattern[str]:
+    """The pattern of ``template``'s text: each literal as written and each
+    slot its kind's pattern, so one group per slot in fill order (a nested
+    record's groups in its place). Compiled on the first read, not at import."""
+    return re.compile(_regex(template))
 
-    Each rule is checked once, in this order: a field it cannot fetch (a
-    missing key, a list for an object), each field's type, each call count's
-    type and then its sign, the byte totals' sign, the cost's sign, then
-    ``_charge_fault``'s cost rules. JSON gives exact int, bool and str
-    values, and a ``_Literal`` for ``5.0``, so neither a bool nor ``5.0``
-    passes for a count, nor a string for a cost. A merged record's ids
-    are not read: an id key there is a layout fault.
+
+def _unquote(contents: str) -> str:
+    """The string that a string literal with escapes, ``"contents"``, holds;
+    ValueError unless ``_quote`` writes that string back as the literal, and
+    UnicodeEncodeError (a ValueError) for a string with no UTF-8 form."""
+    literal = f'"{contents}"'
+    value = json.loads(literal)
+    if _quote(value) != literal:
+        value.encode("utf-8")  # an escaped lone surrogate raises here
+        raise ValueError(f"string literal {literal!r} is not in canonical form")
+    return value
+
+
+def _fault(text: str, at: int, label: str, expected: str, key: str | None = None) -> ReportError:
+    """The one message of a byte-level fault: ``text`` departs at character
+    ``at`` from what ``expected`` gives or names, in ``label`` (at its field
+    ``key``, if any); the offset counts UTF-8 bytes."""
+    offset = len(text[:at].encode("utf-8"))
+    field = "" if key is None else f" field {key!r}"
+    return ReportError(f"{label}{field} is not in canonical form at byte {offset}: "
+                       f"expected {expected!r}, found {text[at:at + 24]!r}", offset=offset)
+
+
+def _expect(text: str, pos: int, literal: str, label: str, end: bool = False) -> int:
+    """Where ``literal`` ends when ``text`` holds it at ``pos`` (and ends with
+    it, if ``end``); else ReportError at its first byte that differs."""
+    stop = pos + len(literal)
+    if text.startswith(literal, pos) and (not end or stop == len(text)):
+        return stop
+    at = next((i for i, (a, b) in enumerate(zip(literal, text[pos:stop])) if a != b), min(stop, len(text)) - pos)
+    raise _fault(text, pos + at, label, literal[at:at + 24])
+
+
+def _walk(text: str, pos: int, template: _Template, label: str, end: bool = False) -> int:
+    """Lay ``template`` over ``text`` from ``pos``, literal by literal and
+    slot by slot, and raise ReportError where they part: at a literal's first
+    differing byte, or at the start of a slot whose text does not fit its
+    kind, as the writer gives it (escapes as ``_quote`` writes them, a count
+    ``int`` converts). A nested record is walked under ``label`` and its
+    slot's key. So the walk parts exactly where ``_pattern(template)`` or
+    reading a slot fails; else it returns where the template ends."""
+    literals = template.text.split("%s")
+    for literal, kind in zip(literals, template.kinds):
+        pos = _expect(text, pos, literal, label)
+        key = literal.rsplit('"', 2)[1]
+        if type(kind) is _Template:
+            pos = pos + 4 if text.startswith("null", pos) else _walk(text, pos, kind, f"{label} {key}")
+            continue
+        # A slot's text may not run on into more of a number or word: "5.0" is no count then ".0".
+        m = re.compile(kind + "(?![0-9A-Za-z.+-])").match(text, pos)
+        try:
+            if m is not None and kind == _COUNT:
+                int(m[1])
+            elif m is not None and kind == _STRING and "\\" in m[1]:
+                _unquote(m[1])
+        except UnicodeEncodeError as exc:
+            raise ReportError(f"{label} field {key!r} holds a string that is not valid Unicode: {exc}") from None
+        except ValueError:
+            m = None
+        if m is None:
+            raise _fault(text, pos, label, _KIND_NAMES[kind], key)
+        pos = m.end()
+    return _expect(text, pos, literals[-1], label, end)
+
+
+def _miss(text: str, layout: tuple[Any, ...], pos: int, template: _Template, label: str, end: bool = False) -> NoReturn:
+    """Raise ReportError for ``text``, which misses ``template`` at ``pos``.
+
+    A document of the other kind is named from its first key, and one of
+    another ``schema_version`` from its top-level ``schema_version`` line;
+    any other miss by where the walk of ``template`` (``_walk``) stops.
     """
+    what, _, version, *_ = layout
+    other, _, _, other_head, *_ = _VERDICT if layout is _REPORT else _REPORT
+    if text.startswith(other_head.text.split("%s")[0]):
+        raise ReportError(f"document is a {other}, not a {what}")
+    found = re.search(r'\n  "schema_version": "([^"\\]*)"', text)
+    if found and found[1] != version:
+        raise ReportError(f"unknown schema_version {found[1]!r} (expected {version!r})")
+    _walk(text, pos, template, label, end)
+    # Not reached: the walk parts wherever the pattern misses. A miss is never accepted.
+    raise ReportError(f"{label} is not in canonical form")
+
+
+def _read_document(data: bytes | str, layout: tuple[Any, ...], read: Callable[[tuple[Any, ...]], Any]) -> tuple[
+        str, re.Match[str], list[Any], re.Match[str]]:
+    """``data`` as text (UTF-8), matched against ``layout``'s templates: the
+    head's match, each member's slot texts made into a value by ``read``, and
+    the tail's match. A member whose slot ``read`` cannot read (ValueError) is
+    walked as one that does not match: the first fault raises ReportError
+    (``_miss``).
+    """
+    what, array, _, head_template, member, tail_template = layout
     try:
-        auto_closed, allocated, freed, calls, cost, name, overflow = (
-            doc["auto_closed"], doc["bytes_allocated"], doc["bytes_freed"], doc["calls"], doc["cost"],
-            doc["name"], doc["overflow"])
-        span_id, thread_id = (doc["span_id"], doc["thread_id"]) if with_thread else (None, None)
-        counts = calloc, free, malloc, realloc = calls["calloc"], calls["free"], calls["malloc"], calls["realloc"]
-    except (KeyError, TypeError) as exc:
-        raise ReportError(f"{what} does not match the schema ({type(exc).__name__}: {exc})") from None
-    values = (auto_closed, allocated, freed, name, overflow, span_id, thread_id)
-    for (key, kind), value in zip(_THREAD_TYPES if with_thread else _MERGED_TYPES, values):
-        if type(value) is not kind:
-            raise ReportError(f"{what} field {key!r} has the wrong type")
-    if type(cost) is str:
-        raise ReportError(f"{what} field 'cost' has the wrong type")
-    for kind, count in zip(_CALL_KINDS, counts):
-        if type(count) is not int:
-            raise ReportError(f"{what} calls field {kind!r} has the wrong type")
-        if count < 0:
-            raise ReportError(f"{what} has negative {kind} count")
-    if allocated < 0 or freed < 0:
-        raise ReportError(f"{what} has negative byte totals")
-    # A cost with the writer's dot before six decimals is the integer of its
-    # digits (just out of range if longer than the largest cost's literal).
-    # Any other value reads as 0, which the byte comparison then rejects,
-    # since the writer never writes it that way.
-    micro = 0
-    if type(cost) is _Literal and cost[-7:-6] == ".":
-        if len(cost) > _MAX_COST_LEN:
-            micro = _MAX_MICRO + 1
-        else:
-            try:
-                micro = int(cost.replace(".", ""))
-            except ValueError:
-                pass
-    if micro < 0:
-        raise ReportError(f"{what} has negative cost")
+        text = (data.encode("utf-8") if isinstance(data, str) else data).decode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ReportError(f"{what} holds a string that is not valid Unicode: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ReportError(f"{what} is not valid UTF-8: {exc}") from None
+    head = _pattern(head_template).match(text) or _miss(text, layout, 0, head_template, what)
+    pos = head.end()
+    members: list[Any] = []
+    if text.startswith(_OPEN, pos):
+        pos += len(_OPEN)
+        match = _pattern(member).match
+        while True:
+            m = match(text, pos)
+            if m is not None:
+                try:
+                    members.append(read(m.groups()))
+                except ValueError:
+                    m = None
+            if m is None:
+                _miss(text, layout, pos, member, f"{array}[{len(members)}]")
+            pos = m.end()
+            if not text.startswith(_NEXT, pos):
+                break
+            pos += len(_NEXT)
+        pos = _expect(text, pos, _NEXT if text.startswith(",", pos) else _CLOSE, what)
+    else:
+        pos = _expect(text, pos, _NONE, what)
+    tail = _pattern(tail_template).fullmatch(text, pos) or _miss(text, layout, pos, tail_template, what, True)
+    return text, head, members, tail
+
+
+def _record(slots: tuple[Any, ...]) -> MarkerChurn:
+    """The record of a thread record template's slot texts, in fill order (a
+    merged record's ids None); ValueError for a string whose escapes
+    ``_quote`` would not write or a count past int conversion. A cost longer
+    than the largest cost reads as just past it."""
+    auto_closed, allocated, freed, calloc, free, malloc, realloc, cost, name, overflow, span_id, thread_id = slots
     # tuple.__new__ skips the named tuple's Python-level __new__: the fields are already in order.
-    record = tuple.__new__(MarkerChurn, (name, micro, malloc, calloc, realloc, free, allocated, freed,
-                                         overflow, auto_closed, thread_id, span_id))
-    fault = _charge_fault(record)
-    if fault:
-        raise ReportError(f"{what} {fault}")
-    return record
+    return tuple.__new__(MarkerChurn, (
+        name if "\\" not in name else _unquote(name),
+        int(cost.replace(".", "")) if len(cost) <= _MAX_COST_LEN else _MAX_MICRO + 1,
+        int(malloc), int(calloc), int(realloc), int(free), int(allocated), int(freed),
+        overflow == "true", auto_closed == "true",
+        thread_id if thread_id is None or "\\" not in thread_id else _unquote(thread_id),
+        span_id if span_id is None or "\\" not in span_id else _unquote(span_id),
+    ))
 
 
 def _charge_fault(record: MarkerChurn) -> str | None:
-    """How a record of the right types and signs breaks the cost rules, or
-    None: a cost past the largest a report holds, or a cost with no call."""
+    """How a record breaks the cost rules, or None: a cost past the largest
+    a report holds, or a cost with no call."""
     _, micro, malloc, calloc, realloc, free, _, _, _, _, _, _ = record
     if micro > _MAX_MICRO:
         return "field 'cost' is out of range or not a whole number of micro-units"
@@ -434,23 +509,24 @@ def _charge_fault(record: MarkerChurn) -> str | None:
     return None
 
 
-def _parse_model(doc: Any) -> CostModel:
-    weights = {AllocFnKind(key): weight for key, weight in doc["weights"].items()}
-    try:
-        return CostModel(weights, doc["model_version"])
-    except CostModelError as exc:  # named by the report's field
-        raise ReportError(str(exc).replace("cost model", "cost_model", 1)) from None
+def _check_written(m: re.Match[str], group: int, written: str, label: str, key: str) -> None:
+    """ReportError at ``m``'s slot ``group`` unless it holds ``written``, a recomputed or rewritten value."""
+    if m[group] != written:
+        raise _fault(m.string, m.start(group), label, written[:24], key)
 
 
 def _merged_threads(per_thread: list[MarkerChurn]) -> dict[str, MarkerChurn]:
-    """A report's ``merged``, from thread records that each meet the record
-    rules, once the records meet the rules between them: the order
+    """A report's ``merged``, once its thread records meet the cost rules
+    (``_charge_fault``) and the rules between them: the order
     ``build_report`` writes them in, no span id twice, and no phase's summed
     cost past the largest a report holds."""
     span_ids: set[str] = set()
     # build_report's order: labels sorted, spans in begin order, ids label/NNNNNN.
     last: tuple = ("", -1, "")
     for i, record in enumerate(per_thread):
+        fault = _charge_fault(record)
+        if fault:
+            raise ReportError(f"threads[{i}] {fault}")
         span_id = record.span_id
         if span_id in span_ids:
             raise ReportError(f"threads[{i}] repeats span_id {span_id!r}")
@@ -466,120 +542,32 @@ def _merged_threads(per_thread: list[MarkerChurn]) -> dict[str, MarkerChurn]:
     return merged
 
 
-def _build_report(doc: Any) -> ChurnReport:
-    version = doc["schema_version"]
-    if "deltas" in doc:
-        raise ReportError("document is a verdict, not a report")
-    if version != REPORT_SCHEMA_VERSION:
-        raise ReportError(f"unknown schema_version {version!r} (expected {REPORT_SCHEMA_VERSION!r})")
-    model = _parse_model(doc["cost_model"])
-    per_thread = [_parse_record(record, True, f"threads[{i}]") for i, record in enumerate(doc["threads"])]
-    merged = _merged_threads(per_thread)
-    totals = ReportTotals(*_COUNTERS(doc["counters"]))
-    for key, value in zip(ReportTotals._fields, totals):
-        if type(value) is not int:
-            raise ReportError(f"counters field {key!r} has the wrong type")
-        if value < 0:
-            raise ReportError(f"counters field {key!r} is negative")
-    return ChurnReport(doc["build_id"], doc["created_at"], model, merged, per_thread, totals)
-
-
-def _read_report(data: bytes | str) -> ChurnReport:
-    return _read(data, "report", _build_report, serialize_report)
-
-
-# The slot of each kind of field in the record pattern: only the text the writer gives for it.
-_BOOL = "(true|false)"
-_INT = "(0|[1-9][0-9]*)"
-_COST = r"((?:0|[1-9][0-9]*)\.[0-9]{6})"
-# A string's contents, unrolled: runs of characters _quote leaves as they are, between escapes.
-_STRING = r'"([^"\\\x00-\x1f]*(?:\\[^\x00-\x1f][^"\\\x00-\x1f]*)*)"'
-
-
-@functools.cache
-def _thread_record_pattern() -> re.Pattern[str]:
-    """The pattern of a thread record's text, one group per slot of
-    ``_THREAD_RECORD[1]`` in ``_churn_text``'s fill order; built on the first
-    read, not at import."""
-    slots = (_BOOL, _INT, _INT, _INT, _INT, _INT, _INT, _COST, _STRING, _BOOL, _STRING, _STRING)
-    texts = _THREAD_RECORD[1].split("%s")
-    return re.compile("".join(re.escape(text) + slot for text, slot in zip(texts, slots)) + re.escape(texts[-1]))
-
-
-def _unquote(contents: str) -> str:
-    """The string that a string literal with escapes, ``"contents"``, holds;
-    ValueError unless ``_quote`` writes that string back as the literal."""
-    literal = f'"{contents}"'
-    value = json.loads(literal)
-    if _quote(value) != literal:
-        raise ValueError(f"string literal {literal!r} is not in canonical form")
-    return value
-
-
-def _match_report(data: bytes | str) -> ChurnReport | None:
-    """The report ``data`` holds, if ``data`` is the bytes ``serialize_report``
-    writes for it and the report meets every reader rule; else None.
-
-    The header, everything before the thread records, is read by ``_read``
-    with an empty ``threads`` list: it is small, and its rules and messages
-    stay in one place. Each record must then match, at its offset, the pattern
-    built from the writer's own template (``_thread_record_pattern``), between
-    the writer's separators; a string with an escape must be the one
-    ``_quote`` writes. So only canonical bytes match, and the writer and the
-    pattern cannot drift apart. The records then pass the rules
-    ``_build_report`` applies, through the same ``_charge_fault`` and
-    ``_merged_threads``.
-    None is any miss: a failed match, a failed rule, or an error such as an
-    integer past the conversion limit. ``parse_report`` leaves a miss to
-    ``_read``, which names the fault.
-    """
-    try:
-        text = (data.encode("utf-8") if isinstance(data, str) else data).decode("utf-8")
-        at = text.find(_THREADS_KEY)
-        if at < 0:
-            return None
-        at += len(_THREADS_KEY)
-        header = _read_report(text[:at] + _NONE + _REPORT_TAIL)
-        if not text.startswith(_OPEN, at):
-            return header if text[at:] == _NONE + _REPORT_TAIL else None
-        match = _thread_record_pattern().match
-        per_thread: list[MarkerChurn] = []
-        pos = at + len(_OPEN)
-        while True:
-            m = match(text, pos)
-            if m is None:
-                return None
-            auto_closed, allocated, freed, calloc, free, malloc, realloc, cost, name, overflow, span_id, thread_id = (
-                m.groups())
-            per_thread.append(tuple.__new__(MarkerChurn, (
-                name if "\\" not in name else _unquote(name),
-                int(cost.replace(".", "")), int(malloc), int(calloc), int(realloc), int(free),
-                int(allocated), int(freed), overflow == "true", auto_closed == "true",
-                thread_id if "\\" not in thread_id else _unquote(thread_id),
-                span_id if "\\" not in span_id else _unquote(span_id),
-            )))
-            pos = m.end()
-            if not text.startswith(_NEXT, pos):
-                break
-            pos += len(_NEXT)
-        if text[pos:] != _CLOSE + _REPORT_TAIL or any(map(_charge_fault, per_thread)):
-            return None
-        return header._replace(merged=_merged_threads(per_thread), per_thread=per_thread)
-    except (ReportError, ValueError):
-        return None
-
-
 def parse_report(data: bytes | str) -> ChurnReport:
     """Parse a report, accepting it only in the canonical bytes ``serialize_report`` writes.
 
-    ``merged`` is computed from the per-thread records with ``merge_phases``,
-    as ``RecordingSession.build_report`` computes it. A report is read by
-    matching it against the writer's record template (``_match_report``).
-    Bytes that miss are read again by ``_read``, which raises ReportError
-    naming the first violated rule, as a message or as a byte offset.
+    The bytes must match the patterns of the writer's own templates. Then
+    come the rules no pattern expresses: the cost model's (named
+    ``cost_model``), each weight written back as its literal, and the
+    records' (``_merged_threads``), which computes ``merged`` as
+    ``RecordingSession.build_report`` does. A fault raises ReportError: a
+    byte-level one names the header (``report``) or record (``threads[i]``),
+    the field where there is one, and the byte offset; a rule has its own
+    message.
     """
-    report = _match_report(data)
-    return _read_report(data) if report is None else report
+    text, head, per_thread, _ = _read_document(data, _REPORT, _record)
+    build_id, version, *weights, anomalies, allocated, freed, blocks, live, overflows, created_at = head.groups()
+    try:
+        build_id, version, created_at = [s if "\\" not in s else _unquote(s) for s in (build_id, version, created_at)]
+        totals = ReportTotals(int(allocated), int(freed), int(blocks), int(live), int(anomalies), int(overflows))
+    except ValueError:
+        _miss(text, _REPORT, 0, _HEADER, "report")
+    try:
+        model = CostModel(dict(zip(_WEIGHT_KINDS, map(float, weights))), version)
+    except CostModelError as exc:  # named by the report's field
+        raise ReportError(str(exc).replace("cost model", "cost_model", 1)) from None
+    for group, kind in enumerate(_WEIGHT_KINDS, 3):
+        _check_written(head, group, _fixed(model.weights[kind]), "report", kind.value)
+    return ChurnReport(build_id, created_at, model, _merged_threads(per_thread), per_thread, totals)
 
 
 # ---------------------------------------------------------------------------
@@ -694,57 +682,62 @@ def rank_regressions(
 
 def serialize_verdict(verdict: RegressionVerdict) -> bytes:
     """Canonical bytes for a verdict, written as ``serialize_report`` writes a
-    report: each row encoded as it is written (``_document``). A non-finite
-    threshold raises ValueError."""
+    report: each row encoded as it is written (``_document``), then
+    ``_VERDICT_TAIL`` filled. A non-finite threshold raises ValueError."""
     th = verdict.thresholds
-    call_floor = "null" if th.call_floor is None else th.call_floor
-    tail = (
-        f',\n  "regression_detected": {"true" if verdict.regression_detected else "false"},'
-        f'\n  "schema_version": {_quote(VERDICT_SCHEMA_VERSION)},'
-        f'\n  "thresholds": {{\n    "abs_floor": {_fixed(float(th.abs_floor))},'
-        f'\n    "call_floor": {call_floor},\n    "rel": {_fixed(float(th.rel))}\n  }}\n}}\n'
+    tail = _VERDICT_TAIL.text % (
+        "true" if verdict.regression_detected else "false", _fixed(float(th.abs_floor)),
+        "null" if th.call_floor is None else th.call_floor, _fixed(float(th.rel)),
     )
-    return _document('{\n  "deltas": ', map(_delta_text, verdict.deltas), tail)
+    return _document(_VERDICT_HEAD.text, map(_delta_text, verdict.deltas), tail)
 
 
-def _build_verdict(doc: Any) -> RegressionVerdict:
-    version = doc["schema_version"]
-    if "threads" in doc:
-        raise ReportError("document is a report, not a verdict")
-    if version != VERDICT_SCHEMA_VERSION:
-        raise ReportError(f"unknown schema_version {version!r} (expected {VERDICT_SCHEMA_VERSION!r})")
-    th = doc["thresholds"]
-    try:
-        thresholds = Thresholds(float(th["rel"]), float(th["abs_floor"]), th["call_floor"])
-    except (ArithmeticError, TypeError, ValueError) as exc:
-        raise ReportError(f"verdict has invalid thresholds: {exc}") from None
-    deltas: list[ChurnDelta] = []
-    phases: set[str] = set()
-    for i, item in enumerate(doc["deltas"]):
-        phase = item["phase"]
-        if phase in phases:
-            raise ReportError(f"deltas[{i}] repeats phase {phase!r}")
-        phases.add(phase)
-        records = []
-        for side in ("baseline", "candidate"):
-            record = item[side]
-            if record is not None:
-                record = _parse_record(record, False, f"deltas[{i}] {side}")
-                if record.name != phase:
-                    raise ReportError(f"deltas[{i}] {side} record is named {record.name!r}, not {phase!r}")
-            records.append(record)
-        if records == [None, None]:
-            raise ReportError(f"deltas[{i}] carries neither a baseline nor a candidate record")
-        deltas.append(_compare(phase, records[0], records[1], thresholds))
-    return RegressionVerdict(thresholds, deltas)
+def _read_row(slots: tuple[Any, ...]) -> tuple[str, str, MarkerChurn | None, MarkerChurn | None]:
+    """A verdict row's phase, its status as written and its two records, from
+    the slot texts of ``_ROW`` (each record's ten, or None for null)."""
+    phase = slots[20]
+    return (phase if "\\" not in phase else _unquote(phase), slots[21],
+            None if slots[0] is None else _record(slots[:10] + (None, None)),
+            None if slots[10] is None else _record(slots[10:20] + (None, None)))
 
 
 def parse_verdict(data: bytes | str) -> RegressionVerdict:
     """Parse a verdict, accepting it only in the canonical bytes ``serialize_verdict`` writes.
 
-    Only the thresholds and each delta's records are read. Every status and
-    ``regression_detected`` are recomputed from them and written back, so a
-    hand-edited status or flag is named, like any other edit, by the first
-    byte that departs from the result.
+    It is read as ``parse_report`` reads a report. Only the thresholds and
+    the rows' records are data; the rules are the thresholds' and, per row,
+    an unrepeated phase, its records' cost rules and names, and one record at
+    least. Each status and ``regression_detected`` are recomputed, so a
+    hand-edited one is named at its slot, in the byte-level message form.
     """
-    return _read(data, "verdict", _build_verdict, serialize_verdict)
+    text, _, rows, tail = _read_document(data, _VERDICT, _read_row)
+    flag, abs_floor, call_floor, rel = tail.groups()
+    try:
+        thresholds = Thresholds(float(rel), float(abs_floor), None if call_floor == "null" else int(call_floor))
+    except ValueError as exc:
+        raise ReportError(f"verdict has invalid thresholds: {exc}") from None
+    _check_written(tail, 2, _fixed(thresholds.abs_floor), "verdict", "abs_floor")
+    _check_written(tail, 4, _fixed(thresholds.rel), "verdict", "rel")
+    deltas: list[ChurnDelta] = []
+    phases: set[str] = set()
+    for i, (phase, status, base, cand) in enumerate(rows):
+        if phase in phases:
+            raise ReportError(f"deltas[{i}] repeats phase {phase!r}")
+        phases.add(phase)
+        for side, record in (("baseline", base), ("candidate", cand)):
+            if record is not None:
+                fault = _charge_fault(record)
+                if fault:
+                    raise ReportError(f"deltas[{i}] {side} {fault}")
+                if record.name != phase:
+                    raise ReportError(f"deltas[{i}] {side} record is named {record.name!r}, not {phase!r}")
+        if base is None and cand is None:
+            raise ReportError(f"deltas[{i}] carries neither a baseline nor a candidate record")
+        delta = _compare(phase, base, cand, thresholds)
+        if delta.status != status:  # named at its slot: each row holds the key's literal once
+            at = [m.end() for m in re.finditer(re.escape(_ROW.text.split("%s")[-2]), text)][i]
+            raise _fault(text, at, f"deltas[{i}]", _quote(delta.status), "status")
+        deltas.append(delta)
+    verdict = RegressionVerdict(thresholds, deltas)
+    _check_written(tail, 1, "true" if verdict.regression_detected else "false", "verdict", "regression_detected")
+    return verdict

@@ -128,7 +128,7 @@ def test_diff_parse_failure_names_file_exit_2(tmp_path, capsys):
     assert main(["diff", str(bad), str(good)]) == 2
     err = capsys.readouterr().err
     assert "bad.churn.json" in err
-    assert "offset" in err
+    assert " at byte " in err
 
 
 def test_lone_surrogate_in_report_exits_2(tmp_path, capsys):
@@ -201,17 +201,17 @@ def test_show_corrupt_file_reports_offset_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.churn.json"
     bad.write_bytes(run_report(tmp_path).read_bytes()[:100])
     assert main(["show", str(bad)]) == 2
-    assert "offset" in capsys.readouterr().err
+    assert " at byte 100: " in capsys.readouterr().err
 
 
 def test_show_and_rank_name_the_file_in_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.churn.json"
     bad.write_text('{"build_id": "b", oops}')
-    message = "error: {}: {} syntax error at offset 18: Expecting property name enclosed in double quotes\n"
+    message = "error: {}: {} is not in canonical form at byte 1: expected {!r}, found '\"build_id\": \"b\", oops}}'\n"
     assert main(["show", str(bad)]) == 2
-    assert capsys.readouterr().err == "churnscope show: " + message.format(bad, "report")
+    assert capsys.readouterr().err == "churnscope show: " + message.format(bad, "report", '\n  "build_id": ')
     assert main(["rank", str(bad)]) == 2
-    assert capsys.readouterr().err == "churnscope rank: " + message.format(bad, "verdict")
+    assert capsys.readouterr().err == "churnscope rank: " + message.format(bad, "verdict", '\n  "deltas": ')
 
 
 def test_show_diff_and_rank_name_a_document_of_the_other_kind(tmp_path, capsys):
@@ -243,7 +243,7 @@ def test_a_schema_1_report_exits_2(tmp_path, capsys):
 def test_rank_names_stdin_as_dash_in_a_parse_error():
     rank = run_module("rank", "-", input=b"[", text=False)
     assert rank.returncode == 2
-    assert rank.stderr.decode().startswith("churnscope rank: error: -: verdict syntax error at offset 1:")
+    assert rank.stderr.decode().startswith("churnscope rank: error: -: verdict is not in canonical form at byte 0:")
 
 
 def test_rank_reorders_saved_verdict(tmp_path, capsys):
@@ -380,6 +380,17 @@ def test_importing_the_cli_leaves_decimal_out():
     src = str(Path(churnscope.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
     assert proc.stdout == "False\n"
+
+
+def test_importing_the_cli_compiles_no_reader_pattern():
+    # A reader pattern takes about a millisecond to compile, so it is compiled on the first read, not at import.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import churnscope.cli\n"
+        "from churnscope.report import _pattern; print(_pattern.cache_info().currsize)"
+    )
+    src = str(Path(churnscope.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
+    assert proc.stdout == "0\n"
 
 
 def _one_phase_report(path, *part_costs):
@@ -528,8 +539,8 @@ def test_rank_rejects_any_layout_of_a_verdict_but_the_canonical_one(tmp_path, ca
         assert main(["rank", str(flat), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        prefix = f"churnscope rank: error: {flat}: verdict is not in canonical form at byte 2: expected b'  \"deltas"
-        assert captured.err.startswith(prefix) and "found b'\"deltas\": [" in captured.err
+        prefix = f"churnscope rank: error: {flat}: verdict is not in canonical form at byte 2: expected '  \"deltas"
+        assert captured.err.startswith(prefix) and "found '\"deltas\": [" in captured.err
         assert captured.err.count("\n") == 1
 
 
@@ -546,8 +557,8 @@ def test_rank_rejects_hand_edited_status_exit_2(tmp_path, capsys):
     edited = tmp_path / "edited.json"
     edited.write_bytes(canonical_json(doc))
     assert main(["rank", str(edited)]) == 2
-    at = verdict.index('"status": "regression"') + len('"status": "')
-    assert f"verdict is not in canonical form at byte {at}: expected b'regression" in capsys.readouterr().err
+    at = verdict.index('"status": "regression"') + len('"status": ')
+    assert f"deltas[0] field 'status' is not in canonical form at byte {at}: expected '\"regression" in capsys.readouterr().err
 
 
 def test_run_out_is_written_atomically(tmp_path, monkeypatch, capsys):

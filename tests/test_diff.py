@@ -424,7 +424,8 @@ def test_parse_verdict_rejects_inconsistent_flag():
     doc = json.loads(data)
     doc["regression_detected"] = True
     edited = canonical_json(doc)
-    assert _rejected_at(edited) == data.index(b'"regression_detected": false') + len(b'"regression_detected": ')
+    at = data.index(b'"regression_detected": false') + len(b'"regression_detected": ')
+    assert _rejected_at(edited, key="regression_detected") == at
 
 
 @pytest.mark.parametrize(
@@ -459,19 +460,24 @@ def test_thresholds_accept_zero_and_integers():
      ("call_floor", '"2"')],
 )
 def test_parse_verdict_rejects_invalid_thresholds(field, literal):
+    # None of these is a threshold the writer writes, so each is named at its slot.
     verdict = diff_reports(report_with_units({"a": 1}), report_with_units({"a": 1}))
     doc = json.loads(serialize_verdict(verdict))
     doc["thresholds"][field] = "@"
     data = canonical_json(doc).replace(b'"@"', literal.encode())
-    with pytest.raises(ReportError, match="thresholds"):
-        parse_verdict(data)
+    assert _rejected_at(data, key=field) == data.index(f'"{field}": {literal}'.encode()) + len(field) + 4
 
 
 def test_parse_verdict_rejects_non_finite_literal():
     verdict = diff_reports(report_with_units({"a": 1}), report_with_units({"a": 1}))
-    data = serialize_verdict(verdict).decode().replace('"rel": 0.010000', '"rel": NaN', 1)
-    with pytest.raises(ReportError, match="non-finite"):
-        parse_verdict(data)
+    data = serialize_verdict(verdict).decode()
+    nan = data.replace('"rel": 0.010000', '"rel": NaN', 1)
+    assert _rejected_at(nan, key="rel") == data.index('"rel": 0.010000') + len('"rel": ')
+    # Six decimals too many digits for a float: the literal fits the slot and reads as infinity.
+    overflow = data.replace('"rel": 0.010000', '"rel": 1' + "0" * 400 + ".000000", 1)
+    with pytest.raises(ReportError) as excinfo:
+        parse_verdict(overflow)
+    assert str(excinfo.value) == "verdict has invalid thresholds: threshold rel must be a finite number >= 0, got inf"
 
 
 def _regressed_verdict_doc():
@@ -495,13 +501,18 @@ def test_parse_verdict_rejects_hand_edited_status():
         delta["status"] = STATUS_NEUTRAL
     doc["regression_detected"] = False  # consistent with the edited statuses
     data = canonical_json(doc)
-    assert _rejected_at(data) == first_difference(data, canonical) == canonical.index(b'"regression"') + 1
+    # The recomputed status is named at its slot, just before the first edited byte.
+    at = canonical.index(b'"regression"')
+    assert _rejected_at(data, "deltas[0]", "status") == first_difference(data, canonical) - 1 == at
 
 
-def _rejected_at(data):
+def _rejected_at(data, label="verdict", key=None):
+    """Parse ``data``, which must be refused for its bytes at ``label`` (and its field ``key``); return the offset."""
     with pytest.raises(ReportError) as excinfo:
         parse_verdict(data)
-    assert f"verdict is not in canonical form at byte {excinfo.value.offset}: expected " in str(excinfo.value)
+    field = "" if key is None else f" field {key!r}"
+    prefix = f"{label}{field} is not in canonical form at byte {excinfo.value.offset}: expected "
+    assert str(excinfo.value).startswith(prefix)
     return excinfo.value.offset
 
 
@@ -524,7 +535,7 @@ def test_parse_verdict_rejects_deltas_that_do_not_match_their_records(edit):
     canonical = canonical_json(doc)
     edit(doc["deltas"][0])
     data = canonical_json(doc)
-    assert _rejected_at(data) == first_difference(data, canonical)
+    assert _rejected_at(data, "deltas[0]") == first_difference(data, canonical)
 
 
 def test_parse_verdict_rejects_an_equivalent_non_canonical_layout():
@@ -538,7 +549,7 @@ def test_parse_verdict_rejects_an_edited_delta_in_the_canonical_layout():
     data = serialize_verdict(diff_reports(report_with_units({"a": 10, "b": 2}), report_with_units({"a": 12, "b": 2})))
     edited = data.replace(b'"status": "regression"', b'"status": "improvement"')
     assert edited != data
-    assert _rejected_at(edited) == data.index(b'"status": "regression"') + len(b'"status": "')
+    assert _rejected_at(edited, "deltas[0]", "status") == data.index(b'"status": "regression"') + len(b'"status": ')
 
 
 def test_parse_verdict_names_a_respelled_cost_by_its_offset():
@@ -547,19 +558,17 @@ def test_parse_verdict_names_a_respelled_cost_by_its_offset():
     data = serialize_verdict(diff_reports(report_with_units({"a": 10, "b": 2}), report_with_units({"a": 12, "b": 2})))
     assert data.count(b'"cost": 120.000000') == 1
     edited = data.replace(b'"cost": 120.000000', b'"cost": 1.200000e+02')
-    assert _rejected_at(edited) == data.index(b'"cost": 120.000000') + len(b'"cost": ')
+    assert _rejected_at(edited, "deltas[0] candidate", "cost") == data.index(b'"cost": 120.000000') + len(b'"cost": ')
     redumped = json.dumps(json.loads(data)).encode()  # the same content in json.dumps' own layout
     assert _rejected_at(redumped) == first_difference(redumped, data) == 1
 
 
 def test_parse_verdict_labels_a_record_it_cannot_take_apart():
     doc = _regressed_verdict_doc()
+    canonical = canonical_json(doc)
     doc["deltas"][1]["candidate"]["calls"] = [1]
-    with pytest.raises(ReportError) as excinfo:
-        parse_verdict(canonical_json(doc))
-    assert str(excinfo.value) == (
-        "deltas[1] candidate does not match the schema (TypeError: list indices must be integers or slices, not str)"
-    )
+    data = canonical_json(doc)
+    assert _rejected_at(data, "deltas[1] candidate") == first_difference(data, canonical)
 
 
 def test_parse_verdict_rejects_the_previous_schema_version():
@@ -576,11 +585,11 @@ def test_parse_verdict_rejects_status_the_records_contradict():
     regression = doc["deltas"][0]
     regression["candidate"] = regression["baseline"]  # now an unchanged phase
     data = canonical_json(doc)
-    assert _rejected_at(data) == data.index(b'"status": "regression"') + len(b'"status": "')
+    assert _rejected_at(data, "deltas[0]", "status") == data.index(b'"status": "regression"') + len(b'"status": ')
     doc = _regressed_verdict_doc()
     doc["deltas"][0]["baseline"] = None  # records now say new_phase
     data = canonical_json(doc)
-    assert _rejected_at(data) == data.index(b'"status": "regression"') + len(b'"status": "')
+    assert _rejected_at(data, "deltas[0]", "status") == data.index(b'"status": "regression"') + len(b'"status": ')
     doc["deltas"][0]["candidate"] = None
     with pytest.raises(ReportError, match="neither"):
         parse_verdict(canonical_json(doc))
@@ -601,7 +610,7 @@ def test_parse_verdict_rejects_lone_surrogates():
     raw = parse_verdict(data.replace('"a"', '"\U0001F600"'))
     assert [d.phase for d in raw.deltas] == ["\U0001F600"]
     # An escaped pair means the same phase name, but the writer writes the raw character.
-    assert _rejected_at(data.replace('"a"', '"\\ud83d\\ude00"')) == data.index('"a"') + 1
+    assert _rejected_at(data.replace('"a"', '"\\ud83d\\ude00"'), "deltas[0] baseline", "name") == data.index('"a"')
 
 
 @pytest.mark.parametrize(
