@@ -2,26 +2,20 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, NamedTuple
+from collections import namedtuple
+from typing import Any, Iterable
 
 from .cost_model import MICRO, AllocFnKind
 from .errors import SpanStateError
 from .markers import MarkerSpan, utf8_bytes
 
 
-class _ChurnFields(NamedTuple):
-    name: str
-    cost_micro: int
-    malloc_calls: int = 0
-    calloc_calls: int = 0
-    realloc_calls: int = 0
-    free_calls: int = 0
-    bytes_allocated: int = 0
-    bytes_freed: int = 0
-    overflow: bool = False
-    auto_closed: bool = False
-    thread_id: str | None = None
-    span_id: str | None = None
+_ChurnFields = namedtuple(
+    "_ChurnFields",
+    ("name", "cost_micro", "malloc_calls", "calloc_calls", "realloc_calls", "free_calls", "bytes_allocated",
+     "bytes_freed", "overflow", "auto_closed", "thread_id", "span_id"),
+    defaults=(0, 0, 0, 0, 0, 0, False, False, None, None),
+)
 
 
 # The exact types each field takes, in field order: a bool is not an int here.
@@ -52,6 +46,19 @@ class MarkerChurn(_ChurnFields):
     """
 
     __slots__ = ()
+
+    name: str
+    cost_micro: int
+    malloc_calls: int
+    calloc_calls: int
+    realloc_calls: int
+    free_calls: int
+    bytes_allocated: int
+    bytes_freed: int
+    overflow: bool
+    auto_closed: bool
+    thread_id: str | None
+    span_id: str | None
 
     def __new__(cls, *args: Any, **kwargs: Any) -> MarkerChurn:
         record = super().__new__(cls, *args, **kwargs)

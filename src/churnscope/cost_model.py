@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Iterable
 
 from .errors import CostModelError
 
@@ -51,9 +52,7 @@ DEFAULT_WEIGHTS: dict[AllocFnKind, float] = {
 _FILE_KEYS = {kind.value: kind for kind in AllocFnKind}
 
 
-class _CostModelFields(NamedTuple):
-    weights: dict[AllocFnKind, float]
-    model_version: str
+_CostModelFields = namedtuple("_CostModelFields", ("weights", "model_version"))
 
 
 class CostModel(_CostModelFields):
@@ -72,20 +71,37 @@ class CostModel(_CostModelFields):
 
     __slots__ = ()
 
+    weights: dict[AllocFnKind, float]
+    model_version: str
+
     def __new__(cls, weights: dict[AllocFnKind, float] = DEFAULT_WEIGHTS,
                 model_version: str = DEFAULT_MODEL_VERSION) -> CostModel:
-        weights = {k: round(float(v), COST_DECIMALS) for k, v in weights.items()}
-        violations = [f"unknown weight key {key!r}" for key in weights if not isinstance(key, AllocFnKind)]
-        for kind in AllocFnKind:
-            w = weights.get(kind)
-            if w is None:
-                violations.append(f"missing weight for {kind.value}")
-            elif not math.isfinite(w):
-                violations.append(f"weight for {kind.value} is not finite: {w!r}")
-            elif w < 0:
-                violations.append(f"weight for {kind.value} is negative: {w!r}")
-            elif math.isinf(w * 64 * NANO):  # a call costs at most 63 * w
-                violations.append(f"weight for {kind.value} is too large: {w!r}")
+        violations = []
+        try:
+            given = weights.items()
+        except AttributeError:
+            violations.append(f"weights must map each kind to a weight, got {type(weights).__name__}")
+        else:
+            weights = {}
+            for key, value in given:
+                try:
+                    weights[key] = round(float(value), COST_DECIMALS)
+                except (TypeError, ValueError, OverflowError):
+                    weights[key] = value  # named below: every weight that passes is a float
+            violations += [f"unknown weight key {key!r}" for key in weights if not isinstance(key, AllocFnKind)]
+            for kind in AllocFnKind:
+                w = weights.get(kind)
+                if kind not in weights:
+                    violations.append(f"missing weight for {kind.value}")
+                elif type(w) is not float:
+                    fault = "too large" if type(w) is int else "not a number"  # an int float() cannot hold
+                    violations.append(f"weight for {kind.value} is {fault}: {w!r}")
+                elif not math.isfinite(w):
+                    violations.append(f"weight for {kind.value} is not finite: {w!r}")
+                elif w < 0:
+                    violations.append(f"weight for {kind.value} is negative: {w!r}")
+                elif math.isinf(w * 64 * NANO):  # a call costs at most 63 * w
+                    violations.append(f"weight for {kind.value} is too large: {w!r}")
         if not isinstance(model_version, str) or not model_version:
             violations.append("model_version must be a nonempty string")
         if violations:

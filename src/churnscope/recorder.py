@@ -22,11 +22,11 @@ calls back into a ``TracingAllocator``.
 from __future__ import annotations
 
 import sys
-from collections import deque
+from collections import deque, namedtuple
 from math import log2
 from operator import itemgetter
 from threading import get_ident
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .cost_model import NANO, AllocFnKind, CostModel
 from .errors import RecorderSealedError, ThreadAffinityError
@@ -40,7 +40,7 @@ DEFAULT_RING_CAPACITY = 4096
 BYTES_MAX = 2**63 - 1
 
 
-class AllocEvent(NamedTuple):
+class AllocEvent(namedtuple("AllocEvent", ("thread_id", "seq", "kind", "nbytes", "addr", "old_addr"))):
     """One intercepted allocator call.
 
     ``nbytes`` is the effective byte count: the requested size for malloc
@@ -48,6 +48,8 @@ class AllocEvent(NamedTuple):
     for free. ``addr`` is the resulting block token (absent for free and for
     failed calls); ``old_addr`` is the input token for free and realloc.
     """
+
+    __slots__ = ()
 
     thread_id: str
     seq: int
@@ -57,13 +59,17 @@ class AllocEvent(NamedTuple):
     old_addr: int | None
 
 
-class CounterSnapshot(NamedTuple):
+class CounterSnapshot(namedtuple("CounterSnapshot", (
+        "malloc_calls", "calloc_calls", "realloc_calls", "free_calls", "malloc_bytes", "calloc_bytes", "realloc_bytes",
+        "free_bytes", "realloc_freed_bytes", "cost_nano", "overflow_count", "anomaly_count"))):
     """Point-in-time copy of one recorder's aggregate counters.
 
     ``seq`` is the number of calls recorded so far, derived from the four
     call counts; it is also the ``seq`` the next event will carry.
     ``overflow_count`` is ``max(0, seq - capacity)``, computed when the snapshot is taken.
     """
+
+    __slots__ = ()
 
     malloc_calls: int
     calloc_calls: int

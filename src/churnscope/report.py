@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import functools
 import io
-import json
 import math
 import re
 import sys
-from typing import Any, Callable, Iterable, NamedTuple, NoReturn
+from _json import encode_basestring as _quote
+from collections import namedtuple
+from typing import Any, Callable, Iterable, NoReturn
 
 from .aggregation import MarkerChurn, merge_phases
 from .cost_model import COST_DECIMALS, MICRO, AllocFnKind, CostModel
@@ -59,10 +60,7 @@ def format_cost(micro: int) -> str:
     return f"{'-' if micro < 0 else ''}{whole}.{frac:06d}"
 
 
-class _ThresholdFields(NamedTuple):
-    rel: float
-    abs_floor: float
-    call_floor: int | None
+_ThresholdFields = namedtuple("_ThresholdFields", ("rel", "abs_floor", "call_floor"))
 
 
 class Thresholds(_ThresholdFields):
@@ -78,6 +76,10 @@ class Thresholds(_ThresholdFields):
     """
 
     __slots__ = ()
+
+    rel: float
+    abs_floor: float
+    call_floor: int | None
 
     def __new__(cls, rel: float = DEFAULT_REL_THRESHOLD, abs_floor: float = DEFAULT_ABS_FLOOR,
                 call_floor: int | None = None) -> Thresholds:
@@ -98,24 +100,29 @@ class Thresholds(_ThresholdFields):
         return cls(*super()._make(iterable))
 
 
-class ReportTotals(NamedTuple):
+class ReportTotals(namedtuple("ReportTotals", ("bytes_allocated", "bytes_freed", "live_blocks", "live_bytes",
+                                              "anomaly_count", "overflow_count"), defaults=(0,) * 6)):
     """Whole-run counters, including activity outside any span."""
 
-    bytes_allocated: int = 0
-    bytes_freed: int = 0
-    live_blocks: int = 0
-    live_bytes: int = 0
-    anomaly_count: int = 0
-    overflow_count: int = 0
+    __slots__ = ()
+
+    bytes_allocated: int
+    bytes_freed: int
+    live_blocks: int
+    live_bytes: int
+    anomaly_count: int
+    overflow_count: int
 
 
-class ChurnReport(NamedTuple):
+class ChurnReport(namedtuple("ChurnReport", ("build_id", "created_at", "model", "merged", "per_thread", "totals"))):
     """Canonical per-build artifact: per-thread parts plus the whole-run counters.
 
     ``merged`` holds one record per phase name, the sum of that name's parts
     (``merge_phases``). It is computed when a report is built or parsed and is
     never written: a report file holds each span once.
     """
+
+    __slots__ = ()
 
     build_id: str
     created_at: str
@@ -125,7 +132,7 @@ class ChurnReport(NamedTuple):
     totals: ReportTotals
 
 
-class ChurnDelta(NamedTuple):
+class ChurnDelta(namedtuple("ChurnDelta", ("phase", "status", "baseline", "candidate"))):
     """One phase's baseline-to-candidate comparison: its status and the two
     records it was made from. A missing record makes a new or removed phase.
 
@@ -135,6 +142,8 @@ class ChurnDelta(NamedTuple):
     unless both records exist and the baseline cost is above zero. A delta is
     a named tuple: derive an edited copy with ``_replace``.
     """
+
+    __slots__ = ()
 
     phase: str
     status: str
@@ -162,8 +171,10 @@ class ChurnDelta(NamedTuple):
         return abs(allocated) + abs(freed)
 
 
-class RegressionVerdict(NamedTuple):
+class RegressionVerdict(namedtuple("RegressionVerdict", ("thresholds", "deltas"))):
     """Diff outcome: thresholds used, ranked deltas, and the overall gate."""
+
+    __slots__ = ()
 
     thresholds: Thresholds
     deltas: list[ChurnDelta]
@@ -175,10 +186,6 @@ class RegressionVerdict(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # canonical writer: one template per layout, which the reader matches too
-
-
-# The C function that json.dumps(s, ensure_ascii=False) ends in: same bytes, no encoder object.
-_quote = json.encoder.encode_basestring
 
 
 class _Template:
@@ -206,9 +213,10 @@ _KIND_NAMES = {_BOOL: "true or false", _COUNT: "a count", _FIXED: "a number with
                _FLOOR: "null or a count", _STRING: "a string"}
 
 
-def _record_layout(nl: str) -> tuple[_Template, _Template]:
-    """The two templates of a record whose closing brace starts line ``nl``:
-    without and with the ``span_id``/``thread_id`` pair."""
+def _record_template(nl: str, ids: bool) -> _Template:
+    """The template of a record whose closing brace starts line ``nl``: with
+    the ``span_id``/``thread_id`` pair (a report's thread record) or without
+    it (a verdict's merged record)."""
     i = nl + "  "
     j = i + "  "
     head = (
@@ -217,15 +225,16 @@ def _record_layout(nl: str) -> tuple[_Template, _Template]:
         f'{i}"cost": %s,{i}"name": %s,{i}"overflow": %s'
     )
     kinds = (_BOOL, *[_COUNT] * 6, _FIXED, _STRING, _BOOL)
-    return (_Template(f"{head}{nl}}}", kinds),
-            _Template(f'{head},{i}"span_id": %s,{i}"thread_id": %s{nl}}}', (*kinds, _STRING, _STRING)))
+    if ids:
+        return _Template(f'{head},{i}"span_id": %s,{i}"thread_id": %s{nl}}}', (*kinds, _STRING, _STRING))
+    return _Template(f"{head}{nl}}}", kinds)
 
 
 # A report's thread record, and a verdict row whose two records are merged ones or null.
-_THREAD_RECORD = _record_layout("\n    ")
-_ROW_RECORD = _record_layout("\n      ")
+_THREAD_RECORD = _record_template("\n    ", True)
+_ROW_RECORD = _record_template("\n      ", False)
 _ROW = _Template('{\n      "baseline": %s,\n      "candidate": %s,\n      "phase": %s,\n      "status": %s\n    }',
-                 (_ROW_RECORD[0], _ROW_RECORD[0], _STRING, _STRING))
+                 (_ROW_RECORD, _ROW_RECORD, _STRING, _STRING))
 
 # The weight slots' kinds, in the header's (sorted) key order.
 _WEIGHT_KINDS = (AllocFnKind.CALLOC, AllocFnKind.FREE, AllocFnKind.MALLOC, AllocFnKind.REALLOC)
@@ -250,30 +259,55 @@ _OPEN, _NEXT, _CLOSE, _NONE = "[\n    ", ",\n    ", "\n  ]", "[]"
 
 # Each document: its name, its array's key, the schema_version its templates hold, and the templates
 # of its head, of each member of its array, and of its tail.
-_REPORT = ("report", "threads", REPORT_SCHEMA_VERSION, _HEADER, _THREAD_RECORD[1], _REPORT_TAIL)
+_REPORT = ("report", "threads", REPORT_SCHEMA_VERSION, _HEADER, _THREAD_RECORD, _REPORT_TAIL)
 _VERDICT = ("verdict", "deltas", VERDICT_SCHEMA_VERSION, _VERDICT_HEAD, _ROW, _VERDICT_TAIL)
 
 
-def _churn_text(r: MarkerChurn, layout: tuple[_Template, _Template]) -> str:
-    """A record as one string, from ``layout``'s template (``_record_layout``).
+def _churn_text(r: MarkerChurn, template: _Template) -> str:
+    """A record as one string, from ``template``: ``_THREAD_RECORD`` or ``_ROW_RECORD``.
 
     The bytes are those ``json.dumps(indent=2, sort_keys=True,
     ensure_ascii=False)`` gives for the document of the record's fields, with
-    the cost as a six-decimal literal; the document holds ``thread_id`` and
-    ``span_id`` unless both are None (a merged record). Field types are
-    trusted here: ``MarkerChurn`` checks them when it is built.
+    the cost as a six-decimal literal; a thread record's document holds
+    ``thread_id`` and ``span_id``, a row's merged record neither. Field types
+    are trusted here: ``MarkerChurn`` checks them when it is built. A record
+    its template's reader refuses, with a negative cost or with ids where
+    its template has none, raises ValueError, and a thread record with a
+    None id TypeError; the writer then names the fault (``_unwritable``).
     """
     name, micro, malloc, calloc, realloc, free, allocated, freed, overflow, auto_closed, thread_id, span_id = r
+    if type(micro) is not int or micro < 0:  # %d would truncate a float cost
+        raise ValueError("cost_micro")
     fields = (
         "true" if auto_closed else "false", allocated, freed, calloc, free, malloc, realloc,
-        # %d would truncate a float cost; format_cost raises ValueError for one.
-        "%d.%06d" % divmod(micro, MICRO) if type(micro) is int and micro >= 0 else format_cost(micro),
-        _quote(name), "true" if overflow else "false",
+        "%d.%06d" % divmod(micro, MICRO), _quote(name), "true" if overflow else "false",
     )
+    if template is _THREAD_RECORD:
+        return template.text % (*fields, _quote(span_id), _quote(thread_id))
     if thread_id is None and span_id is None:
-        return layout[0].text % fields
-    return layout[1].text % (*fields, "null" if span_id is None else _quote(span_id),
-                             "null" if thread_id is None else _quote(thread_id))
+        return template.text % fields
+    raise ValueError("ids")
+
+
+def _unwritable(records: Iterable[tuple[str, MarkerChurn | None]], ids: bool) -> None:
+    """Raise ValueError naming the first of the labelled ``records`` that
+    its reader refuses, and the field, if there is one. A record of a layout
+    with ids (a report's thread record) holds a str in each, one without (a
+    verdict's merged record) None in each, and every record a cost of whole,
+    non-negative micro-units. Called only once a writer has failed, so the
+    run path makes no pass for it."""
+    for label, r in records:
+        if r is None:
+            continue
+        for field in ("thread_id", "span_id"):
+            value = getattr(r, field)
+            if (value is None) is ids:
+                expected = "a str" if ids else "None in a merged record"
+                raise ValueError(
+                    f"cannot serialize {label}: field {field!r} must be {expected}, got {value!r}") from None
+        if type(r.cost_micro) is not int or r.cost_micro < 0:
+            raise ValueError(
+                f"cannot serialize {label}: field 'cost_micro' must be an int >= 0, got {r.cost_micro!r}") from None
 
 
 def _delta_text(d: ChurnDelta) -> str:
@@ -323,15 +357,22 @@ def serialize_report(report: ChurnReport) -> bytes:
 
     ``_HEADER`` filled with the report's fields, then each thread record,
     encoded as it is written (``_document``); ``merged`` is not written.
-    Field types are trusted; a non-finite weight raises ValueError.
+    Field types are trusted; a non-finite weight raises ValueError, and so
+    does a thread record ``parse_report`` would refuse: one with a None
+    ``thread_id`` or ``span_id`` or a negative ``cost_micro``, named as
+    ``threads[i]`` and its field.
     """
-    model, t = report.model, report.totals
+    model, t, records = report.model, report.totals, report.per_thread
     head = _HEADER.text % (
         _quote(report.build_id), _quote(model.model_version), *[_fixed(model.weights[k]) for k in _WEIGHT_KINDS],
         t.anomaly_count, t.bytes_allocated, t.bytes_freed, t.live_blocks, t.live_bytes, t.overflow_count,
         _quote(report.created_at),
     )
-    return _document(head, (_churn_text(r, _THREAD_RECORD) for r in report.per_thread), _REPORT_TAIL.text)
+    try:
+        return _document(head, (_churn_text(r, _THREAD_RECORD) for r in records), _REPORT_TAIL.text)
+    except (TypeError, ValueError):
+        _unwritable(((f"threads[{i}]", r) for i, r in enumerate(records)), True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +402,8 @@ def _unquote(contents: str) -> str:
     """The string that a string literal with escapes, ``"contents"``, holds;
     ValueError unless ``_quote`` writes that string back as the literal, and
     UnicodeEncodeError (a ValueError) for a string with no UTF-8 form."""
+    import json  # only a literal with an escape gets here, so json stays off the import path
+
     literal = f'"{contents}"'
     value = json.loads(literal)
     if _quote(value) != literal:
@@ -683,13 +726,21 @@ def rank_regressions(
 def serialize_verdict(verdict: RegressionVerdict) -> bytes:
     """Canonical bytes for a verdict, written as ``serialize_report`` writes a
     report: each row encoded as it is written (``_document``), then
-    ``_VERDICT_TAIL`` filled. A non-finite threshold raises ValueError."""
-    th = verdict.thresholds
+    ``_VERDICT_TAIL`` filled. A non-finite threshold raises ValueError, and
+    so does a row record ``parse_verdict`` would refuse: one that carries a
+    ``thread_id`` or ``span_id`` or has a negative ``cost_micro``, named as
+    ``deltas[i]``, its side and its field."""
+    th, deltas = verdict.thresholds, verdict.deltas
     tail = _VERDICT_TAIL.text % (
         "true" if verdict.regression_detected else "false", _fixed(float(th.abs_floor)),
         "null" if th.call_floor is None else th.call_floor, _fixed(float(th.rel)),
     )
-    return _document(_VERDICT_HEAD.text, map(_delta_text, verdict.deltas), tail)
+    try:
+        return _document(_VERDICT_HEAD.text, map(_delta_text, deltas), tail)
+    except (TypeError, ValueError):
+        _unwritable(((f"deltas[{i}] {side}", r) for i, d in enumerate(deltas)
+                     for side, r in (("baseline", d.baseline), ("candidate", d.candidate))), False)
+        raise
 
 
 def _read_row(slots: tuple[Any, ...]) -> tuple[str, str, MarkerChurn | None, MarkerChurn | None]:

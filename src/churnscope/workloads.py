@@ -13,7 +13,8 @@ nothing else, so a baseline-vs-regressed diff must flag exactly that phase.
 from __future__ import annotations
 
 import threading
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from typing import Callable
 
 from .errors import WorkloadError
 from .markers import begin_marker, end_marker, marker
@@ -52,13 +53,15 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo)
 
 
-class WorkloadSpec(NamedTuple):
+class WorkloadSpec(namedtuple("WorkloadSpec", ("name", "seed", "scale", "variant"), defaults=(1, 1, BASELINE))):
     """Fully determines one workload run: (name, seed, scale, variant)."""
 
+    __slots__ = ()
+
     name: str
-    seed: int = 1
-    scale: int = 1
-    variant: str = BASELINE
+    seed: int
+    scale: int
+    variant: str
 
 
 def _run_strings(spec: WorkloadSpec, session: RecordingSession) -> None:
@@ -199,7 +202,12 @@ def _run_multithread(spec: WorkloadSpec, session: RecordingSession) -> None:
         worker.join()
 
 
-class Workload(NamedTuple):
+class Workload(namedtuple("Workload", ("phases", "run", "regressed_phase"))):
+    """A built-in workload: its phase names, the function that drives it, and
+    the one phase its regressed variant adds allocations to."""
+
+    __slots__ = ()
+
     phases: tuple[str, ...]
     run: Callable[[WorkloadSpec, RecordingSession], None]
     regressed_phase: str

@@ -382,6 +382,42 @@ def test_importing_the_cli_leaves_decimal_out():
     assert proc.stdout == "False\n"
 
 
+def test_importing_the_cli_leaves_json_out():
+    # json's decoder, scanner and encoder take about 2 ms to import; the writer needs only _json's quoting.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import churnscope.cli\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'json'))"
+    )
+    src = str(Path(churnscope.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_the_writer_quotes_strings_with_the_function_json_dumps_ends_in():
+    assert churnscope.report._quote is json.encoder.encode_basestring
+
+
+def test_a_string_with_escapes_reads_back_in_an_interpreter_that_has_not_loaded_json(tmp_path):
+    # The reader imports json only to read a string literal that holds an escape.
+    report = report_with_units({"p": 1})._replace(build_id='a "b"\nc')
+    data = serialize_report(report)
+    assert b'"build_id": "a \\"b\\"\\nc",' in data
+    path = tmp_path / "escaped.churn.json"
+    path.write_bytes(data)
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from churnscope.report import parse_report, serialize_report\n"
+        "loaded = 'json' in sys.modules\n"
+        "data = open(sys.argv[2], 'rb').read()\n"
+        "report = parse_report(data)\n"
+        "print(loaded, report.build_id == 'a \"b\"\\nc', serialize_report(report) == data)"
+    )
+    src = str(Path(churnscope.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src, str(path)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False True True\n"
+
+
 def test_importing_the_cli_compiles_no_reader_pattern():
     # A reader pattern takes about a millisecond to compile, so it is compiled on the first read, not at import.
     code = (

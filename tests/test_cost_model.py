@@ -188,8 +188,16 @@ def test_validate_rejects_weights_whose_costs_overflow_nano_units():
         ({**DEFAULT_WEIGHTS, AllocFnKind.REALLOC: 1e300}, "v", "weight for realloc is too large: 1e+300"),
         (DEFAULT_WEIGHTS, "", "model_version must be a nonempty string"),
         (DEFAULT_WEIGHTS, None, "model_version must be a nonempty string"),
+        ({**DEFAULT_WEIGHTS, AllocFnKind.MALLOC: "x"}, "v", "weight for malloc is not a number: 'x'"),
+        ({**DEFAULT_WEIGHTS, AllocFnKind.FREE: None}, "v", "weight for free is not a number: None"),
+        ({**DEFAULT_WEIGHTS, AllocFnKind.CALLOC: 10**400}, "v", f"weight for calloc is too large: {10**400!r}"),
+        ([1.0, 2.0, 3.0, 1.0], "v", "weights must map each kind to a weight, got list"),
+        ({**DEFAULT_WEIGHTS, "q": 1.0, AllocFnKind.MALLOC: [1.0], AllocFnKind.FREE: -1.0}, "",
+         "unknown weight key 'q'; weight for malloc is not a number: [1.0]; weight for free is negative: -1.0; "
+         "model_version must be a nonempty string"),
     ],
-    ids=["partial", "empty", "unknown-key", "negative", "nan", "too-large", "empty-version", "no-version"],
+    ids=["partial", "empty", "unknown-key", "negative", "nan", "too-large", "empty-version", "no-version",
+         "str-weight", "none-weight", "int-past-float", "weight-list", "every-fault"],
 )
 def test_every_way_of_building_a_model_checks_it(weights, version, message):
     builds = (

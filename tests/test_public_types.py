@@ -9,6 +9,7 @@ from churnscope import (
     ChurnDelta,
     ChurnReport,
     CostModel,
+    CounterSnapshot,
     DEFAULT_WEIGHTS,
     MarkerChurn,
     RecordingSession,
@@ -29,33 +30,45 @@ from churnscope.workloads import WORKLOADS, Workload
 
 from factories import report_with_units
 
-# Each type, its fields in order, and one value for each field, built by keyword.
+# Each type, its fields in order, one value for each field, built by keyword, and its fields' defaults.
 SHAPES = [
     (AllocEvent, ("thread_id", "seq", "kind", "nbytes", "addr", "old_addr"),
-     ("main", 3, AllocFnKind.REALLOC, 64, 0x20, 0x10)),
+     ("main", 3, AllocFnKind.REALLOC, 64, 0x20, 0x10), {}),
+    (CounterSnapshot, ("malloc_calls", "calloc_calls", "realloc_calls", "free_calls", "malloc_bytes", "calloc_bytes",
+                       "realloc_bytes", "free_bytes", "realloc_freed_bytes", "cost_nano", "overflow_count",
+                       "anomaly_count"), tuple(range(1, 13)), {}),
     (ReportTotals, ("bytes_allocated", "bytes_freed", "live_blocks", "live_bytes", "anomaly_count",
-                    "overflow_count"), (1, 2, 3, 4, 5, 6)),
+                    "overflow_count"), (1, 2, 3, 4, 5, 6), dict.fromkeys(ReportTotals._fields, 0)),
     (ChurnReport, ("build_id", "created_at", "model", "merged", "per_thread", "totals"),
-     ("b", "1970-01-01T00:00:00Z", CostModel(), {}, [], ReportTotals())),
-    (WorkloadSpec, ("name", "seed", "scale", "variant"), ("table", 7, 3, "regressed")),
+     ("b", "1970-01-01T00:00:00Z", CostModel(), {}, [], ReportTotals()), {}),
+    (WorkloadSpec, ("name", "seed", "scale", "variant"), ("table", 7, 3, "regressed"),
+     {"seed": 1, "scale": 1, "variant": "baseline"}),
     (Workload, ("phases", "run", "regressed_phase"),
-     (("fill",), WORKLOADS["table"].run, "fill")),
-    (CostModel, ("weights", "model_version"), (dict.fromkeys(AllocFnKind, 2.0), "v")),
-    (Thresholds, ("rel", "abs_floor", "call_floor"), (0.5, 2.0, 3)),
-    (ChurnDelta, ("phase", "status", "baseline", "candidate"), ("p", "new_phase", None, None)),
+     (("fill",), WORKLOADS["table"].run, "fill"), {}),
+    (CostModel, ("weights", "model_version"), (dict.fromkeys(AllocFnKind, 2.0), "v"), {}),
+    (Thresholds, ("rel", "abs_floor", "call_floor"), (0.5, 2.0, 3), {}),
+    (ChurnDelta, ("phase", "status", "baseline", "candidate"), ("p", "new_phase", None, None), {}),
+    (RegressionVerdict, ("thresholds", "deltas"), (Thresholds(), []), {}),
     (MarkerChurn, ("name", "cost_micro", "malloc_calls", "calloc_calls", "realloc_calls", "free_calls",
                    "bytes_allocated", "bytes_freed", "overflow", "auto_closed", "thread_id", "span_id"),
-     ("p", 5, 1, 2, 3, 4, 64, 32, True, False, "main", "main/000000")),
+     ("p", 5, 1, 2, 3, 4, 64, 32, True, False, "main", "main/000000"),
+     {**dict.fromkeys(("malloc_calls", "calloc_calls", "realloc_calls", "free_calls", "bytes_allocated",
+                       "bytes_freed"), 0),
+      "overflow": False, "auto_closed": False, "thread_id": None, "span_id": None}),
 ]
 
 
-@pytest.mark.parametrize("cls, fields, values", SHAPES, ids=[shape[0].__name__ for shape in SHAPES])
-def test_named_tuple_fields_and_keyword_construction(cls, fields, values):
-    assert issubclass(cls, tuple) and cls._fields == fields
+@pytest.mark.parametrize("cls, fields, values, defaults", SHAPES, ids=[shape[0].__name__ for shape in SHAPES])
+def test_named_tuple_fields_and_keyword_construction(cls, fields, values, defaults):
+    assert issubclass(cls, tuple) and cls._fields == fields and cls._field_defaults == defaults
     value = cls(**dict(zip(fields, values)))
     assert value == values and cls(*values) == value
     assert value._asdict() == dict(zip(fields, values))
     assert value._replace(**value._asdict()) == value
+    # A tuple with no per-instance dict, whose class keeps its own docstring and annotates each field.
+    assert not hasattr(value, "__dict__")
+    assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}(")
+    assert tuple(cls.__annotations__) == fields
 
 
 def test_named_tuple_defaults():

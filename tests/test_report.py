@@ -599,8 +599,8 @@ def _slot_faults():
     report, verdict = GOLDEN, GOLDEN_VERDICT_BYTES.decode()
     places = [
         ("header", report, parse_report, 0, _HEADER, "report"),
-        ("thread", report, parse_report, report.index("[\n    {") + 6, _THREAD_RECORD[1], "threads[0]"),
-        ("phase", verdict, parse_verdict, verdict.index('"baseline": {') + 12, _ROW_RECORD[0], "deltas[0] baseline"),
+        ("thread", report, parse_report, report.index("[\n    {") + 6, _THREAD_RECORD, "threads[0]"),
+        ("phase", verdict, parse_verdict, verdict.index('"baseline": {') + 12, _ROW_RECORD, "deltas[0] baseline"),
         ("tail", verdict, parse_verdict, verdict.index(',\n  "regression_detected"'), _VERDICT_TAIL, "verdict"),
     ]
     for place, golden, parse, at, template, label in places:
@@ -796,7 +796,7 @@ def test_report_writer_matches_json_dumps():
 
     reports, _ = _writer_strategies()
     golden = golden_report()
-    part = golden.per_thread[0]._replace(name='a "b" \\c\n é☃', thread_id="t\u00e9", span_id=None)
+    part = golden.per_thread[0]._replace(name='a "b" \\c\n é☃', thread_id="t\u00e9", span_id="t\u00e9/000000")
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(reports)
@@ -806,19 +806,24 @@ def test_report_writer_matches_json_dumps():
     @example(golden._replace(model=CostModel({k: w * 0.37 for k, w in golden.model.weights.items()}, "scaled")))
     @example(golden._replace(per_thread=[part._replace(malloc_calls=0, free_calls=3)]))
     @example(golden._replace(per_thread=[part._replace(cost_micro=-1_000_001)]))
+    @example(golden._replace(per_thread=[part, part._replace(span_id=None)]))
     def check(report):
+        # The reader takes a negative cost or a missing id in no form, so the writer refuses them.
+        unwritable = [i for i, r in enumerate(report.per_thread)
+                      if r.cost_micro < 0 or None in (r.thread_id, r.span_id)]
+        if unwritable:
+            with pytest.raises(ValueError, match=rf"^cannot serialize threads\[{unwritable[0]}\]: field "):
+                serialize_report(report)
+            return
         data = serialize_report(report)
         assert data == reference_report_bytes(report)
-        # The reader takes a negative cost or a missing id in no form, so only
-        # those refuse the writer's bytes at a slot; anything else read back
-        # writes back as itself, or breaks a rule between records.
-        readable = all(r.cost_micro >= 0 and None not in (r.thread_id, r.span_id) for r in report.per_thread)
+        # Read back, the bytes write back as themselves, or break a rule between records.
         try:
             reread = serialize_report(parse_report(data))
         except ReportError as exc:
-            assert exc.offset is None or not readable, str(exc)
+            assert exc.offset is None, str(exc)
         else:
-            assert readable and reread == data
+            assert reread == data
 
     check()
 
@@ -861,19 +866,26 @@ def test_verdict_writer_matches_json_dumps():
     @example(RegressionVerdict(Thresholds(), [row._replace(baseline=record._replace(
         malloc_calls=1, calloc_calls=0, realloc_calls=0, free_calls=0))]))
     @example(RegressionVerdict(Thresholds(), [row._replace(candidate=record._replace(cost_micro=-999_999))]))
+    @example(RegressionVerdict(Thresholds(), [row, row._replace(baseline=record._replace(thread_id="t"))]))
     def check(verdict):
+        # As for reports: the reader takes a negative cost or an id in no form, so the writer refuses them.
+        unwritable = [i for i, d in enumerate(verdict.deltas) for r in (d.baseline, d.candidate)
+                      if r is not None and (r.cost_micro < 0 or (r.thread_id, r.span_id) != (None, None))]
+        if unwritable:
+            refusal = rf"^cannot serialize deltas\[{unwritable[0]}\] (baseline|candidate): "
+            with pytest.raises(ValueError, match=refusal):
+                serialize_verdict(verdict)
+            return
         data = serialize_verdict(verdict)
         assert data == reference_verdict_bytes(verdict)
-        # As for reports: besides a negative cost, which no slot takes, only a
-        # rule or a status or flag the records and thresholds do not give refuse it.
-        readable = all(r is None or r.cost_micro >= 0 for d in verdict.deltas for r in (d.baseline, d.candidate))
+        # Only a rule, or a status or flag the records and thresholds do not give, refuses it.
         try:
             reread = serialize_verdict(parse_verdict(data))
         except ReportError as exc:
             recomputed = re.match(r"(deltas\[[0-9]+\] field 'status'|verdict field 'regression_detected') ", str(exc))
-            assert exc.offset is None or recomputed or not readable, str(exc)
+            assert exc.offset is None or recomputed, str(exc)
         else:
-            assert readable and reread == data
+            assert reread == data
 
     check()
 
@@ -902,14 +914,52 @@ def test_writers_refuse_a_float_cost_instead_of_truncating_it(cost):
     part = report.per_thread[0]
     record = tuple.__new__(MarkerChurn, (part.name, cost, *part[2:11], "main/000001"))
     written = None
-    with pytest.raises(ValueError, match="Unknown format code 'd' for object of type 'float'"):
+    expected = f"field 'cost_micro' must be an int >= 0, got {cost!r}$"
+    with pytest.raises(ValueError, match=r"^cannot serialize threads\[1\]: " + expected):
         written = serialize_report(report._replace(per_thread=[part, record]))
     assert written is None
     merged = tuple.__new__(MarkerChurn, (part.name, cost, *part[2:10], None, None))
     good = diff_reports(report, report).deltas[0]
     row = ChurnDelta("other", "neutral", merged, None)
-    with pytest.raises(ValueError, match="Unknown format code 'd' for object of type 'float'"):
+    with pytest.raises(ValueError, match=r"^cannot serialize deltas\[1\] baseline: " + expected):
         written = serialize_verdict(RegressionVerdict(Thresholds(), [good, row]))
+    assert written is None
+
+
+def _refused_reports():
+    report = golden_report()
+    part = report.per_thread[0]
+    for field, value in (("thread_id", None), ("span_id", None), ("cost_micro", -1)):
+        yield f"{field}-{value}", report._replace(per_thread=[part, part._replace(**{field: value})]), (
+            rf"^cannot serialize threads\[1\]: field '{field}' must be {'a str' if value is None else 'an int >= 0'}, "
+            rf"got {value}$")
+    yield "no-ids", report._replace(per_thread=[part._replace(thread_id=None, span_id=None)]), (
+        r"^cannot serialize threads\[0\]: field 'thread_id' must be a str, got None$")
+
+
+def _refused_verdicts():
+    report = golden_report()
+    good = diff_reports(report, report).deltas[0]
+    merged = good.baseline
+    for field, value in (("thread_id", "main"), ("span_id", "main/000000"), ("cost_micro", -1)):
+        for side in ("baseline", "candidate"):
+            row = good._replace(**{side: merged._replace(**{field: value})})
+            expected = "an int >= 0" if field == "cost_micro" else "None in a merged record"
+            yield f"{side}-{field}", RegressionVerdict(Thresholds(), [good, row]), (
+                rf"^cannot serialize deltas\[1\] {side}: field '{field}' must be {expected}, got {value!r}$")
+
+
+@pytest.mark.parametrize("write, doc, message", [
+    *[pytest.param(serialize_report, doc, message, id=f"report-{name}") for name, doc, message in _refused_reports()],
+    *[pytest.param(serialize_verdict, doc, message, id=f"verdict-{name}")
+      for name, doc, message in _refused_verdicts()],
+])
+def test_writers_never_write_what_their_readers_refuse(write, doc, message):
+    # A thread record is read only with both ids and a row's record only
+    # with neither, each with a non-negative cost; else the writer names the record and field.
+    written = None
+    with pytest.raises(ValueError, match=message):
+        written = write(doc)
     assert written is None
 
 
