@@ -63,10 +63,11 @@ class CostModel(_CostModelFields):
     one, ``_replace`` and ``_make`` included, stores a fresh dict of float
     weights at the six decimals a report writes, so calls are charged under
     the weights the report states, and checks it: a weight for each of the
-    four kinds and no other key, each finite, non-negative and small enough
-    that a call's cost fits in nano-units, and a nonempty version. A model
-    that fails raises ``CostModelError`` naming every fault. The default is
-    the shipped model (``DEFAULT_WEIGHTS``, "paper-v1").
+    four kinds and no other key, each an int or float (not a bool), finite,
+    non-negative and small enough that a call's cost fits in nano-units, and
+    a nonempty version. A model that fails raises ``CostModelError`` naming
+    every fault. The default is the shipped model (``DEFAULT_WEIGHTS``,
+    "paper-v1").
     """
 
     __slots__ = ()
@@ -82,21 +83,22 @@ class CostModel(_CostModelFields):
         except AttributeError:
             violations.append(f"weights must map each kind to a weight, got {type(weights).__name__}")
         else:
-            weights = {}
-            for key, value in given:
-                try:
-                    weights[key] = round(float(value), COST_DECIMALS)
-                except (TypeError, ValueError, OverflowError):
-                    weights[key] = value  # named below: every weight that passes is a float
+            weights = dict(given)
             violations += [f"unknown weight key {key!r}" for key in weights if not isinstance(key, AllocFnKind)]
             for kind in AllocFnKind:
                 w = weights.get(kind)
                 if kind not in weights:
                     violations.append(f"missing weight for {kind.value}")
-                elif type(w) is not float:
-                    fault = "too large" if type(w) is int else "not a number"  # an int float() cannot hold
-                    violations.append(f"weight for {kind.value} is {fault}: {w!r}")
-                elif not math.isfinite(w):
+                    continue
+                if type(w) is not float and type(w) is not int:  # a bool or a str is not a weight
+                    violations.append(f"weight for {kind.value} is not a number: {w!r}")
+                    continue
+                try:
+                    w = weights[kind] = round(float(w), COST_DECIMALS)
+                except OverflowError:  # an int float() cannot hold
+                    violations.append(f"weight for {kind.value} is too large: {w!r}")
+                    continue
+                if not math.isfinite(w):
                     violations.append(f"weight for {kind.value} is not finite: {w!r}")
                 elif w < 0:
                     violations.append(f"weight for {kind.value} is negative: {w!r}")

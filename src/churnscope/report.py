@@ -22,9 +22,13 @@ import io
 import math
 import re
 import sys
-from _json import encode_basestring as _quote
 from collections import namedtuple
 from typing import Any, Callable, Iterable, NoReturn
+
+try:
+    from _json import encode_basestring as _quote  # what json.encoder re-exports, without importing json
+except ImportError:  # an interpreter without json's C accelerator
+    from json.encoder import encode_basestring as _quote
 
 from .aggregation import MarkerChurn, merge_phases
 from .cost_model import COST_DECIMALS, MICRO, AllocFnKind, CostModel
@@ -263,6 +267,16 @@ _REPORT = ("report", "threads", REPORT_SCHEMA_VERSION, _HEADER, _THREAD_RECORD, 
 _VERDICT = ("verdict", "deltas", VERDICT_SCHEMA_VERSION, _VERDICT_HEAD, _ROW, _VERDICT_TAIL)
 
 
+class _Unwritable(ValueError):
+    """A record its layout's reader refuses. The message names the field;
+    the writer names the first place it holds ``record``, which is where it
+    was refused, since one record fails the same way wherever it is."""
+
+    def __init__(self, record: MarkerChurn, message: str) -> None:
+        super().__init__(message)
+        self.record = record
+
+
 def _churn_text(r: MarkerChurn, template: _Template) -> str:
     """A record as one string, from ``template``: ``_THREAD_RECORD`` or ``_ROW_RECORD``.
 
@@ -271,43 +285,27 @@ def _churn_text(r: MarkerChurn, template: _Template) -> str:
     the cost as a six-decimal literal; a thread record's document holds
     ``thread_id`` and ``span_id``, a row's merged record neither. Field types
     are trusted here: ``MarkerChurn`` checks them when it is built. A record
-    its template's reader refuses, with a negative cost or with ids where
-    its template has none, raises ValueError, and a thread record with a
-    None id TypeError; the writer then names the fault (``_unwritable``).
+    its template's reader refuses raises ``_Unwritable``: a cost that is not
+    an int >= 0, a thread record's id that is not a str, or a merged
+    record's id that is not None.
     """
     name, micro, malloc, calloc, realloc, free, allocated, freed, overflow, auto_closed, thread_id, span_id = r
     if type(micro) is not int or micro < 0:  # %d would truncate a float cost
-        raise ValueError("cost_micro")
+        raise _Unwritable(r, f"field 'cost_micro' must be an int >= 0, got {micro!r}")
     fields = (
         "true" if auto_closed else "false", allocated, freed, calloc, free, malloc, realloc,
         "%d.%06d" % divmod(micro, MICRO), _quote(name), "true" if overflow else "false",
     )
     if template is _THREAD_RECORD:
-        return template.text % (*fields, _quote(span_id), _quote(thread_id))
+        try:
+            return template.text % (*fields, _quote(span_id), _quote(thread_id))
+        except TypeError:  # from _quote
+            field, value = ("span_id", span_id) if isinstance(thread_id, str) else ("thread_id", thread_id)
+            raise _Unwritable(r, f"field {field!r} must be a str, got {value!r}") from None
     if thread_id is None and span_id is None:
         return template.text % fields
-    raise ValueError("ids")
-
-
-def _unwritable(records: Iterable[tuple[str, MarkerChurn | None]], ids: bool) -> None:
-    """Raise ValueError naming the first of the labelled ``records`` that
-    its reader refuses, and the field, if there is one. A record of a layout
-    with ids (a report's thread record) holds a str in each, one without (a
-    verdict's merged record) None in each, and every record a cost of whole,
-    non-negative micro-units. Called only once a writer has failed, so the
-    run path makes no pass for it."""
-    for label, r in records:
-        if r is None:
-            continue
-        for field in ("thread_id", "span_id"):
-            value = getattr(r, field)
-            if (value is None) is ids:
-                expected = "a str" if ids else "None in a merged record"
-                raise ValueError(
-                    f"cannot serialize {label}: field {field!r} must be {expected}, got {value!r}") from None
-        if type(r.cost_micro) is not int or r.cost_micro < 0:
-            raise ValueError(
-                f"cannot serialize {label}: field 'cost_micro' must be an int >= 0, got {r.cost_micro!r}") from None
+    field, value = ("span_id", span_id) if thread_id is None else ("thread_id", thread_id)
+    raise _Unwritable(r, f"field {field!r} must be None in a merged record, got {value!r}")
 
 
 def _delta_text(d: ChurnDelta) -> str:
@@ -370,9 +368,9 @@ def serialize_report(report: ChurnReport) -> bytes:
     )
     try:
         return _document(head, (_churn_text(r, _THREAD_RECORD) for r in records), _REPORT_TAIL.text)
-    except (TypeError, ValueError):
-        _unwritable(((f"threads[{i}]", r) for i, r in enumerate(records)), True)
-        raise
+    except _Unwritable as exc:
+        i = next(i for i, r in enumerate(records) if r is exc.record)
+        raise ValueError(f"cannot serialize threads[{i}]: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -737,10 +735,10 @@ def serialize_verdict(verdict: RegressionVerdict) -> bytes:
     )
     try:
         return _document(_VERDICT_HEAD.text, map(_delta_text, deltas), tail)
-    except (TypeError, ValueError):
-        _unwritable(((f"deltas[{i}] {side}", r) for i, d in enumerate(deltas)
-                     for side, r in (("baseline", d.baseline), ("candidate", d.candidate))), False)
-        raise
+    except _Unwritable as exc:
+        label = next(f"deltas[{i}] {side}" for i, d in enumerate(deltas)
+                     for side, r in (("baseline", d.baseline), ("candidate", d.candidate)) if r is exc.record)
+        raise ValueError(f"cannot serialize {label}: {exc}") from None
 
 
 def _read_row(slots: tuple[Any, ...]) -> tuple[str, str, MarkerChurn | None, MarkerChurn | None]:

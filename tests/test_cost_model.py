@@ -190,6 +190,8 @@ def test_validate_rejects_weights_whose_costs_overflow_nano_units():
         (DEFAULT_WEIGHTS, None, "model_version must be a nonempty string"),
         ({**DEFAULT_WEIGHTS, AllocFnKind.MALLOC: "x"}, "v", "weight for malloc is not a number: 'x'"),
         ({**DEFAULT_WEIGHTS, AllocFnKind.FREE: None}, "v", "weight for free is not a number: None"),
+        ({**DEFAULT_WEIGHTS, AllocFnKind.MALLOC: "2.5"}, "v", "weight for malloc is not a number: '2.5'"),
+        ({**DEFAULT_WEIGHTS, AllocFnKind.CALLOC: True}, "v", "weight for calloc is not a number: True"),
         ({**DEFAULT_WEIGHTS, AllocFnKind.CALLOC: 10**400}, "v", f"weight for calloc is too large: {10**400!r}"),
         ([1.0, 2.0, 3.0, 1.0], "v", "weights must map each kind to a weight, got list"),
         ({**DEFAULT_WEIGHTS, "q": 1.0, AllocFnKind.MALLOC: [1.0], AllocFnKind.FREE: -1.0}, "",
@@ -197,7 +199,7 @@ def test_validate_rejects_weights_whose_costs_overflow_nano_units():
          "model_version must be a nonempty string"),
     ],
     ids=["partial", "empty", "unknown-key", "negative", "nan", "too-large", "empty-version", "no-version",
-         "str-weight", "none-weight", "int-past-float", "weight-list", "every-fault"],
+         "str-weight", "none-weight", "numeric-str-weight", "bool-weight", "int-past-float", "weight-list", "every-fault"],
 )
 def test_every_way_of_building_a_model_checks_it(weights, version, message):
     builds = (

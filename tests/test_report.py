@@ -738,8 +738,11 @@ def reference_verdict_bytes(verdict):
 
 def _writer_strategies():
     """Hypothesis strategies for whole reports and verdicts: names with quotes,
-    backslashes, control and non-BMP characters, counts past 2**64, negative
-    costs, non-integer weights and thresholds."""
+    backslashes, control and non-BMP characters, counts and costs past 2**64,
+    non-integer weights and thresholds. Every record is one its writer takes
+    (a thread record with both ids, a merged one with neither, each with a
+    cost >= 0), so each drawn document is compared with json.dumps; the
+    records a writer refuses are the tests' explicit examples."""
     from hypothesis import strategies as st
 
     text = st.text(
@@ -752,7 +755,7 @@ def _writer_strategies():
         return st.builds(
             MarkerChurn,
             name=text,
-            cost_micro=st.integers(-(2**40), 2**40) | st.integers(-(10**40), 10**40),
+            cost_micro=count,
             malloc_calls=count,
             calloc_calls=count,
             realloc_calls=count,
@@ -773,7 +776,7 @@ def _writer_strategies():
         created_at=text,
         model=st.builds(CostModel, weights, text.filter(bool)),  # a model's version is never empty
         merged=st.just({}),  # not written
-        per_thread=st.lists(records(st.none() | text), max_size=4),
+        per_thread=st.lists(records(text), max_size=4),
         totals=st.builds(ReportTotals, *[count] * len(ReportTotals._fields)),
     )
     rows = st.builds(
@@ -961,6 +964,21 @@ def test_writers_never_write_what_their_readers_refuse(write, doc, message):
     with pytest.raises(ValueError, match=message):
         written = write(doc)
     assert written is None
+
+
+def test_writers_blame_no_later_record_for_an_earlier_failure():
+    # A name with no UTF-8 form, built past the checks of MarkerChurn, fails
+    # as its record is encoded; the refused record after it is never reached.
+    report = golden_report()
+    part = report.per_thread[0]
+    unencodable = tuple.__new__(MarkerChurn, ("\ud800", *part[1:]))
+    with pytest.raises(UnicodeEncodeError):
+        serialize_report(report._replace(per_thread=[unencodable, part._replace(cost_micro=-1)]))
+    good = diff_reports(report, report).deltas[0]
+    merged = tuple.__new__(MarkerChurn, ("\ud800", *good.baseline[1:]))
+    rows = [good._replace(baseline=merged), good._replace(candidate=good.candidate._replace(cost_micro=-1))]
+    with pytest.raises(UnicodeEncodeError):
+        serialize_verdict(RegressionVerdict(Thresholds(), rows))
 
 
 def test_writers_hold_about_one_copy_of_the_document():
