@@ -16,7 +16,8 @@ import enum
 import math
 from collections import namedtuple
 from pathlib import Path
-from typing import Any, Iterable
+from types import MappingProxyType  # enum imports types, so this loads nothing new
+from typing import Any, Iterable, Mapping
 
 from .errors import CostModelError
 
@@ -41,12 +42,12 @@ NANO, MICRO = 10**9, 10**COST_DECIMALS
 
 DEFAULT_MODEL_VERSION = "paper-v1"
 
-DEFAULT_WEIGHTS: dict[AllocFnKind, float] = {
+DEFAULT_WEIGHTS: Mapping[AllocFnKind, float] = MappingProxyType({
     AllocFnKind.CALLOC: 2.0,
     AllocFnKind.FREE: 1.0,
     AllocFnKind.MALLOC: 1.0,
     AllocFnKind.REALLOC: 3.0,
-}
+})
 
 # Keys accepted in a cost-model override file, beside model_version.
 _FILE_KEYS = {kind.value: kind for kind in AllocFnKind}
@@ -60,22 +61,22 @@ class CostModel(_CostModelFields):
 
     Reports embed the full descriptor (weights and version); two reports are
     only comparable when their descriptors are equal. Every way of building
-    one, ``_replace`` and ``_make`` included, stores a fresh dict of float
-    weights at the six decimals a report writes, so calls are charged under
-    the weights the report states, and checks it: a weight for each of the
-    four kinds and no other key, each an int or float (not a bool), finite,
-    non-negative and small enough that a call's cost fits in nano-units, and
-    a nonempty version. A model that fails raises ``CostModelError`` naming
-    every fault. The default is the shipped model (``DEFAULT_WEIGHTS``,
-    "paper-v1").
+    one, ``_replace`` and ``_make`` included, stores a fresh read-only
+    mapping of float weights at the six decimals a report writes, so calls
+    are charged under the weights the report states, and checks it: a
+    weight for each of the four kinds and no other key, each an int or float
+    (not a bool), finite, non-negative and small enough that a call's cost
+    fits in nano-units, and a nonempty version. A model that fails raises
+    ``CostModelError`` naming every fault. The default is the shipped model
+    (``DEFAULT_WEIGHTS``, "paper-v1").
     """
 
     __slots__ = ()
 
-    weights: dict[AllocFnKind, float]
+    weights: Mapping[AllocFnKind, float]
     model_version: str
 
-    def __new__(cls, weights: dict[AllocFnKind, float] = DEFAULT_WEIGHTS,
+    def __new__(cls, weights: Mapping[AllocFnKind, float] = DEFAULT_WEIGHTS,
                 model_version: str = DEFAULT_MODEL_VERSION) -> CostModel:
         violations = []
         try:
@@ -108,11 +109,15 @@ class CostModel(_CostModelFields):
             violations.append("model_version must be a nonempty string")
         if violations:
             raise CostModelError("invalid cost model: " + "; ".join(violations))
-        return super().__new__(cls, weights, model_version)
+        return super().__new__(cls, MappingProxyType(weights), model_version)
 
     @classmethod
     def _make(cls, iterable: Iterable[Any]) -> CostModel:
         return cls(*super()._make(iterable))
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # A mappingproxy does not pickle; rebuild from a plain copy of the weights.
+        return type(self), (dict(self.weights), self.model_version)
 
 
 def event_cost(model: CostModel, kind: AllocFnKind, nbytes: int) -> float:

@@ -286,37 +286,27 @@ class ThreadRecorder:
 
 
 class BumpAllocator:
-    """Deterministic stand-in heap handing out monotonically increasing tokens.
+    """Deterministic stand-in heap: a bump pointer handing out increasing,
+    16-byte aligned tokens from 0x1000. Every call succeeds and ``free`` does
+    nothing; to record failures, give ``TracingAllocator`` a base whose calls
+    return None. As a C allocator takes ``size_t``, a size or count that is
+    not a nonnegative int (a bool included) raises ValueError before the
+    pointer moves."""
 
-    Tokens start at 0x1000 and are 16-byte aligned. An optional ``budget``
-    caps outstanding bytes; calls that would exceed it fail by returning
-    None, which lets tests exercise failure transparency. As a C allocator
-    takes ``size_t``, a size or count that is not a nonnegative int (a bool
-    included) raises ValueError before the heap changes.
-    """
-
-    def __init__(self, budget: int | None = None):
+    def __init__(self):
         self._next = 0x1000
-        self._budget = budget
-        self._outstanding: dict[int, int] = {}
-        self._used = 0
 
-    def _take(self, size: int) -> int | None:
-        used = self._used + size
-        if self._budget is not None and used > self._budget:
-            return None
+    def _take(self, size: int) -> int:
         addr = self._next
         self._next = addr + ((size + 15) & ~15 or 16)  # a zero-size block still takes 16
-        self._outstanding[addr] = size
-        self._used = used
         return addr
 
-    def malloc(self, size: int) -> int | None:
+    def malloc(self, size: int) -> int:
         if type(size) is not int or size < 0:
             raise ValueError(f"requested size must be a nonnegative int, got {size!r}")
         return self._take(size)
 
-    def calloc(self, count: int, elem_size: int) -> int | None:
+    def calloc(self, count: int, elem_size: int) -> int:
         if type(count) is not int or count < 0 or type(elem_size) is not int or elem_size < 0:
             raise ValueError(f"calloc sizes must be nonnegative ints, got {count!r}, {elem_size!r}")
         return self._take(count * elem_size)
@@ -324,29 +314,18 @@ class BumpAllocator:
     def realloc(self, addr: int | None, size: int) -> int | None:
         if type(size) is not int or size < 0:
             raise ValueError(f"requested size must be a nonnegative int, got {size!r}")
-        if size == 0:
-            self.free(addr)
-            return None
-        old = self._outstanding.pop(addr, 0) if addr is not None else 0
-        self._used -= old
-        new_addr = self._take(size)
-        if new_addr is None and addr is not None:
-            # Failed grow leaves the original block untouched.
-            self._outstanding[addr] = old
-            self._used += old
-        return new_addr
+        return self._take(size) if size else None
 
     def free(self, addr: int | None) -> None:
-        if addr is None:
-            return
-        self._used -= self._outstanding.pop(addr, 0)
+        pass
 
 
 class TracingAllocator:
     """The four-call interception surface.
 
     Forwards every call to the base allocator unchanged and records it into
-    the owning thread's recorder.
+    the owning thread's recorder. The default base, a ``BumpAllocator``,
+    never fails; pass a base whose calls return None to record failures.
     """
 
     def __init__(self, recorder: ThreadRecorder, base: BumpAllocator | None = None):

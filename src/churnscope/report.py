@@ -87,8 +87,8 @@ class Thresholds(_ThresholdFields):
 
     def __new__(cls, rel: float = DEFAULT_REL_THRESHOLD, abs_floor: float = DEFAULT_ABS_FLOOR,
                 call_floor: int | None = None) -> Thresholds:
-        # NaN fails every comparison in _classify, so an unchecked NaN (or
-        # inf, or a negative floor) would silently disable the gate.
+        # An unchecked NaN or inf would crash the gate, and a negative floor
+        # would silently disable it.
         for name, value in (("rel", rel), ("abs_floor", abs_floor)):
             number = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not number or not 0 <= value <= sys.float_info.max:
@@ -615,34 +615,43 @@ def parse_report(data: bytes | str) -> ChurnReport:
 # diffing
 
 
-def _classify(base: int, cand: int, call_delta_total: int, th: Thresholds) -> str:
-    # Costs are micro-units. Regression and improvement use mirrored tests
-    # (roles swapped), so diff(A, B) regressions are exactly diff(B, A)
-    # improvements.
-    if base > 0 and cand / base - 1 > th.rel:
+def _limits(th: Thresholds) -> tuple[int, int, int | None]:
+    """The gate's thresholds as exact integers, once per verdict: ``MICRO + rel`` and
+    ``abs_floor`` in micro-units, read off the literals a verdict writes, and ``call_floor``."""
+    rel, floor = int(_fixed(th.rel).replace(".", "")), int(_fixed(th.abs_floor).replace(".", ""))
+    return MICRO + rel, floor, th.call_floor
+
+
+def _classify(base: int, cand: int, call_delta_total: int, limits: tuple[int, int, int | None]) -> str:
+    # Costs are micro-units, compared in exact integers: a phase regresses
+    # when it grows by more than rel, or from a zero-cost baseline past
+    # abs_floor. Regression and improvement use mirrored tests (roles
+    # swapped), so diff(A, B) regressions are exactly diff(B, A) improvements.
+    grown, floor, call_floor = limits
+    if base > 0 and cand * MICRO > base * grown:
         return STATUS_REGRESSION
-    if base == 0 and cand / MICRO > th.abs_floor:
+    if base == 0 and cand > floor:
         return STATUS_REGRESSION
-    if cand > 0 and base / cand - 1 > th.rel:
+    if cand > 0 and base * MICRO > cand * grown:
         return STATUS_IMPROVEMENT
-    if cand == 0 and base / MICRO > th.abs_floor:
+    if cand == 0 and base > floor:
         return STATUS_IMPROVEMENT
-    if th.call_floor is not None:
-        if call_delta_total > th.call_floor:
+    if call_floor is not None:
+        if call_delta_total > call_floor:
             return STATUS_REGRESSION
-        if call_delta_total < -th.call_floor:
+        if call_delta_total < -call_floor:
             return STATUS_IMPROVEMENT
     return STATUS_NEUTRAL
 
 
-def _compare(phase: str, base: MarkerChurn | None, cand: MarkerChurn | None, th: Thresholds) -> ChurnDelta:
-    """One phase's delta; a missing record makes it a new or removed phase."""
+def _compare(phase: str, base: MarkerChurn | None, cand: MarkerChurn | None, limits: tuple) -> ChurnDelta:
+    """One phase's delta under ``_limits(thresholds)``; a missing record makes it a new or removed phase."""
     if base is None:
         status = STATUS_NEW_PHASE
     elif cand is None:
         status = STATUS_REMOVED_PHASE
     else:
-        status = _classify(base.cost_micro, cand.cost_micro, cand.total_calls - base.total_calls, th)
+        status = _classify(base.cost_micro, cand.cost_micro, cand.total_calls - base.total_calls, limits)
     return tuple.__new__(ChurnDelta, (phase, status, base, cand))
 
 
@@ -663,8 +672,8 @@ def diff_reports(
             f"cost models differ: baseline {baseline.model.model_version!r} "
             f"vs candidate {candidate.model.model_version!r}"
         )
-    base, cand = baseline.merged, candidate.merged
-    deltas = [_compare(phase, base.get(phase), cand.get(phase), th) for phase in sorted(base.keys() | cand.keys())]
+    base, cand, limits = baseline.merged, candidate.merged, _limits(th)
+    deltas = [_compare(phase, base.get(phase), cand.get(phase), limits) for phase in sorted(base.keys() | cand.keys())]
     unranked = RegressionVerdict(th, deltas)
     return unranked._replace(deltas=rank_regressions(unranked))
 
@@ -769,6 +778,7 @@ def parse_verdict(data: bytes | str) -> RegressionVerdict:
     _check_written(tail, 4, _fixed(thresholds.rel), "verdict", "rel")
     deltas: list[ChurnDelta] = []
     phases: set[str] = set()
+    limits = _limits(thresholds)
     for i, (phase, status, base, cand) in enumerate(rows):
         if phase in phases:
             raise ReportError(f"deltas[{i}] repeats phase {phase!r}")
@@ -782,7 +792,7 @@ def parse_verdict(data: bytes | str) -> RegressionVerdict:
                     raise ReportError(f"deltas[{i}] {side} record is named {record.name!r}, not {phase!r}")
         if base is None and cand is None:
             raise ReportError(f"deltas[{i}] carries neither a baseline nor a candidate record")
-        delta = _compare(phase, base, cand, thresholds)
+        delta = _compare(phase, base, cand, limits)
         if delta.status != status:  # named at its slot: each row holds the key's literal once
             at = [m.end() for m in re.finditer(re.escape(_ROW.text.split("%s")[-2]), text)][i]
             raise _fault(text, at, f"deltas[{i}]", _quote(delta.status), "status")

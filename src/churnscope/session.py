@@ -82,7 +82,8 @@ class RecordingSession:
         return self._model
 
     def recorder(self, label: str | None = None) -> ThreadRecorder:
-        """Get or create the calling thread's recorder."""
+        """Get or create the calling thread's recorder. Unlabelled, it is named
+        ``thread-N`` for the first free N from the number of recorders."""
         rec: ThreadRecorder | None = getattr(self._tls, "recorder", None)
         if rec is not None:
             if label is not None and label != rec.thread_id:
@@ -92,7 +93,10 @@ class RecordingSession:
             return rec
         with self._lock:
             if label is None:
-                label = f"thread-{len(self._by_label)}"
+                n = len(self._by_label)
+                while f"thread-{n}" in self._by_label:  # taken by an explicit label
+                    n += 1
+                label = f"thread-{n}"
             elif not isinstance(label, str):
                 raise ValueError(f"thread label must be a string, got {label!r}")
             else:

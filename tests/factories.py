@@ -8,6 +8,7 @@ from typing import Any
 
 from churnscope import (
     AllocFnKind,
+    BumpAllocator,
     ChurnReport,
     CostModel,
     CounterSnapshot,
@@ -59,6 +60,19 @@ def report_with_units(
             heap.free(tok)
     session.seal_all()
     return session.build_report()
+
+
+class CappedHeap(BumpAllocator):
+    """A bump heap whose malloc, calloc and realloc fail, returning None,
+    for any request over ``limit`` bytes. It keeps no state beyond the bump
+    pointer, so a refused call leaves it unchanged."""
+
+    def __init__(self, limit: int):
+        super().__init__()
+        self.limit = limit
+
+    def _take(self, size: int) -> int | None:
+        return None if size > self.limit else super()._take(size)
 
 
 class Literal(str):

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -42,6 +44,27 @@ def test_replace_and_make_normalize_weights_like_the_constructor():
     for model in (MODEL._replace(weights=weights), CostModel._make([weights, "v"]), CostModel(weights, "v")):
         assert type(model) is CostModel and model.weights == want and model.weights is not weights
         assert all(type(w) is float for w in model.weights.values())
+
+
+def test_weights_cannot_change_after_they_are_checked():
+    model = CostModel()
+    for weights in (model.weights, DEFAULT_WEIGHTS):
+        with pytest.raises(TypeError):
+            weights[AllocFnKind.MALLOC] = 7.0
+        with pytest.raises(TypeError):
+            del weights[AllocFnKind.FREE]
+    assert model.weights == DEFAULT_WEIGHTS and model.weights[AllocFnKind.MALLOC] == 1.0
+    assert b'"malloc": 1.000000' in serialize_report(report_with_units({"p": 1}, model=model))
+
+
+def test_models_and_reports_pickle_and_copy():
+    report = report_with_units({"p": 2}, model=CostModel({kind: 0.5 for kind in AllocFnKind}, "halves"))
+    copies = [pickle.loads(pickle.dumps(report, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [*copies, copy.copy(report), copy.deepcopy(report)]:
+        assert twin == report and type(twin.model) is CostModel
+        assert serialize_report(twin) == serialize_report(report)
+        with pytest.raises(TypeError):
+            twin.model.weights[AllocFnKind.MALLOC] = 7.0
 
 
 def test_phase_cost_is_the_cost_under_the_reports_own_model():
@@ -259,6 +282,7 @@ def test_load_cost_model_defaults_version(tmp_path):
         ("malloc = -2\ncalloc = 2\nrealloc = 3\nfree = 1\n", "negative"),
         ("malloc = 1\ncalloc = 2\nrealloc = 3\nfree = 1\nmodel_version = a\nmodel_version = b\n",
          ":6: duplicate model_version$"),
+        ("malloc = 1\ncalloc = 2\nrealloc = 3\nfree = 1\nmodel_version =\n", ":5: model_version must not be empty$"),
     ],
 )
 def test_load_cost_model_rejects_bad_files(tmp_path, body, fragment):

@@ -30,6 +30,7 @@ from churnscope.report import (
     RegressionVerdict,
     _classify,
     _compare,
+    _limits,
 )
 
 from factories import Literal, canonical_json, first_difference, report_with_units
@@ -100,6 +101,51 @@ def test_growth_below_threshold_is_neutral():
     verdict = diff_reports(baseline, candidate)
     assert verdict.deltas[0].status == STATUS_NEUTRAL
     assert not verdict.regression_detected
+
+
+EXACT_PERCENT = [(base, base + base // 100) for base in range(100, 2000, 100)]  # 19 pairs, growth exactly 1%
+
+
+@pytest.mark.parametrize("base, cand", EXACT_PERCENT, ids=lambda n: str(n))
+def test_growth_of_exactly_rel_is_neutral_and_one_micro_unit_more_is_not(base, cand):
+    # A phase regresses when it grows by more than rel, in exact integers.
+    limits = _limits(Thresholds())
+    assert _classify(base, cand, 0, limits) == _classify(cand, base, 0, limits) == STATUS_NEUTRAL
+    assert _classify(base, cand + 1, 0, limits) == STATUS_REGRESSION
+    assert _classify(cand + 1, base, 0, limits) == STATUS_IMPROVEMENT
+
+
+@pytest.mark.parametrize("rel", [0.5, 0.123457, 7, sys.float_info.max], ids=["0.5", "0.123457", "7", "float-max"])
+def test_the_gate_compares_the_six_decimals_a_verdict_writes(rel):
+    th = Thresholds(rel=rel, abs_floor=rel)
+    written = json.loads(serialize_verdict(RegressionVerdict(th, [])), parse_float=Literal)["thresholds"]
+    rel_micro = abs_micro = int(written["rel"].replace(".", ""))  # the literal's digits are its micro-units
+    assert written["abs_floor"] == written["rel"]
+    base = 10**6
+    cand = base + rel_micro  # base is one cost unit, so this is growth of exactly rel
+    limits = _limits(th)
+    assert _classify(base, cand, 0, limits) == _classify(cand, base, 0, limits) == STATUS_NEUTRAL
+    assert _classify(base, cand + 1, 0, limits) == STATUS_REGRESSION
+    assert _classify(cand + 1, base, 0, limits) == STATUS_IMPROVEMENT
+    assert _classify(0, abs_micro, 0, limits) == _classify(abs_micro, 0, 0, limits) == STATUS_NEUTRAL
+    assert _classify(0, abs_micro + 1, 0, limits) == STATUS_REGRESSION
+    assert _classify(abs_micro + 1, 0, 0, limits) == STATUS_IMPROVEMENT
+
+
+def test_growth_of_exactly_rel_passes_the_gate_and_a_verdict_that_flagged_it_is_refused():
+    doc = literal_doc(report_with_units({"p": 0}))
+    record = doc["threads"][0]
+    record.update(cost=100.0, bytes_allocated=2)
+    record["calls"]["malloc"] = 1
+    base = parse_report(canonical_json(doc))
+    record["cost"] = 101.0  # +1%, not more than the default 1%
+    cand = parse_report(canonical_json(doc))
+    verdict = diff_reports(base, cand)
+    assert verdict.deltas[0].status == diff_reports(cand, base).deltas[0].status == STATUS_NEUTRAL
+    # As an earlier version wrote it: parse_verdict recomputes the status.
+    data = serialize_verdict(verdict)
+    flagged = serialize_verdict(verdict._replace(deltas=[verdict.deltas[0]._replace(status=STATUS_REGRESSION)]))
+    assert _rejected_at(flagged, "deltas[0]", "status") == first_difference(flagged, data) - 1
 
 
 def test_phase_only_in_candidate_is_new_phase():
@@ -205,7 +251,7 @@ def _reference_row(base, cand, th):
     elif cand is None:
         status = STATUS_REMOVED_PHASE
     else:
-        status = _classify(base_cost, cand_cost, sum(call_delta.values()), th)
+        status = _classify(base_cost, cand_cost, sum(call_delta.values()), _limits(th))
         rel = cand_cost / base_cost - 1 if base_cost > 0 else None
     allocated = (cand.bytes_allocated if cand else 0) - (base.bytes_allocated if base else 0)
     freed = (cand.bytes_freed if cand else 0) - (base.bytes_freed if base else 0)
@@ -238,7 +284,7 @@ def test_computed_deltas_match_a_reference_arithmetic():
     def check(base, cand, th):
         if base is None and cand is None:
             return
-        delta = _compare("p", base, cand, th)
+        delta = _compare("p", base, cand, _limits(th))
         assert delta == ChurnDelta("p", delta.status, base, cand)
         computed = (delta.status, delta.cost_delta_micro, delta.cost_delta_rel, delta.byte_delta_magnitude)
         assert computed == _reference_row(base, cand, th)
@@ -373,6 +419,17 @@ def test_rank_alternate_flags():
     ranked = rank_regressions(synthetic_verdict([low, high]), by="abs")
     assert [d.phase for d in ranked] == ["high", "low"]
     assert [d.phase for d in rank_regressions(synthetic_verdict([low, high]))] == ["low", "high"]
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"tie_break": "size"}, "unknown tie_break 'size'"), ({"by": "bytes"}, "unknown ranking key 'bytes'")],
+    ids=["tie_break", "by"],
+)
+def test_rank_refuses_an_unknown_key(kwargs, message):
+    with pytest.raises(ValueError) as excinfo:
+        rank_regressions(synthetic_verdict([_delta("a", STATUS_REGRESSION, 0.5)]), **kwargs)
+    assert str(excinfo.value) == message
 
 
 def test_uniform_weight_scaling_leaves_verdict_unchanged():

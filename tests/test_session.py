@@ -17,6 +17,7 @@ import churnscope
 from churnscope import (
     AllocFnKind,
     MarkerChurn,
+    RecorderStateError,
     RecordingSession,
     TracingAllocator,
     begin_marker,
@@ -212,6 +213,50 @@ def test_session_rejects_metadata_its_report_parser_would_reject(kwargs, message
     with pytest.raises(ValueError) as excinfo:
         RecordingSession(**kwargs)
     assert str(excinfo.value) == message
+
+
+def _in_thread(func):
+    thread = threading.Thread(target=func)
+    thread.start()
+    thread.join()
+
+
+def test_a_thread_asking_again_gets_its_own_recorder():
+    session = RecordingSession()
+    rec = session.recorder("main")
+    assert session.recorder() is rec and session.recorder("main") is rec
+    assert session.recorders() == [rec]
+
+
+@pytest.mark.parametrize(
+    "setup, call, error, message",
+    [
+        (lambda s: s.recorder("main"), lambda s: s.recorder("other"), ValueError,
+         "thread already registered as 'main', not 'other'"),
+        (lambda s: _in_thread(lambda: s.recorder("main")), lambda s: s.recorder("main"), ValueError,
+         "thread label 'main' already in use"),
+        (lambda s: s.recorder("main"), lambda s: s.build_report(), RecorderStateError,
+         "recorder 'main' is not sealed; call seal_all() first"),
+    ],
+    ids=["relabel-own-thread", "label-of-another-thread", "report-before-seal"],
+)
+def test_session_refuses(setup, call, error, message):
+    session = RecordingSession()
+    setup(session)
+    with pytest.raises(error) as excinfo:
+        call(session)
+    assert str(excinfo.value) == message
+    assert [rec.thread_id for rec in session.recorders()] == ["main"]
+
+
+def test_an_unlabelled_thread_takes_a_free_automatic_label():
+    session = RecordingSession()
+    session.recorder("thread-1")  # the label the next unlabelled thread would have taken
+    labels = []
+    for _ in range(2):
+        _in_thread(lambda: labels.append(session.recorder().thread_id))
+    assert labels == ["thread-2", "thread-3"]
+    assert [rec.thread_id for rec in session.recorders()] == ["thread-1", "thread-2", "thread-3"]
 
 
 def test_recorder_rejects_a_label_that_is_not_a_string():

@@ -43,6 +43,12 @@ def test_splitmix_is_deterministic_per_seed():
     assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 0), (5, 4)])
+def test_splitmix_randrange_refuses_an_empty_range(lo, hi):
+    with pytest.raises(ValueError, match="^empty range$"):
+        SplitMix64(0).randrange(lo, hi)
+
+
 def test_registered_workload_names():
     assert workload_names() == ["buffers", "multithread", "strings", "table"]
 
