@@ -27,6 +27,7 @@ from .report import (
     ChurnReport,
     RegressionVerdict,
     Thresholds,
+    _fixed,
     diff_reports,
     format_cost,
     parse_report,
@@ -235,7 +236,9 @@ def _print_verdict(verdict: RegressionVerdict, deltas: list[ChurnDelta], color: 
         print(_format_table(headers, _verdict_rows(deltas, color)))
     th = verdict.thresholds
     gate = "regression detected" if verdict.regression_detected else "no regression"
-    floors = f"rel>{th.rel:g}, abs_floor={th.abs_floor:g}"
+    # The six-decimal literals the verdict holds, trailing zeros dropped: what the gate compared.
+    rel, floor = (_fixed(value).rstrip("0").rstrip(".") for value in (th.rel, th.abs_floor))
+    floors = f"rel>{rel}, abs_floor={floor}"
     if th.call_floor is not None:
         floors += f", call_floor={th.call_floor}"
     print(f"{gate} ({floors})")

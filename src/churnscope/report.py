@@ -96,8 +96,9 @@ class Thresholds(_ThresholdFields):
         integer = isinstance(call_floor, int) and not isinstance(call_floor, bool)
         if call_floor is not None and (not integer or call_floor < 0):
             raise ValueError(f"threshold call_floor must be null or an integer >= 0, got {call_floor!r}")
-        # Gate on the six decimals a verdict records, so parse_verdict can recompute it.
-        return super().__new__(cls, round(rel, COST_DECIMALS), round(abs_floor, COST_DECIMALS), call_floor)
+        # Gate on the six decimals a verdict records, so parse_verdict can recompute it; -0.0 is stored as 0.0.
+        rel, abs_floor = round(rel, COST_DECIMALS) or 0.0, round(abs_floor, COST_DECIMALS) or 0.0
+        return super().__new__(cls, rel, abs_floor, call_floor)
 
     @classmethod
     def _make(cls, iterable: Iterable[Any]) -> Thresholds:
@@ -310,16 +311,18 @@ def _churn_text(r: MarkerChurn, template: _Template) -> str:
 
 def _delta_text(d: ChurnDelta) -> str:
     """A verdict row as one string, from ``_ROW``, each side's record by
-    ``_churn_text``.
+    ``_churn_text``. An unchanged phase's record is written once: a candidate
+    equal to the baseline reuses the baseline's text.
 
     The bytes are those ``json.dumps`` gives, as for a record, for the row's
     document: ``baseline`` and ``candidate`` (a record or null), ``phase``
     and ``status``. Field types are trusted, not checked.
     """
     phase, status, base, cand = d
+    base_text = "null" if base is None else _churn_text(base, _ROW_RECORD)
     return _ROW.text % (
-        "null" if base is None else _churn_text(base, _ROW_RECORD),
-        "null" if cand is None else _churn_text(cand, _ROW_RECORD),
+        base_text,
+        base_text if cand == base else "null" if cand is None else _churn_text(cand, _ROW_RECORD),
         _quote(phase), _quote(status),
     )
 
@@ -645,11 +648,15 @@ def _classify(base: int, cand: int, call_delta_total: int, limits: tuple[int, in
 
 
 def _compare(phase: str, base: MarkerChurn | None, cand: MarkerChurn | None, limits: tuple) -> ChurnDelta:
-    """One phase's delta under ``_limits(thresholds)``; a missing record makes it a new or removed phase."""
+    """One phase's delta under ``_limits(thresholds)``; a missing record makes it a new or removed phase.
+    An unchanged phase (equal records) is neutral without arithmetic, as ``_classify(x, x, 0, limits)`` is
+    under every checked ``Thresholds`` (``rel``, ``abs_floor`` and ``call_floor`` >= 0)."""
     if base is None:
         status = STATUS_NEW_PHASE
     elif cand is None:
         status = STATUS_REMOVED_PHASE
+    elif base == cand:
+        status = STATUS_NEUTRAL
     else:
         status = _classify(base.cost_micro, cand.cost_micro, cand.total_calls - base.total_calls, limits)
     return tuple.__new__(ChurnDelta, (phase, status, base, cand))
@@ -752,11 +759,13 @@ def serialize_verdict(verdict: RegressionVerdict) -> bytes:
 
 def _read_row(slots: tuple[Any, ...]) -> tuple[str, str, MarkerChurn | None, MarkerChurn | None]:
     """A verdict row's phase, its status as written and its two records, from
-    the slot texts of ``_ROW`` (each record's ten, or None for null)."""
-    phase = slots[20]
-    return (phase if "\\" not in phase else _unquote(phase), slots[21],
-            None if slots[0] is None else _record(slots[:10] + (None, None)),
-            None if slots[10] is None else _record(slots[10:20] + (None, None)))
+    the slot texts of ``_ROW`` (each record's ten, or None for null). An
+    unchanged phase's record is read once: when the two records' slot texts
+    are equal, one record is built and both sides hold it."""
+    phase, base_slots, cand_slots = slots[20], slots[:10], slots[10:20]
+    base = None if base_slots[0] is None else _record(base_slots + (None, None))
+    cand = base if cand_slots == base_slots else None if cand_slots[0] is None else _record(cand_slots + (None, None))
+    return phase if "\\" not in phase else _unquote(phase), slots[21], base, cand
 
 
 def parse_verdict(data: bytes | str) -> RegressionVerdict:

@@ -115,6 +115,28 @@ def test_diff_regression_exit_1_and_ranks_format_first(tmp_path, capsys):
     assert first_row[1] == "regression"
 
 
+@pytest.mark.parametrize("flags, summary", [
+    ((), "rel>0.01, abs_floor=1"),
+    (("--rel-threshold", "1234567"), "rel>1234567, abs_floor=1"),
+    (("--abs-floor", "1234567.5"), "rel>0.01, abs_floor=1234567.5"),
+    (("--abs-floor", "-0.0"), "rel>0.01, abs_floor=0"),
+    (("--rel-threshold", "0.1234567", "--call-floor", "3"), "rel>0.123457, abs_floor=1, call_floor=3"),
+    (("--rel-threshold", "4e-7", "--abs-floor", "10"), "rel>0, abs_floor=10"),
+], ids=["defaults", "large-rel", "large-floor", "negative-zero", "rounded", "rounded-to-zero"])
+def test_the_summary_line_states_the_thresholds_the_verdict_holds(tmp_path, capsys, flags, summary):
+    base = run_report(tmp_path)
+    capsys.readouterr()
+    assert main(["diff", str(base), str(base), "--format", "json", *flags]) == 0
+    verdict = tmp_path / "verdict.json"
+    verdict.write_text(capsys.readouterr().out)
+    written = json.loads(verdict.read_text(), parse_float=str)["thresholds"]  # each literal as written
+    assert summary.startswith(f"rel>{written['rel'].rstrip('0').rstrip('.')}, "
+                              f"abs_floor={written['abs_floor'].rstrip('0').rstrip('.')}")
+    for argv in (["diff", str(base), str(base), *flags], ["rank", str(verdict)]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"no regression ({summary})"
+
+
 def test_diff_threshold_flags_respected(tmp_path):
     base = run_report(tmp_path, "base")
     cand = run_report(tmp_path, "cand", variant="regressed")

@@ -292,6 +292,43 @@ def test_computed_deltas_match_a_reference_arithmetic():
     check()
 
 
+def test_equal_records_are_neutral_under_every_threshold():
+    # Why _compare may call an unchanged phase neutral without arithmetic:
+    # _classify's own arithmetic gives neutral for it under every checked Thresholds.
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    count = st.integers(0, 50) | st.integers(0, 2**64)
+    cost = st.just(0) | st.integers(0, 100 * 10**6) | st.integers(0, int(sys.float_info.max))
+    records = st.builds(
+        MarkerChurn, name=st.just("p"), cost_micro=cost, malloc_calls=count, calloc_calls=count,
+        realloc_calls=count, free_calls=count, bytes_allocated=count, bytes_freed=count,
+    )
+    bound = st.floats(0, sys.float_info.max) | st.sampled_from([0, 1e-7, sys.float_info.max])
+    thresholds = st.builds(Thresholds, rel=bound, abs_floor=bound,
+                           call_floor=st.none() | st.just(0) | st.integers(2**32, 2**70))
+    units = st.dictionaries(st.sampled_from("abcdef"), st.integers(0, 4), max_size=6)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(records, thresholds, units)
+    @example(MarkerChurn("p", 0), Thresholds(0, 0, 0), {"a": 0, "b": 1})
+    @example(MarkerChurn("p", int(sys.float_info.max), 1), Thresholds(0, 0, 0), {})
+    def check(record, th, phase_units):
+        copy, limits = MarkerChurn(*record), _limits(th)
+        for base, cand in ((record, copy), (copy, record)):
+            assert _classify(base.cost_micro, cand.cost_micro, cand.total_calls - base.total_calls,
+                             limits) == STATUS_NEUTRAL
+        report = report_with_units(phase_units)
+        for cand in (report, parse_report(serialize_report(report))):  # the same records, and equal ones
+            deltas = diff_reports(report, cand, th).deltas
+            assert len(deltas) == len(phase_units)
+            assert all(_classify(d.baseline.cost_micro, d.candidate.cost_micro, 0, limits) == d.status
+                       == STATUS_NEUTRAL for d in deltas)
+
+    check()
+
+
 def _delta(phase, status, rel, alloc=0, freed=0, cost_micro=1_000_000):
     """A row whose records give it relative delta ``rel`` (None: a zero-cost
     baseline) on a baseline of ``cost_micro``, and byte deltas ``alloc`` and
@@ -509,6 +546,13 @@ def test_thresholds_reject_values_that_disable_the_gate(kwargs):
 
 def test_thresholds_accept_zero_and_integers():
     assert Thresholds(rel=0, abs_floor=0.0, call_floor=0).rel == 0
+
+
+def test_thresholds_store_negative_zero_as_the_zero_a_verdict_writes():
+    for th in (Thresholds(rel=-0.0, abs_floor=-0.0), Thresholds()._replace(rel=-0.0, abs_floor=-0.0)):
+        assert math.copysign(1, th.rel) == math.copysign(1, th.abs_floor) == 1
+        assert repr(th) == "Thresholds(rel=0.0, abs_floor=0.0, call_floor=None)"
+        assert b'"abs_floor": 0.000000,' in serialize_verdict(RegressionVerdict(th, []))
 
 
 @pytest.mark.parametrize(

@@ -742,7 +742,9 @@ def _writer_strategies():
     non-integer weights and thresholds. Every record is one its writer takes
     (a thread record with both ids, a merged one with neither, each with a
     cost >= 0), so each drawn document is compared with json.dumps; the
-    records a writer refuses are the tests' explicit examples."""
+    records a writer refuses are the tests' explicit examples. About half the
+    rows are an unchanged phase: a neutral row named for its record, whose
+    candidate is an equal record but a distinct object."""
     from hypothesis import strategies as st
 
     text = st.text(
@@ -786,10 +788,11 @@ def _writer_strategies():
         baseline=st.none() | merged,
         candidate=st.none() | merged,
     )
+    unchanged = merged.map(lambda r: ChurnDelta(r.name, "neutral", r, MarkerChurn(*r)))
     thresholds = st.builds(
         Thresholds, rel=st.floats(0, 1e6), abs_floor=st.floats(0, 1e6), call_floor=st.none() | st.integers(0, 2**70)
     )
-    verdicts = st.builds(RegressionVerdict, thresholds, st.lists(rows, max_size=4))
+    verdicts = st.builds(RegressionVerdict, thresholds, st.lists(rows | unchanged, max_size=4))
     return reports, verdicts
 
 
@@ -870,6 +873,7 @@ def test_verdict_writer_matches_json_dumps():
         malloc_calls=1, calloc_calls=0, realloc_calls=0, free_calls=0))]))
     @example(RegressionVerdict(Thresholds(), [row._replace(candidate=record._replace(cost_micro=-999_999))]))
     @example(RegressionVerdict(Thresholds(), [row, row._replace(baseline=record._replace(thread_id="t"))]))
+    @example(RegressionVerdict(Thresholds(), [row._replace(status="neutral", candidate=MarkerChurn(*record))]))
     def check(verdict):
         # As for reports: the reader takes a negative cost or an id in no form, so the writer refuses them.
         unwritable = [i for i, d in enumerate(verdict.deltas) for r in (d.baseline, d.candidate)
@@ -881,16 +885,69 @@ def test_verdict_writer_matches_json_dumps():
             return
         data = serialize_verdict(verdict)
         assert data == reference_verdict_bytes(verdict)
+        unchanged = [d.baseline is not d.candidate and d.baseline == d.candidate for d in verdict.deltas]
         # Only a rule, or a status or flag the records and thresholds do not give, refuses it.
         try:
-            reread = serialize_verdict(parse_verdict(data))
+            parsed = parse_verdict(data)
         except ReportError as exc:
             recomputed = re.match(r"(deltas\[[0-9]+\] field 'status'|verdict field 'regression_detected') ", str(exc))
             assert exc.offset is None or recomputed, str(exc)
         else:
-            assert reread == data
+            assert parsed == verdict and serialize_verdict(parsed) == data
+            # An unchanged phase reads back as one record that both sides hold.
+            assert all(d.baseline is d.candidate for d, same in zip(parsed.deltas, unchanged) if same)
+            drawn["read back"] += any(unchanged)
+        drawn["unchanged rows"] += sum(unchanged)
 
+    drawn = dict.fromkeys(("unchanged rows", "read back"), 0)
     check()
+    assert drawn["unchanged rows"] >= 100 and drawn["read back"] >= 15, drawn
+
+
+def _unchanged_verdict():
+    """A verdict of two unchanged phases and a grown one, each record read from
+    its own report, so an unchanged phase's two records are equal but distinct."""
+    baseline = report_with_units({"a": 3, "b": 5, "c": 2})
+    candidate = parse_report(serialize_report(report_with_units({"a": 3, "b": 5, "c": 4})))
+    return diff_reports(baseline, candidate)
+
+
+def test_an_unchanged_phase_is_written_and_read_as_one_record():
+    verdict = _unchanged_verdict()
+    unchanged = [d for d in verdict.deltas if d.baseline == d.candidate]
+    assert [d.phase for d in unchanged] == ["a", "b"]
+    assert all(d.status == "neutral" and d.baseline is not d.candidate for d in unchanged)
+    data = serialize_verdict(verdict)
+    assert data == reference_verdict_bytes(verdict)
+    parsed = parse_verdict(data)
+    assert parsed == verdict and serialize_verdict(parsed) == data
+    assert [d.baseline is d.candidate for d in parsed.deltas] == [d.baseline == d.candidate for d in verdict.deltas]
+
+
+@pytest.mark.parametrize("side", ["baseline", "candidate"])
+@pytest.mark.parametrize("old, new, fault, offset", [
+    (b'"cost": 50.000000', b'"cost": 50.00000', "deltas[2] {side} field 'cost' is not in canonical form at byte {at}: "
+     "expected 'a number with six decimals', found {found!r}", "at"),
+    (b'"cost": 50.000000', b'"cost": 99.000000', "deltas[2] field 'status' is not in canonical form at byte "
+     "{status}: expected '\"{recomputed}\"', found {status_found!r}", "status"),
+    (b'"malloc": 5', b'"malloc": 0', "deltas[2] {side} has zero calls but nonzero cost", None),
+], ids=["respelled-cost", "other-cost", "zero-calls"])
+def test_a_fault_in_one_copy_of_an_unchanged_record_is_named_on_its_side(side, old, new, fault, offset):
+    # Only one side's copy of phase b's equal records is edited, so the two
+    # slot texts differ and each side is read and checked on its own.
+    data = serialize_verdict(_unchanged_verdict())
+    copies = [m.start() for m in re.finditer(re.escape(old), data)]
+    assert len(copies) == 2  # b's two records, and nothing else
+    at = copies[side == "candidate"]
+    edited = data[:at] + new + data[at + len(old):]
+    at += old.index(b" ") + 1  # where the slot's value starts
+    status = data.rindex(b'"status": "neutral"') + len(b'"status": ')  # b's row is the last
+    with pytest.raises(ReportError) as excinfo:
+        parse_verdict(edited)
+    assert str(excinfo.value) == fault.format(side=side, at=at, found=edited[at:at + 24].decode(), status=status,
+                                              recomputed="regression" if side == "candidate" else "improvement",
+                                              status_found=edited[status:status + 24].decode())
+    assert excinfo.value.offset == {"at": at, "status": status, None: None}[offset]
 
 
 def _unchecked_thresholds(value):
@@ -923,10 +980,13 @@ def test_writers_refuse_a_float_cost_instead_of_truncating_it(cost):
     assert written is None
     merged = tuple.__new__(MarkerChurn, (part.name, cost, *part[2:10], None, None))
     good = diff_reports(report, report).deltas[0]
-    row = ChurnDelta("other", "neutral", merged, None)
-    with pytest.raises(ValueError, match=r"^cannot serialize deltas\[1\] baseline: " + expected):
-        written = serialize_verdict(RegressionVerdict(Thresholds(), [good, row]))
-    assert written is None
+    # An unchanged phase's candidate, an equal record but a distinct object, is written from the
+    # baseline's text: the baseline is refused first.
+    for cand in (None, tuple.__new__(MarkerChurn, merged)):
+        row = ChurnDelta("other", "neutral", merged, cand)
+        with pytest.raises(ValueError, match=r"^cannot serialize deltas\[1\] baseline: " + expected):
+            written = serialize_verdict(RegressionVerdict(Thresholds(), [good, row]))
+        assert written is None
 
 
 def _refused_reports():
