@@ -4,13 +4,14 @@ Each thread records into its own ``ThreadRecorder``; the hot path takes no
 locks. The counters are one integer list in ``CounterSnapshot`` field order,
 so a snapshot is one tuple copy. They are the ground truth and survive any
 ring eviction; ``seq``, the number of calls recorded, is derived from the
-four call counts rather than stored. On the hot path a call kind is its
-counter slot, the index of its ``*_calls`` field (its ``*_bytes`` field is
-four slots later), and the model's weights are bound in slot order. Every
-call is charged in one step, ``_charge``, the only place a call changes the
-live-block table, the counters and the bounded event ring: a ``deque`` of
-the most recent calls, each a bare ``(slot, nbytes, addr, old_addr)`` tuple,
-kept for diagnostics and replay-based validation. ``events()`` builds
+four call counts rather than stored. Bytes are two totals, allocated and
+freed, whatever the call kind. On the hot path a call kind is its counter
+slot, the index of its ``*_calls`` field, and the model's weights are bound
+in slot order. Every call is charged in one step, ``_charge``, the only
+place a call changes the live-block table, the counters and the bounded
+event ring: a ``deque`` of the most recent calls, each a bare
+``(slot, nbytes, addr, old_addr)`` tuple, kept for diagnostics and
+replay-based validation. ``events()`` builds
 ``AllocEvent``s from it on read, each slot mapped back to its kind. A full
 ring evicts once per call, so a snapshot computes the overflow count as
 ``max(0, seq - capacity)``; the capacity changes no cost, call or byte
@@ -60,12 +61,15 @@ class AllocEvent(namedtuple("AllocEvent", ("thread_id", "seq", "kind", "nbytes",
 
 
 class CounterSnapshot(namedtuple("CounterSnapshot", (
-        "malloc_calls", "calloc_calls", "realloc_calls", "free_calls", "malloc_bytes", "calloc_bytes", "realloc_bytes",
-        "free_bytes", "realloc_freed_bytes", "cost_nano", "overflow_count", "anomaly_count"))):
+        "malloc_calls", "calloc_calls", "realloc_calls", "free_calls", "bytes_allocated", "bytes_freed", "cost_nano",
+        "overflow_count", "anomaly_count"))):
     """Point-in-time copy of one recorder's aggregate counters.
 
-    ``seq`` is the number of calls recorded so far, derived from the four
-    call counts; it is also the ``seq`` the next event will carry.
+    ``bytes_allocated`` sums the blocks malloc, calloc and realloc admitted;
+    ``bytes_freed`` sums the blocks that left the live table, a realloc's
+    old block included. ``seq`` is the number of calls recorded so far,
+    derived from the four call counts; it is also the ``seq`` the next event
+    will carry.
     ``overflow_count`` is ``max(0, seq - capacity)``, computed when the snapshot is taken.
     """
 
@@ -75,11 +79,8 @@ class CounterSnapshot(namedtuple("CounterSnapshot", (
     calloc_calls: int
     realloc_calls: int
     free_calls: int
-    malloc_bytes: int
-    calloc_bytes: int
-    realloc_bytes: int
-    free_bytes: int
-    realloc_freed_bytes: int
+    bytes_allocated: int
+    bytes_freed: int
     cost_nano: int
     overflow_count: int
     anomaly_count: int
@@ -88,21 +89,11 @@ class CounterSnapshot(namedtuple("CounterSnapshot", (
     def seq(self) -> int:
         return self.malloc_calls + self.calloc_calls + self.realloc_calls + self.free_calls
 
-    @property
-    def bytes_allocated(self) -> int:
-        return self.malloc_bytes + self.calloc_bytes + self.realloc_bytes
-
-    @property
-    def bytes_freed(self) -> int:
-        return self.free_bytes + self.realloc_freed_bytes
-
 
 # Indices into ThreadRecorder._c, which holds the counters in field order.
-_REALLOC_FREED, _COST, _OVERFLOW, _ANOMALIES = map(
-    CounterSnapshot._fields.index,
-    ("realloc_freed_bytes", "cost_nano", "overflow_count", "anomaly_count"),
-)
-# A call kind's counter slot, and the kind in each slot. A kind's bytes are four slots after its calls.
+_ALLOCATED, _FREED, _COST, _OVERFLOW, _ANOMALIES = map(
+    CounterSnapshot._fields.index, ("bytes_allocated", "bytes_freed", "cost_nano", "overflow_count", "anomaly_count"))
+# A call kind's counter slot, and the kind in each slot. Bytes have no slot per kind, only the two totals.
 _KINDS = tuple(AllocFnKind(field.removesuffix("_calls")) for field in CounterSnapshot._fields[:4])
 _MALLOC, _CALLOC, _REALLOC, _FREE = map(
     _KINDS.index, (AllocFnKind.MALLOC, AllocFnKind.CALLOC, AllocFnKind.REALLOC, AllocFnKind.FREE))
@@ -128,17 +119,12 @@ class ThreadRecorder:
 
     def __init__(self, thread_id: str, model: CostModel, ring_capacity: int | None = None):
         self.thread_id = thread_id
-        self._model = model
         self._weights = _slot_weights(model.weights)  # a tuple, in slot order
         self._os_ident = self._writer = get_ident()
         self._ring: deque[tuple] = deque(maxlen=checked_ring_capacity(ring_capacity))
         self._c = [0] * len(CounterSnapshot._fields)
         self._live: dict[int, int] = {}
         self._spans: list[MarkerSpan] = []
-
-    @property
-    def model(self) -> CostModel:
-        return self._model
 
     @property
     def sealed(self) -> bool:
@@ -208,12 +194,12 @@ class ThreadRecorder:
     def _charge(self, kind: int, requested: int, addr: int | None, old_addr: int | None) -> None:
         """Charge one call of slot ``kind`` and log it: the only place a call
         changes the live table, counters or ring, so they always equal a
-        replay of the logged events. ``old_addr`` leaves the table (a free is
-        charged its bytes, a realloc counts them freed); ``addr`` enters it,
-        charged ``requested``. An unknown ``old_addr``, a request past
-        ``BYTES_MAX`` (clamped) and an ``addr`` already live (replaced) are an
-        anomaly each. The cost is ``event_cost`` inlined, float operations in
-        order; a full ring drops its oldest entry.
+        replay of the logged events. ``old_addr`` leaves the table, its bytes
+        counted freed (and charged, by a free); ``addr`` enters it, charged
+        and counted allocated at ``requested``. An unknown ``old_addr``, a
+        request past ``BYTES_MAX`` (clamped) and an ``addr`` already live
+        (replaced) are an anomaly each. The cost is ``event_cost`` inlined,
+        float operations in order; a full ring drops its oldest entry.
         """
         c = self._c
         live = self._live
@@ -222,10 +208,10 @@ class ThreadRecorder:
             freed = live.pop(old_addr, None)
             if freed is None:
                 c[_ANOMALIES] += 1
-            elif kind == _FREE:
-                nbytes = freed
             else:
-                c[_REALLOC_FREED] += freed
+                c[_FREED] += freed
+                if kind == _FREE:
+                    nbytes = freed
         if addr is not None:
             if requested > BYTES_MAX:
                 c[_ANOMALIES] += 1
@@ -233,10 +219,10 @@ class ThreadRecorder:
             if addr in live:
                 c[_ANOMALIES] += 1
             live[addr] = nbytes = requested
+            c[_ALLOCATED] += requested
         if nbytes > 1:
             c[_COST] += round(self._weights[kind] * log2(nbytes) * NANO)
         c[kind] += 1
-        c[kind + 4] += nbytes
         self._ring.append((kind, nbytes, addr, old_addr))
 
     # -- reading -----------------------------------------------------------
@@ -331,10 +317,6 @@ class TracingAllocator:
     def __init__(self, recorder: ThreadRecorder, base: BumpAllocator | None = None):
         self._rec = recorder
         self._base = base if base is not None else BumpAllocator()
-
-    @property
-    def recorder(self) -> ThreadRecorder:
-        return self._rec
 
     @property
     def base(self) -> BumpAllocator:

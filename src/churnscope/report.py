@@ -792,7 +792,7 @@ def parse_verdict(data: bytes | str) -> RegressionVerdict:
         if phase in phases:
             raise ReportError(f"deltas[{i}] repeats phase {phase!r}")
         phases.add(phase)
-        for side, record in (("baseline", base), ("candidate", cand)):
+        for side, record in (("baseline", base), ("candidate", None if cand is base else cand)):
             if record is not None:
                 fault = _charge_fault(record)
                 if fault:

@@ -229,8 +229,7 @@ def test_criterion_07_ring_overflow_immunity():
     # every event-derived counter must match exactly.
     fields = [
         "seq", "malloc_calls", "calloc_calls", "realloc_calls", "free_calls",
-        "malloc_bytes", "calloc_bytes", "realloc_bytes", "free_bytes",
-        "realloc_freed_bytes", "cost_nano", "anomaly_count",
+        "bytes_allocated", "bytes_freed", "cost_nano", "anomaly_count",
     ]
     for name in fields:
         assert getattr(a, name) == getattr(b, name), name

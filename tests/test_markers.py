@@ -53,8 +53,10 @@ def test_overlapping_spans_have_independent_snapshots():
 def test_zero_width_span_has_equal_snapshots():
     rec = make_recorder()
     span = begin_marker(rec, "noop")
+    assert repr(span) == "MarkerSpan('t0/000000', 'noop', open)"
     end_marker(span)
     assert span.start_snapshot == span.end_snapshot
+    assert repr(span) == "MarkerSpan('t0/000000', 'noop', closed)"
 
 
 def test_end_on_wrong_thread_rejected():

@@ -98,6 +98,7 @@ def test_calloc_overflow_saturates_with_anomaly():
     rec.record_calloc(2**40, 2**40, 0xA)
     assert rec.events()[-1].nbytes == BYTES_MAX
     assert rec.snapshot().anomaly_count == 1
+    assert rec.snapshot().bytes_allocated == BYTES_MAX
 
 
 def test_free_attributes_bytes_and_clears_entry():
@@ -106,7 +107,7 @@ def test_free_attributes_bytes_and_clears_entry():
     rec.record_free(0xA)
     assert rec.events()[-1].nbytes == 1024
     assert rec.live_table() == {}
-    assert rec.snapshot().free_bytes == 1024
+    assert rec.snapshot().bytes_freed == 1024
 
 
 def test_free_unknown_token_counts_call_with_anomaly():
@@ -173,11 +174,11 @@ def test_realloc_to_zero_removes_entry():
     rec.record_realloc(0xA, 0, None)
     assert rec.events()[-1].nbytes == 0
     assert rec.live_table() == {}
-    assert rec.snapshot().realloc_freed_bytes == 128
+    assert (rec.snapshot().bytes_freed, rec.snapshot().bytes_allocated) == (128, 128)  # the malloc's 128 only
 
 
 # (label, prior mallocs, realloc args, live table after, anomaly_count,
-#  realloc_freed_bytes, realloc_bytes, event (nbytes, addr, old_addr))
+#  bytes the realloc freed, bytes it allocated, event (nbytes, addr, old_addr))
 REALLOC_CASES = [
     ("in-place", [(64, 0xA)], (0xA, 256, 0xA), {0xA: 256}, 0, 64, 256, (256, 0xA, 0xA)),
     ("onto-live-token", [(64, 0xA), (32, 0xB)], (0xA, 128, 0xB), {0xB: 128}, 1, 64, 128, (128, 0xB, 0xA)),
@@ -190,20 +191,21 @@ REALLOC_CASES = [
 
 
 @pytest.mark.parametrize(
-    "mallocs, args, live, anomalies, freed, realloc_bytes, event",
+    "mallocs, args, live, anomalies, freed, allocated, event",
     [case[1:] for case in REALLOC_CASES],
     ids=[case[0] for case in REALLOC_CASES],
 )
-def test_realloc_matrix(mallocs, args, live, anomalies, freed, realloc_bytes, event):
+def test_realloc_matrix(mallocs, args, live, anomalies, freed, allocated, event):
     rec = make_recorder()
     for requested, addr in mallocs:
         rec.record_malloc(requested, addr)
+    before = rec.snapshot()
     rec.record_realloc(*args)
     assert rec.live_table() == live
     snap = rec.snapshot()
     assert snap.anomaly_count == anomalies
-    assert snap.realloc_freed_bytes == freed
-    assert snap.realloc_bytes == realloc_bytes
+    assert snap.bytes_freed - before.bytes_freed == freed
+    assert snap.bytes_allocated - before.bytes_allocated == allocated
     last = rec.events()[-1]
     assert (last.kind, last.nbytes, last.addr, last.old_addr) == (AllocFnKind.REALLOC, *event)
 
@@ -216,7 +218,7 @@ def test_failed_calls_count_with_zero_bytes():
     snap = rec.snapshot()
     assert snap.malloc_calls == 2
     assert snap.realloc_calls == 1
-    assert snap.bytes_allocated == 64
+    assert (snap.bytes_allocated, snap.bytes_freed) == (64, 0)
     assert rec.live_table() == {0xA: 64}  # failed realloc leaves block live
     assert snap.anomaly_count == 0
 
@@ -351,11 +353,10 @@ def test_hot_path_indexes_counter_slots_and_calls_no_python_level_helper(func):
     assert not {"_CALLS", "_BYTES", "max", "_make"} & _names_loaded(func)
 
 
-def test_each_kind_slot_holds_its_calls_and_four_slots_later_its_bytes():
+def test_each_kind_slot_holds_its_calls():
     assert [kind.value for kind in recorder._KINDS] == ["malloc", "calloc", "realloc", "free"]
     for slot, kind in enumerate(recorder._KINDS):
         assert CounterSnapshot._fields[slot] == f"{kind.value}_calls"
-        assert CounterSnapshot._fields[slot + 4] == f"{kind.value}_bytes"
 
 
 def test_snapshot_is_pure_read():
@@ -367,8 +368,8 @@ def test_snapshot_is_pure_read():
     rec.record_malloc(64, 0xB)
     rec.record_free(0xA)
     assert type(earlier) is CounterSnapshot and isinstance(earlier, tuple)
-    assert (earlier.seq, earlier.malloc_calls, earlier.malloc_bytes) == (1, 1, 1024)
-    assert (earlier.free_calls, earlier.free_bytes, earlier.cost_nano) == (0, 0, 10 * 10**9)
+    assert (earlier.seq, earlier.malloc_calls, earlier.bytes_allocated) == (1, 1, 1024)
+    assert (earlier.free_calls, earlier.bytes_freed, earlier.cost_nano) == (0, 0, 10 * 10**9)
     assert rec.snapshot().seq == 3
 
 
@@ -417,11 +418,8 @@ def test_counters_monotone_over_time():
             "calloc_calls",
             "realloc_calls",
             "free_calls",
-            "malloc_bytes",
-            "calloc_bytes",
-            "realloc_bytes",
-            "free_bytes",
-            "realloc_freed_bytes",
+            "bytes_allocated",
+            "bytes_freed",
             "cost_nano",
             "overflow_count",
             "anomaly_count",
@@ -435,11 +433,8 @@ def _counter_fields(snap):
     return (
         snap.seq,
         snapshot_calls(snap),
-        snap.malloc_bytes,
-        snap.calloc_bytes,
-        snap.realloc_bytes,
-        snap.free_bytes,
-        snap.realloc_freed_bytes,
+        snap.bytes_allocated,
+        snap.bytes_freed,
         snap.cost_nano,
         snap.anomaly_count,
     )
@@ -563,13 +558,26 @@ def test_no_random_sequence_reenters_the_allocator(seed):
         assert spy.forwarded == rec.snapshot().seq >= 1500
 
 
-def test_record_from_wrong_thread_rejected():
+# One call of each kind that would change the counters and the live table of
+# a recorder holding block 0xA.
+RECORD_CALLS = {
+    "malloc": lambda rec: rec.record_malloc(64, 0xB),
+    "calloc": lambda rec: rec.record_calloc(4, 16, 0xB),
+    "free": lambda rec: rec.record_free(0xA),
+    "realloc": lambda rec: rec.record_realloc(0xA, 128, 0xB),
+}
+
+
+@pytest.mark.parametrize("call", RECORD_CALLS.values(), ids=RECORD_CALLS)
+def test_record_from_wrong_thread_rejected(call):
     rec = make_recorder()
+    rec.record_malloc(32, 0xA)
+    before, live = rec.snapshot(), rec.live_table()
     caught = []
 
     def attacker():
         try:
-            rec.record_malloc(64, 0xA)
+            call(rec)
         except ThreadAffinityError as exc:
             caught.append(exc)
 
@@ -577,15 +585,19 @@ def test_record_from_wrong_thread_rejected():
     thread.start()
     thread.join()
     assert len(caught) == 1
-    assert rec.snapshot().malloc_calls == 0
+    assert (rec.snapshot(), rec.live_table()) == (before, live)
 
 
-def test_sealed_recorder_rejects_recording():
+@pytest.mark.parametrize("call", RECORD_CALLS.values(), ids=RECORD_CALLS)
+def test_sealed_recorder_rejects_recording(call):
     rec = make_recorder()
+    rec.record_malloc(32, 0xA)
     rec.seal()
     assert rec.sealed
+    before, live = rec.snapshot(), rec.live_table()
     with pytest.raises(RecorderSealedError):
-        rec.record_malloc(64, 0xA)
+        call(rec)
+    assert (rec.snapshot(), rec.live_table()) == (before, live)
     rec.seal()  # idempotent
 
 

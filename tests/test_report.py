@@ -29,6 +29,7 @@ from churnscope import (
     serialize_report,
     serialize_verdict,
 )
+import churnscope.report as report_module
 from churnscope.report import (
     _BOOL, _COUNT, _FIXED, _FLOOR, _HEADER, _ROW_RECORD, _STRING, _THREAD_RECORD, _VERDICT_TAIL, STATUSES, ReportTotals,
     format_cost,
@@ -922,6 +923,19 @@ def test_an_unchanged_phase_is_written_and_read_as_one_record():
     parsed = parse_verdict(data)
     assert parsed == verdict and serialize_verdict(parsed) == data
     assert [d.baseline is d.candidate for d in parsed.deltas] == [d.baseline == d.candidate for d in verdict.deltas]
+
+
+def test_a_record_both_sides_share_is_checked_once(monkeypatch):
+    data = serialize_verdict(_unchanged_verdict())
+    checked = []
+    check = report_module._charge_fault
+    monkeypatch.setattr(report_module, "_charge_fault", lambda record: checked.append(record) or check(record))
+    parsed = parse_verdict(data)
+    distinct = []
+    for d in parsed.deltas:
+        distinct += [d.baseline] if d.baseline is d.candidate else [d.baseline, d.candidate]
+    assert len(distinct) == 4  # a and b shared, c's two
+    assert [id(r) for r in checked] == [id(r) for r in distinct]
 
 
 @pytest.mark.parametrize("side", ["baseline", "candidate"])
