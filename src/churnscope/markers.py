@@ -97,8 +97,9 @@ def begin_marker(recorder: ThreadRecorder, name: str) -> MarkerSpan:
     """
     _validate_name(name)
     recorder._require_writable()
-    span = MarkerSpan(recorder._next_span_id(), name, recorder, recorder.snapshot())
-    recorder._push_span(span)
+    spans = recorder._spans
+    span = MarkerSpan(f"{recorder.thread_id}/{len(spans):06d}", name, recorder, recorder.snapshot())
+    spans.append(span)
     return span
 
 

@@ -1,23 +1,23 @@
 """Allocator call capture: per-thread recorders and the interception surface.
 
 Each thread records into its own ``ThreadRecorder``; the hot path takes no
-locks. The counters are one integer list in ``CounterSnapshot`` field order,
-so a snapshot is one tuple copy. They are the ground truth and survive any
-ring eviction; ``seq``, the number of calls recorded, is derived from the
-four call counts rather than stored. Bytes are two totals, allocated and
-freed, whatever the call kind. On the hot path a call kind is its counter
-slot, the index of its ``*_calls`` field, and the model's weights are bound
-in slot order. Every call is charged in one step, ``_charge``, the only
-place a call changes the live-block table, the counters and the bounded
-event ring: a ``deque`` of the most recent calls, each a bare
-``(slot, nbytes, addr, old_addr)`` tuple, kept for diagnostics and
-replay-based validation. ``events()`` builds
-``AllocEvent``s from it on read, each slot mapped back to its kind. A full
-ring evicts once per call, so a snapshot computes the overflow count as
-``max(0, seq - capacity)``; the capacity changes no cost, call or byte
-count. The ``record_*`` methods return ``None``. The recorder's own
-bookkeeping does only dict, list and deque operations on ints, so it never
-calls back into a ``TracingAllocator``.
+locks. The counters are one integer list in ``CounterSnapshot`` field order.
+They are the ground truth and survive any ring eviction; ``seq``, the number
+of calls recorded, is derived from the four call counts rather than stored.
+A snapshot is one tuple copy per ``seq``: marker endpoints with no call
+between them share one immutable snapshot, and after ``seal()`` a snapshot
+is a pure read. Bytes are two totals, allocated and freed, whatever the call
+kind. On the hot path a call kind is its counter slot, the index of its
+``*_calls`` field, and the model's weights are bound in slot order. Every
+call is charged in one step, ``_charge``, the only place a call changes the
+live-block table, the counters and the bounded event ring: a ``deque`` of
+the most recent calls, each a bare ``(slot, nbytes, addr, old_addr)`` tuple,
+kept for diagnostics and replay. ``events()`` builds ``AllocEvent``s from it
+on read. A full ring evicts once per call, so a snapshot computes the
+overflow count as ``max(0, seq - capacity)``; the capacity changes no cost,
+call or byte count. The ``record_*`` methods return ``None``. The recorder's
+own bookkeeping does only dict, list and deque operations on ints, so it
+never calls back into a ``TracingAllocator``.
 """
 
 from __future__ import annotations
@@ -63,14 +63,14 @@ class AllocEvent(namedtuple("AllocEvent", ("thread_id", "seq", "kind", "nbytes",
 class CounterSnapshot(namedtuple("CounterSnapshot", (
         "malloc_calls", "calloc_calls", "realloc_calls", "free_calls", "bytes_allocated", "bytes_freed", "cost_nano",
         "overflow_count", "anomaly_count"))):
-    """Point-in-time copy of one recorder's aggregate counters.
+    """Immutable point-in-time copy of one recorder's aggregate counters.
 
     ``bytes_allocated`` sums the blocks malloc, calloc and realloc admitted;
     ``bytes_freed`` sums the blocks that left the live table, a realloc's
     old block included. ``seq`` is the number of calls recorded so far,
-    derived from the four call counts; it is also the ``seq`` the next event
-    will carry.
-    ``overflow_count`` is ``max(0, seq - capacity)``, computed when the snapshot is taken.
+    derived from the four call counts, and the ``seq`` the next event will
+    carry. ``overflow_count`` is ``max(0, seq - capacity)``. A recorder makes
+    one per ``seq``, so the endpoints of two spans may be one object.
     """
 
     __slots__ = ()
@@ -125,6 +125,8 @@ class ThreadRecorder:
         self._c = [0] * len(CounterSnapshot._fields)
         self._live: dict[int, int] = {}
         self._spans: list[MarkerSpan] = []
+        self._snap: CounterSnapshot | None = None  # the last snapshot taken, shared while _snap_seq holds
+        self._snap_seq = -1
 
     @property
     def sealed(self) -> bool:
@@ -199,12 +201,15 @@ class ThreadRecorder:
         and counted allocated at ``requested``. An unknown ``old_addr``, a
         request past ``BYTES_MAX`` (clamped) and an ``addr`` already live
         (replaced) are an anomaly each. The cost is ``event_cost`` inlined,
-        float operations in order; a full ring drops its oldest entry.
+        float operations in order; a full ring drops its oldest entry. An
+        unhashable token raises before anything changes, as ``snapshot()`` needs.
         """
         c = self._c
         live = self._live
         nbytes = 0
         if old_addr is not None:
+            if addr is not None:
+                hash(addr)  # an unhashable token raises here, before anything changes
             freed = live.pop(old_addr, None)
             if freed is None:
                 c[_ANOMALIES] += 1
@@ -213,11 +218,11 @@ class ThreadRecorder:
                 if kind == _FREE:
                     nbytes = freed
         if addr is not None:
+            if addr in live:
+                c[_ANOMALIES] += 1
             if requested > BYTES_MAX:
                 c[_ANOMALIES] += 1
                 requested = BYTES_MAX
-            if addr in live:
-                c[_ANOMALIES] += 1
             live[addr] = nbytes = requested
             c[_ALLOCATED] += requested
         if nbytes > 1:
@@ -228,13 +233,17 @@ class ThreadRecorder:
     # -- reading -----------------------------------------------------------
 
     def snapshot(self) -> CounterSnapshot:
-        """Copy of all counters, cheap enough per marker. ``overflow_count`` is
-        ``max(0, seq - capacity)``, computed here and stored only when it grew."""
+        """The counters as an immutable tuple, made once per ``seq`` and shared
+        until the next call (after ``seal()``, from any thread). ``overflow_count``
+        is ``max(0, seq - capacity)``, computed here and stored only when it grew."""
         c = self._c
-        evicted = c[0] + c[1] + c[2] + c[3] - self._ring.maxlen  # seq - capacity
-        if evicted > c[_OVERFLOW]:
-            c[_OVERFLOW] = evicted
-        return tuple.__new__(CounterSnapshot, c)
+        seq = c[0] + c[1] + c[2] + c[3]
+        if seq != self._snap_seq:
+            evicted = seq - self._ring.maxlen
+            if evicted > c[_OVERFLOW]:
+                c[_OVERFLOW] = evicted
+            self._snap, self._snap_seq = tuple.__new__(CounterSnapshot, c), seq
+        return self._snap
 
     def events(self) -> list[AllocEvent]:
         """The retained events, oldest first. Ring eviction drops the front."""
@@ -247,12 +256,6 @@ class ThreadRecorder:
         return dict(self._live)
 
     # -- span bookkeeping (managed by the markers module) --------------------
-
-    def _push_span(self, span: MarkerSpan) -> None:
-        self._spans.append(span)
-
-    def _next_span_id(self) -> str:
-        return f"{self.thread_id}/{len(self._spans):06d}"
 
     def spans(self) -> list[MarkerSpan]:
         """Every span begun on this thread, in open order."""

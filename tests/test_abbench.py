@@ -1,0 +1,87 @@
+"""The A/B harness's summary arithmetic, on canned perfbench output: no
+subprocess is started and nothing is timed."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "abbench", Path(__file__).resolve().parent.parent / "tools" / "abbench.py")
+abbench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(abbench)
+
+
+def _stdout(run_s, peak_mb, correct=True, failed=0):
+    """What perfbench prints: metric lines, a detail line, then the result."""
+    result = {"correct": correct, "attempted": 10, "failed": failed, "metrics": {
+        "run_s": {"value": run_s, "unit": "s"}, "peak_mem_mb": {"value": peak_mb, "unit": "MB"}}}
+    return (f"dense-markers  run_s {run_s:16.6f} s\n"
+            + json.dumps({"detail": {"metrics": {"run_s": {"value": -1.0, "unit": "s"}}}}) + "\n"
+            + json.dumps(result) + "\n")
+
+
+def _runs(parent_values, change_values, workload="dense-markers", seed=1):
+    runs = []
+    for pair, (base, new) in enumerate(zip(parent_values, change_values), 1):
+        for side in abbench.order(pair):
+            run_s = base if side == "parent" else new
+            runs.append({"pair": pair, "side": side, "workload": workload, "seed": seed,
+                         "result": abbench.read_result(_stdout(run_s, 4.0 if side == "parent" else 3.5))})
+    return runs
+
+
+def test_parent_runs_first_on_odd_pairs():
+    assert [abbench.order(pair) for pair in (1, 2, 3)] == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_only_the_last_line_is_read():
+    result = abbench.read_result("a line that is not JSON\n" + _stdout(0.5, 4.0, correct=False, failed=2))
+    assert (result["correct"], result["failed"]) == (False, 2)
+    assert result["metrics"]["run_s"] == {"value": 0.5, "unit": "s"}
+
+
+@pytest.mark.parametrize("stdout", ["", "\n\n", '{"detail": {}}\n', "[1, 2]\n"])
+def test_output_without_a_result_is_refused(stdout):
+    with pytest.raises(ValueError):
+        abbench.read_result(stdout)
+
+
+def test_summary_gives_medians_inclusive_quartiles_ratio_and_lower_pairs():
+    parent = [10.0, 12.0, 11.0, 13.0, 14.0]
+    change = [9.0, 12.0, 12.0, 10.0, 10.0]  # pair 2 ties, pair 3 reads higher
+    rows = abbench.summarize(_runs(parent, change))
+    assert [(row["workload"], row["seed"], row["metric"], row["unit"]) for row in rows] == [
+        ("dense-markers", 1, "run_s", "s"), ("dense-markers", 1, "peak_mem_mb", "MB")]
+    run_s, peak = rows
+    assert run_s["pairs"] == 5
+    assert run_s["parent"] == {"median": 12.0, "q1": 11.0, "q3": 13.0}
+    assert run_s["change"] == {"median": 10.0, "q1": 10.0, "q3": 12.0}
+    assert run_s["ratio"] == 10.0 / 12.0
+    assert run_s["lower_in"] == [1, 4, 5]
+    assert peak["parent"] == {"median": 4.0, "q1": 4.0, "q3": 4.0}
+    assert (peak["ratio"], peak["lower_in"]) == (3.5 / 4.0, [1, 2, 3, 4, 5])
+
+
+def test_even_pair_count_interpolates_quartiles():
+    rows = abbench.summarize(_runs([1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 1.0, 1.0]))
+    assert rows[0]["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert rows[0]["lower_in"] == [2, 3, 4]
+
+
+def test_workloads_and_seeds_are_summarized_apart():
+    runs = _runs([2.0], [1.0], seed=1) + _runs([5.0], [6.0], seed=2) + _runs([3.0], [3.0], workload="cli-gate")
+    rows = {(row["workload"], row["seed"]): row for row in abbench.summarize(runs) if row["metric"] == "run_s"}
+    assert rows["dense-markers", 1]["lower_in"] == [1]
+    assert rows["dense-markers", 2]["lower_in"] == []
+    assert rows["dense-markers", 2]["ratio"] == 6.0 / 5.0
+    assert rows["cli-gate", 1]["change"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
+
+
+def test_a_zero_parent_median_has_no_ratio_and_unpaired_runs_are_left_out():
+    summary = abbench.compare({1: 0.0, 2: 0.0, 3: 7.0}, {1: 0.0, 2: 1.0})
+    assert summary["pairs"] == 2
+    assert summary["ratio"] is None
+    assert summary["lower_in"] == []

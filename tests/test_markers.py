@@ -56,6 +56,7 @@ def test_zero_width_span_has_equal_snapshots():
     assert repr(span) == "MarkerSpan('t0/000000', 'noop', open)"
     end_marker(span)
     assert span.start_snapshot == span.end_snapshot
+    assert span.start_snapshot is span.end_snapshot  # no call between them: one snapshot
     assert repr(span) == "MarkerSpan('t0/000000', 'noop', closed)"
 
 
@@ -157,6 +158,74 @@ def test_seal_auto_closes_only_spans_still_open_after_out_of_order_closes():
             end_marker(span)
 
 
+def test_spans_closed_by_seal_share_its_snapshot_with_a_marker_at_that_seq():
+    rec = make_recorder()
+    heap = TracingAllocator(rec)
+    outer = begin_marker(rec, "outer")
+    heap.malloc(16)
+    inner = begin_marker(rec, "inner")
+    heap.malloc(32)
+    last = begin_marker(rec, "last")
+    rec.seal()
+    assert outer.auto_closed and inner.auto_closed and last.auto_closed
+    assert outer.end_snapshot is inner.end_snapshot is last.end_snapshot is last.start_snapshot
+    assert last.start_snapshot.seq == 2
+
+
+def test_snapshot_after_seal_is_the_seal_snapshot_on_every_thread():
+    rec = make_recorder()
+    heap = TracingAllocator(rec)
+    heap.malloc(64)
+    span = begin_marker(rec, "open")
+    heap.malloc(64)
+    rec.seal()
+    sealed = span.end_snapshot
+    seen = []
+    threads = [threading.Thread(target=lambda: seen.append(rec.snapshot())) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert len(seen) == 2
+    assert all(snap is sealed for snap in seen)
+    assert rec.snapshot() is sealed
+
+
+def test_endpoint_snapshots_are_one_object_per_seq():
+    """A densely marked thread: nested, overlapping and back-to-back spans,
+    marker runs with no call between them, and spans left for the seal."""
+    rng = random.Random(3101)
+    rec = make_recorder()
+    heap = TracingAllocator(rec)
+    open_spans = []
+    live = []
+    for _ in range(1500):
+        roll = rng.random()
+        if roll < 0.25 and len(open_spans) < 6:
+            open_spans.append(begin_marker(rec, rng.choice("abcd")))
+        elif roll < 0.45 and open_spans:
+            end_marker(open_spans.pop(rng.randrange(len(open_spans))))
+        elif roll < 0.55 and open_spans:  # back to back: the next span begins where one ends
+            end_marker(open_spans.pop())
+            open_spans.append(begin_marker(rec, rng.choice("abcd")))
+        elif live and roll < 0.7:
+            heap.free(live.pop(rng.randrange(len(live))))
+        else:
+            live.append(heap.malloc(rng.randrange(0, 4096)))
+    rec.seal()
+    endpoints = [snap for span in rec.spans() for snap in (span.start_snapshot, span.end_snapshot)]
+    by_seq = {snap.seq: snap for snap in endpoints}
+    assert len({id(snap) for snap in endpoints}) == len(by_seq) < len(endpoints)
+    assert any(span.auto_closed for span in rec.spans())
+    events = rec.events()
+    for seq, snap in by_seq.items():
+        oracle = replay(events, MODEL, 0, seq)
+        assert snapshot_calls(snap) == oracle.calls
+        assert (snap.bytes_allocated, snap.bytes_freed, snap.cost_nano) == (
+            oracle.bytes_allocated, oracle.bytes_freed, oracle.cost_nano)
+
+
 def test_marker_context_manager_closes_on_error():
     rec = make_recorder()
     with pytest.raises(RuntimeError):
@@ -180,6 +249,36 @@ def test_name_without_a_utf8_form_rejected_by_name():
     with pytest.raises(ValueError) as excinfo:
         begin_marker(rec, "ok\udcff")
     assert str(excinfo.value) == "marker name 'ok\\udcff' is not valid Unicode (surrogates not allowed at position 2)"
+    assert rec.spans() == []
+
+
+class _Label(str):
+    pass
+
+
+@pytest.mark.parametrize("name", ["x" * 128, "é" * 64, "x" * 126 + "é", _Label("phase"), _Label("x" * 128)])
+def test_names_of_at_most_128_utf8_bytes_accepted(name):
+    rec = make_recorder()
+    span = begin_marker(rec, name)
+    assert span.name == name
+    assert rec.spans() == [span]
+
+
+@pytest.mark.parametrize("name", ["x" * 129, "x" * 127 + "é", "é" * 65, _Label("x" * 129)])
+def test_names_over_128_utf8_bytes_refused_naming_the_name(name):
+    rec = make_recorder()
+    with pytest.raises(ValueError) as excinfo:
+        begin_marker(rec, name)
+    assert str(excinfo.value) == f"marker name exceeds 128 bytes: {name!r}"
+    assert rec.spans() == []
+
+
+def test_long_name_without_a_utf8_form_rejected_by_name():
+    rec = make_recorder()
+    with pytest.raises(ValueError) as excinfo:
+        begin_marker(rec, "x" * 200 + "\udcff")
+    assert str(excinfo.value) == (
+        f"marker name {'x' * 200 + chr(0xDCFF)!r} is not valid Unicode (surrogates not allowed at position 200)")
     assert rec.spans() == []
 
 

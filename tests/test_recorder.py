@@ -373,6 +373,41 @@ def test_snapshot_is_pure_read():
     assert rec.snapshot().seq == 3
 
 
+def test_snapshot_is_one_object_per_seq():
+    rec = make_recorder(capacity=2)
+    rec.record_malloc(1024, 0xA)
+    first = rec.snapshot()
+    assert rec.snapshot() is first
+    rec.record_malloc(64, None)  # a failed call changes only a call count
+    second = rec.snapshot()
+    assert second is not first and rec.snapshot() is second
+    assert (first.seq, first.malloc_calls, first.bytes_allocated) == (1, 1, 1024)
+    assert (second.seq, second.malloc_calls, second.bytes_allocated, second.cost_nano) == (2, 2, 1024, 10 * 10**9)
+    rec.record_free(0xA)
+    third = rec.snapshot()
+    assert rec.snapshot() is third
+    assert (third.seq, third.free_calls, third.bytes_freed, third.overflow_count) == (3, 1, 1024, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rec: rec.record_realloc(0x1000, 32, [1]),
+    lambda rec: rec.record_realloc([1], 32, 0x2000),
+    lambda rec: rec.record_malloc(BYTES_MAX + 1, [1]),
+    lambda rec: rec.record_calloc(2, 8, [1]),
+    lambda rec: rec.record_free([1]),
+], ids=["realloc-new", "realloc-old", "malloc-clamped", "calloc", "free"])
+def test_an_unhashable_token_raises_before_anything_changes(call):
+    rec = make_recorder()
+    rec.record_malloc(64, 0x1000)
+    before = rec.snapshot()
+    counters, table = list(rec._c), rec.live_table()
+    with pytest.raises(TypeError, match="unhashable"):
+        call(rec)
+    assert rec._c == counters and rec.live_table() == table
+    assert rec.snapshot() is before and tuple(before) == tuple(rec._c)
+    assert len(rec.events()) == 1
+
+
 def test_snapshot_deltas_match_replay_on_random_sequences():
     rng = random.Random(2001)
     for case in range(50):

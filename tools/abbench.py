@@ -1,0 +1,208 @@
+"""A/B benchmark of two churnscope checkouts through perfbench.
+
+    python3 tools/abbench.py PARENT CHANGE --workload dense-markers --seed 1 \\
+        --seconds 25 --pairs 10 --label snapshot-per-seq
+    python3 tools/abbench.py PARENT CHANGE --imports 150 --label snapshot-per-seq
+
+PARENT and CHANGE are the roots of two churnscope checkouts. Each pair runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in each
+tree, for every workload and seed given, the parent first on odd pairs and
+the change first on even ones. ``--trace 1`` runs perfbench's traced passes
+instead, for its per-layer figures. Only the last line of a run's stdout is
+read: perfbench's result, with ``correct``, ``failed`` and the metrics.
+
+``--imports N`` also times N alternating fresh ``python -I`` interpreters in
+each tree, each running ``import churnscope`` and the set-up of a recording
+session (the work perfbench's ``setup_s`` times), from import to set-up done.
+
+It writes ``BENCH_<label>.json`` to the current directory: the Python
+version, the commands, every run's ``correct`` and ``failed``, and for each
+workload, seed and metric both sides' median, q1 and q3 (inclusive
+quartiles), the ratio of the medians (change over parent) and the pairs in
+which the change read lower. Ties count for neither side. Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+IMPORT_CODE = """\
+import sys, time
+t0 = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import churnscope
+from churnscope import RecordingSession, TracingAllocator
+TracingAllocator(RecordingSession().recorder("main"))
+elapsed = time.perf_counter() - t0
+print(churnscope.__file__)
+print(elapsed)
+"""
+
+
+def order(pair: int) -> tuple[str, str]:
+    """The sides in the order pair ``pair`` (from 1) runs them: parent first on odd pairs."""
+    return SIDES if pair % 2 else SIDES[::-1]
+
+
+def perfbench_command(workload: str, seed: int | str, seconds: float, trace: int) -> list[str]:
+    """perfbench's argument list after the interpreter, run from a tree's root."""
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", str(trace)]
+
+
+def read_result(stdout: str) -> dict:
+    """perfbench's result: the last line of its stdout, one JSON object."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("perfbench printed nothing")
+    result = json.loads(lines[-1])
+    if not isinstance(result, dict) or not {"correct", "failed", "metrics"} <= result.keys():
+        raise ValueError(f"perfbench's last line is not a result: {lines[-1][:200]!r}")
+    return result
+
+
+def spread(values: list[float]) -> dict:
+    """Median, q1 and q3 (inclusive quartiles) of ``values``."""
+    median = statistics.median(values)
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else (median,) * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(parent: dict[int, float], change: dict[int, float]) -> dict:
+    """Both sides' spread, the ratio of medians and the pairs in which the
+    change read lower. Each side maps a pair number to its value; only pairs
+    both sides ran are compared."""
+    pairs = sorted(parent.keys() & change.keys())
+    base = spread([parent[p] for p in pairs])
+    new = spread([change[p] for p in pairs])
+    return {
+        "pairs": len(pairs),
+        "parent": base,
+        "change": new,
+        "ratio": new["median"] / base["median"] if base["median"] else None,
+        "lower_in": [p for p in pairs if change[p] < parent[p]],
+    }
+
+
+def summarize(runs: list[dict]) -> list[dict]:
+    """One row per workload, seed and metric, in the order runs first name them.
+
+    A run is ``{"pair", "side", "workload", "seed", "result"}``, where
+    ``result`` is what ``read_result`` returned.
+    """
+    values: dict[tuple, dict[str, dict[int, float]]] = {}
+    units: dict[tuple, str] = {}
+    for run in runs:
+        for metric, entry in run["result"]["metrics"].items():
+            key = (run["workload"], run["seed"], metric)
+            values.setdefault(key, {side: {} for side in SIDES})[run["side"]][run["pair"]] = entry["value"]
+            units[key] = entry["unit"]
+    return [{"workload": workload, "seed": seed, "metric": metric, "unit": units[workload, seed, metric],
+             **compare(sides["parent"], sides["change"])}
+            for (workload, seed, metric), sides in values.items()]
+
+
+def tree_state(tree: Path) -> dict:
+    """The commit a tree has checked out and whether its files differ from it."""
+    def git(*args: str) -> str | None:
+        try:
+            done = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True, check=True)
+        except (OSError, subprocess.CalledProcessError):
+            return None
+        return done.stdout.strip()
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"commit": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status)}
+
+
+def run_perfbench(tree: Path, argv: list[str]) -> dict:
+    done = subprocess.run([sys.executable, *argv], cwd=tree, capture_output=True, text=True)
+    try:
+        return read_result(done.stdout)
+    except ValueError as exc:
+        sys.exit(f"abbench: {tree}: {exc} (exit {done.returncode}); stderr ends:\n{done.stderr[-2000:]}")
+
+
+def time_import(tree: Path) -> float:
+    src = (tree / "src").resolve()
+    done = subprocess.run([sys.executable, "-I", "-c", IMPORT_CODE, str(src)], capture_output=True, text=True)
+    lines = done.stdout.splitlines()
+    if done.returncode or len(lines) != 2 or Path(lines[0]).resolve().parent.parent != src:
+        sys.exit(f"abbench: {tree}: import run failed or imported another churnscope:\n{done.stdout}{done.stderr}")
+    return float(lines[1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="root of the parent checkout")
+    parser.add_argument("change", type=Path, help="root of the changed checkout")
+    parser.add_argument("--workload", action="append", default=[], help="a perfbench workload; repeatable")
+    parser.add_argument("--seed", type=int, action="append", help="a workload seed; repeatable (default 1)")
+    parser.add_argument("--seconds", type=float, default=25.0, help="perfbench's --seconds (default 25)")
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0, help="perfbench's --trace (default 0)")
+    parser.add_argument("--pairs", type=int, default=10, help="parent/change pairs per workload and seed")
+    parser.add_argument("--imports", type=int, default=0, metavar="N", help="time N fresh interpreters per side")
+    parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
+    args = parser.parse_args(argv)
+    if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
+        parser.error("--label may hold only letters, digits, '.', '_' and '-'")
+    if args.pairs < 1 or args.imports < 0:
+        parser.error("--pairs must be >= 1 and --imports >= 0")
+    if not args.workload and not args.imports:
+        parser.error("give at least one --workload, or --imports N")
+    seeds = args.seed or [1]
+    trees = {"parent": args.parent, "change": args.change}
+    for side, tree in trees.items():
+        if not (tree / "perfbench" / "run.py").is_file() or not (tree / "src" / "churnscope").is_dir():
+            parser.error(f"{side} {tree} is not a churnscope checkout with perfbench")
+
+    doc: dict = {
+        "label": args.label,
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "trees": {side: tree_state(tree) for side, tree in trees.items()},
+        "commands": {},
+    }
+    if args.workload:
+        doc["commands"]["perfbench"] = ["python", *perfbench_command("<workload>", "<seed>", args.seconds, args.trace)]
+        runs = []
+        for pair in range(1, args.pairs + 1):
+            for workload in args.workload:
+                for seed in seeds:
+                    for side in order(pair):
+                        result = run_perfbench(trees[side], perfbench_command(workload, seed, args.seconds, args.trace))
+                        runs.append({"pair": pair, "side": side, "workload": workload, "seed": seed,
+                                     "result": result})
+                        print(f"abbench: pair {pair} {side:6s} {workload} seed {seed}: correct={result['correct']} "
+                              f"failed={result['failed']}", file=sys.stderr)
+        doc["every_run_correct"] = all(run["result"]["correct"] and not run["result"]["failed"] for run in runs)
+        doc["runs"] = [{key: run[key] for key in ("pair", "side", "workload", "seed")}
+                       | {key: run["result"].get(key) for key in ("correct", "attempted", "failed")}
+                       | {"metrics": {name: e["value"] for name, e in run["result"]["metrics"].items()}}
+                       for run in runs]
+        doc["summary"] = summarize(runs)
+    if args.imports:
+        doc["commands"]["imports"] = ["python", "-I", "-c", IMPORT_CODE, "<tree>/src"]
+        seconds: dict[str, dict[int, float]] = {side: {} for side in SIDES}
+        for pair in range(1, args.imports + 1):
+            for side in order(pair):
+                seconds[side][pair] = time_import(trees[side])
+        doc["imports"] = {"unit": "s", **compare(seconds["parent"], seconds["change"])}
+    out = Path(f"BENCH_{args.label}.json")
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(f"abbench: wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
