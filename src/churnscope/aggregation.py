@@ -39,10 +39,10 @@ class MarkerChurn(_ChurnFields):
     the cost, counts and byte totals ints, the two flags bools and each id a
     str or None, and each str with a UTF-8 form (``markers.utf8_bytes``),
     else ``ValueError`` names the field; so the writers can trust the types.
-    Signs, and a cost with no calls, are left to ``parse_report``. A report
-    writes each per-thread record as the document of its fields, and a
-    verdict writes merged records that way; a report's merged records are
-    computed from its parts, never written.
+    Signs, and a cost with no calls, are left to the writers and readers.
+    A report writes each per-thread record as the document of its fields,
+    and a verdict writes merged records that way; a report's merged records
+    are computed from its parts, never written.
     """
 
     __slots__ = ()

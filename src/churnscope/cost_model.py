@@ -30,11 +30,6 @@ class AllocFnKind(enum.Enum):
     REALLOC = "realloc"
     FREE = "free"
 
-    # Members are singletons compared by identity, so identity hashing agrees
-    # with equality and keeps kind-keyed dicts as cheap as attributes
-    # (``Enum.__hash__`` is a Python-level call).
-    __hash__ = object.__hash__
-
 
 # A report writes every cost and weight with six decimals: a cost is whole micro-units.
 COST_DECIMALS = 6

@@ -8,16 +8,17 @@ A snapshot is one tuple copy per ``seq``: marker endpoints with no call
 between them share one immutable snapshot, and after ``seal()`` a snapshot
 is a pure read. Bytes are two totals, allocated and freed, whatever the call
 kind. On the hot path a call kind is its counter slot, the index of its
-``*_calls`` field, and the model's weights are bound in slot order. Every
-call is charged in one step, ``_charge``, the only place a call changes the
+``*_calls`` field, and the model's weights are bound in slot order. Each
+call is admitted and charged in one step, ``_charge``: it refuses a call from
+another thread or after ``seal()``, and is the only place a call changes the
 live-block table, the counters and the bounded event ring: a ``deque`` of
 the most recent calls, each a bare ``(slot, nbytes, addr, old_addr)`` tuple,
 kept for diagnostics and replay. ``events()`` builds ``AllocEvent``s from it
 on read. A full ring evicts once per call, so a snapshot computes the
 overflow count as ``max(0, seq - capacity)``; the capacity changes no cost,
-call or byte count. The ``record_*`` methods return ``None``. The recorder's
-own bookkeeping does only dict, list and deque operations on ints, so it
-never calls back into a ``TracingAllocator``.
+call or byte count. A ``record_*`` method checks only its sizes, and returns
+``None``. The recorder's own bookkeeping does only dict, list and deque
+operations on ints, so it never calls back into a ``TracingAllocator``.
 """
 
 from __future__ import annotations
@@ -147,16 +148,12 @@ class ThreadRecorder:
 
     def record_malloc(self, requested: int, addr: int | None) -> None:
         """Record one malloc call; ``addr is None`` means the call failed."""
-        if get_ident() != self._writer:
-            self._require_writable()  # raises: another thread, or sealed
         if type(requested) is not int or requested < 0:
             raise ValueError(f"requested size must be a nonnegative int, got {requested!r}")
         self._charge(_MALLOC, requested, addr, None)
 
     def record_calloc(self, count: int, elem_size: int, addr: int | None) -> None:
         """Record one calloc call; effective bytes are ``count * elem_size``."""
-        if get_ident() != self._writer:
-            self._require_writable()
         if type(count) is not int or count < 0 or type(elem_size) is not int or elem_size < 0:
             raise ValueError(f"calloc sizes must be nonnegative ints, got {count!r}, {elem_size!r}")
         self._charge(_CALLOC, count * elem_size, addr, None)
@@ -169,8 +166,6 @@ class ThreadRecorder:
         bumps the anomaly counter: it signals a block allocated before
         interception began, or a mismatched report.
         """
-        if get_ident() != self._writer:
-            self._require_writable()
         self._charge(_FREE, 0, None, old_addr)
 
     def record_realloc(self, old_addr: int | None, requested: int, addr: int | None) -> None:
@@ -182,8 +177,6 @@ class ThreadRecorder:
         removes the entry and admits nothing; ``addr is None`` with a nonzero
         request is a failed call that leaves the original block live.
         """
-        if get_ident() != self._writer:
-            self._require_writable()
         if type(requested) is not int or requested < 0:
             raise ValueError(f"requested size must be a nonnegative int, got {requested!r}")
         if addr is None and requested:
@@ -194,16 +187,18 @@ class ThreadRecorder:
             self._charge(_REALLOC, requested, addr if requested else None, old_addr)
 
     def _charge(self, kind: int, requested: int, addr: int | None, old_addr: int | None) -> None:
-        """Charge one call of slot ``kind`` and log it: the only place a call
-        changes the live table, counters or ring, so they always equal a
-        replay of the logged events. ``old_addr`` leaves the table, its bytes
-        counted freed (and charged, by a free); ``addr`` enters it, charged
-        and counted allocated at ``requested``. An unknown ``old_addr``, a
-        request past ``BYTES_MAX`` (clamped) and an ``addr`` already live
-        (replaced) are an anomaly each. The cost is ``event_cost`` inlined,
-        float operations in order; a full ring drops its oldest entry. An
-        unhashable token raises before anything changes, as ``snapshot()`` needs.
-        """
+        """Admit one call of slot ``kind``, then charge and log it: the only
+        place a call changes the live table, counters or ring, so they equal a
+        replay of the logged events. A call from another thread or after
+        ``seal()``, or an unhashable token, raises before anything changes.
+        ``old_addr`` leaves the table, its bytes counted freed (and charged,
+        by a free); ``addr`` enters it, charged and counted allocated at
+        ``requested``. An unknown ``old_addr``, a request past ``BYTES_MAX``
+        (clamped) and an ``addr`` already live (replaced) are an anomaly each.
+        The cost is ``event_cost`` inlined, float operations in order; a full
+        ring drops its oldest entry."""
+        if get_ident() != self._writer:
+            self._require_writable()  # raises: another thread, or sealed
         c = self._c
         live = self._live
         nbytes = 0

@@ -287,12 +287,17 @@ def _churn_text(r: MarkerChurn, template: _Template) -> str:
     ``thread_id`` and ``span_id``, a row's merged record neither. Field types
     are trusted here: ``MarkerChurn`` checks them when it is built. A record
     its template's reader refuses raises ``_Unwritable``: a cost that is not
-    an int >= 0, a thread record's id that is not a str, or a merged
-    record's id that is not None.
+    an int >= 0, a negative count or byte total, a cost that breaks the cost
+    rules (``_charge_fault``), a thread record's id that is not a str, or a
+    merged record's id that is not None.
     """
     name, micro, malloc, calloc, realloc, free, allocated, freed, overflow, auto_closed, thread_id, span_id = r
     if type(micro) is not int or micro < 0:  # %d would truncate a float cost
         raise _Unwritable(r, f"field 'cost_micro' must be an int >= 0, got {micro!r}")
+    calls = malloc | calloc | realloc | free
+    if (calls | allocated | freed) < 0 or micro > _MAX_MICRO or micro and not calls:  # named only on failure
+        sign = next(((f, v) for f, v in zip(MarkerChurn._fields[2:8], r[2:8]) if v < 0), None)
+        raise _Unwritable(r, _charge_fault(r) if sign is None else "field %r must be an int >= 0, got %r" % sign)
     fields = (
         "true" if auto_closed else "false", allocated, freed, calloc, free, malloc, realloc,
         "%d.%06d" % divmod(micro, MICRO), _quote(name), "true" if overflow else "false",
@@ -358,12 +363,16 @@ def serialize_report(report: ChurnReport) -> bytes:
 
     ``_HEADER`` filled with the report's fields, then each thread record,
     encoded as it is written (``_document``); ``merged`` is not written.
-    Field types are trusted; a non-finite weight raises ValueError, and so
-    does a thread record ``parse_report`` would refuse: one with a None
-    ``thread_id`` or ``span_id`` or a negative ``cost_micro``, named as
-    ``threads[i]`` and its field.
+    Record field types are trusted; a non-finite weight raises ValueError,
+    and so does a total that is not an int >= 0, named as ``counters`` and
+    its field, or a thread record ``parse_report`` would refuse on its own
+    (``_churn_text``), named as ``threads[i]``.
     """
     model, t, records = report.model, report.totals, report.per_thread
+    for field in ReportTotals._fields:  # not zip: its pair would outlive the loop in the tuple free list
+        value = getattr(t, field)
+        if type(value) is not int or value < 0:
+            raise ValueError(f"cannot serialize counters: field {field!r} must be an int >= 0, got {value!r}")
     head = _HEADER.text % (
         _quote(report.build_id), _quote(model.model_version), *[_fixed(model.weights[k]) for k in _WEIGHT_KINDS],
         t.anomaly_count, t.bytes_allocated, t.bytes_freed, t.live_blocks, t.live_bytes, t.overflow_count,
@@ -741,9 +750,8 @@ def serialize_verdict(verdict: RegressionVerdict) -> bytes:
     """Canonical bytes for a verdict, written as ``serialize_report`` writes a
     report: each row encoded as it is written (``_document``), then
     ``_VERDICT_TAIL`` filled. A non-finite threshold raises ValueError, and
-    so does a row record ``parse_verdict`` would refuse: one that carries a
-    ``thread_id`` or ``span_id`` or has a negative ``cost_micro``, named as
-    ``deltas[i]``, its side and its field."""
+    so does a row record ``parse_verdict`` would refuse on its own
+    (``_churn_text``), named as ``deltas[i]`` and its side."""
     th, deltas = verdict.thresholds, verdict.deltas
     tail = _VERDICT_TAIL.text % (
         "true" if verdict.regression_detected else "false", _fixed(float(th.abs_floor)),

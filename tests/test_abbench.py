@@ -85,3 +85,52 @@ def test_a_zero_parent_median_has_no_ratio_and_unpaired_runs_are_left_out():
     assert summary["pairs"] == 2
     assert summary["ratio"] is None
     assert summary["lower_in"] == []
+
+
+BENCHMARK = {
+    "end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.2},
+                   {"name": "peak_mem_mb", "unit": "MB", "better": "lower", "bound": 0.05}],
+    "per_layer": [{"name": "recorder.us_per_call", "unit": "us", "better": "lower"}],
+}
+
+
+def test_end_to_end_rows_get_the_acceptance_rule_and_per_layer_rows_their_direction():
+    runs = _runs([10.0, 12.0, 11.0, 13.0, 14.0], [9.0, 12.0, 12.0, 10.0, 10.0])
+    for run in runs:
+        run["result"]["metrics"]["recorder.us_per_call"] = {"value": 1.0, "unit": "us"}
+        run["result"]["metrics"]["other"] = {"value": 1.0, "unit": "count"}
+    run_s, peak, layer, other = abbench.summarize(runs, BENCHMARK)
+    # Medians 12 -> 10: 1/6 better; parent q3 - q1 = 2, not exceeded; 3 of 5 pairs better.
+    assert {key: run_s[key] for key in ("better", "bound", "within_bound", "unresolved", "gain")} == {
+        "better": "lower", "bound": 0.2, "within_bound": True, "unresolved": False, "gain": False}
+    assert run_s["worse_by"] == (10.0 - 12.0) / 12.0
+    # 4.0 -> 3.5 in every pair, with no spread: a gain.
+    assert (peak["worse_by"], peak["within_bound"], peak["unresolved"], peak["gain"]) == (-0.125, True, False, True)
+    assert layer["better"] == "lower" and "bound" not in layer and "gain" not in layer
+    assert "better" not in other
+    assert "better" not in abbench.summarize(runs)[0]
+
+
+@pytest.mark.parametrize("parent, change, better, fields", [
+    # 10% worse in the median, past a 5% bound.
+    ([10.0] * 5, [11.0] * 5, "lower", {"worse_by": 0.1, "within_bound": False, "unresolved": False, "gain": False}),
+    # For a metric where higher is better, the same figures are a gain.
+    ([10.0] * 5, [11.0] * 5, "higher", {"worse_by": -0.1, "within_bound": True, "unresolved": False, "gain": True}),
+    # The parent spreads by (12 - 8) / 10 = 40% and the sides overlap: unresolved.
+    ([8.0, 8.0, 10.0, 12.0, 12.0], [9.0, 10.0, 10.0, 10.0, 11.0], "lower",
+     {"worse_by": 0.0, "within_bound": True, "unresolved": True, "gain": False}),
+    # As wide, but every change run beats every parent run: resolved, and a gain past q3 - q1.
+    ([8.0, 8.0, 10.0, 12.0, 12.0], [1.0, 2.0, 3.0, 4.0, 5.0], "lower",
+     {"worse_by": -0.7, "within_bound": True, "unresolved": False, "gain": True}),
+    # Better in 8 of 10 pairs, ties counting for neither: no gain, however far the medians move.
+    ([10.0] * 10, [1.0] * 8 + [10.0] * 2, "lower",
+     {"worse_by": -0.9, "within_bound": True, "unresolved": False, "gain": False}),
+    ([10.0] * 10, [1.0] * 9 + [10.0], "lower", {"worse_by": -0.9, "within_bound": True, "unresolved": False, "gain": True}),
+    # A zero parent median: no relative change when the change is worse.
+    ([0.0] * 3, [1.0] * 3, "lower", {"worse_by": None, "within_bound": False, "unresolved": False, "gain": False}),
+    ([0.0] * 3, [0.0] * 3, "lower", {"worse_by": 0.0, "within_bound": True, "unresolved": False, "gain": False}),
+])
+def test_the_acceptance_rule(parent, change, better, fields):
+    judged = abbench.judge(dict(enumerate(parent, 1)), dict(enumerate(change, 1)), better, 0.05)
+    assert judged.pop("worse_by") == pytest.approx(fields.pop("worse_by"))
+    assert judged == {"better": better, "bound": 0.05, **fields}

@@ -244,6 +244,18 @@ def test_invalid_marker_names_rejected(name):
         begin_marker(rec, name)
 
 
+def test_reserved_prefix_rejected_with_its_message():
+    rec = make_recorder()
+    with pytest.raises(ValueError) as excinfo:
+        begin_marker(rec, "churnscope.x")
+    assert str(excinfo.value) == "marker names starting with 'churnscope.' are reserved"
+    assert rec.spans() == []
+    # Only the prefix with its dot is reserved, and case counts.
+    for name in ("churnscope", "Churnscope.x"):
+        end_marker(begin_marker(rec, name))
+    assert [span.name for span in rec.spans()] == ["churnscope", "Churnscope.x"]
+
+
 def test_name_without_a_utf8_form_rejected_by_name():
     rec = make_recorder()
     with pytest.raises(ValueError) as excinfo:

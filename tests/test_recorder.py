@@ -636,6 +636,52 @@ def test_sealed_recorder_rejects_recording(call):
     rec.seal()  # idempotent
 
 
+# Per record_* method, the well-formed calls above, a failed realloc, and a
+# call whose size is not a nonnegative int (a free has no size to get wrong).
+ADMITTED_CALLS = {**RECORD_CALLS, "failed-realloc": lambda rec: rec.record_realloc(0xA, 128, None)}
+MALFORMED_CALLS = {
+    "malloc": lambda rec: rec.record_malloc(-1, 0xB),
+    "calloc": lambda rec: rec.record_calloc(4, 1.5, 0xB),
+    "realloc": lambda rec: rec.record_realloc(0xA, True, 0xB),
+    "failed-realloc": lambda rec: rec.record_realloc(0xA, 2.5, None),
+}
+
+
+def _admission_cases():
+    for where, refusal in (("other-thread", ThreadAffinityError), ("sealed", RecorderSealedError)):
+        for name, call in ADMITTED_CALLS.items():
+            yield pytest.param(where, call, refusal, id=f"{where}-{name}")
+        for name, call in MALFORMED_CALLS.items():
+            yield pytest.param(where, call, ValueError, id=f"{where}-{name}-malformed")
+
+
+@pytest.mark.parametrize("where, call, refusal", _admission_cases())
+def test_each_call_is_admitted_after_its_size_check_and_before_anything_changes(where, call, refusal):
+    # A record_* method checks its sizes, then _charge refuses a call from
+    # another thread or after seal(): a malformed size is named first.
+    rec = make_recorder()
+    rec.record_malloc(32, 0xA)
+    if where == "sealed":
+        rec.seal()
+    before = (list(rec._c), rec.live_table(), rec.events(), rec.snapshot())
+    caught = []
+
+    def attempt():
+        try:
+            call(rec)
+        except Exception as exc:
+            caught.append(exc)
+
+    if where == "sealed":
+        attempt()
+    else:
+        thread = threading.Thread(target=attempt)
+        thread.start()
+        thread.join()
+    assert [type(exc) for exc in caught] == [refusal]
+    assert (list(rec._c), rec.live_table(), rec.events(), rec.snapshot()) == before
+
+
 def test_ring_capacity_below_one_rejected():
     with pytest.raises(ValueError, match="ring capacity"):
         ThreadRecorder("t0", MODEL, ring_capacity=0)

@@ -740,10 +740,11 @@ def reference_verdict_bytes(verdict):
 def _writer_strategies():
     """Hypothesis strategies for whole reports and verdicts: names with quotes,
     backslashes, control and non-BMP characters, counts and costs past 2**64,
-    non-integer weights and thresholds. Every record is one its writer takes
-    (a thread record with both ids, a merged one with neither, each with a
-    cost >= 0), so each drawn document is compared with json.dumps; the
-    records a writer refuses are the tests' explicit examples. About half the
+    non-integer weights and thresholds. Nearly every record is one its writer
+    takes (a thread record with both ids, a merged one with neither, each with
+    a cost >= 0 and a call if it costs), so nearly each drawn document is
+    compared with json.dumps; the records a writer refuses are the tests'
+    explicit examples. About half the
     rows are an unchanged phase: a neutral row named for its record, whose
     candidate is an equal record but a distinct object."""
     from hypothesis import strategies as st
@@ -797,6 +798,12 @@ def _writer_strategies():
     return reports, verdicts
 
 
+def _breaks_a_record_rule(r):
+    """Whether a reader refuses record ``r`` on its own: a negative cost, count
+    or byte total, a cost past the largest a report holds, or a cost with no call."""
+    return min(r[1:8]) < 0 or r.cost_micro > int(sys.float_info.max) or bool(r.cost_micro and not r.total_calls)
+
+
 def test_report_writer_matches_json_dumps():
     pytest.importorskip("hypothesis")
     from hypothesis import example, given, settings
@@ -815,11 +822,15 @@ def test_report_writer_matches_json_dumps():
     @example(golden._replace(per_thread=[part._replace(cost_micro=-1_000_001)]))
     @example(golden._replace(per_thread=[part, part._replace(span_id=None)]))
     def check(report):
-        # The reader takes a negative cost or a missing id in no form, so the writer refuses them.
+        # The reader refuses a total that is not an int >= 0, and a record that breaks a
+        # record's own rules or misses an id, in any form, so the writer refuses them.
+        totals = [f for f, v in zip(ReportTotals._fields, report.totals) if type(v) is not int or v < 0]
         unwritable = [i for i, r in enumerate(report.per_thread)
-                      if r.cost_micro < 0 or None in (r.thread_id, r.span_id)]
-        if unwritable:
-            with pytest.raises(ValueError, match=rf"^cannot serialize threads\[{unwritable[0]}\]: field "):
+                      if _breaks_a_record_rule(r) or None in (r.thread_id, r.span_id)]
+        if totals or unwritable:
+            refusal = (rf"^cannot serialize counters: field '{totals[0]}' " if totals
+                       else rf"^cannot serialize threads\[{unwritable[0]}\]: (field |has zero calls)")
+            with pytest.raises(ValueError, match=refusal):
                 serialize_report(report)
             return
         data = serialize_report(report)
@@ -876,9 +887,9 @@ def test_verdict_writer_matches_json_dumps():
     @example(RegressionVerdict(Thresholds(), [row, row._replace(baseline=record._replace(thread_id="t"))]))
     @example(RegressionVerdict(Thresholds(), [row._replace(status="neutral", candidate=MarkerChurn(*record))]))
     def check(verdict):
-        # As for reports: the reader takes a negative cost or an id in no form, so the writer refuses them.
+        # As for reports: the reader refuses a record that breaks a record's own rules or carries an id.
         unwritable = [i for i, d in enumerate(verdict.deltas) for r in (d.baseline, d.candidate)
-                      if r is not None and (r.cost_micro < 0 or (r.thread_id, r.span_id) != (None, None))]
+                      if r is not None and (_breaks_a_record_rule(r) or (r.thread_id, r.span_id) != (None, None))]
         if unwritable:
             refusal = rf"^cannot serialize deltas\[{unwritable[0]}\] (baseline|candidate): "
             with pytest.raises(ValueError, match=refusal):
@@ -1038,6 +1049,47 @@ def test_writers_never_write_what_their_readers_refuse(write, doc, message):
     with pytest.raises(ValueError, match=message):
         written = write(doc)
     assert written is None
+
+
+# A count, byte total or cost that a reader refuses in a record on its own,
+# and the refusal's words: a sign as the cost's, a cost rule as the reader's.
+RECORD_COUNT_FAULTS = {
+    "malloc_calls--1": ({"malloc_calls": -1}, "field 'malloc_calls' must be an int >= 0, got -1"),
+    "bytes_freed--5": ({"bytes_freed": -5}, "field 'bytes_freed' must be an int >= 0, got -5"),
+    "cost-without-calls": (dict.fromkeys(("malloc_calls", "calloc_calls", "realloc_calls", "free_calls"), 0),
+                           "has zero calls but nonzero cost"),
+    "cost-10**400": ({"cost_micro": 10**400}, "field 'cost' is out of range or not a whole number of micro-units"),
+}
+
+
+@pytest.mark.parametrize("edit, message", RECORD_COUNT_FAULTS.values(), ids=RECORD_COUNT_FAULTS)
+def test_writers_refuse_the_counts_and_costs_their_readers_refuse(edit, message):
+    report = golden_report()
+    part = report.per_thread[0]
+    assert part.cost_micro and part.total_calls
+    bad = report._replace(per_thread=[part._replace(**edit)])
+    with pytest.raises(ReportError):  # the reader's refusal of the same content
+        parse_report(reference_report_bytes(bad))
+    with pytest.raises(ValueError, match=rf"^cannot serialize threads\[0\]: {re.escape(message)}$"):
+        serialize_report(bad)
+    good = diff_reports(report, report).deltas[0]
+    for side in ("baseline", "candidate"):
+        verdict = RegressionVerdict(Thresholds(), [good, good._replace(**{side: good.baseline._replace(**edit)})])
+        with pytest.raises(ReportError):
+            parse_verdict(reference_verdict_bytes(verdict))
+        with pytest.raises(ValueError, match=rf"^cannot serialize deltas\[1\] {side}: {re.escape(message)}$"):
+            serialize_verdict(verdict)
+
+
+@pytest.mark.parametrize("field, value", [("live_blocks", 1.5), ("anomaly_count", -1), ("bytes_freed", True)])
+def test_report_writer_refuses_a_total_its_reader_refuses(field, value):
+    report = golden_report()
+    bad = report._replace(totals=report.totals._replace(**{field: value}))
+    with pytest.raises(ReportError):
+        parse_report(reference_report_bytes(bad))
+    message = f"cannot serialize counters: field '{field}' must be an int >= 0, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        serialize_report(bad)
 
 
 def test_writers_blame_no_later_record_for_an_earlier_failure():

@@ -19,7 +19,12 @@ It writes ``BENCH_<label>.json`` to the current directory: the Python
 version, the commands, every run's ``correct`` and ``failed``, and for each
 workload, seed and metric both sides' median, q1 and q3 (inclusive
 quartiles), the ratio of the medians (change over parent) and the pairs in
-which the change read lower. Ties count for neither side. Standard library
+which the change read lower. Ties count for neither side.
+
+Each metric the change tree's ``BENCHMARK.json`` declares also gets its
+``better`` direction, and an end-to-end one the acceptance rule
+(``judge``): its ``bound``, ``worse_by``, ``within_bound``, ``unresolved``
+and ``gain``. ``BENCHMARK.json`` is read, never written. Standard library
 only.
 """
 
@@ -94,11 +99,48 @@ def compare(parent: dict[int, float], change: dict[int, float]) -> dict:
     }
 
 
-def summarize(runs: list[dict]) -> list[dict]:
+def judge(parent: dict[int, float], change: dict[int, float], better: str, bound: float) -> dict:
+    """The acceptance rule for one end-to-end metric, over the pairs both sides ran.
+
+    ``worse_by`` is the change of the medians relative to the parent's, in
+    the worse direction (None when the parent's median is 0 and the change's
+    is worse); ``within_bound`` holds when it is at most ``bound``.
+    ``unresolved`` holds when the parent's (q3 - q1) / median exceeds the
+    bound and not every change run beat every parent run. ``gain`` holds when
+    the change was better in at least 9/10 of the pairs, ties counting for
+    neither, and its median is better than the parent's by more than the
+    parent's q3 - q1.
+    """
+    sign = 1 if better == "lower" else -1
+    pairs = sorted(parent.keys() & change.keys())
+    base, new = [parent[p] for p in pairs], [change[p] for p in pairs]
+    b, n = spread(base), spread(new)
+    worse = sign * (n["median"] - b["median"])
+    if b["median"]:
+        worse_by = worse / abs(b["median"])
+    else:
+        worse_by = 0.0 if worse <= 0 else None
+    width = b["q3"] - b["q1"]
+    too_wide = width > bound * abs(b["median"])
+    beat_all = max(sign * v for v in new) < min(sign * v for v in base)
+    better_pairs = sum(sign * (c - p) < 0 for p, c in zip(base, new))
+    return {
+        "better": better,
+        "bound": bound,
+        "worse_by": worse_by,
+        "within_bound": worse_by is not None and worse_by <= bound,
+        "unresolved": too_wide and not beat_all,
+        "gain": better_pairs >= 0.9 * len(pairs) and -worse > width,
+    }
+
+
+def summarize(runs: list[dict], benchmark: dict | None = None) -> list[dict]:
     """One row per workload, seed and metric, in the order runs first name them.
 
     A run is ``{"pair", "side", "workload", "seed", "result"}``, where
-    ``result`` is what ``read_result`` returned.
+    ``result`` is what ``read_result`` returned. ``benchmark`` is the parsed
+    ``BENCHMARK.json``: a per-layer metric's row gets its ``better``, and an
+    end-to-end metric's row the fields of ``judge``.
     """
     values: dict[tuple, dict[str, dict[int, float]]] = {}
     units: dict[tuple, str] = {}
@@ -107,9 +149,19 @@ def summarize(runs: list[dict]) -> list[dict]:
             key = (run["workload"], run["seed"], metric)
             values.setdefault(key, {side: {} for side in SIDES})[run["side"]][run["pair"]] = entry["value"]
             units[key] = entry["unit"]
-    return [{"workload": workload, "seed": seed, "metric": metric, "unit": units[workload, seed, metric],
-             **compare(sides["parent"], sides["change"])}
-            for (workload, seed, metric), sides in values.items()]
+    benchmark = benchmark or {}
+    end_to_end = {m["name"]: m for m in benchmark.get("end_to_end", ())}
+    per_layer = {m["name"]: m for m in benchmark.get("per_layer", ())}
+    rows = []
+    for (workload, seed, metric), sides in values.items():
+        row = {"workload": workload, "seed": seed, "metric": metric, "unit": units[workload, seed, metric],
+               **compare(sides["parent"], sides["change"])}
+        if metric in end_to_end:
+            row |= judge(sides["parent"], sides["change"], end_to_end[metric]["better"], end_to_end[metric]["bound"])
+        elif metric in per_layer:
+            row["better"] = per_layer[metric]["better"]
+        rows.append(row)
+    return rows
 
 
 def tree_state(tree: Path) -> dict:
@@ -165,6 +217,8 @@ def main(argv: list[str] | None = None) -> int:
     for side, tree in trees.items():
         if not (tree / "perfbench" / "run.py").is_file() or not (tree / "src" / "churnscope").is_dir():
             parser.error(f"{side} {tree} is not a churnscope checkout with perfbench")
+    if args.workload and not (args.change / "BENCHMARK.json").is_file():
+        parser.error(f"change {args.change} has no BENCHMARK.json")
 
     doc: dict = {
         "label": args.label,
@@ -190,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
                        | {key: run["result"].get(key) for key in ("correct", "attempted", "failed")}
                        | {"metrics": {name: e["value"] for name, e in run["result"]["metrics"].items()}}
                        for run in runs]
-        doc["summary"] = summarize(runs)
+        doc["summary"] = summarize(runs, json.loads((args.change / "BENCHMARK.json").read_text()))
     if args.imports:
         doc["commands"]["imports"] = ["python", "-I", "-c", IMPORT_CODE, "<tree>/src"]
         seconds: dict[str, dict[int, float]] = {side: {} for side in SIDES}
