@@ -94,24 +94,24 @@ def span_churn(span: MarkerSpan) -> MarkerChurn:
 
     The cost is the running total's delta in nano-units, the exact sum of the
     span's per-call costs under its recorder's model, rounded half up to
-    micro-units; so it depends only on the calls inside the span.
+    micro-units; so it depends only on the calls inside the span. ``overflow``
+    is derived from the two ``seq`` and the recorder's ring capacity.
     """
     if not span.closed:
         raise SpanStateError(f"span {span.span_id!r} ({span.name!r}) is still open")
-    start = span.start_snapshot
-    end = span.end_snapshot
+    rec = span.recorder
+    malloc0, calloc0, realloc0, free0, allocated0, freed0, nano0, _ = span.start_snapshot
+    malloc1, calloc1, realloc1, free1, allocated1, freed1, nano1, _ = span.end_snapshot
+    seq = malloc1 + calloc1 + realloc1 + free1
     # tuple.__new__ skips the named tuple's Python-level __new__: all twelve fields are given in order.
     return tuple.__new__(MarkerChurn, (
         span.name,
-        (end.cost_nano - start.cost_nano + 500) // 1000,  # nano- to micro-units, ties up
-        end.malloc_calls - start.malloc_calls,
-        end.calloc_calls - start.calloc_calls,
-        end.realloc_calls - start.realloc_calls,
-        end.free_calls - start.free_calls,
-        end.bytes_allocated - start.bytes_allocated,
-        end.bytes_freed - start.bytes_freed,
-        end.overflow_count > start.overflow_count,
-        span.auto_closed, span.thread_id, span.span_id,
+        (nano1 - nano0 + 500) // 1000,  # nano- to micro-units, ties up
+        malloc1 - malloc0, calloc1 - calloc0, realloc1 - realloc0, free1 - free0,
+        allocated1 - allocated0, freed1 - freed0,
+        # Some call in [start seq, seq) evicted, by ThreadRecorder's eviction rule.
+        seq > malloc0 + calloc0 + realloc0 + free0 and seq > rec.ring_capacity,
+        span.auto_closed, rec.thread_id, span.span_id,
     ))
 
 

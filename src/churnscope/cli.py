@@ -135,11 +135,13 @@ def _write_atomically(path: Path, data: bytes) -> None:
     if path.exists() and not path.is_file():
         path.write_bytes(data)
         return
-    path = path.resolve()  # through a symlink, replace the file it names
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    target = Path(os.path.realpath(path))  # through a symlink, replace the file it names
+    if target.is_symlink():  # realpath stops at a loop, whose links are left as they were
+        raise OSError(f"{path} is in a symlink loop")
+    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
     try:
         tmp.write_bytes(data)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -14,11 +14,11 @@ another thread or after ``seal()``, and is the only place a call changes the
 live-block table, the counters and the bounded event ring: a ``deque`` of
 the most recent calls, each a bare ``(slot, nbytes, addr, old_addr)`` tuple,
 kept for diagnostics and replay. ``events()`` builds ``AllocEvent``s from it
-on read. A full ring evicts once per call, so a snapshot computes the
-overflow count as ``max(0, seq - capacity)``; the capacity changes no cost,
-call or byte count. A ``record_*`` method checks only its sizes, and returns
-``None``. The recorder's own bookkeeping does only dict, list and deque
-operations on ints, so it never calls back into a ``TracingAllocator``.
+on read. A full ring evicts once per call; evictions are derived where a
+span is costed and a report is built, so the capacity changes no snapshot.
+A ``record_*`` method checks only its sizes, and returns ``None``. The
+recorder's own bookkeeping does only dict, list and deque operations on
+ints, so it never calls back into a ``TracingAllocator``.
 """
 
 from __future__ import annotations
@@ -63,15 +63,15 @@ class AllocEvent(namedtuple("AllocEvent", ("thread_id", "seq", "kind", "nbytes",
 
 class CounterSnapshot(namedtuple("CounterSnapshot", (
         "malloc_calls", "calloc_calls", "realloc_calls", "free_calls", "bytes_allocated", "bytes_freed", "cost_nano",
-        "overflow_count", "anomaly_count"))):
+        "anomaly_count"))):
     """Immutable point-in-time copy of one recorder's aggregate counters.
 
     ``bytes_allocated`` sums the blocks malloc, calloc and realloc admitted;
     ``bytes_freed`` sums the blocks that left the live table, a realloc's
     old block included. ``seq`` is the number of calls recorded so far,
     derived from the four call counts, and the ``seq`` the next event will
-    carry. ``overflow_count`` is ``max(0, seq - capacity)``. A recorder makes
-    one per ``seq``, so the endpoints of two spans may be one object.
+    carry. It holds only what was counted, so the ring capacity changes no
+    snapshot. A recorder makes one per ``seq``: two spans' ends may be one.
     """
 
     __slots__ = ()
@@ -83,7 +83,6 @@ class CounterSnapshot(namedtuple("CounterSnapshot", (
     bytes_allocated: int
     bytes_freed: int
     cost_nano: int
-    overflow_count: int
     anomaly_count: int
 
     @property
@@ -92,8 +91,8 @@ class CounterSnapshot(namedtuple("CounterSnapshot", (
 
 
 # Indices into ThreadRecorder._c, which holds the counters in field order.
-_ALLOCATED, _FREED, _COST, _OVERFLOW, _ANOMALIES = map(
-    CounterSnapshot._fields.index, ("bytes_allocated", "bytes_freed", "cost_nano", "overflow_count", "anomaly_count"))
+_ALLOCATED, _FREED, _COST, _ANOMALIES = map(
+    CounterSnapshot._fields.index, ("bytes_allocated", "bytes_freed", "cost_nano", "anomaly_count"))
 # A call kind's counter slot, and the kind in each slot. Bytes have no slot per kind, only the two totals.
 _KINDS = tuple(AllocFnKind(field.removesuffix("_calls")) for field in CounterSnapshot._fields[:4])
 _MALLOC, _CALLOC, _REALLOC, _FREE = map(
@@ -102,8 +101,10 @@ _slot_weights = itemgetter(*_KINDS)
 
 
 def checked_ring_capacity(ring_capacity: int | None) -> int:
-    """The ring capacity to use: the default for ``None``, else 1 to ``sys.maxsize``."""
+    """The ring capacity to use: the default for ``None``, else an int from 1 to ``sys.maxsize``."""
     capacity = DEFAULT_RING_CAPACITY if ring_capacity is None else ring_capacity
+    if type(capacity) is not int:  # a bool or an integral float included
+        raise ValueError(f"ring capacity must be an int, got {capacity!r}")
     if not 1 <= capacity <= sys.maxsize:  # deque(maxlen=) takes no more
         bound = ">= 1" if capacity < 1 else f"<= {sys.maxsize}"
         raise ValueError(f"ring capacity must be {bound}, got {capacity}")
@@ -115,14 +116,18 @@ class ThreadRecorder:
 
     All mutation must happen on the owning thread. After ``seal()`` the
     recorder emits no further events and may be read from any thread; other
-    threads must not read it before that.
+    threads must not read it before that. ``ring_capacity`` is fixed when it
+    is built. The one eviction rule: the call numbered ``seq`` evicts an entry
+    iff ``seq >= ring_capacity``, so the first ``seq`` calls evicted
+    ``max(0, seq - ring_capacity)``.
     """
 
     def __init__(self, thread_id: str, model: CostModel, ring_capacity: int | None = None):
         self.thread_id = thread_id
+        self.ring_capacity = checked_ring_capacity(ring_capacity)
         self._weights = _slot_weights(model.weights)  # a tuple, in slot order
         self._os_ident = self._writer = get_ident()
-        self._ring: deque[tuple] = deque(maxlen=checked_ring_capacity(ring_capacity))
+        self._ring: deque[tuple] = deque(maxlen=self.ring_capacity)
         self._c = [0] * len(CounterSnapshot._fields)
         self._live: dict[int, int] = {}
         self._spans: list[MarkerSpan] = []
@@ -132,10 +137,6 @@ class ThreadRecorder:
     @property
     def sealed(self) -> bool:
         return self._writer is None
-
-    @property
-    def ring_capacity(self) -> int:
-        return self._ring.maxlen
 
     def _require_writable(self) -> None:
         """Raise unless called on the owning thread before ``seal()``."""
@@ -229,14 +230,10 @@ class ThreadRecorder:
 
     def snapshot(self) -> CounterSnapshot:
         """The counters as an immutable tuple, made once per ``seq`` and shared
-        until the next call (after ``seal()``, from any thread). ``overflow_count``
-        is ``max(0, seq - capacity)``, computed here and stored only when it grew."""
+        until the next call (after ``seal()``, from any thread). It writes nothing."""
         c = self._c
         seq = c[0] + c[1] + c[2] + c[3]
         if seq != self._snap_seq:
-            evicted = seq - self._ring.maxlen
-            if evicted > c[_OVERFLOW]:
-                c[_OVERFLOW] = evicted
             self._snap, self._snap_seq = tuple.__new__(CounterSnapshot, c), seq
         return self._snap
 

@@ -141,7 +141,7 @@ class RecordingSession:
             allocated += snap.bytes_allocated
             freed += snap.bytes_freed
             anomalies += snap.anomaly_count
-            overflows += snap.overflow_count
+            overflows += max(0, snap.seq - rec.ring_capacity)  # ThreadRecorder's eviction rule
             live = rec.live_table()
             live_blocks += len(live)
             live_bytes += sum(live.values())

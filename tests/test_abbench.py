@@ -80,6 +80,14 @@ def test_workloads_and_seeds_are_summarized_apart():
     assert rows["cli-gate", 1]["change"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
 
 
+def test_a_row_is_exact_when_each_side_read_one_value_in_every_run():
+    runs = _runs([10.0, 12.0, 11.0], [9.0, 9.0, 9.0])  # peak_mem_mb reads 4.0 and 3.5 in every run
+    run_s, peak = abbench.summarize(runs)
+    assert (run_s["exact"], peak["exact"]) == (False, True)
+    assert abbench.compare({1: 2.0, 2: 2.0}, {1: 1.0, 2: 1.5})["exact"] is False
+    assert abbench.compare({1: 2.0, 2: 2.0, 3: 7.0}, {1: 1.0, 2: 1.0})["exact"] is True  # pair 3 is unpaired
+
+
 def test_a_zero_parent_median_has_no_ratio_and_unpaired_runs_are_left_out():
     summary = abbench.compare({1: 0.0, 2: 0.0, 3: 7.0}, {1: 0.0, 2: 1.0})
     assert summary["pairs"] == 2

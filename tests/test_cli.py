@@ -640,6 +640,16 @@ def test_run_out_is_written_atomically(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == [out.name]
 
 
+def test_run_out_on_a_symlink_loop_exits_2_and_leaves_the_links(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    a.symlink_to(b)
+    b.symlink_to(a)
+    assert main(["run", "--workload", "strings", "--out", str(a)]) == 2
+    assert capsys.readouterr().err == f"churnscope run: error: {a} is in a symlink loop\n"
+    assert (os.readlink(a), os.readlink(b)) == (str(b), str(a))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+
 def test_run_out_writes_through_a_symlink_and_into_a_pipe(tmp_path, capsys):
     argv = ["run", "--workload", "strings", "--seed", "1", "--scale", "2", "--epoch", "0", "--out"]
     target = tmp_path / "target.churn.json"

@@ -35,7 +35,7 @@ SHAPES = [
     (AllocEvent, ("thread_id", "seq", "kind", "nbytes", "addr", "old_addr"),
      ("main", 3, AllocFnKind.REALLOC, 64, 0x20, 0x10), {}),
     (CounterSnapshot, ("malloc_calls", "calloc_calls", "realloc_calls", "free_calls", "bytes_allocated",
-                       "bytes_freed", "cost_nano", "overflow_count", "anomaly_count"), tuple(range(1, 10)), {}),
+                       "bytes_freed", "cost_nano", "anomaly_count"), tuple(range(1, 9)), {}),
     (ReportTotals, ("bytes_allocated", "bytes_freed", "live_blocks", "live_bytes", "anomaly_count",
                     "overflow_count"), (1, 2, 3, 4, 5, 6), dict.fromkeys(ReportTotals._fields, 0)),
     (ChurnReport, ("build_id", "created_at", "model", "merged", "per_thread", "totals"),

@@ -262,9 +262,8 @@ def test_seq_is_the_call_count_after_every_call(capacity):
         seqs = [ev.seq for ev in rec.events()]
         assert seqs == list(range(snap.seq - len(seqs), snap.seq))
         assert len(seqs) == min(capacity, n_calls)
-        # The overflow count is derived, not counted: one eviction per call
-        # once the ring is full.
-        assert snap.overflow_count == max(0, snap.seq - capacity)
+        # Evictions are derived, not counted: one per call once the ring is full.
+        assert snap.seq - len(seqs) == max(0, snap.seq - capacity)
     assert failures > 0
     rec.seal()
     assert len(rec.spans()) > 20
@@ -386,7 +385,20 @@ def test_snapshot_is_one_object_per_seq():
     rec.record_free(0xA)
     third = rec.snapshot()
     assert rec.snapshot() is third
-    assert (third.seq, third.free_calls, third.bytes_freed, third.overflow_count) == (3, 1, 1024, 1)
+    assert (third.seq, third.free_calls, third.bytes_freed) == (3, 1, 1024)
+    assert third.seq - len(rec.events()) == 1  # the full ring evicted one entry
+
+
+def test_snapshot_writes_nothing_on_a_full_ring():
+    rec = make_recorder(capacity=2)
+    for addr in range(0x10, 0x60, 0x10):
+        rec.record_malloc(64, addr)
+    counters = list(rec._c)
+    snap = rec.snapshot()
+    assert rec._c == counters and list(snap) == counters
+    assert snap.seq - len(rec.events()) == 3  # evicted, and counted nowhere
+    rec.seal()
+    assert rec.snapshot() is snap and rec._c == counters
 
 
 @pytest.mark.parametrize("call", [
@@ -456,23 +468,10 @@ def test_counters_monotone_over_time():
             "bytes_allocated",
             "bytes_freed",
             "cost_nano",
-            "overflow_count",
             "anomaly_count",
         ):
             assert getattr(snap, name) >= getattr(previous, name)
         previous = snap
-
-
-def _counter_fields(snap):
-    # Everything except overflow_count, which legitimately differs by capacity.
-    return (
-        snap.seq,
-        snapshot_calls(snap),
-        snap.bytes_allocated,
-        snap.bytes_freed,
-        snap.cost_nano,
-        snap.anomaly_count,
-    )
 
 
 def test_ring_overflow_never_changes_counters():
@@ -480,11 +479,12 @@ def test_ring_overflow_never_changes_counters():
     rng_b = random.Random(2004)
     tiny = ThreadRecorder("t0", MODEL, ring_capacity=1)
     big = ThreadRecorder("t0", MODEL, ring_capacity=1 << 20)
-    drive_random_ops(TracingAllocator(tiny), rng_a, 2000)
-    drive_random_ops(TracingAllocator(big), rng_b, 2000)
-    assert _counter_fields(tiny.snapshot()) == _counter_fields(big.snapshot())
-    assert tiny.snapshot().overflow_count > 0
-    assert big.snapshot().overflow_count == 0
+    with marker(tiny, "all") as tiny_span:
+        drive_random_ops(TracingAllocator(tiny), rng_a, 2000)
+    with marker(big, "all") as big_span:
+        drive_random_ops(TracingAllocator(big), rng_b, 2000)
+    assert tuple(tiny.snapshot()) == tuple(big.snapshot())
+    assert span_churn(tiny_span).overflow and not span_churn(big_span).overflow
 
 
 @pytest.mark.parametrize("capacity", [1, 4, 64])
@@ -501,7 +501,7 @@ def test_ring_keeps_most_recent_events(capacity):
     assert [ev.seq for ev in events] == list(range(len(log) - capacity, len(log)))
     snap = capped.snapshot()
     assert sum(snapshot_calls(snap).values()) == len(log)
-    assert snap.overflow_count == len(log) - capacity
+    assert snap.seq - len(events) == len(log) - capacity
 
 
 def test_interception_transparency_same_outcomes():
@@ -685,6 +685,10 @@ def test_each_call_is_admitted_after_its_size_check_and_before_anything_changes(
 def test_ring_capacity_below_one_rejected():
     with pytest.raises(ValueError, match="ring capacity"):
         ThreadRecorder("t0", MODEL, ring_capacity=0)
+    # Only an int is a capacity: not an integral float, a numeric string or a bool.
+    for value, shown in ((2.0, "2.0"), ("3", "'3'"), (True, "True")):
+        with pytest.raises(ValueError, match=f"^ring capacity must be an int, got {shown}$"):
+            ThreadRecorder("t0", MODEL, ring_capacity=value)
 
 
 def test_ring_capacity_past_maxsize_rejected_at_construction():

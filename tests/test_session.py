@@ -90,6 +90,7 @@ def rescan_oracle(session):
     then every part rescanned once per name."""
     parts = []
     for rec in session.recorders():
+        capacity = rec.ring_capacity
         for span in rec.spans():
             start, end = span.start_snapshot, span.end_snapshot
             start_calls = snapshot_calls(start)
@@ -100,7 +101,8 @@ def rescan_oracle(session):
                     **calls_fields({kind: n - start_calls[kind] for kind, n in snapshot_calls(end).items()}),
                     bytes_allocated=end.bytes_allocated - start.bytes_allocated,
                     bytes_freed=end.bytes_freed - start.bytes_freed,
-                    overflow=end.overflow_count > start.overflow_count,
+                    # Evictions at each end, as a ring evicts once per call once full.
+                    overflow=max(0, end.seq - capacity) > max(0, start.seq - capacity),
                     auto_closed=span.auto_closed,
                     thread_id=span.thread_id,
                     span_id=span.span_id,
@@ -195,6 +197,56 @@ def test_build_report_merges_each_name_once_with_only_its_parts():
 def test_ring_capacity_below_one_rejected_at_construction():
     with pytest.raises(ValueError, match=r"ring capacity must be >= 1, got 0"):
         RecordingSession(ring_capacity=0)
+    for value, shown in ((2.0, "2.0"), ("3", "'3'"), (True, "True"), (False, "False")):
+        with pytest.raises(ValueError, match=f"^ring capacity must be an int, got {shown}$"):
+            RecordingSession(ring_capacity=value)
+
+
+def _drive_with_a_ring_model(session, label, seed, n_calls, capacity, flags):
+    """Random calls and spans on one thread. Each span's expected ``overflow``
+    goes into ``flags`` by span id: whether a call inside it evicted an entry
+    from a simulated ring that holds ``capacity`` entries."""
+    rng = random.Random(seed)
+    rec = session.recorder(label)
+    heap = TracingAllocator(rec)
+    held = 0
+    open_spans = {}  # span -> whether a call inside it has evicted so far
+    for _ in range(n_calls):
+        if rng.random() < 0.4:
+            open_spans[begin_marker(rec, rng.choice("abc"))] = False
+        if open_spans and rng.random() < 0.4:
+            span = rng.choice(list(open_spans))
+            end_marker(span)
+            flags[span.span_id] = open_spans.pop(span)
+        evicts = held == capacity
+        held += not evicts
+        heap.malloc(rng.randrange(64))
+        for span in open_spans:
+            open_spans[span] |= evicts
+    flags.update((span.span_id, evicted) for span, evicted in open_spans.items())  # closed by the seal
+    return n_calls - held  # the calls that evicted
+
+
+def test_report_evictions_are_those_a_bounded_ring_makes():
+    capacity = 8
+    session = RecordingSession(ring_capacity=capacity, created_at="2026-01-01T00:00:00Z")
+    flags = {}
+    evictions = []
+    for label, seed, n_calls in (("long", 1, 30), ("short", 2, 6)):
+        worker = threading.Thread(target=lambda *args: evictions.append(_drive_with_a_ring_model(*args)),
+                                  args=(session, label, seed, n_calls, capacity, flags))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    session.seal_all()
+    report = session.build_report()
+    assert evictions == [22, 0]
+    assert report.totals.overflow_count == 22 == sum(rec.snapshot().seq - len(rec.events())
+                                                     for rec in session.recorders())
+    assert {part.span_id: part.overflow for part in report.per_thread} == flags
+    assert {part.thread_id for part in report.per_thread} == {"long", "short"}
+    assert set(flags.values()) == {False, True}
+    assert not any(part.overflow for part in report.per_thread if part.thread_id == "short")
 
 
 @pytest.mark.parametrize(

@@ -18,8 +18,9 @@ session (the work perfbench's ``setup_s`` times), from import to set-up done.
 It writes ``BENCH_<label>.json`` to the current directory: the Python
 version, the commands, every run's ``correct`` and ``failed``, and for each
 workload, seed and metric both sides' median, q1 and q3 (inclusive
-quartiles), the ratio of the medians (change over parent) and the pairs in
-which the change read lower. Ties count for neither side.
+quartiles), the ratio of the medians (change over parent), the pairs in
+which the change read lower, and ``exact``: whether each side read one
+value in every run. Ties count for neither side.
 
 Each metric the change tree's ``BENCHMARK.json`` declares also gets its
 ``better`` direction, and an end-to-end one the acceptance rule
@@ -84,18 +85,20 @@ def spread(values: list[float]) -> dict:
 
 
 def compare(parent: dict[int, float], change: dict[int, float]) -> dict:
-    """Both sides' spread, the ratio of medians and the pairs in which the
-    change read lower. Each side maps a pair number to its value; only pairs
-    both sides ran are compared."""
+    """Both sides' spread, the ratio of medians, the pairs in which the
+    change read lower, and whether each side read one value in every run
+    (``exact``). Each side maps a pair number to its value; only pairs both
+    sides ran are compared."""
     pairs = sorted(parent.keys() & change.keys())
-    base = spread([parent[p] for p in pairs])
-    new = spread([change[p] for p in pairs])
+    base_values, new_values = [parent[p] for p in pairs], [change[p] for p in pairs]
+    base, new = spread(base_values), spread(new_values)
     return {
         "pairs": len(pairs),
         "parent": base,
         "change": new,
         "ratio": new["median"] / base["median"] if base["median"] else None,
         "lower_in": [p for p in pairs if change[p] < parent[p]],
+        "exact": len(set(base_values)) == len(set(new_values)) == 1,
     }
 
 
