@@ -11,11 +11,13 @@ kind. On the hot path a call kind is its counter slot, the index of its
 ``*_calls`` field, and the model's weights are bound in slot order. Each
 call is admitted and charged in one step, ``_charge``: it refuses a call from
 another thread or after ``seal()``, and is the only place a call changes the
-live-block table, the counters and the bounded event ring: a ``deque`` of
-the most recent calls, each a bare ``(slot, nbytes, addr, old_addr)`` tuple,
-kept for diagnostics and replay. ``events()`` builds ``AllocEvent``s from it
-on read. A full ring evicts once per call; evictions are derived where a
-span is costed and a report is built, so the capacity changes no snapshot.
+live-block table, the counters and the bounded event ring, kept for
+diagnostics and replay: one ``deque`` of four slots per call (slot, nbytes,
+addr, old_addr), the most recent calls' slots in order, with no tuple per
+call. ``events()`` reads them four at a time and builds ``AllocEvent``s on
+read. A full ring evicts one call's four slots per call; evictions are
+derived where a span is costed and a report is built, so the capacity
+changes no snapshot.
 A ``record_*`` method checks only its sizes, and returns ``None``. The
 recorder's own bookkeeping does only dict, list and deque operations on
 ints, so it never calls back into a ``TracingAllocator``.
@@ -105,7 +107,7 @@ def checked_ring_capacity(ring_capacity: int | None) -> int:
     capacity = DEFAULT_RING_CAPACITY if ring_capacity is None else ring_capacity
     if type(capacity) is not int:  # a bool or an integral float included
         raise ValueError(f"ring capacity must be an int, got {capacity!r}")
-    if not 1 <= capacity <= sys.maxsize:  # deque(maxlen=) takes no more
+    if not 1 <= capacity <= sys.maxsize:  # no len() is larger, so no ring could hold more calls
         bound = ">= 1" if capacity < 1 else f"<= {sys.maxsize}"
         raise ValueError(f"ring capacity must be {bound}, got {capacity}")
     return capacity
@@ -120,6 +122,15 @@ class ThreadRecorder:
     is built. The one eviction rule: the call numbered ``seq`` evicts an entry
     iff ``seq >= ring_capacity``, so the first ``seq`` calls evicted
     ``max(0, seq - ring_capacity)``.
+
+    The ring is one ``deque`` of ``4 * ring_capacity`` slots, each call's
+    kind slot, nbytes, addr and old_addr in turn, so a full ring drops the
+    oldest call's four slots. A capacity above ``sys.maxsize // 4`` gets an
+    unbounded deque: ``deque(maxlen=)`` takes no more than ``sys.maxsize``
+    slots, and such a ring cannot fill before 2**61 calls. An asynchronous
+    exception (``KeyboardInterrupt``) between a call's four appends leaves
+    the ring misaligned, as one between two counter writes leaves the ring
+    and the counters out of step; nothing in churnscope reads the ring.
     """
 
     def __init__(self, thread_id: str, model: CostModel, ring_capacity: int | None = None):
@@ -127,7 +138,9 @@ class ThreadRecorder:
         self.ring_capacity = checked_ring_capacity(ring_capacity)
         self._weights = _slot_weights(model.weights)  # a tuple, in slot order
         self._os_ident = self._writer = get_ident()
-        self._ring: deque[tuple] = deque(maxlen=self.ring_capacity)
+        slots = 4 * self.ring_capacity
+        self._ring: deque[int | None] = deque(maxlen=slots if slots <= sys.maxsize else None)
+        self._log = self._ring.append  # bound once: four calls per recorded call
         self._c = [0] * len(CounterSnapshot._fields)
         self._live: dict[int, int] = {}
         self._spans: list[MarkerSpan] = []
@@ -196,8 +209,10 @@ class ThreadRecorder:
         by a free); ``addr`` enters it, charged and counted allocated at
         ``requested``. An unknown ``old_addr``, a request past ``BYTES_MAX``
         (clamped) and an ``addr`` already live (replaced) are an anomaly each.
-        The cost is ``event_cost`` inlined, float operations in order; a full
-        ring drops its oldest entry."""
+        The cost is ``event_cost`` inlined, float operations in order. The
+        call is logged last, after everything that can raise, as four ring
+        slots (four appends cost less than one ``extend`` of a tuple); a full
+        ring drops the oldest call's four."""
         if get_ident() != self._writer:
             self._require_writable()  # raises: another thread, or sealed
         c = self._c
@@ -224,7 +239,11 @@ class ThreadRecorder:
         if nbytes > 1:
             c[_COST] += round(self._weights[kind] * log2(nbytes) * NANO)
         c[kind] += 1
-        self._ring.append((kind, nbytes, addr, old_addr))
+        log = self._log
+        log(kind)
+        log(nbytes)
+        log(addr)
+        log(old_addr)
 
     # -- reading -----------------------------------------------------------
 
@@ -238,10 +257,12 @@ class ThreadRecorder:
         return self._snap
 
     def events(self) -> list[AllocEvent]:
-        """The retained events, oldest first. Ring eviction drops the front."""
-        tid, first = self.thread_id, self.snapshot().seq - len(self._ring)
+        """The retained events, oldest first, built from the ring's slots
+        read four at a time. Ring eviction drops the front."""
+        tid, first = self.thread_id, self.snapshot().seq - len(self._ring) // 4
+        slots = iter(self._ring)
         return [AllocEvent(tid, seq, _KINDS[kind], nbytes, addr, old_addr)
-                for seq, (kind, nbytes, addr, old_addr) in enumerate(self._ring, first)]
+                for seq, (kind, nbytes, addr, old_addr) in enumerate(zip(slots, slots, slots, slots), first)]
 
     def live_table(self) -> dict[int, int]:
         """Copy of the outstanding-block table (token to byte size)."""

@@ -142,3 +142,21 @@ def test_the_acceptance_rule(parent, change, better, fields):
     judged = abbench.judge(dict(enumerate(parent, 1)), dict(enumerate(change, 1)), better, 0.05)
     assert judged.pop("worse_by") == pytest.approx(fields.pop("worse_by"))
     assert judged == {"better": better, "bound": 0.05, **fields}
+
+
+def test_summary_lines_print_each_end_to_end_row_once():
+    runs = _runs([10.0, 12.0, 11.0, 13.0, 14.0], [9.0, 12.0, 12.0, 10.0, 10.0])
+    for run in runs:
+        run["result"]["metrics"]["recorder.us_per_call"] = {"value": 1.0, "unit": "us"}
+    rows = abbench.summarize(runs, BENCHMARK)
+    assert abbench.summary_lines(rows) == [
+        "abbench: dense-markers seed 1 run_s: 12 [11, 13] -> 10 s, ratio 0.8333, lower in 3/5, "
+        "within_bound=True, gain=False",
+        "abbench: dense-markers seed 1 peak_mem_mb: 4 [4, 4] -> 3.5 MB, ratio 0.8750, lower in 5/5, "
+        "within_bound=True, gain=True",
+    ]
+    assert abbench.summary_lines(abbench.summarize(runs)) == []  # no BENCHMARK.json, no end-to-end rows
+    zero = {"workload": "w", "seed": 2, "metric": "m", "unit": "B", **abbench.compare({1: 0.0}, {1: 0.0}),
+            **abbench.judge({1: 0.0}, {1: 0.0}, "lower", 0.02)}
+    assert abbench.summary_lines([zero]) == [
+        "abbench: w seed 2 m: 0 [0, 0] -> 0 B, ratio n/a, lower in 0/1, within_bound=True, gain=False"]

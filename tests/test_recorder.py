@@ -487,21 +487,28 @@ def test_ring_overflow_never_changes_counters():
     assert span_churn(tiny_span).overflow and not span_churn(big_span).overflow
 
 
-@pytest.mark.parametrize("capacity", [1, 4, 64])
-def test_ring_keeps_most_recent_events(capacity):
+@pytest.mark.parametrize("capacity", [1, 3, 4, 64, sys.maxsize // 4, sys.maxsize // 4 + 1, sys.maxsize])
+@pytest.mark.parametrize("limit", [None, 3000], ids=["bump", "capped"])
+def test_ring_keeps_most_recent_events(capacity, limit):
+    # A capped heap fails some calls, so entries with both tokens None sit in the ring too.
+    def drive(rec):
+        drive_random_ops(TracingAllocator(rec, None if limit is None else CappedHeap(limit)), random.Random(2006), 200)
+
     capped = ThreadRecorder("t0", MODEL, ring_capacity=capacity)
     uncapped = ThreadRecorder("t0", MODEL, ring_capacity=1 << 20)
-    drive_random_ops(TracingAllocator(capped), random.Random(2006), 200)
-    drive_random_ops(TracingAllocator(uncapped), random.Random(2006), 200)
+    drive(capped)
+    drive(uncapped)
     assert capped.ring_capacity == capacity
     log = uncapped.events()
     assert {ev.kind for ev in log} == set(AllocFnKind)
+    assert any(ev.addr is ev.old_addr is None and ev.kind is not AllocFnKind.FREE for ev in log) == (limit is not None)
+    kept = min(capacity, len(log))  # a ring longer than the log keeps all of it, numbered from 0
     events = capped.events()
-    assert events == log[-capacity:]
-    assert [ev.seq for ev in events] == list(range(len(log) - capacity, len(log)))
+    assert events == log[len(log) - kept:]
+    assert [ev.seq for ev in events] == list(range(len(log) - kept, len(log)))
     snap = capped.snapshot()
     assert sum(snapshot_calls(snap).values()) == len(log)
-    assert snap.seq - len(events) == len(log) - capacity
+    assert snap.seq - len(events) == max(0, len(log) - capacity)
 
 
 def test_interception_transparency_same_outcomes():

@@ -25,8 +25,9 @@ value in every run. Ties count for neither side.
 Each metric the change tree's ``BENCHMARK.json`` declares also gets its
 ``better`` direction, and an end-to-end one the acceptance rule
 (``judge``): its ``bound``, ``worse_by``, ``within_bound``, ``unresolved``
-and ``gain``. ``BENCHMARK.json`` is read, never written. Standard library
-only.
+and ``gain``. ``BENCHMARK.json`` is read, never written. Once the file is
+written, each end-to-end row is also printed to stderr as one line
+(``summary_lines``). Standard library only.
 """
 
 from __future__ import annotations
@@ -167,6 +168,25 @@ def summarize(runs: list[dict], benchmark: dict | None = None) -> list[dict]:
     return rows
 
 
+def summary_lines(rows: list[dict]) -> list[str]:
+    """One line per end-to-end row of ``summarize``: workload, seed, metric,
+    the parent's median [q1, q3], the change's median, the ratio of medians,
+    the pairs in which the change read lower out of all pairs, and the
+    acceptance rule's ``within_bound`` and ``gain``."""
+    lines = []
+    for row in rows:
+        if "bound" not in row:
+            continue
+        base, ratio = row["parent"], row["ratio"]
+        lines.append(
+            f"abbench: {row['workload']} seed {row['seed']} {row['metric']}: "
+            f"{base['median']:.6g} [{base['q1']:.6g}, {base['q3']:.6g}] -> {row['change']['median']:.6g} "
+            f"{row['unit']}, ratio {'n/a' if ratio is None else f'{ratio:.4f}'}, "
+            f"lower in {len(row['lower_in'])}/{row['pairs']}, "
+            f"within_bound={row['within_bound']}, gain={row['gain']}")
+    return lines
+
+
 def tree_state(tree: Path) -> dict:
     """The commit a tree has checked out and whether its files differ from it."""
     def git(*args: str) -> str | None:
@@ -258,6 +278,8 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"abbench: wrote {out}", file=sys.stderr)
+    for line in summary_lines(doc.get("summary", [])):
+        print(line, file=sys.stderr)
     return 0
 
 
