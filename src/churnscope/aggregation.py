@@ -125,9 +125,10 @@ def merge_phases(parts: Iterable[MarkerChurn]) -> dict[str, MarkerChurn]:
     flags; no per-name lists are kept. Integer sums are exact, so the result
     is the same in any order and however the parts are grouped. A merged
     record carries no ``thread_id`` or ``span_id``. The result is keyed in
-    name order, and empty for no parts. It is a report's ``merged``:
-    ``build_report`` computes it on the run path and ``parse_report`` when a
-    report is read.
+    name order, and empty for no parts. It is a report's ``merged``,
+    computed on that view's first read: ``parse_report`` reads it to check
+    the phases' costs, while ``build_report`` and ``serialize_report`` never
+    do; ``churnscope run`` reads it for its table once the file is written.
     """
     sums: dict[str, list] = {}
     for name, cost, malloc, calloc, realloc, free, allocated, freed, overflow, auto_closed, _, _ in parts:

@@ -112,8 +112,7 @@ def _format_table(headers: list[str], rows: list[list[str]]) -> str:
 
 def _report_rows(report: ChurnReport) -> list[list[str]]:
     rows = []
-    for name in sorted(report.merged):
-        record = report.merged[name]
+    for name, record in report.merged.items():  # keyed in name order
         flags = "".join(
             flag for flag, on in (("O", record.overflow), ("A", record.auto_closed)) if on
         )
@@ -152,6 +151,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     session = RecordingSession(model, build_id=args.build_id, created_at=created_at)
     spec = WorkloadSpec(args.workload, seed=args.seed, scale=args.scale, variant=args.variant)
     report = run_workload(spec, session)
+    # The file is written, and its bytes freed, before the table merges the phases.
     _write_atomically(args.out, serialize_report(report))
     headers = ["phase", "cost", "calls", "bytes_alloc", "bytes_freed", "flags"]
     print(f"workload {spec.name} ({spec.variant}, seed {spec.seed}, scale {spec.scale})")
@@ -174,12 +174,13 @@ def cmd_show(args: argparse.Namespace) -> int:
           f"(model {report.model.model_version})")
     headers = ["phase", "cost", "calls", "bytes_alloc", "bytes_freed", "flags"]
     rows = _report_rows(report)
+    phases = report.merged.values()
     rows.append([
         "TOTAL",
-        format_cost(sum(r.cost_micro for r in report.merged.values())),
-        str(sum(r.total_calls for r in report.merged.values())),
-        str(sum(r.bytes_allocated for r in report.merged.values())),
-        str(sum(r.bytes_freed for r in report.merged.values())),
+        format_cost(sum(r.cost_micro for r in phases)),
+        str(sum(r.total_calls for r in phases)),
+        str(sum(r.bytes_allocated for r in phases)),
+        str(sum(r.bytes_freed for r in phases)),
         "",
     ])
     print(_format_table(headers, rows))

@@ -119,22 +119,30 @@ class ReportTotals(namedtuple("ReportTotals", ("bytes_allocated", "bytes_freed",
     overflow_count: int
 
 
-class ChurnReport(namedtuple("ChurnReport", ("build_id", "created_at", "model", "merged", "per_thread", "totals"))):
+class ChurnReport(namedtuple("ChurnReport", ("build_id", "created_at", "model", "per_thread", "totals"))):
     """Canonical per-build artifact: per-thread parts plus the whole-run counters.
 
-    ``merged`` holds one record per phase name, the sum of that name's parts
-    (``merge_phases``). It is computed when a report is built or parsed and is
-    never written: a report file holds each span once.
+    The five fields are the report; ``merged``, one record per phase name,
+    is a view of ``per_thread`` (``merge_phases``), computed on its first
+    read and kept. Equality is the five fields', as a tuple's. Edit
+    a report with ``_replace``, which gives a fresh view; a ``per_thread``
+    list mutated in place after ``merged`` was read leaves the view stale.
     """
-
-    __slots__ = ()
 
     build_id: str
     created_at: str
     model: CostModel
-    merged: dict[str, MarkerChurn]
     per_thread: list[MarkerChurn]
     totals: ReportTotals
+
+    @property
+    def merged(self) -> dict[str, MarkerChurn]:
+        """Each phase's parts summed, keyed in name order: ``merge_phases(self.per_thread)``, once."""
+        cache = self.__dict__
+        merged = cache.get("merged")
+        if merged is None:
+            merged = cache["merged"] = merge_phases(self.per_thread)
+        return merged
 
 
 class ChurnDelta(namedtuple("ChurnDelta", ("phase", "status", "baseline", "candidate"))):
@@ -362,7 +370,8 @@ def serialize_report(report: ChurnReport) -> bytes:
     """Canonical bytes for a report; equal reports yield identical bytes.
 
     ``_HEADER`` filled with the report's fields, then each thread record,
-    encoded as it is written (``_document``); ``merged`` is not written.
+    encoded as it is written (``_document``); ``merged``, a view, is not
+    written or read.
     Record field types are trusted; a non-finite weight raises ValueError,
     and so does a total that is not an int >= 0, named as ``counters`` and
     its field, or a thread record ``parse_report`` would refuse on its own
@@ -568,15 +577,16 @@ def _check_written(m: re.Match[str], group: int, written: str, label: str, key: 
         raise _fault(m.string, m.start(group), label, written[:24], key)
 
 
-def _merged_threads(per_thread: list[MarkerChurn]) -> dict[str, MarkerChurn]:
-    """A report's ``merged``, once its thread records meet the cost rules
+def _check_threads(report: ChurnReport) -> None:
+    """ReportError unless ``report``'s thread records meet the cost rules
     (``_charge_fault``) and the rules between them: the order
     ``build_report`` writes them in, no span id twice, and no phase's summed
-    cost past the largest a report holds."""
+    cost past the largest a report holds. That last rule reads
+    ``report.merged``, so a parsed report's phases are merged here, once."""
     span_ids: set[str] = set()
     # build_report's order: labels sorted, spans in begin order, ids label/NNNNNN.
     last: tuple = ("", -1, "")
-    for i, record in enumerate(per_thread):
+    for i, record in enumerate(report.per_thread):
         fault = _charge_fault(record)
         if fault:
             raise ReportError(f"threads[{i}] {fault}")
@@ -588,11 +598,9 @@ def _merged_threads(per_thread: list[MarkerChurn]) -> dict[str, MarkerChurn]:
             raise ReportError(f"threads[{i}] is out of order: not sorted by thread_id, then span_id")
         span_ids.add(span_id)
         last = key
-    merged = merge_phases(per_thread)
-    for name, record in merged.items():
+    for name, record in report.merged.items():
         if record.cost_micro > _MAX_MICRO:
             raise ReportError(f"phase {name!r} field 'cost' is out of range or not a whole number of micro-units")
-    return merged
 
 
 def parse_report(data: bytes | str) -> ChurnReport:
@@ -601,11 +609,11 @@ def parse_report(data: bytes | str) -> ChurnReport:
     The bytes must match the patterns of the writer's own templates. Then
     come the rules no pattern expresses: the cost model's (named
     ``cost_model``), each weight written back as its literal, and the
-    records' (``_merged_threads``), which computes ``merged`` as
-    ``RecordingSession.build_report`` does. A fault raises ReportError: a
-    byte-level one names the header (``report``) or record (``threads[i]``),
-    the field where there is one, and the byte offset; a rule has its own
-    message.
+    records' (``_check_threads``). The last of these reads the report's
+    ``merged``, so the report returned has its phases merged already, once.
+    A fault raises ReportError: a byte-level one names the header
+    (``report``) or record (``threads[i]``), the field where there is one,
+    and the byte offset; a rule has its own message.
     """
     text, head, per_thread, _ = _read_document(data, _REPORT, _record)
     build_id, version, *weights, anomalies, allocated, freed, blocks, live, overflows, created_at = head.groups()
@@ -620,7 +628,9 @@ def parse_report(data: bytes | str) -> ChurnReport:
         raise ReportError(str(exc).replace("cost model", "cost_model", 1)) from None
     for group, kind in enumerate(_WEIGHT_KINDS, 3):
         _check_written(head, group, _fixed(model.weights[kind]), "report", kind.value)
-    return ChurnReport(build_id, created_at, model, _merged_threads(per_thread), per_thread, totals)
+    report = ChurnReport(build_id, created_at, model, per_thread, totals)
+    _check_threads(report)
+    return report
 
 
 # ---------------------------------------------------------------------------

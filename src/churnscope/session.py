@@ -12,7 +12,7 @@ import math
 import threading
 import time
 
-from .aggregation import merge_phases, span_churn
+from .aggregation import span_churn
 from .cost_model import CostModel
 from .errors import RecorderStateError
 from .markers import utf8_bytes
@@ -122,10 +122,9 @@ class RecordingSession:
     def build_report(self) -> ChurnReport:
         """Assemble the canonical report from the sealed recorders.
 
-        Each span is one part; ``merged`` sums the parts by name with
-        ``merge_phases``, in one pass, so the cost is linear in the number of
-        spans however many names they use. ``parse_report`` computes
-        ``merged`` from a report's parts the same way.
+        Each span is one part. Nothing is merged here: the report's
+        ``merged`` sums its parts by name on its first read, so a run that
+        only writes its report never merges.
         """
         recs = self.recorders()
         for rec in recs:
@@ -150,7 +149,6 @@ class RecordingSession:
             build_id=self.build_id,
             created_at=self.created_at if self.created_at is not None else utc_timestamp(),
             model=self._model,
-            merged=merge_phases(parts),
             per_thread=parts,
             totals=totals,
         )

@@ -160,3 +160,34 @@ def test_summary_lines_print_each_end_to_end_row_once():
             **abbench.judge({1: 0.0}, {1: 0.0}, "lower", 0.02)}
     assert abbench.summary_lines([zero]) == [
         "abbench: w seed 2 m: 0 [0, 0] -> 0 B, ratio n/a, lower in 0/1, within_bound=True, gain=False"]
+
+
+def _hung_checkout(root: Path) -> Path:
+    """A checkout whose perfbench run, and whose ``import churnscope``, sleep far past any timeout."""
+    for script in (root / "perfbench" / "run.py", root / "src" / "churnscope" / "__init__.py"):
+        script.parent.mkdir(parents=True)
+        script.write_text("import time\ntime.sleep(600)\n")
+    (root / "BENCHMARK.json").write_text("{}\n")
+    return root
+
+
+@pytest.mark.parametrize("args, names", [
+    (["--workload", "dense-markers", "--seed", "3"], "dense-markers seed 3: perfbench did not finish in 0.5 s"),
+    (["--imports", "1"], "import run did not finish in 0.5 s"),
+])
+def test_a_hung_run_is_killed_and_named(tmp_path, monkeypatch, args, names):
+    parent, change = _hung_checkout(tmp_path / "parent"), _hung_checkout(tmp_path / "change")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(abbench, "TIMEOUT_GRACE_S", 0.3)  # with --seconds 0.1: 0.5 s per run
+    with pytest.raises(SystemExit) as exc:
+        abbench.main([str(parent), str(change), *args, "--seconds", "0.1", "--pairs", "1", "--label", "hung"])
+    assert exc.value.code == f"abbench: {parent}: {names}"
+    assert not (tmp_path / "BENCH_hung.json").exists()
+    assert abbench.timeout(25) == 2 * 25 + 0.3
+
+
+@pytest.mark.parametrize("seconds", ["-1", "nan", "inf"])
+def test_seconds_must_be_finite_and_not_negative(seconds, capsys):
+    with pytest.raises(SystemExit) as exc:
+        abbench.main(["p", "c", "--workload", "dense-markers", "--seconds", seconds, "--label", "x"])
+    assert exc.value.code == 2 and "--seconds must be a finite number >= 0" in capsys.readouterr().err

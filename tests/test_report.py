@@ -437,6 +437,8 @@ def test_a_call_count_reads_the_same_in_every_reader():
 
 def test_parse_revalidates_many_parts_merge():
     report = report_with_units({"p": 2})
+    # Read before the in-place edit below, which a view read earlier does not see.
+    merged = report.merged["p"]
     # split the phase across extra synthetic spans on other threads
     extra = [
         MarkerChurn(
@@ -451,7 +453,6 @@ def test_parse_revalidates_many_parts_merge():
         for i in range(3)
     ]
     report.per_thread.extend(extra)
-    merged = report.merged["p"]
     data = serialize_report(report)
     parsed = parse_report(data)
     # The phase is merged from the parts on read; the report stores none of it.
@@ -466,6 +467,37 @@ def test_parse_revalidates_many_parts_merge():
         bytes_freed=merged.bytes_freed,
     )
     assert serialize_report(parsed) == data
+
+
+def test_a_replaced_report_diffs_as_its_written_form():
+    base = report_with_units({"work": 10})
+    assert base.merged["work"].cost_micro == 100_000_000  # read, and kept, before the edit
+    candidate = base._replace(per_thread=report_with_units({"work": 20}).per_thread)
+    written = parse_report(serialize_report(candidate))
+    verdict = diff_reports(base, candidate)
+    assert serialize_verdict(verdict) == serialize_verdict(diff_reports(base, written))
+    assert verdict.regression_detected
+
+
+def test_the_run_path_merges_nothing_and_a_parse_merges_once(monkeypatch):
+    merges = []
+
+    def counted(parts):
+        merges.append(parts)
+        return merge_phases(parts)
+
+    # Every binding of merge_phases in the package, wherever a module imported it.
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "churnscope"]:
+        if getattr(module, "merge_phases", None) is merge_phases:
+            monkeypatch.setattr(module, "merge_phases", counted)
+    report = report_with_units({"a": 1, "b": 2})
+    data = serialize_report(report)
+    assert len(merges) == 0
+    parsed = parse_report(data)
+    assert len(merges) == 1 and parsed.merged == merge_phases(parsed.per_thread)
+    merges.clear()
+    serialize_verdict(diff_reports(parse_report(data), parse_report(data)))
+    assert len(merges) == 2
 
 
 def test_format_cost_renders_integers_exactly():
@@ -779,7 +811,6 @@ def _writer_strategies():
         build_id=text,
         created_at=text,
         model=st.builds(CostModel, weights, text.filter(bool)),  # a model's version is never empty
-        merged=st.just({}),  # not written
         per_thread=st.lists(records(text), max_size=4),
         totals=st.builds(ReportTotals, *[count] * len(ReportTotals._fields)),
     )

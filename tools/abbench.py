@@ -15,6 +15,10 @@ read: perfbench's result, with ``correct``, ``failed`` and the metrics.
 each tree, each running ``import churnscope`` and the set-up of a recording
 session (the work perfbench's ``setup_s`` times), from import to set-up done.
 
+A perfbench run or an import child that outlasts ``timeout(--seconds)`` is
+taken to hang: it is killed, and abbench exits naming its tree (and the
+workload and seed of a perfbench run).
+
 It writes ``BENCH_<label>.json`` to the current directory: the Python
 version, the commands, every run's ``correct`` and ``failed``, and for each
 workload, seed and metric both sides' median, q1 and q3 (inclusive
@@ -54,6 +58,14 @@ elapsed = time.perf_counter() - t0
 print(churnscope.__file__)
 print(elapsed)
 """
+
+# What a run may take beyond twice --seconds: perfbench's set-up and checks take a few seconds more.
+TIMEOUT_GRACE_S = 60.0
+
+
+def timeout(seconds: float) -> float:
+    """How long one perfbench run, or one ``--imports`` child, may take before it is killed as hung."""
+    return 2 * seconds + TIMEOUT_GRACE_S
 
 
 def order(pair: int) -> tuple[str, str]:
@@ -200,17 +212,26 @@ def tree_state(tree: Path) -> dict:
     return {"commit": git("rev-parse", "HEAD"), "dirty": None if status is None else bool(status)}
 
 
-def run_perfbench(tree: Path, argv: list[str]) -> dict:
-    done = subprocess.run([sys.executable, *argv], cwd=tree, capture_output=True, text=True)
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    what = f"abbench: {tree}: {workload} seed {seed}"
+    argv = [sys.executable, *perfbench_command(workload, seed, seconds, trace)]
+    try:
+        done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=timeout(seconds))
+    except subprocess.TimeoutExpired:
+        sys.exit(f"{what}: perfbench did not finish in {timeout(seconds):g} s")
     try:
         return read_result(done.stdout)
     except ValueError as exc:
-        sys.exit(f"abbench: {tree}: {exc} (exit {done.returncode}); stderr ends:\n{done.stderr[-2000:]}")
+        sys.exit(f"{what}: {exc} (exit {done.returncode}); stderr ends:\n{done.stderr[-2000:]}")
 
 
-def time_import(tree: Path) -> float:
+def time_import(tree: Path, seconds: float) -> float:
     src = (tree / "src").resolve()
-    done = subprocess.run([sys.executable, "-I", "-c", IMPORT_CODE, str(src)], capture_output=True, text=True)
+    try:
+        done = subprocess.run([sys.executable, "-I", "-c", IMPORT_CODE, str(src)], capture_output=True, text=True,
+                              timeout=timeout(seconds))
+    except subprocess.TimeoutExpired:
+        sys.exit(f"abbench: {tree}: import run did not finish in {timeout(seconds):g} s")
     lines = done.stdout.splitlines()
     if done.returncode or len(lines) != 2 or Path(lines[0]).resolve().parent.parent != src:
         sys.exit(f"abbench: {tree}: import run failed or imported another churnscope:\n{done.stdout}{done.stderr}")
@@ -233,6 +254,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--label may hold only letters, digits, '.', '_' and '-'")
     if args.pairs < 1 or args.imports < 0:
         parser.error("--pairs must be >= 1 and --imports >= 0")
+    if not 0 <= args.seconds < float("inf"):
+        parser.error("--seconds must be a finite number >= 0")
     if not args.workload and not args.imports:
         parser.error("give at least one --workload, or --imports N")
     seeds = args.seed or [1]
@@ -257,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
             for workload in args.workload:
                 for seed in seeds:
                     for side in order(pair):
-                        result = run_perfbench(trees[side], perfbench_command(workload, seed, args.seconds, args.trace))
+                        result = run_perfbench(trees[side], workload, seed, args.seconds, args.trace)
                         runs.append({"pair": pair, "side": side, "workload": workload, "seed": seed,
                                      "result": result})
                         print(f"abbench: pair {pair} {side:6s} {workload} seed {seed}: correct={result['correct']} "
@@ -273,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         seconds: dict[str, dict[int, float]] = {side: {} for side in SIDES}
         for pair in range(1, args.imports + 1):
             for side in order(pair):
-                seconds[side][pair] = time_import(trees[side])
+                seconds[side][pair] = time_import(trees[side], args.seconds)
         doc["imports"] = {"unit": "s", **compare(seconds["parent"], seconds["change"])}
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n")
