@@ -6,7 +6,7 @@ weighted log2 byte rule, and writes canonical per-build reports that a CI
 job can diff to detect and rank performance regressions.
 """
 
-from .aggregation import MarkerChurn, merge_phases, span_churn
+from .aggregation import MarkerChurn, merge_phases
 from .cost_model import (
     AllocFnKind,
     CostModel,
@@ -25,7 +25,7 @@ from .errors import (
     ThreadAffinityError,
     WorkloadError,
 )
-from .markers import MarkerSpan, begin_marker, end_marker, marker
+from .markers import MarkerSpan, begin_marker, end_marker, marker, span_churn
 from .recorder import (
     AllocEvent,
     BumpAllocator,

@@ -1,4 +1,10 @@
-"""Span costing from snapshot deltas, and merging results across threads."""
+"""Churn records, and merging them across spans and threads.
+
+A span's record is built where the span closes (``markers``); this module
+holds the record type, the check every string field passes, and the one
+merge. It imports from churnscope only the cost model's call kinds and
+units, so ``markers`` can import it.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +12,16 @@ from collections import namedtuple
 from typing import Any, Iterable
 
 from .cost_model import MICRO, AllocFnKind
-from .errors import SpanStateError
-from .markers import MarkerSpan, utf8_bytes
+
+
+def utf8_bytes(field: str, text: str) -> bytes:
+    """``text`` in UTF-8. Raise ValueError naming ``field`` if it has no UTF-8
+    form (it holds a lone surrogate), so a report that holds it could not be
+    written."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{field} {text!r} is not valid Unicode ({exc.reason} at position {exc.start})") from None
 
 
 _ChurnFields = namedtuple(
@@ -37,7 +51,7 @@ class MarkerChurn(_ChurnFields):
     an edited copy with ``_replace``. Every way of building one, ``_replace``
     and ``_make`` included, checks each field's exact type: ``name`` a str,
     the cost, counts and byte totals ints, the two flags bools and each id a
-    str or None, and each str with a UTF-8 form (``markers.utf8_bytes``),
+    str or None, and each str with a UTF-8 form (``utf8_bytes``),
     else ``ValueError`` names the field; so the writers can trust the types.
     Signs, and a cost with no calls, are left to the writers and readers.
     A report writes each per-thread record as the document of its fields,
@@ -87,32 +101,6 @@ class MarkerChurn(_ChurnFields):
     @property
     def total_calls(self) -> int:
         return self.malloc_calls + self.calloc_calls + self.realloc_calls + self.free_calls
-
-
-def span_churn(span: MarkerSpan) -> MarkerChurn:
-    """Cost a closed span from its endpoint snapshots.
-
-    The cost is the running total's delta in nano-units, the exact sum of the
-    span's per-call costs under its recorder's model, rounded half up to
-    micro-units; so it depends only on the calls inside the span. ``overflow``
-    is derived from the two ``seq`` and the recorder's ring capacity.
-    """
-    if not span.closed:
-        raise SpanStateError(f"span {span.span_id!r} ({span.name!r}) is still open")
-    rec = span.recorder
-    malloc0, calloc0, realloc0, free0, allocated0, freed0, nano0, _ = span.start_snapshot
-    malloc1, calloc1, realloc1, free1, allocated1, freed1, nano1, _ = span.end_snapshot
-    seq = malloc1 + calloc1 + realloc1 + free1
-    # tuple.__new__ skips the named tuple's Python-level __new__: all twelve fields are given in order.
-    return tuple.__new__(MarkerChurn, (
-        span.name,
-        (nano1 - nano0 + 500) // 1000,  # nano- to micro-units, ties up
-        malloc1 - malloc0, calloc1 - calloc0, realloc1 - realloc0, free1 - free0,
-        allocated1 - allocated0, freed1 - freed0,
-        # Some call in [start seq, seq) evicted, by ThreadRecorder's eviction rule.
-        seq > malloc0 + calloc0 + realloc0 + free0 and seq > rec.ring_capacity,
-        span.auto_closed, rec.thread_id, span.span_id,
-    ))
 
 
 def merge_phases(parts: Iterable[MarkerChurn]) -> dict[str, MarkerChurn]:

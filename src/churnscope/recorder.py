@@ -6,18 +6,20 @@ They are the ground truth and survive any ring eviction; ``seq``, the number
 of calls recorded, is derived from the four call counts rather than stored.
 A snapshot is one tuple copy per ``seq``: marker endpoints with no call
 between them share one immutable snapshot, and after ``seal()`` a snapshot
-is a pure read. Bytes are two totals, allocated and freed, whatever the call
-kind. On the hot path a call kind is its counter slot, the index of its
-``*_calls`` field, and the model's weights are bound in slot order. Each
-call is admitted and charged in one step, ``_charge``: it refuses a call from
-another thread or after ``seal()``, and is the only place a call changes the
-live-block table, the counters and the bounded event ring, kept for
-diagnostics and replay: one ``deque`` of four slots per call (slot, nbytes,
-addr, old_addr), the most recent calls' slots in order, with no tuple per
-call. ``events()`` reads them four at a time and builds ``AllocEvent``s on
-read. A full ring evicts one call's four slots per call; evictions are
-derived where a span is costed and a report is built, so the capacity
-changes no snapshot.
+is a pure read. A span holds its start snapshot only while it is open: it
+is costed where it closes and keeps its record instead. Bytes are two
+totals, allocated and freed, whatever the call kind. On the hot path a call
+kind is its counter slot, the index of its ``*_calls`` field, and the
+model's weights are bound in slot order. Each call is admitted and charged
+in one step, ``_charge``: it refuses a call from another thread or after
+``seal()``, and is the only place a call changes the live-block table, the
+counters and the bounded event ring, kept for diagnostics and replay: one
+``deque`` of four slots per call (slot, nbytes, addr, old_addr), the most
+recent calls' slots in order, with no tuple per call. ``events()`` reads
+them four at a time and builds ``AllocEvent``s on read. A full ring evicts
+one call's four slots per call; evictions are derived where a span is
+costed, at its close, and where a report is built, so the capacity changes
+no snapshot.
 A ``record_*`` method checks only its sizes, and returns ``None``. The
 recorder's own bookkeeping does only dict, list and deque operations on
 ints, so it never calls back into a ``TracingAllocator``.
@@ -275,15 +277,16 @@ class ThreadRecorder:
         return list(self._spans)
 
     def seal(self) -> None:
-        """Stop recording. Open spans are closed at the seal snapshot and
-        flagged auto_closed. Idempotent. Call from the owning thread, or from
-        elsewhere only once the owning thread has quiesced (e.g. post-join)."""
+        """Stop recording. Open spans are closed at the seal snapshot: each
+        is costed there and its record flagged auto_closed. Idempotent. Call
+        from the owning thread, or from elsewhere only once the owning thread
+        has quiesced (e.g. post-join)."""
         if self._writer is None:
             return
         snap = self.snapshot()
         for span in self._spans:
             if not span.closed:
-                span._finalize(snap, auto_closed=True)
+                span._close(snap, auto_closed=True)
         self._writer = None
 
 

@@ -2,8 +2,8 @@
 
 A session fixes its cost model before the first event and hands each thread
 its own recorder. Threads record independently with no shared state; after
-all recorders are sealed, `build_report` merges the per-thread results into
-the canonical per-build report.
+all recorders are sealed, `build_report` gathers each span's record, made
+when the span closed, into the canonical per-build report.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ import math
 import threading
 import time
 
-from .aggregation import span_churn
+from .aggregation import utf8_bytes
 from .cost_model import CostModel
 from .errors import RecorderStateError
-from .markers import utf8_bytes
+from .markers import span_churn
 from .recorder import ThreadRecorder, checked_ring_capacity
 from .report import ChurnReport, ReportTotals
 
@@ -122,9 +122,10 @@ class RecordingSession:
     def build_report(self) -> ChurnReport:
         """Assemble the canonical report from the sealed recorders.
 
-        Each span is one part. Nothing is merged here: the report's
-        ``merged`` sums its parts by name on its first read, so a run that
-        only writes its report never merges.
+        Each span is one part: the record it was costed into when it closed
+        (``seal()`` closes any still open), so nothing is costed here. Nothing
+        is merged either: the report's ``merged`` sums its parts by name on
+        its first read, so a run that only writes its report never merges.
         """
         recs = self.recorders()
         for rec in recs:

@@ -7,6 +7,7 @@ caller, so every generated case is reproducible.
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 from churnscope import ThreadRecorder, TracingAllocator
 from churnscope.markers import MarkerSpan, begin_marker, end_marker
@@ -52,30 +53,48 @@ def drive_random_ops(
         heap.free(tok)
 
 
+class DrivenSpan(NamedTuple):
+    """A span ``drive_with_spans`` opened, with the ``seq`` read at its begin
+    and end markers: the span covers the calls numbered [begin_seq, end_seq)."""
+
+    span: MarkerSpan
+    begin_seq: int
+    end_seq: int
+
+
 def drive_with_spans(
     rec: ThreadRecorder,
     heap: TracingAllocator,
     rng: random.Random,
     n_ops: int,
     allow_anomalies: bool = True,
-) -> list[MarkerSpan]:
+) -> list[DrivenSpan]:
     """Random calls with randomly placed, possibly overlapping spans.
 
     Spans open and close at arbitrary points and the span being closed is
     picked at random among the open ones, so nesting, partial overlap, and
-    zero-width spans all occur. Returns every span, all closed.
+    zero-width spans all occur. Returns every span, all closed, in begin
+    order, each with the ``seq`` read (``rec.snapshot().seq``) at its two
+    markers.
     """
     live: list[int] = []
     open_spans: list[MarkerSpan] = []
-    spans: list[MarkerSpan] = []
+    begun: list[tuple[MarkerSpan, int]] = []
+    ends: dict[str, int] = {}
+
+    def close(span: MarkerSpan) -> None:
+        ends[span.span_id] = rec.snapshot().seq
+        end_marker(span)
+
     for _ in range(n_ops):
         marker_roll = rng.random()
         if marker_roll < 0.06 and len(open_spans) < 8:
+            seq = rec.snapshot().seq
             span = begin_marker(rec, rng.choice(_SPAN_NAMES))
             open_spans.append(span)
-            spans.append(span)
+            begun.append((span, seq))
         elif marker_roll < 0.10 and open_spans:
-            end_marker(open_spans.pop(rng.randrange(len(open_spans))))
+            close(open_spans.pop(rng.randrange(len(open_spans))))
         roll = rng.random()
         if live and roll < 0.30:
             heap.free(live.pop(rng.randrange(len(live))))
@@ -90,10 +109,10 @@ def drive_with_spans(
             if tok is not None:
                 live.append(tok)
     for span in reversed(open_spans):
-        end_marker(span)
+        close(span)
     for tok in live:
         heap.free(tok)
-    return spans
+    return [DrivenSpan(span, seq, ends[span.span_id]) for span, seq in begun]
 
 
 def _size(rng: random.Random) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from churnscope import AllocEvent, AllocFnKind, CostModel, event_cost
+from churnscope import AllocEvent, AllocFnKind, CostModel, MarkerChurn, event_cost
 
 
 @dataclass
@@ -73,3 +73,29 @@ def replay(
             out.calls[kind] += 1
             out.cost_nano += round(event_cost(model, kind, nbytes) * 10**9)
     return out
+
+
+def replay_record(
+    events: list[AllocEvent],
+    model: CostModel,
+    span,
+    start_seq: int,
+    end_seq: int,
+    ring_capacity: int,
+    auto_closed: bool = False,
+) -> MarkerChurn:
+    """The record a span covering the calls numbered [start, end) should
+    hold, from ``replay``. Its ``overflow`` holds when some call in the window
+    evicted, a call numbered ``seq`` evicting iff ``seq >= ring_capacity``."""
+    out = replay(events, model, start_seq, end_seq)
+    return MarkerChurn(
+        name=span.name,
+        cost_micro=out.cost_micro,
+        **{f"{kind.value}_calls": n for kind, n in out.calls.items()},
+        bytes_allocated=out.bytes_allocated,
+        bytes_freed=out.bytes_freed,
+        overflow=any(seq >= ring_capacity for seq in range(start_seq, end_seq)),
+        auto_closed=auto_closed,
+        thread_id=span.thread_id,
+        span_id=span.span_id,
+    )

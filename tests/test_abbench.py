@@ -162,6 +162,58 @@ def test_summary_lines_print_each_end_to_end_row_once():
         "abbench: w seed 2 m: 0 [0, 0] -> 0 B, ratio n/a, lower in 0/1, within_bound=True, gain=False"]
 
 
+# A memory child's readings, as MEMORY_CODE prints them: stage, bytes still
+# allocated after it, the stage's own peak.
+PARENT_READINGS = [["drive", 1_000, 1_500], ["seal", 1_100, 1_200], ["build_report", 1_600, 1_700],
+                   ["serialize_report", 2_600, 2_650]]
+CHANGE_READINGS = [["drive", 800, 1_200], ["seal", 800, 850], ["build_report", 750, 900],
+                   ["serialize_report", 1_750, 1_800]]
+
+
+def test_memory_stages_give_what_each_stage_keeps_adds_and_peaks_at():
+    assert abbench.memory_stages(PARENT_READINGS) == {
+        "drive": {"retained": 1_000, "added": 1_000, "peak": 1_500},
+        "seal": {"retained": 1_100, "added": 100, "peak": 1_200},
+        "build_report": {"retained": 1_600, "added": 500, "peak": 1_700},
+        "serialize_report": {"retained": 2_600, "added": 1_000, "peak": 2_650},
+    }
+    # A stage that frees more than it keeps adds a negative figure.
+    assert abbench.memory_stages(CHANGE_READINGS)["build_report"] == {"retained": 750, "added": -50, "peak": 900}
+    assert abbench.memory_stages([]) == {}
+
+
+def test_memory_summary_compares_each_stage_and_measure_parent_to_change():
+    runs = []
+    for pair in (1, 2, 3):
+        for side in abbench.order(pair):
+            readings = PARENT_READINGS if side == "parent" else CHANGE_READINGS
+            if side == "change" and pair == 3:  # one change run keeps 30 more bytes after its drive
+                readings = [["drive", 830, 1_200], *CHANGE_READINGS[1:]]
+            runs.append({"pair": pair, "side": side, "workload": "dense-markers", "seed": 1,
+                         "stages": abbench.memory_stages(readings)})
+    rows = abbench.summarize_memory(runs)
+    assert [(row["stage"], row["measure"]) for row in rows] == [
+        (stage, measure) for stage in ("drive", "seal", "build_report", "serialize_report")
+        for measure in ("retained", "added", "peak")]
+    assert all((row["workload"], row["seed"], row["unit"], row["pairs"]) == ("dense-markers", 1, "B", 3)
+               for row in rows)
+    by_key = {(row["stage"], row["measure"]): row for row in rows}
+    drive = by_key["drive", "retained"]
+    assert drive["parent"] == {"median": 1_000, "q1": 1_000, "q3": 1_000}
+    assert drive["change"] == {"median": 800, "q1": 800, "q3": 815}
+    assert (drive["ratio"], drive["lower_in"], drive["exact"]) == (0.8, [1, 2, 3], False)
+    # The pair-3 run's extra 30 bytes after the drive are not added again by the seal.
+    assert by_key["seal", "added"]["change"] == {"median": 0, "q1": -15, "q3": 0}
+    assert by_key["build_report", "added"]["ratio"] == -50 / 500
+    assert by_key["serialize_report", "peak"]["exact"] is True
+    assert abbench.memory_lines(rows) == [
+        "abbench: dense-markers seed 1 memory drive: adds 1,000 -> 800 B, lower in 3/3",
+        "abbench: dense-markers seed 1 memory seal: adds 100 -> 0 B, lower in 3/3",
+        "abbench: dense-markers seed 1 memory build_report: adds 500 -> -50 B, lower in 3/3",
+        "abbench: dense-markers seed 1 memory serialize_report: adds 1,000 -> 1,000 B, lower in 0/3",
+    ]
+
+
 def _hung_checkout(root: Path) -> Path:
     """A checkout whose perfbench run, and whose ``import churnscope``, sleep far past any timeout."""
     for script in (root / "perfbench" / "run.py", root / "src" / "churnscope" / "__init__.py"):
@@ -174,6 +226,7 @@ def _hung_checkout(root: Path) -> Path:
 @pytest.mark.parametrize("args, names", [
     (["--workload", "dense-markers", "--seed", "3"], "dense-markers seed 3: perfbench did not finish in 0.5 s"),
     (["--imports", "1"], "import run did not finish in 0.5 s"),
+    (["--memory", "--seed", "3"], "long-phases seed 3: memory run did not finish in 0.5 s"),
 ])
 def test_a_hung_run_is_killed_and_named(tmp_path, monkeypatch, args, names):
     parent, change = _hung_checkout(tmp_path / "parent"), _hung_checkout(tmp_path / "change")

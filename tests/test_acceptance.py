@@ -103,9 +103,9 @@ def test_criterion_04_oracle_equivalence():
         spans = drive_with_spans(rec, heap, rng, n_ops)
         events = rec.events()
         assert len(events) == rec.snapshot().seq  # full log retained
-        for span in spans:
+        for span, begin_seq, end_seq in spans:
             churn = span_churn(span)
-            oracle = replay(events, MODEL, span.start_snapshot.seq, span.end_snapshot.seq)
+            oracle = replay(events, MODEL, begin_seq, end_seq)
             assert churn.calls == oracle.calls
             assert churn.bytes_allocated == oracle.bytes_allocated
             assert churn.bytes_freed == oracle.bytes_freed
@@ -126,24 +126,30 @@ def test_criterion_05_additivity_and_merge_properties():
     for case in range(500):
         rec = ThreadRecorder(f"bisect{case}", MODEL, ring_capacity=1 << 14)
         heap = TracingAllocator(rec)
+        # The counters at the three marker points: whole and left begin at the
+        # first, left ends and right begins at the second, right and whole end at the third.
+        points = [rec.snapshot()]
         whole = begin_marker(rec, "whole")
         left = begin_marker(rec, "left")
         for _ in range(rng.randrange(0, 25)):
             heap.free(heap.malloc(rng.randrange(0, 1 << 14)))
+        points.append(rec.snapshot())
         end_marker(left)
         right = begin_marker(rec, "right")
         for _ in range(rng.randrange(0, 25)):
             heap.free(heap.calloc(rng.randrange(0, 9), 128))
+        points.append(rec.snapshot())
         end_marker(right)
         end_marker(whole)
         w, l, r = (span_churn(s) for s in (whole, left, right))
+        windows = [(points[0], points[2]), (points[0], points[1]), (points[1], points[2])]
         # Costs add exactly in the nano-unit running total; each record is its
         # span's total rounded to micro-units on its own.
-        nano = [s.end_snapshot.cost_nano - s.start_snapshot.cost_nano for s in (whole, left, right)]
+        nano = [end.cost_nano - start.cost_nano for start, end in windows]
         if nano[0] != nano[1] + nano[2]:
             violations += 1
         events = rec.events()
-        oracle = [replay(events, MODEL, s.start_snapshot.seq, s.end_snapshot.seq) for s in (whole, left, right)]
+        oracle = [replay(events, MODEL, start.seq, end.seq) for start, end in windows]
         if [c.cost_micro for c in (w, l, r)] != [o.cost_micro for o in oracle]:
             violations += 1
         if any(w.calls[k] != l.calls[k] + r.calls[k] for k in AllocFnKind):

@@ -203,26 +203,30 @@ def test_interval_additivity_on_random_bisections():
     for case in range(120):
         rec = make_recorder(f"t{case}")
         heap = TracingAllocator(rec)
+        begin = rec.snapshot()  # whole and left begin here
         whole = begin_marker(rec, "whole")
         left = begin_marker(rec, "left")
         for _ in range(rng.randrange(0, 40)):
             tok = heap.malloc(rng.randrange(0, 4096))
             heap.free(tok)
+        middle = rec.snapshot()  # left ends and right begins here
         end_marker(left)
         right = begin_marker(rec, "right")  # same boundary, no events between
         for _ in range(rng.randrange(0, 40)):
             tok = heap.calloc(rng.randrange(0, 16), 64)
             heap.free(tok)
+        end = rec.snapshot()  # right and whole end here
         end_marker(right)
         end_marker(whole)
         whole_churn = span_churn(whole)
         left_churn = span_churn(left)
         right_churn = span_churn(right)
+        windows = ((begin, end, whole_churn), (begin, middle, left_churn), (middle, end, right_churn))
         # exact in nano-units; each record rounds its own total to micro-units
-        nano = [s.end_snapshot.cost_nano - s.start_snapshot.cost_nano for s in (whole, left, right)]
+        nano = [stop.cost_nano - start.cost_nano for start, stop, _ in windows]
         assert nano[0] == nano[1] + nano[2]
-        for span, churn in ((whole, whole_churn), (left, left_churn), (right, right_churn)):
-            assert churn.cost_micro == replay(rec.events(), MODEL, span.start_snapshot.seq, span.end_snapshot.seq).cost_micro
+        for start, stop, churn in windows:
+            assert churn.cost_micro == replay(rec.events(), MODEL, start.seq, stop.seq).cost_micro
         for kind in AllocFnKind:
             assert whole_churn.calls[kind] == left_churn.calls[kind] + right_churn.calls[kind]
         assert whole_churn.bytes_allocated == left_churn.bytes_allocated + right_churn.bytes_allocated
@@ -236,9 +240,9 @@ def test_accumulator_matches_replay_on_random_spans():
         heap = TracingAllocator(rec)
         spans = drive_with_spans(rec, heap, rng, rng.randrange(20, 600))
         events = rec.events()
-        for span in spans:
+        for span, begin_seq, end_seq in spans:
             churn = span_churn(span)
-            oracle = replay(events, MODEL, span.start_snapshot.seq, span.end_snapshot.seq)
+            oracle = replay(events, MODEL, begin_seq, end_seq)
             assert churn.calls == oracle.calls
             assert churn.bytes_allocated == oracle.bytes_allocated
             assert churn.bytes_freed == oracle.bytes_freed
@@ -251,7 +255,7 @@ def test_identical_sequences_produce_identical_records():
         heap = TracingAllocator(rec)
         rng = random.Random(4006)
         spans = drive_with_spans(rec, heap, rng, 300)
-        return [span_churn(span) for span in spans]
+        return [span_churn(driven.span) for driven in spans]
 
     assert run() == run()  # bit-identical costs included
 

@@ -239,11 +239,15 @@ def test_seq_is_the_call_count_after_every_call(capacity):
     tokens = [None, 0xDEAD]  # a null token and one never handed out
     failures = 0
     open_spans = []
+    windows = {}  # span id: [the seq at its begin marker, the seq at its end]
     for n_calls in range(1, 601):
         if rng.random() < 0.1:
             open_spans.append(begin_marker(rec, "span"))
+            windows[open_spans[-1].span_id] = [rec.snapshot().seq, None]
         if open_spans and rng.random() < 0.1:
-            end_marker(open_spans.pop(rng.randrange(len(open_spans))))
+            span = open_spans.pop(rng.randrange(len(open_spans)))
+            windows[span.span_id][1] = rec.snapshot().seq
+            end_marker(span)
         roll = rng.randrange(4)
         size = rng.randrange(1, 1 << 12)
         if roll == 0:
@@ -265,11 +269,14 @@ def test_seq_is_the_call_count_after_every_call(capacity):
         # Evictions are derived, not counted: one per call once the ring is full.
         assert snap.seq - len(seqs) == max(0, snap.seq - capacity)
     assert failures > 0
+    assert open_spans
+    seal_seq = rec.snapshot().seq
     rec.seal()
     assert len(rec.spans()) > 20
     for span in rec.spans():
-        start, end = span.start_snapshot, span.end_snapshot
-        assert span_churn(span).overflow == (end.seq > capacity and end.seq > start.seq)
+        start, end = windows[span.span_id]
+        end = seal_seq if end is None else end
+        assert span_churn(span).overflow == (end > capacity and end > start)
 
 
 COST_SIZES = [0, 1, 2, 3, *(2**k + d for k in range(2, 63) for d in (-1, 0, 1)), BYTES_MAX]

@@ -32,22 +32,30 @@ from churnscope.report import ChurnReport
 from factories import calls_fields, snapshot_calls
 
 
-def _drive_thread(session, label, seed, names, n_ops):
+def _drive_thread(session, label, seed, names, n_ops, windows):
     """Random calls and markers on one thread: nested, partially overlapping
-    and repeated names, with some spans left open for the seal to close."""
+    and repeated names, with some spans left open for the seal to close.
+    Each span's entry in ``windows`` is the list of the snapshots taken at
+    its begin and end markers; a span left open has only the first."""
     rng = random.Random(seed)
     rec = session.recorder(label)
     heap = TracingAllocator(rec)
     live = []
     open_spans = []
+
+    def end(span):
+        windows[span].append(rec.snapshot())
+        end_marker(span)
+
     for _ in range(n_ops):
         op = rng.random()
         if op < 0.2:
             open_spans.append(begin_marker(rec, rng.choice(names)))
+            windows[open_spans[-1]] = [rec.snapshot()]
         elif op < 0.35 and open_spans:
             # Closing a random open span, not only the innermost, makes spans
             # that partially overlap their siblings.
-            end_marker(open_spans.pop(rng.randrange(len(open_spans))))
+            end(open_spans.pop(rng.randrange(len(open_spans))))
         elif op < 0.6:
             live.append(heap.malloc(rng.randrange(0, 5000)))
         elif op < 0.7:
@@ -58,19 +66,23 @@ def _drive_thread(session, label, seed, names, n_ops):
         elif live:
             heap.free(live.pop(rng.randrange(len(live))))
     for _ in range(rng.randrange(len(open_spans) + 1)):
-        end_marker(open_spans.pop())
+        end(open_spans.pop())
     for token in live:
         heap.free(token)
 
 
 def random_session(seed, threads=3, names=40, n_ops=600):
+    """A sealed session driven on ``threads`` threads, and each span's
+    window: the snapshots at its two markers, or at its begin marker and
+    the seal, and whether the seal closed it."""
     session = RecordingSession(build_id=f"s{seed}", created_at="2026-01-01T00:00:00Z")
     pool = [f"phase-{i:03d}" for i in range(names)]
     errors = []
+    windows = {}
 
     def drive(label, thread_seed):
         try:
-            _drive_thread(session, label, thread_seed, pool, n_ops)
+            _drive_thread(session, label, thread_seed, pool, n_ops, windows)
         except BaseException as exc:  # re-raised on the test thread below
             errors.append(exc)
 
@@ -82,17 +94,23 @@ def random_session(seed, threads=3, names=40, n_ops=600):
     if errors:
         raise errors[0]
     session.seal_all()
-    return session
+    for span, window in windows.items():
+        auto_closed = len(window) == 1
+        if auto_closed:
+            window.append(span.recorder.snapshot())
+        windows[span] = (*window, auto_closed)
+    return session, windows
 
 
-def rescan_oracle(session):
-    """Reference report contents: each span costed through snapshot_calls(),
-    then every part rescanned once per name."""
+def rescan_oracle(session, windows):
+    """Reference report contents: each span costed through snapshot_calls()
+    from the snapshots at its two ends, then every part rescanned once per
+    name."""
     parts = []
     for rec in session.recorders():
         capacity = rec.ring_capacity
         for span in rec.spans():
-            start, end = span.start_snapshot, span.end_snapshot
+            start, end, auto_closed = windows[span]
             start_calls = snapshot_calls(start)
             parts.append(
                 MarkerChurn(
@@ -103,7 +121,7 @@ def rescan_oracle(session):
                     bytes_freed=end.bytes_freed - start.bytes_freed,
                     # Evictions at each end, as a ring evicts once per call once full.
                     overflow=max(0, end.seq - capacity) > max(0, start.seq - capacity),
-                    auto_closed=span.auto_closed,
+                    auto_closed=auto_closed,
                     thread_id=span.thread_id,
                     span_id=span.span_id,
                 )
@@ -115,24 +133,24 @@ def rescan_oracle(session):
     return merged, parts
 
 
-def _has_partial_overlap(session):
+def _has_partial_overlap(session, windows):
     for rec in session.recorders():
-        spans = rec.spans()
-        for a in spans:
-            for b in spans:
-                if a.start_snapshot.seq < b.start_snapshot.seq < a.end_snapshot.seq < b.end_snapshot.seq:
+        seqs = [(windows[span][0].seq, windows[span][1].seq) for span in rec.spans()]
+        for a_start, a_end in seqs:
+            for b_start, b_end in seqs:
+                if a_start < b_start < a_end < b_end:
                     return True
     return False
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_build_report_matches_rescan_oracle(seed):
-    session = random_session(seed)
+    session, windows = random_session(seed)
     report = session.build_report()
-    merged, parts = rescan_oracle(session)
+    merged, parts = rescan_oracle(session, windows)
     assert len({p.thread_id for p in parts}) == 3
     assert any(p.auto_closed for p in parts)
-    assert _has_partial_overlap(session)
+    assert _has_partial_overlap(session, windows)
     assert max(sum(p.name == name for p in parts) for name in merged) > 1
     assert report.per_thread == parts
     assert list(report.merged) == list(merged)
@@ -181,8 +199,8 @@ def _summed_by_hand(parts):
 
 
 def test_build_report_merges_each_name_once_with_only_its_parts():
-    session = random_session(7)
-    merged, parts = rescan_oracle(session)
+    session, windows = random_session(7)
+    merged, parts = rescan_oracle(session, windows)
     assert list(_summed_by_hand(parts).items()) == list(merged.items())
     report = session.build_report()
     parsed = parse_report(serialize_report(report))

@@ -11,6 +11,7 @@ from churnscope import (
     serialize_report,
     workload_names,
 )
+from churnscope import markers, workloads
 from churnscope.report import STATUS_NEUTRAL, STATUS_REGRESSION
 from churnscope.workloads import SplitMix64
 
@@ -24,6 +25,29 @@ def session():
 
 def run(name, seed=1, scale=1, variant="baseline"):
     return run_workload(WorkloadSpec(name, seed=seed, scale=scale, variant=variant), session())
+
+
+@pytest.fixture
+def marker_seqs(monkeypatch):
+    """The ``seq`` read at each span's begin and end marker, keyed by span,
+    for every span a workload opens, through ``marker`` or directly."""
+    seqs = {}
+    begin, end = markers.begin_marker, markers.end_marker
+
+    def begin_at_seq(rec, name):
+        seq = rec.snapshot().seq
+        span = begin(rec, name)
+        seqs[span] = [seq, None]
+        return span
+
+    def end_at_seq(span):
+        seqs[span][1] = span.recorder.snapshot().seq
+        return end(span)
+
+    for module in (markers, workloads):
+        monkeypatch.setattr(module, "begin_marker", begin_at_seq)
+        monkeypatch.setattr(module, "end_marker", end_at_seq)
+    return seqs
 
 
 def test_splitmix_sequence_is_fixed():
@@ -85,7 +109,7 @@ def test_scale_doubles_call_counts_exactly():
             assert two.merged[name].calls[kind] == 2 * record.calls[kind]
 
 
-def test_regressed_strings_flags_format_only():
+def test_regressed_strings_flags_format_only(marker_seqs):
     sess = session()
     baseline = run_workload(WorkloadSpec("strings", seed=1, scale=1), sess)
     regressed_session = session()
@@ -103,7 +127,7 @@ def test_regressed_strings_flags_format_only():
         for rec in sess_obj.recorders():
             for span in rec.spans():
                 if span.name == "format":
-                    oracle = replay(rec.events(), model, span.start_snapshot.seq, span.end_snapshot.seq)
+                    oracle = replay(rec.events(), model, *marker_seqs[span])
                     expected += sign * oracle.cost_micro
     delta = {d.phase: d for d in verdict.deltas}["format"]
     assert delta.cost_delta_micro == expected
@@ -129,14 +153,15 @@ def test_multithread_merged_churn_is_schedule_independent():
         assert serialize_report(run("multithread", seed=9, scale=3)) == reference
 
 
-def test_multithread_has_overlapping_spans_on_worker0():
+def test_multithread_has_overlapping_spans_on_worker0(marker_seqs):
     sess = session()
     run_workload(WorkloadSpec("multithread", seed=1, scale=1), sess)
     recs = {rec.thread_id: rec for rec in sess.recorders()}
     spans = recs["worker-0"].spans()
     sync = next(s for s in spans if s.name == "sync")
     cache = next(s for s in spans if s.name == "cache")
-    assert sync.start_snapshot.seq < cache.start_snapshot.seq < sync.end_snapshot.seq < cache.end_snapshot.seq
+    (sync_begin, sync_end), (cache_begin, cache_end) = marker_seqs[sync], marker_seqs[cache]
+    assert sync_begin < cache_begin < sync_end < cache_end
 
 
 def test_unknown_workload_rejected():

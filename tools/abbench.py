@@ -3,6 +3,7 @@
     python3 tools/abbench.py PARENT CHANGE --workload dense-markers --seed 1 \\
         --seconds 25 --pairs 10 --label snapshot-per-seq
     python3 tools/abbench.py PARENT CHANGE --imports 150 --label snapshot-per-seq
+    python3 tools/abbench.py PARENT CHANGE --memory --pairs 3 --label cost-at-close
 
 PARENT and CHANGE are the roots of two churnscope checkouts. Each pair runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in each
@@ -15,16 +16,33 @@ read: perfbench's result, with ``correct``, ``failed`` and the metrics.
 each tree, each running ``import churnscope`` and the set-up of a recording
 session (the work perfbench's ``setup_s`` times), from import to set-up done.
 
-A perfbench run or an import child that outlasts ``timeout(--seconds)`` is
-taken to hang: it is killed, and abbench exits naming its tree (and the
-workload and seed of a perfbench run).
+``--memory`` also measures, in each pair, one fresh ``python -I`` child per
+tree for each library workload (``long-phases``, ``dense-markers``; those of
+them named by ``--workload``, or both) and seed. The child builds
+perfbench's baseline program (``perfbench/programs.py``, imported read-only)
+and runs the library's run path on it stage by stage, as perfbench's
+``peak_mem_mb`` does: ``drive`` (a recording session, then the program
+replayed through its markers), ``seal``, ``build_report`` and
+``serialize_report``. After each stage it calls ``gc.collect()`` and reads
+``tracemalloc``: the bytes still allocated, and the stage's own peak
+(``tracemalloc.reset_peak`` before it). ``memory_stages`` turns a child's
+readings into each stage's ``retained``, ``added`` (retained less the
+previous stage's) and ``peak``, and ``summarize_memory`` compares them
+parent -> change like any other metric.
+
+A perfbench run, an import child or a memory child that outlasts
+``timeout(--seconds)`` is taken to hang: it is killed, and abbench exits
+naming its tree (and the workload and seed of a perfbench run or memory
+child).
 
 It writes ``BENCH_<label>.json`` to the current directory: the Python
 version, the commands, every run's ``correct`` and ``failed``, and for each
 workload, seed and metric both sides' median, q1 and q3 (inclusive
 quartiles), the ratio of the medians (change over parent), the pairs in
 which the change read lower, and ``exact``: whether each side read one
-value in every run. Ties count for neither side.
+value in every run. Ties count for neither side. ``--memory`` adds a
+``memory`` section of the same rows, one per workload, seed, stage and
+measure, in bytes.
 
 Each metric the change tree's ``BENCHMARK.json`` declares also gets its
 ``better`` direction, and an end-to-end one the acceptance rule
@@ -57,6 +75,45 @@ TracingAllocator(RecordingSession().recorder("main"))
 elapsed = time.perf_counter() - t0
 print(churnscope.__file__)
 print(elapsed)
+"""
+
+MEMORY_WORKLOADS = ("long-phases", "dense-markers")
+MEMORY_CODE = """\
+import gc, json, sys, tracemalloc
+tree, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+sys.path[:0] = [tree + "/src", tree + "/perfbench"]
+import churnscope as cs
+import programs
+generate = programs.long_phases if workload == "long-phases" else programs.dense_markers
+program, _ = generate(seed, False)
+readings = []
+state = {}
+
+def drive():
+    session = state["session"] = cs.RecordingSession(
+        ring_capacity=programs.RING_CAPACITY, build_id="baseline", created_at="1970-01-01T00:00:00Z")
+    rec = session.recorder("main")
+    programs.replay(program, cs.TracingAllocator(rec), rec, cs.begin_marker, cs.end_marker)
+
+def seal():
+    state["session"].seal_all()
+
+def build_report():
+    state["report"] = state["session"].build_report()
+
+def serialize_report():
+    state["data"] = cs.serialize_report(state["report"])
+
+gc.collect()
+tracemalloc.start()
+for stage in (drive, seal, build_report, serialize_report):
+    tracemalloc.reset_peak()
+    stage()
+    gc.collect()
+    readings.append([stage.__name__, *tracemalloc.get_traced_memory()])
+tracemalloc.stop()
+print(cs.__file__)
+print(json.dumps(readings))
 """
 
 # What a run may take beyond twice --seconds: perfbench's set-up and checks take a few seconds more.
@@ -199,6 +256,43 @@ def summary_lines(rows: list[dict]) -> list[str]:
     return lines
 
 
+def memory_stages(readings: list[list]) -> dict[str, dict[str, int]]:
+    """Each stage's ``retained`` bytes, ``added`` (retained less the previous
+    stage's; the first stage's is its retained), and ``peak``, from a memory
+    child's readings: ``[stage, bytes allocated after it, its peak]`` in
+    stage order, as ``MEMORY_CODE`` prints them."""
+    stages, before = {}, 0
+    for stage, retained, peak in readings:
+        stages[stage] = {"retained": retained, "added": retained - before, "peak": peak}
+        before = retained
+    return stages
+
+
+def summarize_memory(runs: list[dict]) -> list[dict]:
+    """One row per workload, seed, stage and measure, parent -> change, as
+    ``compare`` gives it. A run is ``{"pair", "side", "workload", "seed",
+    "stages"}``, with ``stages`` as ``memory_stages`` returns them."""
+    values: dict[tuple, dict[str, dict[int, float]]] = {}
+    for run in runs:
+        for stage, measures in run["stages"].items():
+            for measure, value in measures.items():
+                key = (run["workload"], run["seed"], stage, measure)
+                values.setdefault(key, {side: {} for side in SIDES})[run["side"]][run["pair"]] = value
+    return [{"workload": workload, "seed": seed, "stage": stage, "measure": measure, "unit": "B",
+             **compare(sides["parent"], sides["change"])}
+            for (workload, seed, stage, measure), sides in values.items()]
+
+
+def memory_lines(rows: list[dict]) -> list[str]:
+    """One line per ``added`` row of ``summarize_memory``: what each stage
+    adds and keeps, the parents' median -> the change's, and the pairs in
+    which the change read lower."""
+    return [f"abbench: {row['workload']} seed {row['seed']} memory {row['stage']}: "
+            f"adds {row['parent']['median']:,.0f} -> {row['change']['median']:,.0f} B, "
+            f"lower in {len(row['lower_in'])}/{row['pairs']}"
+            for row in rows if row["measure"] == "added"]
+
+
 def tree_state(tree: Path) -> dict:
     """The commit a tree has checked out and whether its files differ from it."""
     def git(*args: str) -> str | None:
@@ -225,17 +319,30 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: i
         sys.exit(f"{what}: {exc} (exit {done.returncode}); stderr ends:\n{done.stderr[-2000:]}")
 
 
-def time_import(tree: Path, seconds: float) -> float:
-    src = (tree / "src").resolve()
+def run_child(tree: Path, code: str, args: list[str], what: str, seconds: float) -> str:
+    """Run ``code`` with ``args`` in a fresh ``python -I`` and return the
+    second line it prints. Its first line must be the path of the churnscope
+    it imported, which must be ``tree``'s; ``what`` names the run when it
+    hangs or fails."""
     try:
-        done = subprocess.run([sys.executable, "-I", "-c", IMPORT_CODE, str(src)], capture_output=True, text=True,
+        done = subprocess.run([sys.executable, "-I", "-c", code, *args], capture_output=True, text=True,
                               timeout=timeout(seconds))
     except subprocess.TimeoutExpired:
-        sys.exit(f"abbench: {tree}: import run did not finish in {timeout(seconds):g} s")
+        sys.exit(f"abbench: {tree}: {what} did not finish in {timeout(seconds):g} s")
     lines = done.stdout.splitlines()
-    if done.returncode or len(lines) != 2 or Path(lines[0]).resolve().parent.parent != src:
-        sys.exit(f"abbench: {tree}: import run failed or imported another churnscope:\n{done.stdout}{done.stderr}")
-    return float(lines[1])
+    if done.returncode or len(lines) != 2 or Path(lines[0]).resolve().parent.parent != (tree / "src").resolve():
+        sys.exit(f"abbench: {tree}: {what} failed or imported another churnscope:\n{done.stdout}{done.stderr}")
+    return lines[1]
+
+
+def time_import(tree: Path, seconds: float) -> float:
+    return float(run_child(tree, IMPORT_CODE, [str((tree / "src").resolve())], "import run", seconds))
+
+
+def measure_memory(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, dict[str, int]]:
+    line = run_child(tree, MEMORY_CODE, [str(tree.resolve()), workload, str(seed)],
+                     f"{workload} seed {seed}: memory run", seconds)
+    return memory_stages(json.loads(line))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -248,6 +355,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0, help="perfbench's --trace (default 0)")
     parser.add_argument("--pairs", type=int, default=10, help="parent/change pairs per workload and seed")
     parser.add_argument("--imports", type=int, default=0, metavar="N", help="time N fresh interpreters per side")
+    parser.add_argument("--memory", action="store_true",
+                        help="also measure the run path's retained memory stage by stage, one child per pair and side")
     parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
@@ -256,8 +365,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be >= 1 and --imports >= 0")
     if not 0 <= args.seconds < float("inf"):
         parser.error("--seconds must be a finite number >= 0")
-    if not args.workload and not args.imports:
-        parser.error("give at least one --workload, or --imports N")
+    if not args.workload and not args.imports and not args.memory:
+        parser.error("give at least one --workload, --imports N or --memory")
     seeds = args.seed or [1]
     trees = {"parent": args.parent, "change": args.change}
     for side, tree in trees.items():
@@ -298,10 +407,21 @@ def main(argv: list[str] | None = None) -> int:
             for side in order(pair):
                 seconds[side][pair] = time_import(trees[side], args.seconds)
         doc["imports"] = {"unit": "s", **compare(seconds["parent"], seconds["change"])}
+    if args.memory:
+        doc["commands"]["memory"] = ["python", "-I", "-c", MEMORY_CODE, "<tree>", "<workload>", "<seed>"]
+        workloads = [w for w in args.workload if w in MEMORY_WORKLOADS] or list(MEMORY_WORKLOADS)
+        memory_runs = []
+        for pair in range(1, args.pairs + 1):
+            for workload in workloads:
+                for seed in seeds:
+                    for side in order(pair):
+                        memory_runs.append({"pair": pair, "side": side, "workload": workload, "seed": seed,
+                                            "stages": measure_memory(trees[side], workload, seed, args.seconds)})
+        doc["memory"] = {"runs": memory_runs, "summary": summarize_memory(memory_runs)}
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"abbench: wrote {out}", file=sys.stderr)
-    for line in summary_lines(doc.get("summary", [])):
+    for line in summary_lines(doc.get("summary", [])) + memory_lines(doc.get("memory", {}).get("summary", [])):
         print(line, file=sys.stderr)
     return 0
 
