@@ -45,6 +45,7 @@ from .report import (
     rank_regressions,
     serialize_report,
     serialize_verdict,
+    write_report,
 )
 from .session import RecordingSession, utc_timestamp
 from .workloads import WORKLOADS, WorkloadSpec, run_workload, workload_names
@@ -95,4 +96,5 @@ __all__ = [
     "span_churn",
     "utc_timestamp",
     "workload_names",
+    "write_report",
 ]

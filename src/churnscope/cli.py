@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, BinaryIO, Callable
 
 from .cost_model import CostModel, load_cost_model
 from .errors import ChurnscopeError
@@ -33,8 +33,8 @@ from .report import (
     parse_report,
     parse_verdict,
     rank_regressions,
-    serialize_report,
     serialize_verdict,
+    write_report,
 )
 from .session import RecordingSession, utc_timestamp
 from .workloads import VARIANTS, WorkloadSpec, run_workload, workload_names
@@ -127,19 +127,24 @@ def _report_rows(report: ChurnReport) -> list[list[str]]:
     return rows
 
 
-def _write_atomically(path: Path, data: bytes) -> None:
-    """Write a temp file beside ``path``, then rename it over ``path``: a
-    failed write leaves the previous file as it was, and no temp file. A
-    device or pipe, such as /dev/null, is written in place, never replaced."""
+def _write_atomically(path: Path, fill: Callable[[BinaryIO], object]) -> None:
+    """Open a temp file beside ``path``, ``fill`` it, then rename it over
+    ``path``. A failure anywhere, in ``fill``, in a write, or in the rename,
+    removes the temp file and leaves the previous file as it was. A device
+    or pipe, such as /dev/null, is filled in place, never replaced: a fault
+    mid-write leaves its reader with a truncated document, and the command
+    exits 2."""
     if path.exists() and not path.is_file():
-        path.write_bytes(data)
+        with path.open("wb") as file:
+            fill(file)
         return
     target = Path(os.path.realpath(path))  # through a symlink, replace the file it names
     if target.is_symlink():  # realpath stops at a loop, whose links are left as they were
         raise OSError(f"{path} is in a symlink loop")
     tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
     try:
-        tmp.write_bytes(data)
+        with tmp.open("wb") as file:
+            fill(file)
         os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)
@@ -151,8 +156,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     session = RecordingSession(model, build_id=args.build_id, created_at=created_at)
     spec = WorkloadSpec(args.workload, seed=args.seed, scale=args.scale, variant=args.variant)
     report = run_workload(spec, session)
-    # The file is written, and its bytes freed, before the table merges the phases.
-    _write_atomically(args.out, serialize_report(report))
+    # Each record streams into the file as it is made, so the command never
+    # holds the report's bytes; the table merges the phases after it is written.
+    _write_atomically(args.out, lambda file: write_report(report, file))
     headers = ["phase", "cost", "calls", "bytes_alloc", "bytes_freed", "flags"]
     print(f"workload {spec.name} ({spec.variant}, seed {spec.seed}, scale {spec.scale})")
     print(_format_table(headers, _report_rows(report)))

@@ -6,8 +6,11 @@ ensure_ascii=False)``, with every non-integer number rendered as fixed-point
 with six decimals, UTF-8, newline-terminated. Costs are integer micro-units,
 rendered and read back exactly. Equal reports serialize to identical bytes on
 any platform, and the reader accepts only those bytes, so a content has one
-byte form. A writer encodes each record into one byte buffer as it is made
-(``_document``), so writing a document holds about one copy of it.
+byte form. A writer encodes and writes each record as it is made
+(``_document``): ``write_report`` streams a report into a file, holding one
+record at a time, and ``serialize_report`` and ``serialize_verdict`` write
+into one byte buffer that they return, so they hold about one copy of the
+document.
 
 Each layout has one template (``_Template``). The writer fills it; the
 reader matches its pattern, then applies the rules no pattern expresses. On
@@ -23,7 +26,7 @@ import math
 import re
 import sys
 from collections import namedtuple
-from typing import Any, Callable, Iterable, NoReturn
+from typing import Any, BinaryIO, Callable, Iterable, NoReturn
 
 try:
     from _json import encode_basestring as _quote  # what json.encoder re-exports, without importing json
@@ -347,35 +350,33 @@ def _fixed(value: float) -> str:
     return f"{value if value else 0.0:.6f}"  # 0.0 normalizes -0.0
 
 
-def _document(head: str, texts: Iterable[str], tail: str) -> bytes:
-    """``head``, then the top-level array of the member ``texts``, then
-    ``tail``, in UTF-8.
+def _document(write: Callable[[bytes], Any], head: str, texts: Iterable[str], tail: str) -> None:
+    """Write ``head``, then the top-level array of the member ``texts``, then
+    ``tail``, in UTF-8, through ``write``.
 
-    Each member is encoded into one buffer as it is made, so writing holds
-    about one copy of the document: no list of parts and no joined ``str``.
-    ``getvalue`` hands the buffer over without copying it.
+    Each member is encoded and written as it is made: no list of parts and
+    no joined ``str``, so the writer holds one member at a time, and the
+    document is held only by whatever ``write`` writes into.
     """
-    buf = io.BytesIO()
-    write = buf.write
     write(head.encode("utf-8"))
     sep = _OPEN
     for text in texts:
         write((sep + text).encode("utf-8"))
         sep = _NEXT
     write(((_NONE if sep == _OPEN else _CLOSE) + tail).encode("utf-8"))
-    return buf.getvalue()
 
 
-def serialize_report(report: ChurnReport) -> bytes:
-    """Canonical bytes for a report; equal reports yield identical bytes.
+def write_report(report: ChurnReport, file: BinaryIO) -> None:
+    """Write a report's canonical bytes into the binary ``file``, each
+    record as it is made; equal reports write identical bytes.
 
-    ``_HEADER`` filled with the report's fields, then each thread record,
-    encoded as it is written (``_document``); ``merged``, a view, is not
-    written or read.
+    ``_HEADER`` filled with the report's fields, then each thread record
+    (``_document``); ``merged``, a view, is not written or read.
     Record field types are trusted; a non-finite weight raises ValueError,
     and so does a total that is not an int >= 0, named as ``counters`` and
-    its field, or a thread record ``parse_report`` would refuse on its own
-    (``_churn_text``), named as ``threads[i]``.
+    its field, before anything is written, or a thread record
+    ``parse_report`` would refuse on its own (``_churn_text``), named as
+    ``threads[i]``, after the records before it were written.
     """
     model, t, records = report.model, report.totals, report.per_thread
     for field in ReportTotals._fields:  # not zip: its pair would outlive the loop in the tuple free list
@@ -388,10 +389,19 @@ def serialize_report(report: ChurnReport) -> bytes:
         _quote(report.created_at),
     )
     try:
-        return _document(head, (_churn_text(r, _THREAD_RECORD) for r in records), _REPORT_TAIL.text)
+        _document(file.write, head, (_churn_text(r, _THREAD_RECORD) for r in records), _REPORT_TAIL.text)
     except _Unwritable as exc:
         i = next(i for i, r in enumerate(records) if r is exc.record)
         raise ValueError(f"cannot serialize threads[{i}]: {exc}") from None
+
+
+def serialize_report(report: ChurnReport) -> bytes:
+    """Canonical bytes for a report, as ``write_report`` writes them, and
+    with its errors. ``getvalue`` hands the buffer over without copying it,
+    so this holds about one copy of the document."""
+    buf = io.BytesIO()
+    write_report(report, buf)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -758,21 +768,24 @@ def rank_regressions(
 
 def serialize_verdict(verdict: RegressionVerdict) -> bytes:
     """Canonical bytes for a verdict, written as ``serialize_report`` writes a
-    report: each row encoded as it is written (``_document``), then
-    ``_VERDICT_TAIL`` filled. A non-finite threshold raises ValueError, and
-    so does a row record ``parse_verdict`` would refuse on its own
-    (``_churn_text``), named as ``deltas[i]`` and its side."""
+    report: each row encoded and written into one buffer as it is made
+    (``_document``), then ``_VERDICT_TAIL`` filled. A non-finite threshold
+    raises ValueError, and so does a row record ``parse_verdict`` would
+    refuse on its own (``_churn_text``), named as ``deltas[i]`` and its
+    side."""
     th, deltas = verdict.thresholds, verdict.deltas
     tail = _VERDICT_TAIL.text % (
         "true" if verdict.regression_detected else "false", _fixed(float(th.abs_floor)),
         "null" if th.call_floor is None else th.call_floor, _fixed(float(th.rel)),
     )
+    buf = io.BytesIO()
     try:
-        return _document(_VERDICT_HEAD.text, map(_delta_text, deltas), tail)
+        _document(buf.write, _VERDICT_HEAD.text, map(_delta_text, deltas), tail)
     except _Unwritable as exc:
         label = next(f"deltas[{i}] {side}" for i, d in enumerate(deltas)
                      for side, r in (("baseline", d.baseline), ("candidate", d.candidate)) if r is exc.record)
         raise ValueError(f"cannot serialize {label}: {exc}") from None
+    return buf.getvalue()
 
 
 def _read_row(slots: tuple[Any, ...]) -> tuple[str, str, MarkerChurn | None, MarkerChurn | None]:

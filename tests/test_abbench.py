@@ -214,6 +214,48 @@ def test_memory_summary_compares_each_stage_and_measure_parent_to_change():
     ]
 
 
+# A cli-gate memory child's readings, as CLI_MEMORY_CODE prints them: spec,
+# bytes still allocated after run_workload, its peak, the command's peak.
+CLI_PARENT_READINGS = [["strings", 350_885, 355_949, 568_250], ["table", 327_453, 330_885, 478_837]]
+CLI_CHANGE_READINGS = [["strings", 350_885, 355_949, 400_958], ["table", 327_379, 330_811, 377_340]]
+
+
+def test_cli_memory_stages_give_the_workloads_peak_and_the_commands_peak_above_it():
+    assert abbench.cli_memory_stages(CLI_PARENT_READINGS) == {
+        "strings run_workload": {"retained": 350_885, "peak": 355_949},
+        "strings cli.run": {"peak": 568_250, "above": 212_301},
+        "table run_workload": {"retained": 327_453, "peak": 330_885},
+        "table cli.run": {"peak": 478_837, "above": 147_952},
+    }
+    assert abbench.cli_memory_stages([]) == {}
+
+
+def test_cli_memory_lines_give_each_peak_and_what_the_command_adds_above_the_workload():
+    runs = []
+    for pair in (1, 2):
+        for side in abbench.order(pair):
+            readings = CLI_PARENT_READINGS if side == "parent" else CLI_CHANGE_READINGS
+            runs.append({"pair": pair, "side": side, "workload": "cli-gate", "seed": 2,
+                         "stages": abbench.cli_memory_stages(readings)})
+    rows = abbench.summarize_memory(runs)
+    assert [(row["stage"], row["measure"]) for row in rows] == [
+        (f"{spec} {stage}", measure) for spec in ("strings", "table")
+        for stage, measures in (("run_workload", ("retained", "peak")), ("cli.run", ("peak", "above")))
+        for measure in measures]
+    above = {row["stage"]: row for row in rows if row["measure"] == "above"}["strings cli.run"]
+    assert (above["parent"]["median"], above["change"]["median"], above["lower_in"]) == (212_301, 45_009, [1, 2])
+    assert abbench.memory_lines(rows) == [
+        "abbench: cli-gate seed 2 memory strings run_workload: peaks at 355,949 -> 355,949 B, lower in 0/2",
+        "abbench: cli-gate seed 2 memory strings cli.run: peaks at 568,250 -> 400,958 B, lower in 2/2",
+        "abbench: cli-gate seed 2 memory strings cli.run: peaks above run_workload by 212,301 -> 45,009 B, "
+        "lower in 2/2",
+        "abbench: cli-gate seed 2 memory table run_workload: peaks at 330,885 -> 330,811 B, lower in 2/2",
+        "abbench: cli-gate seed 2 memory table cli.run: peaks at 478,837 -> 377,340 B, lower in 2/2",
+        "abbench: cli-gate seed 2 memory table cli.run: peaks above run_workload by 147,952 -> 46,529 B, "
+        "lower in 2/2",
+    ]
+
+
 def _hung_checkout(root: Path) -> Path:
     """A checkout whose perfbench run, and whose ``import churnscope``, sleep far past any timeout."""
     for script in (root / "perfbench" / "run.py", root / "src" / "churnscope" / "__init__.py"):

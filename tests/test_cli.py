@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -5,6 +6,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -673,3 +675,100 @@ def test_run_out_writes_through_a_symlink_and_into_a_pipe(tmp_path, capsys):
     assert not reader.is_alive()
     assert stat.S_ISFIFO(fifo.lstat().st_mode)
     assert got == [report]
+
+
+def _failing_third_thread_record(monkeypatch, seen):
+    """Make the report writer refuse its third thread record, recording
+    what ``seen()`` returns at each thread record it is asked for."""
+    real = churnscope.report._churn_text
+
+    def churn_text(record, template):
+        if template is churnscope.report._THREAD_RECORD:
+            calls.append(seen())
+            if len(calls) == 3:
+                raise churnscope.report._Unwritable(record, "field 'cost_micro' must be an int >= 0, got -1")
+        return real(record, template)
+
+    calls = []
+    monkeypatch.setattr(churnscope.report, "_churn_text", churn_text)
+    return calls
+
+
+def test_run_fault_mid_write_leaves_the_previous_file_and_no_temp_file(tmp_path, monkeypatch, capsys):
+    out = run_report(tmp_path, "base")
+    before = out.read_bytes()
+    calls = _failing_third_thread_record(monkeypatch, lambda: sorted(p.name for p in tmp_path.iterdir()))
+    assert main(["run", "--workload", "strings", "--seed", "2", "--scale", "4", "--out", str(out), "--epoch", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "churnscope run: error: cannot serialize threads[2]: field 'cost_micro' must be an int >= 0, got -1\n")
+    # The head and two records were written into the temp file before the fault.
+    assert len(calls) == 3 and re.fullmatch(r"\.base\.churn\.json\.[0-9a-f]{8}\.tmp", calls[2][0])
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_run_fault_mid_write_into_a_pipe_truncates_it_and_exits_2(tmp_path, monkeypatch, capsys):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    _failing_third_thread_record(monkeypatch, lambda: None)
+    assert main(["run", "--workload", "strings", "--scale", "4", "--out", str(fifo), "--epoch", "0"]) == 2
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert "cannot serialize threads[2]" in capsys.readouterr().err
+    # The reader got the head and two records, and no end: a document no reader accepts.
+    assert got[0].startswith(b"{\n") and got[0].count(b'"span_id"') == 2
+    with pytest.raises(churnscope.ReportError):
+        parse_report(got[0])
+
+
+def test_run_on_a_full_disk_leaves_the_previous_file_and_no_temp_file(tmp_path, monkeypatch, capsys):
+    out = run_report(tmp_path, "base")
+    before = out.read_bytes()
+
+    def write_until_full(report, file):
+        file.write(b"{\n" * 10_000)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(churnscope.cli, "write_report", write_until_full)
+    assert main(["run", "--workload", "strings", "--scale", "4", "--out", str(out), "--epoch", "0"]) == 2
+    assert capsys.readouterr().err == "churnscope run: error: [Errno 28] No space left on device\n"
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_run_into_a_full_device_exits_2(capsys):
+    assert main(["run", "--workload", "strings", "--scale", "4", "--out", "/dev/full", "--epoch", "0"]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+
+
+def _peak_bytes(fn):
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_holds_no_copy_of_the_report(tmp_path, capsys):
+    # Allocated bytes, not time, so the figure is the same on every run. A
+    # command that builds the report's bytes before it writes them peaks
+    # above the workload's own peak by more than the whole report.
+    out = tmp_path / "strings.churn.json"
+    argv = ["run", "--workload", "strings", "--seed", "1", "--epoch", "0", "--out", str(out)]
+    assert main([*argv, "--scale", "1"]) == 0  # the command's first-call work, not what it holds
+    spec = churnscope.WorkloadSpec("strings", seed=1, scale=250)
+    workload = _peak_bytes(lambda: churnscope.run_workload(
+        spec, churnscope.RecordingSession(created_at=churnscope.utc_timestamp(0))))
+    codes = []
+    command = _peak_bytes(lambda: codes.append(main([*argv, "--scale", "250"])))
+    capsys.readouterr()
+    assert codes == [0]
+    size = out.stat().st_size
+    assert size > 100_000
+    assert command - workload < size / 2, f"run peaks {command - workload} B above its workload, report {size} B"

@@ -185,6 +185,7 @@ PUBLIC_NAMES = [
     "WORKLOADS", "WorkloadError", "WorkloadSpec", "begin_marker", "diff_reports", "end_marker", "event_cost",
     "load_cost_model", "marker", "merge_phases", "parse_report", "parse_verdict", "rank_regressions", "run_workload",
     "serialize_report", "serialize_verdict", "span_churn", "utc_timestamp", "workload_names",
+    "write_report",
 ]
 
 

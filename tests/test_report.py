@@ -27,6 +27,7 @@ from churnscope import (
     parse_verdict,
     run_workload,
     serialize_report,
+    write_report,
     serialize_verdict,
 )
 import churnscope.report as report_module
@@ -1154,6 +1155,31 @@ def test_writers_hold_about_one_copy_of_the_document():
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * len(data), f"{write.__name__}: peak {peak} B for a {len(data)} B document"
+
+
+def test_write_report_holds_one_record_at_a_time():
+    # Into a file that keeps nothing, the writer holds only the record it
+    # is writing: a writer that builds the document first peaks above it.
+    report = report_with_units({f"p{i:04d}": 1 for i in range(3000)})
+    data = serialize_report(report)
+
+    class Sink:
+        def __init__(self):
+            self.size = 0
+
+        def write(self, chunk):
+            self.size += len(chunk)
+
+    sink = Sink()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_report(report, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == len(data)
+    assert peak < len(data) // 100, f"peak {peak} B for a {len(data)} B document"
 
 
 @pytest.mark.parametrize("value", [-0.0, -1e-9, -4.9e-7])

@@ -17,11 +17,11 @@ each tree, each running ``import churnscope`` and the set-up of a recording
 session (the work perfbench's ``setup_s`` times), from import to set-up done.
 
 ``--memory`` also measures, in each pair, one fresh ``python -I`` child per
-tree for each library workload (``long-phases``, ``dense-markers``; those of
-them named by ``--workload``, or both) and seed. The child builds
-perfbench's baseline program (``perfbench/programs.py``, imported read-only)
-and runs the library's run path on it stage by stage, as perfbench's
-``peak_mem_mb`` does: ``drive`` (a recording session, then the program
+tree for each workload (``long-phases``, ``dense-markers``, ``cli-gate``;
+those of them named by ``--workload``, or all three) and seed. For a
+library workload, the child builds perfbench's baseline program
+(``perfbench/programs.py``, imported read-only) and runs the library's run
+path on it stage by stage, as perfbench's ``peak_mem_mb`` does: ``drive`` (a recording session, then the program
 replayed through its markers), ``seal``, ``build_report`` and
 ``serialize_report``. After each stage it calls ``gc.collect()`` and reads
 ``tracemalloc``: the bytes still allocated, and the stage's own peak
@@ -29,6 +29,17 @@ replayed through its markers), ``seal``, ``build_report`` and
 readings into each stage's ``retained``, ``added`` (retained less the
 previous stage's) and ``peak``, and ``summarize_memory`` compares them
 parent -> change like any other metric.
+
+For ``cli-gate``, the child imports ``perfbench/run.py`` read-only for the
+CLI specs it runs (``CLI_SCALES``), their ``churnscope run`` argument lists
+and its in-process CLI runner, and runs each spec once untraced, so the
+command's first-call imports are not counted. Then, per spec, it measures
+two stages, each after a ``gc.collect()``: ``run_workload`` (a fresh
+session, as ``churnscope run`` makes it), its retained bytes and peak, and
+``cli.run``, the whole command in-process with stdout captured, its peak.
+``cli_memory_stages`` adds
+``above``: the command's peak less the workload's, what the command holds
+beyond what it records.
 
 A perfbench run, an import child or a memory child that outlasts
 ``timeout(--seconds)`` is taken to hang: it is killed, and abbench exits
@@ -77,7 +88,7 @@ print(churnscope.__file__)
 print(elapsed)
 """
 
-MEMORY_WORKLOADS = ("long-phases", "dense-markers")
+MEMORY_WORKLOADS = ("long-phases", "dense-markers", "cli-gate")
 MEMORY_CODE = """\
 import gc, json, sys, tracemalloc
 tree, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
@@ -112,6 +123,36 @@ for stage in (drive, seal, build_report, serialize_report):
     gc.collect()
     readings.append([stage.__name__, *tracemalloc.get_traced_memory()])
 tracemalloc.stop()
+print(cs.__file__)
+print(json.dumps(readings))
+"""
+
+CLI_MEMORY_CODE = """\
+import gc, json, sys, tempfile, tracemalloc, types
+tree, seed = sys.argv[1], int(sys.argv[2])
+sys.path[:0] = [tree + "/src", tree + "/perfbench"]
+import churnscope as cs
+import run as perfbench  # its CLI specs, argument lists and in-process CLI runner; importing it runs nothing
+readings = []
+with tempfile.TemporaryDirectory() as out:
+    argvs = {w: perfbench.CliWorkload._run_argv(types.SimpleNamespace(seed=seed), w, "baseline", f"{out}/{w}.churn.json")
+             for w in perfbench.CLI_SCALES}
+    for argv in argvs.values():  # the command's first-call imports, which are not what it holds
+        assert perfbench.cli(argv)[0] == 0
+    tracemalloc.start()
+    for w, scale in perfbench.CLI_SCALES.items():
+        gc.collect()  # what the command before left in cycles, such as its session
+        tracemalloc.reset_peak()
+        session = cs.RecordingSession(cs.CostModel(), build_id="baseline", created_at=cs.utc_timestamp(0))
+        report = cs.run_workload(cs.WorkloadSpec(w, seed=seed, scale=scale), session)
+        gc.collect()
+        retained, workload_peak = tracemalloc.get_traced_memory()
+        del session, report
+        gc.collect()
+        tracemalloc.reset_peak()
+        assert perfbench.cli(argvs[w])[0] == 0
+        readings.append([w, retained, workload_peak, tracemalloc.get_traced_memory()[1]])
+    tracemalloc.stop()
 print(cs.__file__)
 print(json.dumps(readings))
 """
@@ -268,6 +309,19 @@ def memory_stages(readings: list[list]) -> dict[str, dict[str, int]]:
     return stages
 
 
+def cli_memory_stages(readings: list[list]) -> dict[str, dict[str, int]]:
+    """Two stages per CLI spec from a ``CLI_MEMORY_CODE`` child's readings,
+    ``[spec, bytes allocated after run_workload, its peak, the command's
+    peak]``: ``<spec> run_workload`` with its ``retained`` bytes and
+    ``peak``, and ``<spec> cli.run`` with its ``peak`` and ``above``, what
+    the command peaks at above the workload's own peak."""
+    stages = {}
+    for spec, retained, workload_peak, cli_peak in readings:
+        stages[f"{spec} run_workload"] = {"retained": retained, "peak": workload_peak}
+        stages[f"{spec} cli.run"] = {"peak": cli_peak, "above": cli_peak - workload_peak}
+    return stages
+
+
 def summarize_memory(runs: list[dict]) -> list[dict]:
     """One row per workload, seed, stage and measure, parent -> change, as
     ``compare`` gives it. A run is ``{"pair", "side", "workload", "seed",
@@ -284,13 +338,16 @@ def summarize_memory(runs: list[dict]) -> list[dict]:
 
 
 def memory_lines(rows: list[dict]) -> list[str]:
-    """One line per ``added`` row of ``summarize_memory``: what each stage
-    adds and keeps, the parents' median -> the change's, and the pairs in
-    which the change read lower."""
+    """One line per ``added`` or ``above`` row of ``summarize_memory``, and
+    per ``peak`` row of a stage with no ``added`` row: the parents' median
+    -> the change's, and the pairs in which the change read lower."""
+    adds = {(row["workload"], row["seed"], row["stage"]) for row in rows if row["measure"] == "added"}
+    words = {"added": "adds", "above": "peaks above run_workload by", "peak": "peaks at"}
     return [f"abbench: {row['workload']} seed {row['seed']} memory {row['stage']}: "
-            f"adds {row['parent']['median']:,.0f} -> {row['change']['median']:,.0f} B, "
+            f"{words[row['measure']]} {row['parent']['median']:,.0f} -> {row['change']['median']:,.0f} B, "
             f"lower in {len(row['lower_in'])}/{row['pairs']}"
-            for row in rows if row["measure"] == "added"]
+            for row in rows if row["measure"] in ("added", "above")
+            or row["measure"] == "peak" and (row["workload"], row["seed"], row["stage"]) not in adds]
 
 
 def tree_state(tree: Path) -> dict:
@@ -340,8 +397,11 @@ def time_import(tree: Path, seconds: float) -> float:
 
 
 def measure_memory(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, dict[str, int]]:
-    line = run_child(tree, MEMORY_CODE, [str(tree.resolve()), workload, str(seed)],
-                     f"{workload} seed {seed}: memory run", seconds)
+    what = f"{workload} seed {seed}: memory run"
+    if workload == "cli-gate":
+        return cli_memory_stages(json.loads(run_child(tree, CLI_MEMORY_CODE, [str(tree.resolve()), str(seed)],
+                                                      what, seconds)))
+    line = run_child(tree, MEMORY_CODE, [str(tree.resolve()), workload, str(seed)], what, seconds)
     return memory_stages(json.loads(line))
 
 
@@ -356,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10, help="parent/change pairs per workload and seed")
     parser.add_argument("--imports", type=int, default=0, metavar="N", help="time N fresh interpreters per side")
     parser.add_argument("--memory", action="store_true",
-                        help="also measure the run path's retained memory stage by stage, one child per pair and side")
+                        help="also measure the run path's memory stage by stage, one child per pair and side")
     parser.add_argument("--label", required=True, help="names the output, BENCH_<label>.json")
     args = parser.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9._-]+", args.label):
@@ -409,6 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         doc["imports"] = {"unit": "s", **compare(seconds["parent"], seconds["change"])}
     if args.memory:
         doc["commands"]["memory"] = ["python", "-I", "-c", MEMORY_CODE, "<tree>", "<workload>", "<seed>"]
+        doc["commands"]["cli-memory"] = ["python", "-I", "-c", CLI_MEMORY_CODE, "<tree>", "<seed>"]
         workloads = [w for w in args.workload if w in MEMORY_WORKLOADS] or list(MEMORY_WORKLOADS)
         memory_runs = []
         for pair in range(1, args.pairs + 1):
