@@ -21,9 +21,9 @@ tree for each workload (``long-phases``, ``dense-markers``, ``cli-gate``;
 those of them named by ``--workload``, or all three) and seed. For a
 library workload, the child builds perfbench's baseline program
 (``perfbench/programs.py``, imported read-only) and runs the library's run
-path on it stage by stage, as perfbench's ``peak_mem_mb`` does: ``drive`` (a recording session, then the program
-replayed through its markers), ``seal``, ``build_report`` and
-``serialize_report``. After each stage it calls ``gc.collect()`` and reads
+path on it stage by stage, as perfbench's ``peak_mem_mb`` does: ``drive``
+(a recording session, then the program replayed through its markers),
+``seal``, ``build_report`` and ``serialize_report``. After each stage it calls ``gc.collect()`` and reads
 ``tracemalloc``: the bytes still allocated, and the stage's own peak
 (``tracemalloc.reset_peak`` before it). ``memory_stages`` turns a child's
 readings into each stage's ``retained``, ``added`` (retained less the
@@ -37,9 +37,8 @@ command's first-call imports are not counted. Then, per spec, it measures
 two stages, each after a ``gc.collect()``: ``run_workload`` (a fresh
 session, as ``churnscope run`` makes it), its retained bytes and peak, and
 ``cli.run``, the whole command in-process with stdout captured, its peak.
-``cli_memory_stages`` adds
-``above``: the command's peak less the workload's, what the command holds
-beyond what it records.
+``cli_memory_stages`` adds ``above``: the command's peak less the
+workload's, what the command holds beyond what it records.
 
 A perfbench run, an import child or a memory child that outlasts
 ``timeout(--seconds)`` is taken to hang: it is killed, and abbench exits
@@ -138,7 +137,8 @@ with tempfile.TemporaryDirectory() as out:
     argvs = {w: perfbench.CliWorkload._run_argv(types.SimpleNamespace(seed=seed), w, "baseline", f"{out}/{w}.churn.json")
              for w in perfbench.CLI_SCALES}
     for argv in argvs.values():  # the command's first-call imports, which are not what it holds
-        assert perfbench.cli(argv)[0] == 0
+        if perfbench.cli(argv)[0]:
+            sys.exit(f"churnscope {' '.join(argv)} failed")
     tracemalloc.start()
     for w, scale in perfbench.CLI_SCALES.items():
         gc.collect()  # what the command before left in cycles, such as its session
@@ -150,7 +150,8 @@ with tempfile.TemporaryDirectory() as out:
         del session, report
         gc.collect()
         tracemalloc.reset_peak()
-        assert perfbench.cli(argvs[w])[0] == 0
+        if perfbench.cli(argvs[w])[0]:
+            sys.exit(f"churnscope {' '.join(argvs[w])} failed")
         readings.append([w, retained, workload_peak, tracemalloc.get_traced_memory()[1]])
     tracemalloc.stop()
 print(cs.__file__)
@@ -397,12 +398,12 @@ def time_import(tree: Path, seconds: float) -> float:
 
 
 def measure_memory(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, dict[str, int]]:
-    what = f"{workload} seed {seed}: memory run"
     if workload == "cli-gate":
-        return cli_memory_stages(json.loads(run_child(tree, CLI_MEMORY_CODE, [str(tree.resolve()), str(seed)],
-                                                      what, seconds)))
-    line = run_child(tree, MEMORY_CODE, [str(tree.resolve()), workload, str(seed)], what, seconds)
-    return memory_stages(json.loads(line))
+        code, args, stages = CLI_MEMORY_CODE, [str(seed)], cli_memory_stages
+    else:
+        code, args, stages = MEMORY_CODE, [workload, str(seed)], memory_stages
+    line = run_child(tree, code, [str(tree.resolve()), *args], f"{workload} seed {seed}: memory run", seconds)
+    return stages(json.loads(line))
 
 
 def main(argv: list[str] | None = None) -> int:
