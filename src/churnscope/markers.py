@@ -3,10 +3,12 @@
 A span is the interval between a begin and an end marker on one thread.
 Spans may nest or partially overlap, but no span keeps a link to an
 enclosing one: reports are flat, one record per span. A span is costed once,
-when it closes, from the counter snapshots at its two endpoints; it then
-keeps its ``MarkerChurn`` record and drops its start snapshot. So closing a
-span is O(1) regardless of how many events it covers or how many spans are
-open, and a closed span holds no snapshot.
+when it closes, from the counter snapshots at its two endpoints. Its
+recorder lists each span in begin order: the open handle until it closes,
+then its ``MarkerChurn`` record in the handle's place. So closing a span is
+O(1) regardless of how many events it covers or how many spans are open, a
+closed span holds no snapshot, and the recorder holds no handle once its
+span is closed: a handle lives as long as its caller keeps it.
 """
 
 from __future__ import annotations
@@ -28,35 +30,46 @@ class MarkerSpan:
 
     While open it holds its start snapshot, ``start_snapshot``. Once closed
     it holds its churn record, read with ``span_churn``, and no snapshot:
-    ``start_snapshot`` is None. A closed span is immutable.
+    ``start_snapshot`` is None. A closed span is immutable. The recorder
+    holds an open span's handle, and once it closes only its record;
+    ``ThreadRecorder.spans()`` builds a closed span's handle anew on read.
     """
 
-    __slots__ = ("span_id", "name", "recorder", "start_snapshot", "_churn")
+    # One slot holds the start snapshot, then the record. ``_index`` is the
+    # span's entry in its recorder's list while it is open (``begin_marker``
+    # sets it), and None once it is closed.
+    __slots__ = ("span_id", "name", "recorder", "_state", "_index")
 
     def __init__(
         self,
         span_id: str,
         name: str,
         recorder: ThreadRecorder,
-        start_snapshot: CounterSnapshot,
+        state: CounterSnapshot | MarkerChurn,
     ):
         self.span_id = span_id
         self.name = name
         self.recorder = recorder
-        self.start_snapshot: CounterSnapshot | None = start_snapshot
-        self._churn: MarkerChurn | None = None
+        self._state = state
+        self._index: int | None = None
 
     @property
     def closed(self) -> bool:
-        return self._churn is not None
+        return type(self._state) is MarkerChurn
+
+    @property
+    def start_snapshot(self) -> CounterSnapshot | None:
+        state = self._state
+        return None if type(state) is MarkerChurn else state
 
     @property
     def thread_id(self) -> str:
         return self.recorder.thread_id
 
     def _close(self, end: CounterSnapshot, auto_closed: bool = False) -> None:
-        """Cost the span from its start snapshot to ``end``, keep the record
-        and drop the start snapshot.
+        """Cost the span from its start snapshot to ``end``, and put the
+        record in place of the start snapshot, here and in the recorder's
+        list, where it replaces this handle.
 
         The cost is the running total's delta in nano-units, the exact sum of
         the span's per-call costs under its recorder's model, rounded half up
@@ -64,15 +77,15 @@ class MarkerSpan:
         ``overflow`` is derived from the two ``seq`` and the recorder's ring
         capacity; ``auto_closed`` is set by ``seal()``.
         """
-        start = self.start_snapshot
-        if start is None:
+        start = self._state
+        if type(start) is MarkerChurn:
             raise SpanStateError(f"span {self.span_id!r} ({self.name!r}) is already closed")
         rec = self.recorder
         malloc0, calloc0, realloc0, free0, allocated0, freed0, nano0, _ = start
         malloc1, calloc1, realloc1, free1, allocated1, freed1, nano1, _ = end
         seq = malloc1 + calloc1 + realloc1 + free1
         # tuple.__new__ skips the named tuple's Python-level __new__: all twelve fields are given in order.
-        self._churn = tuple.__new__(MarkerChurn, (
+        self._state = rec._spans[self._index] = tuple.__new__(MarkerChurn, (
             self.name,
             (nano1 - nano0 + 500) // 1000,  # nano- to micro-units, ties up
             malloc1 - malloc0, calloc1 - calloc0, realloc1 - realloc0, free1 - free0,
@@ -81,7 +94,7 @@ class MarkerSpan:
             seq > malloc0 + calloc0 + realloc0 + free0 and seq > rec.ring_capacity,
             auto_closed, rec.thread_id, self.span_id,
         ))
-        self.start_snapshot = None
+        self._index = None  # an index past 256 is an int object, and a closed span has no entry left to replace
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
@@ -89,10 +102,11 @@ class MarkerSpan:
 
 
 def span_churn(span: MarkerSpan) -> MarkerChurn:
-    """A closed span's churn record, costed when it closed; raise
-    ``SpanStateError`` for an open span."""
-    churn = span._churn
-    if churn is None:
+    """A closed span's churn record, costed when it closed, whether read
+    from the caller's handle or from one ``ThreadRecorder.spans()`` built;
+    raise ``SpanStateError`` for an open span."""
+    churn = span._state
+    if type(churn) is not MarkerChurn:
         raise SpanStateError(f"span {span.span_id!r} ({span.name!r}) is still open")
     return churn
 
@@ -116,14 +130,21 @@ def begin_marker(recorder: ThreadRecorder, name: str) -> MarkerSpan:
     _validate_name(name)
     recorder._require_writable()
     spans = recorder._spans
-    span = MarkerSpan(f"{recorder.thread_id}/{len(spans):06d}", name, recorder, recorder.snapshot())
+    index = len(spans)
+    # The id, which the record keeps, is made on its own line, so a traced allocation site tells it from the handle.
+    span_id = f"{recorder.thread_id}/{index:06d}"
+    # _index is set here, not passed: a class call packs its arguments in a tuple, and a 5-tuple
+    # parked on CPython's tuple free list would count in a traced peak.
+    span = MarkerSpan(span_id, name, recorder, recorder.snapshot())
+    span._index = index
     spans.append(span)
     return span
 
 
 def end_marker(span: MarkerSpan) -> MarkerSpan:
     """Close an open span on its own thread: cost it at the current snapshot
-    and keep its record in place of its start snapshot."""
+    and keep its record in place of its start snapshot, and in the
+    recorder's list in place of the handle."""
     if threading.get_ident() != span.recorder._os_ident:
         raise ThreadAffinityError(
             f"span {span.name!r} was opened on thread {span.thread_id!r} "

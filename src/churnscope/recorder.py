@@ -6,11 +6,13 @@ They are the ground truth and survive any ring eviction; ``seq``, the number
 of calls recorded, is derived from the four call counts rather than stored.
 A snapshot is one tuple copy per ``seq``: marker endpoints with no call
 between them share one immutable snapshot, and after ``seal()`` a snapshot
-is a pure read. A span holds its start snapshot only while it is open: it
-is costed where it closes and keeps its record instead. Bytes are two
-totals, allocated and freed, whatever the call kind. On the hot path a call
-kind is its counter slot, the index of its ``*_calls`` field, and the
-model's weights are bound in slot order. Each call is admitted and charged
+is a pure read. A recorder lists its spans in begin order, each as its open
+``MarkerSpan`` until it closes and as its ``MarkerChurn`` record after: a
+span is costed where it closes and its record takes the handle's place, so
+the recorder holds no closed span's handle and no snapshot for it. Bytes
+are two totals, allocated and freed, whatever the call kind. On the hot
+path a call kind is its counter slot, the index of its ``*_calls`` field,
+and the model's weights are bound in slot order. Each call is admitted and charged
 in one step, ``_charge``: it refuses a call from another thread or after
 ``seal()``, and is the only place a call changes the live-block table, the
 counters and the bounded event ring, kept for diagnostics and replay: one
@@ -34,6 +36,7 @@ from operator import itemgetter
 from threading import get_ident
 from typing import TYPE_CHECKING
 
+from .aggregation import MarkerChurn
 from .cost_model import NANO, AllocFnKind, CostModel
 from .errors import RecorderSealedError, ThreadAffinityError
 
@@ -116,7 +119,9 @@ def checked_ring_capacity(ring_capacity: int | None) -> int:
 
 
 class ThreadRecorder:
-    """Single-thread capture state: counters, live-block table, event ring.
+    """Single-thread capture state: counters, live-block table, event ring,
+    and one entry per span begun, in begin order: the open ``MarkerSpan``,
+    and once it closes its ``MarkerChurn`` record in its place.
 
     All mutation must happen on the owning thread. After ``seal()`` the
     recorder emits no further events and may be read from any thread; other
@@ -145,7 +150,7 @@ class ThreadRecorder:
         self._log = self._ring.append  # bound once: four calls per recorded call
         self._c = [0] * len(CounterSnapshot._fields)
         self._live: dict[int, int] = {}
-        self._spans: list[MarkerSpan] = []
+        self._spans: list[MarkerSpan | MarkerChurn] = []  # an open span's handle, a closed span's record
         self._snap: CounterSnapshot | None = None  # the last snapshot taken, shared while _snap_seq holds
         self._snap_seq = -1
 
@@ -273,20 +278,28 @@ class ThreadRecorder:
     # -- span bookkeeping (managed by the markers module) --------------------
 
     def spans(self) -> list[MarkerSpan]:
-        """Every span begun on this thread, in open order."""
-        return list(self._spans)
+        """Every span begun on this thread, in begin order: an open span as
+        its own handle, a closed one as a closed ``MarkerSpan`` built on read
+        around its record, as ``events()`` builds its events. So a closed
+        span's entry is not the handle ``begin_marker`` returned; compare
+        spans by ``span_id``."""
+        from .markers import MarkerSpan  # markers imports this module
+
+        return [entry if type(entry) is not MarkerChurn else MarkerSpan(entry.span_id, entry.name, self, entry)
+                for entry in self._spans]
 
     def seal(self) -> None:
         """Stop recording. Open spans are closed at the seal snapshot: each
-        is costed there and its record flagged auto_closed. Idempotent. Call
-        from the owning thread, or from elsewhere only once the owning thread
-        has quiesced (e.g. post-join)."""
+        is costed there, its record flagged auto_closed, and the record
+        takes its handle's place, so a sealed recorder lists only records.
+        Idempotent. Call from the owning thread, or from elsewhere only once
+        the owning thread has quiesced (e.g. post-join)."""
         if self._writer is None:
             return
         snap = self.snapshot()
-        for span in self._spans:
-            if not span.closed:
-                span._close(snap, auto_closed=True)
+        for entry in self._spans:
+            if type(entry) is not MarkerChurn:
+                entry._close(snap, auto_closed=True)
         self._writer = None
 
 

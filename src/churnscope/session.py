@@ -3,7 +3,8 @@
 A session fixes its cost model before the first event and hands each thread
 its own recorder. Threads record independently with no shared state; after
 all recorders are sealed, `build_report` gathers each span's record, made
-when the span closed, into the canonical per-build report.
+when the span closed and kept by its recorder in the span's place, into the
+canonical per-build report.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import time
 from .aggregation import utf8_bytes
 from .cost_model import CostModel
 from .errors import RecorderStateError
-from .markers import span_churn
 from .recorder import ThreadRecorder, checked_ring_capacity
 from .report import ChurnReport, ReportTotals
 
@@ -123,9 +123,11 @@ class RecordingSession:
         """Assemble the canonical report from the sealed recorders.
 
         Each span is one part: the record it was costed into when it closed
-        (``seal()`` closes any still open), so nothing is costed here. Nothing
-        is merged either: the report's ``merged`` sums its parts by name on
-        its first read, so a run that only writes its report never merges.
+        (``seal()`` closes any still open), which its sealed recorder lists
+        in the span's place, so nothing is costed here and no span handle is
+        read or built. Nothing is merged either: the report's ``merged`` sums
+        its parts by name on its first read, so a run that only writes its
+        report never merges.
         """
         recs = self.recorders()
         for rec in recs:
@@ -133,8 +135,8 @@ class RecordingSession:
                 raise RecorderStateError(
                     f"recorder {rec.thread_id!r} is not sealed; call seal_all() first"
                 )
-        # Recorders come ordered by label and spans in begin order.
-        parts = [span_churn(span) for rec in recs for span in rec.spans()]
+        # Recorders come ordered by label, and a sealed recorder's entries are its spans' records in begin order.
+        parts = [record for rec in recs for record in rec._spans]
         allocated = freed = live_blocks = live_bytes = anomalies = overflows = 0
         for rec in recs:
             snap = rec.snapshot()

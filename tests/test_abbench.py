@@ -214,6 +214,44 @@ def test_memory_summary_compares_each_stage_and_measure_parent_to_change():
     ]
 
 
+def test_memory_sites_name_each_stages_top_lines_with_their_source_text(tmp_path):
+    source = tmp_path / "src" / "churnscope" / "markers.py"
+    source.parent.mkdir(parents=True)
+    source.write_text("import threading\n    span_id = f'{tid}/{index:06d}'\n")
+    gone = tmp_path / "src" / "churnscope" / "gone.py"
+    # A memory child's readings with their sites: [file, line, bytes, blocks], largest first.
+    readings = [[*PARENT_READINGS[0], [[str(source), 2, 180_000, 3_000], [str(gone), 7, 96, 1]]],
+                [*PARENT_READINGS[1], [[str(source), 2, 180_000, 3_000]]],
+                [*PARENT_READINGS[2], []]]
+    assert abbench.memory_sites(readings) == {
+        "drive": [{"site": "markers.py:2", "bytes": 180_000, "blocks": 3_000, "code": "span_id = f'{tid}/{index:06d}'"},
+                  {"site": "gone.py:7", "bytes": 96, "blocks": 1, "code": ""}],
+        "seal": [{"site": "markers.py:2", "bytes": 180_000, "blocks": 3_000, "code": "span_id = f'{tid}/{index:06d}'"}],
+        "build_report": [],
+    }
+    # The sites ride along: each stage's figures are those of its first three items.
+    assert abbench.memory_stages(readings) == abbench.memory_stages(PARENT_READINGS[:3])
+
+    runs = []
+    for pair in (1, 2, 3):
+        for side in abbench.order(pair):
+            sites = abbench.memory_sites(readings)
+            if side == "change":
+                sites["drive"] = sites["drive"][:1]  # the change holds nothing at gone.py:7
+                if pair == 3:
+                    sites["seal"] = []
+            runs.append({"pair": pair, "side": side, "workload": "dense-markers", "seed": 1, "sites": sites})
+    rows = abbench.summarize_sites(runs)
+    assert [(row["workload"], row["seed"], row["stage"]) for row in rows] == [
+        ("dense-markers", 1, stage) for stage in ("drive", "seal", "build_report")]
+    drive, seal, build = rows
+    assert [site["site"] for site in drive["parent"]] == ["markers.py:2", "gone.py:7"]
+    assert [site["site"] for site in drive["change"]] == ["markers.py:2"]
+    assert (drive["exact"], seal["exact"], build["exact"]) == (True, False, True)
+    assert seal["change"] == seal["parent"]  # the first run's sites, not the last
+    assert abbench.summarize_sites([]) == []
+
+
 # A cli-gate memory child's readings, as CLI_MEMORY_CODE prints them: spec,
 # bytes still allocated after run_workload, its peak, the command's peak.
 CLI_PARENT_READINGS = [["strings", 350_885, 355_949, 568_250], ["table", 327_453, 330_885, 478_837]]

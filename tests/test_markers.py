@@ -9,6 +9,7 @@ from churnscope import (
     CostModel,
     CounterSnapshot,
     MarkerChurn,
+    MarkerSpan,
     RecorderSealedError,
     SpanStateError,
     ThreadAffinityError,
@@ -167,8 +168,11 @@ def test_seal_auto_closes_only_spans_still_open_after_out_of_order_closes():
         # Span i began at seq i, and the seal closed it at the seal's seq.
         assert span_churn(span) == replay_record(
             events, MODEL, span, spans.index(span), seal_seq, rec.ring_capacity, auto_closed=True)
-    assert rec.spans() == spans
-    for span in spans:
+    # Each closed span is listed as a view built around its record, so spans are matched by id.
+    views = rec.spans()
+    assert [view.span_id for view in views] == [span.span_id for span in spans]
+    assert all(span_churn(view) is span_churn(span) for view, span in zip(views, spans))
+    for span in spans + views:
         with pytest.raises(SpanStateError, match="already closed"):
             end_marker(span)
 
@@ -367,19 +371,24 @@ def test_parent_containment_deltas_dominated():
 def test_closed_spans_hold_no_counter_snapshot():
     """A span keeps its start snapshot only while open: once a thousand spans,
     each with a call between every two markers, are closed, the only
-    snapshot left is the one the recorder caches."""
+    snapshot left is the one the recorder caches. The recorder keeps each
+    closed span's record, not its handle, so once the caller drops the
+    handles none is left."""
     rec = make_recorder()
     heap = TracingAllocator(rec)
     gc.collect()
     before = sum(type(obj) is CounterSnapshot for obj in gc.get_objects())
+    handles_before = sum(type(obj) is MarkerSpan for obj in gc.get_objects())
     for _ in range(1000):
         heap.malloc(16)
         span = begin_marker(rec, "phase")
         heap.malloc(16)
         end_marker(span)
+    del span
     gc.collect()
     after = sum(type(obj) is CounterSnapshot for obj in gc.get_objects())
     assert after - before <= 1
+    assert sum(type(obj) is MarkerSpan for obj in gc.get_objects()) - handles_before == 0
     assert len(rec.spans()) == 1000
     assert all(span.start_snapshot is None for span in rec.spans())
     assert all(span_churn(span).malloc_calls == 1 for span in rec.spans())

@@ -35,8 +35,9 @@ from factories import calls_fields, snapshot_calls
 def _drive_thread(session, label, seed, names, n_ops, windows):
     """Random calls and markers on one thread: nested, partially overlapping
     and repeated names, with some spans left open for the seal to close.
-    Each span's entry in ``windows`` is the list of the snapshots taken at
-    its begin and end markers; a span left open has only the first."""
+    Each span's entry in ``windows``, keyed by span id, is the list of the
+    snapshots taken at its begin and end markers; a span left open has only
+    the first."""
     rng = random.Random(seed)
     rec = session.recorder(label)
     heap = TracingAllocator(rec)
@@ -44,14 +45,14 @@ def _drive_thread(session, label, seed, names, n_ops, windows):
     open_spans = []
 
     def end(span):
-        windows[span].append(rec.snapshot())
+        windows[span.span_id].append(rec.snapshot())
         end_marker(span)
 
     for _ in range(n_ops):
         op = rng.random()
         if op < 0.2:
             open_spans.append(begin_marker(rec, rng.choice(names)))
-            windows[open_spans[-1]] = [rec.snapshot()]
+            windows[open_spans[-1].span_id] = [rec.snapshot()]
         elif op < 0.35 and open_spans:
             # Closing a random open span, not only the innermost, makes spans
             # that partially overlap their siblings.
@@ -73,8 +74,8 @@ def _drive_thread(session, label, seed, names, n_ops, windows):
 
 def random_session(seed, threads=3, names=40, n_ops=600):
     """A sealed session driven on ``threads`` threads, and each span's
-    window: the snapshots at its two markers, or at its begin marker and
-    the seal, and whether the seal closed it."""
+    window, keyed by span id: the snapshots at its two markers, or at its
+    begin marker and the seal, and whether the seal closed it."""
     session = RecordingSession(build_id=f"s{seed}", created_at="2026-01-01T00:00:00Z")
     pool = [f"phase-{i:03d}" for i in range(names)]
     errors = []
@@ -94,11 +95,13 @@ def random_session(seed, threads=3, names=40, n_ops=600):
     if errors:
         raise errors[0]
     session.seal_all()
-    for span, window in windows.items():
-        auto_closed = len(window) == 1
-        if auto_closed:
-            window.append(span.recorder.snapshot())
-        windows[span] = (*window, auto_closed)
+    for rec in session.recorders():
+        for span in rec.spans():
+            window = windows[span.span_id]
+            auto_closed = len(window) == 1
+            if auto_closed:
+                window.append(rec.snapshot())
+            windows[span.span_id] = (*window, auto_closed)
     return session, windows
 
 
@@ -110,7 +113,7 @@ def rescan_oracle(session, windows):
     for rec in session.recorders():
         capacity = rec.ring_capacity
         for span in rec.spans():
-            start, end, auto_closed = windows[span]
+            start, end, auto_closed = windows[span.span_id]
             start_calls = snapshot_calls(start)
             parts.append(
                 MarkerChurn(
@@ -135,7 +138,7 @@ def rescan_oracle(session, windows):
 
 def _has_partial_overlap(session, windows):
     for rec in session.recorders():
-        seqs = [(windows[span][0].seq, windows[span][1].seq) for span in rec.spans()]
+        seqs = [(windows[span.span_id][0].seq, windows[span.span_id][1].seq) for span in rec.spans()]
         for a_start, a_end in seqs:
             for b_start, b_end in seqs:
                 if a_start < b_start < a_end < b_end:

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from churnscope import (
@@ -29,19 +32,20 @@ def run(name, seed=1, scale=1, variant="baseline"):
 
 @pytest.fixture
 def marker_seqs(monkeypatch):
-    """The ``seq`` read at each span's begin and end marker, keyed by span,
-    for every span a workload opens, through ``marker`` or directly."""
+    """The ``seq`` read at each span's begin and end marker, keyed by its
+    recorder and span id (two sessions may repeat an id), for every span a
+    workload opens, through ``marker`` or directly."""
     seqs = {}
     begin, end = markers.begin_marker, markers.end_marker
 
     def begin_at_seq(rec, name):
         seq = rec.snapshot().seq
         span = begin(rec, name)
-        seqs[span] = [seq, None]
+        seqs[rec, span.span_id] = [seq, None]
         return span
 
     def end_at_seq(span):
-        seqs[span][1] = span.recorder.snapshot().seq
+        seqs[span.recorder, span.span_id][1] = span.recorder.snapshot().seq
         return end(span)
 
     for module in (markers, workloads):
@@ -127,7 +131,7 @@ def test_regressed_strings_flags_format_only(marker_seqs):
         for rec in sess_obj.recorders():
             for span in rec.spans():
                 if span.name == "format":
-                    oracle = replay(rec.events(), model, *marker_seqs[span])
+                    oracle = replay(rec.events(), model, *marker_seqs[rec, span.span_id])
                     expected += sign * oracle.cost_micro
     delta = {d.phase: d for d in verdict.deltas}["format"]
     assert delta.cost_delta_micro == expected
@@ -157,11 +161,30 @@ def test_multithread_has_overlapping_spans_on_worker0(marker_seqs):
     sess = session()
     run_workload(WorkloadSpec("multithread", seed=1, scale=1), sess)
     recs = {rec.thread_id: rec for rec in sess.recorders()}
-    spans = recs["worker-0"].spans()
+    worker = recs["worker-0"]
+    spans = worker.spans()
     sync = next(s for s in spans if s.name == "sync")
     cache = next(s for s in spans if s.name == "cache")
-    (sync_begin, sync_end), (cache_begin, cache_end) = marker_seqs[sync], marker_seqs[cache]
+    (sync_begin, sync_end), (cache_begin, cache_end) = (
+        marker_seqs[worker, sync.span_id], marker_seqs[worker, cache.span_id])
     assert sync_begin < cache_begin < sync_end < cache_end
+
+
+@pytest.mark.parametrize("name, threads", [("strings", 1), ("multithread", 3)])
+def test_a_finished_session_is_freed_without_the_cycle_collector(name, threads):
+    """A recorder lists its closed spans' records, not handles that refer
+    back to it, so once the caller drops a session and its report, reference
+    counting alone frees every recorder: no ``gc.collect()`` is needed."""
+    gc.disable()
+    try:
+        sess = session()
+        report = run_workload(WorkloadSpec(name, seed=1, scale=7), sess)
+        recorders = [weakref.ref(rec) for rec in sess.recorders()]
+        assert len(recorders) == threads
+        del sess, report
+        assert [ref().thread_id for ref in recorders if ref() is not None] == []
+    finally:
+        gc.enable()
 
 
 def test_unknown_workload_rejected():

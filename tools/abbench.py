@@ -28,7 +28,16 @@ path on it stage by stage, as perfbench's ``peak_mem_mb`` does: ``drive``
 (``tracemalloc.reset_peak`` before it). ``memory_stages`` turns a child's
 readings into each stage's ``retained``, ``added`` (retained less the
 previous stage's) and ``peak``, and ``summarize_memory`` compares them
-parent -> change like any other metric.
+parent -> change like any other metric. Once the readings are taken, the
+child runs the four stages again under a fresh trace and, after each, takes
+a ``tracemalloc`` snapshot and lists the five ``src/churnscope/`` lines that
+hold the most bytes (``Snapshot.statistics("lineno")``), then drops the
+snapshot. The second run is there because the snapshots, the lists and the
+tuples they free onto CPython's free lists would count in the stage figures
+of a run that took them. ``memory_sites`` names each line as
+``file.py:line`` with its source text, and ``summarize_sites`` keeps, per
+workload, seed and stage, each side's lines from its first run: named
+allocation sites, not a judged metric.
 
 For ``cli-gate``, the child imports ``perfbench/run.py`` read-only for the
 CLI specs it runs (``CLI_SCALES``), their ``churnscope run`` argument lists
@@ -52,7 +61,7 @@ quartiles), the ratio of the medians (change over parent), the pairs in
 which the change read lower, and ``exact``: whether each side read one
 value in every run. Ties count for neither side. ``--memory`` adds a
 ``memory`` section of the same rows, one per workload, seed, stage and
-measure, in bytes.
+measure, in bytes, and a ``sites`` list of each library stage's top lines.
 
 Each metric the change tree's ``BENCHMARK.json`` declares also gets its
 ``better`` direction, and an end-to-end one the acceptance rule
@@ -66,6 +75,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import linecache
 import os
 import platform
 import re
@@ -122,6 +132,20 @@ for stage in (drive, seal, build_report, serialize_report):
     gc.collect()
     readings.append([stage.__name__, *tracemalloc.get_traced_memory()])
 tracemalloc.stop()
+# The stages again, for the churnscope lines that hold each stage's bytes: a run of
+# their own, as the snapshots and the sites would count in the readings above.
+state.clear()
+gc.collect()
+churnscope_lines = [tracemalloc.Filter(True, tree + "/src/churnscope/*")]
+tracemalloc.start()
+for reading, stage in zip(readings, (drive, seal, build_report, serialize_report)):
+    stage()
+    gc.collect()
+    snapshot = tracemalloc.take_snapshot().filter_traces(churnscope_lines)
+    reading.append([[stat.traceback[0].filename, stat.traceback[0].lineno, stat.size, stat.count]
+                    for stat in snapshot.statistics("lineno")[:5]])
+    del snapshot
+tracemalloc.stop()
 print(cs.__file__)
 print(json.dumps(readings))
 """
@@ -141,7 +165,8 @@ with tempfile.TemporaryDirectory() as out:
             sys.exit(f"churnscope {' '.join(argv)} failed")
     tracemalloc.start()
     for w, scale in perfbench.CLI_SCALES.items():
-        gc.collect()  # what the command before left in cycles, such as its session
+        # Anything the command before left in cycles; a session is freed by reference counting when its command returns.
+        gc.collect()
         tracemalloc.reset_peak()
         session = cs.RecordingSession(cs.CostModel(), build_id="baseline", created_at=cs.utc_timestamp(0))
         report = cs.run_workload(cs.WorkloadSpec(w, seed=seed, scale=scale), session)
@@ -301,13 +326,44 @@ def summary_lines(rows: list[dict]) -> list[str]:
 def memory_stages(readings: list[list]) -> dict[str, dict[str, int]]:
     """Each stage's ``retained`` bytes, ``added`` (retained less the previous
     stage's; the first stage's is its retained), and ``peak``, from a memory
-    child's readings: ``[stage, bytes allocated after it, its peak]`` in
-    stage order, as ``MEMORY_CODE`` prints them."""
+    child's readings: ``[stage, bytes allocated after it, its peak, its
+    sites]`` in stage order, as ``MEMORY_CODE`` prints them (the sites are
+    ``memory_sites``')."""
     stages, before = {}, 0
-    for stage, retained, peak in readings:
+    for stage, retained, peak, *_ in readings:
         stages[stage] = {"retained": retained, "added": retained - before, "peak": peak}
         before = retained
     return stages
+
+
+def memory_sites(readings: list[list]) -> dict[str, list[dict]]:
+    """Each stage's top churnscope lines, largest first, from a memory
+    child's readings: the fourth item of each is its sites, ``[file, line,
+    bytes, blocks]`` as ``Snapshot.statistics("lineno")`` gave them after a
+    second run of the stage. A site becomes ``{"site": "file.py:line",
+    "bytes", "blocks", "code"}``, ``code`` being the line's text, read from
+    the file ("" if it cannot be read)."""
+    return {stage: [{"site": f"{Path(file).name}:{line}", "bytes": size, "blocks": count,
+                     "code": linecache.getline(file, line).strip()}
+                    for file, line, size, count in sites]
+            for stage, _, _, sites in readings}
+
+
+def summarize_sites(runs: list[dict]) -> list[dict]:
+    """One row per workload, seed and stage, in the order runs first name
+    them: each side's sites from its first run, and ``exact``, whether every
+    run of each side listed the same sites. A run is ``{"pair", "side",
+    "workload", "seed", "sites"}``, with ``sites`` as ``memory_sites``
+    returns them. The rows are information: nothing is compared or judged."""
+    seen: dict[tuple, dict[str, list]] = {}
+    for run in runs:
+        for stage, sites in run["sites"].items():
+            key = (run["workload"], run["seed"], stage)
+            seen.setdefault(key, {side: [] for side in SIDES})[run["side"]].append(sites)
+    return [{"workload": workload, "seed": seed, "stage": stage,
+             **{side: lists[side][0] if lists[side] else None for side in SIDES},
+             "exact": all(sites == lists[side][0] for side in SIDES for sites in lists[side])}
+            for (workload, seed, stage), lists in seen.items()]
 
 
 def cli_memory_stages(readings: list[list]) -> dict[str, dict[str, int]]:
@@ -397,13 +453,15 @@ def time_import(tree: Path, seconds: float) -> float:
     return float(run_child(tree, IMPORT_CODE, [str((tree / "src").resolve())], "import run", seconds))
 
 
-def measure_memory(tree: Path, workload: str, seed: int, seconds: float) -> dict[str, dict[str, int]]:
+def measure_memory(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """A memory child's stages, and its sites: a library stage's top lines, none for ``cli-gate``."""
     if workload == "cli-gate":
-        code, args, stages = CLI_MEMORY_CODE, [str(seed)], cli_memory_stages
+        code, args, stages, sites = CLI_MEMORY_CODE, [str(seed)], cli_memory_stages, lambda readings: {}
     else:
-        code, args, stages = MEMORY_CODE, [workload, str(seed)], memory_stages
+        code, args, stages, sites = MEMORY_CODE, [workload, str(seed)], memory_stages, memory_sites
     line = run_child(tree, code, [str(tree.resolve()), *args], f"{workload} seed {seed}: memory run", seconds)
-    return stages(json.loads(line))
+    readings = json.loads(line)
+    return stages(readings), sites(readings)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -472,14 +530,17 @@ def main(argv: list[str] | None = None) -> int:
         doc["commands"]["memory"] = ["python", "-I", "-c", MEMORY_CODE, "<tree>", "<workload>", "<seed>"]
         doc["commands"]["cli-memory"] = ["python", "-I", "-c", CLI_MEMORY_CODE, "<tree>", "<seed>"]
         workloads = [w for w in args.workload if w in MEMORY_WORKLOADS] or list(MEMORY_WORKLOADS)
-        memory_runs = []
+        memory_runs, site_runs = [], []
         for pair in range(1, args.pairs + 1):
             for workload in workloads:
                 for seed in seeds:
                     for side in order(pair):
-                        memory_runs.append({"pair": pair, "side": side, "workload": workload, "seed": seed,
-                                            "stages": measure_memory(trees[side], workload, seed, args.seconds)})
-        doc["memory"] = {"runs": memory_runs, "summary": summarize_memory(memory_runs)}
+                        stages, sites = measure_memory(trees[side], workload, seed, args.seconds)
+                        run = {"pair": pair, "side": side, "workload": workload, "seed": seed}
+                        memory_runs.append(run | {"stages": stages})
+                        site_runs.append(run | {"sites": sites})
+        doc["memory"] = {"runs": memory_runs, "summary": summarize_memory(memory_runs),
+                         "sites": summarize_sites(site_runs)}
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"abbench: wrote {out}", file=sys.stderr)
