@@ -6,7 +6,6 @@ weighted log2 byte rule, and writes canonical per-build reports that a CI
 job can diff to detect and rank performance regressions.
 """
 
-from .aggregation import MarkerChurn, merge_phases
 from .cost_model import (
     AllocFnKind,
     CostModel,
@@ -25,21 +24,29 @@ from .errors import (
     ThreadAffinityError,
     WorkloadError,
 )
-from .markers import MarkerSpan, begin_marker, end_marker, marker, span_churn
 from .recorder import (
     AllocEvent,
     BumpAllocator,
     CounterSnapshot,
     DEFAULT_RING_CAPACITY,
+    MarkerSpan,
+    RecordingSession,
     ThreadRecorder,
     TracingAllocator,
+    begin_marker,
+    end_marker,
+    marker,
+    span_churn,
+    utc_timestamp,
 )
 from .report import (
     ChurnDelta,
     ChurnReport,
+    MarkerChurn,
     RegressionVerdict,
     Thresholds,
     diff_reports,
+    merge_phases,
     parse_report,
     parse_verdict,
     rank_regressions,
@@ -47,7 +54,6 @@ from .report import (
     serialize_verdict,
     write_report,
 )
-from .session import RecordingSession, utc_timestamp
 from .workloads import WORKLOADS, WorkloadSpec, run_workload, workload_names
 
 __version__ = "0.1.0"

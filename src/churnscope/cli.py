@@ -20,6 +20,7 @@ from typing import Any, BinaryIO, Callable
 
 from .cost_model import CostModel, load_cost_model
 from .errors import ChurnscopeError
+from .recorder import RecordingSession, utc_timestamp
 from .report import (
     DEFAULT_ABS_FLOOR,
     DEFAULT_REL_THRESHOLD,
@@ -36,7 +37,6 @@ from .report import (
     serialize_verdict,
     write_report,
 )
-from .session import RecordingSession, utc_timestamp
 from .workloads import VARIANTS, WorkloadSpec, run_workload, workload_names
 
 EXIT_OK = 0

@@ -1,4 +1,4 @@
-"""Allocator call capture: per-thread recorders and the interception surface.
+"""Recording: allocator calls captured per thread, between named markers, in one session.
 
 Each thread records into its own ``ThreadRecorder``; the hot path takes no
 locks. The counters are one integer list in ``CounterSnapshot`` field order.
@@ -6,42 +6,60 @@ They are the ground truth and survive any ring eviction; ``seq``, the number
 of calls recorded, is derived from the four call counts rather than stored.
 A snapshot is one tuple copy per ``seq``: marker endpoints with no call
 between them share one immutable snapshot, and after ``seal()`` a snapshot
-is a pure read. A recorder lists its spans in begin order, each as its open
-``MarkerSpan`` until it closes and as its ``MarkerChurn`` record after: a
-span is costed where it closes and its record takes the handle's place, so
-the recorder holds no closed span's handle and no snapshot for it. Bytes
-are two totals, allocated and freed, whatever the call kind. On the hot
-path a call kind is its counter slot, the index of its ``*_calls`` field,
-and the model's weights are bound in slot order. Each call is admitted and charged
-in one step, ``_charge``: it refuses a call from another thread or after
-``seal()``, and is the only place a call changes the live-block table, the
-counters and the bounded event ring, kept for diagnostics and replay: one
-``deque`` of four slots per call (slot, nbytes, addr, old_addr), the most
-recent calls' slots in order, with no tuple per call. ``events()`` reads
-them four at a time and builds ``AllocEvent``s on read. A full ring evicts
-one call's four slots per call; evictions are derived where a span is
-costed, at its close, and where a report is built, so the capacity changes
-no snapshot.
-A ``record_*`` method checks only its sizes, and returns ``None``. The
-recorder's own bookkeeping does only dict, list and deque operations on
-ints, so it never calls back into a ``TracingAllocator``.
+is a pure read. Bytes are two totals, allocated and freed, whatever the
+call kind. On the hot path a call kind is its counter slot, the index of
+its ``*_calls`` field, and the model's weights are bound in slot order.
+Each call is admitted and charged in one step, ``_charge``: it refuses a
+call from another thread or after ``seal()``, and is the only place a call
+changes the live-block table, the counters and the bounded event ring, kept
+for diagnostics and replay: one ``deque`` of four slots per call (slot,
+nbytes, addr, old_addr), the most recent calls' slots in order, with no
+tuple per call. ``events()`` reads them four at a time and builds
+``AllocEvent``s on read. A full ring evicts one call's four slots per call;
+evictions are derived where a span is costed, at its close, and where a
+report is built, so the capacity changes no snapshot. A ``record_*`` method
+checks only its sizes, and returns ``None``. The recorder's own bookkeeping
+does only dict, list and deque operations on ints, so it never calls back
+into a ``TracingAllocator``.
+
+A span is the interval between a begin and an end marker on one thread.
+Spans may nest or partially overlap, but no span keeps a link to an
+enclosing one: reports are flat, one record per span. A recorder lists its
+spans in begin order, one entry each: the open ``MarkerSpan``, which holds
+its start snapshot, until the span closes, and then its ``MarkerChurn``
+record in the handle's place. A span closes at ``end_marker``, or at
+``seal()`` if it is still open, when the record is flagged auto_closed. It
+is costed once, there, from the counter snapshots at its two endpoints, and
+its handle keeps the record in place of the start snapshot. So closing a
+span is O(1) regardless of how many events it covers or how many spans are
+open, a closed span holds no snapshot, and the recorder holds no handle
+once its span is closed: a handle lives as long as its caller keeps it. A
+sealed recorder lists only records; ``spans()`` builds a closed span's
+handle anew around its record on read.
+
+A ``RecordingSession`` fixes its cost model before the first event and hands
+each thread its own recorder. Threads record independently with no shared
+state; once all recorders are sealed, ``build_report`` gathers the records
+their recorders list, in label and then begin order, into the canonical
+per-build report. Nothing is costed there, and nothing is merged: a
+report's ``merged`` sums its parts by name on its first read.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
+import time
 from collections import deque, namedtuple
-from math import log2
+from contextlib import contextmanager
+from math import isfinite, log2, modf
 from operator import itemgetter
 from threading import get_ident
-from typing import TYPE_CHECKING
+from typing import Iterator
 
-from .aggregation import MarkerChurn
 from .cost_model import NANO, AllocFnKind, CostModel
-from .errors import RecorderSealedError, ThreadAffinityError
-
-if TYPE_CHECKING:
-    from .markers import MarkerSpan
+from .errors import RecorderSealedError, RecorderStateError, SpanStateError, ThreadAffinityError
+from .report import ChurnReport, MarkerChurn, ReportTotals, utf8_bytes
 
 DEFAULT_RING_CAPACITY = 4096
 
@@ -118,10 +136,16 @@ def checked_ring_capacity(ring_capacity: int | None) -> int:
     return capacity
 
 
+def checked_model(model: CostModel) -> CostModel:
+    """``model`` if it is a ``CostModel``: anything else is refused where it is given, not at its first use."""
+    if not isinstance(model, CostModel):
+        raise ValueError(f"model must be a CostModel, got {model!r}")
+    return model
+
+
 class ThreadRecorder:
     """Single-thread capture state: counters, live-block table, event ring,
-    and one entry per span begun, in begin order: the open ``MarkerSpan``,
-    and once it closes its ``MarkerChurn`` record in its place.
+    and its span list (see the module docstring).
 
     All mutation must happen on the owning thread. After ``seal()`` the
     recorder emits no further events and may be read from any thread; other
@@ -143,7 +167,7 @@ class ThreadRecorder:
     def __init__(self, thread_id: str, model: CostModel, ring_capacity: int | None = None):
         self.thread_id = thread_id
         self.ring_capacity = checked_ring_capacity(ring_capacity)
-        self._weights = _slot_weights(model.weights)  # a tuple, in slot order
+        self._weights = _slot_weights(checked_model(model).weights)  # a tuple, in slot order
         self._os_ident = self._writer = get_ident()
         slots = 4 * self.ring_capacity
         self._ring: deque[int | None] = deque(maxlen=slots if slots <= sys.maxsize else None)
@@ -275,25 +299,20 @@ class ThreadRecorder:
         """Copy of the outstanding-block table (token to byte size)."""
         return dict(self._live)
 
-    # -- span bookkeeping (managed by the markers module) --------------------
+    # -- spans ---------------------------------------------------------------
 
     def spans(self) -> list[MarkerSpan]:
-        """Every span begun on this thread, in begin order: an open span as
-        its own handle, a closed one as a closed ``MarkerSpan`` built on read
-        around its record, as ``events()`` builds its events. So a closed
-        span's entry is not the handle ``begin_marker`` returned; compare
-        spans by ``span_id``."""
-        from .markers import MarkerSpan  # markers imports this module
-
+        """Every span begun on this thread, in begin order, a closed one as a
+        handle built on read around its record, as ``events()`` builds its
+        events: not the handle ``begin_marker`` returned, so compare spans by
+        ``span_id``."""
         return [entry if type(entry) is not MarkerChurn else MarkerSpan(entry.span_id, entry.name, self, entry)
                 for entry in self._spans]
 
     def seal(self) -> None:
-        """Stop recording. Open spans are closed at the seal snapshot: each
-        is costed there, its record flagged auto_closed, and the record
-        takes its handle's place, so a sealed recorder lists only records.
-        Idempotent. Call from the owning thread, or from elsewhere only once
-        the owning thread has quiesced (e.g. post-join)."""
+        """Stop recording, and close each span still open at the seal
+        snapshot. Idempotent. Call from the owning thread, or from elsewhere
+        only once the owning thread has quiesced (e.g. post-join)."""
         if self._writer is None:
             return
         snap = self.snapshot()
@@ -372,3 +391,276 @@ class TracingAllocator:
     def free(self, addr: int | None) -> None:
         self._base.free(addr)
         self._rec.record_free(addr)
+
+
+# -- marker spans ------------------------------------------------------------
+
+
+MAX_NAME_BYTES = 128
+RESERVED_PREFIX = "churnscope."
+
+
+class MarkerSpan:
+    """One named interval on one thread: its start snapshot,
+    ``start_snapshot``, while it is open, and once it is closed its churn
+    record, read with ``span_churn``, with ``start_snapshot`` None. A closed
+    span is immutable.
+    """
+
+    # One slot holds the start snapshot, then the record. ``_index`` is the
+    # span's entry in its recorder's list while it is open (``begin_marker``
+    # sets it), and None once it is closed.
+    __slots__ = ("span_id", "name", "recorder", "_state", "_index")
+
+    def __init__(
+        self,
+        span_id: str,
+        name: str,
+        recorder: ThreadRecorder,
+        state: CounterSnapshot | MarkerChurn,
+    ):
+        self.span_id = span_id
+        self.name = name
+        self.recorder = recorder
+        self._state = state
+        self._index: int | None = None
+
+    @property
+    def closed(self) -> bool:
+        return type(self._state) is MarkerChurn
+
+    @property
+    def start_snapshot(self) -> CounterSnapshot | None:
+        state = self._state
+        return None if type(state) is MarkerChurn else state
+
+    @property
+    def thread_id(self) -> str:
+        return self.recorder.thread_id
+
+    def _close(self, end: CounterSnapshot, auto_closed: bool = False) -> None:
+        """Cost the span from its start snapshot to ``end``, and put the
+        record in its place, here and in the recorder's list.
+
+        The cost is the running total's delta in nano-units, the exact sum of
+        the span's per-call costs under its recorder's model, rounded half up
+        to micro-units; so it depends only on the calls inside the span.
+        ``overflow`` is derived from the two ``seq`` and the recorder's ring
+        capacity; ``auto_closed`` is set by ``seal()``.
+        """
+        start = self._state
+        if type(start) is MarkerChurn:
+            raise SpanStateError(f"span {self.span_id!r} ({self.name!r}) is already closed")
+        rec = self.recorder
+        malloc0, calloc0, realloc0, free0, allocated0, freed0, nano0, _ = start
+        malloc1, calloc1, realloc1, free1, allocated1, freed1, nano1, _ = end
+        seq = malloc1 + calloc1 + realloc1 + free1
+        # tuple.__new__ skips the named tuple's Python-level __new__: all twelve fields are given in order.
+        self._state = rec._spans[self._index] = tuple.__new__(MarkerChurn, (
+            self.name,
+            (nano1 - nano0 + 500) // 1000,  # nano- to micro-units, ties up
+            malloc1 - malloc0, calloc1 - calloc0, realloc1 - realloc0, free1 - free0,
+            allocated1 - allocated0, freed1 - freed0,
+            # Some call in [start seq, seq) evicted, by ThreadRecorder's eviction rule.
+            seq > malloc0 + calloc0 + realloc0 + free0 and seq > rec.ring_capacity,
+            auto_closed, rec.thread_id, self.span_id,
+        ))
+        self._index = None  # an index past 256 is an int object, and a closed span has no entry left to replace
+
+    def __repr__(self) -> str:
+        state = "closed" if self.closed else "open"
+        return f"MarkerSpan({self.span_id!r}, {self.name!r}, {state})"
+
+
+def span_churn(span: MarkerSpan) -> MarkerChurn:
+    """A closed span's churn record, from the caller's handle or from one
+    ``ThreadRecorder.spans()`` built; raise ``SpanStateError`` for an open span."""
+    churn = span._state
+    if type(churn) is not MarkerChurn:
+        raise SpanStateError(f"span {span.span_id!r} ({span.name!r}) is still open")
+    return churn
+
+
+def _validate_name(name: str) -> None:
+    if not isinstance(name, str) or not name:
+        raise ValueError("marker name must be a nonempty string")
+    if len(utf8_bytes("marker name", name)) > MAX_NAME_BYTES:
+        raise ValueError(f"marker name exceeds {MAX_NAME_BYTES} bytes: {name!r}")
+    if name.startswith(RESERVED_PREFIX):
+        raise ValueError(f"marker names starting with {RESERVED_PREFIX!r} are reserved")
+
+
+def begin_marker(recorder: ThreadRecorder, name: str) -> MarkerSpan:
+    """Open a span named ``name`` on the calling thread's recorder.
+
+    The start snapshot is taken on the calling thread, so it is atomic with
+    respect to that thread's own event stream. Several spans with the same
+    name may be open at once; span ids disambiguate them.
+    """
+    _validate_name(name)
+    recorder._require_writable()
+    spans = recorder._spans
+    index = len(spans)
+    # The id, which the record keeps, is made on its own line, so a traced allocation site tells it from the handle.
+    span_id = f"{recorder.thread_id}/{index:06d}"
+    # _index is set here, not passed: a class call packs its arguments in a tuple, and a 5-tuple
+    # parked on CPython's tuple free list would count in a traced peak.
+    span = MarkerSpan(span_id, name, recorder, recorder.snapshot())
+    span._index = index
+    spans.append(span)
+    return span
+
+
+def end_marker(span: MarkerSpan) -> MarkerSpan:
+    """Close an open span on its own thread, costing it at the current snapshot."""
+    if get_ident() != span.recorder._os_ident:
+        raise ThreadAffinityError(
+            f"span {span.name!r} was opened on thread {span.thread_id!r} "
+            "and must be closed there"
+        )
+    span._close(span.recorder.snapshot())
+    return span
+
+
+@contextmanager
+def marker(recorder: ThreadRecorder, name: str) -> Iterator[MarkerSpan]:
+    """Context manager sugar: begin on entry, end on exit."""
+    span = begin_marker(recorder, name)
+    try:
+        yield span
+    finally:
+        end_marker(span)
+
+
+# -- the session -------------------------------------------------------------
+
+
+def utc_timestamp(epoch: float | int | None = None) -> str:
+    """ISO-8601 UTC second-resolution timestamp, optionally from an epoch.
+
+    It gives the string ``datetime.fromtimestamp`` gives, the year written
+    with four digits as ``datetime.isoformat`` writes it, without importing
+    ``datetime``: a float epoch is rounded to the microsecond, half to even,
+    before its second is taken. An epoch with a year outside 1-9999, or one
+    ``gmtime`` cannot represent, is refused by a message naming the epoch.
+    """
+    seconds = epoch
+    if isinstance(epoch, float) and isfinite(epoch):
+        fraction, whole = modf(epoch)
+        micro = round(fraction * 1e6)
+        seconds = int(whole) + (micro >= 1_000_000) - (micro < 0)
+    try:
+        year, month, day, hour, minute, second = time.gmtime(seconds)[:6]
+    except (OverflowError, OSError, ValueError):  # ValueError: a NaN
+        year = 0  # refused below, with the same message as a year past 9999
+    if not 1 <= year <= 9999:
+        raise ValueError(f"epoch {epoch} is out of range")
+    return f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}Z"
+
+
+class RecordingSession:
+    """Registry of per-thread recorders sharing one cost model.
+
+    ``recorder(label)`` returns the calling thread's recorder, creating it
+    on first use. Labels name threads in reports; pass explicit, stable
+    labels when report determinism across runs matters (OS thread ids are
+    not stable). The registry lock guards only creation, never recording.
+    """
+
+    def __init__(
+        self,
+        model: CostModel | None = None,
+        ring_capacity: int | None = None,
+        build_id: str = "local",
+        created_at: str | None = None,
+    ):
+        self._model = checked_model(model if model is not None else CostModel())
+        self._ring_capacity = checked_ring_capacity(ring_capacity)
+        # A report that serialize_report writes must parse back.
+        if not isinstance(build_id, str):
+            raise ValueError(f"build_id must be a string, got {build_id!r}")
+        utf8_bytes("build_id", build_id)
+        if created_at is not None:
+            if not isinstance(created_at, str):
+                raise ValueError(f"created_at must be None or a string, got {created_at!r}")
+            utf8_bytes("created_at", created_at)
+        self.build_id = build_id
+        self.created_at = created_at
+        self._lock = threading.Lock()
+        # Thread-local handle rather than a get_ident()-keyed map: the OS
+        # reuses thread ids, thread-local slots die with their thread.
+        self._tls = threading.local()
+        self._by_label: dict[str, ThreadRecorder] = {}
+
+    @property
+    def model(self) -> CostModel:
+        return self._model
+
+    def recorder(self, label: str | None = None) -> ThreadRecorder:
+        """Get or create the calling thread's recorder. Unlabelled, it is named
+        ``thread-N`` for the first free N from the number of recorders."""
+        rec: ThreadRecorder | None = getattr(self._tls, "recorder", None)
+        if rec is not None:
+            if label is not None and label != rec.thread_id:
+                raise ValueError(
+                    f"thread already registered as {rec.thread_id!r}, not {label!r}"
+                )
+            return rec
+        with self._lock:
+            if label is None:
+                n = len(self._by_label)
+                while f"thread-{n}" in self._by_label:  # taken by an explicit label
+                    n += 1
+                label = f"thread-{n}"
+            elif not isinstance(label, str):
+                raise ValueError(f"thread label must be a string, got {label!r}")
+            else:
+                utf8_bytes("thread label", label)
+            if label in self._by_label:
+                raise ValueError(f"thread label {label!r} already in use")
+            rec = ThreadRecorder(label, self._model, self._ring_capacity)
+            self._by_label[label] = rec
+        self._tls.recorder = rec
+        return rec
+
+    def recorders(self) -> list[ThreadRecorder]:
+        """All recorders, ordered by label."""
+        with self._lock:
+            return [self._by_label[label] for label in sorted(self._by_label)]
+
+    def seal_all(self) -> None:
+        """Seal every recorder. Only call once all recording threads have
+        quiesced (finished or joined)."""
+        for rec in self.recorders():
+            rec.seal()
+
+    def build_report(self) -> ChurnReport:
+        """Assemble the canonical report from the sealed recorders, in one
+        pass: each recorder's records are the report's parts, and its counters
+        and live table add to the totals."""
+        parts: list[MarkerChurn] = []
+        allocated = freed = live_blocks = live_bytes = anomalies = overflows = 0
+        # Recorders come ordered by label, and a sealed recorder's entries are its spans' records in begin order.
+        for rec in self.recorders():
+            if not rec.sealed:
+                raise RecorderStateError(
+                    f"recorder {rec.thread_id!r} is not sealed; call seal_all() first"
+                )
+            for record in rec._spans:
+                parts.append(record)  # one at a time, as a comprehension grows a list; extend() sizes it otherwise
+            snap = rec.snapshot()
+            allocated += snap.bytes_allocated
+            freed += snap.bytes_freed
+            anomalies += snap.anomaly_count
+            overflows += max(0, snap.seq - rec.ring_capacity)  # ThreadRecorder's eviction rule
+            live = rec._live
+            live_blocks += len(live)
+            live_bytes += sum(live.values())
+        totals = ReportTotals(allocated, freed, live_blocks, live_bytes, anomalies, overflows)
+        return ChurnReport(
+            build_id=self.build_id,
+            created_at=self.created_at if self.created_at is not None else utc_timestamp(),
+            model=self._model,
+            per_thread=parts,
+            totals=totals,
+        )

@@ -17,10 +17,8 @@ from collections import namedtuple
 from typing import Callable
 
 from .errors import WorkloadError
-from .markers import begin_marker, end_marker, marker
-from .recorder import TracingAllocator
+from .recorder import RecordingSession, TracingAllocator, begin_marker, end_marker, marker
 from .report import ChurnReport
-from .session import RecordingSession
 
 MASK64 = (1 << 64) - 1
 
@@ -235,11 +233,11 @@ def run_workload(spec: WorkloadSpec, session: RecordingSession) -> ChurnReport:
         raise WorkloadError(
             f"unknown workload {spec.name!r}; choices: {', '.join(workload_names())}"
         )
-    if not isinstance(spec.scale, int) or spec.scale < 1:
+    if type(spec.scale) is not int or spec.scale < 1:  # a bool included
         raise WorkloadError(f"scale must be a positive integer, got {spec.scale!r}")
     if spec.variant not in VARIANTS:
         raise WorkloadError(f"variant must be one of {VARIANTS}, got {spec.variant!r}")
-    if not isinstance(spec.seed, int) or not 0 <= spec.seed <= MASK64:
+    if type(spec.seed) is not int or not 0 <= spec.seed <= MASK64:  # a bool included
         raise WorkloadError(f"seed must be a 64-bit unsigned integer, got {spec.seed!r}")
     WORKLOADS[spec.name].run(spec, session)
     session.seal_all()

@@ -9,8 +9,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from churnscope import ThreadRecorder, TracingAllocator
-from churnscope.markers import MarkerSpan, begin_marker, end_marker
+from churnscope import MarkerSpan, ThreadRecorder, TracingAllocator, begin_marker, end_marker
 
 # Tokens below the bump allocator's start address; never returned by it.
 _UNKNOWN_TOKENS = range(1, 0x400)

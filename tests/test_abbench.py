@@ -163,23 +163,48 @@ def test_summary_lines_print_each_end_to_end_row_once():
 
 
 # A memory child's readings, as MEMORY_CODE prints them: stage, bytes still
-# allocated after it, the stage's own peak.
-PARENT_READINGS = [["drive", 1_000, 1_500], ["seal", 1_100, 1_200], ["build_report", 1_600, 1_700],
-                   ["serialize_report", 2_600, 2_650]]
-CHANGE_READINGS = [["drive", 800, 1_200], ["seal", 800, 850], ["build_report", 750, 900],
-                   ["serialize_report", 1_750, 1_800]]
+# allocated after it, the stage's own peak; the no-op base first.
+PARENT_READINGS = [["base", 40, 60], ["drive", 1_040, 1_500], ["seal", 1_140, 1_200],
+                   ["build_report", 1_640, 1_700], ["serialize_report", 2_640, 2_690]]
+CHANGE_READINGS = [["base", 40, 60], ["drive", 840, 1_200], ["seal", 840, 850], ["build_report", 790, 900],
+                   ["serialize_report", 1_790, 1_800]]
 
 
 def test_memory_stages_give_what_each_stage_keeps_adds_and_peaks_at():
     assert abbench.memory_stages(PARENT_READINGS) == {
-        "drive": {"retained": 1_000, "added": 1_000, "peak": 1_500},
-        "seal": {"retained": 1_100, "added": 100, "peak": 1_200},
-        "build_report": {"retained": 1_600, "added": 500, "peak": 1_700},
-        "serialize_report": {"retained": 2_600, "added": 1_000, "peak": 2_650},
+        "base": {"retained": 40},
+        # The first stage's bytes are counted from the base's, which the measuring holds itself.
+        "drive": {"retained": 1_040, "added": 1_000, "peak": 1_500},
+        "seal": {"retained": 1_140, "added": 100, "peak": 1_200},
+        "build_report": {"retained": 1_640, "added": 500, "peak": 1_700},
+        "serialize_report": {"retained": 2_640, "added": 1_000, "peak": 2_690},
     }
     # A stage that frees more than it keeps adds a negative figure.
-    assert abbench.memory_stages(CHANGE_READINGS)["build_report"] == {"retained": 750, "added": -50, "peak": 900}
+    assert abbench.memory_stages(CHANGE_READINGS)["build_report"] == {"retained": 790, "added": -50, "peak": 900}
     assert abbench.memory_stages([]) == {}
+
+
+def test_the_measuring_loop_counts_none_of_its_own_bytes_in_a_stage():
+    kept = []
+
+    def first():
+        pass
+
+    def second():
+        pass
+
+    def third():
+        pass
+
+    def keep():
+        kept.append(bytearray(1_000))
+
+    readings = abbench.measure_stages((first, second, third, keep))
+    assert [reading[0] for reading in readings] == ["base", "first", "second", "third", "keep"]
+    stages = abbench.memory_stages(readings)
+    assert [stages[stage]["added"] for stage in ("first", "second", "third")] == [0, 0, 0]
+    # The bytearray and the list's first slots, and no more.
+    assert 1_000 < stages["keep"]["added"] < 1_300
 
 
 def test_memory_summary_compares_each_stage_and_measure_parent_to_change():
@@ -188,20 +213,21 @@ def test_memory_summary_compares_each_stage_and_measure_parent_to_change():
         for side in abbench.order(pair):
             readings = PARENT_READINGS if side == "parent" else CHANGE_READINGS
             if side == "change" and pair == 3:  # one change run keeps 30 more bytes after its drive
-                readings = [["drive", 830, 1_200], *CHANGE_READINGS[1:]]
+                readings = [CHANGE_READINGS[0], ["drive", 870, 1_200], *CHANGE_READINGS[2:]]
             runs.append({"pair": pair, "side": side, "workload": "dense-markers", "seed": 1,
                          "stages": abbench.memory_stages(readings)})
     rows = abbench.summarize_memory(runs)
-    assert [(row["stage"], row["measure"]) for row in rows] == [
+    assert [(row["stage"], row["measure"]) for row in rows] == [("base", "retained")] + [
         (stage, measure) for stage in ("drive", "seal", "build_report", "serialize_report")
         for measure in ("retained", "added", "peak")]
     assert all((row["workload"], row["seed"], row["unit"], row["pairs"]) == ("dense-markers", 1, "B", 3)
                for row in rows)
     by_key = {(row["stage"], row["measure"]): row for row in rows}
     drive = by_key["drive", "retained"]
-    assert drive["parent"] == {"median": 1_000, "q1": 1_000, "q3": 1_000}
-    assert drive["change"] == {"median": 800, "q1": 800, "q3": 815}
-    assert (drive["ratio"], drive["lower_in"], drive["exact"]) == (0.8, [1, 2, 3], False)
+    assert drive["parent"] == {"median": 1_040, "q1": 1_040, "q3": 1_040}
+    assert drive["change"] == {"median": 840, "q1": 840, "q3": 855}
+    assert (drive["ratio"], drive["lower_in"], drive["exact"]) == (840 / 1_040, [1, 2, 3], False)
+    assert by_key["base", "retained"]["exact"] is True
     # The pair-3 run's extra 30 bytes after the drive are not added again by the seal.
     assert by_key["seal", "added"]["change"] == {"median": 0, "q1": -15, "q3": 0}
     assert by_key["build_report", "added"]["ratio"] == -50 / 500
@@ -219,10 +245,11 @@ def test_memory_sites_name_each_stages_top_lines_with_their_source_text(tmp_path
     source.parent.mkdir(parents=True)
     source.write_text("import threading\n    span_id = f'{tid}/{index:06d}'\n")
     gone = tmp_path / "src" / "churnscope" / "gone.py"
-    # A memory child's readings with their sites: [file, line, bytes, blocks], largest first.
-    readings = [[*PARENT_READINGS[0], [[str(source), 2, 180_000, 3_000], [str(gone), 7, 96, 1]]],
-                [*PARENT_READINGS[1], [[str(source), 2, 180_000, 3_000]]],
-                [*PARENT_READINGS[2], []]]
+    # A memory child's readings with their sites, [file, line, bytes, blocks], largest first; the base has none.
+    readings = [PARENT_READINGS[0],
+                [*PARENT_READINGS[1], [[str(source), 2, 180_000, 3_000], [str(gone), 7, 96, 1]]],
+                [*PARENT_READINGS[2], [[str(source), 2, 180_000, 3_000]]],
+                [*PARENT_READINGS[3], []]]
     assert abbench.memory_sites(readings) == {
         "drive": [{"site": "markers.py:2", "bytes": 180_000, "blocks": 3_000, "code": "span_id = f'{tid}/{index:06d}'"},
                   {"site": "gone.py:7", "bytes": 96, "blocks": 1, "code": ""}],
@@ -230,7 +257,7 @@ def test_memory_sites_name_each_stages_top_lines_with_their_source_text(tmp_path
         "build_report": [],
     }
     # The sites ride along: each stage's figures are those of its first three items.
-    assert abbench.memory_stages(readings) == abbench.memory_stages(PARENT_READINGS[:3])
+    assert abbench.memory_stages(readings) == abbench.memory_stages(PARENT_READINGS[:4])
 
     runs = []
     for pair in (1, 2, 3):

@@ -19,6 +19,7 @@ from churnscope import (
     MarkerChurn,
     RecorderStateError,
     RecordingSession,
+    ThreadRecorder,
     TracingAllocator,
     begin_marker,
     end_marker,
@@ -223,6 +224,15 @@ def test_ring_capacity_below_one_rejected_at_construction():
             RecordingSession(ring_capacity=value)
 
 
+def test_a_model_that_is_not_a_cost_model_is_refused_at_construction():
+    # Not at the first recorder(), with an AttributeError from deep inside it.
+    for model, shown in (({"malloc": 1.0}, "{'malloc': 1.0}"), ("paper-v1", "'paper-v1'")):
+        with pytest.raises(ValueError, match=f"^model must be a CostModel, got {re.escape(shown)}$"):
+            RecordingSession(model=model)
+    with pytest.raises(ValueError, match="^model must be a CostModel, got None$"):
+        ThreadRecorder("t0", None)
+
+
 def _drive_with_a_ring_model(session, label, seed, n_calls, capacity, flags):
     """Random calls and spans on one thread. Each span's expected ``overflow``
     goes into ``flags`` by span id: whether a call inside it evicted an entry
@@ -358,13 +368,13 @@ def test_recorder_rejects_a_label_that_has_no_utf8_form():
 def _datetime_timestamp(epoch):
     """The timestamp as ``datetime`` writes it, in ISO-8601 with a four-digit
     year: the oracle for ``utc_timestamp``. Each of its out-of-range
-    refusals, a year outside 1-9999 included, names the epoch."""
+    refusals, a year outside 1-9999 and a NaN included, names the epoch."""
     try:
         moment = datetime.fromtimestamp(epoch, tz=timezone.utc)
     except (OverflowError, OSError):
         raise ValueError(f"epoch {epoch} is out of range") from None
     except ValueError as exc:
-        if not re.fullmatch(r"year -?[0-9]+ is out of range", str(exc)):
+        if not re.fullmatch(r"year -?[0-9]+ is out of range|Invalid value NaN \(not a number\)", str(exc)):
             raise
         raise ValueError(f"epoch {epoch} is out of range") from None
     return moment.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"

@@ -14,7 +14,7 @@ from churnscope import (
     serialize_report,
     workload_names,
 )
-from churnscope import markers, workloads
+from churnscope import recorder, workloads
 from churnscope.report import STATUS_NEUTRAL, STATUS_REGRESSION
 from churnscope.workloads import SplitMix64
 
@@ -36,7 +36,7 @@ def marker_seqs(monkeypatch):
     recorder and span id (two sessions may repeat an id), for every span a
     workload opens, through ``marker`` or directly."""
     seqs = {}
-    begin, end = markers.begin_marker, markers.end_marker
+    begin, end = recorder.begin_marker, recorder.end_marker
 
     def begin_at_seq(rec, name):
         seq = rec.snapshot().seq
@@ -48,7 +48,7 @@ def marker_seqs(monkeypatch):
         seqs[span.recorder, span.span_id][1] = span.recorder.snapshot().seq
         return end(span)
 
-    for module in (markers, workloads):
+    for module in (recorder, workloads):
         monkeypatch.setattr(module, "begin_marker", begin_at_seq)
         monkeypatch.setattr(module, "end_marker", end_at_seq)
     return seqs
@@ -199,3 +199,8 @@ def test_bad_scale_and_seed_and_variant_rejected():
         run_workload(WorkloadSpec("strings", seed=-1), session())
     with pytest.raises(WorkloadError, match="variant"):
         run_workload(WorkloadSpec("strings", variant="slower"), session())
+    # A bool is not an int here, as everywhere else: True would run as 1.
+    with pytest.raises(WorkloadError, match="^scale must be a positive integer, got True$"):
+        run_workload(WorkloadSpec("strings", scale=True), session())
+    with pytest.raises(WorkloadError, match="^seed must be a 64-bit unsigned integer, got True$"):
+        run_workload(WorkloadSpec("strings", seed=True), session())

@@ -23,18 +23,21 @@ library workload, the child builds perfbench's baseline program
 (``perfbench/programs.py``, imported read-only) and runs the library's run
 path on it stage by stage, as perfbench's ``peak_mem_mb`` does: ``drive``
 (a recording session, then the program replayed through its markers),
-``seal``, ``build_report`` and ``serialize_report``. After each stage it calls ``gc.collect()`` and reads
-``tracemalloc``: the bytes still allocated, and the stage's own peak
-(``tracemalloc.reset_peak`` before it). ``memory_stages`` turns a child's
-readings into each stage's ``retained``, ``added`` (retained less the
-previous stage's) and ``peak``, and ``summarize_memory`` compares them
-parent -> change like any other metric. Once the readings are taken, the
-child runs the four stages again under a fresh trace and, after each, takes
-a ``tracemalloc`` snapshot and lists the five ``src/churnscope/`` lines that
-hold the most bytes (``Snapshot.statistics("lineno")``), then drops the
-snapshot. The second run is there because the snapshots, the lists and the
-tuples they free onto CPython's free lists would count in the stage figures
-of a run that took them. ``memory_sites`` names each line as
+``seal``, ``build_report`` and ``serialize_report``, after a no-op stage,
+``base`` (``measure_stages``). After each stage it calls ``gc.collect()``
+and reads ``tracemalloc``: the bytes still allocated, and the stage's own
+peak (``tracemalloc.reset_peak`` before it). ``memory_stages`` turns a
+child's readings into the base's ``retained``, what the measuring holds
+itself, and each stage's ``retained``, ``added`` (retained less the
+previous stage's or the base's) and ``peak``, and ``summarize_memory``
+compares them parent -> change like any other metric. Once the readings
+are taken, the child runs the four stages again under a fresh trace and,
+after each, takes a ``tracemalloc`` snapshot and lists the five
+``src/churnscope/`` lines that hold the most bytes
+(``Snapshot.statistics("lineno")``), then drops the snapshot. The second
+run is there because the snapshots, the lists and the tuples they free onto
+CPython's free lists would count in the stage figures of a run that took
+them. ``memory_sites`` names each line as
 ``file.py:line`` with its source text, and ``summarize_sites`` keeps, per
 workload, seed and stage, each side's lines from its first run: named
 allocation sites, not a judged metric.
@@ -74,6 +77,8 @@ written, each end-to-end row is also printed to stderr as one line
 from __future__ import annotations
 
 import argparse
+import gc
+import inspect
 import json
 import linecache
 import os
@@ -82,6 +87,8 @@ import re
 import statistics
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -98,15 +105,43 @@ print(elapsed)
 """
 
 MEMORY_WORKLOADS = ("long-phases", "dense-markers", "cli-gate")
+
+
+def measure_stages(stages: tuple) -> list[list]:
+    """Run ``stages``, functions of no argument, in turn under ``tracemalloc``,
+    after a no-op stage named ``base``, and read after each, once a
+    ``gc.collect()`` is done, the bytes still allocated and the stage's own
+    peak (``reset_peak`` before it): ``[[name, retained, peak], ...]``, the
+    base's first. The stage tuple and the slots the readings go into, two
+    per stage in an ``array('q')``, are made before the trace starts, so the
+    loop holds at every reading what it held at the base's: a stage that
+    keeps nothing reads the base's retained bytes. ``MEMORY_CODE`` runs this
+    function's source."""
+    def base():
+        pass
+
+    stages = (base, *stages)
+    slots = array("q", [0]) * (2 * len(stages))
+    gc.collect()
+    tracemalloc.start()
+    for i in range(0, len(slots), 2):
+        tracemalloc.reset_peak()
+        stages[i // 2]()
+        gc.collect()
+        slots[i], slots[i + 1] = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return [[stage.__name__, slots[2 * k], slots[2 * k + 1]] for k, stage in enumerate(stages)]
+
+
 MEMORY_CODE = """\
 import gc, json, sys, tracemalloc
+from array import array
 tree, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
 sys.path[:0] = [tree + "/src", tree + "/perfbench"]
 import churnscope as cs
 import programs
 generate = programs.long_phases if workload == "long-phases" else programs.dense_markers
 program, _ = generate(seed, False)
-readings = []
 state = {}
 
 def drive():
@@ -124,21 +159,16 @@ def build_report():
 def serialize_report():
     state["data"] = cs.serialize_report(state["report"])
 
-gc.collect()
-tracemalloc.start()
-for stage in (drive, seal, build_report, serialize_report):
-    tracemalloc.reset_peak()
-    stage()
-    gc.collect()
-    readings.append([stage.__name__, *tracemalloc.get_traced_memory()])
-tracemalloc.stop()
+""" + inspect.getsource(measure_stages) + """
+stages = (drive, seal, build_report, serialize_report)
+readings = measure_stages(stages)
 # The stages again, for the churnscope lines that hold each stage's bytes: a run of
 # their own, as the snapshots and the sites would count in the readings above.
 state.clear()
 gc.collect()
 churnscope_lines = [tracemalloc.Filter(True, tree + "/src/churnscope/*")]
 tracemalloc.start()
-for reading, stage in zip(readings, (drive, seal, build_report, serialize_report)):
+for reading, stage in zip(readings[1:], stages):
     stage()
     gc.collect()
     snapshot = tracemalloc.take_snapshot().filter_traces(churnscope_lines)
@@ -324,12 +354,16 @@ def summary_lines(rows: list[dict]) -> list[str]:
 
 
 def memory_stages(readings: list[list]) -> dict[str, dict[str, int]]:
-    """Each stage's ``retained`` bytes, ``added`` (retained less the previous
-    stage's; the first stage's is its retained), and ``peak``, from a memory
-    child's readings: ``[stage, bytes allocated after it, its peak, its
-    sites]`` in stage order, as ``MEMORY_CODE`` prints them (the sites are
-    ``memory_sites``')."""
-    stages, before = {}, 0
+    """The base's ``retained`` bytes, then each stage's ``retained``,
+    ``added`` (retained less the previous stage's, the first stage's less
+    the base's) and ``peak``, from a memory child's readings: ``[stage,
+    bytes allocated after it, its peak]`` in stage order, the no-op base
+    first, each stage's with its sites after (``memory_sites``), as
+    ``MEMORY_CODE`` prints them."""
+    if not readings:
+        return {}
+    (name, before, _), *readings = readings
+    stages = {name: {"retained": before}}
     for stage, retained, peak, *_ in readings:
         stages[stage] = {"retained": retained, "added": retained - before, "peak": peak}
         before = retained
@@ -338,15 +372,15 @@ def memory_stages(readings: list[list]) -> dict[str, dict[str, int]]:
 
 def memory_sites(readings: list[list]) -> dict[str, list[dict]]:
     """Each stage's top churnscope lines, largest first, from a memory
-    child's readings: the fourth item of each is its sites, ``[file, line,
-    bytes, blocks]`` as ``Snapshot.statistics("lineno")`` gave them after a
-    second run of the stage. A site becomes ``{"site": "file.py:line",
-    "bytes", "blocks", "code"}``, ``code`` being the line's text, read from
-    the file ("" if it cannot be read)."""
+    child's readings: the fourth item of each but the base's is its sites,
+    ``[file, line, bytes, blocks]`` as ``Snapshot.statistics("lineno")`` gave
+    them after a second run of the stage. A site becomes ``{"site":
+    "file.py:line", "bytes", "blocks", "code"}``, ``code`` being the line's
+    text, read from the file ("" if it cannot be read)."""
     return {stage: [{"site": f"{Path(file).name}:{line}", "bytes": size, "blocks": count,
                      "code": linecache.getline(file, line).strip()}
                     for file, line, size, count in sites]
-            for stage, _, _, sites in readings}
+            for stage, _, _, sites in readings[1:]}
 
 
 def summarize_sites(runs: list[dict]) -> list[dict]:
